@@ -14,11 +14,13 @@
                    pulls the tail over the storage plane.
 
    The shape to check (EXPERIMENTS.md): replay-full scales linearly in H;
-   the two checkpointed modes stay flat.  Emitted as BENCH_durability.json. *)
+   the two checkpointed modes stay flat.  Rendered as the durability
+   artifact, whose floors hold each mode's replay and adoption counts. *)
 
 open Sintra
 
 let interval = 32
+let seed = "bench-durability"
 
 type row = {
   history : int;
@@ -93,29 +95,7 @@ let rebuild ~(seed : string) ~(history : int) ~(ckpt_interval : int)
     replayed = Durable.replayed_rounds newest;
     adopted = Durable.snapshots_adopted newest }
 
-let check (r : row) : unit =
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        failwith (Printf.sprintf "durability bench [%s H=%d]: %s" r.mode
-                    r.history s))
-      fmt
-  in
-  match r.mode with
-  | "replay-full" ->
-    if r.adopted <> 0 then fail "adopted a snapshot with no checkpoints dealt";
-    if r.replayed < r.history then
-      fail "replayed only %d of %d rounds" r.replayed r.history
-  | "replay-ckpt" ->
-    if r.replayed > (2 * interval) + 1 then
-      fail "replayed %d rounds; compaction should bound this near %d"
-        r.replayed interval
-  | "snapshot" ->
-    if r.adopted < 1 then fail "wiped restart adopted no peer snapshot";
-    if r.replayed <> 0 then fail "replayed %d rounds from a wiped disk" r.replayed
-  | m -> fail "unknown mode %s" m
-
-let run ?(quick = true) ?(out = "BENCH_durability.json") () : unit =
+let run ~(quick : bool) () : string =
   (* H must exceed the interval: at H <= interval the GC floor is still 0,
      peers retain the whole history, and a wiped restart is (correctly)
      served plain DECIDED catch-up rather than a snapshot. *)
@@ -135,11 +115,7 @@ let run ?(quick = true) ?(out = "BENCH_durability.json") () : unit =
         in
         List.map
           (fun (mode, ckpt_interval, wipe) ->
-            let r =
-              rebuild ~seed:"bench-durability" ~history ~ckpt_interval ~wipe
-                ~mode
-            in
-            check r;
+            let r = rebuild ~seed ~history ~ckpt_interval ~wipe ~mode in
             Printf.printf "  %8d  %-12s %11.1f %9d %9d %9d %8d\n%!" r.history
               r.mode r.rebuild_ms r.rebuild_events r.log_bytes r.replayed
               r.adopted;
@@ -147,22 +123,16 @@ let run ?(quick = true) ?(out = "BENCH_durability.json") () : unit =
           modes)
       lengths
   in
-  let json_row (r : row) =
-    Printf.sprintf
-      "    {\"history\": %d, \"mode\": \"%s\", \"rebuild_ms\": %.2f, \
-       \"rebuild_events\": %d, \"log_bytes\": %d, \"replayed_rounds\": %d, \
-       \"snapshots_adopted\": %d}"
-      r.history r.mode r.rebuild_ms r.rebuild_events r.log_bytes r.replayed
-      r.adopted
-  in
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"durability\",\n  \"version\": 1,\n  \
-       \"checkpoint_interval\": %d,\n  \"rows\": [\n%s\n  ]\n}\n"
-      interval
-      (String.concat ",\n" (List.map json_row rows))
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s (%d rows)\n" out (List.length rows)
+  Load.Artifact.render ~name:"durability" ~seed ~smoke:quick
+    [ ("checkpoint_interval", string_of_int interval);
+      ( "rows",
+        Load.Artifact.rows
+          (List.map
+             (fun (r : row) ->
+               Printf.sprintf
+                 "{\"history\": %d, \"mode\": \"%s\", \"rebuild_ms\": %.2f, \
+                  \"rebuild_events\": %d, \"log_bytes\": %d, \
+                  \"replayed_rounds\": %d, \"snapshots_adopted\": %d}"
+                 r.history r.mode r.rebuild_ms r.rebuild_events r.log_bytes
+                 r.replayed r.adopted)
+             rows) ) ]

@@ -1,13 +1,13 @@
 (* The latency section of the bench harness: traced open-loop atomic
    broadcast at several offered loads, with completion-latency percentiles
    and a critical-path phase breakdown per point (lib/load latency bench),
-   written to BENCH_latency.json.
+   rendered as the latency artifact.
 
    Quick mode runs the CI-sized smoke bench; --full measures 8 virtual
    seconds per point over five offered rates and is what the committed
    BENCH_latency.json is regenerated with. *)
 
-let run ~(quick : bool) () : unit =
+let run ~(quick : bool) () : string =
   print_endline "--- latency: critical-path attribution by offered load ---";
   let report = Load.Latency.run ~smoke:quick () in
   Printf.printf "n=%d t=%d, %.1f virtual seconds per point:\n"
@@ -36,8 +36,4 @@ let run ~(quick : bool) () : unit =
         p.Load.Latency.phases_s;
       print_newline ())
     report.Load.Latency.points;
-  let path = "BENCH_latency.json" in
-  let oc = open_out path in
-  output_string oc (Load.Latency.to_json report);
-  close_out oc;
-  Printf.printf "wrote %s\n\n" path
+  Load.Latency.to_json report

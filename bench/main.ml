@@ -7,22 +7,21 @@
      dune exec bench/main.exe -- fig4 table1  - a subset
      dune exec bench/main.exe -- micro        - bechamel crypto microbenches
      dune exec bench/main.exe -- perf         - fast-path wall-clock comparison
-                                                (writes BENCH_perf.json; 512-bit
-                                                quick mode unless --full)
+                                                (512-bit quick mode unless --full)
+     dune exec bench/main.exe -- vopr         - schedule-explorer seeds/sec
      dune exec bench/main.exe -- throughput   - batched vs unbatched atomic
-                                                broadcast sweep (writes
-                                                BENCH_throughput.json; smoke
-                                                size unless --full)
+                                                broadcast sweep
      dune exec bench/main.exe -- latency      - traced offered-load ladder
                                                 with critical-path phase
-                                                attribution (writes
-                                                BENCH_latency.json; smoke
-                                                size unless --full)
+                                                attribution
      dune exec bench/main.exe -- durability   - rebuild-at-tip cost, full log
                                                 replay vs checkpointed replay
-                                                vs snapshot transfer (writes
-                                                BENCH_durability.json; smoke
-                                                size unless --full)
+                                                vs snapshot transfer
+
+   Those five sections are the generators of the committed artifacts: each
+   writes BENCH_<section>.json (smoke-sized unless --full), or FILE under
+   --out FILE, which needs exactly one of them selected.  `sintra_sim
+   bench-check` judges the result.
 
    Absolute numbers come from a simulator calibrated with the paper's host
    and network measurements; the claims to check are the *shapes* (see
@@ -33,7 +32,14 @@ let known =
     "ablations"; "vopr"; "throughput"; "latency"; "durability" ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
+  let rec take_out = function
+    | "--out" :: file :: rest -> (Some file, rest)
+    | a :: rest ->
+      let out, rest = take_out rest in
+      (out, a :: rest)
+    | [] -> (None, [])
+  in
+  let out, args = take_out (List.tl (Array.to_list Sys.argv)) in
   let full = List.mem "--full" args in
   let fast_path = not (List.mem "--no-fast-path" args) in
   let args =
@@ -43,12 +49,19 @@ let () =
     (fun a ->
       if not (List.mem a known) then begin
         Printf.eprintf
-          "unknown experiment %S (known: %s, plus --full and --no-fast-path)\n" a
+          "unknown experiment %S (known: %s, plus --full, --no-fast-path \
+           and --out FILE)\n" a
           (String.concat " " known);
         exit 2
       end)
     args;
   let selected name = args = [] || List.mem name args in
+  let artifacts = [ "perf"; "vopr"; "throughput"; "latency"; "durability" ] in
+  if out <> None && List.length (List.filter selected artifacts) <> 1 then begin
+    Printf.eprintf "--out FILE needs exactly one of: %s\n"
+      (String.concat " " artifacts);
+    exit 2
+  end;
   let t0 = Unix.gettimeofday () in
   let section name f =
     if selected name then begin
@@ -71,11 +84,20 @@ let () =
   section "fig6" (fun () -> Experiments.fig6 ~messages:(if full then 100 else 25) ());
   section "ablations" (fun () -> Ablations.all ());
   section "micro" (fun () -> Micro.all ());
-  section "perf" (fun () -> Micro.perf ~quick:(not full) ());
-  section "vopr" (fun () -> Vopr_bench.run ~quick:(not full) ());
-  section "throughput" (fun () -> Throughput_bench.run ~quick:(not full) ());
-  section "latency" (fun () -> Latency_bench.run ~quick:(not full) ());
-  section "durability" (fun () -> Durability_bench.run ~quick:(not full) ());
+  let artifact name generate =
+    section name (fun () ->
+      let path = Option.value out ~default:("BENCH_" ^ name ^ ".json") in
+      let text = generate ~quick:(not full) () in
+      let oc = open_out path in
+      output_string oc text;
+      close_out oc;
+      Printf.printf "wrote %s\n" path)
+  in
+  artifact "perf" Micro.perf;
+  artifact "vopr" Vopr_bench.run;
+  artifact "throughput" Throughput_bench.run;
+  artifact "latency" Latency_bench.run;
+  artifact "durability" Durability_bench.run;
   if Experiments.metrics_count () > 0 then begin
     let path = "BENCH_trace.json" in
     let oc = open_out path in

@@ -9,7 +9,8 @@
 open Bechamel
 open Toolkit
 
-let drbg = Hashes.Drbg.create ~seed:"bench-micro"
+let seed = "bench-micro"
+let drbg = Hashes.Drbg.create ~seed
 
 (* --- fixtures --- *)
 
@@ -171,7 +172,7 @@ let run_group ~(name : string) (tests : Test.t list) : unit =
    n=4, k=3.  The production one-at-a-time rows are reported alongside for
    scale.
 
-   Schema v2: every result row carries its own mod_bits.  Quick mode runs
+   Every result row carries its own mod_bits.  Quick mode runs
    the 512-bit ladder only so `dune runtest` can afford it (a 1024-bit
    Shoup deal alone is minutes of safe-prime search); --full runs 512 and
    1024 and the committed BENCH_perf.json reports its speedups at the
@@ -195,7 +196,7 @@ let time_ms ~(budget : float) (f : unit -> unit) : float =
   let samples = List.sort compare [ sample (); sample (); sample () ] in
   List.nth samples 1
 
-let perf ?(quick = true) ?(out = "BENCH_perf.json") () : unit =
+let perf ~(quick : bool) () : string =
   let open Bignum in
   let qbits = 160 in
   let budget = if quick then 0.1 else 0.5 in
@@ -343,25 +344,20 @@ let perf ?(quick = true) ?(out = "BENCH_perf.json") () : unit =
   List.iter
     (fun (n, s) -> Printf.printf "  speedup %-20s %6.2fx  (at %d bits)\n" n s !speedup_bits)
     !speedups;
-  let json =
-    Printf.sprintf
-      "{\n  \"schema\": \"sintra-bench-perf-v2\",\n  \"qbits\": %d,\n  \
-       \"speedup_mod_bits\": %d,\n  \"results\": [\n%s\n  ],\n  \
-       \"speedups\": {\n%s\n  }\n}\n"
-      qbits !speedup_bits
-      (String.concat ",\n"
-         (List.rev_map
-            (fun (n, bits, ms) ->
-              Printf.sprintf "    {\"name\": %S, \"mod_bits\": %d, \"ms_per_op\": %.6f}"
-                n bits ms)
-            !results))
-      (String.concat ",\n"
-         (List.map (fun (n, s) -> Printf.sprintf "    %S: %.4f" n s) !speedups))
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n\n" out
+  Load.Artifact.render ~name:"perf" ~seed ~smoke:quick
+    [ ("qbits", string_of_int qbits);
+      ("speedup_mod_bits", string_of_int !speedup_bits);
+      ( "results",
+        Load.Artifact.rows
+          (List.rev_map
+             (fun (n, bits, ms) ->
+               Printf.sprintf "{\"name\": %S, \"mod_bits\": %d, \"ms_per_op\": %.6f}"
+                 n bits ms)
+             !results) );
+      ( "speedups",
+        Printf.sprintf "{\n%s\n  }"
+          (String.concat ",\n"
+             (List.map (fun (n, s) -> Printf.sprintf "    %S: %.4f" n s) !speedups)) ) ]
 
 let all () =
   print_endline "=== Micro-benchmarks (real wall-clock on this host, pure-OCaml bignum) ===\n";

@@ -1,12 +1,12 @@
 (* The throughput section of the bench harness: latency-vs-offered-load
    curves for batched vs unbatched atomic broadcast (lib/load sweep),
-   written to BENCH_throughput.json.
+   rendered as the throughput artifact.
 
    Quick mode runs the CI-sized smoke sweep; --full runs the real thing
    (n in {4, 7, 10}, five offered rates, 10 virtual seconds per point) and
    is what the committed BENCH_throughput.json is regenerated with. *)
 
-let run ~(quick : bool) () : unit =
+let run ~(quick : bool) () : string =
   print_endline "--- throughput: batched vs unbatched atomic broadcast ---";
   let report = Load.Sweep.run ~smoke:quick () in
   List.iter
@@ -34,8 +34,4 @@ let run ~(quick : bool) () : unit =
    | Some b, Some u when u > 0.0 ->
      Printf.printf "\nn=4 batched/unbatched saturation ratio: %.2fx\n" (b /. u)
    | _ -> ());
-  let path = "BENCH_throughput.json" in
-  let oc = open_out path in
-  output_string oc (Load.Sweep.to_json report);
-  close_out oc;
-  Printf.printf "wrote %s\n\n" path
+  Load.Sweep.to_json report

@@ -1,14 +1,10 @@
 (* Schedule-explorer throughput: sweep a batch of seeds per workload and
-   report seeds/sec, emitted as BENCH_vopr.json.  The sweep doubles as a
-   bench-time regression check — any oracle failure on trunk fails the
-   experiment loudly. *)
+   report seeds/sec and oracle failures for every explorer workload,
+   rendered as the vopr artifact (whose floors demand zero failures). *)
 
-let workloads =
-  [ Vopr.Oracle.Reliable; Vopr.Oracle.Consistent; Vopr.Oracle.Aba;
-    Vopr.Oracle.Mvba; Vopr.Oracle.Atomic; Vopr.Oracle.Secure;
-    Vopr.Oracle.Throughput; Vopr.Oracle.Amortized ]
+let seed = "bench-vopr"
 
-let run ?(quick = true) ?(out = "BENCH_vopr.json") () : unit =
+let run ~(quick : bool) () : string =
   let seeds = if quick then 20 else 200 in
   Printf.printf "=== Schedule explorer throughput (%d seeds per workload) ===\n\n"
     seeds;
@@ -20,10 +16,8 @@ let run ?(quick = true) ?(out = "BENCH_vopr.json") () : unit =
         let t0 = Unix.gettimeofday () in
         let report =
           Vopr.Explorer.explore ~runner ~oracles
-            ~generate:(fun ~run_seed ->
-              Vopr.Explorer.schedule_of ~run_seed ~n:4 ~max_faulty:1
-                ~allow_equiv:(Vopr.Workload.byz_supported kind))
-            ~seed:"bench-vopr" ~seeds ()
+            ~generate:(fun ~run_seed -> Vopr.Workload.schedule ~kind ~run_seed)
+            ~seed ~seeds ()
         in
         let dt = Unix.gettimeofday () -. t0 in
         let rate = float_of_int seeds /. (dt +. 1e-9) in
@@ -32,31 +26,19 @@ let run ?(quick = true) ?(out = "BENCH_vopr.json") () : unit =
           (Vopr.Oracle.kind_to_string kind)
           report.Vopr.Explorer.runs failures rate;
         (kind, report.Vopr.Explorer.runs, failures, rate))
-      workloads
+      Vopr.Oracle.all_kinds
   in
-  let total_failures =
-    List.fold_left (fun acc (_, _, f, _) -> acc + f) 0 rows
-  in
-  let json =
-    Printf.sprintf
-      "{\n  \"schema\": \"sintra-bench-vopr-v1\",\n  \"seeds_per_workload\": \
-       %d,\n  \"failures\": %d,\n  \"results\": [\n%s\n  ]\n}\n"
-      seeds total_failures
-      (String.concat ",\n"
-         (List.map
-            (fun (kind, runs, failures, rate) ->
-              Printf.sprintf
-                "    {\"workload\": %S, \"runs\": %d, \"failures\": %d, \
-                 \"seeds_per_sec\": %.2f}"
-                (Vopr.Oracle.kind_to_string kind)
-                runs failures rate)
-            rows))
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n\n" out;
-  if total_failures > 0 then begin
-    Printf.eprintf "vopr bench: %d oracle failure(s) on trunk\n" total_failures;
-    exit 1
-  end
+  Load.Artifact.render ~name:"vopr" ~seed ~smoke:quick
+    [ ("seeds_per_workload", string_of_int seeds);
+      ( "failures",
+        string_of_int (List.fold_left (fun acc (_, _, f, _) -> acc + f) 0 rows) );
+      ( "results",
+        Load.Artifact.rows
+          (List.map
+             (fun (kind, runs, failures, rate) ->
+               Printf.sprintf
+                 "{\"workload\": %S, \"runs\": %d, \"failures\": %d, \
+                  \"seeds_per_sec\": %.2f}"
+                 (Vopr.Oracle.kind_to_string kind)
+                 runs failures rate)
+             rows) ) ]

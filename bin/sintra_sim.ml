@@ -161,6 +161,12 @@ let write_file (path : string) (contents : string) : unit =
   output_string oc contents;
   close_out oc
 
+let read_file (path : string) : string =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 (* Install the requested sink on [c]; returns a finalizer that writes the
    file and reports the event count. *)
 let setup_trace (c : Cluster.t) (file : string option) (fmt : trace_format)
@@ -518,13 +524,6 @@ let crypto_cmd =
 (* --- trace-check: validate a trace file written by --trace --- *)
 
 let trace_check_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
   (* Balanced B/E per (pid, tid) lane: the count never goes negative and
      ends at zero. *)
   let check_chrome (events : Trace.Json.value list) : (int, string) result =
@@ -613,13 +612,6 @@ let trace_check_cmd =
 (* --- critical-path: causal-DAG latency attribution over a JSONL trace --- *)
 
 let critical_path_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
   let run file json min_coverage =
     match Trace.Causal.of_jsonl (read_file file) with
     | Error e ->
@@ -669,150 +661,6 @@ let critical_path_cmd =
              to named phases (pending, queue, transit, crypto, compute) \
              along its critical path.")
     Term.(const run $ file $ json $ min_coverage)
-
-(* --- bench-latency: traced offered-load ladder with phase attribution --- *)
-
-let bench_latency_cmd =
-  let run smoke out duration rates seed =
-    let rates = match rates with [] -> None | rs -> Some rs in
-    let report = Load.Latency.run ~smoke ?duration ?rates ~seed () in
-    List.iter
-      (fun (p : Load.Latency.point) ->
-        Printf.printf
-          "offered %6.1f req/s: %4d payloads  p50 %.3fs  p90 %.3fs  p99 \
-           %.3fs  coverage %.3f\n"
-          p.Load.Latency.offered_per_s p.Load.Latency.payloads
-          p.Load.Latency.latency_p50_s p.Load.Latency.latency_p90_s
-          p.Load.Latency.latency_p99_s p.Load.Latency.coverage)
-      report.Load.Latency.points;
-    write_file out (Load.Latency.to_json report);
-    Printf.printf "wrote %s\n" out
-  in
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"CI-sized bench: 1 virtual second per point over three \
-                   offered rates.")
-  in
-  let out =
-    Arg.(value & opt string "BENCH_latency.json"
-         & info [ "out" ] ~docv:"FILE" ~doc:"Output report path.")
-  in
-  let duration =
-    Arg.(value & opt (some float) None
-         & info [ "duration" ] ~docv:"SECONDS"
-             ~doc:"Virtual seconds per measurement point (default 8, or 1 \
-                   with --smoke).")
-  in
-  let rates =
-    Arg.(value & opt (list float) []
-         & info [ "rates" ] ~docv:"R1,R2,..."
-             ~doc:"Offered-rate ladder in requests per virtual second \
-                   (default 5,10,20,40,80, or 10,20,40 with --smoke).")
-  in
-  let seed =
-    Arg.(value & opt string "latency"
-         & info [ "seed" ] ~docv:"SEED" ~doc:"Determinism seed.")
-  in
-  Cmd.v
-    (Cmd.info "bench-latency"
-       ~doc:"Measure atomic-broadcast completion latency at several offered \
-             loads with end-to-end causal tracing: per-point percentiles \
-             plus a critical-path phase breakdown, written as \
-             BENCH_latency.json.")
-    Term.(const run $ smoke $ out $ duration $ rates $ seed)
-
-(* --- latency-check: validate BENCH_latency.json --- *)
-
-let latency_check_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
-  let check (min_points : int) (min_coverage : float)
-      (doc : Trace.Json.value) : (string, string) result =
-    let str v f = Option.bind (Trace.Json.member f v) Trace.Json.str_opt in
-    let num v f = Option.bind (Trace.Json.member f v) Trace.Json.num_opt in
-    match str doc "format" with
-    | Some "sintra-bench-latency-v1" ->
-      (match Option.bind (Trace.Json.member "points" doc) Trace.Json.list_opt with
-       | None -> Error "missing \"points\" array"
-       | Some points when List.length points < min_points ->
-         Error
-           (Printf.sprintf "only %d point(s), need at least %d"
-              (List.length points) min_points)
-       | Some points ->
-         let bad_point p =
-           List.exists
-             (fun f -> num p f = None)
-             [ "offered_per_s"; "latency_p50_s"; "latency_p90_s";
-               "latency_p99_s"; "unattributed_s"; "coverage" ]
-           || Trace.Json.member "phases_s" p = None
-           || Trace.Json.member "stages_s" p = None
-         in
-         if List.exists bad_point points then
-           Error
-             "a point lacks a latency percentile, coverage, or the \
-              phases_s/stages_s breakdown"
-         else begin
-           let low =
-             List.filter
-               (fun p ->
-                 match num p "coverage" with
-                 | Some c -> c < min_coverage
-                 | None -> true)
-               points
-           in
-           if low <> [] then
-             Error
-               (Printf.sprintf
-                  "%d point(s) attribute less than %.2f of measured latency"
-                  (List.length low) min_coverage)
-           else
-             Ok
-               (Printf.sprintf "%d points, all with phase attribution"
-                  (List.length points))
-         end)
-    | Some other -> Error (Printf.sprintf "unknown format %S" other)
-    | None -> Error "missing \"format\" field"
-  in
-  let run file min_points min_coverage =
-    match Trace.Json.parse (read_file file) with
-    | Error e ->
-      Printf.eprintf "%s: INVALID: not JSON: %s\n" file e;
-      exit 1
-    | Ok doc ->
-      (match check min_points min_coverage doc with
-       | Ok msg -> Printf.printf "%s: valid latency report, %s\n" file msg
-       | Error msg ->
-         Printf.eprintf "%s: INVALID latency report: %s\n" file msg;
-         exit 1)
-  in
-  let file =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"BENCH_latency.json file to validate.")
-  in
-  let min_points =
-    Arg.(value & opt int 3
-         & info [ "min-points" ] ~docv:"N"
-             ~doc:"Fail unless the report carries at least $(docv) offered \
-                   loads.")
-  in
-  let min_coverage =
-    Arg.(value & opt float 0.0
-         & info [ "min-coverage" ] ~docv:"X"
-             ~doc:"Fail unless every point attributes at least fraction \
-                   $(docv) of its measured latency.")
-  in
-  Cmd.v
-    (Cmd.info "latency-check"
-       ~doc:"Validate a BENCH_latency.json report: parses, carries enough \
-             offered-load points, and each point's critical-path \
-             attribution meets the coverage floor.")
-    Term.(const run $ file $ min_points $ min_coverage)
 
 (* --- explore: the vopr seed-sweeping schedule explorer --- *)
 
@@ -868,14 +716,7 @@ let explore_cmd =
       verbose =
     let runner ~seed sched = Vopr.Workload.run ~kind ~seed sched in
     let oracles = Vopr.Oracle.all kind in
-    let generate ~run_seed =
-      (* The durable workload scripts a power failure of party 3 itself,
-         which spends the whole t=1 fault budget: its generated schedules
-         carry only benign noise (delays, dups, replays). *)
-      let max_faulty = if kind = Vopr.Oracle.Durable then 0 else 1 in
-      Vopr.Explorer.schedule_of ~run_seed ~n:4 ~max_faulty
-        ~allow_equiv:(Vopr.Workload.byz_supported kind)
-    in
+    let generate ~run_seed = Vopr.Workload.schedule ~kind ~run_seed in
     match (mutations, index) with
     | Some muts, _ ->
       (* Replay one run under an explicit schedule (a repro line). *)
@@ -943,14 +784,8 @@ let explore_cmd =
   let workload =
     let workload_conv =
       Arg.enum
-        [ ("reliable", Vopr.Oracle.Reliable);
-          ("consistent", Vopr.Oracle.Consistent); ("aba", Vopr.Oracle.Aba);
-          ("mvba", Vopr.Oracle.Mvba); ("atomic", Vopr.Oracle.Atomic);
-          ("secure", Vopr.Oracle.Secure);
-          ("throughput", Vopr.Oracle.Throughput);
-          ("pipeline", Vopr.Oracle.Pipeline);
-          ("crypto-amortized", Vopr.Oracle.Amortized);
-          ("durable", Vopr.Oracle.Durable) ]
+        (List.map (fun k -> (Vopr.Oracle.kind_to_string k, k))
+           Vopr.Oracle.all_kinds)
     in
     Arg.(value & opt workload_conv Vopr.Oracle.Atomic
          & info [ "workload" ] ~docv:"KIND"
@@ -1003,211 +838,6 @@ let explore_cmd =
              a minimal replayable schedule.")
     Term.(const run $ workload $ seeds $ base_seed $ index $ mutations
           $ max_failures $ shrink_budget $ progress $ verbose)
-
-(* --- perf-check: validate BENCH_perf.json written by `bench/main.exe perf` --- *)
-
-let perf_check_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
-  (* Floors on the speedups the docs claim: the DLEQ fast path must beat
-     the reference by 1.5x everywhere.  The batch-verification claims are
-     stated at the paper's 1024-bit moduli — there one k-share batch
-     verification must beat k single reference verifications by 3x for
-     Shoup signature shares and by 2x for coin (DLEQ) shares (whose
-     reference singles are cheaper relative to the batch's fixed costs).
-     At the 512-bit quick-smoke size the proof transcripts are half as
-     wide, so the amortization is structurally smaller and the floors
-     relax accordingly. *)
-  let floors ~(speedup_bits : int) =
-    if speedup_bits >= 1024 then
-      [ ("dleq_verify", 1.5); ("tsig_batch_verify", 3.0); ("coin_batch_verify", 2.0) ]
-    else
-      [ ("dleq_verify", 1.5); ("tsig_batch_verify", 2.0); ("coin_batch_verify", 1.5) ]
-  in
-  let check ~(require_bits : int option) (doc : Trace.Json.value)
-      : (string, string) result =
-    let str f = Option.bind (Trace.Json.member f doc) Trace.Json.str_opt in
-    let num v f = Option.bind (Trace.Json.member f v) Trace.Json.num_opt in
-    match str "schema" with
-    | Some "sintra-bench-perf-v2" ->
-      (match Option.bind (Trace.Json.member "results" doc) Trace.Json.list_opt with
-       | None -> Error "missing \"results\" array"
-       | Some results ->
-         let bad_result =
-           List.exists
-             (fun r ->
-               Option.bind (Trace.Json.member "name" r) Trace.Json.str_opt = None
-               || num r "mod_bits" = None
-               || num r "ms_per_op" = None)
-             results
-         in
-         let bits_of r = match num r "mod_bits" with Some b -> int_of_float b | None -> 0 in
-         if results = [] then Error "empty \"results\" array"
-         else if bad_result then
-           Error "a result lacks \"name\", numeric \"mod_bits\" or \"ms_per_op\""
-         else begin
-           match require_bits with
-           | Some bits when not (List.exists (fun r -> bits_of r = bits) results) ->
-             Error (Printf.sprintf "no result rows at the required %d-bit modulus" bits)
-           | Some bits
-             when (match num doc "speedup_mod_bits" with
-                   | Some b -> int_of_float b < bits
-                   | None -> true) ->
-             Error
-               (Printf.sprintf
-                  "speedups are not quoted at the required %d-bit modulus" bits)
-           | Some _ | None ->
-             (match Trace.Json.member "speedups" doc with
-              | None -> Error "missing \"speedups\" object"
-              | Some sp ->
-                let missing =
-                  List.filter
-                    (fun k -> num sp k = None)
-                    [ "montgomery"; "multi_exp"; "fixed_base"; "dleq_verify";
-                      "tsig_batch_verify"; "coin_batch_verify" ]
-                in
-                if missing <> [] then
-                  Error ("speedups missing: " ^ String.concat ", " missing)
-                else begin
-                  let speedup_bits =
-                    match num doc "speedup_mod_bits" with
-                    | Some b -> int_of_float b
-                    | None -> 0
-                  in
-                  let below =
-                    List.filter_map
-                      (fun (k, floor) ->
-                        match num sp k with
-                        | Some s when s >= floor -> None
-                        | Some s ->
-                          Some (Printf.sprintf "%s %.2fx < %.1fx floor" k s floor)
-                        | None -> Some (k ^ " is not a number"))
-                      (floors ~speedup_bits)
-                  in
-                  if below <> [] then Error (String.concat "; " below)
-                  else
-                    let bits_list =
-                      List.sort_uniq compare (List.map bits_of results)
-                    in
-                    Ok (Printf.sprintf
-                          "%d results at %s-bit moduli; dleq %.2fx, tsig batch \
-                           %.2fx, coin batch %.2fx (at %.0f bits)"
-                          (List.length results)
-                          (String.concat "/" (List.map string_of_int bits_list))
-                          (Option.value ~default:0.0 (num sp "dleq_verify"))
-                          (Option.value ~default:0.0 (num sp "tsig_batch_verify"))
-                          (Option.value ~default:0.0 (num sp "coin_batch_verify"))
-                          (Option.value ~default:0.0 (num doc "speedup_mod_bits")))
-                end)
-         end)
-    | Some other ->
-      Error (Printf.sprintf "unknown schema %S (expected \"sintra-bench-perf-v2\")" other)
-    | None -> Error "missing \"schema\" field"
-  in
-  let run require_bits file =
-    match Trace.Json.parse (read_file file) with
-    | Error e ->
-      Printf.eprintf "%s: INVALID: not JSON: %s\n" file e;
-      exit 1
-    | Ok doc ->
-      (match check ~require_bits doc with
-       | Ok msg -> Printf.printf "%s: valid perf report, %s\n" file msg
-       | Error msg ->
-         Printf.eprintf "%s: INVALID perf report: %s\n" file msg;
-         exit 1)
-  in
-  let require_bits =
-    Arg.(value & opt (some int) None
-         & info [ "require-bits" ] ~docv:"BITS"
-             ~doc:"Require at least one result row at this modulus size \
-                   (the committed full report must carry the paper's \
-                   1024-bit rows; quick smoke reports need not).")
-  in
-  let file =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"BENCH_perf.json file to validate.")
-  in
-  Cmd.v
-    (Cmd.info "perf-check"
-       ~doc:"Validate a BENCH_perf.json fast-path report (v2 shape with \
-             per-row mod_bits, the 1.5x DLEQ-verification floor, and the \
-             3x batch-verification floors).")
-    Term.(const run $ require_bits $ file)
-
-(* --- bench-throughput: the latency-vs-offered-load sweep --- *)
-
-let bench_throughput_cmd =
-  let run smoke out duration rates clients seed =
-    let rates = match rates with [] -> None | rs -> Some rs in
-    let report =
-      Load.Sweep.run ~smoke ?duration ?rates ?clients_per_party:clients ~seed
-        ()
-    in
-    List.iter
-      (fun (s : Load.Sweep.series) ->
-        Printf.printf
-          "n=%d %-9s saturation %7.1f req/s  (%d rounds, %d delivered)\n"
-          s.Load.Sweep.n
-          (if s.Load.Sweep.batched then "batched" else "unbatched")
-          s.Load.Sweep.saturation.Load.Sweep.throughput_per_s
-          s.Load.Sweep.rounds s.Load.Sweep.saturation.Load.Sweep.delivered)
-      report.Load.Sweep.series;
-    (match
-       ( Load.Sweep.saturation_throughput report ~n:4 ~batched:true,
-         Load.Sweep.saturation_throughput report ~n:4 ~batched:false )
-     with
-     | Some b, Some u when u > 0.0 ->
-       Printf.printf "n=4 batched/unbatched saturation ratio: %.2fx\n" (b /. u)
-     | _ -> ());
-    write_file out (Load.Sweep.to_json report);
-    Printf.printf "wrote %s\n" out
-  in
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"CI-sized sweep: n=4 only, 2 virtual seconds per point, \
-                   a single offered rate.")
-  in
-  let out =
-    Arg.(value & opt string "BENCH_throughput.json"
-         & info [ "out" ] ~docv:"FILE" ~doc:"Output report path.")
-  in
-  let duration =
-    Arg.(value & opt (some float) None
-         & info [ "duration" ] ~docv:"SECONDS"
-             ~doc:"Virtual seconds per measurement point (default 10, or 2 \
-                   with --smoke).")
-  in
-  let rates =
-    Arg.(value & opt (list float) []
-         & info [ "rates" ] ~docv:"R1,R2,..."
-             ~doc:"Offered-rate ladder in requests per virtual second \
-                   (default 5,10,20,40,80, or a single rate with --smoke); \
-                   lets a report be reproduced byte for byte from the \
-                   command line.")
-  in
-  let clients =
-    Arg.(value & opt (some int) None
-         & info [ "clients" ] ~docv:"N"
-             ~doc:"Closed-loop clients per party for the saturation probe \
-                   (default 64).")
-  in
-  let seed =
-    Arg.(value & opt string "throughput"
-         & info [ "seed" ] ~docv:"SEED" ~doc:"Determinism seed.")
-  in
-  Cmd.v
-    (Cmd.info "bench-throughput"
-       ~doc:"Measure atomic-broadcast throughput, batched vs unbatched \
-             (--no-batching semantics): open-loop latency-vs-offered-load \
-             curves plus a closed-loop saturation probe, written as \
-             BENCH_throughput.json.")
-    Term.(const run $ smoke $ out $ duration $ rates $ clients $ seed)
 
 (* --- adaptive-check: AIMD batch-cap convergence under a bursty load --- *)
 
@@ -1273,114 +903,46 @@ let adaptive_check_cmd =
              max-batch ceiling.")
     Term.(const run $ seed $ max_batch)
 
-(* --- throughput-check: validate BENCH_throughput.json --- *)
+(* --- bench-check: judge BENCH_*.json artifacts by the floor table --- *)
 
-let throughput_check_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
+let bench_check_cmd =
+  let run files =
+    let judge file =
+      match Trace.Json.parse (read_file file) with
+      | Error e -> Error [ "not JSON: " ^ e ]
+      | Ok doc -> Load.Artifact.check ~file doc
+      | exception Sys_error e -> Error [ e ]
+    in
+    let ok =
+      List.fold_left
+        (fun ok file ->
+          match judge file with
+          | Ok schema ->
+            Printf.printf "%s: valid %s\n" file schema;
+            ok
+          | Error violations ->
+            List.iter (Printf.eprintf "%s: INVALID: %s\n" file) violations;
+            false)
+        true files
+    in
+    if not ok then exit 1
   in
-  let check (min_ratio : float) (doc : Trace.Json.value) :
-      (string, string) result =
-    let str v f = Option.bind (Trace.Json.member f v) Trace.Json.str_opt in
-    let num v f = Option.bind (Trace.Json.member f v) Trace.Json.num_opt in
-    match str doc "format" with
-    | Some "sintra-bench-throughput-v1" ->
-      (match Option.bind (Trace.Json.member "series" doc) Trace.Json.list_opt with
-       | None -> Error "missing \"series\" array"
-       | Some [] -> Error "empty \"series\" array"
-       | Some series ->
-         let modes =
-           List.filter_map (fun s -> str s "mode") series |> List.sort_uniq compare
-         in
-         if not (List.mem "batched" modes && List.mem "unbatched" modes) then
-           Error
-             (Printf.sprintf "need both modes, found: %s"
-                (String.concat ", " modes))
-         else begin
-           let bad =
-             List.exists
-               (fun s ->
-                 num s "n" = None
-                 || (match
-                       Option.bind (Trace.Json.member "points" s)
-                         Trace.Json.list_opt
-                     with
-                     | Some (_ :: _) -> false
-                     | _ -> true)
-                 || (match Trace.Json.member "saturation" s with
-                     | Some sat -> num sat "throughput_per_s" = None
-                     | None -> true))
-               series
-           in
-           if bad then
-             Error
-               "a series lacks \"n\", a non-empty \"points\" array, or a \
-                \"saturation\" point"
-           else begin
-             match
-               Option.bind (Trace.Json.member "crossover" doc) (fun c ->
-                 num c "ratio")
-             with
-             | None -> Error "missing \"crossover\" with numeric \"ratio\""
-             | Some ratio when ratio >= min_ratio ->
-               Ok
-                 (Printf.sprintf
-                    "%d series, both modes, batched/unbatched saturation \
-                     ratio %.2fx"
-                    (List.length series) ratio)
-             | Some ratio ->
-               Error
-                 (Printf.sprintf
-                    "saturation ratio %.2fx is below the %.2fx floor" ratio
-                    min_ratio)
-           end
-         end)
-    | Some other -> Error (Printf.sprintf "unknown format %S" other)
-    | None -> Error "missing \"format\" field"
-  in
-  let run file min_ratio =
-    match Trace.Json.parse (read_file file) with
-    | Error e ->
-      Printf.eprintf "%s: INVALID: not JSON: %s\n" file e;
-      exit 1
-    | Ok doc ->
-      (match check min_ratio doc with
-       | Ok msg -> Printf.printf "%s: valid throughput report, %s\n" file msg
-       | Error msg ->
-         Printf.eprintf "%s: INVALID throughput report: %s\n" file msg;
-         exit 1)
-  in
-  let file =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"BENCH_throughput.json file to validate.")
-  in
-  let min_ratio =
-    Arg.(value & opt float 1.0
-         & info [ "min-ratio" ] ~docv:"X"
-             ~doc:"Fail unless the batched/unbatched saturation ratio is at \
-                   least $(docv) (the committed full-run report is held to \
-                   10.0).")
+  let files =
+    Arg.(non_empty & pos_all string []
+         & info [] ~docv:"FILE" ~doc:"BENCH_*.json artifact(s) to judge.")
   in
   Cmd.v
-    (Cmd.info "throughput-check"
-       ~doc:"Validate a BENCH_throughput.json report: parses, carries both \
-             batched and unbatched series with data points, and meets the \
-             saturation-ratio floor.")
-    Term.(const run $ file $ min_ratio)
+    (Cmd.info "bench-check"
+       ~doc:"Judge benchmark artifacts: the shared envelope (schema, \
+             generator, seed, smoke) and the floors of each artifact's \
+             schema.  A file named BENCH_<name>.json must hold that \
+             artifact, and the committed perf report must be the full \
+             1024-bit run.  Exit 1 on any violation.")
+    Term.(const run $ files)
 
 (* --- store-check: validate write-ahead log files --- *)
 
 let store_check_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   let run verbose files =
     let failed = ref false in
     List.iter
@@ -1646,7 +1208,5 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "sintra_sim" ~doc)
           [ run_cmd; agree_cmd; explore_cmd; topologies_cmd; crypto_cmd;
-            trace_check_cmd; critical_path_cmd; perf_check_cmd;
-            bench_throughput_cmd; throughput_check_cmd; adaptive_check_cmd;
-            bench_latency_cmd; latency_check_cmd; store_check_cmd;
-            durability_check_cmd ]))
+            trace_check_cmd; critical_path_cmd; bench_check_cmd;
+            adaptive_check_cmd; store_check_cmd; durability_check_cmd ]))

@@ -28,6 +28,7 @@ type point = {
 
 type report = {
   smoke : bool;
+  seed : string;
   n : int;
   t : int;
   duration_s : float;
@@ -95,19 +96,15 @@ let run_point ~(seed : string) ~(cfg : Config.t) ~(duration : float)
     coverage = rep.Trace.Causal.r_coverage;
   }
 
-let run ?(smoke = false) ?n ?t ?duration ?rates ?(max_batch = 256)
-    ?(seed = "latency") () : report =
-  let n = match n with Some n -> n | None -> 4 in
-  let t = match t with Some t -> t | None -> 1 in
-  let duration =
-    match duration with Some d -> d | None -> if smoke then 1.0 else 8.0
-  in
+let run ?(smoke = false) ?rates ?(seed = "latency") () : report =
+  let n = 4 and t = 1 in
+  let duration = if smoke then 1.0 else 8.0 in
   let rates =
     match rates with
     | Some r -> r
     | None -> if smoke then [ 10.0; 20.0; 40.0 ] else [ 5.0; 10.0; 20.0; 40.0; 80.0 ]
   in
-  let cfg = Sweep.sweep_cfg ~n ~t ~max_batch () in
+  let cfg = Sweep.sweep_cfg ~n ~t ~max_batch:256 () in
   let points =
     List.map
       (fun rate ->
@@ -116,9 +113,9 @@ let run ?(smoke = false) ?n ?t ?duration ?rates ?(max_batch = 256)
           ~cfg ~duration ~rate)
       rates
   in
-  { smoke; n; t; duration_s = duration; points }
+  { smoke; seed; n; t; duration_s = duration; points }
 
-(* --- JSON rendering (sintra-bench-latency-v1) --- *)
+(* --- JSON rendering (the latency artifact) --- *)
 
 let json_fields (fields : (string * float) list) : string
     =
@@ -138,8 +135,8 @@ let json_point (p : point) : string =
     p.unattributed_s p.coverage
 
 let to_json (r : report) : string =
-  Printf.sprintf
-    "{\n\"format\":\"sintra-bench-latency-v1\",\n\"smoke\":%b,\n\"n\":%d,\n\
-     \"t\":%d,\n\"duration_s\":%.6g,\n\"points\":[\n%s\n]\n}\n"
-    r.smoke r.n r.t r.duration_s
-    (String.concat ",\n" (List.map json_point r.points))
+  Artifact.render ~name:"latency" ~seed:r.seed ~smoke:r.smoke
+    [ ("n", string_of_int r.n);
+      ("t", string_of_int r.t);
+      ("duration_s", Printf.sprintf "%.6g" r.duration_s);
+      ("points", Artifact.rows (List.map json_point r.points)) ]

@@ -29,21 +29,21 @@ type point = {
 (** A whole bench run at one group size. *)
 type report = {
   smoke : bool;  (** tiny parameters, CI-sized *)
+  seed : string;  (** the determinism seed of the run *)
   n : int;  (** group size *)
   t : int;  (** corruption bound *)
   duration_s : float;  (** virtual seconds per measurement run *)
   points : point list;  (** one per offered rate, ascending *)
 }
 
-val run :
-  ?smoke:bool -> ?n:int -> ?t:int -> ?duration:float -> ?rates:float list ->
-  ?max_batch:int -> ?seed:string -> unit -> report
-(** Run the bench.  Defaults: [n = 4], [t = 1]; full mode measures 8
-    virtual seconds per point over rates [{5, 10, 20, 40, 80}] requests/s,
-    [~smoke:true] shrinks this to 1 virtual second over [{10, 20, 40}] so
-    the whole bench finishes in CI time.  [max_batch] caps the channel's
-    payload batching (default 256). *)
+val run : ?smoke:bool -> ?rates:float list -> ?seed:string -> unit -> report
+(** Run the bench at [n = 4], [t = 1] with payload batching capped at
+    [max_batch = 256].  Full mode measures 8 virtual seconds per point over
+    rates [{5, 10, 20, 40, 80}] requests/s; [~smoke:true] shrinks this to
+    1 virtual second over [{10, 20, 40}] so the whole bench finishes in CI
+    time.  [rates] overrides the ladder and [seed] (default ["latency"])
+    the determinism seed. *)
 
 val to_json : report -> string
-(** Render the report in the [sintra-bench-latency-v1] schema (see
-    OPERATIONS.md).  Byte-deterministic for a given seed. *)
+(** Render the report as the [latency] artifact ({!Artifact}).
+    Byte-deterministic for a given seed. *)

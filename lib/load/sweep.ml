@@ -132,13 +132,18 @@ let run_point ~(seed : string) ~(cfg : Config.t) ~(duration : float)
     },
     rounds )
 
-let run_series ~(seed : string) ~(n : int) ~(t : int) ~(batched : bool)
-    ~(max_batch : int) ~(duration : float) ~(rates : float list)
-    ~(clients_per_party : int) : series =
+let seed = "throughput"
+
+(* Enough closed-loop clients per party that the pipelined, batched channel
+   saturates on round cost rather than on the population bound. *)
+let clients_per_party = 64
+
+let run_series ~(n : int) ~(t : int) ~(batched : bool) ~(duration : float)
+    ~(rates : float list) : series =
   (* The unbatched series is the pre-batching baseline: one payload per
      party per round AND one round in flight at a time. *)
   let cfg =
-    if batched then sweep_cfg ~n ~t ~max_batch ()
+    if batched then sweep_cfg ~n ~t ~max_batch:256 ()
     else
       sweep_cfg ~n ~t ~max_batch:1 ~pipeline_depth:1 ~adaptive_batch:false ()
   in
@@ -161,28 +166,15 @@ let run_series ~(seed : string) ~(n : int) ~(t : int) ~(batched : bool)
   in
   { n; t; batched; points; saturation; rounds }
 
-let run ?(smoke = false) ?sizes ?duration ?rates ?(clients_per_party = 64)
-    ?(max_batch = 256) ?(seed = "throughput") () : report =
-  let sizes =
-    match sizes with
-    | Some s -> s
-    | None -> if smoke then [ (4, 1) ] else [ (4, 1); (7, 2); (10, 3) ]
-  in
-  let duration =
-    match duration with Some d -> d | None -> if smoke then 2.0 else 10.0
-  in
-  let rates =
-    match rates with
-    | Some r -> r
-    | None -> if smoke then [ 20.0 ] else [ 5.0; 10.0; 20.0; 40.0; 80.0 ]
-  in
+let run ?(smoke = false) () : report =
+  let sizes = if smoke then [ (4, 1) ] else [ (4, 1); (7, 2); (10, 3) ] in
+  let duration = if smoke then 2.0 else 10.0 in
+  let rates = if smoke then [ 20.0 ] else [ 5.0; 10.0; 20.0; 40.0; 80.0 ] in
   let series =
     List.concat_map
       (fun (n, t) ->
         List.map
-          (fun batched ->
-            run_series ~seed ~n ~t ~batched ~max_batch ~duration ~rates
-              ~clients_per_party)
+          (fun batched -> run_series ~n ~t ~batched ~duration ~rates)
           [ true; false ])
       sizes
   in
@@ -196,7 +188,7 @@ let saturation_throughput (r : report) ~(n : int) ~(batched : bool) :
       else None)
     r.series
 
-(* --- JSON rendering (sintra-bench-throughput-v1) --- *)
+(* --- JSON rendering (the throughput artifact) --- *)
 
 let json_point (p : point) : string =
   Printf.sprintf
@@ -232,9 +224,7 @@ let to_json (r : report) : string =
            n b u (b /. u)
        | _ -> "null")
   in
-  Printf.sprintf
-    "{\n\"format\":\"sintra-bench-throughput-v1\",\n\"smoke\":%b,\n\
-     \"duration_s\":%.6g,\n\"series\":[\n%s\n],\n\"crossover\":%s\n}\n"
-    r.smoke r.duration_s
-    (String.concat ",\n" (List.map json_series r.series))
-    crossover
+  Artifact.render ~name:"throughput" ~seed ~smoke:r.smoke
+    [ ("duration_s", Printf.sprintf "%.6g" r.duration_s);
+      ("series", Artifact.rows (List.map json_series r.series));
+      ("crossover", crossover) ]

@@ -62,24 +62,18 @@ val quantile : float array -> float -> float
 (** [quantile sorted q] is the element at rank [q] (nearest-rank on a
     {e sorted} array); [0.0] when empty. *)
 
-val run :
-  ?smoke:bool -> ?sizes:(int * int) list -> ?duration:float ->
-  ?rates:float list -> ?clients_per_party:int -> ?max_batch:int ->
-  ?seed:string -> unit -> report
-(** Run the sweep.  Defaults: full mode measures [n ∈ {4, 7, 10}] for 10
-    virtual seconds per point over rates [{5, 10, 20, 40, 80}] requests/s;
-    [~smoke:true] shrinks this to [n = 4], 2 virtual seconds and a single
-    rate so the whole sweep finishes in CI time.  [clients_per_party]
-    sizes the closed-loop population (default 64 — enough outstanding
-    requests that the pipelined, batched channel saturates on round cost
-    rather than on the population bound); [max_batch] is the cap used by
-    the batched series (default 256).  The unbatched series always runs
-    [max_batch = 1] with [pipeline_depth = 1]: the paper's original
-    one-payload-per-party sequential rounds. *)
+val run : ?smoke:bool -> unit -> report
+(** Run the sweep under the fixed seed ["throughput"].  Full mode measures
+    [n ∈ {4, 7, 10}] for 10 virtual seconds per point over rates
+    [{5, 10, 20, 40, 80}] requests/s; [~smoke:true] shrinks this to
+    [n = 4], 2 virtual seconds and a single rate so the whole sweep
+    finishes in CI time.  The closed-loop probe runs 64 clients per party.
+    The batched series caps vectors at [max_batch = 256]; the unbatched
+    series runs [max_batch = 1] with [pipeline_depth = 1]: the paper's
+    original one-payload-per-party sequential rounds. *)
 
 val to_json : report -> string
-(** Render the report in the [sintra-bench-throughput-v1] schema (see
-    OPERATIONS.md). *)
+(** Render the report as the [throughput] artifact ({!Artifact}). *)
 
 val saturation_throughput : report -> n:int -> batched:bool -> float option
 (** The closed-loop saturation throughput of one series, if present. *)

@@ -30,19 +30,12 @@ let kind_to_string (k : kind) : string =
   | Amortized -> "crypto-amortized"
   | Durable -> "durable"
 
+let all_kinds : kind list =
+  [ Reliable; Consistent; Aba; Mvba; Atomic; Secure; Throughput; Pipeline;
+    Amortized; Durable ]
+
 let kind_of_string (s : string) : kind option =
-  match s with
-  | "reliable" -> Some Reliable
-  | "consistent" -> Some Consistent
-  | "aba" -> Some Aba
-  | "mvba" -> Some Mvba
-  | "atomic" -> Some Atomic
-  | "secure" -> Some Secure
-  | "throughput" -> Some Throughput
-  | "pipeline" -> Some Pipeline
-  | "crypto-amortized" -> Some Amortized
-  | "durable" -> Some Durable
-  | _ -> None
+  List.find_opt (fun k -> kind_to_string k = s) all_kinds
 
 type obs = {
   kind : kind;

@@ -44,6 +44,10 @@ type kind =
           consistency, total order, totality and liveness are demanded of
           the full-history parties, integrity of everyone *)
 
+val all_kinds : kind list
+(** Every workload kind, in declaration order: the sweep set of
+    [sintra_sim explore --workload] and of [BENCH_vopr.json]. *)
+
 val kind_to_string : kind -> string
 (** Lower-case CLI name, e.g. ["atomic"]. *)
 

@@ -40,6 +40,13 @@ val byz_supported : Oracle.kind -> bool
 (** Whether an equivocating-party harness exists for the workload, i.e.
     whether {!Schedule.generate} may draw [Byz_equivocate] for it. *)
 
+val schedule : kind:Oracle.kind -> run_seed:string -> Schedule.t
+(** The schedule a sweep of [kind] runs under at [run_seed]:
+    {!Explorer.schedule_of} with [n = 4], equivocation where
+    {!byz_supported}, and at most one degraded party — none for [Durable],
+    whose scripted power failure of party 3 already spends the fault
+    budget. *)
+
 val run :
   ?tweaks:tweaks -> ?until:float -> ?max_events:int -> kind:Oracle.kind ->
   seed:string -> Schedule.t -> Oracle.obs

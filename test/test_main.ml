@@ -28,4 +28,5 @@ let () =
       ("vopr", Test_vopr.suite);
       ("store", Test_store.suite);
       ("amortized", Test_amortized.suite);
+      ("artifact", Test_artifact.suite);
     ]
