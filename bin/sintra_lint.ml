@@ -3,7 +3,7 @@
      sintra_lint [--format text|json] [--config FILE] [--budget SEC]
                  [--rules] [DIR-or-FILE ...]        default roots: lib bin
 
-   Line rules (L1-L5) and semantic rules (S1-S6) run together; findings
+   Line rules (L1-L5) and semantic rules (S1-S7) run together; findings
    are filtered through the inline allow directives and then through the
    .sintra-lint policy file (allow entries and count-based baselines).
 

@@ -313,143 +313,244 @@ module Barrett = struct
     end
 end
 
-(* Montgomery representation (HAC 14.32/14.36): for an odd modulus m of k
-   limbs, let R = base^k.  A residue x is stored as xR mod m; the product of
-   two stored residues is recovered by REDC, which replaces the division by m
-   with k limb-sized multiply-accumulate sweeps (one per limb of the input),
-   each chosen so that the low limb cancels.  REDC(T) = T * R^-1 mod m for
-   any T < mR, at the cost of a schoolbook k x k multiply — no quotient
-   estimation at all.  This beats Barrett by a constant factor on every
-   multiplication inside an exponentiation, which is where almost all of
-   SINTRA's CPU time goes. *)
+(* Montgomery representation (HAC 14.32/14.36) over a product-scanning
+   kernel.  For an odd modulus m, residues are stored as xR mod m in a
+   fixed-length array of k limbs in base 2^26 (R = 2^(26k)), separate from
+   the base-2^31 [t] representation: conversion happens only on entry and
+   exit.  The multiply is the FIPS ("finely integrated product scanning")
+   form of REDC (Koc, Acar and Kaliski 1996): output column i accumulates
+   every a_j * b_(i-j) and q_j * m_(i-j) product in one native int, the
+   quotient digit q_i is chosen to cancel the column's low limb, and the
+   column's carry moves on to the next.  A 26-bit limb product has 52
+   bits, so a column of up to 2k products plus the incoming carry stays
+   below 2^62 for k <= [max_limbs] — no per-product carry chain, and the
+   only memory touched is the k-limb output. *)
 module Montgomery = struct
+  let bits = 26
+  let mask = (1 lsl bits) - 1
+
+  (* A column sums at most 2k products of < 2^52 plus a carry < 2^37;
+     k <= 511 keeps that below max_int = 2^62 - 1. *)
+  let max_limbs = 511
+
+  (* Odd moduli of up to [max_limbs] limbs (13286 bits). *)
+  let supports (m : t) : bool = testbit m 0 && numbits m <= bits * max_limbs
+
+  type residue = int array
+
   type ctx = {
-    m : t;            (* odd modulus, exactly k limbs *)
-    k : int;
-    m_prime : int;    (* -m^-1 mod 2^limb_bits *)
-    r2 : t;           (* R^2 mod m, for entering the representation *)
-    one_m : t;        (* R mod m = the representation of 1 *)
+    k : int;            (* 26-bit limbs per residue *)
+    n : int array;      (* m in k 26-bit limbs *)
+    m_prime : int;      (* -m^-1 mod 2^26 *)
+    r2 : residue;       (* R^2 mod m, plain (not Montgomery) form *)
+    one_m : residue;    (* R mod m = the representation of 1 *)
   }
 
-  (* Inverse of an odd limb modulo 2^limb_bits by Hensel/Newton lifting:
-     x := x(2 - m0 x) doubles the number of correct low bits each round, and
-     x = m0 is already correct mod 8. *)
-  let inv_limb (m0 : int) : int =
-    let x = ref m0 in
-    for _ = 1 to 5 do
-      let t = (2 - (m0 * !x)) land limb_mask in
-      x := (!x * t) land limb_mask
-    done;
-    !x
+  (* [a] as exactly [k] limbs of base 2^26; requires numbits a <= 26k. *)
+  let limbs_of_nat (k : int) (a : t) : int array =
+    let r = Array.make k 0 in
+    let acc = ref 0 and nacc = ref 0 and j = ref 0 in
+    Array.iter
+      (fun limb ->
+        acc := !acc lor (limb lsl !nacc);
+        nacc := !nacc + limb_bits;
+        while !nacc >= bits do
+          if !j < k then r.(!j) <- !acc land mask;
+          acc := !acc lsr bits;
+          nacc := !nacc - bits;
+          incr j
+        done)
+      a;
+    if !j < k then r.(!j) <- !acc;
+    r
 
-  (* REDC on T < m*R: add multiples of m so the low k limbs vanish, then
-     drop them.  The result is < 2m, so one conditional subtract finishes. *)
-  let redc (ctx : ctx) (x : t) : t =
-    let k = ctx.k in
-    let mm = ctx.m in
-    let t = Array.make ((2 * k) + 1) 0 in
-    Array.blit x 0 t 0 (Array.length x);
+  let nat_of_limbs (r : int array) : t =
+    let k = Array.length r in
+    let out = Array.make (((k * bits) / limb_bits) + 1) 0 in
+    let acc = ref 0 and nacc = ref 0 and j = ref 0 in
     for i = 0 to k - 1 do
-      let u = (t.(i) * ctx.m_prime) land limb_mask in
-      if u <> 0 then begin
-        let carry = ref 0 in
-        for j = 0 to k - 1 do
-          let p = t.(i + j) + (u * mm.(j)) + !carry in
-          t.(i + j) <- p land limb_mask;
-          carry := p lsr limb_bits
-        done;
-        let idx = ref (i + k) in
-        while !carry <> 0 do
-          let p = t.(!idx) + !carry in
-          t.(!idx) <- p land limb_mask;
-          carry := p lsr limb_bits;
-          incr idx
-        done
+      acc := !acc lor (r.(i) lsl !nacc);
+      nacc := !nacc + bits;
+      if !nacc >= limb_bits then begin
+        out.(!j) <- !acc land limb_mask;
+        acc := !acc lsr limb_bits;
+        nacc := !nacc - limb_bits;
+        incr j
       end
     done;
-    let r = normalize (Array.sub t k (k + 1)) in
-    if compare r ctx.m >= 0 then sub r ctx.m else r
+    out.(!j) <- !acc;
+    normalize out
+
+  (* [u] := a * b * R^-1 mod m.  [u] must not alias [a] or [b]; all three
+     have length k and a, b < m. *)
+  let mul_into (ctx : ctx) (u : int array) (a : int array) (b : int array) : unit =
+    let k = ctx.k and n = ctx.n and mp = ctx.m_prime in
+    let acc = ref 0 in
+    for i = 0 to k - 1 do
+      let s = ref !acc in
+      for j = 0 to i - 1 do
+        s := !s + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+             + (Array.unsafe_get u j * Array.unsafe_get n (i - j))
+      done;
+      s := !s + (Array.unsafe_get a i * Array.unsafe_get b 0);
+      let q = ((!s land mask) * mp) land mask in
+      Array.unsafe_set u i q;
+      acc := (!s + (q * Array.unsafe_get n 0)) lsr bits
+    done;
+    for i = k to (2 * k) - 1 do
+      let s = ref !acc in
+      for j = i - k + 1 to k - 1 do
+        s := !s + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+             + (Array.unsafe_get u j * Array.unsafe_get n (i - j))
+      done;
+      Array.unsafe_set u (i - k) (!s land mask);
+      acc := !s lsr bits
+    done;
+    (* acc * R + u is below 2m: subtract m once if it is not below m. *)
+    let rec geq i =
+      i < 0
+      || (let d = Array.unsafe_get u i - Array.unsafe_get n i in
+          if d <> 0 then d > 0 else geq (i - 1))
+    in
+    if !acc <> 0 || geq (k - 1) then begin
+      let borrow = ref 0 in
+      for i = 0 to k - 1 do
+        let d = Array.unsafe_get u i - Array.unsafe_get n i + !borrow in
+        Array.unsafe_set u i (d land mask);
+        borrow := d asr bits
+      done
+    end
+
+  let mul (ctx : ctx) (a : residue) (b : residue) : residue =
+    let u = Array.make ctx.k 0 in
+    mul_into ctx u a b;
+    u
+
+  let sqr (ctx : ctx) (a : residue) : residue = mul ctx a a
+
+  (* Inverse of an odd limb modulo 2^26 by Hensel/Newton lifting:
+     x := x(2 - m0 x) doubles the number of correct low bits each round,
+     and x = m0 is already correct mod 8. *)
+  let inv_limb (m0 : int) : int =
+    let x = ref m0 in
+    for _ = 1 to 4 do
+      let t = (2 - (m0 * !x)) land mask in
+      x := (!x * t) land mask
+    done;
+    !x
 
   let create (m : t) : ctx =
     if is_zero m then raise Division_by_zero;
     if not (testbit m 0) then invalid_arg "Nat.Montgomery.create: even modulus";
-    let k = num_limbs m in
-    let r2 = rem (shift_limbs one (2 * k)) m in
-    let ctx = { m; k; m_prime = (limb_base - inv_limb m.(0)) land limb_mask; r2; one_m = zero } in
-    { ctx with one_m = redc ctx r2 }
+    let k = (numbits m + bits - 1) / bits in
+    if k > max_limbs then invalid_arg "Nat.Montgomery.create: modulus too wide";
+    let n = limbs_of_nat k m in
+    let r2 = limbs_of_nat k (rem (shift_left one (2 * bits * k)) m) in
+    let ctx = { k; n; m_prime = (mask + 1 - inv_limb n.(0)) land mask; r2; one_m = r2 } in
+    (* REDC(R^2) = R mod m *)
+    let unit = Array.make k 0 in
+    unit.(0) <- 1;
+    { ctx with one_m = mul ctx r2 unit }
 
   (* [to_mont ctx x] requires x < m (callers reduce first). *)
-  let to_mont (ctx : ctx) (x : t) : t = redc ctx (mul x ctx.r2)
-  let of_mont (ctx : ctx) (x : t) : t = redc ctx x
-  let mul (ctx : ctx) (a : t) (b : t) : t = redc ctx (mul a b)
-  let sqr (ctx : ctx) (a : t) : t = redc ctx (sqr a)
-  let one_m (ctx : ctx) : t = ctx.one_m
+  let to_mont (ctx : ctx) (x : t) : residue = mul ctx (limbs_of_nat ctx.k x) ctx.r2
+
+  let of_mont (ctx : ctx) (x : residue) : t =
+    let unit = Array.make ctx.k 0 in
+    unit.(0) <- 1;
+    nat_of_limbs (mul ctx x unit)
+
+  let one_m (ctx : ctx) : residue = ctx.one_m
 end
 
-(* A modular-arithmetic "domain": multiplication/squaring with the reduction
-   strategy chosen once per modulus, plus entry/exit conversions.  Odd moduli
-   get Montgomery form; even moduli (only RSA-free test vectors — every group
-   and RSA modulus in SINTRA is odd) keep the Barrett path.  [enter] requires
-   its argument already reduced below the modulus. *)
+(* A modular-arithmetic "domain": multiplication with the reduction
+   strategy chosen once per modulus, plus entry/exit conversions.  Odd
+   moduli get Montgomery residues (fixed-length arrays of 26-bit limbs, not
+   [t] values); even moduli (only test vectors — every group and RSA modulus
+   in SINTRA is odd) and odd ones too wide for the kernel keep Barrett
+   reduction over plain [t].  In-domain values are opaque outside the
+   domain that made them.
+
+   [mul_into dst a b] is the product of [a] and [b].  A fixed-width domain
+   writes it into [dst] and returns [dst]; Barrett ignores [dst] and returns
+   a fresh value.  [dst] is a buffer the caller owns (from [copy]), distinct
+   from [a] and [b].  [enter] requires its argument reduced below the
+   modulus. *)
 type domain = {
   one_d : t;
-  muld : t -> t -> t;
-  sqrd : t -> t;
+  copy : t -> t;
+  mul_into : t -> t -> t -> t;
   enter : t -> t;
   leave : t -> t;
 }
 
 let barrett_domain (m : t) : domain =
   let ctx = Barrett.create m in
-  let red x = Barrett.reduce ctx x in
   { one_d = rem one m;
-    muld = (fun a b -> red (mul a b));
-    sqrd = (fun a -> red (sqr a));
-    enter = (fun x -> x);
-    leave = (fun x -> x) }
+    copy = Fun.id;
+    mul_into = (fun _ a b -> Barrett.reduce ctx (mul a b));
+    enter = Fun.id;
+    leave = Fun.id }
 
 let mod_domain (m : t) : domain =
-  if testbit m 0 then begin
+  if Montgomery.supports m then begin
     let ctx = Montgomery.create m in
     { one_d = Montgomery.one_m ctx;
-      muld = Montgomery.mul ctx;
-      sqrd = Montgomery.sqr ctx;
+      copy = Array.copy;
+      mul_into = (fun u a b -> Montgomery.mul_into ctx u a b; u);
       enter = Montgomery.to_mont ctx;
       leave = Montgomery.of_mont ctx }
   end
   else barrett_domain m
+
+(* A product into a fresh value, for tables that outlive the call. *)
+let muld (dom : domain) (a : t) (b : t) : t = dom.mul_into (dom.copy dom.one_d) a b
+
+(* The running product of one exponentiation: two buffers owned by the
+   chain, each step writing into the one not holding the current value, so
+   the squaring chain allocates nothing after its start.  Scratch lives
+   only as long as the exponentiation. *)
+type chain = { dom : domain; mutable cur : t; mutable spare : t }
+
+let chain (dom : domain) (start : t) : chain =
+  { dom; cur = dom.copy start; spare = dom.copy start }
+
+let chain_mul (c : chain) (b : t) : unit =
+  let v = c.dom.mul_into c.spare c.cur b in
+  c.spare <- c.cur;
+  c.cur <- v
+
+let chain_sqr (c : chain) : unit = chain_mul c c.cur
+
+let bit (e : t) (i : int) : int = if testbit e i then 1 else 0
+
+(* Bits pos .. pos+3 of [e] as a 4-bit window digit. *)
+let nibble (e : t) (pos : int) : int =
+  (bit e (pos + 3) lsl 3) lor (bit e (pos + 2) lsl 2) lor (bit e (pos + 1) lsl 1)
+  lor bit e pos
 
 (* Fixed-window exponentiation over an abstract domain: 4-bit windows above
    64 exponent bits, plain square-and-multiply below (where the 15-entry
    table would not amortize).  [base_d] is already in the domain. *)
 let powmod_gen (dom : domain) (base_d : t) (e : t) : t =
   let ebits = numbits e in
-  let window = if ebits <= 64 then 1 else 4 in
-  if window = 1 then begin
-    let r = ref dom.one_d in
+  let r = chain dom dom.one_d in
+  if ebits <= 64 then
     for i = ebits - 1 downto 0 do
-      r := dom.sqrd !r;
-      if testbit e i then r := dom.muld !r base_d
-    done;
-    !r
-  end
+      chain_sqr r;
+      if testbit e i then chain_mul r base_d
+    done
   else begin
     (* Precompute base^0 .. base^15. *)
     let tbl = Array.make 16 dom.one_d in
-    for i = 1 to 15 do tbl.(i) <- dom.muld tbl.(i - 1) base_d done;
-    let nwin = (ebits + window - 1) / window in
-    let r = ref dom.one_d in
-    for w = nwin - 1 downto 0 do
-      for _ = 1 to window do r := dom.sqrd !r done;
-      let d = ref 0 in
-      for b = window - 1 downto 0 do
-        let bit = if testbit e ((w * window) + b) then 1 else 0 in
-        d := (!d lsl 1) lor bit
-      done;
-      if !d <> 0 then r := dom.muld !r tbl.(!d)
-    done;
-    !r
-  end
+    for i = 1 to 15 do tbl.(i) <- muld dom tbl.(i - 1) base_d done;
+    for w = ((ebits + 3) / 4) - 1 downto 0 do
+      for _ = 1 to 4 do chain_sqr r done;
+      let d = nibble e (4 * w) in
+      if d <> 0 then chain_mul r tbl.(d)
+    done
+  end;
+  r.cur
 
 let powmod_in (dom_of_m : t -> domain) (base : t) (e : t) (m : t) : t =
   if is_zero m then raise Division_by_zero;
@@ -460,18 +561,70 @@ let powmod_in (dom_of_m : t -> domain) (base : t) (e : t) (m : t) : t =
     dom.leave (powmod_gen dom (dom.enter (rem base m)) e)
   end
 
-(* Modular exponentiation: 4-bit fixed windows over Montgomery
-   multiplication for odd moduli, Barrett reduction otherwise. *)
+(* Modular exponentiation: 4-bit fixed windows over the domain of [m]. *)
 let powmod (base : t) (e : t) (m : t) : t = powmod_in mod_domain base e m
 
-(* The pre-Montgomery reference path, kept callable for equivalence tests
-   and for benchmarking the fast path against it. *)
+(* The reference path, kept callable for equivalence tests and for
+   benchmarking the fast path against it. *)
 let powmod_barrett (base : t) (e : t) (m : t) : t = powmod_in barrett_domain base e m
 
-(* Simultaneous double exponentiation b1^e1 * b2^e2 mod m by 2-bit
-   interleaved windows (Shamir's trick, HAC 14.88 generalized): one shared
-   squaring chain for both exponents, with a 16-entry table over the digit
-   pairs.  Per 2 exponent bits: 2 squarings + at most one multiply, versus
+(* The digit-pair table of Shamir's trick: tbl.((i lsl 2) lor j) =
+   b1^i * b2^j for 2-bit digits i, j (in-domain bases).  Without [b2] only
+   the b1 column is filled, for a trailing odd base. *)
+let pair_table (dom : domain) (b1 : t) (b2 : t option) : t array =
+  let tbl = Array.make 16 dom.one_d in
+  tbl.(4) <- b1;
+  tbl.(8) <- muld dom b1 b1;
+  tbl.(12) <- muld dom tbl.(8) b1;
+  Option.iter
+    (fun b2 ->
+      tbl.(1) <- b2;
+      tbl.(2) <- muld dom b2 b2;
+      tbl.(3) <- muld dom tbl.(2) b2;
+      for i = 1 to 3 do
+        for j = 1 to 3 do
+          tbl.((i lsl 2) lor j) <- muld dom tbl.(i lsl 2) tbl.(j)
+        done
+      done)
+    b2;
+  tbl
+
+(* k-way simultaneous multi-exponentiation by 2-bit interleaved windows
+   (Shamir's trick, HAC 14.88 generalized): the bases are paired into
+   blocks of two, each with a 16-entry digit-pair table, and all blocks
+   share one squaring chain over the longest exponent.  Per 2 exponent
+   bits: 2 squarings plus at most one multiply per block — so the marginal
+   cost of each further base is ~e/4 multiplies against ~1.5e for a
+   separate powmod.  [pairs] has no zero exponent and m > 1. *)
+let multi_exp (pairs : (t * t) list) (m : t) : t =
+  let dom = mod_domain m in
+  let bases = Array.of_list (List.map (fun (b, _) -> dom.enter (rem b m)) pairs) in
+  let exps = Array.of_list (List.map snd pairs) in
+  let k = Array.length bases in
+  let nblocks = (k + 1) / 2 in
+  let tbls =
+    Array.init nblocks (fun blk ->
+      pair_table dom bases.(2 * blk)
+        (if (2 * blk) + 1 < k then Some bases.((2 * blk) + 1) else None))
+  in
+  let digit j pos =
+    if j < k then (bit exps.(j) (pos + 1) lsl 1) lor bit exps.(j) pos else 0
+  in
+  let nbits = Array.fold_left (fun acc e -> max acc (numbits e)) 0 exps in
+  let r = chain dom dom.one_d in
+  for w = ((nbits + 1) / 2) - 1 downto 0 do
+    chain_sqr r;
+    chain_sqr r;
+    for blk = 0 to nblocks - 1 do
+      let d = (digit (2 * blk) (2 * w) lsl 2) lor digit ((2 * blk) + 1) (2 * w) in
+      if d <> 0 then chain_mul r tbls.(blk).(d)
+    done
+  done;
+  dom.leave r.cur
+
+(* Simultaneous double exponentiation b1^e1 * b2^e2 mod m: one block of
+   [multi_exp], i.e. one shared squaring chain with a 16-entry digit-pair
+   table.  Per 2 exponent bits: 2 squarings + at most one multiply, versus
    2 squarings + ~2.5 multiplies for two separate windowed exponentiations
    — about 1.9x faster on the DLEQ verification shape where both exponents
    are full group-order size. *)
@@ -480,107 +633,16 @@ let powmod2 (b1 : t) (e1 : t) (b2 : t) (e2 : t) (m : t) : t =
   if equal m one then zero
   else if is_zero e1 then powmod b2 e2 m
   else if is_zero e2 then powmod b1 e1 m
-  else begin
-    let dom = mod_domain m in
-    let b1 = dom.enter (rem b1 m) and b2 = dom.enter (rem b2 m) in
-    (* tbl.((i lsl 2) lor j) = b1^i * b2^j for digits i, j in 0..3. *)
-    let tbl = Array.make 16 dom.one_d in
-    tbl.(4) <- b1;
-    tbl.(8) <- dom.sqrd b1;
-    tbl.(12) <- dom.muld tbl.(8) b1;
-    tbl.(1) <- b2;
-    tbl.(2) <- dom.sqrd b2;
-    tbl.(3) <- dom.muld tbl.(2) b2;
-    for i = 1 to 3 do
-      for j = 1 to 3 do
-        tbl.((i lsl 2) lor j) <- dom.muld tbl.(i lsl 2) tbl.(j)
-      done
-    done;
-    let nbits = max (numbits e1) (numbits e2) in
-    let nwin = (nbits + 1) / 2 in
-    let bit e i = if testbit e i then 1 else 0 in
-    let r = ref dom.one_d in
-    for w = nwin - 1 downto 0 do
-      r := dom.sqrd !r;
-      r := dom.sqrd !r;
-      let hi = (2 * w) + 1 and lo = 2 * w in
-      let d1 = (bit e1 hi lsl 1) lor bit e1 lo in
-      let d2 = (bit e2 hi lsl 1) lor bit e2 lo in
-      let d = (d1 lsl 2) lor d2 in
-      if d <> 0 then r := dom.muld !r tbl.(d)
-    done;
-    dom.leave !r
-  end
+  else multi_exp [ (b1, e1); (b2, e2) ] m
 
-(* k-way simultaneous multi-exponentiation, generalizing powmod2: the bases
-   are paired into blocks of two, each block carrying the same 16-entry
-   2-bit digit-pair table powmod2 uses, and all blocks share one squaring
-   chain over the longest exponent.  Per 2 exponent bits: 2 squarings plus
-   at most one multiply per block — so the marginal cost of each further
-   base is ~e/4 multiplies against ~1.5e for a separate powmod. *)
 let powmod_multi (pairs : (t * t) list) (m : t) : t =
   if is_zero m then raise Division_by_zero;
   if equal m one then zero
-  else begin
-    let pairs = List.filter (fun (_, e) -> not (is_zero e)) pairs in
-    match pairs with
+  else
+    match List.filter (fun (_, e) -> not (is_zero e)) pairs with
     | [] -> one
     | [ (b, e) ] -> powmod b e m
-    | [ (b1, e1); (b2, e2) ] -> powmod2 b1 e1 b2 e2 m
-    | pairs ->
-      let dom = mod_domain m in
-      let bases =
-        Array.of_list (List.map (fun (b, _) -> dom.enter (rem b m)) pairs)
-      in
-      let exps = Array.of_list (List.map snd pairs) in
-      let k = Array.length bases in
-      let nblocks = (k + 1) / 2 in
-      (* tbls.(blk).((i lsl 2) lor j) = b_{2blk}^i * b_{2blk+1}^j for digit
-         pair (i, j); a trailing odd base gets a 4-entry single-base row. *)
-      let tbls =
-        Array.init nblocks (fun blk ->
-          let b1 = bases.(2 * blk) in
-          let tbl = Array.make 16 dom.one_d in
-          tbl.(4) <- b1;
-          tbl.(8) <- dom.sqrd b1;
-          tbl.(12) <- dom.muld tbl.(8) b1;
-          if (2 * blk) + 1 < k then begin
-            let b2 = bases.((2 * blk) + 1) in
-            tbl.(1) <- b2;
-            tbl.(2) <- dom.sqrd b2;
-            tbl.(3) <- dom.muld tbl.(2) b2;
-            for i = 1 to 3 do
-              for j = 1 to 3 do
-                tbl.((i lsl 2) lor j) <- dom.muld tbl.(i lsl 2) tbl.(j)
-              done
-            done
-          end;
-          tbl)
-      in
-      let nbits = Array.fold_left (fun acc e -> max acc (numbits e)) 0 exps in
-      let nwin = (nbits + 1) / 2 in
-      let bit e i = if testbit e i then 1 else 0 in
-      let r = ref dom.one_d in
-      for w = nwin - 1 downto 0 do
-        r := dom.sqrd !r;
-        r := dom.sqrd !r;
-        let hi = (2 * w) + 1 and lo = 2 * w in
-        for blk = 0 to nblocks - 1 do
-          let e1 = exps.(2 * blk) in
-          let d1 = (bit e1 hi lsl 1) lor bit e1 lo in
-          let d2 =
-            if (2 * blk) + 1 < k then begin
-              let e2 = exps.((2 * blk) + 1) in
-              (bit e2 hi lsl 1) lor bit e2 lo
-            end
-            else 0
-          in
-          let d = (d1 lsl 2) lor d2 in
-          if d <> 0 then r := dom.muld !r tbls.(blk).(d)
-        done
-      done;
-      dom.leave !r
-  end
+    | pairs -> multi_exp pairs m
 
 (* Fixed-base precomputation (BGMW/HAC 14.109 with full per-block tables):
    for a base reused across many exponentiations — the group generator, a
@@ -589,7 +651,8 @@ let powmod_multi (pairs : (t * t) list) (m : t) : t =
    exponentiation then multiplies one table entry per non-zero digit: no
    squarings at all, ~max_bits/4 multiplies instead of ~1.5 * max_bits, a
    ~6x reduction once the table is amortized.  Entries are stored in the
-   modulus's domain (Montgomery form for odd moduli). *)
+   modulus's domain (Montgomery form for odd moduli) and never written
+   after [create]; each [pow] owns its scratch. *)
 module Fixed_base = struct
   let window = 4
 
@@ -611,9 +674,9 @@ module Fixed_base = struct
     for i = 0 to nblocks - 1 do
       let row = tbl.(i) in
       row.(0) <- !cur;
-      for d = 1 to 14 do row.(d) <- dom.muld row.(d - 1) !cur done;
+      for d = 1 to 14 do row.(d) <- muld dom row.(d - 1) !cur done;
       (* base^(16^(i+1)) = row.(14) * cur = base^(15 * 16^i) * base^(16^i) *)
-      if i < nblocks - 1 then cur := dom.muld row.(14) !cur
+      if i < nblocks - 1 then cur := muld dom row.(14) !cur
     done;
     { base; modulus; max_bits; dom; tbl }
 
@@ -624,49 +687,37 @@ module Fixed_base = struct
     else if is_zero e then one
     else if numbits e > ctx.max_bits then powmod ctx.base e ctx.modulus
     else begin
-      let nblocks = Array.length ctx.tbl in
-      let r = ref ctx.dom.one_d in
-      let started = ref false in
-      for i = 0 to nblocks - 1 do
-        let pos = i * window in
-        let d =
-          (if testbit e pos then 1 else 0)
-          lor (if testbit e (pos + 1) then 2 else 0)
-          lor (if testbit e (pos + 2) then 4 else 0)
-          lor if testbit e (pos + 3) then 8 else 0
-        in
-        if d <> 0 then begin
-          if !started then r := ctx.dom.muld !r ctx.tbl.(i).(d - 1)
-          else begin
-            r := ctx.tbl.(i).(d - 1);
-            started := true
-          end
-        end
-      done;
-      ctx.dom.leave !r
+      let r = chain ctx.dom ctx.dom.one_d in
+      Array.iteri
+        (fun i row ->
+          let d = nibble e (i * window) in
+          if d <> 0 then chain_mul r row.(d - 1))
+        ctx.tbl;
+      ctx.dom.leave r.cur
     end
 end
 
-(* Byte-string codecs, big-endian. *)
+(* Byte-string codecs, big-endian: one pass packing bytes into limbs
+   (and back) through a bit accumulator, least significant end first. *)
 let of_bytes_be (s : string) : t =
   let n = String.length s in
-  let r = ref zero in
-  let i = ref 0 in
-  while !i < n do
-    (* Consume up to 3 bytes at a time (24 bits < limb). *)
-    let take = min 3 (n - !i) in
-    let v = ref 0 in
-    for j = 0 to take - 1 do
-      v := (!v lsl 8) lor Char.code s.[!i + j]
-    done;
-    r := add (shift_left !r (8 * take)) (of_int !v);
-    i := !i + take
+  let r = Array.make (((8 * n) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and nacc = ref 0 and j = ref 0 in
+  for i = n - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !nacc);
+    nacc := !nacc + 8;
+    if !nacc >= limb_bits then begin
+      r.(!j) <- !acc land limb_mask;
+      acc := !acc lsr limb_bits;
+      nacc := !nacc - limb_bits;
+      incr j
+    end
   done;
-  !r
+  if !nacc > 0 then r.(!j) <- !acc;
+  normalize r
 
 let to_bytes_be ?len (a : t) : string =
-  let nbytes = (numbits a + 7) / 8 in
-  let nbytes = max nbytes 1 in
+  let nbytes = max 1 ((numbits a + 7) / 8) in
   let out_len = match len with
     | None -> nbytes
     | Some l ->
@@ -674,15 +725,21 @@ let to_bytes_be ?len (a : t) : string =
       l
   in
   let b = Bytes.make out_len '\000' in
-  let rec go a pos =
-    if not (is_zero a) then begin
-      let low = (match to_int_opt (rem a (of_int 256)) with Some v -> v | None -> assert false) in
-      Bytes.set b pos (Char.chr low);
-      go (shift_right a 8) (pos - 1)
-    end
-  in
-  go a (out_len - 1);
-  Bytes.to_string b
+  let acc = ref 0 and nacc = ref 0 and pos = ref (out_len - 1) in
+  Array.iter
+    (fun limb ->
+      acc := !acc lor (limb lsl !nacc);
+      nacc := !nacc + limb_bits;
+      while !nacc >= 8 do
+        (* Bytes past the top are zero, so nothing is lost below 0. *)
+        if !pos >= 0 then Bytes.set b !pos (Char.unsafe_chr (!acc land 0xff));
+        acc := !acc lsr 8;
+        nacc := !nacc - 8;
+        decr pos
+      done)
+    a;
+  if !acc <> 0 then Bytes.set b !pos (Char.unsafe_chr !acc);
+  Bytes.unsafe_to_string b
 
 let of_hex (s : string) : t =
   let r = ref zero in

@@ -11,12 +11,16 @@
     threshold.
 
     {b Fast paths.} Modular exponentiation — the dominant cost of every
-    SINTRA protocol instance — has three accelerated forms layered on
-    {!Montgomery} arithmetic: {!powmod} (single base, Montgomery windows for
-    odd moduli), {!powmod2} (simultaneous double exponentiation, Shamir's
-    trick) and {!Fixed_base} (precomputed window tables for a long-lived
-    base).  {!powmod_barrett} is the pre-Montgomery reference path kept for
-    equivalence testing and benchmarking. *)
+    SINTRA protocol instance — runs on one multiply-reduce kernel: the
+    product-scanning {!Montgomery} multiply over fixed-length residues of
+    26-bit limbs, which allocates nothing and runs no carry chain.  Three
+    exponentiation shapes sit on it: {!powmod} (single base, 4-bit
+    windows), {!powmod2} / {!powmod_multi} (simultaneous
+    multi-exponentiation, Shamir's trick) and {!Fixed_base} (precomputed
+    window tables for a long-lived base).  Values convert between the two
+    limb bases only on entering and leaving the Montgomery domain.
+    {!powmod_barrett} is the reference path, kept for equivalence testing
+    and benchmarking. *)
 
 type t
 (** A natural number.  Structurally comparable only via {!compare}/{!equal}
@@ -92,8 +96,8 @@ val rem : t -> t -> t
 
 (** Barrett reduction for a fixed modulus: one precomputed reciprocal turns
     every reduction into two multiplications and at most two subtractions
-    (HAC 14.42).  The pre-Montgomery workhorse; still used by {!powmod} for
-    even moduli and exposed for callers with long-lived moduli. *)
+    (HAC 14.42).  Used by {!powmod} for even moduli and by
+    {!powmod_barrett}, and exposed for callers with long-lived moduli. *)
 module Barrett : sig
   type ctx
   (** Precomputed reciprocal [floor(base]{^ 2k}[ / m)] for a fixed modulus
@@ -109,36 +113,42 @@ module Barrett : sig
 end
 
 (** Montgomery representation for a fixed {e odd} modulus (HAC 14.32/14.36):
-    residues are stored as [x * R mod m] with [R = base]{^ k}, and REDC
-    recovers products without any quotient estimation — each of the [k]
-    reduction sweeps cancels one low limb by adding a multiple of [m].
-    Strictly faster than {!Barrett} per multiplication, which is why
-    {!powmod} routes every odd-modulus exponentiation (all of SINTRA's
-    groups and RSA moduli) through it. *)
+    residues are stored as [x * R mod m] with [R = 2]{^ 26k}, in exactly [k]
+    limbs of base 2{^26}.  A product is one product-scanning (FIPS) pass:
+    each output column sums its up to [2k] limb products of 52 bits in one
+    native [int], with no carry chain and no memory but the [k]-limb
+    output, and the column's low limb is cancelled by a multiple of [m] —
+    no quotient estimation.  {!powmod}, {!powmod2}, {!powmod_multi} and
+    {!Fixed_base} route every odd modulus (all of SINTRA's groups and RSA
+    moduli) through it. *)
 module Montgomery : sig
   type ctx
-  (** Precomputed [-m]{^ -1}[ mod 2]{^31} and [R]{^2}[ mod m] for an odd
-      modulus [m]. *)
+  (** Precomputed [-m]{^ -1}[ mod 2]{^26} and [R]{^2}[ mod m] for an odd
+      modulus [m].  Immutable: it holds no scratch. *)
+
+  type residue
+  (** A Montgomery-form residue: [k] limbs of base 2{^26}. *)
 
   val create : t -> ctx
-  (** [create m] for odd [m].  O(k{^2}).
-      @raise Invalid_argument on an even modulus.
+  (** [create m] for odd [m] of at most 511 26-bit limbs (13286 bits), the
+      width up to which a column sum cannot overflow.  O(k{^2}).
+      @raise Invalid_argument on an even or a wider modulus.
       @raise Division_by_zero on a zero modulus. *)
 
-  val to_mont : ctx -> t -> t
+  val to_mont : ctx -> t -> residue
   (** [to_mont ctx x] is [x * R mod m]; requires [x < m]. *)
 
-  val of_mont : ctx -> t -> t
+  val of_mont : ctx -> residue -> t
   (** [of_mont ctx x] is [x * R]{^ -1}[ mod m] — inverse of {!to_mont}. *)
 
-  val mul : ctx -> t -> t -> t
-  (** Product of two Montgomery-form residues, in Montgomery form:
-      one k x k multiply plus one REDC. *)
+  val mul : ctx -> residue -> residue -> residue
+  (** Product of two Montgomery-form residues, in Montgomery form: one
+      product-scanning pass of [2 * k * k] limb products. *)
 
-  val sqr : ctx -> t -> t
+  val sqr : ctx -> residue -> residue
   (** [sqr ctx a = mul ctx a a]. *)
 
-  val one_m : ctx -> t
+  val one_m : ctx -> residue
   (** The Montgomery form of 1, i.e. [R mod m]. *)
 end
 
@@ -146,6 +156,8 @@ val powmod : t -> t -> t -> t
 (** [powmod b e m] is [b]{^ [e]}[ mod m] by 4-bit fixed windows — over
     {!Montgomery} multiplication when [m] is odd (the fast path taken by
     every SINTRA group operation), over {!Barrett} reduction otherwise.
+    In the Montgomery domain the squaring chain reuses two residue buffers,
+    so after its tables an exponentiation allocates nothing.
     ~1.23 modular multiplications per exponent bit (HAC 14.82/14.94).
     [powmod b zero m = 1] for [m > 1]; [powmod b e one = 0].
     @raise Division_by_zero if [m] is zero. *)
@@ -212,10 +224,11 @@ module Fixed_base : sig
 end
 
 val of_bytes_be : string -> t
-(** Big-endian bytes to natural. *)
+(** Big-endian bytes to natural.  Linear in the length. *)
 
 val to_bytes_be : ?len:int -> t -> string
-(** Big-endian encoding, zero-padded to [len] when given.
+(** Big-endian encoding, zero-padded to [len] when given.  Linear in the
+    length.
     @raise Invalid_argument if the value does not fit in [len] bytes. *)
 
 val of_hex : string -> t

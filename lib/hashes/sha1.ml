@@ -6,6 +6,7 @@ let mask = 0xFFFFFFFF
 type ctx = {
   h : int array;
   buf : Bytes.t;
+  w : int array;       (* message-schedule scratch, owned by this hash *)
   mutable buf_len : int;
   mutable total : int;
 }
@@ -13,24 +14,24 @@ type ctx = {
 let init () = {
   h = [| 0x67452301; 0xEFCDAB89; 0x98BADCFE; 0x10325476; 0xC3D2E1F0 |];
   buf = Bytes.create 64;
+  w = Array.make 80 0;
   buf_len = 0;
   total = 0;
 }
 
-let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
-
-let w = Array.make 80 0
+(* Rotation without the final mask: bits above 32 are garbage that the
+   next masked addition discards.  Every word that is later rotated or
+   shifted right is masked first, so the garbage never reaches the low 32
+   bits. *)
+let rotl x n = (x lsl n) lor (x lsr (32 - n))
 
 let compress (ctx : ctx) (block : Bytes.t) (off : int) =
+  let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get block (off + 4 * i)) lsl 24)
-      lor (Char.code (Bytes.get block (off + 4 * i + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + 4 * i + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + 4 * i + 3))
+    w.(i) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask
   done;
   for i = 16 to 79 do
-    w.(i) <- rotl (w.(i - 3) lxor w.(i - 8) lxor w.(i - 14) lxor w.(i - 16)) 1
+    w.(i) <- rotl (w.(i - 3) lxor w.(i - 8) lxor w.(i - 14) lxor w.(i - 16)) 1 land mask
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) and e = ref h.(4) in
@@ -41,10 +42,9 @@ let compress (ctx : ctx) (block : Bytes.t) (off : int) =
       else if i < 60 then (!b land !c) lor (!b land !d) lor (!c land !d), 0x8F1BBCDC
       else !b lxor !c lxor !d, 0xCA62C1D6
     in
-    let f = f land mask in
     let tmp = (rotl !a 5 + f + !e + k + w.(i)) land mask in
     e := !d; d := !c;
-    c := rotl !b 30;
+    c := rotl !b 30 land mask;
     b := !a; a := tmp
   done;
   h.(0) <- (h.(0) + !a) land mask;
@@ -67,10 +67,10 @@ let feed_string (ctx : ctx) (s : string) =
       ctx.buf_len <- 0
     end
   end;
-  let tmp = Bytes.create 64 in
+  (* Whole blocks are read in place; compress never writes its block. *)
+  let src = Bytes.unsafe_of_string s in
   while n - !pos >= 64 do
-    Bytes.blit_string s !pos tmp 0 64;
-    compress ctx tmp 0;
+    compress ctx src !pos;
     pos := !pos + 64
   done;
   if !pos < n then begin

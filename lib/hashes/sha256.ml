@@ -1,5 +1,5 @@
 (* SHA-256 (FIPS 180-4). Words are 32-bit values kept in OCaml ints and
-   masked after every operation. *)
+   masked after every addition. *)
 
 let mask = 0xFFFFFFFF
 
@@ -19,6 +19,7 @@ let k = [|
 type ctx = {
   h : int array;       (* 8 state words *)
   buf : Bytes.t;               (* 64-byte block buffer *)
+  w : int array;               (* message-schedule scratch, owned by this hash *)
   mutable buf_len : int;
   mutable total : int;         (* total bytes fed *)
 }
@@ -27,25 +28,25 @@ let init () = {
   h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
          0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
   buf = Bytes.create 64;
+  w = Array.make 64 0;
   buf_len = 0;
   total = 0;
 }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
-
-let w = Array.make 64 0
+(* Rotation without the final mask: bits above 32 are garbage that the
+   next masked addition discards.  Only masked words are ever rotated or
+   shifted right, so the garbage never reaches the low 32 bits. *)
+let rotr x n = (x lsr n) lor (x lsl (32 - n))
 
 let compress (ctx : ctx) (block : Bytes.t) (off : int) =
+  let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get block (off + 4 * i)) lsl 24)
-      lor (Char.code (Bytes.get block (off + 4 * i + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + 4 * i + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + 4 * i + 3))
+    w.(i) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
+    let x = w.(i - 15) and y = w.(i - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
     w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
   done;
   let h = ctx.h in
@@ -54,14 +55,13 @@ let compress (ctx : ctx) (block : Bytes.t) (off : int) =
   for i = 0 to 63 do
     let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
     let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
+    let t1 = !hh + s1 + ch + k.(i) + w.(i) in
     let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
     let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
     hh := !g; g := !f; f := !e;
     e := (!d + t1) land mask;
     d := !c; c := !b; b := !a;
-    a := (t1 + t2) land mask
+    a := (t1 + s0 + maj) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;
@@ -87,10 +87,10 @@ let feed_string (ctx : ctx) (s : string) =
       ctx.buf_len <- 0
     end
   end;
-  let tmp = Bytes.create 64 in
+  (* Whole blocks are read in place; compress never writes its block. *)
+  let src = Bytes.unsafe_of_string s in
   while n - !pos >= 64 do
-    Bytes.blit_string s !pos tmp 0 64;
-    compress ctx tmp 0;
+    compress ctx src !pos;
     pos := !pos + 64
   done;
   if !pos < n then begin

@@ -1,4 +1,4 @@
-(** A lossless OCaml tokenizer for the semantic lint rules (S1–S6).
+(** A lossless OCaml tokenizer for the semantic lint rules (S1–S7).
 
     Every byte of the input lands in exactly one token — whitespace and
     comments included — so [concat (tokenize s) = s] for any input; the

@@ -38,7 +38,7 @@ module Lex : module type of Lex
 (** The lossless tokenizer behind the semantic rules. *)
 
 module Sema : module type of Sema
-(** The semantic rule family (S1–S6). *)
+(** The semantic rule family (S1–S7). *)
 
 val per_rule : finding list -> (string * int) list
 (** Finding counts per rule, in [rule_names] order (zero counts kept). *)

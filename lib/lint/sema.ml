@@ -1,4 +1,4 @@
-(* The semantic rule family (S1–S6): protocol-aware checks that need more
+(* The semantic rule family (S1–S7): protocol-aware checks that need more
    than a masked line — a real token stream (Lex) grouped into top-level
    module items.
 
@@ -39,7 +39,14 @@
                      the same device contents the recorded run wrote.  The
                      seam itself (device.ml) is allowlisted in
                      .sintra-lint — which file is the seam is policy, not
-                     definition. *)
+                     definition.
+   S7 global-state   a module-level [ref], [Array.make]/[init],
+                     [Bytes.create]/[make], [Hashtbl.create] or
+                     [Buffer.create] under lib/: state shared by every
+                     caller, which stops key material and contexts from
+                     being shared across domains.  Scratch is allocated per
+                     call instead; the few sanctioned caches are baselined
+                     in .sintra-lint. *)
 
 type finding = Rules.finding = {
   file : string;
@@ -54,6 +61,7 @@ let s3 = "handler-flow"
 let s4 = "quorum-literal"
 let s5 = "cache-key-digest"
 let s6 = "durable-io"
+let s7 = "global-state"
 
 let rule_names : (string * string) list = [
   (s1, "wall clock / OS entropy (Unix.*, Random.*, Sys.time, Hashtbl.hash) in deterministic code");
@@ -62,6 +70,7 @@ let rule_names : (string * string) list = [
   (s4, "inline quorum arithmetic on Config.n/Config.t; use the Config helpers");
   (s5, "Share_cache insertion keyed by something other than a Hashes digest");
   (s6, "raw file I/O outside the Store.Device seam in lib/store or lib/sintra");
+  (s7, "module-level ref/Array/Bytes/Hashtbl/Buffer allocation in lib/: shared mutable state");
 ]
 
 (* --- path predicates --- *)
@@ -542,6 +551,124 @@ let check_s6 (src : Source.t) (sig_toks : Lex.token list) : finding list =
       else None)
     sig_toks
 
+(* --- S7: module-level mutable state --- *)
+
+let s7_scope path = is_ml path && in_dir "lib" path
+
+let s7_allocators =
+  [ "ref"; "Array.make"; "Array.init"; "Bytes.create"; "Bytes.make";
+    "Hashtbl.create"; "Buffer.create" ]
+
+let s7_banned (tok : string) : bool =
+  List.exists (qualified_matches tok) s7_allocators
+
+let opens_group (tok : string) : bool =
+  List.mem tok [ "("; "["; "[|"; "{"; "begin" ]
+
+let closes_group (tok : string) : bool =
+  List.mem tok [ ")"; "]"; "|]"; "}"; "end" ]
+
+(* Structure-level value bindings are found by layout, like [split_items]:
+   a [let] (or an [and] continuing one) at column 0, or at two columns
+   past the indentation of the line that opened the innermost [struct].
+   A binding with parameters, or whose body is a [fun]/[function], is a
+   function: its allocations happen per call.  Otherwise the body runs
+   once at module initialization, and an allocator there outside a lambda
+   creates state shared by every caller — and by every domain, once
+   parties run in parallel. *)
+let check_s7 (src : Source.t) (sig_toks : Lex.token list) : finding list =
+  let path = Source.path src in
+  let toks = Array.of_list sig_toks in
+  let n = Array.length toks in
+  let text i = toks.(i).Lex.text in
+  let first_on_line i = i = 0 || toks.(i - 1).Lex.line <> toks.(i).Lex.line in
+  let rec indent i = if first_on_line i then toks.(i).Lex.col else indent (i - 1) in
+  let out = ref [] in
+  let flag (t : Lex.token) =
+    if not (Source.allowed src ~rule:s7 ~line:t.Lex.line) then
+      out :=
+        { file = path; line = t.Lex.line; rule = s7;
+          message =
+            t.Lex.text
+            ^ " at module level is mutable state shared by every caller; \
+               allocate it per call or keep it in a value the caller owns" }
+        :: !out
+  in
+  (* The body of the binding whose [=] is at [eq]: up to the next token
+     starting a line at or left of the binding's column.  Allocators under
+     a [fun]/[function] run per call, so the lambda's enclosing group is
+     skipped.  So is the right-hand side of a local [let ... in] — a
+     temporary, like a sieve building a constant table — unless the body
+     evaluates to a closure, which captures it. *)
+  let scan_body col eq =
+    let found = ref [] and closure = ref false in
+    let rec go i depth skip_below locals =
+      if i < n && not (first_on_line i && toks.(i).Lex.col <= col) then begin
+        let tk = text i in
+        let depth' =
+          if opens_group tk then depth + 1
+          else if closes_group tk then depth - 1
+          else depth
+        in
+        let skip_below =
+          match skip_below with
+          | Some d when depth' < d -> None
+          | Some _ -> skip_below
+          | None when tk = "fun" || tk = "function" ->
+            if locals = [] then closure := true;
+            Some depth
+          | None -> None
+        in
+        let locals =
+          match tk, locals with
+          | "let", _ when skip_below = None -> depth :: locals
+          | "in", d :: rest when d = depth -> rest
+          | _ -> locals
+        in
+        if skip_below = None && toks.(i).Lex.kind = Lex.Word && s7_banned tk then
+          found := (toks.(i), locals <> []) :: !found;
+        go (i + 1) depth' skip_below locals
+      end
+    in
+    go (eq + 1) 0 None [];
+    List.iter (fun (t, local) -> if !closure || not local then flag t) (List.rev !found)
+  in
+  (* [let [rec] name =] or [let [rec] name : ty =]; anything else between
+     the name and [=] is a parameter. *)
+  let binding i =
+    let j = if i + 1 < n && text (i + 1) = "rec" then i + 2 else i + 1 in
+    if j + 1 < n && toks.(j).Lex.kind = Lex.Word && not (Lex.is_keyword (text j))
+    then
+      if text (j + 1) = "=" then scan_body toks.(i).Lex.col (j + 1)
+      else if text (j + 1) = ":" then begin
+        let rec eq k =
+          if k < n then
+            if text k = "=" then scan_body toks.(i).Lex.col k else eq (k + 1)
+        in
+        eq (j + 2)
+      end
+  in
+  (* Innermost open block: [Some c] for a [struct] whose items sit at
+     column [c], [None] for [sig]/[begin]/[object]. *)
+  let blocks = ref [] in
+  let last_item = ref "" in
+  Array.iteri
+    (fun i (t : Lex.token) ->
+      let item_col = match !blocks with [] -> Some 0 | b :: _ -> b in
+      let at_item_col = first_on_line i && item_col = Some t.Lex.col in
+      (match t.Lex.text with
+       | "struct" -> blocks := Some (indent i + 2) :: !blocks
+       | "sig" | "begin" | "object" -> blocks := None :: !blocks
+       | "end" -> blocks := (match !blocks with [] -> [] | _ :: rest -> rest)
+       | _ -> ());
+      if at_item_col then begin
+        if t.Lex.text = "let" || (t.Lex.text = "and" && !last_item = "let") then
+          binding i;
+        if t.Lex.text <> "and" then last_item := t.Lex.text
+      end)
+    toks;
+  List.rev !out
+
 (* --- driver --- *)
 
 let check_tree (files : (Source.t * Lex.token list) list) : finding list =
@@ -588,6 +715,7 @@ let check_tree (files : (Source.t * Lex.token list) list) : finding list =
           else []
         in
         let f6 = if s6_scope path then check_s6 src sig_toks else [] in
-        f1 @ f2 @ f3 @ f4 @ f5 @ f6
+        let f7 = if s7_scope path then check_s7 src sig_toks else [] in
+        f1 @ f2 @ f3 @ f4 @ f5 @ f6 @ f7
       end)
     files

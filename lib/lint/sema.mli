@@ -1,4 +1,4 @@
-(** The semantic lint rules (S1–S6), running on Lex token streams grouped
+(** The semantic lint rules (S1–S7), running on Lex token streams grouped
     into top-level module items.
 
     - [determinism] (S1): [Unix.*], [Random.*], [Sys.time], [Hashtbl.hash]
@@ -21,7 +21,11 @@
       [In_channel]/[Out_channel], [Sys.remove]/[Sys.rename]) under
       [lib/store] or [lib/sintra]; every durable byte must flow through
       the [Store.Device] seam so recovery replays deterministically.  The
-      seam itself ([device.ml]) is allowlisted in [.sintra-lint]. *)
+      seam itself ([device.ml]) is allowlisted in [.sintra-lint].
+    - [global-state] (S7): a module-level [ref], [Array.make]/[init],
+      [Bytes.create]/[make], [Hashtbl.create] or [Buffer.create] under
+      [lib/] — mutable state shared by every caller.  Allocations inside a
+      function or a [fun] run per call and do not count. *)
 
 type finding = Rules.finding = {
   file : string;
@@ -48,10 +52,13 @@ val s5 : string
 val s6 : string
 (** The [durable-io] rule name. *)
 
+val s7 : string
+(** The [global-state] rule name. *)
+
 val rule_names : (string * string) list
 (** [(name, one-line description)] for the S rules. *)
 
 val check_tree : (Source.t * Lex.token list) list -> finding list
-(** Run S1–S6 over the tree; each file is paired with its Lex token
+(** Run S1–S7 over the tree; each file is paired with its Lex token
     stream.  [.mli] files contribute only the S3 public-constructor
     exemption. *)

@@ -6,14 +6,15 @@
 
 let poly = 0xEDB88320
 
-let table =
-  lazy
-    (Array.init 256 (fun n ->
-       let c = ref n in
-       for _ = 1 to 8 do
-         c := if !c land 1 = 1 then poly lxor (!c lsr 1) else !c lsr 1
-       done;
-       !c))
+let entry (n : int) : int =
+  let c = ref n in
+  for _ = 1 to 8 do
+    c := if !c land 1 = 1 then poly lxor (!c lsr 1) else !c lsr 1
+  done;
+  !c
+
+(* lint: allow global-state — a lookup table: built once, never written *)
+let table = lazy (Array.init 256 entry)
 
 let update (crc : int) (s : string) : int =
   let tbl = Lazy.force table in

@@ -26,6 +26,45 @@ let gen_pos_nat : Nat.t QCheck.arbitrary =
 let qtest ?(count = 200) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
+(* The quadratic byte codecs the linear ones replaced (a shift and add
+   per 3 bytes in, a division per byte out), kept as the reference the
+   codec property test compares against. *)
+let ref_of_bytes_be (s : string) : Nat.t =
+  let n = String.length s in
+  let r = ref Nat.zero and i = ref 0 in
+  while !i < n do
+    let take = min 3 (n - !i) in
+    let v = ref 0 in
+    for j = 0 to take - 1 do v := (!v lsl 8) lor Char.code s.[!i + j] done;
+    r := Nat.add (Nat.shift_left !r (8 * take)) (Nat.of_int !v);
+    i := !i + take
+  done;
+  !r
+
+let ref_to_bytes_be ?len (a : Nat.t) : string =
+  let nbytes = max 1 ((Nat.numbits a + 7) / 8) in
+  let out_len = match len with
+    | None -> nbytes
+    | Some l ->
+      if l < nbytes then invalid_arg "Nat.to_bytes_be: value too large for len";
+      l
+  in
+  let b = Bytes.make out_len '\000' in
+  let rec go a pos =
+    if not (Nat.is_zero a) then begin
+      let low = Option.get (Nat.to_int_opt (Nat.rem a (Nat.of_int 256))) in
+      Bytes.set b pos (Char.chr low);
+      go (Nat.shift_right a 8) (pos - 1)
+    end
+  in
+  go a (out_len - 1);
+  Bytes.to_string b
+
+(* A random odd modulus of exactly [bits] bits (bits >= 2). *)
+let odd_modulus ~rb bits =
+  let m = Nat.add (Nat.shift_left Nat.one (bits - 1)) (Nat.random_bits ~random_bytes:rb (bits - 1)) in
+  if Nat.testbit m 0 then m else Nat.add m Nat.one
+
 let unit_tests = [
   Alcotest.test_case "zero and one" `Quick (fun () ->
     Alcotest.check nat "0" Nat.zero (Nat.of_int 0);
@@ -200,6 +239,29 @@ let property_tests = [
 
   qtest "bytes roundtrip" gen_nat
     (fun a -> Nat.equal (Nat.of_bytes_be (Nat.to_bytes_be a)) a);
+
+  Alcotest.test_case "byte codecs agree with the quadratic reference" `Quick (fun () ->
+    let rb = Util.random_bytes ~seed:"byte-codecs" () in
+    for len = 0 to 300 do
+      (* Lengths 0-300, each with 0-3 leading zero bytes. *)
+      let zeros = len mod 4 in
+      let s = String.make (min zeros len) '\000' ^ rb (len - min zeros len) in
+      let v = Nat.of_bytes_be s in
+      Alcotest.check nat (Printf.sprintf "of_bytes_be, %d bytes" len) (ref_of_bytes_be s) v;
+      Alcotest.(check string) (Printf.sprintf "to_bytes_be, %d bytes" len)
+        (ref_to_bytes_be v) (Nat.to_bytes_be v);
+      let nbytes = String.length (Nat.to_bytes_be v) in
+      List.iter
+        (fun pad ->
+          Alcotest.(check string) (Printf.sprintf "~len:%d" (nbytes + pad))
+            (ref_to_bytes_be ~len:(nbytes + pad) v) (Nat.to_bytes_be ~len:(nbytes + pad) v))
+        [ 0; 1; 7 ];
+      if len > 0 then
+        Alcotest.(check string) "padded back to the input" s (Nat.to_bytes_be ~len v);
+      Alcotest.check_raises (Printf.sprintf "~len:%d too small" (nbytes - 1))
+        (Invalid_argument "Nat.to_bytes_be: value too large for len") (fun () ->
+          ignore (Nat.to_bytes_be ~len:(nbytes - 1) v))
+    done);
 
   qtest "hex roundtrip" gen_nat
     (fun a -> Nat.equal (Nat.of_hex (Nat.to_hex a)) a);
@@ -406,6 +468,120 @@ let fastpath_tests = [
         Alcotest.check nat "fixed-base vs powmod"
           (Nat.powmod_barrett b1 e3 m) (Nat.Fixed_base.pow tbl e3)
       done);
+
+  Alcotest.test_case "cross-check at 1024 and 2048 bits" `Quick (fun () ->
+    let rb = Util.random_bytes ~seed:"fastpath-wide" () in
+    List.iter
+      (fun (bits, ebits) ->
+        let m = odd_modulus ~rb bits in
+        let b1 = Nat.rem (Nat.random_bits ~random_bytes:rb bits) m in
+        let b2 = Nat.rem (Nat.random_bits ~random_bytes:rb bits) m in
+        let e1 = Nat.random_bits ~random_bytes:rb ebits in
+        let e2 = Nat.random_bits ~random_bytes:rb ebits in
+        let label = Printf.sprintf "%d-bit modulus, %d-bit exponent" bits ebits in
+        let p1 = Nat.powmod_barrett b1 e1 m in
+        Alcotest.check nat ("powmod, " ^ label) p1 (Nat.powmod b1 e1 m);
+        Alcotest.check nat ("powmod2, " ^ label)
+          (Nat.rem (Nat.mul p1 (Nat.powmod_barrett b2 e2 m)) m)
+          (Nat.powmod2 b1 e1 b2 e2 m))
+      [ (1024, 160); (1024, 1024); (2048, 160); (2048, 300) ]);
+
+  Alcotest.test_case "limb-boundary and extreme moduli, extreme operands" `Quick
+    (fun () ->
+      (* Moduli whose widths straddle the 26-bit residue limbs and the
+         31-bit [Nat.t] limbs, plus 2^b - 1 and 2^(b-1) + 1, each with
+         bases 0, 1, m-1, m, m+1 and exponents 0 and 1. *)
+      let rb = Util.random_bytes ~seed:"fastpath-boundaries" () in
+      let widths =
+        List.concat_map
+          (fun j -> [ (26 * j) - 1; 26 * j; (26 * j) + 1; (31 * j) - 1; (31 * j) + 1 ])
+          [ 1; 2; 3; 4; 5; 6; 10; 20; 40 ]
+      in
+      List.iter
+        (fun bits ->
+          let moduli =
+            [ odd_modulus ~rb bits;
+              Nat.sub (Nat.shift_left Nat.one bits) Nat.one;
+              Nat.add (Nat.shift_left Nat.one (bits - 1)) Nat.one ]
+          in
+          List.iter
+            (fun m ->
+              let bases =
+                [ Nat.zero; Nat.one; Nat.sub m Nat.one; m; Nat.add m Nat.one;
+                  Nat.random_bits ~random_bytes:rb (bits + 5) ]
+              in
+              let exps =
+                [ Nat.zero; Nat.one; Nat.random_bits ~random_bytes:rb (1 + (bits mod 97)) ]
+              in
+              let label = Printf.sprintf "m = %s" (Nat.to_hex m) in
+              List.iter
+                (fun b ->
+                  List.iter
+                    (fun e ->
+                      let expect = Nat.powmod_barrett b e m in
+                      Alcotest.check nat ("powmod, " ^ label) expect (Nat.powmod b e m);
+                      Alcotest.check nat ("powmod2, " ^ label)
+                        (Nat.rem (Nat.mul expect (Nat.powmod_barrett m e m)) m)
+                        (Nat.powmod2 b e m e m))
+                    exps)
+                bases)
+            moduli)
+        widths);
+
+  Alcotest.test_case "powmod_multi with k = 1..7 vs the Barrett reference" `Quick
+    (fun () ->
+      let rb = Util.random_bytes ~seed:"fastpath-multi" () in
+      List.iter
+        (fun bits ->
+          let m = odd_modulus ~rb bits in
+          for k = 1 to 7 do
+            let pairs =
+              List.init k (fun i ->
+                ( Nat.random_bits ~random_bytes:rb (bits + 3),
+                  (* one zero exponent when k > 2 exercises the filter *)
+                  if k > 2 && i = 1 then Nat.zero
+                  else Nat.random_bits ~random_bytes:rb (64 + (17 * i)) ))
+            in
+            let expect =
+              List.fold_left
+                (fun acc (b, e) -> Nat.rem (Nat.mul acc (Nat.powmod_barrett b e m)) m)
+                (Nat.rem Nat.one m) pairs
+            in
+            Alcotest.check nat (Printf.sprintf "%d bases, %d-bit modulus" k bits)
+              expect (Nat.powmod_multi pairs m)
+          done)
+        [ 61; 256; 1024 ]);
+
+  Alcotest.test_case "fixed-base tables at 1024 bits" `Quick (fun () ->
+    let rb = Util.random_bytes ~seed:"fastpath-fixed-1024" () in
+    let m = odd_modulus ~rb 1024 in
+    let base = Nat.random_bits ~random_bytes:rb 1030 in
+    let tbl = Nat.Fixed_base.create ~base ~modulus:m ~max_bits:160 in
+    List.iter
+      (fun e ->
+        Alcotest.check nat "fixed-base vs barrett" (Nat.powmod_barrett base e m)
+          (Nat.Fixed_base.pow tbl e))
+      [ Nat.zero; Nat.one; Nat.random_bits ~random_bytes:rb 160;
+        Nat.random_bits ~random_bytes:rb 100;
+        Nat.sub (Nat.shift_left Nat.one 160) Nat.one;
+        Nat.random_bits ~random_bytes:rb 200 ]);
+
+  Alcotest.test_case "Montgomery column bound: 511 limbs, not 512" `Quick (fun () ->
+    (* At the widest modulus the kernel accepts, all-ones limbs and maximal
+       operands give the largest column sums there can be. *)
+    let m = Nat.sub (Nat.shift_left Nat.one (26 * 511)) Nat.one in
+    let ctx = Nat.Montgomery.create m in
+    let a = Nat.sub m Nat.one in
+    let am = Nat.Montgomery.to_mont ctx a in
+    Alcotest.check nat "(m-1)^2 mod m" (Nat.rem (Nat.sqr a) m)
+      (Nat.Montgomery.of_mont ctx (Nat.Montgomery.mul ctx am am));
+    let wide = Nat.add (Nat.shift_left Nat.one (26 * 511)) Nat.one in
+    Alcotest.check_raises "512 limbs" (Invalid_argument "Nat.Montgomery.create: modulus too wide")
+      (fun () -> ignore (Nat.Montgomery.create wide));
+    (* powmod still serves such a modulus, by Barrett reduction *)
+    let b = Nat.of_int 3 in
+    Alcotest.check nat "powmod beyond the bound" (Nat.rem (Nat.of_int 27) wide)
+      (Nat.powmod b (Nat.of_int 3) wide));
 
   Alcotest.test_case "Bigint.powmod2" `Quick (fun () ->
     let bi = Bigint.of_int in

@@ -37,6 +37,42 @@ let suite = [
           (Hashes.Sha1.digest msg))
       sha1_vectors);
 
+  Alcotest.test_case "streaming with random split points = one-shot" `Quick (fun () ->
+    let rb = Hashes.Drbg.random_bytes (Hashes.Drbg.create ~seed:"hash-splits") in
+    let draw bound = Char.code (rb 1).[0] mod bound in
+    let streamed ~init ~feed ~finish msg =
+      let ctx = init () in
+      let pos = ref 0 in
+      while !pos < String.length msg do
+        let take = min (String.length msg - !pos) (draw 150) in
+        feed ctx (String.sub msg !pos take);
+        pos := !pos + take
+      done;
+      finish ctx
+    in
+    for len = 0 to 700 do
+      let msg = rb len in
+      Alcotest.(check string) (Printf.sprintf "sha256, %d bytes" len)
+        (hex (Hashes.Sha256.digest msg))
+        (hex (streamed ~init:Hashes.Sha256.init ~feed:Hashes.Sha256.feed_string
+                ~finish:Hashes.Sha256.finish msg));
+      Alcotest.(check string) (Printf.sprintf "sha1, %d bytes" len)
+        (hex (Hashes.Sha1.digest msg))
+        (hex (streamed ~init:Hashes.Sha1.init ~feed:Hashes.Sha1.feed_string
+                ~finish:Hashes.Sha1.finish msg))
+    done);
+
+  Alcotest.test_case "digests of lengths 0-700 are pinned" `Quick (fun () ->
+    (* The SHA-256 of the concatenated digests of 701 messages, one per
+       length, recorded from the original word-at-a-time compress
+       functions: any change to a digest changes it. *)
+    let msg len = String.init len (fun i -> Char.chr (((i * 131) + len) land 0xff)) in
+    let all f = String.concat "" (List.init 701 (fun len -> f (msg len))) in
+    check_hex "sha256" "1e2f861abf006cb527aada7fec4f3a960457430f482332c4205b0fa8670494bc"
+      (Hashes.Sha256.digest (all Hashes.Sha256.digest));
+    check_hex "sha1" "ea7aedc2d44cfc67a6bec2b26dc3250ad3af38898b188b8969e7f01ea770f04f"
+      (Hashes.Sha256.digest (all Hashes.Sha1.digest)));
+
   Alcotest.test_case "sha256 incremental = one-shot" `Quick (fun () ->
     let msg = String.init 1000 (fun i -> Char.chr (i mod 251)) in
     (* feed in awkward chunk sizes crossing block boundaries *)

@@ -381,6 +381,44 @@ let test_durable_io () =
     "(* lint: allow durable-io — the seam itself *)\n\
      let real path = open_out_gen [ Open_append ] 0o644 path\n"
 
+(* --- S7: global-state --- *)
+
+let test_global_state () =
+  let rule = "global-state" in
+  (* module-level scratch, counters, tables and buffers *)
+  List.iter
+    (expect_fires ~rule "lib/hashes/sha256.ml")
+    [ "let w = Array.make 64 0\n";
+      "let counter = ref 0\n";
+      "let cache : (string, int) Hashtbl.t = Hashtbl.create 8\n";
+      "let buf = Buffer.create 16\n";
+      "let block = Bytes.create 64\n";
+      "let tbl = lazy (Array.init 16 (fun i -> i))\n";
+      (* a closure capturing a local ref is a global counter *)
+      "let next =\n  let c = ref 0 in\n  fun () -> incr c; !c\n";
+      (* structure items of a nested module, and an [and] binding *)
+      "module M = struct\n  let w = Array.make 4 0\nend\n";
+      "let a = 1\nand b = Stdlib.ref 2\n" ];
+  (* per-call allocation is the sanctioned shape *)
+  List.iter
+    (expect_silent ~rule "lib/hashes/sha256.ml")
+    [ "let compress ctx block =\n  let w = Array.make 64 0 in\n  use w ctx block\n";
+      "let fresh = fun () -> ref 0\n";
+      "let cells = List.map (fun x -> ref x) [ 1; 2 ]\n";
+      "module M = struct\n  let f () =\n    let w = Array.make 4 0 in\n    w\nend\n";
+      (* temporaries that build a constant value *)
+      "let primes =\n  let sieve = Array.make 10 true in\n  sieve.(0) <- false;\n\
+       \  Array.to_list sieve\n";
+      "type t = { r : int ref }\nand u = int\n";
+      "(* let w = Array.make 64 0 *)\nlet s = \"ref\"\n" ];
+  (* out of scope: tests and binaries *)
+  expect_silent ~rule "test/util.ml" "let cache = Hashtbl.create 8\n";
+  expect_silent ~rule "bin/sintra_sim.ml" "let verbose = ref false\n";
+  (* inline allow *)
+  expect_silent ~rule "lib/store/crc.ml"
+    "(* lint: allow global-state — a lookup table: built once, never written *)\n\
+     let table = lazy (Array.init 256 entry)\n"
+
 (* --- the tokenizer --- *)
 
 let count_kind (k : Lint.Lex.kind) (toks : Lint.Lex.token list) : int =
@@ -615,6 +653,8 @@ let suite =
       test_cache_key_digest;
     Alcotest.test_case "durable-io (S6) fires/clears/allows" `Quick
       test_durable_io;
+    Alcotest.test_case "global-state (S7) fires/clears/allows" `Quick
+      test_global_state;
     Alcotest.test_case "lexer: nested and string-guarded comments" `Quick
       test_lex_comments;
     Alcotest.test_case "lexer: string/char escapes vs type variables" `Quick
