@@ -72,33 +72,6 @@ let pipeline_depth_arg =
                  pipeline window); 1 reproduces the strictly sequential \
                  protocol.")
 
-let no_adaptive_batch_arg =
-  Arg.(value & flag
-       & info [ "no-adaptive-batch" ]
-           ~doc:"Pin the per-round vector cap at max_batch instead of \
-                 AIMD self-tuning from the observed queue depth.")
-
-let no_batch_verify_arg =
-  Arg.(value & flag
-       & info [ "no-batch-verify" ]
-           ~doc:"Verify signature and coin shares one at a time (the \
-                 reference path) instead of checking same-statement proofs \
-                 as one random-linear-combination batch.")
-
-let no_share_cache_arg =
-  Arg.(value & flag
-       & info [ "no-share-cache" ]
-           ~doc:"Re-verify every share at every sighting instead of \
-                 remembering verified shares in the bounded per-party \
-                 cache.")
-
-let no_coin_pregen_arg =
-  Arg.(value & flag
-       & info [ "no-coin-pregen" ]
-           ~doc:"Release threshold-coin shares on the critical path when a \
-                 round fails to decide, instead of pre-generating them at \
-                 round start.")
-
 let durable_arg =
   Arg.(value & flag
        & info [ "durable" ]
@@ -121,18 +94,14 @@ let store_dir_arg =
                  an in-memory device.  The directory is created if missing.")
 
 let make_cluster ~seed ~scheme ?(no_fast_path = false) ?(no_batching = false)
-    ?(pipeline_depth = 4) ?(adaptive_batch = true) ?(no_batch_verify = false)
-    ?(no_share_cache = false) ?(no_coin_pregen = false)
-    (topo : Sim.Topology.t) : Cluster.t =
+    ?(pipeline_depth = 4) (topo : Sim.Topology.t) : Cluster.t =
   let n = Sim.Topology.n topo in
   let t = faults_t topo in
   let cfg =
     Config.make ~tsig_scheme:scheme ~perm_mode:Config.Random_local
       ~crypto_fast_path:(not no_fast_path)
       ~max_batch:(if no_batching then 1 else 256)
-      ~pipeline_depth ~adaptive_batch
-      ~batch_verify:(not no_batch_verify) ~share_cache:(not no_share_cache)
-      ~coin_pregen:(not no_coin_pregen)
+      ~pipeline_depth
       ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96 ~n ~t ()
   in
   Cluster.create ~seed ~topo cfg
@@ -255,7 +224,6 @@ let channel_arg =
 
 let run_cmd =
   let run channel topo seed scheme no_fast_path no_batching pipeline_depth
-      no_adaptive_batch no_batch_verify no_share_cache no_coin_pregen
       durable checkpoint_interval store_dir
       senders messages crashes verbose trace_file trace_format stats =
     if durable && channel <> Atomic then begin
@@ -264,8 +232,7 @@ let run_cmd =
     end;
     let c =
       make_cluster ~seed ~scheme ~no_fast_path ~no_batching ~pipeline_depth
-        ~adaptive_batch:(not no_adaptive_batch) ~no_batch_verify
-        ~no_share_cache ~no_coin_pregen topo
+        topo
     in
     let finish_trace = setup_trace c trace_file trace_format in
     let n = Cluster.n c in
@@ -385,8 +352,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Drive a broadcast channel over a simulated test-bed.")
     Term.(const run $ channel_arg $ topology_arg $ seed_arg $ scheme_arg
           $ no_fast_path_arg $ no_batching_arg $ pipeline_depth_arg
-          $ no_adaptive_batch_arg $ no_batch_verify_arg $ no_share_cache_arg
-          $ no_coin_pregen_arg $ durable_arg
+          $ durable_arg
           $ checkpoint_interval_arg ~default:256 $ store_dir_arg
           $ senders $ messages
           $ crashes_arg $ verbose $ trace_file_arg $ trace_format_arg
@@ -839,70 +805,6 @@ let explore_cmd =
     Term.(const run $ workload $ seeds $ base_seed $ index $ mutations
           $ max_failures $ shrink_budget $ progress $ verbose)
 
-(* --- adaptive-check: AIMD batch-cap convergence under a bursty load --- *)
-
-let adaptive_check_cmd =
-  let run seed max_batch =
-    (* A bursty closed-loop workload on the benchmark configuration: the
-       adaptive cap must rise above its floor while the backlog is deep,
-       and must never leave [min 8 max_batch, max_batch]. *)
-    let cfg = Load.Sweep.sweep_cfg ~n:4 ~t:1 ~max_batch () in
-    let c = Load.Sweep.make_cluster ~seed:("adaptive|" ^ seed) cfg in
-    let chans =
-      Array.init 4 (fun i ->
-        Atomic_channel.create (Cluster.runtime c i) ~pid:"adapt"
-          ~on_deliver:(fun ~sender:_ _ -> ()) ())
-    in
-    for wave = 0 to 7 do
-      Cluster.at c ~time:(0.01 +. (0.25 *. float_of_int wave)) (fun () ->
-        for i = 0 to 3 do
-          Cluster.inject c i (fun () ->
-            for k = 0 to 5 do
-              Atomic_channel.send chans.(i)
-                (Printf.sprintf "m%d.%d.%d" i wave k)
-            done)
-        done)
-    done;
-    let floor = min 8 max_batch in
-    let hi = ref 0 and lo = ref max_int in
-    for k = 1 to 750 do
-      Cluster.at c ~time:(float_of_int k *. 0.02) (fun () ->
-        let cap = Atomic_channel.batch_limit chans.(0) in
-        if cap > !hi then hi := cap;
-        if cap < !lo then lo := cap)
-    done;
-    ignore (Cluster.run c ~until:300.0);
-    let delivered = Atomic_channel.deliveries chans.(0) in
-    Printf.printf
-      "adaptive-check: cap ranged [%d, %d] (floor %d, ceiling %d), %d \
-       payloads delivered\n"
-      !lo !hi floor max_batch delivered;
-    let ok =
-      !lo >= floor && !hi <= max_batch && !hi > floor && delivered = 192
-    in
-    if not ok then begin
-      Printf.eprintf
-        "adaptive-check: FAILED (want floor <= cap <= ceiling, growth \
-         above the floor, and all 192 payloads)\n";
-      exit 1
-    end
-  in
-  let seed =
-    Arg.(value & opt string "adaptive"
-         & info [ "seed" ] ~docv:"SEED" ~doc:"Determinism seed.")
-  in
-  let max_batch =
-    Arg.(value & opt int 256
-         & info [ "max-batch" ] ~docv:"B"
-             ~doc:"Vector-cap ceiling for the run (default 256).")
-  in
-  Cmd.v
-    (Cmd.info "adaptive-check"
-       ~doc:"Drive a bursty atomic-broadcast workload and verify the \
-             adaptive batch cap converges between its AIMD floor and the \
-             max-batch ceiling.")
-    Term.(const run $ seed $ max_batch)
-
 (* --- bench-check: judge BENCH_*.json artifacts by the floor table --- *)
 
 let bench_check_cmd =
@@ -1209,4 +1111,4 @@ let () =
        (Cmd.group (Cmd.info "sintra_sim" ~doc)
           [ run_cmd; agree_cmd; explore_cmd; topologies_cmd; crypto_cmd;
             trace_check_cmd; critical_path_cmd; bench_check_cmd;
-            adaptive_check_cmd; store_check_cmd; durability_check_cmd ]))
+            store_check_cmd; durability_check_cmd ]))

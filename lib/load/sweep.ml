@@ -33,9 +33,9 @@ type report = {
    depend on max_batch or the load shape). *)
 let dealer_cache : (string, Dealer.t) Hashtbl.t = Hashtbl.create 4
 
-let sweep_cfg ?pipeline_depth ?adaptive_batch ~(n : int) ~(t : int)
-    ~(max_batch : int) () : Config.t =
-  Config.make ~max_batch ?pipeline_depth ?adaptive_batch
+let sweep_cfg ?pipeline_depth ~(n : int) ~(t : int) ~(max_batch : int) () :
+    Config.t =
+  Config.make ~max_batch ?pipeline_depth
     ~perm_mode:Config.Random_local
     ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96
     ~model_rsa_bits:1024 ~model_dl_pbits:1024 ~model_dl_qbits:160 ~n ~t ()
@@ -144,8 +144,7 @@ let run_series ~(n : int) ~(t : int) ~(batched : bool) ~(duration : float)
      party per round AND one round in flight at a time. *)
   let cfg =
     if batched then sweep_cfg ~n ~t ~max_batch:256 ()
-    else
-      sweep_cfg ~n ~t ~max_batch:1 ~pipeline_depth:1 ~adaptive_batch:false ()
+    else sweep_cfg ~n ~t ~max_batch:1 ~pipeline_depth:1 ()
   in
   let mode = if batched then "batched" else "unbatched" in
   let points =

@@ -46,12 +46,12 @@ type report = {
 }
 
 val sweep_cfg :
-  ?pipeline_depth:int -> ?adaptive_batch:bool -> n:int -> t:int ->
-  max_batch:int -> unit -> Sintra.Config.t
+  ?pipeline_depth:int -> n:int -> t:int -> max_batch:int -> unit ->
+  Sintra.Config.t
 (** The benchmark configuration: real 256-bit cryptography priced at the
     paper's 1024-bit key sizes, pseudo-random candidate permutation.
-    [pipeline_depth]/[adaptive_batch] default to the {!Sintra.Config.make}
-    defaults (window of 4 rounds, adaptive cap). *)
+    [pipeline_depth] defaults to the {!Sintra.Config.make} default (a
+    window of 4 rounds). *)
 
 val make_cluster : seed:string -> Sintra.Config.t -> Sintra.Cluster.t
 (** A fresh simulated group for one measurement run.  Dealers are cached

@@ -39,13 +39,14 @@
    [pipeline_depth = 1] the window is one round and the channel reproduces
    the strictly sequential protocol.
 
-   Batching adapts: when [Config.adaptive_batch] is set the per-round
-   vector cap self-tunes by AIMD on the observed queue depth — additive
-   increase while the backlog exceeds the cap, halving when the backlog
-   falls below a quarter of it — between a floor of [min 8 max_batch] and
-   the [max_batch] ceiling.  With [max_batch = 1] each vector carries at
-   most one payload and the channel degrades to the original
-   one-payload-per-party rounds (the benchmarks' --no-batching baseline).
+   Batching adapts: the per-round vector cap self-tunes by AIMD on the
+   observed queue depth — additive increase while the backlog exceeds the
+   cap, halving when the backlog falls below a quarter of it — between a
+   floor of [min 8 max_batch] and the [max_batch] ceiling, so with
+   [max_batch <= 8] the cap is pinned at [max_batch].  With
+   [max_batch = 1] each vector carries at most one payload and the channel
+   degrades to the original one-payload-per-party rounds (the benchmarks'
+   --no-batching baseline).
 
    Termination: [close] broadcasts a termination request as a regular
    payload; the channel closes after the round in which t+1 distinct
@@ -379,20 +380,17 @@ let heal_seq_collision (t : t) (it : item) : unit =
 
 (* AIMD self-tuning of the vector cap from the observed backlog. *)
 let adapt_batch (t : t) (depth : int) : unit =
-  let cfg = t.rt.Runtime.cfg in
-  if cfg.Config.adaptive_batch then begin
-    let floor = batch_floor t in
-    let cur = t.cur_batch in
-    let next =
-      if depth > cur then min cfg.Config.max_batch (cur + adaptive_step)
-      else if depth * 4 < cur then max floor (cur / 2)
-      else cur
-    in
-    if next <> cur then begin
-      t.cur_batch <- next;
-      Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.batch_limit"
-        (float_of_int next)
-    end
+  let cur = t.cur_batch in
+  let next =
+    if depth > cur then
+      min t.rt.Runtime.cfg.Config.max_batch (cur + adaptive_step)
+    else if depth * 4 < cur then max (batch_floor t) (cur / 2)
+    else cur
+  in
+  if next <> cur then begin
+    t.cur_batch <- next;
+    Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.batch_limit"
+      (float_of_int next)
   end
 
 (* The undelivered prefix of our own queue, up to the current adaptive cap.
@@ -854,9 +852,7 @@ let create (rt : Runtime.t) ~(pid : string)
     mvbas = Hashtbl.create 8;
     past_mvba = Hashtbl.create 8;
     proposed_rounds = Hashtbl.create 8;
-    cur_batch =
-      (if cfg.Config.adaptive_batch then min adaptive_step cfg.Config.max_batch
-       else cfg.Config.max_batch);
+    cur_batch = min adaptive_step cfg.Config.max_batch;
     parked = 0;
     closing = false;
     closed = false;

@@ -16,9 +16,9 @@
     queue; decisions that land out of round order park in a reorder buffer
     and deliver strictly in round order, so the delivered sequence is the
     sequential protocol's.  [pipeline_depth = 1] reproduces the strictly
-    sequential channel exactly.  When [adaptive_batch] is set the
-    per-round vector cap self-tunes by AIMD on the observed queue depth
-    between [min 8 max_batch] and [max_batch].
+    sequential channel exactly.  The per-round vector cap self-tunes by
+    AIMD on the observed queue depth between [min 8 max_batch] and
+    [max_batch], so it is pinned at [max_batch] when [max_batch <= 8].
 
     {b Agreement & total order}: all honest parties deliver the same
     sequence.  {b Fairness}: a payload known to [f >= t+1] parties is
@@ -69,9 +69,8 @@ val queue_depth : t -> int
     backlog a closed-loop generator watches). *)
 
 val batch_limit : t -> int
-(** The current adaptive per-round vector cap: between [min 8 max_batch]
-    and [max_batch] when [adaptive_batch] is set, pinned at [max_batch]
-    otherwise. *)
+(** The current adaptive per-round vector cap, between [min 8 max_batch]
+    and [max_batch]. *)
 
 val inflight_rounds : t -> int
 (** In-window rounds whose agreement this party has proposed to but which

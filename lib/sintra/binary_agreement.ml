@@ -54,9 +54,9 @@ type round_state = {
   coin_shares : (int, Crypto.Threshold_coin.share) Hashtbl.t;
   mutable coin_value : bool option;
   (* Our own coin share for this round, pre-released at the idle start of
-     the round ([Config.coin_pregen]) so [try_finish_round] finds it ready
-     instead of paying the exponentiations on the critical path.  Volatile:
-     a crash loses it, and the release path recomputes on demand. *)
+     the round so [try_finish_round] finds it ready instead of paying the
+     exponentiations on the critical path.  Volatile: a crash loses it, and
+     the release path recomputes on demand. *)
   mutable pregen_coin : Crypto.Threshold_coin.share option;
   mutable sent_prevote : bool;
   mutable sent_mainvote : bool;
@@ -356,8 +356,7 @@ let send_prevote (t : t) (r : int) (b : bool) (just : justification) : unit =
     (match t.bias with
      | Some _ when r = 1 -> ()
      | Some _ | None ->
-       if t.rt.Runtime.cfg.Config.coin_pregen && st.pregen_coin = None
-       then begin
+       if st.pregen_coin = None then begin
          Charge.coin_release charge;
          st.pregen_coin <-
            Some

@@ -21,7 +21,6 @@ type t = {
   batch_size : int;          (* atomic broadcast batch (paper: t + 1) *)
   max_batch : int;           (* payloads per party per atomic round; 1 = unbatched *)
   pipeline_depth : int;      (* atomic rounds in flight concurrently; 1 = sequential *)
-  adaptive_batch : bool;     (* AIMD self-tuning of the per-round vector cap *)
   tsig_scheme : tsig_scheme;
   perm_mode : perm_mode;
   (* actual cryptographic sizes *)
@@ -45,13 +44,6 @@ type t = {
      `sintra_sim run --no-fast-path` and the benchmarks can switch it off
      to measure what the fast path buys. *)
   crypto_fast_path : bool;
-  (* The amortized-crypto layer.  Each knob preserves the reference
-     behaviour when off (`--no-batch-verify', `--no-share-cache',
-     `--no-coin-pregen'); delivery logs are byte-identical either way —
-     only the virtual-CPU charges (and thus timings) move. *)
-  batch_verify : bool;       (* RLC batch verification of share proofs *)
-  share_cache : bool;        (* remember verified shares across retransmits *)
-  coin_pregen : bool;        (* release coin shares during idle virtual time *)
   share_cache_cap : int;     (* bound on cached verified shares per party *)
 }
 
@@ -80,22 +72,20 @@ let one_honest (c : t) : int = c.t + 1
 (* Default: real crypto at modest sizes, cost model at the paper's 1024-bit
    RSA / 1024-bit p with 160-bit q. *)
 let make ?(batch_size : int option) ?(max_batch = 256) ?(pipeline_depth = 4)
-    ?(adaptive_batch = true) ?(tsig_scheme = Multi)
+    ?(tsig_scheme = Multi)
     ?(perm_mode = Fixed)
     ?(rsa_bits = 512) ?(tsig_bits = 512) ?(dl_pbits = 512) ?(dl_qbits = 160)
     ?(model_rsa_bits = 1024) ?(model_dl_pbits = 1024) ?(model_dl_qbits = 160)
     ?(check_invariants = false) ?(crypto_fast_path = true)
-    ?(batch_verify = true) ?(share_cache = true) ?(coin_pregen = true)
     ?(share_cache_cap = 4096)
     ~n ~t () : t =
   let batch_size = match batch_size with Some b -> b | None -> t + 1 in
   let c = {
-    n; t; batch_size; max_batch; pipeline_depth; adaptive_batch;
+    n; t; batch_size; max_batch; pipeline_depth;
     tsig_scheme; perm_mode;
     rsa_bits; tsig_bits; dl_pbits; dl_qbits;
     model_rsa_bits; model_dl_pbits; model_dl_qbits;
-    check_invariants; crypto_fast_path;
-    batch_verify; share_cache; coin_pregen; share_cache_cap;
+    check_invariants; crypto_fast_path; share_cache_cap;
   }
   in
   validate c;
@@ -103,10 +93,8 @@ let make ?(batch_size : int option) ?(max_batch = 256) ?(pipeline_depth = 4)
 
 (* A small fast configuration for unit tests: tiny real keys. *)
 let test ?(n = 4) ?(t = 1) ?(tsig_scheme = Multi) ?(perm_mode = Fixed)
-    ?(batch_size : int option) ?max_batch ?pipeline_depth ?adaptive_batch
-    ?check_invariants ?crypto_fast_path
-    ?batch_verify ?share_cache ?coin_pregen ?share_cache_cap () : t =
-  make ?batch_size ?max_batch ?pipeline_depth ?adaptive_batch
-    ?check_invariants ?crypto_fast_path
-    ?batch_verify ?share_cache ?coin_pregen ?share_cache_cap ~tsig_scheme
+    ?(batch_size : int option) ?max_batch ?pipeline_depth
+    ?check_invariants ?crypto_fast_path ?share_cache_cap () : t =
+  make ?batch_size ?max_batch ?pipeline_depth
+    ?check_invariants ?crypto_fast_path ?share_cache_cap ~tsig_scheme
     ~perm_mode ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96 ~n ~t ()

@@ -24,17 +24,15 @@ type t = {
       round: a round's INIT carries up to [max_batch] locally-queued
       undelivered payloads under one signature, so agreement cost is
       amortized over the whole vector.  [1] reproduces the original
-      one-payload-per-party rounds (the benchmarks' [--no-batching]). *)
+      one-payload-per-party rounds (the benchmarks' [--no-batching]).  The
+      cap in force self-tunes by AIMD on the observed queue depth, between
+      a floor of [min 8 max_batch] and this ceiling. *)
   pipeline_depth : int;
   (** Bound on atomic-broadcast rounds in flight concurrently: parties may
       INIT and run agreement for round [k + pipeline_depth - 1] while rounds
       [k ..] are still undecided; delivery stays strictly in round order via
       a reorder buffer.  [1] reproduces the strictly sequential protocol
       (round [k+1] starts only after round [k] delivers). *)
-  adaptive_batch : bool;
-  (** Self-tune the per-round vector cap by AIMD on the observed queue
-      depth, between a floor of [min 8 max_batch] and the [max_batch]
-      ceiling.  When off, every round uses the full [max_batch] cap. *)
   tsig_scheme : tsig_scheme;
   perm_mode : perm_mode;
   rsa_bits : int;            (** actual: signing keys / multi-signatures *)
@@ -53,24 +51,11 @@ type t = {
       path the real bignum layer always uses; off prices everything as
       plain square-and-multiply, as in the paper's cost tables.  On by
       default. *)
-  batch_verify : bool;
-  (** Verify same-message share proofs in one random-linear-combination
-      batch instead of one at a time, with bisection fall-back so bad
-      shares are still attributed to their senders.  Accepts and rejects
-      exactly as the one-at-a-time path; only the virtual-CPU charge
-      changes.  On by default ([--no-batch-verify]). *)
-  share_cache : bool;
-  (** Remember verified shares by (scheme, message digest, sender, index)
-      so retransmits, replays and catch-up batches charge a hash-table
-      probe instead of re-verifying.  On by default
-      ([--no-share-cache]). *)
-  coin_pregen : bool;
-  (** Release the threshold-coin share for an ABA round when the round's
-      prevote is sent (idle virtual time) instead of on the vote-quorum
-      critical path.  Decisions are unchanged.  On by default
-      ([--no-coin-pregen]). *)
   share_cache_cap : int;
-  (** Bound on cached verified shares per party (FIFO eviction). *)
+  (** Bound on the verified shares {!Verify} remembers per party, keyed by
+      (scheme, message digest, sender, index), so retransmits, replays and
+      catch-up batches charge a hash-table probe instead of re-verifying
+      (FIFO eviction). *)
 }
 
 val validate : t -> unit
@@ -97,26 +82,21 @@ val one_honest : t -> int
 
 val make :
   ?batch_size:int -> ?max_batch:int -> ?pipeline_depth:int ->
-  ?adaptive_batch:bool -> ?tsig_scheme:tsig_scheme ->
+  ?tsig_scheme:tsig_scheme ->
   ?perm_mode:perm_mode ->
   ?rsa_bits:int -> ?tsig_bits:int -> ?dl_pbits:int -> ?dl_qbits:int ->
   ?model_rsa_bits:int -> ?model_dl_pbits:int -> ?model_dl_qbits:int ->
-  ?check_invariants:bool -> ?crypto_fast_path:bool ->
-  ?batch_verify:bool -> ?share_cache:bool -> ?coin_pregen:bool ->
-  ?share_cache_cap:int ->
+  ?check_invariants:bool -> ?crypto_fast_path:bool -> ?share_cache_cap:int ->
   n:int -> t:int -> unit -> t
 (** Defaults: batch [t+1], max batch 256 payloads per party per round,
     pipeline depth 4 with adaptive batching, multi-signatures, fixed
     candidate order, modest real key sizes, modeled 1024-bit RSA and
-    1024/160-bit discrete logs, fast-path cost accounting on, the
-    amortized-crypto layer (batch verification, share cache, coin
-    pre-generation) on with a 4096-entry cache. *)
+    1024/160-bit discrete logs, fast-path cost accounting on, a
+    4096-entry verified-share cache. *)
 
 val test :
   ?n:int -> ?t:int -> ?tsig_scheme:tsig_scheme -> ?perm_mode:perm_mode ->
   ?batch_size:int -> ?max_batch:int -> ?pipeline_depth:int ->
-  ?adaptive_batch:bool -> ?check_invariants:bool ->
-  ?crypto_fast_path:bool ->
-  ?batch_verify:bool -> ?share_cache:bool -> ?coin_pregen:bool ->
-  ?share_cache_cap:int -> unit -> t
+  ?check_invariants:bool -> ?crypto_fast_path:bool -> ?share_cache_cap:int ->
+  unit -> t
 (** A fast configuration for unit tests (tiny real keys; default n=4, t=1). *)

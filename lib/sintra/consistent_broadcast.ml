@@ -27,7 +27,7 @@ type t = {
   mutable echoed_payload : string option; (* what we signed, for equivocation checks *)
   mutable shares : Tsig.share list;       (* sender only *)
   share_origins : (int, unit) Hashtbl.t;
-  (* Sender only, batch-verify mode: echo shares awaiting verification.
+  (* Sender only: echo shares awaiting verification.
      Shares are parked here unverified until enough distinct origins are on
      hand to close the quorum, then checked as ONE batch — the whole point
      of amortized verification.  Invalid shares are flagged and dropped;
@@ -133,35 +133,28 @@ let handle (t : t) ~src body =
              let origin = Tsig.share_origin share in
              if origin = src + 1 && not (Hashtbl.mem t.share_origins origin)
              then begin
-               if cfg.Config.batch_verify then begin
-                 (* Park the share unverified; once enough distinct origins
-                    are on hand to close the quorum, check them as one
-                    batch.  Invalid shares are identified exactly (bisection
-                    in Crypto.Batch), flagged, and dropped — collection then
-                    resumes until the quorum really closes. *)
-                 Hashtbl.replace t.pending origin share;
-                 if Hashtbl.length t.share_origins + Hashtbl.length t.pending
-                    >= Config.echo_quorum cfg
-                 then begin
-                   let batch = Det.bindings t.pending ~compare:Det.by_int in
-                   Hashtbl.reset t.pending;
-                   let valid =
-                     Verify.tsig_shares t.rt ~pub ~ctx:t.pid stmt
-                       (List.map snd batch)
-                   in
-                   List.iteri
-                     (fun i (o, sh) ->
-                       if valid.(i) then accept sh
-                       else
-                         Invariant.flag inv ~offender:(o - 1)
-                           (Printf.sprintf "cbc %s: invalid echo share" t.pid))
-                     batch;
-                   try_final ()
-                 end
-               end
-               else if Verify.tsig_share t.rt ~pub ~ctx:t.pid stmt share
+               (* Park the share unverified; once enough distinct origins
+                  are on hand to close the quorum, check them as one batch.
+                  Invalid shares are identified exactly (bisection in
+                  Crypto.Batch), flagged, and dropped — collection then
+                  resumes until the quorum really closes. *)
+               Hashtbl.replace t.pending origin share;
+               if Hashtbl.length t.share_origins + Hashtbl.length t.pending
+                  >= Config.echo_quorum cfg
                then begin
-                 accept share;
+                 let batch = Det.bindings t.pending ~compare:Det.by_int in
+                 Hashtbl.reset t.pending;
+                 let valid =
+                   Verify.tsig_shares t.rt ~pub ~ctx:t.pid stmt
+                     (List.map snd batch)
+                 in
+                 List.iteri
+                   (fun i (o, sh) ->
+                     if valid.(i) then accept sh
+                     else
+                       Invariant.flag inv ~offender:(o - 1)
+                         (Printf.sprintf "cbc %s: invalid echo share" t.pid))
+                   batch;
                  try_final ()
                end
              end)

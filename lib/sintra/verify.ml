@@ -3,15 +3,18 @@
    Protocol verify paths go through this module so the two amortization
    mechanisms compose in one place:
 
-   - the verified-share cache ([Config.share_cache]): a share or signature
-     that already passed verification under the same
-     (scheme, statement+share digest, sender, index) key is accepted for
-     the price of a hash-table probe, so retransmits, replayed
-     justifications and catch-up closings stop re-paying exponentiations;
-   - batch verification ([Config.batch_verify]): same-statement share
-     proofs are checked as one random-linear-combination equation
+   - the verified-share cache (Crypto.Share_cache, bounded by
+     [Config.share_cache_cap]): a share or signature that already passed
+     verification under the same (scheme, statement+share digest, sender,
+     index) key is accepted for the price of a hash-table probe, so
+     retransmits, replayed justifications and catch-up closings stop
+     re-paying exponentiations;
+   - batch verification: two or more fresh same-statement share proofs
+     are checked as one random-linear-combination equation
      (Crypto.Batch), with bisection isolating bad shares so Byzantine
-     senders are still identified exactly.
+     senders are still identified exactly.  Singletons and
+     multi-signature shares (which have no combined equation) go through
+     the single verifier.
 
    Acceptance is EXACTLY that of the reference one-at-a-time verifiers:
    cache keys cover the share bytes (a mutated retransmit misses and is
@@ -42,28 +45,22 @@ let stmt_digest (charge : Charge.t) (parts : string list) : string =
 
 let probe (rt : Runtime.t) ~(charge : Charge.t) ~(scheme : string)
     ~(digest : string) ~(sender : int) ~(index : int) : bool =
-  rt.Runtime.cfg.Config.share_cache
-  && begin
-    if Crypto.Share_cache.mem rt.Runtime.cache ~scheme ~digest ~sender ~index
-    then begin
-      Charge.cache_hit charge;
-      Trace.Ctx.incr rt.Runtime.trace "verify.cache_hit";
-      true
-    end
-    else begin
-      Trace.Ctx.incr rt.Runtime.trace "verify.cache_miss";
-      false
-    end
+  if Crypto.Share_cache.mem rt.Runtime.cache ~scheme ~digest ~sender ~index
+  then begin
+    Charge.cache_hit charge;
+    Trace.Ctx.incr rt.Runtime.trace "verify.cache_hit";
+    true
+  end
+  else begin
+    Trace.Ctx.incr rt.Runtime.trace "verify.cache_miss";
+    false
   end
 
 let record (rt : Runtime.t) ~(group : string) ~(scheme : string)
     ~(digest : string) ~(sender : int) ~(index : int) : unit =
-  if rt.Runtime.cfg.Config.share_cache then begin
-    Crypto.Share_cache.add rt.Runtime.cache ~group ~scheme ~digest ~sender
-      ~index;
-    Trace.Ctx.gauge rt.Runtime.trace "verify.cache_size"
-      (float_of_int (Crypto.Share_cache.size rt.Runtime.cache))
-  end
+  Crypto.Share_cache.add rt.Runtime.cache ~group ~scheme ~digest ~sender ~index;
+  Trace.Ctx.gauge rt.Runtime.trace "verify.cache_size"
+    (float_of_int (Crypto.Share_cache.size rt.Runtime.cache))
 
 (* --- threshold-signature shares --- *)
 
@@ -94,7 +91,6 @@ let tsig_share ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
 let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
     (msg : string) (shares : Tsig.share list) : bool array =
   let charge = Option.value charge ~default:rt.Runtime.charge in
-  let cfg = rt.Runtime.cfg in
   let n = List.length shares in
   let valid = Array.make n false in
   let keyed =
@@ -125,10 +121,7 @@ let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
     let sender = Tsig.share_origin s in
     record rt ~group:ctx ~scheme:sch_tsig_share ~digest ~sender ~index:sender
   in
-  if cfg.Config.batch_verify
-     && List.length shoup = List.length fresh
-     && List.length shoup >= 2
-  then begin
+  if List.length shoup = List.length fresh && List.length shoup >= 2 then begin
     let p =
       match pub with
       | Tsig.Shoup_pub p -> p
@@ -235,12 +228,11 @@ let coin_share (rt : Runtime.t) ~(group : string) ~(name : string)
   end
 
 (* Verify a justification's coin shares together: cached shares are
-   skipped, the rest go through one RLC batch (or singles when batching is
-   off).  Returns whether EVERY share is valid — the all-or-nothing
-   contract of a J_coin justification. *)
+   skipped, two or more fresh ones go through one RLC batch, a lone one
+   through the single verifier.  Returns whether EVERY share is valid —
+   the all-or-nothing contract of a J_coin justification. *)
 let coin_shares (rt : Runtime.t) ~(group : string) ~(name : string)
     (shares : Crypto.Threshold_coin.share list) : bool =
-  let cfg = rt.Runtime.cfg in
   let pub = rt.Runtime.keys.Dealer.coin_pub in
   let keyed = List.map (fun s -> (coin_digest rt ~name s, s)) shares in
   let fresh =
@@ -258,7 +250,7 @@ let coin_shares (rt : Runtime.t) ~(group : string) ~(name : string)
   in
   match fresh with
   | [] -> true
-  | _ :: _ when cfg.Config.batch_verify && List.length fresh >= 2 ->
+  | _ :: _ :: _ ->
     Charge.coin_verify_share_batch rt.Runtime.charge
       ~k:(List.length fresh);
     Trace.Ctx.observe rt.Runtime.trace "verify.batch_size"
@@ -272,11 +264,8 @@ let coin_shares (rt : Runtime.t) ~(group : string) ~(name : string)
           a justification retransmitted without its bad shares amortizes. *)
        List.iteri (fun j ks -> if not (List.mem j bad) then accept ks) fresh;
        false)
-  | _ :: _ ->
-    List.for_all
-      (fun (digest, s) ->
-        Charge.coin_verify_share rt.Runtime.charge;
-        let ok = Crypto.Threshold_coin.verify_share pub ~name s in
-        if ok then accept (digest, s);
-        ok)
-      fresh
+  | [ (digest, s) ] ->
+    Charge.coin_verify_share rt.Runtime.charge;
+    let ok = Crypto.Threshold_coin.verify_share pub ~name s in
+    if ok then accept (digest, s);
+    ok

@@ -2,14 +2,14 @@
     protocol verify paths go through, so the amortization mechanisms
     compose in one place:
 
-    - the verified-share cache ({!Config.share_cache}): a share or
-      assembled signature already verified under the same
+    - the verified-share cache (bounded by {!Config.share_cache_cap}): a
+      share or assembled signature already verified under the same
       (scheme, statement+share digest, sender, index) key is accepted for
       the price of a hash-table probe, so retransmits, replayed
       justifications and catch-up closings stop re-paying
       exponentiations;
-    - batch verification ({!Config.batch_verify}): same-statement share
-      proofs are checked as one random-linear-combination equation
+    - batch verification: two or more fresh same-statement share proofs
+      are checked as one random-linear-combination equation
       ({!Crypto.Batch}), with bisection identifying bad shares exactly.
 
     Acceptance is exactly that of the reference one-at-a-time verifiers —
@@ -33,9 +33,9 @@ val tsig_shares :
   Runtime.t -> pub:Tsig.public -> ctx:string -> string -> Tsig.share list ->
   bool array
 (** Verify same-message shares together: cached shares are skipped, and
-    two or more fresh Shoup shares go through one RLC batch when
-    {!Config.batch_verify} is on (multi-signature shares have no combined
-    equation and fall back to cached singles).  [result.(i)] reports the
+    two or more fresh Shoup shares go through one RLC batch
+    (multi-signature shares have no combined equation and fall back to
+    cached singles, as does a lone fresh share).  [result.(i)] reports the
     [i]-th input share, matching {!tsig_share} share by share.  [charge]
     as in {!tsig_share}. *)
 
@@ -64,6 +64,6 @@ val coin_shares :
   Runtime.t -> group:string -> name:string ->
   Crypto.Threshold_coin.share list -> bool
 (** Verify a justification's coin shares together (all-or-nothing): cached
-    shares are skipped, the rest go through one RLC batch (or singles when
-    batching is off).  On failure the individually-valid complement is
+    shares are skipped, two or more fresh ones go through one RLC batch, a
+    lone one through the single verifier.  On failure the individually-valid complement is
     still cached, so a corrected retransmission amortizes. *)

@@ -228,6 +228,66 @@ let total_order : oracle =
   in
   { name = "total-order"; check }
 
+(* Per-origin FIFO (atomic and secure channels): at every honest party,
+   the deliveries from one honest origin follow that origin's submission
+   order.  Gaps are allowed (liveness judges them) and so are repeats of
+   the latest delivery (integrity judges them); what fails is a payload
+   delivered after a later one from the same origin.  Durable: steady
+   origins only — a restarted party or snapshot adopter renumbers queued
+   own payloads whose seqs the adopted history covers and re-proposes
+   them, so its send order is not promised across the adoption. *)
+let fifo : oracle =
+  let check (o : obs) : verdict =
+    match o.kind with
+    | Reliable | Consistent | Aba | Mvba | Amortized -> Pass
+    | Atomic | Secure | Throughput | Pipeline | Durable ->
+      let origins =
+        List.filter
+          (if o.kind = Durable then steady o else honest o)
+          (parties o)
+      in
+      let rank (origin : int) : (string, int) Hashtbl.t =
+        let tbl = Hashtbl.create 8 in
+        List.iter
+          (fun (og, pl) ->
+            if og = origin then Hashtbl.replace tbl pl (Hashtbl.length tbl))
+          o.sent;
+        tbl
+      in
+      let breach_at (p : int) (origin : int) (ranks : (string, int) Hashtbl.t)
+          : string option =
+        let rec walk (hi : (int * string) option) (log : (int * string) list)
+            =
+          match log with
+          | [] -> None
+          | (og, pl) :: rest ->
+            (match
+               ((if og = origin then Hashtbl.find_opt ranks pl else None), hi)
+             with
+             | None, _ -> walk hi rest
+             | Some r, Some (r0, pl0) when r < r0 ->
+               Some
+                 (Printf.sprintf
+                    "party %d delivered %S after %S, against origin %d's send \
+                     order"
+                    p pl pl0 origin)
+             | Some r, (None | Some _) -> walk (Some (r, pl)) rest)
+        in
+        walk None o.delivered.(p)
+      in
+      let breach =
+        List.find_map
+          (fun origin ->
+            let ranks = rank origin in
+            List.find_map
+              (fun p -> if honest o p then breach_at p origin ranks else None)
+              (parties o))
+          origins
+      in
+      (match breach with Some why -> Fail why | None -> Pass)
+  in
+  { name = "fifo"; check }
+
 (* Integrity: no creation (every delivery from an honest origin was really
    submitted by it) and no duplication (each party delivers a given message
    at most once; workload payloads are unique). *)
@@ -406,4 +466,4 @@ let all (k : kind) : oracle list =
     [ agreement; integrity; liveness; flags ]
   | Aba | Mvba -> [ agreement; validity; liveness; flags ]
   | Atomic | Secure | Throughput | Pipeline | Durable ->
-    [ agreement; total_order; integrity; liveness; flags ]
+    [ agreement; total_order; fifo; integrity; liveness; flags ]

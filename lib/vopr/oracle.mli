@@ -2,7 +2,7 @@
 
     Each workload produces an {!obs} record of what every party observed;
     the oracles check the paper's protocol properties over it — agreement,
-    total order, integrity, validity, bounded-quiescence liveness — plus
+    total order, per-origin FIFO order, integrity, validity, bounded-quiescence liveness — plus
     the runtime {!Sintra.Invariant} flags.  Soundness leans on the schedule
     contract: destructive mutations only ever hit the [degraded] parties,
     at most [t] of them, so safety is demanded of every honest party while
@@ -96,6 +96,14 @@ val agreement : oracle
 val total_order : oracle
 (** Atomic/secure channels only: any two honest delivery sequences are
     prefix-comparable. *)
+
+val fifo : oracle
+(** Atomic/secure channels only: at every honest party, deliveries from
+    one honest origin follow that origin's submission order ([sent]
+    order); gaps and immediate repeats are left to liveness and
+    integrity.  For the [Durable] kind only never-degraded origins are
+    checked, since a restarted party or snapshot adopter re-proposes
+    queued own payloads under fresh sequence numbers. *)
 
 val integrity : oracle
 (** No honest party delivers the same message twice, and every delivery

@@ -3,7 +3,7 @@
    The amortization mechanisms — batch verification by random linear
    combination (Crypto.Batch), the bounded verified-share cache
    (Crypto.Share_cache behind the Verify seam), and coin pre-generation
-   (Binary_agreement + Config.coin_pregen) — all claim the same contract:
+   (Binary_agreement) — all claim the same contract:
    acceptance is EXACTLY that of the reference one-at-a-time verifiers,
    only the virtual-CPU charges move.  This suite proves it:
 
@@ -14,15 +14,17 @@
    - PLANTED-FORGERY soundness (220 cases): when a batch contains known
      forgeries, bisection names exactly their indices — Byzantine
      attribution is identical to the one-at-a-time path;
-   - cache determinism: a seeded protocol run delivers byte-identical logs
-     with the cache and batching on or off;
+   - delivery determinism: a seeded protocol run with the cache and
+     batching engaged delivers byte for byte the pinned golden logs, which
+     the one-at-a-time reference configuration produced too;
    - replay-after-GC: instance garbage collection evicts the instance's
      cache group, so replayed frames re-verify instead of resurrecting
      stale verification state, and capacity bounds memory;
    - cost-charge regressions: the charge model prices a k-batch strictly
      below k singles and a cache hit far below any verification;
-   - coin pre-generation safety: ABA decides identically with pregen on or
-     off across 50 seeds, including crash/rebuild mid-pregen. *)
+   - coin pre-generation safety: ABA reproduces the pinned decisions of
+     the on-demand release path across 50 seeds, and a crash/rebuild
+     mid-pregen reproduces its pinned total order. *)
 
 open Crypto
 open Sintra
@@ -423,19 +425,18 @@ let hist_count (c : Cluster.t) (p : int) (name : string) : int =
 
 type det_run = {
   logs : string list;  (* per party, ";"-joined delivery order *)
-  cpu : float;         (* summed virtual-CPU charge over all parties *)
   batch_obs : int;     (* verify.batch_size observations, all parties *)
 }
 
 (* One seeded consistent-broadcast run under a replay storm: party 0
    broadcasts four payloads while every third frame is re-injected late.
    Per-origin delivery order is the protocol's own guarantee, so with a
-   single origin the full log must be identical whatever the amortization
-   flags — byte for byte. *)
-let consistent_run ~(batch_verify : bool) ~(share_cache : bool) () : det_run =
+   single origin the full log is fixed whatever the verification path —
+   byte for byte. *)
+let consistent_run () : det_run =
   let c =
     Util.cluster ~seed:"amort-shoup" ~tsig_scheme:Config.Shoup
-      ~check_invariants:true ~batch_verify ~share_cache ()
+      ~check_invariants:true ()
   in
   Faults.install c (Faults.replay_every 3 ~delay:0.7);
   let logs = Array.init 4 (fun _ -> ref []) in
@@ -462,56 +463,36 @@ let consistent_run ~(batch_verify : bool) ~(share_cache : bool) () : det_run =
     | (off, why) :: _ ->
       Alcotest.failf "party %d flagged party %d in an honest run: %s" p off why
   done;
-  let cpu = ref 0.0 and batch_obs = ref 0 in
+  let batch_obs = ref 0 in
   for p = 0 to 3 do
-    cpu :=
-      !cpu
-      +. (Cluster.runtime c p).Runtime.charge.Charge.meter.Sim.Cost.total_ms;
     batch_obs := !batch_obs + hist_count c p "verify.batch_size"
   done;
   {
     logs =
       Array.to_list
         (Array.map (fun l -> String.concat ";" (List.rev !l)) logs);
-    cpu = !cpu;
     batch_obs = !batch_obs;
   }
+
+(* Pinned golden of [consistent_run]: every party's log.  The one-at-a-time
+   reference path (no batching, no cache) produced the same bytes. *)
+let consistent_golden =
+  List.init 4 (fun _ -> "0:det.0;0:det.1;0:det.2;0:det.3")
 
 let determinism_tests =
   [
     Alcotest.test_case
-      "delivery logs byte-identical across all amortization flag settings"
+      "delivery logs byte-identical across a replay storm, amortization \
+       engaged"
       `Quick (fun () ->
-        let runs =
-          List.map
-            (fun (bv, sc) -> consistent_run ~batch_verify:bv ~share_cache:sc ())
-            [ (true, true); (true, false); (false, true); (false, false) ]
-        in
-        (match runs with
-         | base :: rest ->
-           List.iter
-             (fun l ->
-               if String.length l = 0 then Alcotest.fail "empty delivery log")
-             base.logs;
-           List.iteri
-             (fun i r ->
-               if r.logs <> base.logs then
-                 Alcotest.failf
-                   "flag setting %d changed the delivery log:\n%s\nvs\n%s" i
-                   (String.concat "\n" r.logs)
-                   (String.concat "\n" base.logs))
-             rest
-         | [] -> assert false);
-        (* The all-on run must actually have amortized something... *)
-        let on = List.nth runs 0 and off = List.nth runs 3 in
-        if on.batch_obs = 0 then
-          Alcotest.fail "batch verification never engaged in the all-on run";
-        (* ...and charging a batch below k singles must show up as strictly
-           less total virtual CPU for the same outcome. *)
-        if not (on.cpu < off.cpu) then
-          Alcotest.failf
-            "amortization did not reduce virtual CPU: %.3f ms on vs %.3f ms off"
-            on.cpu off.cpu);
+        let r = consistent_run () in
+        if r.logs <> consistent_golden then
+          Alcotest.failf "delivery logs moved off the golden:\n%s\nvs\n%s"
+            (String.concat "\n" r.logs)
+            (String.concat "\n" consistent_golden);
+        (* The run must actually have amortized something. *)
+        if r.batch_obs = 0 then
+          Alcotest.fail "batch verification never engaged");
   ]
 
 (* --- cost-charge regression: the charge model itself --- *)
@@ -570,14 +551,13 @@ let cost_tests =
 
 (* --- coin pre-generation safety --- *)
 
-(* One dealer for the whole sweep (key material is independent of both the
-   run seed and the pregen flag); engines are seeded per run, as in the
-   vopr workloads. *)
+(* One dealer for the whole sweep (key material is independent of the run
+   seed); engines are seeded per run, as in the vopr workloads. *)
 let aba_dealer =
   lazy (Dealer.deal ~seed:"amort-aba" (Config.test ~n:4 ~t:1 ()))
 
-let pregen_cluster ~(coin_pregen : bool) ~(run_seed : string) : Cluster.t =
-  let cfg = Config.test ~n:4 ~t:1 ~check_invariants:true ~coin_pregen () in
+let pregen_cluster ~(run_seed : string) : Cluster.t =
+  let cfg = Config.test ~n:4 ~t:1 ~check_invariants:true () in
   let topo = Util.default_topo () in
   let dealer = Lazy.force aba_dealer in
   let engine = Sim.Engine.create ~seed:("engine|" ^ run_seed) () in
@@ -593,9 +573,8 @@ let pregen_cluster ~(coin_pregen : bool) ~(run_seed : string) : Cluster.t =
 (* Run one seeded ABA instance with mixed proposals; returns the per-party
    decisions and the summed cache-hit count (coin-share justifications
    repeat shares across votes, so the cache must engage). *)
-let aba_decisions ~(coin_pregen : bool) ~(run_seed : string) :
-    string array * float =
-  let c = pregen_cluster ~coin_pregen ~run_seed in
+let aba_decisions ~(run_seed : string) : string array * float =
+  let c = pregen_cluster ~run_seed in
   let decided = Array.make 4 None in
   let insts =
     Array.init 4 (fun i ->
@@ -628,8 +607,8 @@ let aba_decisions ~(coin_pregen : bool) ~(run_seed : string) :
 (* Crash party 2 mid-run (while pre-generated coin shares sit in volatile
    round state), rebuild it through Runtime.on_rebuild, and return every
    party's final atomic delivery order. *)
-let rebuild_logs ~(coin_pregen : bool) () : string list =
-  let c = pregen_cluster ~coin_pregen ~run_seed:"amort-rebuild" in
+let rebuild_logs () : string list =
+  let c = pregen_cluster ~run_seed:"amort-rebuild" in
   let logs = Array.init 4 (fun _ -> ref []) in
   let chans : Atomic_channel.t option array = Array.make 4 None in
   let make p =
@@ -664,27 +643,32 @@ let rebuild_logs ~(coin_pregen : bool) () : string list =
   Alcotest.(check int) "quiesced" 0 (Sim.Engine.pending c.Cluster.engine);
   Array.to_list (Array.map (fun l -> String.concat ";" (List.rev !l)) logs)
 
+(* Pinned goldens, which on-demand coin release produced too: seed [s]'s
+   unanimous ABA decision is character [s] of [aba_golden] ('1' = true),
+   and [rebuild_golden] is every party's post-rebuild delivery order. *)
+let aba_golden = "10111111101111111111111111111001011100111110001111"
+
+let rebuild_golden =
+  List.init 4 (fun _ ->
+    "0:p0.a;3:p3.a;1:p1.a;2:p2.a;0:p0.b;1:p1.b;3:p3.b;2:p2.b")
+
 let pregen_tests =
   [
     Alcotest.test_case
-      "coin pregen: ABA decides identically, pregen on vs off, 50 seeds"
+      "coin pregen: ABA decides identically, golden decisions, 50 seeds"
       `Quick (fun () ->
         let hits = ref 0.0 in
         for s = 0 to 49 do
           let run_seed = Printf.sprintf "pregen-%d" s in
-          let on, h_on = aba_decisions ~coin_pregen:true ~run_seed in
-          let off, _ = aba_decisions ~coin_pregen:false ~run_seed in
-          Array.iter
-            (fun d ->
-              if d = "undecided" then
-                Alcotest.failf "seed %s: a party never decided" run_seed)
-            on;
-          if on <> off then
-            Alcotest.failf "seed %s: pregen changed the decision: %s vs %s"
-              run_seed
-              (String.concat "," (Array.to_list on))
-              (String.concat "," (Array.to_list off));
-          hits := !hits +. h_on
+          let got, h = aba_decisions ~run_seed in
+          let want = string_of_bool (aba_golden.[s] = '1') in
+          Array.iteri
+            (fun p d ->
+              if d <> want then
+                Alcotest.failf "seed %s: party %d decided %s, golden %s"
+                  run_seed p d want)
+            got;
+          hits := !hits +. h
         done;
         (* Coin-share justifications repeat shares across votes; the sweep
            as a whole must have exercised the verified-share cache. *)
@@ -692,18 +676,15 @@ let pregen_tests =
           Alcotest.fail "verified-share cache never hit across the ABA sweep");
 
     Alcotest.test_case
-      "coin pregen: crash/rebuild mid-pregen leaves the outcome unchanged"
+      "coin pregen: crash/rebuild mid-pregen leaves the outcome at its golden"
       `Quick (fun () ->
-        let on = rebuild_logs ~coin_pregen:true () in
-        let off = rebuild_logs ~coin_pregen:false () in
-        (* Total order holds within each run, including the rebuilt party. *)
-        Util.check_all_equal "order with pregen on" on;
-        Util.check_all_equal "order with pregen off" off;
-        (* And pre-generation changes nothing about the outcome. *)
-        if on <> off then
-          Alcotest.failf
-            "pregen changed the post-rebuild delivery order:\n%s\nvs\n%s"
-            (String.concat "\n" on) (String.concat "\n" off));
+        let logs = rebuild_logs () in
+        (* Total order holds, including the rebuilt party... *)
+        Util.check_all_equal "post-rebuild order" logs;
+        (* ...and it is the order the on-demand release path produced. *)
+        if logs <> rebuild_golden then
+          Alcotest.failf "post-rebuild delivery order moved:\n%s\nvs\n%s"
+            (String.concat "\n" logs) (String.concat "\n" rebuild_golden));
   ]
 
 let suite =

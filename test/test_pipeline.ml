@@ -19,16 +19,21 @@ let sequences logs = Array.map (fun l -> List.rev !l) logs
 (* Sample a per-channel statistic at fine intervals and keep the maximum
    observed value (the probes piggyback on the virtual clock, so they are
    deterministic). *)
-let probe_max (c : Cluster.t) ~(until : float) (f : unit -> int) : int ref =
-  let hi = ref 0 in
+let probe_range (c : Cluster.t) ~(until : float) (f : unit -> int) :
+    int ref * int ref =
+  let lo = ref max_int and hi = ref 0 in
   let dt = 0.02 in
   let steps = int_of_float (until /. dt) in
   for k = 1 to steps do
     Cluster.at c ~time:(float_of_int k *. dt) (fun () ->
       let v = f () in
+      if v < !lo then lo := v;
       if v > !hi then hi := v)
   done;
-  hi
+  (lo, hi)
+
+let probe_max (c : Cluster.t) ~(until : float) (f : unit -> int) : int ref =
+  snd (probe_range c ~until f)
 
 let check_fifo (seq : (int * string) list) =
   (* per-sender delivery order must match per-sender send order, which in
@@ -97,8 +102,7 @@ let suite = [
          nothing until catch-up supplies round 0 — delivery must still
          follow strict round order. *)
       let c =
-        Util.cluster ~seed:"pipe-reorder" ~max_batch:64 ~pipeline_depth:4
-          ~adaptive_batch:false ()
+        Util.cluster ~seed:"pipe-reorder" ~max_batch:64 ~pipeline_depth:4 ()
       in
       let chans, logs = make_atomic c "rb" in
       let contains frame needle =
@@ -153,8 +157,7 @@ let suite = [
          decides, the window slides and the backlog drains. *)
       let depth = 2 in
       let c =
-        Util.cluster ~seed:"pipe-stall" ~max_batch:64 ~pipeline_depth:depth
-          ~adaptive_batch:false ()
+        Util.cluster ~seed:"pipe-stall" ~max_batch:64 ~pipeline_depth:depth ()
       in
       let chans, logs = make_atomic c "ws" in
       Cluster.set_intercept c (fun ~src:_ ~dst:_ frame ->
@@ -242,42 +245,34 @@ let suite = [
   Alcotest.test_case "adaptive batching converges between its bounds" `Quick
     (fun () ->
       (* A sustained bursty backlog must push the adaptive cap above its
-         floor; it must never leave [min 8 max_batch, max_batch]; and with
-         adaptation off the cap stays pinned at max_batch. *)
-      let run_with ~seed ~adaptive =
-        let c =
-          Util.cluster ~seed ~max_batch:256 ~adaptive_batch:adaptive ()
-        in
-        let chans, logs = make_atomic c "ad" in
-        for wave = 0 to 7 do
-          Cluster.at c ~time:(0.01 +. (0.25 *. float_of_int wave)) (fun () ->
-            for i = 0 to 3 do
-              Cluster.inject c i (fun () ->
-                for k = 0 to 5 do
-                  Atomic_channel.send chans.(i)
-                    (Printf.sprintf "m%d.%d.%d" i wave k)
-                done)
-            done)
-        done;
-        let cap_hi = probe_max c ~until:15.0 (fun () ->
+         floor, and it must never leave [min 8 max_batch, max_batch]. *)
+      let c = Util.cluster ~seed:"pipe-adapt" ~max_batch:256 () in
+      let chans, logs = make_atomic c "ad" in
+      for wave = 0 to 7 do
+        Cluster.at c ~time:(0.01 +. (0.25 *. float_of_int wave)) (fun () ->
+          for i = 0 to 3 do
+            Cluster.inject c i (fun () ->
+              for k = 0 to 5 do
+                Atomic_channel.send chans.(i)
+                  (Printf.sprintf "m%d.%d.%d" i wave k)
+              done)
+          done)
+      done;
+      let lo, hi =
+        probe_range c ~until:15.0 (fun () ->
           Atomic_channel.batch_limit chans.(0))
-        in
-        ignore (Cluster.run c ~until:300.0);
-        let seqs = sequences logs in
-        Util.check_all_equal "total order" (Array.to_list seqs);
-        Alcotest.(check int) "all 192 delivered" 192 (List.length seqs.(0));
-        (!cap_hi, Atomic_channel.batch_limit chans.(0))
       in
-      let hi, _final = run_with ~seed:"pipe-adapt" ~adaptive:true in
+      ignore (Cluster.run c ~until:300.0);
+      let seqs = sequences logs in
+      Util.check_all_equal "total order" (Array.to_list seqs);
+      Alcotest.(check int) "all 192 delivered" 192 (List.length seqs.(0));
       Alcotest.(check bool)
-        (Printf.sprintf "cap grew above the floor (max %d)" hi)
-        true (hi > 8);
+        (Printf.sprintf "cap grew above the floor (max %d)" !hi)
+        true (!hi > 8);
       Alcotest.(check bool)
-        (Printf.sprintf "cap bounded by max_batch (max %d)" hi)
-        true (hi <= 256);
-      let hi_pinned, final_pinned =
-        run_with ~seed:"pipe-pinned" ~adaptive:false
-      in
-      Alcotest.(check int) "pinned cap never moves (max)" 256 hi_pinned;
-      Alcotest.(check int) "pinned cap never moves (final)" 256 final_pinned);
+        (Printf.sprintf "cap never below the floor (min %d)" !lo)
+        true (!lo >= 8);
+      Alcotest.(check bool)
+        (Printf.sprintf "cap bounded by max_batch (max %d)" !hi)
+        true (!hi <= 256));
 ]

@@ -174,6 +174,33 @@ let suite = [
       expect_planted ~kind:Vopr.Oracle.Atomic ~tweaks ~oracle:"total-order"
         ~expect_empty_shrink:true ());
 
+  Alcotest.test_case "planted fifo bug: two same-origin deliveries swapped"
+    `Quick (fun () ->
+      (* Party 3 of the durable workload is degraded by its scripted power
+         failure, so agreement and total order exempt it — but it must
+         still deliver each steady origin's payloads in send order.  Swap
+         its first two deliveries from origin 0. *)
+      let tweaks =
+        { no_tweaks with
+          Vopr.Workload.wrap_deliver =
+            Some (fun ~party base ->
+              if party <> 3 then base
+              else begin
+                let held = ref None and done_ = ref false in
+                fun ((origin, _) as e) ->
+                  if !done_ || origin <> 0 then base e
+                  else
+                    match !held with
+                    | None -> held := Some e
+                    | Some first ->
+                      done_ := true;
+                      base e;
+                      base first
+              end) }
+      in
+      expect_planted ~kind:Vopr.Oracle.Durable ~tweaks ~oracle:"fifo"
+        ~expect_empty_shrink:true ());
+
   Alcotest.test_case "planted validity bug: decisions outside proposals" `Quick
     (fun () ->
       let tweaks =
