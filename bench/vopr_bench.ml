@@ -11,7 +11,7 @@ let run ~(quick : bool) () : string =
   let rows =
     List.map
       (fun kind ->
-        let runner ~seed sched = Vopr.Workload.run ~kind ~seed sched in
+        let runner = Vopr.Workload.runner ~kind () in
         let oracles = Vopr.Oracle.all kind in
         let t0 = Unix.gettimeofday () in
         let report =

@@ -680,7 +680,7 @@ let explore_cmd =
   in
   let run kind seeds seed index mutations max_failures shrink_budget progress
       verbose =
-    let runner ~seed sched = Vopr.Workload.run ~kind ~seed sched in
+    let runner = Vopr.Workload.runner ~kind () in
     let oracles = Vopr.Oracle.all kind in
     let generate ~run_seed = Vopr.Workload.schedule ~kind ~run_seed in
     match (mutations, index) with

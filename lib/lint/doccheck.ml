@@ -1,10 +1,10 @@
 (* Documentation checker backing the @doc alias.
 
-   Coverage works off the same masked-source model as the linter (comments
-   and strings blanked), so keyword detection never fires inside prose;
-   doc-comment spans and {!...} references are found with a small dedicated
-   lexer over the raw text, since that is exactly the part the mask blanks
-   out. *)
+   Coverage works off the same Source model as the linter, built from one
+   Lex pass: declarations are read from each line's code tokens, so keyword
+   detection never fires inside prose, and doc-comment spans are the
+   Comment tokens that open with "(**".  {!...} references are found in
+   the raw text. *)
 
 type finding = {
   file : string;
@@ -22,65 +22,21 @@ type file = {
 
 (* --- doc-comment spans -------------------------------------------------- *)
 
-(* (start_line, end_line) of every (** ... *) comment, 1-based, nesting and
-   in-comment string literals respected. *)
-let doc_spans (contents : string) : (int * int) list =
-  let n = String.length contents in
-  let spans = ref [] in
-  let line = ref 1 in
-  let depth = ref 0 in
-  let doc_start = ref 0 in       (* line where a depth-1 doc comment began *)
-  let is_doc = ref false in
-  let i = ref 0 in
-  let peek k = if !i + k < n then contents.[!i + k] else '\x00' in
-  while !i < n do
-    let c = contents.[!i] in
-    if c = '\n' then incr line;
-    if !depth > 0 then begin
-      (* inside a comment: honour nesting and skip string literals *)
-      if c = '(' && peek 1 = '*' then begin incr depth; incr i end
-      else if c = '*' && peek 1 = ')' then begin
-        decr depth;
-        incr i;
-        if !depth = 0 && !is_doc then spans := (!doc_start, !line) :: !spans
-      end
-      else if c = '"' then begin
-        incr i;
-        let stop = ref false in
-        while (not !stop) && !i < n do
-          (match contents.[!i] with
-           | '\\' -> incr i
-           | '"' -> stop := true
-           | '\n' -> incr line
-           | _ -> ());
-          incr i
-        done;
-        decr i
-      end
-    end
-    else if c = '(' && peek 1 = '*' then begin
-      depth := 1;
-      (* doc comment: exactly "(**" not followed by another '*' or ')' *)
-      is_doc := peek 2 = '*' && peek 3 <> '*' && peek 3 <> ')';
-      doc_start := !line;
-      incr i
-    end
-    else if c = '"' then begin
-      incr i;
-      let stop = ref false in
-      while (not !stop) && !i < n do
-        (match contents.[!i] with
-         | '\\' -> incr i
-         | '"' -> stop := true
-         | '\n' -> incr line
-         | _ -> ());
-        incr i
-      done;
-      decr i
-    end;
-    incr i
-  done;
-  List.rev !spans
+(* A doc comment opens with exactly "(**", not followed by another '*' or
+   ')': "(**)" and "(*** banner ***)" are plain comments. *)
+let is_doc (text : string) : bool =
+  String.length text > 3
+  && String.starts_with ~prefix:"(**" text
+  && text.[3] <> '*' && text.[3] <> ')'
+
+(* (start_line, end_line) of every doc comment, 1-based. *)
+let doc_spans (src : Source.t) : (int * int) list =
+  List.filter_map
+    (fun (t : Lex.token) ->
+      if t.Lex.kind = Lex.Comment && is_doc t.Lex.text then
+        Some (t.Lex.line, Lex.last_line t)
+      else None)
+    (Source.tokens src)
 
 (* --- declared items ----------------------------------------------------- *)
 
@@ -103,10 +59,12 @@ let is_upper_ident (s : string) : bool =
   && (match s.[0] with 'A' .. 'Z' -> true | _ -> false)
 
 (* The declaration name of a `type`/`and` item: the first lowercase
-   identifier after the parameters. *)
+   identifier after the parameters.  A type variable ['a] lexes as ['] and
+   [a]; the quote skips its name. *)
 let type_name (tokens : string list) : string =
   let rec scan = function
     | [] -> ""
+    | "'" :: _ :: rest -> scan rest
     | t :: rest ->
       if is_lower_ident t && t <> "nonrec" then t
       else if t = "=" || t = ":" then ""
@@ -120,7 +78,7 @@ let items_of_source (src : Source.t) : item list =
   let pending_module = ref "" in
   let brace_depth = ref 0 in                    (* inside a record type body *)
   for ln = 1 to Source.line_count src do
-    let tokens = Source.tokenize (Source.masked_line src ln) in
+    let tokens = Source.line_tokens src ln in
     let emit kind name =
       items := { kind; name; item_line = ln; scope = List.rev !scope } :: !items
     in
@@ -357,7 +315,7 @@ let check (files : file list) : finding list =
       (fun (f, src, items) ->
         let coverage =
           if f.strict then
-            check_coverage f items (doc_spans f.contents) (Source.line_count src)
+            check_coverage f items (doc_spans src) (Source.line_count src)
           else []
         in
         coverage @ check_refs tbl f)

@@ -1,17 +1,20 @@
-(* A real OCaml tokenizer for the semantic lint pass.
+(* The OCaml tokenizer behind every lint and doc rule.
 
-   Unlike Source (which masks comments and literals per line so the regexy
-   L rules cannot misfire inside them), this lexer keeps everything: every
-   byte of the input lands in exactly one token, so concatenating the
-   [text] fields reproduces the file — the property the round-trip
-   meta-test checks over all of lib/.  Trivia (whitespace, comments) are
-   tokens too; Sema filters them out with [significant].
+   It keeps everything: every byte of the input lands in exactly one
+   token, so concatenating the [text] fields reproduces the file — the
+   property the round-trip meta-test checks over every file the lint alias
+   scans.  Trivia (whitespace, comments) are tokens too; Sema filters them
+   out with [significant], and Source groups the code tokens by line and
+   reads allowlist directives and doc comments from the Comment tokens.
+   This is the only code in the linter that tracks comment nesting or
+   string, char and quoted-literal state.
 
    Qualified identifiers are joined across dots ([t.rt.Runtime.cfg] is one
-   token), matching Source.tokenize, because every semantic rule keys on
-   qualified paths.  Known deliberate approximations, none of which matter
-   to the S rules: a float exponent splits from its sign only when
-   malformed, and [#] directives lex as operator runs. *)
+   token), because every rule keys on qualified paths.  Known deliberate
+   approximations, none of which matter to the rules: a float exponent
+   splits from its sign only when malformed, a type variable ['a] is a
+   ['] punctuation token followed by a word, and [#] directives lex as
+   operator runs. *)
 
 type kind =
   | Word        (* identifier / keyword / qualified path *)
@@ -71,7 +74,8 @@ let tokenize (input : string) : token list =
        | '"' -> fin := true
        | _ -> ());
       pos := !pos + 1
-    done
+    done;
+    if !pos > n then pos := n                   (* a trailing backslash *)
   in
   while !pos < n do
     let start = !pos in
@@ -123,7 +127,7 @@ let tokenize (input : string) : token list =
     end
     else if c = '\'' && peek 1 = '\\' then begin
       (* '\n', '\\', '\'', '\xFF', '\123' *)
-      pos := !pos + 3;                            (* quote, backslash, first escaped char *)
+      pos := min n (!pos + 3);                    (* quote, backslash, first escaped char *)
       while !pos < n && input.[!pos] <> '\'' do incr pos done;
       if !pos < n then incr pos;
       emit Chr start
@@ -175,3 +179,8 @@ let significant (toks : token list) : token list =
 
 let concat (toks : token list) : string =
   String.concat "" (List.map (fun t -> t.text) toks)
+
+let last_line (t : token) : int =
+  let l = ref t.line in
+  String.iter (fun c -> if c = '\n' then incr l) t.text;
+  !l

@@ -1,8 +1,12 @@
-(** A lossless OCaml tokenizer for the semantic lint rules (S1–S7).
+(** The lossless OCaml tokenizer under every lint and doc rule: the
+    semantic rules (S1–S7) walk its tokens, and {!Source} derives the line
+    rules' per-line code tokens, the allowlist directives and the doc
+    comments from the same stream.
 
     Every byte of the input lands in exactly one token — whitespace and
     comments included — so [concat (tokenize s) = s] for any input; the
-    test suite checks this round-trip over all of lib/.  Qualified paths
+    test suite checks this round-trip over every file the lint alias
+    scans.  Qualified paths
     join across dots: [t.rt.Runtime.cfg] is a single [Word] token, which is
     what the semantic rules key on. *)
 
@@ -36,3 +40,7 @@ val concat : token list -> string
 
 val is_keyword : string -> bool
 (** Whether a [Word] token's text is an OCaml keyword. *)
+
+val last_line : token -> int
+(** The 1-based line the token ends on: [line] plus the newlines in
+    [text]. *)

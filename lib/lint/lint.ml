@@ -32,13 +32,12 @@ let discover (roots : string list) : string list =
   in
   List.rev (List.fold_left walk [] roots)
 
+(* Each file is lexed once; the line rules and the semantic rules share the
+   result. *)
 let check_sources (sources : (string * string) list) : finding list =
-  let pairs =
-    List.map
-      (fun (path, text) -> (Source.of_string ~path text, Lex.tokenize text))
-      sources
+  let srcs =
+    List.map (fun (path, text) -> Source.of_string ~path text) sources
   in
-  let srcs = List.map fst pairs in
   let by_location a b =
     let c = String.compare a.file b.file in
     if c <> 0 then c
@@ -46,7 +45,7 @@ let check_sources (sources : (string * string) list) : finding list =
       let c = Int.compare a.line b.line in
       if c <> 0 then c else String.compare a.rule b.rule
   in
-  List.sort by_location (Rules.check_tree srcs @ Sema.check_tree pairs)
+  List.sort by_location (Rules.check_tree srcs @ Sema.check_tree srcs)
 
 let read_file (path : string) : string =
   let ic = open_in_bin path in

@@ -1,8 +1,9 @@
 (* The sintra-lint rule set.
 
    Five rules target this codebase's real protocol-safety hazards.  They
-   work on masked token streams (Source), so string literals and comments
-   never trigger them, and every rule can be suppressed per line with
+   work on each line's code tokens (Source, from one Lex pass), so string
+   literals and comments never trigger them, and every rule can be
+   suppressed per line with
 
      (* lint: allow <rule> — reason *)
 
@@ -176,12 +177,11 @@ let check_file (src : Source.t) : finding list =
   else begin
   let out = ref [] in
   for line = 1 to Source.line_count src do
-    let toks = Source.tokenize (Source.masked_line src line) in
     List.iter
       (fun (rule, message) ->
         if not (Source.allowed src ~rule ~line) then
           out := { file = path; line; rule; message } :: !out)
-      (check_line ~path toks)
+      (check_line ~path (Source.line_tokens src line))
   done;
   List.rev !out
   end

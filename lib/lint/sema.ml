@@ -1,6 +1,6 @@
 (* The semantic rule family (S1–S7): protocol-aware checks that need more
-   than a masked line — a real token stream (Lex) grouped into top-level
-   module items.
+   than one line's code tokens — the file's whole token stream (Lex, via
+   Source) grouped into top-level module items.
 
    Items are split at column-0 significant tokens, which is exact for this
    uniformly-formatted tree (continuation lines are always indented); an
@@ -671,29 +671,29 @@ let check_s7 (src : Source.t) (sig_toks : Lex.token list) : finding list =
 
 (* --- driver --- *)
 
-let check_tree (files : (Source.t * Lex.token list) list) : finding list =
+let check_tree (files : Source.t list) : finding list =
   (* exported-name sets of the .mli files, for the S3 public exemption *)
   let mli_words : (string, (string, unit) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 16
   in
   List.iter
-    (fun (src, toks) ->
+    (fun src ->
       let path = Source.path src in
       if Filename.check_suffix path ".mli" then begin
         let tbl = Hashtbl.create 64 in
         List.iter
           (fun (t : Lex.token) ->
             if t.Lex.kind = Lex.Word then Hashtbl.replace tbl t.Lex.text ())
-          (Lex.significant toks);
+          (Lex.significant (Source.tokens src));
         Hashtbl.replace mli_words (Filename.remove_extension path) tbl
       end)
     files;
   List.concat_map
-    (fun (src, toks) ->
+    (fun src ->
       let path = Source.path src in
       if not (is_ml path) then []
       else begin
-        let sig_toks = Lex.significant toks in
+        let sig_toks = Lex.significant (Source.tokens src) in
         let items = split_items sig_toks in
         let f1 = check_s1 src sig_toks in
         let f2 =

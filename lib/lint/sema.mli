@@ -1,5 +1,5 @@
-(** The semantic lint rules (S1–S7), running on Lex token streams grouped
-    into top-level module items.
+(** The semantic lint rules (S1–S7), running on each file's {!Lex} token
+    stream (from its {!Source.t}) grouped into top-level module items.
 
     - [determinism] (S1): [Unix.*], [Random.*], [Sys.time], [Hashtbl.hash]
       in protocol ([lib/sintra]), simulator ([lib/sim]), test, or bench
@@ -58,7 +58,6 @@ val s7 : string
 val rule_names : (string * string) list
 (** [(name, one-line description)] for the S rules. *)
 
-val check_tree : (Source.t * Lex.token list) list -> finding list
-(** Run S1–S7 over the tree; each file is paired with its Lex token
-    stream.  [.mli] files contribute only the S3 public-constructor
-    exemption. *)
+val check_tree : Source.t list -> finding list
+(** Run S1–S7 over the tree.  [.mli] files contribute only the S3
+    public-constructor exemption. *)

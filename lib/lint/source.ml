@@ -1,16 +1,10 @@
-(* Source-file model for the linter.
+(* Source-file model for the linter, built from one Lex pass.
 
-   A file is lexed once into (a) per-line "masked" text, in which comments
-   and string/char literals are replaced by spaces so that token-level rules
-   never fire inside them, and (b) the set of allowlist directives found in
-   comments.
-
-   The lexer is a small state machine that understands the OCaml surface
-   forms that matter for masking: nested [(* *)] comments (including string
-   literals inside comments, which OCaml's lexer also tracks), ["..."]
-   strings with backslash escapes, [{|...|}] / [{id|...|id}] quoted strings,
-   and character literals — the classic ['"'] pitfall — while leaving type
-   variables like ['a] alone.
+   A file is lexed once (Lex.tokenize) into (a) its lossless token stream,
+   which the semantic rules walk, (b) per-line code tokens — the texts of
+   the Word/Number/Op/Punct tokens grouped by start line, so string, char
+   and quoted literals and comments never reach the line rules — and
+   (c) the set of allowlist directives found in Comment tokens.
 
    An allowlist directive is a comment containing
 
@@ -22,14 +16,16 @@
 
 type t = {
   path : string;
-  masked : string array;              (* masked code, index = line - 1 *)
+  tokens : Lex.token list;
+  code : string list array;           (* code tokens, index = line - 1 *)
   allows : (string * int, unit) Hashtbl.t;   (* (rule, 1-based line) *)
   file_allows : (string, unit) Hashtbl.t;    (* rules allowed file-wide *)
 }
 
 let path (s : t) = s.path
-let line_count (s : t) = Array.length s.masked
-let masked_line (s : t) (line : int) = s.masked.(line - 1)
+let tokens (s : t) = s.tokens
+let line_count (s : t) = Array.length s.code
+let line_tokens (s : t) (line : int) = s.code.(line - 1)
 
 let allowed (s : t) ~(rule : string) ~(line : int) : bool =
   Hashtbl.mem s.allows (rule, line)
@@ -72,217 +68,46 @@ let directive_rules (comment : string) : string list =
     in
     rules [] start
 
-(* --- the lexer --- *)
+(* --- building the model --- *)
 
-type state =
-  | Code
-  | Comment of int                      (* nesting depth *)
-  | Str                                 (* "..." (also inside comments) *)
-  | Quoted of string                    (* {id| ... |id}: the closing id *)
+(* Lines in [text]: a trailing newline ends the last line, it does not
+   open another. *)
+let count_lines (text : string) : int =
+  let n = String.length text in
+  let newlines = ref 0 in
+  String.iter (fun c -> if c = '\n' then incr newlines) text;
+  if n > 0 && text.[n - 1] = '\n' then !newlines else !newlines + 1
 
 let of_string ~(path : string) (text : string) : t =
-  let len = String.length text in
-  let lines = ref [] in
-  let cur = Buffer.create 120 in
+  let tokens = Lex.tokenize text in
+  let nlines = count_lines text in
+  let code = Array.make nlines [] in
+  List.iter
+    (fun (tok : Lex.token) ->
+      match tok.Lex.kind with
+      | Lex.Word | Lex.Number | Lex.Op | Lex.Punct ->
+        code.(tok.Lex.line - 1) <- tok.Lex.text :: code.(tok.Lex.line - 1)
+      | Lex.Str | Lex.Chr | Lex.Quoted | Lex.Comment | Lex.White -> ())
+    tokens;
+  let code = Array.map List.rev code in
   let allows : (string * int, unit) Hashtbl.t = Hashtbl.create 8 in
   let file_allows : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-  (* The comment currently being lexed, with its starting line. *)
-  let comment = Buffer.create 120 in
-  let comment_start = ref 0 in
-  let pending : (string list * int * int) list ref = ref [] in
-  let line = ref 1 in
-  let state = ref Code in
-  let in_comment_string = ref false in
-  let emit_line () =
-    lines := Buffer.contents cur :: !lines;
-    Buffer.clear cur
-  in
-  let close_comment () =
-    let rules = directive_rules (Buffer.contents comment) in
-    if rules <> [] then pending := (rules, !comment_start, !line) :: !pending;
-    Buffer.clear comment
-  in
-  let i = ref 0 in
-  while !i < len do
-    let c = text.[!i] in
-    let peek k = if !i + k < len then Some text.[!i + k] else None in
-    (match !state with
-     | Code ->
-       if c = '(' && peek 1 = Some '*' then begin
-         state := Comment 1;
-         in_comment_string := false;
-         comment_start := !line;
-         Buffer.add_string cur "  ";
-         incr i
-       end
-       else if c = '"' then begin
-         state := Str;
-         Buffer.add_char cur ' '
-       end
-       else if c = '{' then begin
-         (* {|...|} or {id|...|id} quoted string *)
-         let j = ref (!i + 1) in
-         while !j < len && text.[!j] >= 'a' && text.[!j] <= 'z' || !j < len && text.[!j] = '_' do
-           incr j
-         done;
-         if !j < len && text.[!j] = '|' then begin
-           let id = String.sub text (!i + 1) (!j - !i - 1) in
-           state := Quoted id;
-           for _ = !i to !j do Buffer.add_char cur ' ' done;
-           i := !j
-         end
-         else Buffer.add_char cur c
-       end
-       else if c = '\'' then begin
-         (* Character literal or type variable.  A literal is 'x' or an
-            escape '\...'; anything else is a type variable / quote. *)
-         (match peek 1, peek 2 with
-          | Some '\\', _ ->
-            (* escape: skip to the closing quote *)
-            let j = ref (!i + 2) in
-            while !j < len && text.[!j] <> '\'' do incr j done;
-            for _ = !i to min !j (len - 1) do Buffer.add_char cur ' ' done;
-            i := !j
-          | Some _, Some '\'' ->
-            Buffer.add_string cur "   ";
-            i := !i + 2
-          | _ -> Buffer.add_char cur c)
-       end
-       else if c = '\n' then emit_line ()
-       else Buffer.add_char cur c
-     | Str ->
-       if c = '\\' then begin
-         Buffer.add_char cur ' ';
-         (match peek 1 with
-          | Some '\n' -> ()              (* line continuation: keep the \n *)
-          | Some _ -> (Buffer.add_char cur ' '; incr i)
-          | None -> ())
-       end
-       else if c = '"' then begin
-         state := Code;
-         Buffer.add_char cur ' '
-       end
-       else if c = '\n' then emit_line ()
-       else Buffer.add_char cur ' '
-     | Quoted id ->
-       let close = "|" ^ id ^ "}" in
-       let clen = String.length close in
-       if c = '|' && !i + clen <= len && String.sub text !i clen = close then begin
-         state := Code;
-         for _ = 1 to clen do Buffer.add_char cur ' ' done;
-         i := !i + clen - 1
-       end
-       else if c = '\n' then emit_line ()
-       else Buffer.add_char cur ' '
-     | Comment depth ->
-       if !in_comment_string then begin
-         Buffer.add_char comment c;
-         if c = '\\' then begin
-           (match peek 1 with
-            | Some ch when ch <> '\n' ->
-              Buffer.add_char comment ch;
-              incr i
-            | _ -> ())
-         end
-         else if c = '"' then in_comment_string := false
-         else if c = '\n' then emit_line ()
-       end
-       else if c = '(' && peek 1 = Some '*' then begin
-         state := Comment (depth + 1);
-         Buffer.add_string comment "(*";
-         incr i
-       end
-       else if c = '*' && peek 1 = Some ')' then begin
-         if depth = 1 then begin
-           state := Code;
-           Buffer.add_string cur "  "
-         end;
-         if depth > 1 then state := Comment (depth - 1);
-         Buffer.add_string comment "*)";
-         if depth = 1 then close_comment ();
-         incr i
-       end
-       else begin
-         if c = '"' then in_comment_string := true;
-         Buffer.add_char comment c;
-         if c = '\n' then emit_line ()
-       end);
-    (if !i < len && text.[!i] = '\n' then incr line);
-    incr i
-  done;
-  if Buffer.length cur > 0 || !lines = [] then emit_line ();
-  (match !state with Comment _ -> close_comment () | Code | Str | Quoted _ -> ());
-  let masked = Array.of_list (List.rev !lines) in
-  let nlines = Array.length masked in
-  let has_code l = l >= 1 && l <= nlines && String.trim masked.(l - 1) <> "" in
-  (* Resolve each directive: it covers the comment's own lines plus the
-     first code-bearing line after it. *)
+  (* Each directive covers its comment's own lines plus the first
+     code-bearing line after it. *)
   List.iter
-    (fun (rules, first, last) ->
-      List.iter
-        (fun rule ->
-          Hashtbl.replace file_allows rule ();
-          for l = first to last do
-            Hashtbl.replace allows (rule, l) ()
-          done;
-          let l = ref (last + 1) in
-          while !l <= nlines && not (has_code !l) do incr l done;
-          if !l <= nlines then Hashtbl.replace allows (rule, !l) ())
-        rules)
-    !pending;
-  { path; masked; allows; file_allows }
-
-let load (path : string) : t =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  of_string ~path text
-
-(* --- tokenizing a masked line --- *)
-
-let is_word_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9') || c = '_' || c = '\''
-
-let is_sym_char c = String.contains "=<>|&!@^+-*/%$.:" c
-
-(* Split a masked line into tokens: qualified identifiers (dots join
-   capitalized path segments, so [Hashtbl.fold] and [Crypto.Rsa.sign] are
-   single tokens), maximal runs of operator characters, and single-character
-   punctuation. *)
-let tokenize (line : string) : string list =
-  let len = String.length line in
-  let toks = ref [] in
-  let i = ref 0 in
-  while !i < len do
-    let c = line.[!i] in
-    if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if is_word_char c then begin
-      let s = ref !i in
-      let buf = Buffer.create 16 in
-      let continue = ref true in
-      while !continue do
-        while !i < len && is_word_char line.[!i] do incr i done;
-        Buffer.add_string buf (String.sub line !s (!i - !s));
-        (* A dot followed by a word char extends a qualified name. *)
-        if !i + 1 < len && line.[!i] = '.' && is_word_char line.[!i + 1] then begin
-          Buffer.add_char buf '.';
-          incr i;
-          s := !i
-        end
-        else continue := false
-      done;
-      toks := Buffer.contents buf :: !toks
-    end
-    else if is_sym_char c then begin
-      let s = !i in
-      while !i < len && is_sym_char line.[!i] do incr i done;
-      toks := String.sub line s (!i - s) :: !toks
-    end
-    else begin
-      toks := String.make 1 c :: !toks;
-      incr i
-    end
-  done;
-  List.rev !toks
+    (fun (tok : Lex.token) ->
+      if tok.Lex.kind = Lex.Comment then begin
+        let last = Lex.last_line tok in
+        List.iter
+          (fun rule ->
+            Hashtbl.replace file_allows rule ();
+            for l = tok.Lex.line to last do
+              Hashtbl.replace allows (rule, l) ()
+            done;
+            let l = ref (last + 1) in
+            while !l <= nlines && code.(!l - 1) = [] do incr l done;
+            if !l <= nlines then Hashtbl.replace allows (rule, !l) ())
+          (directive_rules tok.Lex.text)
+      end)
+    tokens;
+  { path; tokens; code; allows; file_allows }

@@ -1,6 +1,7 @@
-(** Source-file model for the linter: per-line masked text (comments and
-    string/char literals blanked, so token rules never fire inside them)
-    plus the allowlist directives found in comments.
+(** Source-file model for the linter, built from a single [Lex.tokenize]
+    pass: the lossless token stream, the code tokens of each line (comments
+    and string/char/quoted literals dropped, so line rules never fire inside
+    them) and the allowlist directives found in comments.
 
     A directive [lint: allow <rule>[, <rule>...] — reason] inside a comment
     suppresses the named rules on every line the comment touches and on the
@@ -9,20 +10,21 @@
 type t
 
 val of_string : path:string -> string -> t
-(** Parse file contents already in memory; [path] is used only for
+(** Lex file contents already in memory; [path] is used only for
     reporting. *)
-
-val load : string -> t
-(** {!of_string} over a file on disk. *)
 
 val path : t -> string
 (** The path the file was loaded under. *)
 
+val tokens : t -> Lex.token list
+(** The file's full {!Lex} token stream, trivia included. *)
+
 val line_count : t -> int
 (** Number of lines in the file. *)
 
-val masked_line : t -> int -> string
-(** The masked text of a 1-based line. *)
+val line_tokens : t -> int -> string list
+(** The texts of the [Word], [Number], [Op] and [Punct] tokens that start
+    on a 1-based line, in order. *)
 
 val allowed : t -> rule:string -> line:int -> bool
 (** Whether an allowlist directive suppresses [rule] on this line. *)
@@ -30,7 +32,3 @@ val allowed : t -> rule:string -> line:int -> bool
 val allowed_anywhere : t -> rule:string -> bool
 (** Whether any directive in the file names [rule] — used by whole-file
     rules that have no single anchor line. *)
-
-val tokenize : string -> string list
-(** Split a masked line into tokens: qualified identifiers ([Hashtbl.fold]
-    is one token), maximal operator runs, single punctuation characters. *)

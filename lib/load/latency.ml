@@ -36,10 +36,10 @@ type report = {
 }
 
 (* One traced measurement run at a fixed offered rate. *)
-let run_point ~(seed : string) ~(cfg : Config.t) ~(duration : float)
-    ~(rate : float) : point =
+let run_point ~(seed : string) ~(dealer : Dealer.t) ~(cfg : Config.t)
+    ~(duration : float) ~(rate : float) : point =
   let n = cfg.Config.n in
-  let c = Sweep.make_cluster ~seed cfg in
+  let c = Sweep.make_cluster ~seed ~dealer cfg in
   let events = ref [] in
   Sim.Engine.set_sink c.Cluster.engine
     (Trace.Sink.Fn (fun e -> events := e :: !events));
@@ -105,12 +105,13 @@ let run ?(smoke = false) ?rates ?(seed = "latency") () : report =
     | None -> if smoke then [ 10.0; 20.0; 40.0 ] else [ 5.0; 10.0; 20.0; 40.0; 80.0 ]
   in
   let cfg = Sweep.sweep_cfg ~n ~t ~max_batch:256 () in
+  let dealer = Sweep.deal cfg in
   let points =
     List.map
       (fun rate ->
         run_point
           ~seed:(Printf.sprintf "%s|n%d|open%.3f" seed n rate)
-          ~cfg ~duration ~rate)
+          ~dealer ~cfg ~duration ~rate)
       rates
   in
   { smoke; seed; n; t; duration_s = duration; points }

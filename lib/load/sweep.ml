@@ -29,10 +29,6 @@ type report = {
   series : series list;
 }
 
-(* Key generation dominates setup; share dealers across runs (keys do not
-   depend on max_batch or the load shape). *)
-let dealer_cache : (string, Dealer.t) Hashtbl.t = Hashtbl.create 4
-
 let sweep_cfg ?pipeline_depth ~(n : int) ~(t : int) ~(max_batch : int) () :
     Config.t =
   Config.make ~max_batch ?pipeline_depth
@@ -40,16 +36,13 @@ let sweep_cfg ?pipeline_depth ~(n : int) ~(t : int) ~(max_batch : int) () :
     ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96
     ~model_rsa_bits:1024 ~model_dl_pbits:1024 ~model_dl_qbits:160 ~n ~t ()
 
-let make_cluster ~(seed : string) (cfg : Config.t) : Cluster.t =
-  let key = Printf.sprintf "%d|%d" cfg.Config.n cfg.Config.t in
-  let dealer =
-    match Hashtbl.find_opt dealer_cache key with
-    | Some d -> d
-    | None ->
-      let d = Dealer.deal ~seed:"load-dealer" cfg in
-      Hashtbl.replace dealer_cache key d;
-      d
-  in
+(* Key generation dominates setup; keys depend only on the group size and
+   key sizes, not on max_batch or the load shape, so the driver deals once
+   per (n, t) and every run of that size shares the dealer. *)
+let deal (cfg : Config.t) : Dealer.t = Dealer.deal ~seed:"load-dealer" cfg
+
+let make_cluster ~(seed : string) ~(dealer : Dealer.t) (cfg : Config.t) :
+    Cluster.t =
   let engine = Sim.Engine.create ~seed:("load-engine|" ^ seed) () in
   let topo = Sim.Topology.uniform ~count:cfg.Config.n () in
   let net = Sim.Net.create ~engine ~topo ~mac_keys:(Dealer.net_mac_keys dealer) in
@@ -70,10 +63,10 @@ type load_shape =
 
 (* One measurement run: a fresh cluster, an atomic channel per party, a
    generator in the given shape, [duration] virtual seconds. *)
-let run_point ~(seed : string) ~(cfg : Config.t) ~(duration : float)
-    (shape : load_shape) : point * int =
+let run_point ~(seed : string) ~(dealer : Dealer.t) ~(cfg : Config.t)
+    ~(duration : float) (shape : load_shape) : point * int =
   let n = cfg.Config.n in
-  let c = make_cluster ~seed cfg in
+  let c = make_cluster ~seed ~dealer cfg in
   (* Clients share each party's network trace context, so request
      submit/complete events join the message-level causal DAG. *)
   let gen =
@@ -138,8 +131,8 @@ let seed = "throughput"
    saturates on round cost rather than on the population bound. *)
 let clients_per_party = 64
 
-let run_series ~(n : int) ~(t : int) ~(batched : bool) ~(duration : float)
-    ~(rates : float list) : series =
+let run_series ~(dealer : Dealer.t) ~(n : int) ~(t : int) ~(batched : bool)
+    ~(duration : float) ~(rates : float list) : series =
   (* The unbatched series is the pre-batching baseline: one payload per
      party per round AND one round in flight at a time. *)
   let cfg =
@@ -153,7 +146,7 @@ let run_series ~(n : int) ~(t : int) ~(batched : bool) ~(duration : float)
         let p, _ =
           run_point
             ~seed:(Printf.sprintf "%s|n%d|%s|open%.3f" seed n mode rate)
-            ~cfg ~duration (Open_loop rate)
+            ~dealer ~cfg ~duration (Open_loop rate)
         in
         p)
       rates
@@ -161,7 +154,7 @@ let run_series ~(n : int) ~(t : int) ~(batched : bool) ~(duration : float)
   let saturation, rounds =
     run_point
       ~seed:(Printf.sprintf "%s|n%d|%s|closed" seed n mode)
-      ~cfg ~duration (Closed_loop clients_per_party)
+      ~dealer ~cfg ~duration (Closed_loop clients_per_party)
   in
   { n; t; batched; points; saturation; rounds }
 
@@ -172,8 +165,9 @@ let run ?(smoke = false) () : report =
   let series =
     List.concat_map
       (fun (n, t) ->
+        let dealer = deal (sweep_cfg ~n ~t ~max_batch:256 ()) in
         List.map
-          (fun batched -> run_series ~n ~t ~batched ~duration ~rates)
+          (fun batched -> run_series ~dealer ~n ~t ~batched ~duration ~rates)
           [ true; false ])
       sizes
   in

@@ -53,10 +53,15 @@ val sweep_cfg :
     [pipeline_depth] defaults to the {!Sintra.Config.make} default (a
     window of 4 rounds). *)
 
-val make_cluster : seed:string -> Sintra.Config.t -> Sintra.Cluster.t
-(** A fresh simulated group for one measurement run.  Dealers are cached
-    per [(n, t)] across runs — key generation dominates setup and keys do
-    not depend on the load shape. *)
+val deal : Sintra.Config.t -> Sintra.Dealer.t
+(** The sweep's dealer for a configuration (seed ["load-dealer"]).  Keys
+    depend only on [(n, t)] and the key sizes, not on [max_batch] or the
+    load shape, so a driver deals once per group size — key generation
+    dominates setup — and passes the dealer to every run. *)
+
+val make_cluster :
+  seed:string -> dealer:Sintra.Dealer.t -> Sintra.Config.t -> Sintra.Cluster.t
+(** A fresh simulated group for one measurement run, keyed by [dealer]. *)
 
 val quantile : float array -> float -> float
 (** [quantile sorted q] is the element at rank [q] (nearest-rank on a

@@ -9,7 +9,7 @@
     schedule, and {!repro} renders the exact CLI line that replays it. *)
 
 type runner = seed:string -> Schedule.t -> Oracle.obs
-(** One deterministic workload run (see {!Workload.run}). *)
+(** One deterministic workload run (see {!Workload.runner}). *)
 
 (** Why a run failed. *)
 type fail = {

@@ -2,7 +2,7 @@
    fresh 4-party cluster, producing the observation record the oracles
    consume.
 
-   Dealer key material is memoized (it dominates start-up cost and is
+   A runner deals the key material once (it dominates start-up cost and is
    independent of the run seed); the engine — and with it every latency
    draw and protocol coin — is seeded per run, so a run is a pure function
    of [(kind, tweaks, seed, schedule)].
@@ -51,22 +51,10 @@ let schedule ~(kind : Oracle.kind) ~(run_seed : string) : Schedule.t =
   Explorer.schedule_of ~run_seed ~n:4 ~max_faulty
     ~allow_equiv:(byz_supported kind)
 
-(* Key material is independent of the run seed; share it across the sweep. *)
-let dealer_cache : (string, Dealer.t) Hashtbl.t = Hashtbl.create 4
-
-let make_cluster ?max_batch ~(run_seed : string) ~(n : int) ~(t : int) () :
+let make_cluster ~(cfg : Config.t) ~(dealer : Dealer.t) ~(run_seed : string) :
     Cluster.t =
-  let cfg = Config.test ~n ~t ?max_batch ~check_invariants:true () in
+  let n = cfg.Config.n in
   let topo = Sim.Topology.uniform ~count:n () in
-  let key = Printf.sprintf "%d|%d" n t in
-  let dealer =
-    match Hashtbl.find_opt dealer_cache key with
-    | Some d -> d
-    | None ->
-      let d = Dealer.deal ~seed:"vopr-dealer" cfg in
-      Hashtbl.replace dealer_cache key d;
-      d
-  in
   let engine = Sim.Engine.create ~seed:("engine|" ^ run_seed) () in
   let net =
     Sim.Net.create ~engine ~topo ~mac_keys:(Dealer.net_mac_keys dealer)
@@ -81,8 +69,8 @@ let make_cluster ?max_batch ~(run_seed : string) ~(n : int) ~(t : int) () :
    sender harnesses speak the inner-instance wire format directly. *)
 let framed (s : string) : string = "\x01" ^ s
 
-let run ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
-    ~(kind : Oracle.kind) ~(seed : string) (sched : Schedule.t) : Oracle.obs =
+let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
+    ~(kind : Oracle.kind) () : seed:string -> Schedule.t -> Oracle.obs =
   let n = 4 and t = 1 in
   (* The pipeline workload caps vectors low so its staggered waves spread
      over several concurrent rounds instead of one big batch; the durable
@@ -94,7 +82,11 @@ let run ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
     | Oracle.Durable -> Some 8
     | _ -> None
   in
-  let c = make_cluster ?max_batch ~run_seed:seed ~n ~t () in
+  let cfg = Config.test ~n ~t ?max_batch ~check_invariants:true () in
+  (* Key material is independent of the run seed: deal once per runner. *)
+  let dealer = Dealer.deal ~seed:"vopr-dealer" cfg in
+  fun ~seed sched ->
+  let c = make_cluster ~cfg ~dealer ~run_seed:seed in
   (* The amortized-crypto workload layers a deterministic retransmit storm
      over the generated schedule: every 4th frame duplicated, every 4th+2
      frame replayed out of FIFO order.  Dups and replays re-present

@@ -4,8 +4,8 @@
     Each run builds a fresh 4-party cluster (n = 4, t = 1, invariant
     checking on) whose engine is seeded from the run seed, installs the
     schedule's mutations, drives the chosen protocol with a fixed message
-    pattern, and collects what every party observed.  Dealer key material
-    is memoized across runs — it is seed-independent — so a sweep pays the
+    pattern, and collects what every party observed.  A {!runner} deals
+    the key material once — it is seed-independent — so a sweep pays the
     key-generation cost once. *)
 
 (** A minimal send-capable handle, so planted-bug tests can substitute a
@@ -47,10 +47,11 @@ val schedule : kind:Oracle.kind -> run_seed:string -> Schedule.t
     whose scripted power failure of party 3 already spends the fault
     budget. *)
 
-val run :
+val runner :
   ?tweaks:tweaks -> ?until:float -> ?max_events:int -> kind:Oracle.kind ->
-  seed:string -> Schedule.t -> Oracle.obs
-(** Execute one run: a pure function of [(kind, tweaks, seed, schedule)].
-    [until] (default 300 virtual seconds) and [max_events] (default
-    400_000) bound the simulation; a run still busy at the bound reports
-    [quiesced = false] and fails the liveness oracle. *)
+  unit -> seed:string -> Schedule.t -> Oracle.obs
+(** [runner ~kind ()] deals the workload's keys once and returns the run
+    function.  Each run is a pure function of [(kind, tweaks, seed,
+    schedule)].  [until] (default 300 virtual seconds) and [max_events]
+    (default 400_000) bound the simulation; a run still busy at the bound
+    reports [quiesced = false] and fails the liveness oracle. *)

@@ -159,7 +159,57 @@ let test_allow_directive_scope () =
   expect_fires ~rule:"partial-fn" "lib/proto/multi.ml"
     "(* lint: allow partial-fn — first use only *)\n\
      let a = List.hd xs\n\
-     let b = List.hd ys\n"
+     let b = List.hd ys\n";
+  (* a directive comment spanning several lines covers each of its lines
+     and the first code line after it *)
+  expect_silent ~rule:"partial-fn" "lib/proto/multi.ml"
+    "(* lint: allow partial-fn —\n\
+    \   the reason runs on\n\
+    \   over three lines *)\n\
+     let a = List.hd xs\n";
+  expect_silent ~rule:"partial-fn" "lib/proto/multi.ml"
+    "let a = (* lint: allow partial-fn — the comment\n\
+    \   ends on the next line *) List.hd\n\
+    \  xs\n";
+  (* blank lines, comment-only lines and literal-only lines are skipped
+     on the way to the covered code line *)
+  expect_silent ~rule:"partial-fn" "lib/proto/multi.ml"
+    "(* lint: allow partial-fn — skips trivia *)\n\
+     \n\
+     (* an unrelated comment *)\n\
+     \n\
+     let a = List.hd xs\n";
+  expect_fires ~rule:"partial-fn" "lib/proto/multi.ml"
+    "(* lint: allow partial-fn — skips trivia *)\n\
+     \n\
+     let a = 1\n\
+     let b = List.hd ys\n";
+  expect_silent ~rule:"partial-fn" "lib/proto/multi.ml"
+    "let a =\n\
+    \  f\n\
+    \    (* lint: allow partial-fn — skips a literal-only line *)\n\
+    \    \"literal\"\n\
+    \    (List.hd xs)\n";
+  (* trailing on the same line as the code *)
+  expect_silent ~rule:"partial-fn" "lib/proto/multi.ml"
+    "let a = List.hd xs (* lint: allow partial-fn — non-empty *)\n";
+  (* a trailing directive also covers the next code line, but no further *)
+  expect_silent ~rule:"partial-fn" "lib/proto/multi.ml"
+    "let a = 1 (* lint: allow partial-fn — non-empty *)\n\
+     let b = List.hd ys\n";
+  expect_fires ~rule:"partial-fn" "lib/proto/multi.ml"
+    "let a = 1 (* lint: allow partial-fn — non-empty *)\n\
+     let b = 2\n\
+     let c = List.hd ys\n";
+  (* a missing-mli suppression counts wherever it sits in the file *)
+  List.iter
+    (fun text ->
+      match find_rule "missing-mli" (check "lib/proto/naked.ml" text) with
+      | [] -> ()
+      | _ -> Alcotest.failf "missing-mli fired despite the allow in %S" text)
+    [ "let x = 1\nlet y = 2\n(* lint: allow missing-mli — generated *)\n";
+      "let x = 1 (* lint: allow missing-mli — generated *)\n";
+      "let x =\n  (* lint: allow missing-mli —\n     generated *)\n  1\n" ]
 
 (* --- S1: determinism --- *)
 
@@ -419,6 +469,61 @@ let test_global_state () =
     "(* lint: allow global-state — a lookup table: built once, never written *)\n\
      let table = lazy (Array.init 256 entry)\n"
 
+(* --- the documentation checker --- *)
+
+(* Doccheck over in-memory strict interfaces of a library [Proto]. *)
+let doc_findings (files : (string * string) list) : Lint.Doccheck.finding list =
+  Lint.Doccheck.check
+    (List.map
+       (fun (path, contents) ->
+         { Lint.Doccheck.library = "Proto"; path; contents; strict = true })
+       files)
+
+let expect_doc ~(rules : string list) (files : (string * string) list) : unit =
+  let got = List.map (fun f -> f.Lint.Doccheck.rule) (doc_findings files) in
+  Alcotest.(check (list string))
+    (Printf.sprintf "doc findings on %S"
+       (String.concat " | " (List.map snd files)))
+    rules got
+
+let test_doc_coverage () =
+  let one text = [ ("lib/proto/m.mli", text) ] in
+  expect_doc ~rules:[ "doc-coverage" ] (one "val f : int -> int\n");
+  (* a doc comment ending on the line above, or following the val *)
+  expect_doc ~rules:[] (one "(** Doubles. *)\nval f : int -> int\n");
+  expect_doc ~rules:[] (one "val f : int -> int\n(** Doubles. *)\n");
+  expect_doc ~rules:[] (one "val f :\n  int -> int\n(** Doubles. *)\n");
+  (* a following comment documents only its own val *)
+  expect_doc ~rules:[ "doc-coverage" ]
+    (one "val f : int\nval g : int\n(** Only g. *)\n");
+  (* (**) and banners are plain comments, not doc comments *)
+  expect_doc ~rules:[ "doc-coverage" ] (one "(**)\nval f : int\n");
+  expect_doc ~rules:[ "doc-coverage" ] (one "(*** banner ***)\nval f : int\n");
+  expect_doc ~rules:[ "doc-coverage" ] (one "(* plain *)\nval f : int\n");
+  (* a string holding "*)" does not close the doc comment early *)
+  expect_doc ~rules:[]
+    (one "(** Renders \"*)\" and\n    more. *)\nval f : int\n");
+  (* a non-strict interface needs no coverage *)
+  (match
+     Lint.Doccheck.check
+       [ { Lint.Doccheck.library = "Proto"; path = "lib/proto/m.mli";
+           contents = "val f : int\n"; strict = false } ]
+   with
+   | [] -> ()
+   | f :: _ -> Alcotest.failf "non-strict file: %s" (Lint.Doccheck.render f))
+
+let test_doc_refs () =
+  let m = ("lib/proto/m.mli", "(** The x. *)\nval x : int\n") in
+  let user text = ("lib/proto/u.mli", text) in
+  expect_doc ~rules:[] [ m; user "(** See {!M.x}. *)\nval y : int\n" ];
+  expect_doc ~rules:[] [ m; user "(** See {!Proto.M.x} and {!M}. *)\nval y : int\n" ];
+  expect_doc ~rules:[ "doc-ref" ]
+    [ m; user "(** See {!missing}. *)\nval y : int\n" ];
+  expect_doc ~rules:[ "doc-ref" ] [ m; user "(** See {!M.z}. *)\nval y : int\n" ];
+  (* escaped braces and section references are not resolved *)
+  expect_doc ~rules:[]
+    [ m; user "(** Literal \\{!x} and {!section:s}. *)\nval y : int\n" ]
+
 (* --- the tokenizer --- *)
 
 let count_kind (k : Lint.Lex.kind) (toks : Lint.Lex.token list) : int =
@@ -453,7 +558,10 @@ let test_lex_literals () =
   Alcotest.(check int) "no char literals" 0 (count_kind Lint.Lex.Chr toks);
   (* primes inside identifiers stay in the identifier *)
   let toks = expect_roundtrip "let x' = f x'' in x'\n" in
-  Alcotest.(check int) "no chars in primed idents" 0 (count_kind Lint.Lex.Chr toks)
+  Alcotest.(check int) "no chars in primed idents" 0 (count_kind Lint.Lex.Chr toks);
+  (* a literal cut off by the end of input after its backslash *)
+  ignore (expect_roundtrip "let c = '\\");
+  ignore (expect_roundtrip "let s = \"abc\\")
 
 let test_lex_quoted_strings () =
   let toks = expect_roundtrip "let s = {|raw \" (* |} tail\n" in
@@ -484,10 +592,11 @@ let read_file (path : string) : string =
   close_in ic;
   text
 
-(* The tokenizer meta-test: every .ml/.mli under lib/ round-trips. *)
+(* The tokenizer meta-test: every .ml/.mli the lint alias scans (lib/,
+   bin/, test/, bench/) round-trips. *)
 let test_lex_roundtrip_tree () =
-  let files = Lint.discover [ "../lib" ] in
-  if List.length files < 50 then
+  let files = Lint.discover [ "../lib"; "../bin"; "../test"; "../bench" ] in
+  if List.length files < 100 then
     Alcotest.failf "round-trip meta-test: only %d files" (List.length files);
   List.iter
     (fun path ->
@@ -655,6 +764,10 @@ let suite =
       test_durable_io;
     Alcotest.test_case "global-state (S7) fires/clears/allows" `Quick
       test_global_state;
+    Alcotest.test_case "doccheck: doc-coverage and doc-comment spans" `Quick
+      test_doc_coverage;
+    Alcotest.test_case "doccheck: {!...} reference resolution" `Quick
+      test_doc_refs;
     Alcotest.test_case "lexer: nested and string-guarded comments" `Quick
       test_lex_comments;
     Alcotest.test_case "lexer: string/char escapes vs type variables" `Quick

@@ -13,7 +13,7 @@ let no_tweaks = Vopr.Workload.no_tweaks
    mentions the workload and the minimal mutations. *)
 let expect_planted ~kind ~tweaks ~oracle:expected ?(seeds = 10)
     ?(expect_empty_shrink = false) () =
-  let runner ~seed sched = Vopr.Workload.run ~tweaks ~kind ~seed sched in
+  let runner = Vopr.Workload.runner ~tweaks ~kind () in
   let oracles = Vopr.Oracle.all kind in
   let report =
     Vopr.Explorer.explore ~runner ~oracles
@@ -54,7 +54,7 @@ let expect_planted ~kind ~tweaks ~oracle:expected ?(seeds = 10)
       Alcotest.failf "repro line lacks the minimal mutations: %s" line
 
 let check_clean ~kind ~seeds =
-  let runner ~seed sched = Vopr.Workload.run ~kind ~seed sched in
+  let runner = Vopr.Workload.runner ~kind () in
   let report =
     Vopr.Explorer.explore ~runner ~oracles:(Vopr.Oracle.all kind)
       ~generate:(fun ~run_seed ->
@@ -105,8 +105,9 @@ let suite = [
 
   Alcotest.test_case "workload runs are deterministic" `Quick (fun () ->
     let sched = sched_of_string "delay@10:500,dup@3,drop@2>0:4" in
-    let a = Vopr.Workload.run ~kind:Vopr.Oracle.Atomic ~seed:"det" sched in
-    let b = Vopr.Workload.run ~kind:Vopr.Oracle.Atomic ~seed:"det" sched in
+    let run = Vopr.Workload.runner ~kind:Vopr.Oracle.Atomic () in
+    let a = run ~seed:"det" sched in
+    let b = run ~seed:"det" sched in
     Alcotest.(check bool) "identical observations" true (a = b));
 
   Alcotest.test_case "clean trunk: no oracle fires on any workload" `Quick
@@ -221,14 +222,16 @@ let suite = [
          link stalled a party forever once its peers garbage-collected the
          round's agreement.  Fixed by the DECIDED catch-up protocol. *)
       let sched = sched_of_string "delay@35:2204,drop@3>1:0" in
-      let obs = Vopr.Workload.run ~kind:Vopr.Oracle.Atomic ~seed:"vopr#70" sched in
+      let obs =
+        Vopr.Workload.runner ~kind:Vopr.Oracle.Atomic () ~seed:"vopr#70" sched
+      in
       assert_all_pass ~what:"vopr#70" obs);
 
   Alcotest.test_case "equivocating CBC sender: safety holds, culprit flagged"
     `Quick (fun () ->
       let sched = [ Vopr.Schedule.Byz_equivocate 3 ] in
       let obs =
-        Vopr.Workload.run ~kind:Vopr.Oracle.Consistent ~seed:"eq-cbc" sched
+        Vopr.Workload.runner ~kind:Vopr.Oracle.Consistent () ~seed:"eq-cbc" sched
       in
       assert_all_pass ~what:"equivocating cbc" obs;
       let flagged_by_honest =
@@ -244,7 +247,9 @@ let suite = [
   Alcotest.test_case "equivocating ABA party: safety holds, culprit flagged"
     `Quick (fun () ->
       let sched = [ Vopr.Schedule.Byz_equivocate 0 ] in
-      let obs = Vopr.Workload.run ~kind:Vopr.Oracle.Aba ~seed:"eq-aba" sched in
+      let obs =
+        Vopr.Workload.runner ~kind:Vopr.Oracle.Aba () ~seed:"eq-aba" sched
+      in
       assert_all_pass ~what:"equivocating aba" obs;
       let flagged_by_honest =
         List.exists
@@ -264,7 +269,7 @@ let suite = [
          quorum. *)
       let sched = [ Vopr.Schedule.Byz_equivocate 3 ] in
       let obs =
-        Vopr.Workload.run ~kind:Vopr.Oracle.Amortized ~seed:"bad-share" sched
+        Vopr.Workload.runner ~kind:Vopr.Oracle.Amortized () ~seed:"bad-share" sched
       in
       assert_all_pass ~what:"bad-share responder" obs;
       let flagged_by_honest =
