@@ -19,6 +19,16 @@ let init () = {
   total = 0;
 }
 
+(* An independent context in the same state: the scratch schedule is fresh,
+   so feeding either one never disturbs the other. *)
+let copy (ctx : ctx) : ctx = {
+  h = Array.copy ctx.h;
+  buf = Bytes.copy ctx.buf;
+  w = Array.make 80 0;
+  buf_len = ctx.buf_len;
+  total = ctx.total;
+}
+
 (* Rotation without the final mask: bits above 32 are garbage that the
    next masked addition discards.  Every word that is later rotated or
    shifted right is masked first, so the garbage never reaches the low 32
@@ -89,7 +99,7 @@ let finish (ctx : ctx) : string =
   for i = 0 to 7 do
     Bytes.set tail (1 + pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
   done;
-  feed_string ctx (Bytes.to_string tail);
+  feed_string ctx (Bytes.unsafe_to_string tail);
   assert (ctx.buf_len = 0);
   let out = Bytes.create 20 in
   for i = 0 to 4 do

@@ -5,6 +5,10 @@ type ctx
 val init : unit -> ctx
 (** A fresh hashing context. *)
 
+val copy : ctx -> ctx
+(** An independent context in the same state: feeding one of the two
+    leaves the other's digest unchanged. *)
+
 val feed_string : ctx -> string -> unit
 (** Absorb the next chunk of input. *)
 

@@ -55,6 +55,8 @@ type t = {
   topo : Topology.t;
   nodes : node array;
   mac_keys : string array array;       (* symmetric, per unordered pair *)
+  link_keys : Hashes.Hmac.key array array;  (* [mac_keys] prepared, per directed pair *)
+  link_headers : string array array;   (* "src>dst|", per directed pair *)
   latency_drbg : Hashes.Drbg.t;
   oob_latency_drbg : Hashes.Drbg.t;    (* storage plane's own jitter stream *)
   oob_last_arrival : float array array;  (* FIFO per (src,dst), oob plane *)
@@ -106,6 +108,12 @@ let make ?lossy ~(engine : Engine.t) ~(topo : Topology.t)
     topo;
     nodes;
     mac_keys;
+    link_keys =
+      Array.init n (fun i ->
+        Array.init n (fun j ->
+          Hashes.Hmac.key ~algo:Hashes.Hmac.SHA1 mac_keys.(min i j).(max i j)));
+    link_headers =
+      Array.init n (fun src -> Array.init n (fun dst -> Printf.sprintf "%d>%d|" src dst));
     latency_drbg = Hashes.Drbg.fork (Engine.drbg engine) "net-latency";
     oob_latency_drbg = Hashes.Drbg.fork (Engine.drbg engine) "net-oob-latency";
     intercept = None;
@@ -119,10 +127,13 @@ let make ?lossy ~(engine : Engine.t) ~(topo : Topology.t)
     traces = Array.init n (fun id -> Engine.trace_ctx engine ~party:id);
   }
 
+(* A frame's tag covers "src>dst|" and the payload, streamed as two parts
+   under the pair's prepared key. *)
 let mac_tag (t : t) ~(src : int) ~(dst : int) (payload : string) : string =
-  let key = t.mac_keys.(min src dst).(max src dst) in
-  Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA1 ~key
-    (Printf.sprintf "%d>%d|%s" src dst payload)
+  Hashes.Hmac.tag t.link_keys.(src).(dst) [ t.link_headers.(src).(dst); payload ]
+
+let mac_ok (t : t) ~(src : int) ~(dst : int) ~(tag : string) (payload : string) : bool =
+  Hashes.Hmac.check t.link_keys.(src).(dst) ~tag [ t.link_headers.(src).(dst); payload ]
 
 (* Process at most one inbox message of node [nd], then reschedule. *)
 let rec process_one (t : t) (nd : node) () : unit =
@@ -213,10 +224,7 @@ and transmit_reliable (t : t) ~(src : int) ~(dst : int) ~(id : int)
     Engine.schedule_at t.engine ~time:arrival (fun () ->
       if not nd.crashed then begin
         (* Verify the link MAC on arrival. *)
-        if Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA1
-             ~key:t.mac_keys.(min src dst).(max src dst)
-             ~tag (Printf.sprintf "%d>%d|%s" src dst payload)
-        then begin
+        if mac_ok t ~src ~dst ~tag payload then begin
           arrived ~arrival;
           Queue.push (src, payload, id) nd.inbox;
           wake t nd (Stdlib.max arrival nd.busy_until)
@@ -237,10 +245,7 @@ and transmit_reliable (t : t) ~(src : int) ~(dst : int) ~(id : int)
     let nd = t.nodes.(dst) in
     Engine.schedule_at t.engine ~time:arrival (fun () ->
       if not nd.crashed then begin
-        if Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA1
-             ~key:t.mac_keys.(min src dst).(max src dst)
-             ~tag (Printf.sprintf "%d>%d|%s" src dst payload)
-        then begin
+        if mac_ok t ~src ~dst ~tag payload then begin
           arrived ~arrival;
           Queue.push (src, payload, id) nd.inbox;
           wake t nd (Stdlib.max arrival nd.busy_until)
@@ -268,10 +273,7 @@ and transmit_reliable (t : t) ~(src : int) ~(dst : int) ~(id : int)
     let nd = t.nodes.(dst) in
     Engine.schedule_at t.engine ~time:arrival (fun () ->
       if not nd.crashed then begin
-        if Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA1
-             ~key:t.mac_keys.(min src dst).(max src dst)
-             ~tag (Printf.sprintf "%d>%d|%s" src dst p)
-        then begin
+        if mac_ok t ~src ~dst ~tag p then begin
           arrived ~arrival;
           Queue.push (src, p, id) nd.inbox
         end
@@ -376,12 +378,7 @@ let send_oob (t : t) ~(src : int) ~(dst : int) (payload : string) : unit =
     let rcv = t.nodes.(dst) in
     Engine.schedule_at t.engine ~time:arrival (fun () ->
       if not rcv.crashed then begin
-        if
-          Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA1
-            ~key:t.mac_keys.(min src dst).(max src dst)
-            ~tag
-            (Printf.sprintf "%d>%d|%s" src dst payload)
-        then begin
+        if mac_ok t ~src ~dst ~tag payload then begin
           Queue.push (src, payload, id) rcv.oob_inbox;
           oob_wake t rcv (Stdlib.max arrival rcv.oob_busy_until)
         end

@@ -218,6 +218,39 @@ let inflight_rounds (t : t) : int =
   done;
   !count
 
+(* The length of the vector encoding [init_stmt] hashes, from the varint
+   sizes alone. *)
+let items_encoded_length (items : item list) : int =
+  List.fold_left
+    (fun acc it ->
+      let len = String.length it.it_payload in
+      acc + Wire.Enc.int_length it.it_orig + Wire.Enc.int_length it.it_seq
+      + Wire.Enc.int_length len + len)
+    (Wire.Enc.int_length (List.length items)) items
+
+let item_equal (a : item) (b : item) : bool =
+  a.it_orig = b.it_orig && a.it_seq = b.it_seq && String.equal a.it_payload b.it_payload
+
+(* Whether [en] is, byte for byte, the INIT pooled for its signer in
+   [round].  An INIT enters the pool only after passing
+   [entry_signature_valid] (or is our own, signed here), and that check is
+   a pure function of (pid, round, signer, items, signature), so an exact
+   match answers it without the RSA verification. *)
+let pooled_init (t : t) ~(round : int) (en : entry) : bool =
+  match Hashtbl.find_opt t.inits round with
+  | None -> false
+  | Some tbl ->
+    (match Hashtbl.find_opt tbl en.en_signer with
+     | Some (_, pooled) ->
+       String.equal pooled.en_sig en.en_sig
+       && List.equal item_equal pooled.en_items en.en_items
+     | None -> false)
+
+(* Each party verifies an INIT signature once: the MVBA validity checks of
+   every proposal carrying it reuse the pooled verification.  A reuse is
+   charged exactly as the verification it replaces (RSA, then the vector
+   hash), so virtual time does not depend on the pool; the registry counts
+   what really ran. *)
 let entry_signature_valid (t : t) ~(round : int) (en : entry) : bool =
   en.en_signer >= 0 && en.en_signer < t.rt.Runtime.cfg.Config.n
   && List.for_all
@@ -227,9 +260,17 @@ let entry_signature_valid (t : t) ~(round : int) (en : entry) : bool =
        en.en_items
   && begin
     Charge.rsa_verify t.rt.Runtime.charge;
-    Crypto.Rsa.verify t.rt.Runtime.keys.Dealer.sign_pks.(en.en_signer)
-      ~ctx:t.pid ~signature:en.en_sig
-      (init_stmt t ~round ~signer:en.en_signer en.en_items)
+    if pooled_init t ~round en then begin
+      Charge.hash t.rt.Runtime.charge ~bytes:(items_encoded_length en.en_items);
+      Trace.Ctx.incr t.rt.Runtime.trace "abc.init_sig_reused";
+      true
+    end
+    else begin
+      Trace.Ctx.incr t.rt.Runtime.trace "abc.init_sig_verified";
+      Crypto.Rsa.verify t.rt.Runtime.keys.Dealer.sign_pks.(en.en_signer)
+        ~ctx:t.pid ~signature:en.en_sig
+        (init_stmt t ~round ~signer:en.en_signer en.en_items)
+    end
   end
 
 (* External validity for a round's batch: B entries, distinct signers, no

@@ -31,6 +31,8 @@ module Enc = struct
     in
     go v
 
+  let rec int_length (v : int) : int = if v < 0x80 then 1 else 1 + int_length (v lsr 7)
+
   let bool (b : t) (v : bool) = u8 b (if v then 1 else 0)
 
   let bytes (b : t) (s : string) =

@@ -25,6 +25,9 @@ module Enc : sig
   val int : t -> int -> unit
   (** Unsigned LEB128. @raise Invalid_argument on negatives. *)
 
+  val int_length : int -> int
+  (** The number of bytes {!int} writes for a non-negative value. *)
+
   val bool : t -> bool -> unit
   (** One byte, [0] or [1]. *)
 

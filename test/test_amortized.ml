@@ -411,12 +411,6 @@ let cache_tests =
 
 (* --- delivery-log determinism and scenario cost regression --- *)
 
-let counter_value (c : Cluster.t) (p : int) (name : string) : float =
-  let m = Trace.Ctx.metrics (Cluster.runtime c p).Runtime.trace in
-  match Trace.Metrics.find_counter m (Printf.sprintf "p%d/%s" p name) with
-  | Some ctr -> Trace.Metrics.value ctr
-  | None -> 0.0
-
 let hist_count (c : Cluster.t) (p : int) (name : string) : int =
   let m = Trace.Ctx.metrics (Cluster.runtime c p).Runtime.trace in
   match Trace.Metrics.find_hist m (Printf.sprintf "p%d/%s" p name) with
@@ -597,7 +591,7 @@ let aba_decisions ~(run_seed : string) : string array * float =
      | (off, why) :: _ ->
        Alcotest.failf "party %d flagged party %d in an honest run: %s" p off
          why);
-    hits := !hits +. counter_value c p "verify.cache_hit"
+    hits := !hits +. Util.counter_value c p "verify.cache_hit"
   done;
   ( Array.map
       (function Some b -> string_of_bool b | None -> "undecided")

@@ -319,4 +319,30 @@ let suite = [
     Runtime.register rt ~pid:"x" (fun ~src:_ _ -> ());
     Alcotest.check_raises "dup" (Invalid_argument "Runtime.register: duplicate pid \"x\"")
       (fun () -> Runtime.register rt ~pid:"x" (fun ~src:_ _ -> ())));
+
+  Alcotest.test_case "atomic: each INIT signature is verified once per party" `Quick
+    (fun () ->
+      let c = Util.cluster ~seed:"init-once" () in
+      let chans, logs, _ = make_atomic c "abc" in
+      for k = 0 to 11 do
+        for i = 0 to 3 do
+          Cluster.inject c i (fun () ->
+            Atomic_channel.send chans.(i) (Printf.sprintf "m%d.%d" i k))
+        done
+      done;
+      ignore (Cluster.run c);
+      Alcotest.(check int) "all delivered" 48 (List.length !(logs.(0)));
+      for p = 0 to 3 do
+        let rounds = Atomic_channel.rounds_completed chans.(p) in
+        let verified = int_of_float (Util.counter_value c p "abc.init_sig_verified") in
+        let reused = Util.counter_value c p "abc.init_sig_reused" in
+        (* One verification per INIT received, at most n per round; the
+           slack of one more round covers proposal entries checked before
+           their INIT reached this party.  Every other MVBA validity check
+           reuses a pooled verification. *)
+        if verified > 4 * (rounds + 1) then
+          Alcotest.failf "party %d verified %d INIT signatures in %d rounds" p verified
+            rounds;
+        if reused = 0.0 then Alcotest.failf "party %d never reused an INIT verification" p
+      done);
 ]

@@ -22,6 +22,71 @@ let sha1_vectors = [
   String.make 1_000_000 'a', "34aa973cd4c4daa4f61eeb2bdbad27316534016f";
 ]
 
+(* RFC 2104 written out directly — pads built per call, the message
+   concatenated onto the inner pad — as the reference the prepared-key
+   implementation must match bit for bit. *)
+let reference_hmac ~(algo : Hashes.Hmac.algo) ~(key : string) (msg : string) : string =
+  let hash =
+    match algo with
+    | Hashes.Hmac.SHA1 -> Hashes.Sha1.digest
+    | Hashes.Hmac.SHA256 -> Hashes.Sha256.digest
+  in
+  let key = if String.length key > 64 then hash key else key in
+  let pad c =
+    String.init 64 (fun i ->
+      let k = if i < String.length key then Char.code key.[i] else 0 in
+      Char.chr (k lxor c))
+  in
+  hash (pad 0x5c ^ hash (pad 0x36 ^ msg))
+
+let both_algos = [ ("sha1", Hashes.Hmac.SHA1); ("sha256", Hashes.Hmac.SHA256) ]
+
+(* (key, message, tag): RFC 2202 test cases 1-7 for HMAC-SHA1 and RFC 4231
+   test cases 1-4, 6 and 7 for HMAC-SHA256.  The last two of each list use
+   a key longer than the block, which is hashed first. *)
+let hmac_sha1_vectors = [
+  (String.make 20 '\x0b', "Hi There", "b617318655057264e28bc0b6fb378c8ef146be00");
+  ("Jefe", "what do ya want for nothing?", "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79");
+  (String.make 20 '\xaa', String.make 50 '\xdd', "125d7342b9ac11cd91a39af48aa17b4f63f175d3");
+  ( String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+    "4c9007f4026250c6bc8414f9bf50c86c2d7235da" );
+  (String.make 20 '\x0c', "Test With Truncation", "4c1a03424b55e07fe7f27be1d58bb9324a9a5a04");
+  ( String.make 80 '\xaa', "Test Using Larger Than Block-Size Key - Hash Key First",
+    "aa4ae5e15272d00e95705637ce8a3b55ed402112" );
+  ( String.make 80 '\xaa',
+    "Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data",
+    "e8e99d0f45237d786d6bbaa7965c7808bbff1a91" );
+]
+
+let hmac_sha256_vectors = [
+  ( String.make 20 '\x0b', "Hi There",
+    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+  ( "Jefe", "what do ya want for nothing?",
+    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+  ( String.make 20 '\xaa', String.make 50 '\xdd',
+    "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+  ( String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+    "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+  ( String.make 131 '\xaa', "Test Using Larger Than Block-Size Key - Hash Key First",
+    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+  ( String.make 131 '\xaa',
+    "This is a test using a larger than block-size key and a larger than \
+     block-size data. The key needs to be hashed before being used by the \
+     HMAC algorithm.",
+    "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+]
+
+(* Each vector through the reference, the prepared key and [mac]. *)
+let check_hmac_vectors algo vectors =
+  List.iteri
+    (fun i (key, msg, want) ->
+      let label = Printf.sprintf "tc%d" (i + 1) in
+      check_hex (label ^ " reference") want (reference_hmac ~algo ~key msg);
+      check_hex (label ^ " prepared key") want
+        (Hashes.Hmac.tag (Hashes.Hmac.key ~algo key) [ msg ]);
+      check_hex (label ^ " mac") want (Hashes.Hmac.mac ~algo ~key msg))
+    vectors
+
 let suite = [
   Alcotest.test_case "sha256 vectors" `Quick (fun () ->
     List.iter
@@ -103,24 +168,10 @@ let suite = [
       (hex (Hashes.Sha256.digest_list [ "foo"; "bar"; "baz" ])));
 
   Alcotest.test_case "hmac-sha256 rfc4231" `Quick (fun () ->
-    (* RFC 4231 test case 1 *)
-    let key = String.make 20 '\x0b' in
-    check_hex "tc1" "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-      (Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA256 ~key "Hi There");
-    (* RFC 4231 test case 2 *)
-    check_hex "tc2" "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-      (Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA256 ~key:"Jefe"
-         "what do ya want for nothing?");
-    (* long key (> block size) forces the key-hash path *)
-    let longkey = String.make 131 '\xaa' in
-    check_hex "tc6" "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-      (Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA256 ~key:longkey
-         "Test Using Larger Than Block-Size Key - Hash Key First"));
+    check_hmac_vectors Hashes.Hmac.SHA256 hmac_sha256_vectors);
 
   Alcotest.test_case "hmac-sha1 rfc2202" `Quick (fun () ->
-    let key = String.make 20 '\x0b' in
-    check_hex "tc1" "b617318655057264e28bc0b6fb378c8ef146be00"
-      (Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA1 ~key "Hi There"));
+    check_hmac_vectors Hashes.Hmac.SHA1 hmac_sha1_vectors);
 
   Alcotest.test_case "hmac verify accepts/rejects" `Quick (fun () ->
     let tag = Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA256 ~key:"k" "msg" in
@@ -132,7 +183,78 @@ let suite = [
       (Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA256 ~key:"k2" ~tag "msg");
     Alcotest.(check bool) "truncated tag" false
       (Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA256 ~key:"k"
-         ~tag:(String.sub tag 0 10) "msg"));
+         ~tag:(String.sub tag 0 10) "msg");
+    (* The prepared key checks a message given in parts. *)
+    let k = Hashes.Hmac.key ~algo:Hashes.Hmac.SHA256 "k" in
+    Alcotest.(check bool) "parts good" true (Hashes.Hmac.check k ~tag [ "m"; "sg" ]);
+    let flipped = Bytes.of_string tag in
+    Bytes.set flipped 5 (Char.chr (Char.code tag.[5] lxor 0x40));
+    Alcotest.(check bool) "flipped tag byte" false
+      (Hashes.Hmac.check k ~tag:(Bytes.to_string flipped) [ "m"; "sg" ]);
+    Alcotest.(check bool) "parts bad msg" false (Hashes.Hmac.check k ~tag [ "m"; "sh" ]));
+
+  Alcotest.test_case "hmac prepared key = RFC 2104 on random keys of every size class"
+    `Quick (fun () ->
+      let d = Hashes.Drbg.create ~seed:"hmac-keys" in
+      List.iter
+        (fun (name, algo) ->
+          List.iter
+            (fun key_len ->
+              for _ = 1 to 8 do
+                let key = Hashes.Drbg.bytes d key_len in
+                let msg = Hashes.Drbg.bytes d (Hashes.Drbg.int d 300) in
+                let want = reference_hmac ~algo ~key msg in
+                let label = Printf.sprintf "%s key %d msg %d" name key_len (String.length msg) in
+                Alcotest.(check string) label (hex want)
+                  (hex (Hashes.Hmac.tag (Hashes.Hmac.key ~algo key) [ msg ]));
+                Alcotest.(check bool) (label ^ " check") true
+                  (Hashes.Hmac.check (Hashes.Hmac.key ~algo key) ~tag:want [ msg ])
+              done)
+            [ 0; 1; 16; 20; 63; 64; 65; 100; 200 ])
+        both_algos);
+
+  Alcotest.test_case "hmac tag is independent of how the message is split" `Quick
+    (fun () ->
+      let msg = String.init 150 (fun i -> Char.chr ((i * 37) land 0xff)) in
+      List.iter
+        (fun (name, algo) ->
+          let k = Hashes.Hmac.key ~algo "split-key" in
+          let whole = Hashes.Hmac.tag k [ msg ] in
+          Alcotest.(check string) (name ^ " no parts = empty message")
+            (hex (Hashes.Hmac.mac ~algo ~key:"split-key" ""))
+            (hex (Hashes.Hmac.tag k []));
+          for i = 0 to String.length msg do
+            let a = String.sub msg 0 i and b = String.sub msg i (String.length msg - i) in
+            Alcotest.(check string) (Printf.sprintf "%s split at %d" name i) (hex whole)
+              (hex (Hashes.Hmac.tag k [ a; b ]));
+            (* Three parts, one empty, and the key reused across calls. *)
+            Alcotest.(check string) (Printf.sprintf "%s split at %d with empty" name i)
+              (hex whole) (hex (Hashes.Hmac.tag k [ a; ""; b ]))
+          done)
+        both_algos);
+
+  Alcotest.test_case "sha copy is an independent context" `Quick (fun () ->
+    let prefix = String.make 70 'p' in
+    (* SHA-1 *)
+    let a = Hashes.Sha1.init () in
+    Hashes.Sha1.feed_string a prefix;
+    let b = Hashes.Sha1.copy a in
+    Hashes.Sha1.feed_string b "copy-only suffix";
+    Alcotest.(check string) "sha1 copy" (hex (Hashes.Sha1.digest (prefix ^ "copy-only suffix")))
+      (hex (Hashes.Sha1.finish b));
+    Hashes.Sha1.feed_string a "x";
+    Alcotest.(check string) "sha1 original" (hex (Hashes.Sha1.digest (prefix ^ "x")))
+      (hex (Hashes.Sha1.finish a));
+    (* SHA-256 *)
+    let a = Hashes.Sha256.init () in
+    Hashes.Sha256.feed_string a prefix;
+    let b = Hashes.Sha256.copy a in
+    Hashes.Sha256.feed_string b "copy-only suffix";
+    Alcotest.(check string) "sha256 copy" (hex (Hashes.Sha256.digest (prefix ^ "copy-only suffix")))
+      (hex (Hashes.Sha256.finish b));
+    Hashes.Sha256.feed_string a "x";
+    Alcotest.(check string) "sha256 original" (hex (Hashes.Sha256.digest (prefix ^ "x")))
+      (hex (Hashes.Sha256.finish a)));
 
   Alcotest.test_case "drbg determinism" `Quick (fun () ->
     let a = Hashes.Drbg.create ~seed:"s" in

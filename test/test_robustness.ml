@@ -24,6 +24,55 @@ let flood (c : Cluster.t) ~(pid : string) ~(seed : string) : unit =
         done)
       (fuzz_bodies ~seed ~count:30))
 
+(* --- a Byzantine INIT signer against the atomic channel ---
+
+   The harness owns a signer's RSA key and crafts its INIT frames, entries
+   and batches directly.  The formats are duplicated from Atomic_channel
+   (INIT tag 0, the entry encoding, the signed statement), as a real
+   attacker's would be. *)
+
+type init_entry = { signer : int; items : (int * int * string) list; signature : string }
+
+let enc_items (b : Wire.Enc.t) items =
+  Wire.Enc.list b
+    (fun b (orig, seq, payload) ->
+      Wire.Enc.int b orig;
+      Wire.Enc.int b seq;
+      Wire.Enc.bytes b payload)
+    items
+
+let enc_init_entry (b : Wire.Enc.t) (en : init_entry) =
+  Wire.Enc.int b en.signer;
+  enc_items b en.items;
+  Wire.Enc.bytes b en.signature
+
+let signed_init (c : Cluster.t) ~(pid : string) ~(round : int) ~(signer : int) items :
+    init_entry =
+  let digest = Hashes.Sha256.digest (Wire.encode (fun b -> enc_items b items)) in
+  let signature =
+    Crypto.Rsa.sign (Cluster.runtime c signer).Runtime.keys.Dealer.sign_sk ~ctx:pid
+      (Printf.sprintf "abc-init|%s|%d|%d|%s" pid round signer digest)
+  in
+  { signer; items; signature }
+
+let send_init_frame (c : Cluster.t) ~(pid : string) ~(round : int) ~(dst : int)
+    (en : init_entry) =
+  Cluster.inject c en.signer (fun () ->
+    Runtime.send (Cluster.runtime c en.signer) ~dst ~pid
+      (Wire.encode (fun b ->
+         Wire.Enc.u8 b 0;
+         Wire.Enc.int b round;
+         enc_init_entry b en)))
+
+let encode_batch (entries : init_entry list) : string =
+  Wire.encode (fun b -> Wire.Enc.list b enc_init_entry entries)
+
+let flip_last_byte (s : string) : string =
+  let b = Bytes.of_string s in
+  let i = Bytes.length b - 1 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+  Bytes.to_string b
+
 let suite = [
   Alcotest.test_case "reliable broadcast survives garbage" `Quick (fun () ->
     let c = Util.cluster ~seed:"fz-rbc" () in
@@ -187,4 +236,70 @@ let suite = [
     for i = 1 to 3 do
       Alcotest.(check (option bool)) "honest value wins" (Some false) decided.(i)
     done);
+
+  Alcotest.test_case "INIT reuse is exact: near-copies of a pooled INIT are fully checked"
+    `Quick (fun () ->
+      let c = Util.cluster ~seed:"init-reuse" ~check_invariants:true () in
+      let pid = "abc" and round = 0 and j = 3 in
+      let log = ref [] in
+      let chan =
+        Atomic_channel.create (Cluster.runtime c 0) ~pid
+          ~on_deliver:(fun ~sender m -> log := (sender, m) :: !log) ()
+      in
+      (* Party 0 pools INITs but neither INITs nor proposes on its own, so
+         round 0 stays open while the harness probes it. *)
+      Atomic_channel.set_gate chan (fun () -> false);
+      let verified () = Util.counter_value c 0 "abc.init_sig_verified" in
+      let reused () = Util.counter_value c 0 "abc.init_sig_reused" in
+      let items = [ (j, 0, "\x01pooled") ] in
+      let pooled = signed_init c ~pid ~round ~signer:j items in
+      send_init_frame c ~pid ~round ~dst:0 pooled;
+      ignore (Cluster.run c);
+      Alcotest.(check (float 0.0)) "pooled INIT verified on arrival" 1.0 (verified ());
+      let other = signed_init c ~pid ~round ~signer:1 [ (1, 0, "\x01other") ] in
+      let near_copies =
+        [ ("flipped signature byte", { pooled with signature = flip_last_byte pooled.signature });
+          ("altered orig", { pooled with items = [ (2, 0, "\x01pooled") ] });
+          ("altered seq", { pooled with items = [ (j, 1, "\x01pooled") ] });
+          ("altered payload", { pooled with items = [ (j, 0, "\x01pooleD") ] });
+          ("extra item", { pooled with items = items @ [ (j, 1, "\x01more") ] }) ]
+      in
+      (* MVBA external validity (reached here through log replay): each
+         near-copy is verified in full and rejected. *)
+      List.iter
+        (fun (name, en) ->
+          let v = verified () and r = reused () in
+          Cluster.inject c 0 (fun () ->
+            Atomic_channel.adopt_round chan ~round ~batch:(encode_batch [ en; other ]));
+          ignore (Cluster.run c);
+          Alcotest.(check int) (name ^ ": batch rejected") 0 (Atomic_channel.current_round chan);
+          Alcotest.(check (float 0.0)) (name ^ ": verified in full") (v +. 1.0) (verified ());
+          Alcotest.(check (float 0.0)) (name ^ ": not reused") r (reused ()))
+        near_copies;
+      (* INIT receipt: a second INIT from j carrying the pooled signature over
+         altered items is no evidence (its signature is invalid); a validly
+         signed conflicting INIT is. *)
+      let flagged () = Invariant.flagged (Cluster.runtime c 0).Runtime.inv in
+      List.iter
+        (fun (name, en) ->
+          if en.items <> items then begin
+            send_init_frame c ~pid ~round ~dst:0 en;
+            ignore (Cluster.run c);
+            Alcotest.(check int) (name ^ ": INIT not flagged") 0 (List.length (flagged ()))
+          end)
+        near_copies;
+      let conflicting = signed_init c ~pid ~round ~signer:j [ (j, 0, "\x01rival") ] in
+      send_init_frame c ~pid ~round ~dst:0 conflicting;
+      ignore (Cluster.run c);
+      Alcotest.(check (list int)) "conflicting INIT flagged" [ j ] (List.map fst (flagged ()));
+      (* The exact pooled entry is reused, and the batch is adopted. *)
+      let v = verified () and r = reused () in
+      Cluster.inject c 0 (fun () ->
+        Atomic_channel.adopt_round chan ~round ~batch:(encode_batch [ pooled; other ]));
+      ignore (Cluster.run c);
+      Alcotest.(check (float 0.0)) "exact copy reused" (r +. 1.0) (reused ());
+      Alcotest.(check (float 0.0)) "only the unpooled entry verified" (v +. 1.0) (verified ());
+      Alcotest.(check int) "batch adopted" 1 (Atomic_channel.current_round chan);
+      Alcotest.(check (list (pair int string))) "delivered"
+        [ (1, "other"); (j, "pooled") ] (List.rev !log));
 ]

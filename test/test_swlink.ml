@@ -59,6 +59,38 @@ let suite = [
     Alcotest.(check (list string)) "b->a"
       (List.map (fun p -> "r:" ^ p) (workload 60)) (List.rev !ad));
 
+  Alcotest.test_case "frame tags are HMAC-SHA1 over the NUL-joined fields" `Quick
+    (fun () ->
+      let engine = Sim.Engine.create ~seed:"sw-tags" () in
+      let a_frames = ref [] and b_frames = ref [] in
+      let a =
+        Sim.Swlink.create ~engine ~mac_key:"pair-key"
+          ~out:(fun f -> a_frames := f :: !a_frames) ~deliver:(fun _ -> ()) ()
+      in
+      let b =
+        Sim.Swlink.create ~engine ~mac_key:"pair-key"
+          ~out:(fun f -> b_frames := f :: !b_frames) ~deliver:(fun _ -> ()) ()
+      in
+      let mac fields =
+        Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA1 ~key:"pair-key" (String.concat "\x00" fields)
+      in
+      Sim.Swlink.send a "hello";
+      let data = List.hd !a_frames in
+      Alcotest.(check string) "data frame"
+        (Wire.encode (fun buf ->
+           Wire.Enc.u8 buf 0;
+           Wire.Enc.int buf 0;
+           Wire.Enc.bytes buf "hello";
+           Wire.Enc.bytes buf (mac [ "data"; "0"; "hello" ])))
+        data;
+      Sim.Swlink.on_datagram b data;
+      Alcotest.(check string) "ack frame"
+        (Wire.encode (fun buf ->
+           Wire.Enc.u8 buf 1;
+           Wire.Enc.int buf 1;
+           Wire.Enc.bytes buf (mac [ "ack"; "1" ])))
+        (List.hd !b_frames));
+
   Alcotest.test_case "window bounds frames in flight" `Quick (fun () ->
     let engine = Sim.Engine.create ~seed:"sw5" () in
     (* a black-hole link: nothing is ever delivered *)

@@ -15,6 +15,15 @@ let suite = [
           (roundtrip Wire.Enc.int Wire.Dec.int v))
       [ 0; 1; 127; 128; 255; 16384; 1 lsl 30; max_int ]);
 
+  Alcotest.test_case "int_length = encoded varint length" `Quick (fun () ->
+    List.iter
+      (fun v ->
+        Alcotest.(check int) (string_of_int v)
+          (String.length (Wire.encode (fun b -> Wire.Enc.int b v)))
+          (Wire.Enc.int_length v))
+      [ 0; 1; 127; 128; 255; 16383; 16384; 1 lsl 20; (1 lsl 21) - 1; 1 lsl 21;
+        1 lsl 35; 1 lsl 49; 1 lsl 56; 1 lsl 61; max_int ]);
+
   Alcotest.test_case "negative int rejected at encode" `Quick (fun () ->
     Alcotest.check_raises "negative" (Invalid_argument "Wire.Enc.int: negative")
       (fun () -> ignore (Wire.encode (fun b -> Wire.Enc.int b (-1)))));

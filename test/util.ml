@@ -46,6 +46,13 @@ let check_all_equal (name : string) (values : 'a list) : unit =
           Alcotest.failf "%s: party %d disagrees with party 0" name (i + 1))
       rest
 
+(* Party [p]'s registry counter [name] (0 when never recorded). *)
+let counter_value (c : Cluster.t) (p : int) (name : string) : float =
+  let m = Trace.Ctx.metrics (Cluster.runtime c p).Runtime.trace in
+  match Trace.Metrics.find_counter m (Printf.sprintf "p%d/%s" p name) with
+  | Some ctr -> Trace.Metrics.value ctr
+  | None -> 0.0
+
 let drbg ?(seed = "test-rng") () = Hashes.Drbg.create ~seed
 
 (* A deterministic qcheck-friendly byte source. *)
