@@ -807,27 +807,77 @@ let explore_cmd =
 
 (* --- bench-check: judge BENCH_*.json artifacts by the floor table --- *)
 
+(* One line per numeric leaf: baseline, this report, relative change. *)
+let print_changes (changes : Load.Artifact.change list) : unit =
+  let width =
+    List.fold_left (fun w c -> max w (String.length c.Load.Artifact.path)) 0 changes
+  in
+  List.iter
+    (fun { Load.Artifact.path; before; after } ->
+      let value = function Some x -> Printf.sprintf "%g" x | None -> "-" in
+      let delta =
+        match before, after with
+        | Some b, Some a when b = a -> "="
+        | Some b, Some a when b <> 0.0 ->
+          Printf.sprintf "%+.1f%%" (100.0 *. ((a -. b) /. Float.abs b))
+        | Some _, Some _ -> "changed"
+        | None, _ -> "new"
+        | _, None -> "gone"
+      in
+      Printf.printf "  %-*s  %12s -> %-12s  %s\n" width path (value before)
+        (value after) delta)
+    changes
+
 let bench_check_cmd =
-  let run files =
-    let judge file =
+  let run baseline files =
+    let parse file =
       match Trace.Json.parse (read_file file) with
       | Error e -> Error [ "not JSON: " ^ e ]
-      | Ok doc -> Load.Artifact.check ~file doc
+      | Ok doc -> Ok doc
       | exception Sys_error e -> Error [ e ]
     in
+    let base =
+      Option.map
+        (fun file ->
+          match parse file with
+          | Ok doc -> (file, doc)
+          | Error es ->
+            List.iter (Printf.eprintf "%s: INVALID: %s\n" file) es;
+            exit 1)
+        baseline
+    in
+    let schema doc = Option.bind (Trace.Json.member "schema" doc) Trace.Json.str_opt in
     let ok =
       List.fold_left
         (fun ok file ->
-          match judge file with
-          | Ok schema ->
-            Printf.printf "%s: valid %s\n" file schema;
-            ok
+          match Result.bind (parse file) (fun doc ->
+                  Result.map (fun s -> (doc, s)) (Load.Artifact.check ~file doc))
+          with
+          | Ok (doc, s) ->
+            Printf.printf "%s: valid %s\n" file s;
+            (match base with
+             | None -> ok
+             | Some (bfile, bdoc) when schema bdoc = Some s ->
+               Printf.printf "%s against %s:\n" file bfile;
+               print_changes (Load.Artifact.diff ~baseline:bdoc doc);
+               ok
+             | Some (bfile, _) ->
+               Printf.eprintf "%s: INVALID: baseline %s is not a %s report\n" file
+                 bfile s;
+               false)
           | Error violations ->
             List.iter (Printf.eprintf "%s: INVALID: %s\n" file) violations;
             false)
         true files
     in
     if not ok then exit 1
+  in
+  let baseline =
+    Arg.(value & opt (some string) None
+         & info [ "baseline" ] ~docv:"OLD"
+             ~doc:"Also print every numeric row of each FILE against the \
+                   same artifact in $(docv) (typically the committed one): \
+                   old value, new value, relative change.")
   in
   let files =
     Arg.(non_empty & pos_all string []
@@ -839,8 +889,9 @@ let bench_check_cmd =
              generator, seed, smoke) and the floors of each artifact's \
              schema.  A file named BENCH_<name>.json must hold that \
              artifact, and the committed perf report must be the full \
-             1024-bit run.  Exit 1 on any violation.")
-    Term.(const run $ files)
+             1024-bit run.  With --baseline, also print each report's \
+             change row by row.  Exit 1 on any violation.")
+    Term.(const run $ baseline $ files)
 
 (* --- store-check: validate write-ahead log files --- *)
 

@@ -325,7 +325,7 @@ end
    bits, so a column of up to 2k products plus the incoming carry stays
    below 2^62 for k <= [max_limbs] — no per-product carry chain, and the
    only memory touched is the k-limb output. *)
-module Montgomery = struct
+module Mont = struct
   let bits = 26
   let mask = (1 lsl bits) - 1
 
@@ -339,6 +339,7 @@ module Montgomery = struct
   type residue = int array
 
   type ctx = {
+    m : t;              (* the modulus *)
     k : int;            (* 26-bit limbs per residue *)
     n : int array;      (* m in k 26-bit limbs *)
     m_prime : int;      (* -m^-1 mod 2^26 *)
@@ -446,7 +447,7 @@ module Montgomery = struct
     if k > max_limbs then invalid_arg "Nat.Montgomery.create: modulus too wide";
     let n = limbs_of_nat k m in
     let r2 = limbs_of_nat k (rem (shift_left one (2 * bits * k)) m) in
-    let ctx = { k; n; m_prime = (mask + 1 - inv_limb n.(0)) land mask; r2; one_m = r2 } in
+    let ctx = { m; k; n; m_prime = (mask + 1 - inv_limb n.(0)) land mask; r2; one_m = r2 } in
     (* REDC(R^2) = R mod m *)
     let unit = Array.make k 0 in
     unit.(0) <- 1;
@@ -492,15 +493,17 @@ let barrett_domain (m : t) : domain =
     enter = Fun.id;
     leave = Fun.id }
 
+(* The domain over a prepared Montgomery context: building it allocates
+   only the closures, no division. *)
+let mont_domain (ctx : Mont.ctx) : domain =
+  { one_d = Mont.one_m ctx;
+    copy = Array.copy;
+    mul_into = (fun u a b -> Mont.mul_into ctx u a b; u);
+    enter = Mont.to_mont ctx;
+    leave = Mont.of_mont ctx }
+
 let mod_domain (m : t) : domain =
-  if Montgomery.supports m then begin
-    let ctx = Montgomery.create m in
-    { one_d = Montgomery.one_m ctx;
-      copy = Array.copy;
-      mul_into = (fun u a b -> Montgomery.mul_into ctx u a b; u);
-      enter = Montgomery.to_mont ctx;
-      leave = Montgomery.of_mont ctx }
-  end
+  if Mont.supports m then mont_domain (Mont.create m)
   else barrett_domain m
 
 (* A product into a fresh value, for tables that outlive the call. *)
@@ -596,8 +599,7 @@ let pair_table (dom : domain) (b1 : t) (b2 : t option) : t array =
    bits: 2 squarings plus at most one multiply per block — so the marginal
    cost of each further base is ~e/4 multiplies against ~1.5e for a
    separate powmod.  [pairs] has no zero exponent and m > 1. *)
-let multi_exp (pairs : (t * t) list) (m : t) : t =
-  let dom = mod_domain m in
+let multi_exp (dom : domain) (pairs : (t * t) list) (m : t) : t =
   let bases = Array.of_list (List.map (fun (b, _) -> dom.enter (rem b m)) pairs) in
   let exps = Array.of_list (List.map snd pairs) in
   let k = Array.length bases in
@@ -628,21 +630,47 @@ let multi_exp (pairs : (t * t) list) (m : t) : t =
    2 squarings + ~2.5 multiplies for two separate windowed exponentiations
    — about 1.9x faster on the DLEQ verification shape where both exponents
    are full group-order size. *)
-let powmod2 (b1 : t) (e1 : t) (b2 : t) (e2 : t) (m : t) : t =
+let powmod2_in (dom_of_m : t -> domain) (b1 : t) (e1 : t) (b2 : t) (e2 : t)
+    (m : t) : t =
   if is_zero m then raise Division_by_zero;
   if equal m one then zero
-  else if is_zero e1 then powmod b2 e2 m
-  else if is_zero e2 then powmod b1 e1 m
-  else multi_exp [ (b1, e1); (b2, e2) ] m
+  else if is_zero e1 then powmod_in dom_of_m b2 e2 m
+  else if is_zero e2 then powmod_in dom_of_m b1 e1 m
+  else multi_exp (dom_of_m m) [ (b1, e1); (b2, e2) ] m
 
-let powmod_multi (pairs : (t * t) list) (m : t) : t =
+let powmod2 (b1 : t) (e1 : t) (b2 : t) (e2 : t) (m : t) : t =
+  powmod2_in mod_domain b1 e1 b2 e2 m
+
+let powmod_multi_in (dom_of_m : t -> domain) (pairs : (t * t) list) (m : t)
+    : t =
   if is_zero m then raise Division_by_zero;
   if equal m one then zero
   else
     match List.filter (fun (_, e) -> not (is_zero e)) pairs with
     | [] -> one
-    | [ (b, e) ] -> powmod b e m
-    | pairs -> multi_exp pairs m
+    | [ (b, e) ] -> powmod_in dom_of_m b e m
+    | pairs -> multi_exp (dom_of_m m) pairs m
+
+let powmod_multi (pairs : (t * t) list) (m : t) : t =
+  powmod_multi_in mod_domain pairs m
+
+(* The three exponentiation shapes over a context the caller keeps — a
+   key's modulus, built once at keygen or deal time — instead of one
+   [Montgomery.create] (a division for R^2 mod m) per call.  Same results
+   as the plain functions on the context's modulus. *)
+module Montgomery = struct
+  include Mont
+
+  let held (ctx : ctx) (_ : t) : domain = mont_domain ctx
+
+  let powmod (ctx : ctx) (base : t) (e : t) : t = powmod_in (held ctx) base e ctx.m
+
+  let powmod2 (ctx : ctx) (b1 : t) (e1 : t) (b2 : t) (e2 : t) : t =
+    powmod2_in (held ctx) b1 e1 b2 e2 ctx.m
+
+  let powmod_multi (ctx : ctx) (pairs : (t * t) list) : t =
+    powmod_multi_in (held ctx) pairs ctx.m
+end
 
 (* Fixed-base precomputation (BGMW/HAC 14.109 with full per-block tables):
    for a base reused across many exponentiations — the group generator, a

@@ -120,11 +120,15 @@ end
     output, and the column's low limb is cancelled by a multiple of [m] —
     no quotient estimation.  {!powmod}, {!powmod2}, {!powmod_multi} and
     {!Fixed_base} route every odd modulus (all of SINTRA's groups and RSA
-    moduli) through it. *)
+    moduli) through it, building a context per call; a long-lived modulus
+    (a key's) keeps its context and exponentiates through
+    {!Montgomery.powmod} and its siblings instead. *)
 module Montgomery : sig
   type ctx
   (** Precomputed [-m]{^ -1}[ mod 2]{^26} and [R]{^2}[ mod m] for an odd
-      modulus [m].  Immutable: it holds no scratch. *)
+      modulus [m].  Immutable and pure data (integers and int arrays, no
+      closures): it holds no scratch, and records that carry one keep
+      structural equality. *)
 
   type residue
   (** A Montgomery-form residue: [k] limbs of base 2{^26}. *)
@@ -150,6 +154,19 @@ module Montgomery : sig
 
   val one_m : ctx -> residue
   (** The Montgomery form of 1, i.e. [R mod m]. *)
+
+  val powmod : ctx -> t -> t -> t
+  (** [powmod ctx b e] is [Nat.powmod b e m] for the modulus [m] the
+      context was built for: the same windows and kernel, without the
+      per-call [create] (one division for [R]{^2}[ mod m]). *)
+
+  val powmod2 : ctx -> t -> t -> t -> t -> t
+  (** [powmod2 ctx b1 e1 b2 e2] is [Nat.powmod2 b1 e1 b2 e2 m] over the
+      held context. *)
+
+  val powmod_multi : ctx -> (t * t) list -> t
+  (** [powmod_multi ctx pairs] is [Nat.powmod_multi pairs m] over the held
+      context. *)
 end
 
 val powmod : t -> t -> t -> t

@@ -184,15 +184,16 @@ let coin_shares (pub : Threshold_coin.public) ~(name : string)
 
 (* --- Shoup threshold-signature shares --- *)
 
-let tsig_shares (pub : Threshold_sig.public) ~(ctx : string) (msg : string)
+let tsig_shares_stmt (pub : Threshold_sig.public) (st : Rsa.stmt)
     (shares : Threshold_sig.share list) : verdict =
   let shares = Array.of_list shares in
   let n = Array.length shares in
-  let nmod = pub.Threshold_sig.n_mod in
+  let rsa = pub.Threshold_sig.rsa in
+  let nmod = rsa.Rsa.n in
   (* xtilde = x^{4 Delta} is shared by every proof on this message:
      computed once per batch, where the one-at-a-time path pays it per
      share. *)
-  let xtilde = lazy (Threshold_sig.xtilde_rep pub ~ctx msg) in
+  let xtilde = lazy (Threshold_sig.xtilde_rep_stmt pub st) in
   let pre i =
     let s = shares.(i) in
     s.Threshold_sig.origin >= 1
@@ -202,9 +203,9 @@ let tsig_shares (pub : Threshold_sig.public) ~(ctx : string) (msg : string)
   in
   let transcript_parts () =
     let buf = Buffer.create (64 * n) in
-    Buffer.add_string buf ctx;
+    Buffer.add_string buf (Rsa.stmt_ctx st);
     Buffer.add_char buf '\x00';
-    Buffer.add_string buf msg;
+    Buffer.add_string buf (Rsa.stmt_msg st);
     Array.iter
       (fun s ->
         Buffer.add_string buf (string_of_int s.Threshold_sig.origin);
@@ -241,10 +242,14 @@ let tsig_shares (pub : Threshold_sig.public) ~(ctx : string) (msg : string)
           :: !rhs)
       idxs;
     let lhs =
-      Nat.powmod_multi
-        [ (pub.Threshold_sig.v, !sum_d_z); (xt, !sum_e_z) ] nmod
+      Nat.Montgomery.powmod_multi rsa.Rsa.mont
+        [ (pub.Threshold_sig.v, !sum_d_z); (xt, !sum_e_z) ]
     in
-    Nat.equal lhs (Nat.powmod_multi !rhs nmod)
+    Nat.equal lhs (Nat.Montgomery.powmod_multi rsa.Rsa.mont !rhs)
   in
-  let single i = Threshold_sig.verify_share pub ~ctx msg shares.(i) in
+  let single i = Threshold_sig.verify_share_stmt pub st shares.(i) in
   run ~n ~pre ~combined ~single
+
+let tsig_shares (pub : Threshold_sig.public) ~(ctx : string) (msg : string)
+    (shares : Threshold_sig.share list) : verdict =
+  tsig_shares_stmt pub (Threshold_sig.statement pub ~ctx msg) shares

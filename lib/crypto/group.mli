@@ -24,6 +24,9 @@ type t = {
   g : Bignum.Nat.t;         (** generator of the order-[q] subgroup *)
   cofactor : Bignum.Nat.t;  (** [(p-1)/q] *)
   g_tbl : table;            (** fixed-base table for [g], built by {!make} *)
+  mont : Bignum.Nat.Montgomery.ctx;
+  (** [p]'s Montgomery context, built by {!make}: every other power in
+      the group exponentiates through it *)
 }
 
 type elt = Bignum.Nat.t

@@ -9,6 +9,9 @@
 type public = {
   n : Bignum.Nat.t;
   e : Bignum.Nat.t;
+  mont : Bignum.Nat.Montgomery.ctx;
+  (** [n]'s Montgomery context, built once with the key: every
+      verification exponentiates through it *)
 }
 
 type secret = {
@@ -19,7 +22,13 @@ type secret = {
   d_p : Bignum.Nat.t;     (** [d mod p-1] *)
   d_q : Bignum.Nat.t;     (** [d mod q-1] *)
   q_inv : Bignum.Nat.t;   (** [q^-1 mod p] *)
+  mont_p : Bignum.Nat.Montgomery.ctx;   (** for the CRT half mod [p] *)
+  mont_q : Bignum.Nat.Montgomery.ctx;   (** for the CRT half mod [q] *)
 }
+
+val make_public : n:Bignum.Nat.t -> e:Bignum.Nat.t -> public
+(** A public key with its Montgomery context.
+    @raise Invalid_argument on an even [n]. *)
 
 val default_e : Bignum.Nat.t
 (** 65537. *)
@@ -27,23 +36,57 @@ val default_e : Bignum.Nat.t
 val keygen : ?e:Bignum.Nat.t -> drbg:Hashes.Drbg.t -> bits:int -> unit -> secret
 (** Deterministic (DRBG-driven) key generation with a [bits]-bit modulus. *)
 
+(** {2 Full-domain hash, in two halves} *)
+
+type stmt
+(** A prepared statement: the key-independent half of the full-domain
+    hash of [(ctx, msg)] — the SHA-256 blocks over
+    ["rsa-fdh|" ctx "|" i "|" msg] for one modulus byte length.  Signing
+    or checking it under a key costs one reduction mod [n], not the
+    hashing; a [k]-signature multi-signature hashes its statement once. *)
+
+val prepare : nbytes:int -> ctx:string -> string -> stmt
+(** Hash [(ctx, msg)] for moduli of [nbytes] bytes. *)
+
+val stmt_for : public -> ctx:string -> string -> stmt
+(** {!prepare} for this key's modulus length. *)
+
+val stmt_ctx : stmt -> string
+(** The context the statement was prepared under. *)
+
+val stmt_msg : stmt -> string
+(** The message the statement was prepared for. *)
+
+val fdh_stmt : public -> stmt -> Bignum.Nat.t
+(** The full-domain hash of the statement under this key, in [[0, n)].  A
+    statement prepared for another modulus length is re-hashed for this
+    one, so the result is always [fdh pub ~ctx msg]. *)
+
 val fdh : public -> ctx:string -> string -> Bignum.Nat.t
 (** Full-domain hash of a message into [[0, n)], domain-separated by [ctx]
-    (SINTRA binds every signature to its protocol instance). *)
+    (SINTRA binds every signature to its protocol instance):
+    [fdh_stmt pub (stmt_for pub ~ctx msg)]. *)
 
 val crt_power : secret -> Bignum.Nat.t -> Bignum.Nat.t
 (** [x^d mod n] by the Chinese remainder theorem (~4x faster than the
-    direct exponentiation). *)
+    direct exponentiation), over the key's held contexts for [p] and
+    [q]. *)
+
+val sign_stmt : secret -> stmt -> string
+(** FDH signature on a prepared statement, as a fixed-width byte string. *)
+
+val verify_stmt : public -> signature:string -> stmt -> bool
+(** FDH verification of a prepared statement: one short exponentiation
+    ([e = 65537] is 17 multiplications). *)
 
 val sign : secret -> ctx:string -> string -> string
-(** FDH signature, as a fixed-width byte string. *)
+(** {!sign_stmt} on a freshly prepared statement. *)
 
 val verify : public -> ctx:string -> signature:string -> string -> bool
-(** FDH verification: one short exponentiation ([e = 65537] is 17
-    multiplications). *)
+(** {!verify_stmt} on a freshly prepared statement. *)
 
 val signature_bytes : public -> int
-(** Signature size, for wire-cost accounting. *)
+(** Signature size (the modulus byte length), for wire-cost accounting. *)
 
 val public_to_bytes : public -> string
 (** A canonical encoding of the public key (for hashing/binding). *)

@@ -1,0 +1,72 @@
+(* Prepared threshold-signature statements, one table per party.
+
+   A party hashes the same (ctx, msg) statement many times over one
+   protocol instance: once to release its own share, then again for every
+   share, closing and justification it checks on the same statement.
+   This table keeps the prepared statement (Rsa.prepare: the SHA-256
+   blocks of the full-domain hash) so each statement is hashed once per
+   party.
+
+   - The key is the full (ctx, msg) pair, compared by string equality, so
+     a hit returns exactly what preparing afresh would: acceptance cannot
+     change.  Statements are prepared for one modulus length; Rsa.fdh_stmt
+     re-hashes for a key of any other length.
+   - Entries are grouped by ctx — the protocol instance's pid — and a
+     group is evicted wholesale when its instance unregisters, like
+     Share_cache; [clear] drops everything on a crash.
+   - The table never exceeds [cap] entries: statements of instances that
+     never unregister here (closings checked for a peer's instance) would
+     otherwise accumulate, so reaching the cap empties the table.  Losing
+     an entry costs one re-hash, never a different answer. *)
+
+type t = {
+  cap : int;
+  groups : (string, (string, Rsa.stmt) Hashtbl.t) Hashtbl.t;  (* ctx -> msg -> stmt *)
+  mutable size : int;
+  mutable peak : int;
+  mutable hashed : int;
+  mutable reused : int;
+}
+
+let create ~(cap : int) : t =
+  if cap < 1 then invalid_arg "Stmt_table.create: cap must be >= 1";
+  { cap; groups = Hashtbl.create 64; size = 0; peak = 0; hashed = 0; reused = 0 }
+
+let size (t : t) : int = t.size
+let peak (t : t) : int = t.peak
+let hashed (t : t) : int = t.hashed
+let reused (t : t) : int = t.reused
+
+let clear (t : t) : unit =
+  Hashtbl.reset t.groups;
+  t.size <- 0
+
+let find (t : t) ~(nbytes : int) ~(ctx : string) (msg : string) : Rsa.stmt =
+  let group = Hashtbl.find_opt t.groups ctx in
+  match Option.bind group (fun g -> Hashtbl.find_opt g msg) with
+  | Some st ->
+    t.reused <- t.reused + 1;
+    st
+  | None ->
+    t.hashed <- t.hashed + 1;
+    let st = Rsa.prepare ~nbytes ~ctx msg in
+    if t.size >= t.cap then clear t;
+    let g =
+      match Hashtbl.find_opt t.groups ctx with
+      | Some g -> g
+      | None ->
+        let g = Hashtbl.create 8 in
+        Hashtbl.replace t.groups ctx g;
+        g
+    in
+    Hashtbl.replace g msg st;
+    t.size <- t.size + 1;
+    if t.size > t.peak then t.peak <- t.size;
+    st
+
+let evict_group (t : t) (ctx : string) : unit =
+  match Hashtbl.find_opt t.groups ctx with
+  | None -> ()
+  | Some g ->
+    t.size <- t.size - Hashtbl.length g;
+    Hashtbl.remove t.groups ctx

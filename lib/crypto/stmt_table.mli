@@ -1,0 +1,41 @@
+(** Prepared threshold-signature statements, one table per party.
+
+    Keeps the {!Rsa.prepare}d form of every [(ctx, msg)] statement a party
+    signs or checks, so the full-domain hash's SHA-256 work is done once
+    per statement per party instead of once per release, share check and
+    signature check.  The key is the full [(ctx, msg)] pair compared by
+    string equality: a hit returns exactly the statement preparing afresh
+    would, so acceptance never changes.  Entries are grouped by [ctx] (the
+    protocol instance's pid) and evicted with it; at [cap] entries the
+    table empties itself. *)
+
+type t
+(** A table instance (one per party; volatile — crash discards it). *)
+
+val create : cap:int -> t
+(** An empty table holding at most [cap] statements.
+    @raise Invalid_argument if [cap < 1]. *)
+
+val find : t -> nbytes:int -> ctx:string -> string -> Rsa.stmt
+(** The statement for [(ctx, msg)]: the stored one on a hit, else prepared
+    for moduli of [nbytes] bytes and stored under group [ctx] (emptying
+    the table first if it is full). *)
+
+val evict_group : t -> string -> unit
+(** Drop every statement of this [ctx] — called when the owning protocol
+    instance is garbage-collected. *)
+
+val clear : t -> unit
+(** Drop every statement (crash); the counters keep counting. *)
+
+val size : t -> int
+(** Live statements ([<= cap] always). *)
+
+val peak : t -> int
+(** The largest [size] so far. *)
+
+val hashed : t -> int
+(** Lookups that missed and prepared the statement. *)
+
+val reused : t -> int
+(** Lookups answered from the table. *)

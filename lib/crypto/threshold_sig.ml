@@ -19,8 +19,7 @@
 open Bignum
 
 type public = {
-  n_mod : Nat.t;                (* RSA modulus *)
-  e : Nat.t;                    (* public exponent, prime *)
+  rsa : Rsa.public;             (* RSA modulus n and prime exponent e *)
   nparties : int;
   k : int;
   t : int;
@@ -86,16 +85,27 @@ let deal ?(e = Nat.of_int 65537) ~(drbg : Hashes.Drbg.t) ~(modulus_bits : int) ~
   in
   let vks = Array.map (fun s -> Nat.Fixed_base.pow v_tbl s.Shamir.value) shamir in
   {
-    public = { n_mod; e; nparties; k; t; v; vks; v_tbl };
+    public = { rsa = Rsa.make_public ~n:n_mod ~e; nparties; k; t; v; vks; v_tbl };
     shares = Array.map (fun s -> { index = s.Shamir.index; s_i = s.Shamir.value }) shamir;
   }
 
 let delta (pub : public) : Nat.t = Shamir.delta pub.nparties
 
+let n_mod (pub : public) : Nat.t = pub.rsa.Rsa.n
+
+(* Exponentiation mod n over the key's held Montgomery context. *)
+let pow (pub : public) (b : Nat.t) (e : Nat.t) : Nat.t =
+  Nat.Montgomery.powmod pub.rsa.Rsa.mont b e
+
+let statement (pub : public) ~(ctx : string) (msg : string) : Rsa.stmt =
+  Rsa.stmt_for pub.rsa ~ctx msg
+
 (* The value being signed: a full-domain hash of the message into Z_n,
    domain-separated by the protocol context. *)
+let message_rep_stmt (pub : public) (st : Rsa.stmt) : Nat.t = Rsa.fdh_stmt pub.rsa st
+
 let message_rep (pub : public) ~(ctx : string) (msg : string) : Nat.t =
-  Rsa.fdh { Rsa.n = pub.n_mod; e = pub.e } ~ctx msg
+  message_rep_stmt pub (statement pub ~ctx msg)
 
 let hash_challenge (parts : Nat.t list) : Nat.t =
   let joined =
@@ -105,43 +115,47 @@ let hash_challenge (parts : Nat.t list) : Nat.t =
   let b1 = Hashes.Sha256.digest_list [ "tsig-chal|1|"; joined ] in
   Nat.shift_right (Nat.of_bytes_be (b0 ^ b1)) (512 - challenge_bits)
 
-let release ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) ~(ctx : string)
-    (msg : string) : share =
-  let x = message_rep pub ~ctx msg in
+let release_stmt ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share)
+    (st : Rsa.stmt) : share =
+  let x = message_rep_stmt pub st in
   let dlt = delta pub in
   let two_delta = Nat.shift_left dlt 1 in
-  let x_i = Nat.powmod x (Nat.mul two_delta sk.s_i) pub.n_mod in
+  let x_i = pow pub x (Nat.mul two_delta sk.s_i) in
   (* Proof of correctness over the unknown-order group QR_n. *)
-  let xtilde = Nat.powmod x (Nat.shift_left dlt 2) pub.n_mod in
-  let x_i_sq = Nat.rem (Nat.sqr x_i) pub.n_mod in
+  let xtilde = pow pub x (Nat.shift_left dlt 2) in
+  let x_i_sq = Nat.rem (Nat.sqr x_i) (n_mod pub) in
   (* r is drawn from [0, 2^(nbits + 2*challenge_bits)) so that z = s_i*c + r
      statistically hides s_i * c. *)
-  let rbits = Nat.numbits pub.n_mod + 2 * challenge_bits in
+  let rbits = Nat.numbits (n_mod pub) + 2 * challenge_bits in
   let r = Nat.random_bits ~random_bytes:(Hashes.Drbg.random_bytes drbg) rbits in
   let v' = Nat.Fixed_base.pow pub.v_tbl r in
-  let x' = Nat.powmod xtilde r pub.n_mod in
+  let x' = pow pub xtilde r in
   let c = hash_challenge [ pub.v; xtilde; pub.vks.(sk.index - 1); x_i_sq; v'; x' ] in
   let z = Nat.add (Nat.mul sk.s_i c) r in
   { origin = sk.index; x_i; proof_v = v'; proof_x = x'; proof_z = z }
+
+let release ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) ~(ctx : string)
+    (msg : string) : share =
+  release_stmt ~drbg pub sk (statement pub ~ctx msg)
 
 (* The challenge a share's proof is checked against, given the message
    representative's xtilde = x^{4 Delta} (shared by every share on the same
    message — batch verification computes it once). *)
 let share_challenge (pub : public) ~(xtilde : Nat.t) (s : share) : Nat.t =
-  let x_i_sq = Nat.rem (Nat.sqr s.x_i) pub.n_mod in
+  let x_i_sq = Nat.rem (Nat.sqr s.x_i) (n_mod pub) in
   hash_challenge [ pub.v; xtilde; pub.vks.(s.origin - 1); x_i_sq; s.proof_v; s.proof_x ]
 
-let xtilde_rep (pub : public) ~(ctx : string) (msg : string) : Nat.t =
-  let x = message_rep pub ~ctx msg in
-  Nat.powmod x (Nat.shift_left (delta pub) 2) pub.n_mod
+let xtilde_rep_stmt (pub : public) (st : Rsa.stmt) : Nat.t =
+  pow pub (message_rep_stmt pub st) (Nat.shift_left (delta pub) 2)
 
-let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
+let verify_share_stmt (pub : public) (st : Rsa.stmt) (s : share) : bool =
+  let n_mod = n_mod pub in
   s.origin >= 1 && s.origin <= pub.nparties
-  && Nat.compare s.x_i pub.n_mod < 0
+  && Nat.compare s.x_i n_mod < 0
   && not (Nat.is_zero s.x_i)
   && begin
-    let xtilde = xtilde_rep pub ~ctx msg in
-    let x_i_sq = Nat.rem (Nat.sqr s.x_i) pub.n_mod in
+    let xtilde = xtilde_rep_stmt pub st in
+    let x_i_sq = Nat.rem (Nat.sqr s.x_i) n_mod in
     let c = share_challenge pub ~xtilde s in
     (* Check v^z = v' * v_i^c and xtilde^z = x' * (x_i^2)^c.  All exponents
        positive — no inversions; v^z hits v's fixed-base table (no
@@ -149,11 +163,13 @@ let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : boo
        (challenge_bits).  Out-of-range commitments reject on the compare:
        the recomputed sides are reduced mod n. *)
     Nat.equal (Nat.Fixed_base.pow pub.v_tbl s.proof_z)
-      (Nat.rem (Nat.mul s.proof_v (Nat.powmod pub.vks.(s.origin - 1) c pub.n_mod))
-         pub.n_mod)
-    && Nat.equal (Nat.powmod xtilde s.proof_z pub.n_mod)
-         (Nat.rem (Nat.mul s.proof_x (Nat.powmod x_i_sq c pub.n_mod)) pub.n_mod)
+      (Nat.rem (Nat.mul s.proof_v (pow pub pub.vks.(s.origin - 1) c)) n_mod)
+    && Nat.equal (pow pub xtilde s.proof_z)
+         (Nat.rem (Nat.mul s.proof_x (pow pub x_i_sq c)) n_mod)
   end
+
+let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
+  verify_share_stmt pub (statement pub ~ctx msg) s
 
 (* The textbook verification path: both equations by plain modular
    exponentiation, no fixed-base table — the reference twin of
@@ -163,18 +179,19 @@ let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : boo
    against k of these. *)
 let verify_share_reference (pub : public) ~(ctx : string) (msg : string)
     (s : share) : bool =
+  let n_mod = n_mod pub in
   s.origin >= 1 && s.origin <= pub.nparties
-  && Nat.compare s.x_i pub.n_mod < 0
+  && Nat.compare s.x_i n_mod < 0
   && not (Nat.is_zero s.x_i)
   && begin
-    let xtilde = xtilde_rep pub ~ctx msg in
-    let x_i_sq = Nat.rem (Nat.sqr s.x_i) pub.n_mod in
+    let xtilde = xtilde_rep_stmt pub (statement pub ~ctx msg) in
+    let x_i_sq = Nat.rem (Nat.sqr s.x_i) n_mod in
     let c = share_challenge pub ~xtilde s in
-    Nat.equal (Nat.powmod pub.v s.proof_z pub.n_mod)
-      (Nat.rem (Nat.mul s.proof_v (Nat.powmod pub.vks.(s.origin - 1) c pub.n_mod))
-         pub.n_mod)
-    && Nat.equal (Nat.powmod xtilde s.proof_z pub.n_mod)
-         (Nat.rem (Nat.mul s.proof_x (Nat.powmod x_i_sq c pub.n_mod)) pub.n_mod)
+    Nat.equal (Nat.powmod pub.v s.proof_z n_mod)
+      (Nat.rem (Nat.mul s.proof_v (Nat.powmod pub.vks.(s.origin - 1) c n_mod))
+         n_mod)
+    && Nat.equal (Nat.powmod xtilde s.proof_z n_mod)
+         (Nat.rem (Nat.mul s.proof_x (Nat.powmod x_i_sq c n_mod)) n_mod)
   end
 
 (* Combine k verified shares into a standard RSA signature on the FDH of
@@ -191,7 +208,7 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
   if List.length shares < pub.k then invalid_arg "Threshold_sig.assemble: not enough distinct shares";
   let x = message_rep pub ~ctx msg in
   let points = List.map (fun s -> s.origin) shares in
-  let nb = Bigint.of_nat pub.n_mod in
+  let nb = Bigint.of_nat (n_mod pub) in
   (* w = prod x_i^{2 lambda_i}: one k-way multi-exponentiation per sign
      (the integer Lagrange coefficients are signed), then a single
      inversion folds the negative-exponent half in — against k separate
@@ -208,11 +225,11 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
         else ((s.x_i, Bigint.to_nat e2) :: pos, neg))
       ([], []) shares
   in
-  let p_part = Nat.powmod_multi pos pub.n_mod in
+  let p_part = Nat.Montgomery.powmod_multi pub.rsa.Rsa.mont pos in
   let w =
     if neg = [] then Bigint.of_nat p_part
     else begin
-      let n_part = Nat.powmod_multi neg pub.n_mod in
+      let n_part = Nat.Montgomery.powmod_multi pub.rsa.Rsa.mont neg in
       Bigint.erem
         (Bigint.mul (Bigint.of_nat p_part)
            (Bigint.invmod (Bigint.of_nat n_part) nb))
@@ -222,7 +239,7 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
   (* w = x^{e' d} with e' = 4*Delta^2; recover y = x^d via egcd(e', e) = 1. *)
   let dlt = Bigint.of_nat (delta pub) in
   let e' = Bigint.shift_left (Bigint.mul dlt dlt) 2 in
-  let g, a, b = Bigint.egcd e' (Bigint.of_nat pub.e) in
+  let g, a, b = Bigint.egcd e' (Bigint.of_nat pub.rsa.Rsa.e) in
   if not (Bigint.equal g Bigint.one) then invalid_arg "Threshold_sig.assemble: gcd(e', e) <> 1";
   let y =
     Bigint.erem
@@ -230,12 +247,14 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
          (Bigint.powmod_signed (Bigint.of_nat x) b nb))
       nb
   in
-  let nbytes = (Nat.numbits pub.n_mod + 7) / 8 in
-  Nat.to_bytes_be ~len:nbytes (Bigint.to_nat y)
+  Nat.to_bytes_be ~len:(Rsa.signature_bytes pub.rsa) (Bigint.to_nat y)
 
 (* Verify an assembled signature: plain RSA verification, usable by anyone
    holding only (n, e). *)
-let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
-  Rsa.verify { Rsa.n = pub.n_mod; e = pub.e } ~ctx ~signature msg
+let verify_stmt (pub : public) ~(signature : string) (st : Rsa.stmt) : bool =
+  Rsa.verify_stmt pub.rsa ~signature st
 
-let signature_bytes (pub : public) : int = (Nat.numbits pub.n_mod + 7) / 8
+let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
+  verify_stmt pub ~signature (statement pub ~ctx msg)
+
+let signature_bytes (pub : public) : int = Rsa.signature_bytes pub.rsa

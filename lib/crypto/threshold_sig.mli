@@ -10,8 +10,10 @@
     broadcast (k = ceil((n+t+1)/2)) and Byzantine agreement (k = n-t). *)
 
 type public = {
-  n_mod : Bignum.Nat.t;         (** RSA modulus [pq], safe primes *)
-  e : Bignum.Nat.t;             (** public exponent, prime *)
+  rsa : Rsa.public;
+  (** the RSA key [(n, e)]: modulus [pq] of safe primes, prime exponent,
+      with [n]'s Montgomery context built by {!deal} — assembled
+      signatures verify under it as plain RSA signatures *)
   nparties : int;
   k : int;
   t : int;
@@ -50,15 +52,23 @@ val deal :
 (** The trusted dealer: safe-prime modulus, sharing of [d], verification
     keys.  @raise Invalid_argument unless [t < k <= nparties - t]. *)
 
+val statement : public -> ctx:string -> string -> Rsa.stmt
+(** The statement prepared for this key's modulus: the hashing half of
+    {!message_rep}, done once per statement by callers that keep it. *)
+
 val message_rep : public -> ctx:string -> string -> Bignum.Nat.t
 (** The full-domain hash actually signed. *)
 
-val release : drbg:Hashes.Drbg.t -> public -> secret_share -> ctx:string -> string -> share
+val release_stmt :
+  drbg:Hashes.Drbg.t -> public -> secret_share -> Rsa.stmt -> share
 (** Party [i]'s signature share [x^(2*Delta*s_i)] with its proof of
     correctness; the proof commitment [v^r] rides the {!v_tbl}
     fixed-base table. *)
 
-val xtilde_rep : public -> ctx:string -> string -> Bignum.Nat.t
+val release : drbg:Hashes.Drbg.t -> public -> secret_share -> ctx:string -> string -> share
+(** {!release_stmt} on a freshly prepared statement. *)
+
+val xtilde_rep_stmt : public -> Rsa.stmt -> Bignum.Nat.t
 (** [xtilde = x^(4*Delta) mod n] for the message representative [x] — the
     common base of every share proof on the same message.  Exposed so batch
     verification computes it once per message instead of once per share. *)
@@ -68,11 +78,14 @@ val share_challenge : public -> xtilde:Bignum.Nat.t -> share -> Bignum.Nat.t
     share's proof is checked against — exposed for {!Batch}'s combined
     verification equation. *)
 
-val verify_share : public -> ctx:string -> string -> share -> bool
+val verify_share_stmt : public -> Rsa.stmt -> share -> bool
 (** Check the share's equality-of-logs proof: recompute the challenge from
     the carried commitments and check both verification equations.  All
     exponents positive (no inversions); the [v]-power is a fixed-base
     table walk ({!v_tbl}) and the challenge powers are short. *)
+
+val verify_share : public -> ctx:string -> string -> share -> bool
+(** {!verify_share_stmt} on a freshly prepared statement. *)
 
 val verify_share_reference : public -> ctx:string -> string -> share -> bool
 (** The textbook path: {!verify_share}'s exact accept set computed with
@@ -85,8 +98,11 @@ val assemble : public -> ctx:string -> string -> share list -> string
     (the same bytes whichever subset is used).
     @raise Invalid_argument with fewer than [k] distinct origins. *)
 
-val verify : public -> ctx:string -> signature:string -> string -> bool
+val verify_stmt : public -> signature:string -> Rsa.stmt -> bool
 (** Plain RSA verification — usable by anyone holding only [(n, e)]. *)
+
+val verify : public -> ctx:string -> signature:string -> string -> bool
+(** {!verify_stmt} on a freshly prepared statement. *)
 
 val signature_bytes : public -> int
 (** Size of an assembled signature ([|n|] bytes), for wire-cost

@@ -226,3 +226,48 @@ let check ~file doc =
        (match List.filter_map Fun.id (envelope @ rule ~committed doc) with
         | [] -> Ok (schema name version)
         | violations -> Error violations))
+
+(* --- comparison against a baseline --- *)
+
+type change = { path : string; before : float option; after : float option }
+
+(* Every numeric leaf with its path.  A list element is named by its index
+   and its string fields, so "results[3:powmod2]" reads as the row it is
+   and rows that moved or changed identity do not pair up silently. *)
+let leaves (doc : J.value) : (string * float) list =
+  let rec go path v acc =
+    match v with
+    | J.Num x -> (path, x) :: acc
+    | J.Obj kvs ->
+      List.fold_left
+        (fun acc (k, v) -> go (if path = "" then k else path ^ "." ^ k) v acc)
+        acc kvs
+    | J.List l ->
+      List.fold_left
+        (fun (i, acc) v ->
+          let names =
+            match v with
+            | J.Obj kvs -> List.filter_map (fun (_, v) -> J.str_opt v) kvs
+            | _ -> []
+          in
+          let label =
+            if names = [] then Printf.sprintf "[%d]" i
+            else Printf.sprintf "[%d:%s]" i (String.concat "," names)
+          in
+          (i + 1, go (path ^ label) v acc))
+        (0, acc) l
+      |> snd
+    | J.Null | J.Bool _ | J.Str _ -> acc
+  in
+  List.rev (go "" doc [])
+
+let diff ~baseline doc =
+  let old = leaves baseline and cur = leaves doc in
+  List.map
+    (fun (path, x) -> { path; before = List.assoc_opt path old; after = Some x })
+    cur
+  @ List.filter_map
+      (fun (path, x) ->
+        if List.mem_assoc path cur then None
+        else Some { path; before = Some x; after = None })
+      old

@@ -33,3 +33,20 @@ val check : file:string -> Trace.Json.value -> (string, string list) result
     come from the full run, so a 512-bit smoke report copied into its
     place fails.  [Ok] carries the schema id; [Error] lists every
     violation. *)
+
+(** {2 Comparison against a baseline} *)
+
+type change = {
+  path : string;
+  (** the leaf's place in the artifact: keys joined by ["."], list
+      elements as [[i]], or [[i:s1,s2]] naming the element's string fields
+      (["results[3:powmod2].ms_per_op"]) *)
+  before : float option;   (** the baseline's value; [None] if absent *)
+  after : float option;    (** this report's value; [None] if absent *)
+}
+
+val diff : baseline:Trace.Json.value -> Trace.Json.value -> change list
+(** Every numeric leaf of either report, paired by path: this report's
+    leaves in document order, then those only the baseline has.  What
+    [sintra_sim bench-check --baseline] prints, so a change quotes its
+    effect on an artifact row by row. *)

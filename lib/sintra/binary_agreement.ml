@@ -340,8 +340,8 @@ let send_prevote (t : t) (r : int) (b : bool) (just : justification) : unit =
     let charge = t.rt.Runtime.charge in
     Charge.tsig_release charge;
     let share =
-      Tsig.release ~drbg:t.rt.Runtime.drbg t.rt.Runtime.keys.Dealer.ag_tsig
-        ~ctx:t.pid (pre_stmt t r b)
+      Tsig.release_stmt ~drbg:t.rt.Runtime.drbg t.rt.Runtime.keys.Dealer.ag_tsig
+        (Runtime.statement t.rt ~pub:(ag_pub t) ~ctx:t.pid (pre_stmt t r b))
     in
     let proof = Hashtbl.find_opt t.proofs b in
     let pv = { pv_round = r; pv_value = b; pv_share = share; pv_just = just; pv_proof = proof } in
@@ -395,8 +395,8 @@ let try_send_mainvote (t : t) (r : int) : unit =
     in
     Charge.tsig_release charge;
     let share =
-      Tsig.release ~drbg:t.rt.Runtime.drbg t.rt.Runtime.keys.Dealer.ag_tsig
-        ~ctx:t.pid (main_stmt t r value)
+      Tsig.release_stmt ~drbg:t.rt.Runtime.drbg t.rt.Runtime.keys.Dealer.ag_tsig
+        (Runtime.statement t.rt ~pub:(ag_pub t) ~ctx:t.pid (main_stmt t r value))
     in
     let mv = { mv_round = r; mv_value = value; mv_share = share; mv_just = just } in
     let body = Wire.encode (fun buf -> Wire.Enc.u8 buf tag_mainvote; enc_mainvote buf mv) in

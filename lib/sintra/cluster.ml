@@ -65,13 +65,22 @@ let metrics (c : t) : Trace.Metrics.t = Sim.Engine.metrics c.engine
 (* Flush the network/CPU counters into the registry and return it. *)
 let publish_metrics (c : t) : Trace.Metrics.t =
   Sim.Net.publish_metrics c.net;
+  let set rt name v =
+    Trace.Metrics.set
+      (Trace.Metrics.counter (Sim.Engine.metrics c.engine)
+         (Printf.sprintf "p%d/%s" rt.Runtime.me name))
+      (float_of_int v)
+  in
   Array.iter
     (fun rt ->
       if rt.Runtime.dropped_orphans > 0 then
-        Trace.Metrics.set
-          (Trace.Metrics.counter (Sim.Engine.metrics c.engine)
-             (Printf.sprintf "p%d/runtime.dropped_orphans" rt.Runtime.me))
-          (float_of_int rt.Runtime.dropped_orphans))
+        set rt "runtime.dropped_orphans" rt.Runtime.dropped_orphans;
+      (* Statement-table lookups: a miss hashed the statement, a hit
+         reused an earlier preparation. *)
+      let stmts = rt.Runtime.stmts in
+      set rt "tsig.stmt_hashed" (Crypto.Stmt_table.hashed stmts);
+      set rt "tsig.stmt_reused" (Crypto.Stmt_table.reused stmts);
+      set rt "tsig.stmt_table/max" (Crypto.Stmt_table.peak stmts))
     c.runtimes;
   (* Percentile summaries of every histogram, as <name>/p50|p90|p99. *)
   Trace.Metrics.publish_quantiles (Sim.Engine.metrics c.engine);

@@ -151,6 +151,9 @@ let stabilize (t : t) (cp : Store.Checkpoint.t) (state : string) : unit =
      rather than a snapshot, which would skip them. *)
   Atomic_channel.gc_below t.chan
     ~round:(max 0 (cp.Store.Checkpoint.round - t.interval));
+  (* Our pid never unregisters: checkpoint GC is when its prepared
+     statements go. *)
+  Runtime.forget_statements t.rt ~pid:t.dpid;
   List.iter
     (fun r ->
       if r <= cp.Store.Checkpoint.round then begin
@@ -218,8 +221,8 @@ let begin_checkpoint (t : t) ~(cp_round : int) : unit =
       (Printf.sprintf "checkpoint %d" cp_round);
   Charge.tsig_release t.charge;
   let share =
-    Tsig.release ~drbg:t.drbg t.rt.Runtime.keys.Dealer.ag_tsig
-      ~ctx:t.dpid stmt
+    Tsig.release_stmt ~drbg:t.drbg t.rt.Runtime.keys.Dealer.ag_tsig
+      (Runtime.statement t.rt ~pub:t.pub ~ctx:t.dpid stmt)
   in
   Runtime.broadcast_store t.rt ~pid:t.dpid
     (Wire.encode (fun b -> enc_msg b (Cp_share (cp_round, share))));
@@ -306,6 +309,7 @@ let adopt_snapshot (t : t) ~(src : int) (cp : Store.Checkpoint.t)
       t.stable_state <- state;
       compact t cp state;
       Atomic_channel.gc_below t.chan ~round:cp.Store.Checkpoint.round;
+      Runtime.forget_statements t.rt ~pid:t.dpid;
       t.stats.snapshots_adopted <- t.stats.snapshots_adopted + 1;
       (* The tail beyond the adopted checkpoint still has to come from the
          peers' retained backlogs: ask from the new round. *)

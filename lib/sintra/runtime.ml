@@ -29,9 +29,16 @@ type t = {
   cache : Crypto.Share_cache.t;
       (* verified shares, grouped by pid; volatile (cleared on crash),
          a pid's group is evicted when the instance unregisters *)
+  stmts : Crypto.Stmt_table.t;
+      (* prepared threshold-signature statements, same lifecycle *)
 }
 
 let orphan_cap_per_pid = 4096
+
+(* Bound on prepared statements per party.  Fault-free runs keep a few
+   hundred live across all parties; the bound only matters against a
+   stream of statements for instances that never unregister here. *)
+let stmt_cap = 1024
 
 (* Emit the "msg" flow-end closing a causal edge: the dispatched message's
    id is the context's current cause (installed by the network layer), and
@@ -75,6 +82,7 @@ let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
     dropped_orphans = 0;
     rebuild = [];
     cache = Crypto.Share_cache.create ~cap:cfg.Config.share_cache_cap;
+    stmts = Crypto.Stmt_table.create ~cap:stmt_cap;
   }
   in
   Sim.Net.set_handler net me (fun ~src payload ->
@@ -164,7 +172,20 @@ let unregister (rt : t) ~(pid : string) : unit =
   Hashtbl.remove rt.handlers pid;
   (* The instance is gone: its cached verification state must go with it,
      so a replayed frame arriving after GC cannot resurrect it. *)
-  Crypto.Share_cache.evict_group rt.cache pid
+  Crypto.Share_cache.evict_group rt.cache pid;
+  Crypto.Stmt_table.evict_group rt.stmts pid
+
+(* The threshold-signature statement [(ctx, msg)] under [pub], hashed at
+   most once while the instance [ctx] lives: every Tsig release and check
+   a protocol makes on it reuses the first preparation.  A pid that never
+   unregisters has its owner call [forget_statements]; closings checked
+   for a peer's instance stay until [stmt_cap] empties the table. *)
+let statement (rt : t) ~(pub : Tsig.public) ~(ctx : string) (msg : string)
+    : Crypto.Rsa.stmt =
+  Crypto.Stmt_table.find rt.stmts ~nbytes:(Tsig.modulus_bytes pub) ~ctx msg
+
+let forget_statements (rt : t) ~(pid : string) : unit =
+  Crypto.Stmt_table.evict_group rt.stmts pid
 
 (* Tag the in-flight dispatch with its decoded protocol message kind, so
    the causal analyzer can label the hop ("vcbc.echo", "aba.coinshare"…).
@@ -222,6 +243,7 @@ let crash (rt : t) : unit =
   Hashtbl.reset rt.store_handlers;
   Hashtbl.reset rt.orphans;
   Crypto.Share_cache.clear rt.cache;
+  Crypto.Stmt_table.clear rt.stmts;
   Trace.Ctx.instant rt.trace ~pid:"runtime" ~cat:"runtime"
     ~level:Trace.Event.Warn "crash"
 

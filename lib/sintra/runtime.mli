@@ -31,6 +31,10 @@ type t = {
   (** Verified shares, grouped by protocol instance (pid): {!unregister}
       evicts the pid's group, {!crash} clears everything — the cache is
       volatile and can never outlive the state it summarizes. *)
+  stmts : Crypto.Stmt_table.t;
+  (** Prepared threshold-signature statements ({!statement}), with the
+      cache's lifecycle: grouped by pid, evicted by {!unregister}, cleared
+      by {!crash}, and bounded. *)
 }
 
 val create :
@@ -43,7 +47,23 @@ val register : t -> pid:string -> (src:int -> string -> unit) -> unit
 (** @raise Invalid_argument on a duplicate pid. *)
 
 val unregister : t -> pid:string -> unit
-(** Remove a pid's handler; later messages for it are buffered again. *)
+(** Remove a pid's handler; later messages for it are buffered again.  The
+    pid's cached shares and prepared statements go with it. *)
+
+val statement :
+  t -> pub:Tsig.public -> ctx:string -> string -> Crypto.Rsa.stmt
+(** The threshold-signature statement [(ctx, msg)] prepared for [pub],
+    from the party's statement table: hashed on the first release or check
+    while the instance [ctx] lives, reused by every later one.  The lookup
+    compares the full [(ctx, msg)], so the result is exactly a fresh
+    {!Crypto.Rsa.prepare}'s.  A [ctx] that never unregisters needs its
+    owner to call {!forget_statements}; statements of a pid this party
+    never runs (a peer's closing, checked in catch-up) stay until the
+    table's bound empties it. *)
+
+val forget_statements : t -> pid:string -> unit
+(** Evict the prepared statements of [pid] — for an owner whose pid never
+    unregisters ({!Durable}'s, at checkpoint GC). *)
 
 val handling : t -> pid:string -> cat:string -> string -> unit
 (** Emit an ["h.<kind>"] instant tagging the message currently being
@@ -84,7 +104,7 @@ val on_rebuild : t -> (unit -> unit) -> unit
 val crash : t -> unit
 (** Power-fail this party: it stops sending and processing at the network
     layer, and all volatile protocol state (registered handlers, buffered
-    orphans) is discarded. *)
+    orphans, the share cache and the statement table) is discarded. *)
 
 val recover : t -> unit
 (** Restart a crashed party: the network endpoint resumes and the

@@ -28,16 +28,32 @@ let share_origin = function
   | Shoup_share s -> s.Crypto.Threshold_sig.origin
   | Multi_share s -> s.Crypto.Multi_sig.origin
 
-let release ~(drbg : Hashes.Drbg.t) (sec : secret) ~(ctx : string) (msg : string) : share =
+(* Both schemes sign the RSA full-domain hash of (ctx, msg), so a
+   statement prepared once (Crypto.Rsa.prepare) serves every release and
+   check on it. *)
+let modulus_bytes = function
+  | Shoup_pub p -> Crypto.Rsa.signature_bytes p.Crypto.Threshold_sig.rsa
+  | Multi_pub p -> Crypto.Rsa.signature_bytes p.Crypto.Multi_sig.party_keys.(0)
+
+let statement (pub : public) ~(ctx : string) (msg : string) : Crypto.Rsa.stmt =
+  Crypto.Rsa.prepare ~nbytes:(modulus_bytes pub) ~ctx msg
+
+let release_stmt ~(drbg : Hashes.Drbg.t) (sec : secret) (st : Crypto.Rsa.stmt) : share =
   match sec with
-  | Shoup_sec (pub, sk) -> Shoup_share (Crypto.Threshold_sig.release ~drbg pub sk ~ctx msg)
-  | Multi_sec (pub, sk) -> Multi_share (Crypto.Multi_sig.release pub sk ~ctx msg)
+  | Shoup_sec (pub, sk) -> Shoup_share (Crypto.Threshold_sig.release_stmt ~drbg pub sk st)
+  | Multi_sec (pub, sk) -> Multi_share (Crypto.Multi_sig.release_stmt pub sk st)
+
+let release ~(drbg : Hashes.Drbg.t) (sec : secret) ~(ctx : string) (msg : string) : share =
+  release_stmt ~drbg sec (statement (public_of_secret sec) ~ctx msg)
+
+let verify_share_stmt (pub : public) (st : Crypto.Rsa.stmt) (s : share) : bool =
+  match pub, s with
+  | Shoup_pub p, Shoup_share sh -> Crypto.Threshold_sig.verify_share_stmt p st sh
+  | Multi_pub p, Multi_share sh -> Crypto.Multi_sig.verify_share_stmt p st sh
+  | _ -> false
 
 let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
-  match pub, s with
-  | Shoup_pub p, Shoup_share sh -> Crypto.Threshold_sig.verify_share p ~ctx msg sh
-  | Multi_pub p, Multi_share sh -> Crypto.Multi_sig.verify_share p ~ctx msg sh
-  | _ -> false
+  verify_share_stmt pub (statement pub ~ctx msg) s
 
 let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list) : string =
   match pub with
@@ -52,10 +68,13 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
     in
     Crypto.Multi_sig.assemble p ~ctx msg shares
 
-let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
+let verify_stmt (pub : public) ~(signature : string) (st : Crypto.Rsa.stmt) : bool =
   match pub with
-  | Shoup_pub p -> Crypto.Threshold_sig.verify p ~ctx ~signature msg
-  | Multi_pub p -> Crypto.Multi_sig.verify p ~ctx ~signature msg
+  | Shoup_pub p -> Crypto.Threshold_sig.verify_stmt p ~signature st
+  | Multi_pub p -> Crypto.Multi_sig.verify_stmt p ~signature st
+
+let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
+  verify_stmt pub ~signature (statement pub ~ctx msg)
 
 let signature_bytes (pub : public) : int =
   match pub with

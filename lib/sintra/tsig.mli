@@ -27,19 +27,40 @@ val k : public -> int
 val share_origin : share -> int
 (** The 1-based index of the releasing party. *)
 
+(** {2 Prepared statements}
+
+    Both schemes sign the RSA full-domain hash of [(ctx, msg)].  The
+    [_stmt] functions take the statement prepared once
+    ({!Crypto.Rsa.prepare}, for {!modulus_bytes}); the [~ctx msg] forms
+    prepare it afresh and call them.  Protocols get their statements from
+    {!Runtime.statement}, which hashes each one once per party. *)
+
+val modulus_bytes : public -> int
+(** The RSA modulus length statements are prepared for. *)
+
+val release_stmt : drbg:Hashes.Drbg.t -> secret -> Crypto.Rsa.stmt -> share
+(** This party's signature share on a prepared statement; the
+    statement's [ctx] domain-separates protocol instances so shares cannot
+    be replayed across them. *)
+
 val release : drbg:Hashes.Drbg.t -> secret -> ctx:string -> string -> share
-(** This party's signature share on a message; [ctx] domain-separates
-    protocol instances so shares cannot be replayed across them. *)
+(** {!release_stmt} on a freshly prepared statement. *)
+
+val verify_share_stmt : public -> Crypto.Rsa.stmt -> share -> bool
+(** Check one received share (and its proof) against the statement. *)
 
 val verify_share : public -> ctx:string -> string -> share -> bool
-(** Check one received share (and its proof) against the message. *)
+(** {!verify_share_stmt} on a freshly prepared statement. *)
 
 val assemble : public -> ctx:string -> string -> share list -> string
 (** @raise Invalid_argument with fewer than [k] distinct valid-scheme
     shares. *)
 
+val verify_stmt : public -> signature:string -> Crypto.Rsa.stmt -> bool
+(** Check an assembled group signature on a prepared statement. *)
+
 val verify : public -> ctx:string -> signature:string -> string -> bool
-(** Check an assembled group signature on a message. *)
+(** {!verify_stmt} on a freshly prepared statement. *)
 
 val signature_bytes : public -> int
 (** Wire size of an assembled signature, for bandwidth accounting. *)

@@ -20,7 +20,13 @@
    cache keys cover the share bytes (a mutated retransmit misses and is
    verified for real), only shares that passed verification are inserted,
    and Crypto.Batch agrees with the single verifiers item by item.  Only
-   the virtual-CPU charges move. *)
+   the virtual-CPU charges move.
+
+   The statement itself is hashed once per party: every real verification
+   here takes its prepared statement from Runtime.statement, keyed by the
+   full (ctx, msg), so the RSA full-domain hash a party computed when it
+   released its own share (or checked the first share) is not recomputed
+   for the rest.  The charges stay where they were. *)
 
 (* Cache schemes.  The key's digest covers the statement AND the share
    bytes, so a key identifies one concrete verification, not just a
@@ -77,7 +83,9 @@ let tsig_share ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
   then true
   else begin
     Charge.tsig_verify_share charge;
-    let ok = Tsig.verify_share pub ~ctx msg share in
+    let ok =
+      Tsig.verify_share_stmt pub (Runtime.statement rt ~pub ~ctx msg) share
+    in
     if ok then
       record rt ~group:ctx ~scheme:sch_tsig_share ~digest ~sender
         ~index:sender;
@@ -121,6 +129,7 @@ let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
     let sender = Tsig.share_origin s in
     record rt ~group:ctx ~scheme:sch_tsig_share ~digest ~sender ~index:sender
   in
+  let stmt = lazy (Runtime.statement rt ~pub ~ctx msg) in
   if List.length shoup = List.length fresh && List.length shoup >= 2 then begin
     let p =
       match pub with
@@ -132,7 +141,8 @@ let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
       (float_of_int (List.length shoup));
     let bad =
       match
-        Crypto.Batch.tsig_shares p ~ctx msg (List.map (fun (_, _, s) -> s) shoup)
+        Crypto.Batch.tsig_shares_stmt p (Lazy.force stmt)
+          (List.map (fun (_, _, s) -> s) shoup)
       with
       | Crypto.Batch.All_valid -> []
       | Crypto.Batch.Invalid idxs -> idxs
@@ -147,7 +157,8 @@ let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
     List.iter
       (fun (i, digest, s) ->
         Charge.tsig_verify_share charge;
-        if Tsig.verify_share pub ~ctx msg s then accept (i, digest, s))
+        if Tsig.verify_share_stmt pub (Lazy.force stmt) s then
+          accept (i, digest, s))
       fresh;
   valid
 
@@ -163,7 +174,9 @@ let tsig_signature ?charge (rt : Runtime.t) ~(pub : Tsig.public)
   if probe rt ~charge ~scheme:sch_tsig_sig ~digest ~sender:0 ~index:0 then true
   else begin
     Charge.tsig_verify charge ~k:(Tsig.k pub);
-    let ok = Tsig.verify pub ~ctx ~signature msg in
+    let ok =
+      Tsig.verify_stmt pub ~signature (Runtime.statement rt ~pub ~ctx msg)
+    in
     if ok then
       record rt ~group:ctx ~scheme:sch_tsig_sig ~digest ~sender:0 ~index:0;
     ok

@@ -409,6 +409,99 @@ let cache_tests =
         | None -> Alcotest.fail "verify.cache_size gauge never recorded");
   ]
 
+(* --- the statement table: each threshold-signed statement hashed once per
+   party, with the share cache's lifecycle --- *)
+
+let stmt_counts (rt : Runtime.t) : int * int =
+  (Stmt_table.hashed rt.Runtime.stmts, Stmt_table.reused rt.Runtime.stmts)
+
+let stmt_tests =
+  [
+    Alcotest.test_case
+      "statement table: release and checks share one preparation; unregister \
+       evicts the pid, crash clears the table"
+      `Quick (fun () ->
+        List.iter
+          (fun tsig_scheme ->
+            let c = Util.cluster ~seed:"amort-stmt" ~tsig_scheme () in
+            let rt = Cluster.runtime c 0 in
+            let sec = rt.Runtime.keys.Dealer.bc_tsig in
+            let pub = Tsig.public_of_secret sec in
+            let pid = "stmt-pid" and stmt = "stmt-body" in
+            Runtime.register rt ~pid (fun ~src:_ _ -> ());
+            let st = Runtime.statement rt ~pub ~ctx:pid stmt in
+            let sh = Tsig.release_stmt ~drbg:rt.Runtime.drbg sec st in
+            Alcotest.(check (pair int int)) "the release hashed" (1, 0) (stmt_counts rt);
+            (* Another party's share on the same statement: the check reuses
+               the release's preparation, and accepts exactly as the
+               one-shot verifier does. *)
+            let rt1 = Cluster.runtime c 1 in
+            let sh1 =
+              Tsig.release ~drbg:rt1.Runtime.drbg rt1.Runtime.keys.Dealer.bc_tsig
+                ~ctx:pid stmt
+            in
+            Alcotest.(check bool) "peer share verifies" true
+              (Verify.tsig_share rt ~pub ~ctx:pid stmt sh1);
+            Alcotest.(check (pair int int)) "the check reused it" (1, 1) (stmt_counts rt);
+            Alcotest.(check bool) "same verdict as the one-shot verifier" true
+              (Tsig.verify_share pub ~ctx:pid stmt sh1);
+            (* A different message under the same pid is its own statement:
+               it misses, and a share for [stmt] does not verify on it. *)
+            Alcotest.(check bool) "share on another message rejected" false
+              (Verify.tsig_share rt ~pub ~ctx:pid (stmt ^ "'") sh);
+            Alcotest.(check (pair int int)) "another message missed" (2, 1)
+              (stmt_counts rt);
+            Alcotest.(check int) "two live statements" 2
+              (Stmt_table.size rt.Runtime.stmts);
+            Runtime.unregister rt ~pid;
+            Alcotest.(check int) "unregister evicted the pid's group" 0
+              (Stmt_table.size rt.Runtime.stmts);
+            ignore (Runtime.statement rt ~pub ~ctx:pid stmt);
+            Alcotest.(check (pair int int)) "after eviction the statement is hashed again"
+              (3, 1) (stmt_counts rt);
+            ignore (Runtime.statement rt ~pub ~ctx:"other-pid" stmt);
+            Alcotest.(check int) "two groups live" 2 (Stmt_table.size rt.Runtime.stmts);
+            Runtime.crash rt;
+            Alcotest.(check int) "crash cleared the table" 0
+              (Stmt_table.size rt.Runtime.stmts);
+            ignore (Runtime.statement rt ~pub ~ctx:pid stmt);
+            Alcotest.(check (pair int int)) "after the crash it is hashed again" (5, 1)
+              (stmt_counts rt))
+          [ Config.Multi; Config.Shoup ]);
+
+    Alcotest.test_case
+      "statement table: a fault-free run hashes each statement once, counters \
+       published"
+      `Quick (fun () ->
+        let c = Util.cluster ~seed:"amort-stmt-run" () in
+        let chans =
+          Array.init 4 (fun p ->
+            Atomic_channel.create (Cluster.runtime c p) ~pid:"stmt-abc"
+              ~on_deliver:(fun ~sender:_ _ -> ()) ())
+        in
+        for p = 0 to 3 do
+          Cluster.inject c p (fun () ->
+            Atomic_channel.send chans.(p) (Printf.sprintf "stmt.%d" p))
+        done;
+        ignore (Cluster.run c ~until:60.0);
+        let m = Cluster.publish_metrics c in
+        let get p name =
+          match Trace.Metrics.find_counter m (Printf.sprintf "p%d/tsig.%s" p name) with
+          | Some ctr -> int_of_float (Trace.Metrics.value ctr)
+          | None -> Alcotest.failf "p%d/tsig.%s not published" p name
+        in
+        for p = 0 to 3 do
+          let hashed, reused = stmt_counts (Cluster.runtime c p) in
+          Alcotest.(check (pair int int)) "published = table counters" (hashed, reused)
+            (get p "stmt_hashed", get p "stmt_reused");
+          (* Every share, closing and justification check on a statement
+             this party already prepared is a reuse. *)
+          if reused <= hashed then
+            Alcotest.failf "party %d: %d reuses for %d hashes" p reused hashed;
+          Alcotest.(check bool) "peak published" true (get p "stmt_table/max" > 0)
+        done);
+  ]
+
 (* --- delivery-log determinism and scenario cost regression --- *)
 
 let hist_count (c : Cluster.t) (p : int) (name : string) : int =
@@ -682,5 +775,5 @@ let pregen_tests =
   ]
 
 let suite =
-  equivalence_tests @ cache_tests @ determinism_tests @ cost_tests
+  equivalence_tests @ cache_tests @ stmt_tests @ determinism_tests @ cost_tests
   @ pregen_tests

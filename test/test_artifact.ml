@@ -98,6 +98,39 @@ let contains ~sub s =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+let diff_test =
+  Alcotest.test_case "diff against a baseline pairs every numeric row by path"
+    `Quick (fun () ->
+      let base = committed "BENCH_perf.json" in
+      let same = Load.Artifact.diff ~baseline:base base in
+      Alcotest.(check bool) "every row of an identical report is unchanged" true
+        (same <> []
+         && List.for_all
+              (fun c -> c.Load.Artifact.before = c.Load.Artifact.after && c.before <> None)
+              same);
+      (* Halve the first row's time and drop the last row. *)
+      let edited =
+        field "results"
+          (fun rows ->
+            first (field "ms_per_op" (fun v ->
+              J.Num (Option.get (J.num_opt v) /. 2.0))) rows
+            |> elems (fun l -> List.filteri (fun i _ -> i < List.length l - 1) l))
+          base
+      in
+      let changes = Load.Artifact.diff ~baseline:base edited in
+      let find path = List.find (fun c -> c.Load.Artifact.path = path) changes in
+      let c = find "results[0:powmod-barrett].ms_per_op" in
+      (match c.before, c.after with
+       | Some b, Some a -> Alcotest.(check (float 1e-9)) "halved" (b /. 2.0) a
+       | _ -> Alcotest.fail "first row not paired");
+      let gone = List.filter (fun c -> c.Load.Artifact.after = None) changes in
+      Alcotest.(check (list string)) "the dropped row is reported gone"
+        [ "results[27:coin-batch-verify-k3].mod_bits";
+          "results[27:coin-batch-verify-k3].ms_per_op" ]
+        (List.map (fun c -> c.Load.Artifact.path) gone);
+      Alcotest.(check int) "as many rows as the baseline" (List.length same)
+        (List.length changes))
+
 let suite =
   Alcotest.test_case "every committed artifact passes" `Quick (fun () ->
     List.iter
@@ -132,3 +165,4 @@ let suite =
                Alcotest.failf "no violation mentions %S: %s" fragment
                  (String.concat "; " vs)))
        planted
+  @ [ diff_test ]

@@ -599,4 +599,47 @@ let fastpath_tests = [
       (fun () -> ignore (Bigint.powmod2 (bi 2) (bi (-1)) (bi 3) (bi 1) m)));
 ]
 
-let suite = unit_tests @ property_tests @ fastpath_tests
+let held_context_tests = [
+  Alcotest.test_case "held Montgomery context: powmod, powmod2, powmod_multi = plain and Barrett"
+    `Quick (fun () ->
+      (* A key keeps its modulus's context; exponentiating through it must
+         give exactly the per-call paths' results, on random odd moduli of
+         1 to ~12 limbs, bases above the modulus, zero and one exponents,
+         and reused across many calls (the context holds no scratch). *)
+      let rb = Util.random_bytes ~seed:"held-mont" () in
+      let rand_int n = 1 + (Char.code (rb 1).[0] * 256 + Char.code (rb 1).[0]) mod n in
+      for _ = 1 to 40 do
+        let m =
+          Nat.add (Nat.shift_left (Nat.random_bits ~random_bytes:rb (rand_int 300)) 1) Nat.one
+        in
+        let ctx = Nat.Montgomery.create m in
+        for _ = 1 to 5 do
+          let b1 = Nat.random_bits ~random_bytes:rb (rand_int 360) in
+          let b2 = Nat.random_bits ~random_bytes:rb (rand_int 360) in
+          let e1 = Nat.random_bits ~random_bytes:rb (rand_int 300 - 1) in
+          let e2 = Nat.random_bits ~random_bytes:rb (rand_int 300 - 1) in
+          let e3 = Nat.random_bits ~random_bytes:rb (rand_int 80 - 1) in
+          Alcotest.check nat "powmod vs plain" (Nat.powmod b1 e1 m)
+            (Nat.Montgomery.powmod ctx b1 e1);
+          Alcotest.check nat "powmod vs barrett" (Nat.powmod_barrett b1 e1 m)
+            (Nat.Montgomery.powmod ctx b1 e1);
+          Alcotest.check nat "powmod2 vs plain" (Nat.powmod2 b1 e1 b2 e2 m)
+            (Nat.Montgomery.powmod2 ctx b1 e1 b2 e2);
+          Alcotest.check nat "powmod2 vs barrett product"
+            (Nat.rem (Nat.mul (Nat.powmod_barrett b1 e1 m) (Nat.powmod_barrett b2 e2 m)) m)
+            (Nat.Montgomery.powmod2 ctx b1 e1 b2 e2);
+          let pairs = [ (b1, e1); (b2, e2); (b1, e3); (b2, Nat.zero) ] in
+          Alcotest.check nat "powmod_multi vs plain" (Nat.powmod_multi pairs m)
+            (Nat.Montgomery.powmod_multi ctx pairs)
+        done
+      done;
+      let n = Nat.of_int in
+      let ctx = Nat.Montgomery.create (n 1009) in
+      Alcotest.check nat "b^0 = 1" Nat.one (Nat.Montgomery.powmod ctx (n 5) Nat.zero);
+      Alcotest.check nat "0^e = 0" Nat.zero (Nat.Montgomery.powmod ctx Nat.zero (n 9));
+      Alcotest.check nat "empty product" Nat.one (Nat.Montgomery.powmod_multi ctx []);
+      Alcotest.check nat "mod 1" Nat.zero
+        (Nat.Montgomery.powmod (Nat.Montgomery.create Nat.one) (n 5) (n 3)))
+]
+
+let suite = unit_tests @ property_tests @ fastpath_tests @ held_context_tests

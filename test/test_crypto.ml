@@ -368,6 +368,192 @@ let rsa_tests = [
     done);
 ]
 
+(* The full-domain hash and RSA written out from their definition, over
+   the Barrett reference exponentiation: the prepared-statement path must
+   agree with it on every key, context and message. *)
+let ref_fdh (n : Bignum.Nat.t) ~(ctx : string) (msg : string) : Bignum.Nat.t =
+  let nbytes = (Bignum.Nat.numbits n + 7) / 8 in
+  let blocks =
+    List.init ((nbytes + 8 + 31) / 32) (fun i ->
+      Hashes.Sha256.digest_list [ "rsa-fdh|"; ctx; "|"; string_of_int i; "|"; msg ])
+  in
+  Bignum.Nat.rem (Bignum.Nat.of_bytes_be (String.concat "" blocks)) n
+
+let ref_sign (sk : Rsa.secret) ~(ctx : string) (msg : string) : string =
+  let n = sk.Rsa.pub.Rsa.n in
+  Bignum.Nat.to_bytes_be ~len:((Bignum.Nat.numbits n + 7) / 8)
+    (Bignum.Nat.powmod_barrett (ref_fdh n ~ctx msg) sk.Rsa.d n)
+
+let ref_verify (pub : Rsa.public) ~(ctx : string) ~(signature : string)
+    (msg : string) : bool =
+  let n = pub.Rsa.n in
+  let s = Bignum.Nat.of_bytes_be signature in
+  String.length signature = (Bignum.Nat.numbits n + 7) / 8
+  && Bignum.Nat.compare s n < 0
+  && Bignum.Nat.equal (Bignum.Nat.powmod_barrett s pub.Rsa.e n) (ref_fdh n ~ctx msg)
+
+let hex (s : string) : string =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let golden_msgs = [ ""; "m"; String.init 1000 (fun i -> Char.chr (i land 255)) ]
+
+let prepared_tests = [
+  Alcotest.test_case "golden signature bytes for fixed keys and messages" `Quick
+    (fun () ->
+      (* Pinned from the one-shot hashing path: preparing statements once
+         and keeping Montgomery contexts in the keys must not move a
+         signature byte. *)
+      let d seed = Hashes.Drbg.create ~seed in
+      let sk = Rsa.keygen ~drbg:(d "golden-rsa") ~bits:256 () in
+      let sigs = List.map (fun m -> Rsa.sign sk ~ctx:"golden" m) golden_msgs in
+      Alcotest.(check string) "rsa, empty message"
+        "61d8171c62300eb7502e6ff98d3f06591d7a11d42c1838a14a6d38d2df3f3a6e"
+        (hex (List.hd sigs));
+      Alcotest.(check string) "rsa"
+        "48a385e02bb63d7fee499a99a2b0033fa5dc2098f5cc4742751098e35bd4247d"
+        (hex (Hashes.Sha256.digest (String.concat "" sigs)));
+      let mk =
+        Multi_sig.deal ~drbg:(d "golden-msig") ~modulus_bits:256 ~nparties:4 ~k:3
+          ~t:1 ()
+      in
+      let mpub = mk.Multi_sig.public in
+      let msigs =
+        List.map
+          (fun m ->
+            Multi_sig.assemble mpub ~ctx:"golden" m
+              (List.map
+                 (fun i -> Multi_sig.release mpub mk.Multi_sig.shares.(i) ~ctx:"golden" m)
+                 [ 3; 0; 2 ]))
+          golden_msgs
+      in
+      Alcotest.(check string) "multi-signature"
+        "5809e8a185a62a3eb8e4e2ea90f846899357294139d419d929703261f7ee2dd5"
+        (hex (Hashes.Sha256.digest (String.concat "" msigs)));
+      let tk =
+        Threshold_sig.deal ~drbg:(d "golden-tsig") ~modulus_bits:256 ~nparties:4
+          ~k:3 ~t:1 ()
+      in
+      let tpub = tk.Threshold_sig.public in
+      let rd = d "golden-tsig-release" in
+      let enc s =
+        String.concat "|"
+          (List.map (fun x -> Bignum.Nat.to_bytes_be x)
+             [ s.Threshold_sig.x_i; s.Threshold_sig.proof_v; s.Threshold_sig.proof_x;
+               s.Threshold_sig.proof_z ])
+      in
+      let tsigs =
+        List.map
+          (fun m ->
+            let shares =
+              List.map
+                (fun i ->
+                  Threshold_sig.release ~drbg:rd tpub tk.Threshold_sig.shares.(i)
+                    ~ctx:"golden" m)
+                [ 1; 3; 0 ]
+            in
+            String.concat "" (List.map enc shares)
+            ^ Threshold_sig.assemble tpub ~ctx:"golden" m shares)
+          golden_msgs
+      in
+      Alcotest.(check string) "threshold shares and signature"
+        "5476913b84070b6064d410e5ce010b046e22bd38c154330c542d140c92076ca6"
+        (hex (Hashes.Sha256.digest (String.concat "" tsigs))));
+
+  Alcotest.test_case "prepared statements = reference FDH-RSA on random keys, ctx and messages"
+    `Quick (fun () ->
+      (* Keys of 31, 32, 32 and 33 modulus bytes: a statement prepared for
+         one length is re-hashed for another, so every pairing must still
+         agree with the reference. *)
+      let keys =
+        List.mapi
+          (fun i bits ->
+            Rsa.keygen ~drbg:(Util.drbg ~seed:(Printf.sprintf "prep-key-%d" i) ()) ~bits ())
+          [ 248; 256; 256; 264 ]
+      in
+      let rb = Util.random_bytes ~seed:"prep-msgs" () in
+      let byte () = Char.code (rb 1).[0] in
+      for case = 1 to 25 do
+        let ctx = rb (byte () mod 12) in
+        let msg = rb (if case = 1 then 0 else byte () * 3) in
+        let tampered =
+          if msg = "" then "x"
+          else begin
+            let b = Bytes.of_string msg in
+            let i = byte () mod Bytes.length b in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+            Bytes.to_string b
+          end
+        in
+        List.iter
+          (fun sk ->
+            let pub = sk.Rsa.pub in
+            let own = Rsa.stmt_for pub ~ctx msg in
+            Alcotest.check nat "fdh_stmt = reference" (ref_fdh pub.Rsa.n ~ctx msg)
+              (Rsa.fdh_stmt pub own);
+            let expect = ref_sign sk ~ctx msg in
+            Alcotest.(check string) "sign_stmt = reference" expect (Rsa.sign_stmt sk own);
+            Alcotest.(check string) "sign wrapper = reference" expect (Rsa.sign sk ~ctx msg);
+            List.iter
+              (fun other ->
+                (* [other]'s statement, and [other]'s signature, under [pub]. *)
+                let st = Rsa.stmt_for other.Rsa.pub ~ctx msg in
+                Alcotest.(check string) "mismatched-length statement signs the same"
+                  expect (Rsa.sign_stmt sk st);
+                Alcotest.(check bool) "mismatched-length statement verifies" true
+                  (Rsa.verify_stmt pub ~signature:expect st);
+                let osig = Rsa.sign other ~ctx msg in
+                Alcotest.(check bool) "cross-key signature: same verdict as reference"
+                  (ref_verify pub ~ctx ~signature:osig msg)
+                  (Rsa.verify_stmt pub ~signature:osig own))
+              keys;
+            Alcotest.(check bool) "verify_stmt accepts" true
+              (Rsa.verify_stmt pub ~signature:expect own);
+            let bad = Rsa.stmt_for pub ~ctx tampered in
+            Alcotest.(check bool) "tampered message: reference rejects" false
+              (ref_verify pub ~ctx ~signature:expect tampered);
+            Alcotest.(check bool) "tampered message: prepared path rejects" false
+              (Rsa.verify_stmt pub ~signature:expect bad);
+            Alcotest.(check bool) "tampered message: wrapper rejects" false
+              (Rsa.verify pub ~ctx ~signature:expect tampered);
+            Alcotest.(check bool) "other context rejects" false
+              (Rsa.verify_stmt pub ~signature:expect (Rsa.stmt_for pub ~ctx:(ctx ^ "'") msg)))
+          keys
+      done);
+
+  Alcotest.test_case "statement table returns exactly the fresh preparation" `Quick
+    (fun () ->
+      let sk = Lazy.force rsa_key in
+      let pub = sk.Rsa.pub in
+      let nbytes = Rsa.signature_bytes pub in
+      let t = Stmt_table.create ~cap:3 in
+      let a = Stmt_table.find t ~nbytes ~ctx:"pid" "msg" in
+      Alcotest.(check bool) "a hit returns the stored statement" true
+        (a == Stmt_table.find t ~nbytes ~ctx:"pid" (String.concat "" [ "m"; "sg" ]));
+      Alcotest.check nat "same fdh as a fresh preparation"
+        (Rsa.fdh pub ~ctx:"pid" "msg") (Rsa.fdh_stmt pub a);
+      let b = Stmt_table.find t ~nbytes ~ctx:"pid" "msg'" in
+      let c = Stmt_table.find t ~nbytes ~ctx:"pid'" "msg" in
+      Alcotest.(check bool) "another message misses" false (a == b);
+      Alcotest.(check bool) "another pid misses" false (a == c);
+      Alcotest.check nat "the miss is that statement's hash"
+        (Rsa.fdh pub ~ctx:"pid'" "msg") (Rsa.fdh_stmt pub c);
+      Alcotest.(check (pair int int)) "hashed, reused" (3, 1)
+        (Stmt_table.hashed t, Stmt_table.reused t);
+      Alcotest.(check int) "size" 3 (Stmt_table.size t);
+      (* At the cap the table empties itself before storing: bounded,
+         and the dropped statements are simply prepared again. *)
+      ignore (Stmt_table.find t ~nbytes ~ctx:"pid" "fourth");
+      Alcotest.(check int) "emptied at the cap, then stored" 1 (Stmt_table.size t);
+      Alcotest.(check int) "peak" 3 (Stmt_table.peak t);
+      Alcotest.(check bool) "dropped entry is prepared again" false
+        (a == Stmt_table.find t ~nbytes ~ctx:"pid" "msg");
+      Stmt_table.evict_group t "pid";
+      Alcotest.(check int) "group evicted" 0 (Stmt_table.size t);
+      Stmt_table.clear t;
+      Alcotest.(check (pair int int)) "counters survive clear" (5, 1)
+        (Stmt_table.hashed t, Stmt_table.reused t));
+]
+
 let tsig_tests =
   let release i msg =
     let keys = Lazy.force tsig_keys in
@@ -400,8 +586,7 @@ let tsig_tests =
           (Threshold_sig.verify pub ~ctx:"pid" ~signature:s1 "payload");
         (* and it verifies as a plain RSA signature under (n, e) *)
         Alcotest.(check bool) "plain RSA" true
-          (Rsa.verify { Rsa.n = pub.Threshold_sig.n_mod; e = pub.Threshold_sig.e }
-             ~ctx:"pid" ~signature:s1 "payload"));
+          (Rsa.verify pub.Threshold_sig.rsa ~ctx:"pid" ~signature:s1 "payload"));
 
     Alcotest.test_case "too few shares rejected" `Quick (fun () ->
       let keys = Lazy.force tsig_keys in
@@ -552,4 +737,4 @@ let enc_tests =
 
 let suite =
   group_tests @ fastpath_tests @ shamir_tests @ dleq_tests @ coin_tests
-  @ rsa_tests @ tsig_tests @ msig_tests @ enc_tests
+  @ rsa_tests @ tsig_tests @ msig_tests @ enc_tests @ prepared_tests

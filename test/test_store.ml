@@ -436,4 +436,29 @@ let suite =
           rp.Store.Log.records
       in
       Alcotest.(check bool) "epoch delta logged" true has_delta);
+    Alcotest.test_case "statement table stays bounded over a long durable run"
+      `Quick (fun () ->
+      (* Instance GC (checkpoint-driven, via gc_below) evicts the protocol
+         pids' statements, and checkpoint GC evicts the durability pid's:
+         a three times longer run must not hold more statements. *)
+      let run waves =
+        let h = durable_cluster ~seed:"dur-stmts" ~interval:2 () in
+        send_waves h ~waves ~per:2;
+        ignore (Cluster.run h.c ~until:600.0);
+        let rounds = Atomic_channel.rounds_completed h.chans.(0) in
+        let tables = Array.init 4 (fun p -> (Cluster.runtime h.c p).Runtime.stmts) in
+        let peak = Array.fold_left (fun a t -> max a (Crypto.Stmt_table.peak t)) 0 tables in
+        let live = Array.fold_left (fun a t -> max a (Crypto.Stmt_table.size t)) 0 tables in
+        (rounds, peak, live)
+      in
+      let r1, peak1, live1 = run 8 in
+      let r3, peak3, live3 = run 24 in
+      if r3 < 2 * r1 then Alcotest.failf "long run too short: %d vs %d rounds" r3 r1;
+      (* Without checkpoint GC the durability pid alone adds a statement
+         per checkpoint: 54 -> 78 peak over these two runs. *)
+      if peak3 > peak1 || live3 > live1 then
+        Alcotest.failf
+          "statements grew with history: peak %d -> %d, live %d -> %d over %d -> %d rounds"
+          peak1 peak3 live1 live3 r1 r3;
+      if peak3 > 64 then Alcotest.failf "peak %d statements per party" peak3);
   ]
