@@ -14,6 +14,9 @@
    - PLANTED-FORGERY soundness (220 cases): when a batch contains known
      forgeries, bisection names exactly their indices — Byzantine
      attribution is identical to the one-at-a-time path;
+   - the Verify seam: one fixed mixed plan through every entry point, for
+     both schemes, pinned verdict by verdict against the single verifiers
+     and charge by charge against a golden;
    - delivery determinism: a seeded protocol run with the cache and
      batching engaged delivers byte for byte the pinned golden logs, which
      the one-at-a-time reference configuration produced too;
@@ -502,13 +505,166 @@ let stmt_tests =
         done);
   ]
 
-(* --- delivery-log determinism and scenario cost regression --- *)
-
 let hist_count (c : Cluster.t) (p : int) (name : string) : int =
   let m = Trace.Ctx.metrics (Cluster.runtime c p).Runtime.trace in
   match Trace.Metrics.find_hist m (Printf.sprintf "p%d/%s" p name) with
   | Some h -> Trace.Metrics.hist_count h
   | None -> 0
+
+let hist_sum (c : Cluster.t) (p : int) (name : string) : float =
+  let m = Trace.Ctx.metrics (Cluster.runtime c p).Runtime.trace in
+  match Trace.Metrics.find_hist m (Printf.sprintf "p%d/%s" p name) with
+  | Some h -> Trace.Metrics.hist_sum h
+  | None -> 0.0
+
+(* --- the Verify seam, pinned call by call ---
+
+   One fixed mixed plan through every Verify entry point at party 0: a
+   fresh, a cached and a forged tsig share; a tsig batch mixing a cached,
+   two fresh and a forged share; an all-valid batch charged to the storage
+   core; an assembled signature checked twice; a lone coin share, a coin
+   batch with one bad share and its corrected retransmission; and a
+   decryption share checked twice.  Each verdict must equal the
+   one-at-a-time verifiers', and the charges, cache probes, batch sizes and
+   statement-table traffic must stay at the pinned golden. *)
+
+let verify_plan (tsig_scheme : Config.tsig_scheme) : string =
+  let c = Util.cluster ~seed:"amort-verify" ~tsig_scheme () in
+  let rt = Cluster.runtime c 0 in
+  let pub = Tsig.public_of_secret rt.Runtime.keys.Dealer.bc_tsig in
+  let pid = "golden" and msg = "golden-stmt" and msg2 = "golden-stmt-2" in
+  Runtime.register rt ~pid (fun ~src:_ _ -> ());
+  let release p m =
+    let r = Cluster.runtime c p in
+    Tsig.release ~drbg:r.Runtime.drbg r.Runtime.keys.Dealer.bc_tsig ~ctx:pid m
+  in
+  let sh = Array.init 4 (fun p -> release p msg) in
+  (* An honest proof about another message: a forgery on [msg]. *)
+  let forged = release 3 msg2 in
+  let sh2 = [ release 1 msg2; release 2 msg2 ] in
+  let coin_pub = rt.Runtime.keys.Dealer.coin_pub and name = "golden-coin" in
+  let coin p =
+    let r = Cluster.runtime c p in
+    Threshold_coin.release ~drbg:r.Runtime.drbg coin_pub
+      r.Runtime.keys.Dealer.coin_share ~name
+  in
+  let coins = Array.init 4 coin in
+  let bad_coin =
+    { coins.(3) with Threshold_coin.value = coins.(2).Threshold_coin.value }
+  in
+  let enc_pub = rt.Runtime.keys.Dealer.enc_pub in
+  let ct =
+    Threshold_enc.encrypt ~drbg:rt.Runtime.drbg enc_pub ~label:pid "payload"
+  in
+  let dec =
+    let r = Cluster.runtime c 1 in
+    match
+      Threshold_enc.dec_share ~drbg:r.Runtime.drbg enc_pub
+        r.Runtime.keys.Dealer.enc_share ct
+    with
+    | Some d -> d
+    | None -> Alcotest.fail "decryption share refused a valid ciphertext"
+  in
+  let signature = Tsig.assemble pub ~ctx:pid msg [ sh.(0); sh.(1); sh.(2) ] in
+  let single m s = Tsig.verify_share pub ~ctx:pid m s in
+  let coin_single s = Threshold_coin.verify_share coin_pub ~name s in
+  let meter (ch : Charge.t) = ch.Charge.meter.Sim.Cost.total_ms in
+  let flags l = String.concat "" (List.map (fun b -> if b then "1" else "0") l) in
+  (* Run one step now, check it against the single verifiers, and log its
+     verdicts with the milliseconds it charged to each meter. *)
+  let log = ref [] in
+  let step what (run : unit -> bool list) (want : bool list) =
+    let ms = meter rt.Runtime.charge and store = meter rt.Runtime.store_charge in
+    let got = run () in
+    if got <> want then
+      Alcotest.failf "%s: Verify said %s, the single verifiers %s" what
+        (flags got) (flags want);
+    log :=
+      Printf.sprintf "%s:%.6f:%.6f" (flags got)
+        (meter rt.Runtime.charge -. ms)
+        (meter rt.Runtime.store_charge -. store)
+      :: !log
+  in
+  step "fresh share"
+    (fun () -> [ Verify.tsig_share rt ~pub ~ctx:pid msg sh.(1) ])
+    [ single msg sh.(1) ];
+  step "cached share"
+    (fun () -> [ Verify.tsig_share rt ~pub ~ctx:pid msg sh.(1) ])
+    [ single msg sh.(1) ];
+  step "forged share"
+    (fun () -> [ Verify.tsig_share rt ~pub ~ctx:pid msg forged ])
+    [ single msg forged ];
+  (let batch = [ sh.(1); sh.(2); forged; sh.(3) ] in
+   step "mixed batch"
+     (fun () -> Array.to_list (Verify.tsig_shares rt ~pub ~ctx:pid msg batch))
+     (List.map (single msg) batch));
+  step "store batch"
+    (fun () ->
+      Array.to_list
+        (Verify.tsig_shares ~charge:rt.Runtime.store_charge rt ~pub ~ctx:pid
+           msg2 sh2))
+    (List.map (single msg2) sh2);
+  for _ = 1 to 2 do
+    step "signature"
+      (fun () -> [ Verify.tsig_signature rt ~pub ~ctx:pid ~signature msg ])
+      [ Tsig.verify pub ~ctx:pid ~signature msg ]
+  done;
+  step "lone coin"
+    (fun () -> [ Verify.coin_share rt ~group:pid ~name coins.(1) ])
+    [ coin_single coins.(1) ];
+  (let batch = [ coins.(1); coins.(2); bad_coin; coins.(0) ] in
+   step "coin batch"
+     (fun () -> [ Verify.coin_shares rt ~group:pid ~name batch ])
+     [ List.for_all coin_single batch ]);
+  (let batch = [ coins.(1); coins.(2); coins.(0) ] in
+   step "coin retransmit"
+     (fun () -> [ Verify.coin_shares rt ~group:pid ~name batch ])
+     [ List.for_all coin_single batch ]);
+  for _ = 1 to 2 do
+    step "dec share"
+      (fun () -> [ Verify.enc_dec_share rt ~group:pid ~ct dec ])
+      [ Threshold_enc.verify_dec_share enc_pub ct dec ]
+  done;
+  Printf.sprintf "%s hit=%g miss=%g batches=%d/%g stmt=%d/%d"
+    (String.concat " " (List.rev !log))
+    (Util.counter_value c 0 "verify.cache_hit")
+    (Util.counter_value c 0 "verify.cache_miss")
+    (hist_count c 0 "verify.batch_size")
+    (hist_sum c 0 "verify.batch_size")
+    (Stmt_table.hashed rt.Runtime.stmts)
+    (Stmt_table.reused rt.Runtime.stmts)
+
+let verify_golden =
+  [
+    (Config.Shoup,
+     "1:24.904300:0.000000 1:0.004500:0.000000 0:24.904300:0.000000 \
+      1101:19.216619:0.000000 11:0.000000:18.621941 1:0.166996:0.000000 \
+      1:0.001180:0.000000 1:2.033650:0.000000 0:3.362665:0.000000 \
+      1:0.007800:0.000000 1:2.036410:0.000000 1:0.005360:0.000000 hit=8 \
+      miss=13 batches=3/8 stmt=2/3");
+    (Config.Multi,
+     "1:0.167056:0.000000 1:0.001240:0.000000 0:0.167056:0.000000 \
+      1101:0.502407:0.000000 11:0.000000:0.334191 1:0.501107:0.000000 \
+      1:0.003260:0.000000 1:2.033650:0.000000 0:3.362665:0.000000 \
+      1:0.007800:0.000000 1:2.036410:0.000000 1:0.005360:0.000000 hit=8 \
+      miss=13 batches=1/3 stmt=2/3");
+  ]
+
+let verify_tests =
+  [
+    Alcotest.test_case
+      "Verify seam: a mixed plan pins verdicts, charges and counters, both \
+       schemes"
+      `Quick (fun () ->
+        List.iter
+          (fun (scheme, want) ->
+            Alcotest.(check string)
+              (match scheme with Config.Shoup -> "shoup" | Config.Multi -> "multi")
+              want (verify_plan scheme))
+          verify_golden);
+  ]
+
+(* --- delivery-log determinism and scenario cost regression --- *)
 
 type det_run = {
   logs : string list;  (* per party, ";"-joined delivery order *)
@@ -775,5 +931,5 @@ let pregen_tests =
   ]
 
 let suite =
-  equivalence_tests @ cache_tests @ stmt_tests @ determinism_tests @ cost_tests
-  @ pregen_tests
+  equivalence_tests @ cache_tests @ stmt_tests @ verify_tests
+  @ determinism_tests @ cost_tests @ pregen_tests
