@@ -95,24 +95,26 @@ let fig6_tests () =
   let keys = Lazy.force tsig in
   let pub = keys.Crypto.Threshold_sig.public in
   let d = Hashes.Drbg.fork drbg "tsig-run" in
+  (* Each timed call prepares its statement, as a one-shot signer does. *)
+  let stmt () = Crypto.Rsa.stmt_for pub.Crypto.Threshold_sig.rsa ~ctx:"bench" "message" in
   let share i =
     Crypto.Threshold_sig.release ~drbg:d pub keys.Crypto.Threshold_sig.shares.(i)
-      ~ctx:"bench" "message"
+      (stmt ())
   in
   let shares = [ share 0; share 1; share 2 ] in
-  let assembled = Crypto.Threshold_sig.assemble pub ~ctx:"bench" "message" shares in
+  let assembled = Crypto.Threshold_sig.assemble pub (stmt ()) shares in
   [
     Test.make ~name:"shoup512-release-share"
       (Staged.stage (fun () -> ignore (share 0)));
     Test.make ~name:"shoup512-verify-share"
       (Staged.stage (fun () ->
-         ignore (Crypto.Threshold_sig.verify_share pub ~ctx:"bench" "message" (List.hd shares))));
+         ignore (Crypto.Threshold_sig.verify_share pub (stmt ()) (List.hd shares))));
     Test.make ~name:"shoup512-assemble-k3"
       (Staged.stage (fun () ->
-         ignore (Crypto.Threshold_sig.assemble pub ~ctx:"bench" "message" shares)));
+         ignore (Crypto.Threshold_sig.assemble pub (stmt ()) shares)));
     Test.make ~name:"shoup512-verify-final"
       (Staged.stage (fun () ->
-         ignore (Crypto.Threshold_sig.verify pub ~ctx:"bench" ~signature:assembled "message")));
+         ignore (Crypto.Threshold_sig.verify pub ~signature:assembled (stmt ()))));
   ]
 
 (* Table 1 secure channel: the TDH2 threshold cryptosystem. *)
@@ -274,18 +276,19 @@ let perf ~(quick : bool) () : string =
         ~modulus_bits:pbits ~nparties:4 ~k:3 ~t:1 ()
     in
     let tpub = tkeys.Crypto.Threshold_sig.public in
+    (* Each timed check prepares its statement, as the reference twin does. *)
+    let tstmt () = Crypto.Rsa.stmt_for tpub.Crypto.Threshold_sig.rsa ~ctx:"perf" "message" in
     let tshares =
       List.map
         (fun i ->
           Crypto.Threshold_sig.release ~drbg:d tpub
-            tkeys.Crypto.Threshold_sig.shares.(i) ~ctx:"perf" "message")
+            tkeys.Crypto.Threshold_sig.shares.(i) (tstmt ()))
         [ 0; 1; 2 ]
     in
     let _ =
       bench "tsig-verify-share" (fun () ->
         ignore
-          (Crypto.Threshold_sig.verify_share tpub ~ctx:"perf" "message"
-             (List.hd tshares)))
+          (Crypto.Threshold_sig.verify_share tpub (tstmt ()) (List.hd tshares)))
     in
     let tsig_ref =
       bench "tsig-verify-share-reference" (fun () ->
@@ -295,7 +298,7 @@ let perf ~(quick : bool) () : string =
     in
     let tsig_batch =
       bench "tsig-batch-verify-k3" (fun () ->
-        match Crypto.Batch.tsig_shares tpub ~ctx:"perf" "message" tshares with
+        match Crypto.Batch.tsig_shares tpub (tstmt ()) tshares with
         | Crypto.Batch.All_valid -> ()
         | Crypto.Batch.Invalid _ -> failwith "perf: honest tsig batch rejected")
     in

@@ -453,18 +453,21 @@ let crypto_cmd =
         Crypto.Threshold_sig.deal ~drbg ~modulus_bits:512 ~nparties:4 ~k:3 ~t:1 ()
       in
       let pub = keys.Crypto.Threshold_sig.public in
-      let msg = "the quick brown fox" in
+      let stmt =
+        Crypto.Rsa.stmt_for pub.Crypto.Threshold_sig.rsa ~ctx:"cli"
+          "the quick brown fox"
+      in
       let shares =
         List.map
           (fun i ->
             Crypto.Threshold_sig.release ~drbg pub
-              keys.Crypto.Threshold_sig.shares.(i) ~ctx:"cli" msg)
+              keys.Crypto.Threshold_sig.shares.(i) stmt)
           [ 0; 1; 3 ]
       in
-      let signature = Crypto.Threshold_sig.assemble pub ~ctx:"cli" msg shares in
+      let signature = Crypto.Threshold_sig.assemble pub stmt shares in
       Printf.printf "assembled %d-byte RSA signature from shares {1,2,4}; verifies: %b\n"
         (String.length signature)
-        (Crypto.Threshold_sig.verify pub ~ctx:"cli" ~signature msg)
+        (Crypto.Threshold_sig.verify pub ~signature stmt)
     | "encrypt" ->
       let keys = Crypto.Threshold_enc.deal ~drbg ~group ~n:4 ~k:2 ~t:1 in
       let pub = keys.Crypto.Threshold_enc.public in

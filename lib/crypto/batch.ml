@@ -184,7 +184,7 @@ let coin_shares (pub : Threshold_coin.public) ~(name : string)
 
 (* --- Shoup threshold-signature shares --- *)
 
-let tsig_shares_stmt (pub : Threshold_sig.public) (st : Rsa.stmt)
+let tsig_shares (pub : Threshold_sig.public) (st : Rsa.stmt)
     (shares : Threshold_sig.share list) : verdict =
   let shares = Array.of_list shares in
   let n = Array.length shares in
@@ -193,7 +193,7 @@ let tsig_shares_stmt (pub : Threshold_sig.public) (st : Rsa.stmt)
   (* xtilde = x^{4 Delta} is shared by every proof on this message:
      computed once per batch, where the one-at-a-time path pays it per
      share. *)
-  let xtilde = lazy (Threshold_sig.xtilde_rep_stmt pub st) in
+  let xtilde = lazy (Threshold_sig.xtilde_rep pub st) in
   let pre i =
     let s = shares.(i) in
     s.Threshold_sig.origin >= 1
@@ -247,9 +247,5 @@ let tsig_shares_stmt (pub : Threshold_sig.public) (st : Rsa.stmt)
     in
     Nat.equal lhs (Nat.Montgomery.powmod_multi rsa.Rsa.mont !rhs)
   in
-  let single i = Threshold_sig.verify_share_stmt pub st shares.(i) in
+  let single i = Threshold_sig.verify_share pub st shares.(i) in
   run ~n ~pre ~combined ~single
-
-let tsig_shares (pub : Threshold_sig.public) ~(ctx : string) (msg : string)
-    (shares : Threshold_sig.share list) : verdict =
-  tsig_shares_stmt pub (Threshold_sig.statement pub ~ctx msg) shares

@@ -40,7 +40,7 @@ val coin_shares :
     keys trusted.  Agrees with {!Threshold_coin.verify_share} share by
     share. *)
 
-val tsig_shares_stmt :
+val tsig_shares :
   Threshold_sig.public -> Rsa.stmt -> Threshold_sig.share list -> verdict
 (** Batch-verify Shoup signature shares on one prepared statement.  The
     shared base [xtilde = x^(4*Delta)] is computed once for the batch (the
@@ -48,8 +48,3 @@ val tsig_shares_stmt :
     over integer exponents (the group [QR_n] has unknown order, so nothing
     is reduced).  Agrees with {!Threshold_sig.verify_share} share by
     share. *)
-
-val tsig_shares :
-  Threshold_sig.public -> ctx:string -> string -> Threshold_sig.share list ->
-  verdict
-(** {!tsig_shares_stmt} on a freshly prepared statement. *)

@@ -44,25 +44,17 @@ let deal ~(drbg : Hashes.Drbg.t) ~(modulus_bits : int) ~nparties ~k ~t () : keys
 let statement (pub : public) ~(ctx : string) (msg : string) : Rsa.stmt =
   Rsa.stmt_for pub.party_keys.(0) ~ctx msg
 
-let release_stmt (pub : public) (sk : secret_share) (st : Rsa.stmt) : share =
+let release (pub : public) (sk : secret_share) (st : Rsa.stmt) : share =
   ignore pub;
   { origin = sk.index; signature = Rsa.sign_stmt sk.key st }
 
-let release (pub : public) (sk : secret_share) ~(ctx : string) (msg : string) : share =
-  release_stmt pub sk (statement pub ~ctx msg)
-
-let verify_share_stmt (pub : public) (st : Rsa.stmt) (s : share) : bool =
+let verify_share (pub : public) (st : Rsa.stmt) (s : share) : bool =
   s.origin >= 1 && s.origin <= pub.nparties
   && Rsa.verify_stmt pub.party_keys.(s.origin - 1) ~signature:s.signature st
 
-let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
-  verify_share_stmt pub (statement pub ~ctx msg) s
-
 (* An assembled multi-signature is the concatenation of k (origin, sig)
    pairs; a compact length-prefixed encoding. *)
-let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list) : string =
-  ignore ctx;
-  ignore msg;
+let assemble (pub : public) (shares : share list) : string =
   let seen = Hashtbl.create 8 in
   let shares =
     List.filter
@@ -103,19 +95,11 @@ let parse_assembled (s : string) : share list option =
       in
       go 4 count []
 
-let verify_stmt (pub : public) ~(signature : string) (st : Rsa.stmt) : bool =
+let verify (pub : public) ~(signature : string) (st : Rsa.stmt) : bool =
   match parse_assembled signature with
   | None -> false
   | Some shares ->
     let distinct = List.sort_uniq compare (List.map (fun s -> s.origin) shares) in
     List.length distinct >= pub.k
     && List.length distinct = List.length shares
-    && List.for_all (fun s -> verify_share_stmt pub st s) shares
-
-let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
-  verify_stmt pub ~signature (statement pub ~ctx msg)
-
-let signature_bytes (pub : public) : int =
-  (* Size of an assembled multi-signature, for wire-cost accounting. *)
-  let per = 12 + Rsa.signature_bytes pub.party_keys.(0) in
-  4 + (pub.k * per)
+    && List.for_all (fun s -> verify_share pub st s) shares

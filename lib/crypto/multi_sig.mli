@@ -31,32 +31,22 @@ val deal :
 (** The trusted dealer: one independent RSA key pair per party.
     @raise Invalid_argument unless [t < k <= nparties - t]. *)
 
-val release_stmt : public -> secret_share -> Rsa.stmt -> share
+val statement : public -> ctx:string -> string -> Rsa.stmt
+(** The statement [(ctx, msg)] prepared once for every party key (they
+    share one modulus length), so a [k]-signature check hashes once. *)
+
+val release : public -> secret_share -> Rsa.stmt -> share
 (** One ordinary (CRT) RSA signature on a prepared statement. *)
 
-val release : public -> secret_share -> ctx:string -> string -> share
-(** {!release_stmt} on a freshly prepared statement. *)
-
-val verify_share_stmt : public -> Rsa.stmt -> share -> bool
+val verify_share : public -> Rsa.stmt -> share -> bool
 (** One RSA verification against the origin's public key. *)
 
-val verify_share : public -> ctx:string -> string -> share -> bool
-(** {!verify_share_stmt} on a freshly prepared statement. *)
-
-val assemble : public -> ctx:string -> string -> share list -> string
-(** Concatenate [k] shares from distinct origins (length-prefixed).
+val assemble : public -> share list -> string
+(** Concatenate [k] shares from distinct origins (length-prefixed); a
+    multi-signature carries its statement in every share, so assembling
+    needs none.
     @raise Invalid_argument with fewer than [k] distinct origins. *)
 
-val parse_assembled : string -> share list option
-(** Decode {!assemble}'s framing; [None] on malformed input. *)
-
-val verify_stmt : public -> signature:string -> Rsa.stmt -> bool
+val verify : public -> signature:string -> Rsa.stmt -> bool
 (** At least [k] valid signatures from distinct parties, no duplicates —
     all [k] checked against the one prepared statement. *)
-
-val verify : public -> ctx:string -> signature:string -> string -> bool
-(** {!verify_stmt} on a freshly prepared statement. *)
-
-val signature_bytes : public -> int
-(** Size of an assembled multi-signature (larger than a threshold
-    signature by ~[k]x — the wire-size cost Figure 6 trades against CPU). *)

@@ -102,9 +102,6 @@ let fdh_stmt (pub : public) (st : stmt) : Nat.t =
   in
   Nat.rem st.material pub.n
 
-let fdh (pub : public) ~(ctx : string) (msg : string) : Nat.t =
-  fdh_stmt pub (stmt_for pub ~ctx msg)
-
 (* CRT exponentiation x^d mod n. *)
 let crt_power (sk : secret) (x : Nat.t) : Nat.t =
   let mp = Nat.Montgomery.powmod sk.mont_p x sk.d_p in
@@ -130,7 +127,3 @@ let sign (sk : secret) ~(ctx : string) (msg : string) : string =
 
 let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
   verify_stmt pub ~signature (stmt_for pub ~ctx msg)
-
-let public_to_bytes (pub : public) : string =
-  let nb = Nat.to_bytes_be pub.n and eb = Nat.to_bytes_be pub.e in
-  Printf.sprintf "%d|%d|" (String.length nb) (String.length eb) ^ nb ^ eb

@@ -58,14 +58,11 @@ val stmt_msg : stmt -> string
 (** The message the statement was prepared for. *)
 
 val fdh_stmt : public -> stmt -> Bignum.Nat.t
-(** The full-domain hash of the statement under this key, in [[0, n)].  A
-    statement prepared for another modulus length is re-hashed for this
-    one, so the result is always [fdh pub ~ctx msg]. *)
-
-val fdh : public -> ctx:string -> string -> Bignum.Nat.t
-(** Full-domain hash of a message into [[0, n)], domain-separated by [ctx]
-    (SINTRA binds every signature to its protocol instance):
-    [fdh_stmt pub (stmt_for pub ~ctx msg)]. *)
+(** The full-domain hash of the statement's message into [[0, n)],
+    domain-separated by its [ctx] (SINTRA binds every signature to its
+    protocol instance).  A statement prepared for another modulus length
+    is re-hashed for this one, so the result is always that of
+    [stmt_for pub ~ctx msg]. *)
 
 val crt_power : secret -> Bignum.Nat.t -> Bignum.Nat.t
 (** [x^d mod n] by the Chinese remainder theorem (~4x faster than the
@@ -87,6 +84,3 @@ val verify : public -> ctx:string -> signature:string -> string -> bool
 
 val signature_bytes : public -> int
 (** Signature size (the modulus byte length), for wire-cost accounting. *)
-
-val public_to_bytes : public -> string
-(** A canonical encoding of the public key (for hashing/binding). *)

@@ -27,7 +27,6 @@ type t = {
   order : string Queue.t;                      (* insertion order; may hold stale keys *)
   groups : (string, string list ref) Hashtbl.t;  (* group -> its keys *)
   mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~(cap : int) : t =
@@ -38,7 +37,6 @@ let create ~(cap : int) : t =
     order = Queue.create ();
     groups = Hashtbl.create 64;
     hits = 0;
-    misses = 0;
   }
 
 let key ~(scheme : string) ~(digest : string) ~(sender : int) ~(index : int)
@@ -50,14 +48,12 @@ let key ~(scheme : string) ~(digest : string) ~(sender : int) ~(index : int)
   Printf.sprintf "%s|%d|%d|%s" scheme sender index digest
 
 let size (t : t) : int = Hashtbl.length t.tbl
-let cap (t : t) : int = t.cap
 let hits (t : t) : int = t.hits
-let misses (t : t) : int = t.misses
 
 let mem (t : t) ~scheme ~digest ~sender ~index : bool =
   let k = key ~scheme ~digest ~sender ~index in
   let found = Hashtbl.mem t.tbl k in
-  if found then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+  if found then t.hits <- t.hits + 1;
   found
 
 (* Pop FIFO entries until one is still live, and drop it.  Stale queue

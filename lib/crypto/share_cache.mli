@@ -23,7 +23,7 @@ val create : cap:int -> t
 
 val mem :
   t -> scheme:string -> digest:string -> sender:int -> index:int -> bool
-(** Membership probe; updates the hit/miss counters.
+(** Membership probe; counts a hit.
     @raise Invalid_argument if [digest] is not a SHA-1/SHA-256 digest. *)
 
 val add :
@@ -45,11 +45,5 @@ val size : t -> int
 (** Current number of live entries ([<= cap] always) — the cache-size
     gauge. *)
 
-val cap : t -> int
-(** The capacity the cache was created with. *)
-
 val hits : t -> int
 (** Probes that found their key. *)
-
-val misses : t -> int
-(** Probes that did not. *)

@@ -97,15 +97,9 @@ let n_mod (pub : public) : Nat.t = pub.rsa.Rsa.n
 let pow (pub : public) (b : Nat.t) (e : Nat.t) : Nat.t =
   Nat.Montgomery.powmod pub.rsa.Rsa.mont b e
 
-let statement (pub : public) ~(ctx : string) (msg : string) : Rsa.stmt =
-  Rsa.stmt_for pub.rsa ~ctx msg
-
 (* The value being signed: a full-domain hash of the message into Z_n,
    domain-separated by the protocol context. *)
-let message_rep_stmt (pub : public) (st : Rsa.stmt) : Nat.t = Rsa.fdh_stmt pub.rsa st
-
-let message_rep (pub : public) ~(ctx : string) (msg : string) : Nat.t =
-  message_rep_stmt pub (statement pub ~ctx msg)
+let message_rep (pub : public) (st : Rsa.stmt) : Nat.t = Rsa.fdh_stmt pub.rsa st
 
 let hash_challenge (parts : Nat.t list) : Nat.t =
   let joined =
@@ -115,9 +109,9 @@ let hash_challenge (parts : Nat.t list) : Nat.t =
   let b1 = Hashes.Sha256.digest_list [ "tsig-chal|1|"; joined ] in
   Nat.shift_right (Nat.of_bytes_be (b0 ^ b1)) (512 - challenge_bits)
 
-let release_stmt ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share)
+let release ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share)
     (st : Rsa.stmt) : share =
-  let x = message_rep_stmt pub st in
+  let x = message_rep pub st in
   let dlt = delta pub in
   let two_delta = Nat.shift_left dlt 1 in
   let x_i = pow pub x (Nat.mul two_delta sk.s_i) in
@@ -134,10 +128,6 @@ let release_stmt ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share)
   let z = Nat.add (Nat.mul sk.s_i c) r in
   { origin = sk.index; x_i; proof_v = v'; proof_x = x'; proof_z = z }
 
-let release ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) ~(ctx : string)
-    (msg : string) : share =
-  release_stmt ~drbg pub sk (statement pub ~ctx msg)
-
 (* The challenge a share's proof is checked against, given the message
    representative's xtilde = x^{4 Delta} (shared by every share on the same
    message — batch verification computes it once). *)
@@ -145,16 +135,16 @@ let share_challenge (pub : public) ~(xtilde : Nat.t) (s : share) : Nat.t =
   let x_i_sq = Nat.rem (Nat.sqr s.x_i) (n_mod pub) in
   hash_challenge [ pub.v; xtilde; pub.vks.(s.origin - 1); x_i_sq; s.proof_v; s.proof_x ]
 
-let xtilde_rep_stmt (pub : public) (st : Rsa.stmt) : Nat.t =
-  pow pub (message_rep_stmt pub st) (Nat.shift_left (delta pub) 2)
+let xtilde_rep (pub : public) (st : Rsa.stmt) : Nat.t =
+  pow pub (message_rep pub st) (Nat.shift_left (delta pub) 2)
 
-let verify_share_stmt (pub : public) (st : Rsa.stmt) (s : share) : bool =
+let verify_share (pub : public) (st : Rsa.stmt) (s : share) : bool =
   let n_mod = n_mod pub in
   s.origin >= 1 && s.origin <= pub.nparties
   && Nat.compare s.x_i n_mod < 0
   && not (Nat.is_zero s.x_i)
   && begin
-    let xtilde = xtilde_rep_stmt pub st in
+    let xtilde = xtilde_rep pub st in
     let x_i_sq = Nat.rem (Nat.sqr s.x_i) n_mod in
     let c = share_challenge pub ~xtilde s in
     (* Check v^z = v' * v_i^c and xtilde^z = x' * (x_i^2)^c.  All exponents
@@ -167,9 +157,6 @@ let verify_share_stmt (pub : public) (st : Rsa.stmt) (s : share) : bool =
     && Nat.equal (pow pub xtilde s.proof_z)
          (Nat.rem (Nat.mul s.proof_x (pow pub x_i_sq c)) n_mod)
   end
-
-let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
-  verify_share_stmt pub (statement pub ~ctx msg) s
 
 (* The textbook verification path: both equations by plain modular
    exponentiation, no fixed-base table — the reference twin of
@@ -184,7 +171,7 @@ let verify_share_reference (pub : public) ~(ctx : string) (msg : string)
   && Nat.compare s.x_i n_mod < 0
   && not (Nat.is_zero s.x_i)
   && begin
-    let xtilde = xtilde_rep_stmt pub (statement pub ~ctx msg) in
+    let xtilde = xtilde_rep pub (Rsa.stmt_for pub.rsa ~ctx msg) in
     let x_i_sq = Nat.rem (Nat.sqr s.x_i) n_mod in
     let c = share_challenge pub ~xtilde s in
     Nat.equal (Nat.powmod pub.v s.proof_z n_mod)
@@ -194,9 +181,9 @@ let verify_share_reference (pub : public) ~(ctx : string) (msg : string)
          (Nat.rem (Nat.mul s.proof_x (Nat.powmod x_i_sq c n_mod)) n_mod)
   end
 
-(* Combine k verified shares into a standard RSA signature on the FDH of
-   [msg]: a string verifiable by {!verify}. *)
-let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list) : string =
+(* Combine k verified shares into a standard RSA signature on the
+   statement's FDH: a string verifiable by {!verify}. *)
+let assemble (pub : public) (st : Rsa.stmt) (shares : share list) : string =
   let seen = Hashtbl.create 8 in
   let shares =
     List.filter
@@ -206,7 +193,7 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
       shares
   in
   if List.length shares < pub.k then invalid_arg "Threshold_sig.assemble: not enough distinct shares";
-  let x = message_rep pub ~ctx msg in
+  let x = message_rep pub st in
   let points = List.map (fun s -> s.origin) shares in
   let nb = Bigint.of_nat (n_mod pub) in
   (* w = prod x_i^{2 lambda_i}: one k-way multi-exponentiation per sign
@@ -251,10 +238,5 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
 
 (* Verify an assembled signature: plain RSA verification, usable by anyone
    holding only (n, e). *)
-let verify_stmt (pub : public) ~(signature : string) (st : Rsa.stmt) : bool =
+let verify (pub : public) ~(signature : string) (st : Rsa.stmt) : bool =
   Rsa.verify_stmt pub.rsa ~signature st
-
-let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
-  verify_stmt pub ~signature (statement pub ~ctx msg)
-
-let signature_bytes (pub : public) : int = Rsa.signature_bytes pub.rsa

@@ -52,23 +52,13 @@ val deal :
 (** The trusted dealer: safe-prime modulus, sharing of [d], verification
     keys.  @raise Invalid_argument unless [t < k <= nparties - t]. *)
 
-val statement : public -> ctx:string -> string -> Rsa.stmt
-(** The statement prepared for this key's modulus: the hashing half of
-    {!message_rep}, done once per statement by callers that keep it. *)
-
-val message_rep : public -> ctx:string -> string -> Bignum.Nat.t
-(** The full-domain hash actually signed. *)
-
-val release_stmt :
+val release :
   drbg:Hashes.Drbg.t -> public -> secret_share -> Rsa.stmt -> share
-(** Party [i]'s signature share [x^(2*Delta*s_i)] with its proof of
-    correctness; the proof commitment [v^r] rides the {!v_tbl}
-    fixed-base table. *)
+(** Party [i]'s signature share [x^(2*Delta*s_i)] on a prepared statement
+    ({!Rsa.stmt_for} [rsa]), with its proof of correctness; the proof
+    commitment [v^r] rides the {!v_tbl} fixed-base table. *)
 
-val release : drbg:Hashes.Drbg.t -> public -> secret_share -> ctx:string -> string -> share
-(** {!release_stmt} on a freshly prepared statement. *)
-
-val xtilde_rep_stmt : public -> Rsa.stmt -> Bignum.Nat.t
+val xtilde_rep : public -> Rsa.stmt -> Bignum.Nat.t
 (** [xtilde = x^(4*Delta) mod n] for the message representative [x] — the
     common base of every share proof on the same message.  Exposed so batch
     verification computes it once per message instead of once per share. *)
@@ -78,32 +68,23 @@ val share_challenge : public -> xtilde:Bignum.Nat.t -> share -> Bignum.Nat.t
     share's proof is checked against — exposed for {!Batch}'s combined
     verification equation. *)
 
-val verify_share_stmt : public -> Rsa.stmt -> share -> bool
+val verify_share : public -> Rsa.stmt -> share -> bool
 (** Check the share's equality-of-logs proof: recompute the challenge from
     the carried commitments and check both verification equations.  All
     exponents positive (no inversions); the [v]-power is a fixed-base
     table walk ({!v_tbl}) and the challenge powers are short. *)
 
-val verify_share : public -> ctx:string -> string -> share -> bool
-(** {!verify_share_stmt} on a freshly prepared statement. *)
-
 val verify_share_reference : public -> ctx:string -> string -> share -> bool
 (** The textbook path: {!verify_share}'s exact accept set computed with
-    plain modular exponentiations only (no fixed-base table) — the
-    reference twin the equivalence tests and the amortization benchmarks
-    compare the fast single and {!Batch} paths against. *)
+    plain modular exponentiations only (no fixed-base table), on a
+    statement it prepares itself — the reference twin the equivalence
+    tests and the amortization benchmarks compare the fast single and
+    {!Batch} paths against. *)
 
-val assemble : public -> ctx:string -> string -> share list -> string
+val assemble : public -> Rsa.stmt -> share list -> string
 (** Combine [k] distinct verified shares into the standard RSA signature
     (the same bytes whichever subset is used).
     @raise Invalid_argument with fewer than [k] distinct origins. *)
 
-val verify_stmt : public -> signature:string -> Rsa.stmt -> bool
+val verify : public -> signature:string -> Rsa.stmt -> bool
 (** Plain RSA verification — usable by anyone holding only [(n, e)]. *)
-
-val verify : public -> ctx:string -> signature:string -> string -> bool
-(** {!verify_stmt} on a freshly prepared statement. *)
-
-val signature_bytes : public -> int
-(** Size of an assembled signature ([|n|] bytes), for wire-cost
-    accounting. *)

@@ -196,19 +196,13 @@ let priced_ops : (string * string) list = [
   ("Tsig.verify", "tsig_verify");
   ("Tsig.verify_stmt", "tsig_verify");
   ("Crypto.Threshold_sig.release", "tsig_release");
-  ("Crypto.Threshold_sig.release_stmt", "tsig_release");
   ("Crypto.Threshold_sig.verify_share", "tsig_verify_share");
-  ("Crypto.Threshold_sig.verify_share_stmt", "tsig_verify_share");
   ("Crypto.Threshold_sig.assemble", "tsig_assemble");
   ("Crypto.Threshold_sig.verify", "tsig_verify");
-  ("Crypto.Threshold_sig.verify_stmt", "tsig_verify");
   ("Crypto.Multi_sig.release", "tsig_release");
-  ("Crypto.Multi_sig.release_stmt", "tsig_release");
   ("Crypto.Multi_sig.verify_share", "tsig_verify_share");
-  ("Crypto.Multi_sig.verify_share_stmt", "tsig_verify_share");
   ("Crypto.Multi_sig.assemble", "tsig_assemble");
   ("Crypto.Multi_sig.verify", "tsig_verify");
-  ("Crypto.Multi_sig.verify_stmt", "tsig_verify");
   ("Crypto.Threshold_coin.release", "coin_release");
   ("Crypto.Threshold_coin.verify_share", "coin_verify_share");
   ("Crypto.Threshold_coin.assemble", "coin_assemble");
@@ -219,7 +213,6 @@ let priced_ops : (string * string) list = [
   ("Crypto.Threshold_enc.verify_dec_share", "enc_verify_share");
   ("Crypto.Threshold_enc.combine", "enc_combine");
   ("Batch.tsig_shares", "tsig_verify_share_batch");
-  ("Batch.tsig_shares_stmt", "tsig_verify_share_batch");
   ("Batch.coin_shares", "coin_verify_share_batch");
   ("Crypto.Rsa.sign", "rsa_sign");
   ("Crypto.Rsa.sign_stmt", "rsa_sign");

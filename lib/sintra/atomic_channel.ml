@@ -796,8 +796,7 @@ let handle (t : t) ~src body =
            one from is Byzantine evidence — record it, drop the duplicate. *)
         (match Hashtbl.find_opt tbl src with
          | Some (_, prev)
-           when Invariant.enabled inv
-                && prev.en_items <> en.en_items
+           when prev.en_items <> en.en_items
                 && entry_signature_valid t ~round en ->
            Invariant.flag inv ~offender:src
              (Printf.sprintf "abc %s: conflicting INIT in round %d" t.pid round)

@@ -572,7 +572,7 @@ let handle (t : t) ~src body =
              records it, then the duplicate is ignored as usual. *)
           (match Hashtbl.find_opt st.prevotes src with
            | Some prev
-             when Invariant.enabled inv && prev.pv_value <> pv.pv_value ->
+             when prev.pv_value <> pv.pv_value ->
              ignore (prevote_valid t ~sender:src pv)
            | Some _ | None -> ());
           if not (Hashtbl.mem st.prevotes src) && prevote_valid t ~sender:src pv
@@ -622,8 +622,7 @@ let handle (t : t) ~src body =
           let st = round_state t mv.mv_round in
           (match Hashtbl.find_opt st.mainvotes src with
            | Some prev
-             when Invariant.enabled inv && prev.mv_value <> mv.mv_value
-                  && mainvote_valid t ~sender:src mv ->
+             when prev.mv_value <> mv.mv_value && mainvote_valid t ~sender:src mv ->
              Invariant.flag inv ~offender:src
                (Printf.sprintf "aba %s: equivocating main-vote in round %d"
                   t.pid mv.mv_round)

@@ -32,11 +32,6 @@ type t = {
   model_rsa_bits : int;
   model_dl_pbits : int;
   model_dl_qbits : int;
-  (* Run the Invariant checker inside the protocol handlers: local protocol
-     invariants (quorum arithmetic, index ranges, no duplicate senders)
-     raise, remote misbehaviour (equivocation) is recorded for inspection.
-     Off by default; the simulator and the fault tests switch it on. *)
-  check_invariants : bool;
   (* Charge virtual CPU for the multi-exponentiation / fixed-base fast path
      the real bignum layer always uses (Nat.powmod2, Nat.Fixed_base); when
      off, every operation is priced as a plain square-and-multiply
@@ -76,7 +71,7 @@ let make ?(batch_size : int option) ?(max_batch = 256) ?(pipeline_depth = 4)
     ?(perm_mode = Fixed)
     ?(rsa_bits = 512) ?(tsig_bits = 512) ?(dl_pbits = 512) ?(dl_qbits = 160)
     ?(model_rsa_bits = 1024) ?(model_dl_pbits = 1024) ?(model_dl_qbits = 160)
-    ?(check_invariants = false) ?(crypto_fast_path = true)
+    ?(crypto_fast_path = true)
     ?(share_cache_cap = 4096)
     ~n ~t () : t =
   let batch_size = match batch_size with Some b -> b | None -> t + 1 in
@@ -85,7 +80,7 @@ let make ?(batch_size : int option) ?(max_batch = 256) ?(pipeline_depth = 4)
     tsig_scheme; perm_mode;
     rsa_bits; tsig_bits; dl_pbits; dl_qbits;
     model_rsa_bits; model_dl_pbits; model_dl_qbits;
-    check_invariants; crypto_fast_path; share_cache_cap;
+    crypto_fast_path; share_cache_cap;
   }
   in
   validate c;
@@ -94,7 +89,7 @@ let make ?(batch_size : int option) ?(max_batch = 256) ?(pipeline_depth = 4)
 (* A small fast configuration for unit tests: tiny real keys. *)
 let test ?(n = 4) ?(t = 1) ?(tsig_scheme = Multi) ?(perm_mode = Fixed)
     ?(batch_size : int option) ?max_batch ?pipeline_depth
-    ?check_invariants ?crypto_fast_path ?share_cache_cap () : t =
+    ?crypto_fast_path ?share_cache_cap () : t =
   make ?batch_size ?max_batch ?pipeline_depth
-    ?check_invariants ?crypto_fast_path ?share_cache_cap ~tsig_scheme
+    ?crypto_fast_path ?share_cache_cap ~tsig_scheme
     ~perm_mode ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96 ~n ~t ()

@@ -42,10 +42,6 @@ type t = {
   model_rsa_bits : int;
   model_dl_pbits : int;
   model_dl_qbits : int;
-  check_invariants : bool;
-  (** Run the {!Invariant} checker inside protocol handlers: local
-      invariant violations raise, remote equivocation is recorded.  Off by
-      default. *)
   crypto_fast_path : bool;
   (** Charge virtual CPU for the multi-exponentiation / fixed-base fast
       path the real bignum layer always uses; off prices everything as
@@ -86,7 +82,7 @@ val make :
   ?perm_mode:perm_mode ->
   ?rsa_bits:int -> ?tsig_bits:int -> ?dl_pbits:int -> ?dl_qbits:int ->
   ?model_rsa_bits:int -> ?model_dl_pbits:int -> ?model_dl_qbits:int ->
-  ?check_invariants:bool -> ?crypto_fast_path:bool -> ?share_cache_cap:int ->
+  ?crypto_fast_path:bool -> ?share_cache_cap:int ->
   n:int -> t:int -> unit -> t
 (** Defaults: batch [t+1], max batch 256 payloads per party per round,
     pipeline depth 4 with adaptive batching, multi-signatures, fixed
@@ -97,6 +93,6 @@ val make :
 val test :
   ?n:int -> ?t:int -> ?tsig_scheme:tsig_scheme -> ?perm_mode:perm_mode ->
   ?batch_size:int -> ?max_batch:int -> ?pipeline_depth:int ->
-  ?check_invariants:bool -> ?crypto_fast_path:bool -> ?share_cache_cap:int ->
+  ?crypto_fast_path:bool -> ?share_cache_cap:int ->
   unit -> t
 (** A fast configuration for unit tests (tiny real keys; default n=4, t=1). *)

@@ -111,7 +111,7 @@ let handle (t : t) ~src body =
              let accept sh =
                let o = Tsig.share_origin sh in
                Invariant.share_index inv o;
-               Invariant.require inv (not (Hashtbl.mem t.share_origins o))
+               Invariant.require (not (Hashtbl.mem t.share_origins o))
                  "duplicate share origin in echo tally";
                Hashtbl.replace t.share_origins o ();
                t.shares <- sh :: t.shares

@@ -2,9 +2,9 @@
 
    SINTRA's guarantees rest on mechanical discipline the type system cannot
    see: quorum arithmetic (n > 3t, thresholds t+1, n-t, ceil((n+t+1)/2)),
-   one vote per sender per round, 1-based share indices in [1, n].  When
-   [Config.check_invariants] is set, the protocol handlers call into this
-   module so every simulation doubles as an invariant audit.
+   one vote per sender per round, 1-based share indices in [1, n].  The
+   protocol handlers call into this module, so every simulation doubles as
+   an invariant audit.
 
    Two severities, because the two failure modes mean different things:
 
@@ -24,73 +24,59 @@ type t = {
   mutable flags : (int * string) list;     (* offender, description; newest first *)
 }
 
-let create (cfg : Config.t) : t option =
-  if cfg.Config.check_invariants then Some { cfg; flags = [] } else None
+(* The checks run on every protocol message, so each formats its message
+   only on failure. *)
+let violated fmt =
+  Printf.ksprintf (fun what -> raise (Violation ("invariant violated: " ^ what))) fmt
 
-let enabled (inv : t option) : bool = inv <> None
-
-let require (inv : t option) (cond : bool) (what : string) : unit =
-  match inv with
-  | None -> ()
-  | Some _ -> if not cond then raise (Violation ("invariant violated: " ^ what))
+let require (cond : bool) (what : string) : unit =
+  if not cond then violated "%s" what
 
 (* The quorum arithmetic every protocol assumes; checked once per runtime. *)
 let check_quorums (cfg : Config.t) : unit =
   let n = cfg.Config.n and t = cfg.Config.t in
-  let inv = Some { cfg; flags = [] } in
-  require inv (n >= 3 * t + 1) "resilience: need n > 3t";
+  require (n >= 3 * t + 1) "resilience: need n > 3t";
   let echo = Config.echo_quorum cfg in
   let vote = Config.vote_quorum cfg in
   let ready = Config.ready_quorum cfg in
   let coin = Config.coin_threshold cfg in
   let dec = Config.dec_threshold cfg in
-  require inv (echo = (n + t + 2) / 2) "echo quorum is ceil((n+t+1)/2)";
-  require inv (vote = n - t) "vote quorum is n-t";
-  require inv (ready = 2 * t + 1) "ready quorum is 2t+1";
-  require inv (coin = t + 1 && dec = t + 1) "coin/decryption thresholds are t+1";
+  require (echo = (n + t + 2) / 2) "echo quorum is ceil((n+t+1)/2)";
+  require (vote = n - t) "vote quorum is n-t";
+  require (ready = 2 * t + 1) "ready quorum is 2t+1";
+  require (coin = t + 1 && dec = t + 1) "coin/decryption thresholds are t+1";
   (* Intersection properties the proofs rely on. *)
-  require inv (2 * echo - n >= t + 1)
+  require (2 * echo - n >= t + 1)
     "two echo quorums intersect in t+1 parties (consistency)";
-  require inv (2 * vote - n >= t + 1)
+  require (2 * vote - n >= t + 1)
     "two vote quorums intersect in an honest party (agreement)";
-  require inv (vote >= echo) "every vote quorum contains an echo quorum";
-  require inv (coin <= n - t) "t+1 coin shares are guaranteed from honest parties"
+  require (vote >= echo) "every vote quorum contains an echo quorum";
+  require (coin <= n - t) "t+1 coin shares are guaranteed from honest parties"
 
-let sender_in_range (inv : t option) (src : int) : unit =
-  match inv with
-  | None -> ()
-  | Some i ->
-    require inv (src >= 0 && src < i.cfg.Config.n)
-      (Printf.sprintf "sender index %d outside [0, %d)" src i.cfg.Config.n)
+let create (cfg : Config.t) : t =
+  check_quorums cfg;
+  { cfg; flags = [] }
 
-let share_index (inv : t option) (origin : int) : unit =
-  match inv with
-  | None -> ()
-  | Some i ->
-    require inv (origin >= 1 && origin <= i.cfg.Config.n)
-      (Printf.sprintf "share index %d outside [1, %d]" origin i.cfg.Config.n)
+let sender_in_range (inv : t) (src : int) : unit =
+  let n = inv.cfg.Config.n in
+  if src < 0 || src >= n then violated "sender index %d outside [0, %d)" src n
+
+let share_index (inv : t) (origin : int) : unit =
+  let n = inv.cfg.Config.n in
+  if origin < 1 || origin > n then violated "share index %d outside [1, %d]" origin n
 
 (* One vote per sender: call immediately before [Hashtbl.add]ing a tally
    keyed by sender — a duplicate key there means this party's dedup logic
    failed, not that the peer misbehaved. *)
-let fresh_sender (inv : t option) (tbl : (int, 'a) Hashtbl.t) (src : int)
+let fresh_sender (inv : t) (tbl : (int, 'a) Hashtbl.t) (src : int)
     (what : string) : unit =
-  match inv with
-  | None -> ()
-  | Some i ->
-    sender_in_range inv src;
-    require inv (not (Hashtbl.mem tbl src))
-      (Printf.sprintf "duplicate sender %d in %s" src what);
-    require inv (Hashtbl.length tbl < i.cfg.Config.n)
-      (Printf.sprintf "%s already holds %d entries (n = %d)" what
-         (Hashtbl.length tbl) i.cfg.Config.n)
+  sender_in_range inv src;
+  if Hashtbl.mem tbl src then violated "duplicate sender %d in %s" src what;
+  let n = inv.cfg.Config.n in
+  if Hashtbl.length tbl >= n then
+    violated "%s already holds %d entries (n = %d)" what (Hashtbl.length tbl) n
 
-let flag (inv : t option) ~(offender : int) (what : string) : unit =
-  match inv with
-  | None -> ()
-  | Some i -> i.flags <- (offender, what) :: i.flags
+let flag (inv : t) ~(offender : int) (what : string) : unit =
+  inv.flags <- (offender, what) :: inv.flags
 
-let flagged (inv : t option) : (int * string) list =
-  match inv with
-  | None -> []
-  | Some i -> List.rev i.flags
+let flagged (inv : t) : (int * string) list = List.rev inv.flags

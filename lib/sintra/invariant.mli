@@ -1,5 +1,5 @@
-(** Runtime protocol-invariant checker, enabled by
-    {!Config.check_invariants}.
+(** Runtime protocol-invariant checker, run inside every party's protocol
+    handlers.
 
     Local invariant violations (broken quorum arithmetic, duplicate-sender
     tallies, out-of-range indices) are bugs in this party's code and raise
@@ -11,32 +11,27 @@ exception Violation of string
 
 type t
 
-val create : Config.t -> t option
-(** [None] unless the configuration enables invariant checking; every
-    checker below is a no-op on [None], so call sites stay unconditional. *)
+val create : Config.t -> t
+(** A checker for one party, after verifying the configuration's quorum
+    arithmetic (n > 3t; echo/vote/ready/coin thresholds and their
+    intersection properties).
+    @raise Violation if the quorum arithmetic is broken. *)
 
-val enabled : t option -> bool
-(** Whether checks are live (i.e. the option is [Some]). *)
+val require : bool -> string -> unit
+(** Assert a local invariant.  @raise Violation when false. *)
 
-val require : t option -> bool -> string -> unit
-(** Assert a local invariant.  @raise Violation when enabled and false. *)
-
-val check_quorums : Config.t -> unit
-(** Verify the quorum arithmetic (n > 3t; echo/vote/ready/coin thresholds
-    and their intersection properties).  @raise Violation on failure. *)
-
-val sender_in_range : t option -> int -> unit
+val sender_in_range : t -> int -> unit
 (** 0-based sender index must lie in [0, n). *)
 
-val share_index : t option -> int -> unit
+val share_index : t -> int -> unit
 (** 1-based share origin must lie in [1, n]. *)
 
-val fresh_sender : t option -> (int, 'a) Hashtbl.t -> int -> string -> unit
+val fresh_sender : t -> (int, 'a) Hashtbl.t -> int -> string -> unit
 (** Call immediately before adding to a sender-keyed tally: the sender must
     be in range, not already present, and the tally must have room. *)
 
-val flag : t option -> offender:int -> string -> unit
+val flag : t -> offender:int -> string -> unit
 (** Record evidence of remote (Byzantine) misbehaviour; never raises. *)
 
-val flagged : t option -> (int * string) list
-(** All recorded misbehaviour, oldest first; [] when disabled. *)
+val flagged : t -> (int * string) list
+(** All recorded misbehaviour, oldest first. *)

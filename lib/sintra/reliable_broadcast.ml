@@ -89,7 +89,7 @@ let rec handle (t : t) ~src body =
          | Some _ -> ()
          | None -> Hashtbl.add t.echo_by_src src dg);
         let count = tally t.echoes dg src in
-        Invariant.require inv (count <= cfg.Config.n)
+        Invariant.require (count <= cfg.Config.n)
           "echo tally exceeds group size";
         if count >= Config.echo_quorum cfg then send_ready t dg
       end
@@ -103,7 +103,7 @@ let rec handle (t : t) ~src body =
          | Some _ -> ()
          | None -> Hashtbl.add t.ready_by_src src dg);
         let count = tally t.readies dg src in
-        Invariant.require inv (count <= cfg.Config.n)
+        Invariant.require (count <= cfg.Config.n)
           "ready tally exceeds group size";
         if count >= Config.one_honest cfg then send_ready t dg;
         if count >= Config.ready_quorum cfg && not t.delivered then begin

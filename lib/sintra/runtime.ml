@@ -18,7 +18,7 @@ type t = {
   charge : Charge.t;
   store_charge : Charge.t;
       (* charges land on the storage core's meter, not the protocol CPU *)
-  inv : Invariant.t option;
+  inv : Invariant.t;
   trace : Trace.Ctx.t;
   handlers : (string, src:int -> string -> unit) Hashtbl.t;
   store_handlers : (string, src:int -> string -> unit) Hashtbl.t;
@@ -63,7 +63,6 @@ let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
     ~(keys : Dealer.party_keys) : t =
   let me = keys.Dealer.index in
   let inv = Invariant.create cfg in
-  if Invariant.enabled inv then Invariant.check_quorums cfg;
   let trace = Sim.Net.trace_ctx net me in
   let rt = {
     me;

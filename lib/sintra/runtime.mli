@@ -20,7 +20,7 @@ type t = {
       ({!Sim.Net.oob_meter}): all durability work — log appends, checkpoint
       crypto, snapshot verification — charges here, never to the protocol
       CPU, so durable runs keep the protocol schedule byte-identical. *)
-  inv : Invariant.t option;
+  inv : Invariant.t;
   trace : Trace.Ctx.t;
   handlers : (string, src:int -> string -> unit) Hashtbl.t;
   store_handlers : (string, src:int -> string -> unit) Hashtbl.t;

@@ -40,16 +40,16 @@ let statement (pub : public) ~(ctx : string) (msg : string) : Crypto.Rsa.stmt =
 
 let release_stmt ~(drbg : Hashes.Drbg.t) (sec : secret) (st : Crypto.Rsa.stmt) : share =
   match sec with
-  | Shoup_sec (pub, sk) -> Shoup_share (Crypto.Threshold_sig.release_stmt ~drbg pub sk st)
-  | Multi_sec (pub, sk) -> Multi_share (Crypto.Multi_sig.release_stmt pub sk st)
+  | Shoup_sec (pub, sk) -> Shoup_share (Crypto.Threshold_sig.release ~drbg pub sk st)
+  | Multi_sec (pub, sk) -> Multi_share (Crypto.Multi_sig.release pub sk st)
 
 let release ~(drbg : Hashes.Drbg.t) (sec : secret) ~(ctx : string) (msg : string) : share =
   release_stmt ~drbg sec (statement (public_of_secret sec) ~ctx msg)
 
 let verify_share_stmt (pub : public) (st : Crypto.Rsa.stmt) (s : share) : bool =
   match pub, s with
-  | Shoup_pub p, Shoup_share sh -> Crypto.Threshold_sig.verify_share_stmt p st sh
-  | Multi_pub p, Multi_share sh -> Crypto.Multi_sig.verify_share_stmt p st sh
+  | Shoup_pub p, Shoup_share sh -> Crypto.Threshold_sig.verify_share p st sh
+  | Multi_pub p, Multi_share sh -> Crypto.Multi_sig.verify_share p st sh
   | _ -> false
 
 let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
@@ -61,25 +61,20 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
     let shares =
       List.filter_map (function Shoup_share s -> Some s | Multi_share _ -> None) shares
     in
-    Crypto.Threshold_sig.assemble p ~ctx msg shares
+    Crypto.Threshold_sig.assemble p (statement pub ~ctx msg) shares
   | Multi_pub p ->
     let shares =
       List.filter_map (function Multi_share s -> Some s | Shoup_share _ -> None) shares
     in
-    Crypto.Multi_sig.assemble p ~ctx msg shares
+    Crypto.Multi_sig.assemble p shares
 
 let verify_stmt (pub : public) ~(signature : string) (st : Crypto.Rsa.stmt) : bool =
   match pub with
-  | Shoup_pub p -> Crypto.Threshold_sig.verify_stmt p ~signature st
-  | Multi_pub p -> Crypto.Multi_sig.verify_stmt p ~signature st
+  | Shoup_pub p -> Crypto.Threshold_sig.verify p ~signature st
+  | Multi_pub p -> Crypto.Multi_sig.verify p ~signature st
 
 let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
   verify_stmt pub ~signature (statement pub ~ctx msg)
-
-let signature_bytes (pub : public) : int =
-  match pub with
-  | Shoup_pub p -> Crypto.Threshold_sig.signature_bytes p
-  | Multi_pub p -> Crypto.Multi_sig.signature_bytes p
 
 (* Wire codecs for shares. *)
 

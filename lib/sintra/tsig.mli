@@ -32,7 +32,8 @@ val share_origin : share -> int
     Both schemes sign the RSA full-domain hash of [(ctx, msg)].  The
     [_stmt] functions take the statement prepared once
     ({!Crypto.Rsa.prepare}, for {!modulus_bytes}); the [~ctx msg] forms
-    prepare it afresh and call them.  Protocols get their statements from
+    prepare it afresh and call them.  Below this seam the crypto modules
+    take prepared statements only.  Protocols get their statements from
     {!Runtime.statement}, which hashes each one once per party. *)
 
 val modulus_bytes : public -> int
@@ -53,7 +54,10 @@ val verify_share : public -> ctx:string -> string -> share -> bool
 (** {!verify_share_stmt} on a freshly prepared statement. *)
 
 val assemble : public -> ctx:string -> string -> share list -> string
-(** @raise Invalid_argument with fewer than [k] distinct valid-scheme
+(** Combine [k] shares into the group signature on [(ctx, msg)].  A Shoup
+    key prepares the statement (interpolation needs its hash); a
+    multi-signature needs none.
+    @raise Invalid_argument with fewer than [k] distinct valid-scheme
     shares. *)
 
 val verify_stmt : public -> signature:string -> Crypto.Rsa.stmt -> bool
@@ -61,9 +65,6 @@ val verify_stmt : public -> signature:string -> Crypto.Rsa.stmt -> bool
 
 val verify : public -> ctx:string -> signature:string -> string -> bool
 (** {!verify_stmt} on a freshly prepared statement. *)
-
-val signature_bytes : public -> int
-(** Wire size of an assembled signature, for bandwidth accounting. *)
 
 (** Wire codec for shares. *)
 

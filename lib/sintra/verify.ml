@@ -22,11 +22,17 @@
    and Crypto.Batch agrees with the single verifiers item by item.  Only
    the virtual-CPU charges move.
 
-   The statement itself is hashed once per party: every real verification
-   here takes its prepared statement from Runtime.statement, keyed by the
-   full (ctx, msg), so the RSA full-domain hash a party computed when it
-   released its own share (or checked the first share) is not recomputed
-   for the rest.  The charges stay where they were. *)
+   Every entry point is one [kind] run through one of two bodies: [cached]
+   (digest, probe, and on a miss charge, verify, record) or [cached_batch]
+   (the same over a same-statement list, with the fresh remainder batched
+   when the kind has a combined equation).
+
+   The statement itself is hashed once per party: every real
+   threshold-signature verification here takes its prepared statement
+   from Runtime.statement, keyed by the full (ctx, msg), so the RSA
+   full-domain hash a party computed when it released its own share (or
+   checked the first share) is not recomputed for the rest.  The charges
+   stay where they were. *)
 
 (* Cache schemes.  The key's digest covers the statement AND the share
    bytes, so a key identifies one concrete verification, not just a
@@ -36,6 +42,15 @@ let sch_tsig_share = "tsig-share"
 let sch_tsig_sig = "tsig-sig"
 let sch_coin = "coin"
 let sch_enc = "enc-share"
+
+(* One kind of cached verification over items of type ['a]. *)
+type 'a kind = {
+  scheme : string;
+  origin : 'a -> int;            (* the sender, also the cache index *)
+  parts : 'a -> string list;     (* digest input: statement and item bytes *)
+  price : Charge.t -> unit;      (* the charge for one real verification *)
+  verify : 'a -> bool;           (* the single verifier *)
+}
 
 let len_sum (parts : string list) : int =
   List.fold_left (fun a s -> a + String.length s) 0 parts
@@ -50,8 +65,9 @@ let stmt_digest (charge : Charge.t) (parts : string list) : string =
   Hashes.Sha256.digest_list parts
 
 let probe (rt : Runtime.t) ~(charge : Charge.t) ~(scheme : string)
-    ~(digest : string) ~(sender : int) ~(index : int) : bool =
-  if Crypto.Share_cache.mem rt.Runtime.cache ~scheme ~digest ~sender ~index
+    ~(digest : string) ~(sender : int) : bool =
+  if Crypto.Share_cache.mem rt.Runtime.cache ~scheme ~digest ~sender
+       ~index:sender
   then begin
     Charge.cache_hit charge;
     Trace.Ctx.incr rt.Runtime.trace "verify.cache_hit";
@@ -63,52 +79,44 @@ let probe (rt : Runtime.t) ~(charge : Charge.t) ~(scheme : string)
   end
 
 let record (rt : Runtime.t) ~(group : string) ~(scheme : string)
-    ~(digest : string) ~(sender : int) ~(index : int) : unit =
-  Crypto.Share_cache.add rt.Runtime.cache ~group ~scheme ~digest ~sender ~index;
+    ~(digest : string) ~(sender : int) : unit =
+  Crypto.Share_cache.add rt.Runtime.cache ~group ~scheme ~digest ~sender
+    ~index:sender;
   Trace.Ctx.gauge rt.Runtime.trace "verify.cache_size"
     (float_of_int (Crypto.Share_cache.size rt.Runtime.cache))
 
-(* --- threshold-signature shares --- *)
+(* A miss: pay for the real verification, run it, remember a pass. *)
+let settle (rt : Runtime.t) ~(charge : Charge.t) ~(group : string)
+    (kind : 'a kind) ~(digest : string) (x : 'a) : bool =
+  kind.price charge;
+  let ok = kind.verify x in
+  if ok then record rt ~group ~scheme:kind.scheme ~digest ~sender:(kind.origin x);
+  ok
 
-let tsig_share_digest (charge : Charge.t) ~(ctx : string) (msg : string)
-    (share : Tsig.share) : string =
-  stmt_digest charge [ ctx; msg; Wire.encode (fun b -> Tsig.enc_share b share) ]
+(* The one cached check: probe, then charge, verify and record on a miss.
+   Entries are grouped under [group] (the owning instance's pid) for
+   eviction. *)
+let cached (rt : Runtime.t) ~(charge : Charge.t) ~(group : string)
+    (kind : 'a kind) (x : 'a) : bool =
+  let digest = stmt_digest charge (kind.parts x) in
+  probe rt ~charge ~scheme:kind.scheme ~digest ~sender:(kind.origin x)
+  || settle rt ~charge ~group kind ~digest x
 
-let tsig_share ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
-    (msg : string) (share : Tsig.share) : bool =
-  let charge = Option.value charge ~default:rt.Runtime.charge in
-  let digest = tsig_share_digest charge ~ctx msg share in
-  let sender = Tsig.share_origin share in
-  if probe rt ~charge ~scheme:sch_tsig_share ~digest ~sender ~index:sender
-  then true
-  else begin
-    Charge.tsig_verify_share charge;
-    let ok =
-      Tsig.verify_share_stmt pub (Runtime.statement rt ~pub ~ctx msg) share
-    in
-    if ok then
-      record rt ~group:ctx ~scheme:sch_tsig_share ~digest ~sender
-        ~index:sender;
-    ok
-  end
-
-(* Batch-verify same-message shares; [valid.(i)] reports share [i].  The
-   combined random-linear-combination equation only exists for Shoup
-   shares; multi-signature shares (independent RSA signatures) and
-   singleton lists fall back to cached single verification. *)
-let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
-    (msg : string) (shares : Tsig.share list) : bool array =
-  let charge = Option.value charge ~default:rt.Runtime.charge in
-  let n = List.length shares in
-  let valid = Array.make n false in
-  let keyed =
-    List.mapi (fun i s -> (i, tsig_share_digest charge ~ctx msg s, s)) shares
-  in
+(* The one batched check over same-statement items: digest all, then probe
+   each in order.  [batch fresh] returns the combined check for two or more
+   fresh items when their kind has one (the 0-based positions it rejects),
+   priced by [batch_price]; otherwise each fresh item is settled alone.
+   [valid.(i)] reports item [i]. *)
+let cached_batch (rt : Runtime.t) ~(charge : Charge.t) ~(group : string)
+    (kind : 'a kind) ~(batch_price : Charge.t -> k:int -> unit)
+    ~(batch : 'a list -> (unit -> int list) option) (xs : 'a list) :
+    bool array =
+  let valid = Array.make (List.length xs) false in
+  let keyed = List.mapi (fun i x -> (i, stmt_digest charge (kind.parts x), x)) xs in
   let fresh =
     List.filter
-      (fun (i, digest, s) ->
-        let sender = Tsig.share_origin s in
-        if probe rt ~charge ~scheme:sch_tsig_share ~digest ~sender ~index:sender
+      (fun (i, digest, x) ->
+        if probe rt ~charge ~scheme:kind.scheme ~digest ~sender:(kind.origin x)
         then begin
           valid.(i) <- true;
           false
@@ -116,53 +124,78 @@ let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
         else true)
       keyed
   in
-  let shoup =
-    List.filter_map
-      (fun (i, d, s) ->
-        match s with
-        | Tsig.Shoup_share sh -> Some (i, d, sh)
-        | Tsig.Multi_share _ -> None)
-      fresh
+  let combined =
+    match fresh with
+    | _ :: _ :: _ -> batch (List.map (fun (_, _, x) -> x) fresh)
+    | _ -> None
   in
-  let accept (i, digest, s) =
-    valid.(i) <- true;
-    let sender = Tsig.share_origin s in
-    record rt ~group:ctx ~scheme:sch_tsig_share ~digest ~sender ~index:sender
-  in
-  let stmt = lazy (Runtime.statement rt ~pub ~ctx msg) in
-  if List.length shoup = List.length fresh && List.length shoup >= 2 then begin
-    let p =
-      match pub with
-      | Tsig.Shoup_pub p -> p
-      | Tsig.Multi_pub _ -> assert false (* shoup shares imply a shoup key *)
-    in
-    Charge.tsig_verify_share_batch charge ~k:(List.length shoup);
-    Trace.Ctx.observe rt.Runtime.trace "verify.batch_size"
-      (float_of_int (List.length shoup));
-    let bad =
-      match
-        Crypto.Batch.tsig_shares_stmt p (Lazy.force stmt)
-          (List.map (fun (_, _, s) -> s) shoup)
-      with
-      | Crypto.Batch.All_valid -> []
-      | Crypto.Batch.Invalid idxs -> idxs
-    in
-    List.iteri
-      (fun j (i, digest, sh) ->
-        if not (List.mem j bad) then
-          accept (i, digest, Tsig.Shoup_share sh))
-      shoup
-  end
-  else
-    List.iter
-      (fun (i, digest, s) ->
-        Charge.tsig_verify_share charge;
-        if Tsig.verify_share_stmt pub (Lazy.force stmt) s then
-          accept (i, digest, s))
-      fresh;
+  (match combined with
+   | Some run ->
+     let k = List.length fresh in
+     batch_price charge ~k;
+     Trace.Ctx.observe rt.Runtime.trace "verify.batch_size" (float_of_int k);
+     (* Bisection proved the complement individually valid: cache it, so a
+        retransmission without the bad items amortizes. *)
+     let bad = run () in
+     List.iteri
+       (fun j (i, digest, x) ->
+         if not (List.mem j bad) then begin
+           valid.(i) <- true;
+           record rt ~group ~scheme:kind.scheme ~digest ~sender:(kind.origin x)
+         end)
+       fresh
+   | None ->
+     List.iter
+       (fun (i, digest, x) -> valid.(i) <- settle rt ~charge ~group kind ~digest x)
+       fresh);
   valid
 
-(* --- assembled threshold signatures --- *)
+let rejected : Crypto.Batch.verdict -> int list = function
+  | Crypto.Batch.All_valid -> []
+  | Crypto.Batch.Invalid idxs -> idxs
+
+(* --- threshold signatures --- *)
+
+let tsig_kind ~(pub : Tsig.public) ~(ctx : string) (msg : string)
+    (stmt : Crypto.Rsa.stmt Lazy.t) : Tsig.share kind =
+  {
+    scheme = sch_tsig_share;
+    origin = Tsig.share_origin;
+    parts = (fun s -> [ ctx; msg; Wire.encode (fun b -> Tsig.enc_share b s) ]);
+    price = Charge.tsig_verify_share;
+    verify = (fun s -> Tsig.verify_share_stmt pub (Lazy.force stmt) s);
+  }
+
+let tsig_share ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
+    (msg : string) (share : Tsig.share) : bool =
+  let charge = Option.value charge ~default:rt.Runtime.charge in
+  let stmt = lazy (Runtime.statement rt ~pub ~ctx msg) in
+  cached rt ~charge ~group:ctx (tsig_kind ~pub ~ctx msg stmt) share
+
+(* The combined equation only exists for Shoup shares under a Shoup key;
+   multi-signature shares (independent RSA signatures) are settled one at
+   a time. *)
+let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
+    (msg : string) (shares : Tsig.share list) : bool array =
+  let charge = Option.value charge ~default:rt.Runtime.charge in
+  let stmt = lazy (Runtime.statement rt ~pub ~ctx msg) in
+  let batch fresh =
+    match pub with
+    | Tsig.Multi_pub _ -> None
+    | Tsig.Shoup_pub p ->
+      let shoup =
+        List.filter_map
+          (function Tsig.Shoup_share s -> Some s | Tsig.Multi_share _ -> None)
+          fresh
+      in
+      if List.length shoup < List.length fresh then None
+      else
+        Some
+          (fun () ->
+            rejected (Crypto.Batch.tsig_shares p (Lazy.force stmt) shoup))
+  in
+  cached_batch rt ~charge ~group:ctx (tsig_kind ~pub ~ctx msg stmt)
+    ~batch_price:Charge.tsig_verify_share_batch ~batch shares
 
 (* Closings and vote justifications repeat the same (statement, signature)
    pair across many messages — the cache collapses all but the first
@@ -170,17 +203,17 @@ let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
 let tsig_signature ?charge (rt : Runtime.t) ~(pub : Tsig.public)
     ~(ctx : string) ~(signature : string) (msg : string) : bool =
   let charge = Option.value charge ~default:rt.Runtime.charge in
-  let digest = stmt_digest charge [ ctx; msg; signature ] in
-  if probe rt ~charge ~scheme:sch_tsig_sig ~digest ~sender:0 ~index:0 then true
-  else begin
-    Charge.tsig_verify charge ~k:(Tsig.k pub);
-    let ok =
-      Tsig.verify_stmt pub ~signature (Runtime.statement rt ~pub ~ctx msg)
-    in
-    if ok then
-      record rt ~group:ctx ~scheme:sch_tsig_sig ~digest ~sender:0 ~index:0;
-    ok
-  end
+  cached rt ~charge ~group:ctx
+    {
+      scheme = sch_tsig_sig;
+      origin = (fun _ -> 0);
+      parts = (fun signature -> [ ctx; msg; signature ]);
+      price = (fun charge -> Charge.tsig_verify charge ~k:(Tsig.k pub));
+      verify =
+        (fun signature ->
+          Tsig.verify_stmt pub ~signature (Runtime.statement rt ~pub ~ctx msg));
+    }
+    signature
 
 (* --- threshold-decryption shares --- *)
 
@@ -188,97 +221,54 @@ let enc_dec_share (rt : Runtime.t) ~(group : string)
     ~(ct : Crypto.Threshold_enc.ciphertext)
     (s : Crypto.Threshold_enc.dec_share) : bool =
   let pub = rt.Runtime.keys.Dealer.enc_pub in
-  let digest =
-    stmt_digest rt.Runtime.charge
-      [ Crypto.Threshold_enc.ciphertext_to_bytes pub ct;
-        string_of_int s.Crypto.Threshold_enc.origin;
-        Bignum.Nat.to_bytes_be s.Crypto.Threshold_enc.u_i;
-        Bignum.Nat.to_bytes_be s.Crypto.Threshold_enc.proof.Crypto.Dleq.a1;
-        Bignum.Nat.to_bytes_be s.Crypto.Threshold_enc.proof.Crypto.Dleq.a2;
-        Bignum.Nat.to_bytes_be s.Crypto.Threshold_enc.proof.Crypto.Dleq.response
-      ]
-  in
-  let sender = s.Crypto.Threshold_enc.origin in
-  if
-    probe rt ~charge:rt.Runtime.charge ~scheme:sch_enc ~digest ~sender
-      ~index:sender
-  then true
-  else begin
-    Charge.enc_verify_share rt.Runtime.charge;
-    let ok = Crypto.Threshold_enc.verify_dec_share pub ct s in
-    if ok then record rt ~group ~scheme:sch_enc ~digest ~sender ~index:sender;
-    ok
-  end
+  cached rt ~charge:rt.Runtime.charge ~group
+    {
+      scheme = sch_enc;
+      origin = (fun s -> s.Crypto.Threshold_enc.origin);
+      parts =
+        (fun s ->
+          [ Crypto.Threshold_enc.ciphertext_to_bytes pub ct;
+            string_of_int s.Crypto.Threshold_enc.origin;
+            Bignum.Nat.to_bytes_be s.Crypto.Threshold_enc.u_i;
+            Bignum.Nat.to_bytes_be s.Crypto.Threshold_enc.proof.Crypto.Dleq.a1;
+            Bignum.Nat.to_bytes_be s.Crypto.Threshold_enc.proof.Crypto.Dleq.a2;
+            Bignum.Nat.to_bytes_be
+              s.Crypto.Threshold_enc.proof.Crypto.Dleq.response ]);
+      price = Charge.enc_verify_share;
+      verify = Crypto.Threshold_enc.verify_dec_share pub ct;
+    }
+    s
 
 (* --- threshold-coin shares --- *)
 
-let coin_digest (rt : Runtime.t) ~(name : string)
-    (s : Crypto.Threshold_coin.share) : string =
-  stmt_digest rt.Runtime.charge
-    [ name;
-      string_of_int s.Crypto.Threshold_coin.origin;
-      Bignum.Nat.to_bytes_be s.Crypto.Threshold_coin.value;
-      Bignum.Nat.to_bytes_be s.Crypto.Threshold_coin.proof.Crypto.Dleq.a1;
-      Bignum.Nat.to_bytes_be s.Crypto.Threshold_coin.proof.Crypto.Dleq.a2;
-      Bignum.Nat.to_bytes_be s.Crypto.Threshold_coin.proof.Crypto.Dleq.response ]
+let coin_kind (rt : Runtime.t) ~(name : string) : Crypto.Threshold_coin.share kind =
+  {
+    scheme = sch_coin;
+    origin = (fun s -> s.Crypto.Threshold_coin.origin);
+    parts =
+      (fun s ->
+        [ name;
+          string_of_int s.Crypto.Threshold_coin.origin;
+          Bignum.Nat.to_bytes_be s.Crypto.Threshold_coin.value;
+          Bignum.Nat.to_bytes_be s.Crypto.Threshold_coin.proof.Crypto.Dleq.a1;
+          Bignum.Nat.to_bytes_be s.Crypto.Threshold_coin.proof.Crypto.Dleq.a2;
+          Bignum.Nat.to_bytes_be
+            s.Crypto.Threshold_coin.proof.Crypto.Dleq.response ]);
+    price = Charge.coin_verify_share;
+    verify = Crypto.Threshold_coin.verify_share rt.Runtime.keys.Dealer.coin_pub ~name;
+  }
 
 let coin_share (rt : Runtime.t) ~(group : string) ~(name : string)
     (s : Crypto.Threshold_coin.share) : bool =
-  let digest = coin_digest rt ~name s in
-  let sender = s.Crypto.Threshold_coin.origin in
-  if
-    probe rt ~charge:rt.Runtime.charge ~scheme:sch_coin ~digest ~sender
-      ~index:sender
-  then true
-  else begin
-    Charge.coin_verify_share rt.Runtime.charge;
-    let ok =
-      Crypto.Threshold_coin.verify_share rt.Runtime.keys.Dealer.coin_pub ~name
-        s
-    in
-    if ok then record rt ~group ~scheme:sch_coin ~digest ~sender ~index:sender;
-    ok
-  end
+  cached rt ~charge:rt.Runtime.charge ~group (coin_kind rt ~name) s
 
-(* Verify a justification's coin shares together: cached shares are
-   skipped, two or more fresh ones go through one RLC batch, a lone one
-   through the single verifier.  Returns whether EVERY share is valid —
-   the all-or-nothing contract of a J_coin justification. *)
+(* All-or-nothing, the contract of a J_coin justification. *)
 let coin_shares (rt : Runtime.t) ~(group : string) ~(name : string)
     (shares : Crypto.Threshold_coin.share list) : bool =
   let pub = rt.Runtime.keys.Dealer.coin_pub in
-  let keyed = List.map (fun s -> (coin_digest rt ~name s, s)) shares in
-  let fresh =
-    List.filter
-      (fun (digest, s) ->
-        let sender = s.Crypto.Threshold_coin.origin in
-        not
-          (probe rt ~charge:rt.Runtime.charge ~scheme:sch_coin ~digest ~sender
-             ~index:sender))
-      keyed
-  in
-  let accept (digest, s) =
-    let sender = s.Crypto.Threshold_coin.origin in
-    record rt ~group ~scheme:sch_coin ~digest ~sender ~index:sender
-  in
-  match fresh with
-  | [] -> true
-  | _ :: _ :: _ ->
-    Charge.coin_verify_share_batch rt.Runtime.charge
-      ~k:(List.length fresh);
-    Trace.Ctx.observe rt.Runtime.trace "verify.batch_size"
-      (float_of_int (List.length fresh));
-    (match Crypto.Batch.coin_shares pub ~name (List.map snd fresh) with
-     | Crypto.Batch.All_valid ->
-       List.iter accept fresh;
-       true
-     | Crypto.Batch.Invalid bad ->
-       (* Bisection proved the complement individually valid: cache it, so
-          a justification retransmitted without its bad shares amortizes. *)
-       List.iteri (fun j ks -> if not (List.mem j bad) then accept ks) fresh;
-       false)
-  | [ (digest, s) ] ->
-    Charge.coin_verify_share rt.Runtime.charge;
-    let ok = Crypto.Threshold_coin.verify_share pub ~name s in
-    if ok then accept (digest, s);
-    ok
+  Array.for_all Fun.id
+    (cached_batch rt ~charge:rt.Runtime.charge ~group (coin_kind rt ~name)
+       ~batch_price:Charge.coin_verify_share_batch
+       ~batch:(fun fresh ->
+         Some (fun () -> rejected (Crypto.Batch.coin_shares pub ~name fresh)))
+       shares)

@@ -17,7 +17,17 @@
     and {!Crypto.Batch} agrees with the single verifiers item by item.
     Only the virtual-CPU charges move.  Counters:
     [verify.cache_hit]/[verify.cache_miss], histogram [verify.batch_size],
-    gauge [verify.cache_size] (with [/max] high-water mark). *)
+    gauge [verify.cache_size] (with [/max] high-water mark).
+
+    Two RSA checks bypass this seam and call {!Crypto.Rsa.verify} with
+    their own charge: the atomic channel's INIT signatures and the
+    optimistic channel's REPORT signatures.  A cache key here is a SHA-256
+    digest over statement and signature; measured on INIT checks, that
+    digest cost most of what a hit saves (EXPERIMENTS.md, "Host time: each
+    INIT signature verified once"), and sharing the cache's bound would
+    move which threshold-signature shares it evicts, and with them virtual
+    time.  INIT repeats are answered from the round's INIT pool instead;
+    a REPORT is checked once per reporter and epoch, so it never repeats. *)
 
 val tsig_share :
   ?charge:Charge.t ->

@@ -82,7 +82,7 @@ let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
     | Oracle.Durable -> Some 8
     | _ -> None
   in
-  let cfg = Config.test ~n ~t ?max_batch ~check_invariants:true () in
+  let cfg = Config.test ~n ~t ?max_batch () in
   (* Key material is independent of the run seed: deal once per runner. *)
   let dealer = Dealer.deal ~seed:"vopr-dealer" cfg in
   fun ~seed sched ->

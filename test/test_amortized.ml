@@ -48,6 +48,9 @@ let coin_keys =
 
 let tsig_ctx = "amort-tsig"
 let tsig_msgs = Array.init 5 (Printf.sprintf "statement-%d")
+
+let tsig_stmt (pub : Threshold_sig.public) (msg : string) : Rsa.stmt =
+  Rsa.stmt_for pub.Threshold_sig.rsa ~ctx:tsig_ctx msg
 let coin_names = Array.init 5 (Printf.sprintf "coin-%d")
 
 (* Honest share pools, one release per (message, origin): mutations below
@@ -62,7 +65,7 @@ let tsig_pool =
          Array.map
            (fun sk ->
              Threshold_sig.release ~drbg:d keys.Threshold_sig.public sk
-               ~ctx:tsig_ctx msg)
+               (tsig_stmt keys.Threshold_sig.public msg))
            keys.Threshold_sig.shares)
        tsig_msgs)
 
@@ -142,9 +145,8 @@ let equivalence_tests =
                 (fun j code -> tsig_slot pool ~m ~o:((case + j) mod 4) code)
                 plan
             in
-            let fast =
-              List.map (Threshold_sig.verify_share pub ~ctx:tsig_ctx msg) shares
-            in
+            let stmt = tsig_stmt pub msg in
+            let fast = List.map (Threshold_sig.verify_share pub stmt) shares in
             let refr =
               List.map
                 (Threshold_sig.verify_share_reference pub ~ctx:tsig_ctx msg)
@@ -156,7 +158,7 @@ let equivalence_tests =
             check_verdict
               ~what:(Printf.sprintf "tsig case %d" case)
               ~expected_bad:(bad_of_flags fast)
-              (Batch.tsig_shares pub ~ctx:tsig_ctx msg shares))
+              (Batch.tsig_shares pub stmt shares))
           plans);
 
     Alcotest.test_case
@@ -262,7 +264,7 @@ let equivalence_tests =
         List.iteri
           (fun case plan ->
             let m = case mod Array.length tsig_msgs in
-            let msg = tsig_msgs.(m) in
+            let stmt = tsig_stmt pub tsig_msgs.(m) in
             let shares =
               List.mapi
                 (fun j code -> tsig_slot pool ~m ~o:((case + j) mod 4) code)
@@ -272,10 +274,7 @@ let equivalence_tests =
                single verifier, every honest slot must pass. *)
             List.iteri
               (fun j code ->
-                let ok =
-                  Threshold_sig.verify_share pub ~ctx:tsig_ctx msg
-                    (List.nth shares j)
-                in
+                let ok = Threshold_sig.verify_share pub stmt (List.nth shares j) in
                 if ok <> (code = 0) then
                   Alcotest.failf "case %d slot %d: mutation %d not %s" case j
                     code
@@ -285,7 +284,7 @@ let equivalence_tests =
             check_verdict
               ~what:(Printf.sprintf "tsig forgery case %d" case)
               ~expected_bad:planted
-              (Batch.tsig_shares pub ~ctx:tsig_ctx msg shares))
+              (Batch.tsig_shares pub stmt shares))
           plans);
 
     Alcotest.test_case
@@ -662,6 +661,27 @@ let verify_tests =
               (match scheme with Config.Shoup -> "shoup" | Config.Multi -> "multi")
               want (verify_plan scheme))
           verify_golden);
+
+    Alcotest.test_case
+      "Verify seam: Shoup shares under a multi-signature key are rejected \
+       one by one, not batched"
+      `Quick (fun () ->
+        let shoup = Util.cluster ~seed:"amort-verify" ~tsig_scheme:Config.Shoup () in
+        let c = Util.cluster ~seed:"amort-verify" ~tsig_scheme:Config.Multi () in
+        let pid = "mixed" and msg = "mixed-stmt" in
+        let shares =
+          List.map
+            (fun p ->
+              let r = Cluster.runtime shoup p in
+              Tsig.release ~drbg:r.Runtime.drbg r.Runtime.keys.Dealer.bc_tsig
+                ~ctx:pid msg)
+            [ 1; 2 ]
+        in
+        let rt = Cluster.runtime c 0 in
+        let pub = Tsig.public_of_secret rt.Runtime.keys.Dealer.bc_tsig in
+        Alcotest.(check (array bool)) "both rejected" [| false; false |]
+          (Verify.tsig_shares rt ~pub ~ctx:pid msg shares);
+        Alcotest.(check int) "no batch ran" 0 (hist_count c 0 "verify.batch_size"));
   ]
 
 (* --- delivery-log determinism and scenario cost regression --- *)
@@ -677,10 +697,7 @@ type det_run = {
    single origin the full log is fixed whatever the verification path —
    byte for byte. *)
 let consistent_run () : det_run =
-  let c =
-    Util.cluster ~seed:"amort-shoup" ~tsig_scheme:Config.Shoup
-      ~check_invariants:true ()
-  in
+  let c = Util.cluster ~seed:"amort-shoup" ~tsig_scheme:Config.Shoup () in
   Faults.install c (Faults.replay_every 3 ~delay:0.7);
   let logs = Array.init 4 (fun _ -> ref []) in
   let chans =
@@ -800,7 +817,7 @@ let aba_dealer =
   lazy (Dealer.deal ~seed:"amort-aba" (Config.test ~n:4 ~t:1 ()))
 
 let pregen_cluster ~(run_seed : string) : Cluster.t =
-  let cfg = Config.test ~n:4 ~t:1 ~check_invariants:true () in
+  let cfg = Config.test ~n:4 ~t:1 () in
   let topo = Util.default_topo () in
   let dealer = Lazy.force aba_dealer in
   let engine = Sim.Engine.create ~seed:("engine|" ^ run_seed) () in

@@ -114,7 +114,7 @@ let suite = [
          from empty state, and catches up: the replayed batches must yield
          the same sequence as everyone else — each pre-crash (orig, seq)
          delivered exactly once, none dropped, none duplicated. *)
-      let c = Util.cluster ~seed:"bat5" ~max_batch:8 ~check_invariants:true () in
+      let c = Util.cluster ~seed:"bat5" ~max_batch:8 () in
       let logs = Array.init 4 (fun _ -> ref []) in
       let chans : Atomic_channel.t option array = Array.make 4 None in
       let make p =

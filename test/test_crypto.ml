@@ -363,7 +363,7 @@ let rsa_tests = [
   Alcotest.test_case "fdh stays below modulus" `Quick (fun () ->
     let sk = Lazy.force rsa_key in
     for i = 0 to 20 do
-      let h = Rsa.fdh sk.Rsa.pub ~ctx:"c" (string_of_int i) in
+      let h = Rsa.fdh_stmt sk.Rsa.pub (Rsa.stmt_for sk.Rsa.pub ~ctx:"c" (string_of_int i)) in
       if Bignum.Nat.compare h sk.Rsa.pub.Rsa.n >= 0 then Alcotest.fail "fdh out of range"
     done);
 ]
@@ -420,9 +420,9 @@ let prepared_tests = [
       let msigs =
         List.map
           (fun m ->
-            Multi_sig.assemble mpub ~ctx:"golden" m
-              (List.map
-                 (fun i -> Multi_sig.release mpub mk.Multi_sig.shares.(i) ~ctx:"golden" m)
+            let st = Multi_sig.statement mpub ~ctx:"golden" m in
+            Multi_sig.assemble mpub
+              (List.map (fun i -> Multi_sig.release mpub mk.Multi_sig.shares.(i) st)
                  [ 3; 0; 2 ]))
           golden_msgs
       in
@@ -444,15 +444,13 @@ let prepared_tests = [
       let tsigs =
         List.map
           (fun m ->
+            let st = Rsa.stmt_for tpub.Threshold_sig.rsa ~ctx:"golden" m in
             let shares =
               List.map
-                (fun i ->
-                  Threshold_sig.release ~drbg:rd tpub tk.Threshold_sig.shares.(i)
-                    ~ctx:"golden" m)
+                (fun i -> Threshold_sig.release ~drbg:rd tpub tk.Threshold_sig.shares.(i) st)
                 [ 1; 3; 0 ]
             in
-            String.concat "" (List.map enc shares)
-            ^ Threshold_sig.assemble tpub ~ctx:"golden" m shares)
+            String.concat "" (List.map enc shares) ^ Threshold_sig.assemble tpub st shares)
           golden_msgs
       in
       Alcotest.(check string) "threshold shares and signature"
@@ -530,13 +528,13 @@ let prepared_tests = [
       Alcotest.(check bool) "a hit returns the stored statement" true
         (a == Stmt_table.find t ~nbytes ~ctx:"pid" (String.concat "" [ "m"; "sg" ]));
       Alcotest.check nat "same fdh as a fresh preparation"
-        (Rsa.fdh pub ~ctx:"pid" "msg") (Rsa.fdh_stmt pub a);
+        (Rsa.fdh_stmt pub (Rsa.stmt_for pub ~ctx:"pid" "msg")) (Rsa.fdh_stmt pub a);
       let b = Stmt_table.find t ~nbytes ~ctx:"pid" "msg'" in
       let c = Stmt_table.find t ~nbytes ~ctx:"pid'" "msg" in
       Alcotest.(check bool) "another message misses" false (a == b);
       Alcotest.(check bool) "another pid misses" false (a == c);
       Alcotest.check nat "the miss is that statement's hash"
-        (Rsa.fdh pub ~ctx:"pid'" "msg") (Rsa.fdh_stmt pub c);
+        (Rsa.fdh_stmt pub (Rsa.stmt_for pub ~ctx:"pid'" "msg")) (Rsa.fdh_stmt pub c);
       Alcotest.(check (pair int int)) "hashed, reused" (3, 1)
         (Stmt_table.hashed t, Stmt_table.reused t);
       Alcotest.(check int) "size" 3 (Stmt_table.size t);
@@ -555,19 +553,23 @@ let prepared_tests = [
 ]
 
 let tsig_tests =
+  let stmt ?(ctx = "pid") msg =
+    Rsa.stmt_for (Lazy.force tsig_keys).Threshold_sig.public.Threshold_sig.rsa ~ctx msg
+  in
   let release i msg =
     let keys = Lazy.force tsig_keys in
     Threshold_sig.release ~drbg:(Hashes.Drbg.fork drbg (Printf.sprintf "t%d%s" i msg))
-      keys.Threshold_sig.public keys.Threshold_sig.shares.(i) ~ctx:"pid" msg
+      keys.Threshold_sig.public keys.Threshold_sig.shares.(i) (stmt msg)
   in
   [
     Alcotest.test_case "shares verify, cross-message rejected" `Quick (fun () ->
       let keys = Lazy.force tsig_keys in
       let pub = keys.Threshold_sig.public in
       let s = release 0 "m" in
-      Alcotest.(check bool) "good" true (Threshold_sig.verify_share pub ~ctx:"pid" "m" s);
-      Alcotest.(check bool) "wrong msg" false (Threshold_sig.verify_share pub ~ctx:"pid" "m2" s);
-      Alcotest.(check bool) "wrong ctx" false (Threshold_sig.verify_share pub ~ctx:"pid2" "m" s));
+      Alcotest.(check bool) "good" true (Threshold_sig.verify_share pub (stmt "m") s);
+      Alcotest.(check bool) "wrong msg" false (Threshold_sig.verify_share pub (stmt "m2") s);
+      Alcotest.(check bool) "wrong ctx" false
+        (Threshold_sig.verify_share pub (stmt ~ctx:"pid2" "m") s));
 
     Alcotest.test_case "assembled signature is standard RSA and subset-independent" `Quick
       (fun () ->
@@ -575,15 +577,16 @@ let tsig_tests =
         let pub = keys.Threshold_sig.public in
         let shares = List.init 4 (fun i -> release i "payload") in
         let pick idx = List.map (List.nth shares) idx in
-        let s1 = Threshold_sig.assemble pub ~ctx:"pid" "payload" (pick [0;1;2]) in
-        let s2 = Threshold_sig.assemble pub ~ctx:"pid" "payload" (pick [1;2;3]) in
-        let s3 = Threshold_sig.assemble pub ~ctx:"pid" "payload" (pick [0;2;3]) in
+        let st = stmt "payload" in
+        let s1 = Threshold_sig.assemble pub st (pick [0;1;2]) in
+        let s2 = Threshold_sig.assemble pub st (pick [1;2;3]) in
+        let s3 = Threshold_sig.assemble pub st (pick [0;2;3]) in
         (* x^d mod n is unique, so different share subsets must produce the
            identical standard RSA signature. *)
         Alcotest.(check string) "subset independence 1" s1 s2;
         Alcotest.(check string) "subset independence 2" s1 s3;
         Alcotest.(check bool) "verifies" true
-          (Threshold_sig.verify pub ~ctx:"pid" ~signature:s1 "payload");
+          (Threshold_sig.verify pub ~signature:s1 st);
         (* and it verifies as a plain RSA signature under (n, e) *)
         Alcotest.(check bool) "plain RSA" true
           (Rsa.verify pub.Threshold_sig.rsa ~ctx:"pid" ~signature:s1 "payload"));
@@ -594,7 +597,7 @@ let tsig_tests =
       Alcotest.check_raises "2 < 3"
         (Invalid_argument "Threshold_sig.assemble: not enough distinct shares")
         (fun () ->
-          ignore (Threshold_sig.assemble pub ~ctx:"pid" "m" [ release 0 "m"; release 1 "m" ])));
+          ignore (Threshold_sig.assemble pub (stmt "m") [ release 0 "m"; release 1 "m" ])));
 
     Alcotest.test_case "forged share rejected" `Quick (fun () ->
       let keys = Lazy.force tsig_keys in
@@ -602,17 +605,18 @@ let tsig_tests =
       let s = release 1 "m" in
       let bad = { s with Threshold_sig.x_i = Bignum.Nat.add s.Threshold_sig.x_i Bignum.Nat.one } in
       Alcotest.(check bool) "rejected" false
-        (Threshold_sig.verify_share pub ~ctx:"pid" "m" bad);
+        (Threshold_sig.verify_share pub (stmt "m") bad);
       (* claiming another origin also fails: the verification key differs *)
       let stolen = { s with Threshold_sig.origin = 3 } in
       Alcotest.(check bool) "stolen origin" false
-        (Threshold_sig.verify_share pub ~ctx:"pid" "m" stolen));
+        (Threshold_sig.verify_share pub (stmt "m") stolen));
   ]
 
 let msig_tests =
+  let stmt msg = Multi_sig.statement (Lazy.force msig_keys).Multi_sig.public ~ctx:"pid" msg in
   let release i msg =
     let keys = Lazy.force msig_keys in
-    Multi_sig.release keys.Multi_sig.public keys.Multi_sig.shares.(i) ~ctx:"pid" msg
+    Multi_sig.release keys.Multi_sig.public keys.Multi_sig.shares.(i) (stmt msg)
   in
   [
     Alcotest.test_case "multi-signature roundtrip" `Quick (fun () ->
@@ -621,31 +625,25 @@ let msig_tests =
       let shares = [ release 0 "m"; release 2 "m"; release 3 "m" ] in
       List.iter
         (fun s ->
-          Alcotest.(check bool) "share ok" true (Multi_sig.verify_share pub ~ctx:"pid" "m" s))
+          Alcotest.(check bool) "share ok" true (Multi_sig.verify_share pub (stmt "m") s))
         shares;
-      let sig_ = Multi_sig.assemble pub ~ctx:"pid" "m" shares in
-      Alcotest.(check bool) "verifies" true (Multi_sig.verify pub ~ctx:"pid" ~signature:sig_ "m");
+      let sig_ = Multi_sig.assemble pub shares in
+      Alcotest.(check bool) "verifies" true (Multi_sig.verify pub ~signature:sig_ (stmt "m"));
       Alcotest.(check bool) "wrong msg" false
-        (Multi_sig.verify pub ~ctx:"pid" ~signature:sig_ "m'"));
-
-    Alcotest.test_case "predicted size matches" `Quick (fun () ->
-      let keys = Lazy.force msig_keys in
-      let pub = keys.Multi_sig.public in
-      let sig_ = Multi_sig.assemble pub ~ctx:"pid" "m" [ release 0 "m"; release 1 "m"; release 2 "m" ] in
-      Alcotest.(check int) "size" (Multi_sig.signature_bytes pub) (String.length sig_));
+        (Multi_sig.verify pub ~signature:sig_ (stmt "m'")));
 
     Alcotest.test_case "garbage and duplicates rejected" `Quick (fun () ->
       let keys = Lazy.force msig_keys in
       let pub = keys.Multi_sig.public in
       Alcotest.(check bool) "garbage" false
-        (Multi_sig.verify pub ~ctx:"pid" ~signature:"zzzz" "m");
+        (Multi_sig.verify pub ~signature:"zzzz" (stmt "m"));
       (* duplicated origins must not reach the threshold *)
       let s0 = release 0 "m" and s1 = release 1 "m" in
       let forged =
-        Multi_sig.assemble { pub with Multi_sig.k = 2 } ~ctx:"pid" "m" [ s0; s1 ]
+        Multi_sig.assemble { pub with Multi_sig.k = 2 } [ s0; s1 ]
       in
       Alcotest.(check bool) "only 2 distinct" false
-        (Multi_sig.verify pub ~ctx:"pid" ~signature:forged "m"));
+        (Multi_sig.verify pub ~signature:forged (stmt "m")));
   ]
 
 let enc_tests =

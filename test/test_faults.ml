@@ -103,7 +103,7 @@ let suite = [
 
   Alcotest.test_case "Byzantine double pre-vote is flagged, agreement survives" `Quick
     (fun () ->
-      let c = Util.cluster ~seed:"byz-dv" ~check_invariants:true () in
+      let c = Util.cluster ~seed:"byz-dv" () in
       let decisions = Array.make 4 None in
       let insts =
         Array.init 3 (fun i ->
@@ -154,7 +154,7 @@ let suite = [
       (* Atomic broadcast exercises the INIT pool, binary agreement, and
          consistent broadcast invariant hooks; any local violation would
          raise out of Cluster.run, and no party may be flagged. *)
-      let c = Util.cluster ~seed:"clean-inv" ~check_invariants:true () in
+      let c = Util.cluster ~seed:"clean-inv" () in
       let logs = Array.init 4 (fun _ -> ref []) in
       let chans =
         Array.init 4 (fun i ->

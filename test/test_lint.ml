@@ -246,6 +246,13 @@ let test_charge_coverage () =
     "let check t sh =\n\
      \  Charge.tsig_verify t.charge ~k:2;\n\
      \  Tsig.verify_share t.pub ~ctx:t.pid sh\n";
+  (* the crypto layer's statement forms are priced under their plain names *)
+  expect_fires ~rule "lib/sintra/proto.ml"
+    "let sign t st =\n  Crypto.Threshold_sig.release ~drbg:t.drbg t.pub t.sk st\n";
+  expect_silent ~rule "lib/sintra/proto.ml"
+    "let sign t st =\n\
+     \  Charge.tsig_release t.charge;\n\
+     \  Crypto.Threshold_sig.release ~drbg:t.drbg t.pub t.sk st\n";
   (* a priced name in type position is not a call (dec_share the type) *)
   expect_silent ~rule "lib/sintra/proto.ml"
     "let parse (body : string) : (int * Crypto.Threshold_enc.dec_share) option =\n\

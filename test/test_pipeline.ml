@@ -198,10 +198,7 @@ let suite = [
       (* A party loses its state while several rounds are in flight, comes
          back at round 0, and must adopt the decided history before joining
          the open window — including fresh payloads of its own. *)
-      let c =
-        Util.cluster ~seed:"pipe-rebuild" ~max_batch:16
-          ~check_invariants:true ()
-      in
+      let c = Util.cluster ~seed:"pipe-rebuild" ~max_batch:16 () in
       let logs = Array.init 4 (fun _ -> ref []) in
       let chans : Atomic_channel.t option array = Array.make 4 None in
       let make p =

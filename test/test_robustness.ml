@@ -239,7 +239,7 @@ let suite = [
 
   Alcotest.test_case "INIT reuse is exact: near-copies of a pooled INIT are fully checked"
     `Quick (fun () ->
-      let c = Util.cluster ~seed:"init-reuse" ~check_invariants:true () in
+      let c = Util.cluster ~seed:"init-reuse" () in
       let pid = "abc" and round = 0 and j = 3 in
       let log = ref [] in
       let chan =

@@ -283,7 +283,7 @@ let suite = [
 
   Alcotest.test_case "crash, rebuild, catch up: atomic order and liveness"
     `Quick (fun () ->
-      let c = Util.cluster ~seed:"vopr-rebuild" ~check_invariants:true () in
+      let c = Util.cluster ~seed:"vopr-rebuild" () in
       let logs = Array.init 4 (fun _ -> ref []) in
       let chans : Atomic_channel.t option array = Array.make 4 None in
       let make p =
@@ -331,7 +331,7 @@ let suite = [
 
   Alcotest.test_case "duplicated frames: protocols deliver exactly once" `Quick
     (fun () ->
-      let c = Util.cluster ~seed:"vopr-dup" ~check_invariants:true () in
+      let c = Util.cluster ~seed:"vopr-dup" () in
       Faults.install c (Faults.duplicate_every 1);
       let logs = Array.init 4 (fun _ -> ref []) in
       let chans =
@@ -360,7 +360,7 @@ let suite = [
 
   Alcotest.test_case "replayed frames: protocols deliver exactly once" `Quick
     (fun () ->
-      let c = Util.cluster ~seed:"vopr-replay" ~check_invariants:true () in
+      let c = Util.cluster ~seed:"vopr-replay" () in
       Faults.install c (Faults.replay_every 2 ~delay:0.4);
       let logs = Array.init 4 (fun _ -> ref []) in
       let chans =

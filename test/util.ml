@@ -10,10 +10,10 @@ let dealer_cache : (string, Dealer.t) Hashtbl.t = Hashtbl.create 8
 
 let cluster ?(seed = "test") ?(n = 4) ?(t = 1) ?(tsig_scheme = Config.Multi)
     ?(perm_mode = Config.Fixed) ?batch_size ?max_batch ?pipeline_depth
-    ?check_invariants ?share_cache_cap ?topo () : Cluster.t =
+    ?share_cache_cap ?topo () : Cluster.t =
   let cfg =
     Config.test ~n ~t ~tsig_scheme ~perm_mode ?batch_size ?max_batch
-      ?pipeline_depth ?check_invariants ?share_cache_cap ()
+      ?pipeline_depth ?share_cache_cap ()
   in
   let topo = match topo with Some tp -> tp | None -> default_topo ~count:n () in
   let key =
