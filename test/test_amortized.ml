@@ -947,6 +947,127 @@ let pregen_tests =
             (String.concat "\n" logs) (String.concat "\n" rebuild_golden));
   ]
 
+(* --- the secure channel's decryption path, pinned end to end ---
+
+   A seeded n=4 secure causal channel: parties 0, 1 and 3 send a
+   cleartext each, party 2 hands the channel a mauled ciphertext (one
+   payload byte flipped, so its validity proof fails), and party 3 is
+   Byzantine on the decryption round: before any slot opens it sends every
+   peer, for each of the four delivery slots, its honest decryption share
+   of a different ciphertext.  Each party's delivery log, the milliseconds
+   charged to each meter, the share-cache probes and the enc_* operation
+   counts (every crypto span, nested ones included) are pinned. *)
+
+let secure_pin () : string =
+  let c = Util.cluster ~seed:"amort-secure" () in
+  let ops = Hashtbl.create 16 in
+  Cluster.set_sink c
+    (Trace.Sink.Fn
+       (fun (e : Trace.Event.t) ->
+         if e.Trace.Event.cat = "crypto"
+            && e.Trace.Event.ph = Trace.Event.Span_begin
+            && String.starts_with ~prefix:"enc_" e.Trace.Event.name
+         then begin
+           let key = (e.Trace.Event.party, e.Trace.Event.name) in
+           Hashtbl.replace ops key
+             (1 + Option.value (Hashtbl.find_opt ops key) ~default:0)
+         end));
+  let logs = Array.init 4 (fun _ -> ref []) in
+  let chans =
+    Array.init 4 (fun i ->
+      Secure_atomic_channel.create (Cluster.runtime c i) ~pid:"pin"
+        ~on_deliver:(fun ~sender m ->
+          logs.(i) := Printf.sprintf "%d:%s" sender m :: !(logs.(i)))
+        ())
+  in
+  let enc_pub = c.Cluster.dealer.Dealer.enc_pub in
+  let mauled =
+    let ct =
+      Secure_atomic_channel.encrypt ~drbg:(Util.drbg ~seed:"pin-maul" ())
+        ~enc_pub ~pid:"pin" "mauled"
+    in
+    let b = Bytes.of_string ct in
+    Bytes.set b 8 (Char.chr (Char.code (Bytes.get b 8) lxor 1));
+    Bytes.to_string b
+  in
+  let rt3 = Cluster.runtime c 3 in
+  let forged =
+    let other =
+      Threshold_enc.encrypt ~drbg:(Util.drbg ~seed:"pin-other" ()) enc_pub
+        ~label:"sac|pin" "other"
+    in
+    match
+      Threshold_enc.dec_share ~drbg:rt3.Runtime.drbg enc_pub
+        rt3.Runtime.keys.Dealer.enc_share other
+    with
+    | Some d -> d
+    | None -> Alcotest.fail "no share for a valid ciphertext"
+  in
+  Cluster.inject c 3 (fun () ->
+    for index = 0 to 3 do
+      let body =
+        Wire.encode (fun b ->
+          Wire.Enc.int b index;
+          Wire.Enc.int b forged.Threshold_enc.origin;
+          Wire.Enc.bytes b (Bignum.Nat.to_bytes_be forged.Threshold_enc.u_i);
+          Wire.Enc.bytes b
+            (Bignum.Nat.to_bytes_be forged.Threshold_enc.proof.Dleq.a1);
+          Wire.Enc.bytes b
+            (Bignum.Nat.to_bytes_be forged.Threshold_enc.proof.Dleq.a2);
+          Wire.Enc.bytes b
+            (Bignum.Nat.to_bytes_be forged.Threshold_enc.proof.Dleq.response))
+      in
+      for dst = 0 to 2 do
+        Runtime.send rt3 ~dst ~pid:"pin/dec" body
+      done
+    done);
+  List.iter
+    (fun p ->
+      Cluster.inject c p (fun () ->
+        Secure_atomic_channel.send chans.(p) (Printf.sprintf "pin-%d" p)))
+    [ 0; 1; 3 ];
+  Cluster.inject c 2 (fun () ->
+    Secure_atomic_channel.send_ciphertext chans.(2) mauled);
+  ignore (Cluster.run c ~until:120.0);
+  String.concat "\n"
+    (List.init 4 (fun p ->
+       let rt = Cluster.runtime c p in
+       let count name =
+         Option.value (Hashtbl.find_opt ops (p, name)) ~default:0
+       in
+       Printf.sprintf
+         "p%d [%s] cpu=%.6f store=%.6f hit=%g miss=%g valid=%d share=%d \
+          verify=%d combine=%d encrypt=%d"
+         p
+         (String.concat "," (List.rev !(logs.(p))))
+         rt.Runtime.charge.Charge.meter.Sim.Cost.total_ms
+         rt.Runtime.store_charge.Charge.meter.Sim.Cost.total_ms
+         (Util.counter_value c p "verify.cache_hit")
+         (Util.counter_value c p "verify.cache_miss")
+         (count "enc_ct_valid") (count "enc_dec_share")
+         (count "enc_verify_share") (count "enc_combine")
+         (count "enc_encrypt")))
+
+let secure_pin_golden =
+  String.concat "\n"
+    [ "p0 [0:pin-0,1:pin-1,3:pin-3] cpu=227.536914 store=0.000000 hit=23 \
+       miss=47 valid=4 share=4 verify=6 combine=3 encrypt=1";
+      "p1 [0:pin-0,1:pin-1,3:pin-3] cpu=227.536914 store=0.000000 hit=23 \
+       miss=47 valid=4 share=4 verify=6 combine=3 encrypt=1";
+      "p2 [0:pin-0,1:pin-1,3:pin-3] cpu=226.286814 store=0.000000 hit=23 \
+       miss=47 valid=4 share=4 verify=6 combine=3 encrypt=0";
+      "p3 [0:pin-0,1:pin-1,3:pin-3] cpu=217.775191 store=0.000000 hit=23 \
+       miss=44 valid=4 share=4 verify=3 combine=3 encrypt=1" ]
+
+let secure_pin_tests =
+  [
+    Alcotest.test_case
+      "secure channel: a forged decryption share and a mauled ciphertext \
+       pin deliveries, charges, cache probes and enc op counts"
+      `Quick (fun () ->
+        Alcotest.(check string) "pinned" secure_pin_golden (secure_pin ()));
+  ]
+
 let suite =
   equivalence_tests @ cache_tests @ stmt_tests @ verify_tests
-  @ determinism_tests @ cost_tests @ pregen_tests
+  @ determinism_tests @ cost_tests @ pregen_tests @ secure_pin_tests
