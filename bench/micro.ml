@@ -133,7 +133,7 @@ let tdh2_tests () =
         (Staged.stage (fun () ->
            ignore (Crypto.Threshold_enc.encrypt ~drbg:d pub ~label:"L" "msg")));
       Test.make ~name:"tdh2-ct-valid"
-        (Staged.stage (fun () -> ignore (Crypto.Threshold_enc.ciphertext_valid pub ct)));
+        (Staged.stage (fun () -> ignore (Crypto.Threshold_enc.check pub ct)));
       Test.make ~name:"tdh2-dec-share"
         (Staged.stage (fun () -> ignore (share 0)));
       Test.make ~name:"tdh2-verify-share"
@@ -262,8 +262,8 @@ let perf ~(quick : bool) () : string =
     let dleq_fast =
       bench "dleq-verify-fast" (fun () ->
         ignore
-          (Crypto.Dleq.verify grp ~ctx:"perf" ~h1_tbl ~g1:grp.Crypto.Group.g ~h1 ~g2 ~h2
-           proof))
+          (Crypto.Dleq.verify_keyed grp ~ctx:"perf" ~g1:grp.Crypto.Group.g ~key:h1_tbl
+             ~g2 ~h2 proof))
     in
     (* amortized batch verification: k Shoup signature shares checked as one
        random linear combination vs k one-at-a-time verifications (the

@@ -471,17 +471,28 @@ let crypto_cmd =
     | "encrypt" ->
       let keys = Crypto.Threshold_enc.deal ~drbg ~group ~n:4 ~k:2 ~t:1 in
       let pub = keys.Crypto.Threshold_enc.public in
-      let ct = Crypto.Threshold_enc.encrypt ~drbg pub ~label:"cli" "hello threshold world" in
-      let shares =
-        List.filter_map
-          (fun i ->
-            Crypto.Threshold_enc.dec_share ~drbg pub
-              keys.Crypto.Threshold_enc.shares.(i) ct)
-          [ 1; 2 ]
+      let sent = Crypto.Threshold_enc.encrypt ~drbg pub ~label:"cli" "hello threshold world" in
+      (* What a server receives: wire bytes, validated once before any
+         decryption share is released. *)
+      let received =
+        Option.bind
+          (Crypto.Threshold_enc.ciphertext_of_bytes
+             (Crypto.Threshold_enc.ciphertext_to_bytes pub sent))
+          (Crypto.Threshold_enc.check pub)
       in
-      (match Crypto.Threshold_enc.combine pub ct shares with
-       | Some m -> Printf.printf "decrypted with shares {2,3}: %S\n" m
-       | None -> print_endline "decryption failed")
+      (match received with
+       | None -> print_endline "ciphertext rejected"
+       | Some ct ->
+         let shares =
+           List.filter_map
+             (fun i ->
+               Crypto.Threshold_enc.dec_share ~drbg pub
+                 keys.Crypto.Threshold_enc.shares.(i) ct)
+             [ 1; 2 ]
+         in
+         (match Crypto.Threshold_enc.combine pub ct shares with
+          | Some m -> Printf.printf "decrypted with shares {2,3}: %S\n" m
+          | None -> print_endline "decryption failed"))
     | other -> Printf.eprintf "unknown op %S (coin|sign|encrypt)\n" other
   in
   let op =

@@ -709,6 +709,7 @@ module Fixed_base = struct
     { base; modulus; max_bits; dom; tbl }
 
   let max_bits (ctx : ctx) : int = ctx.max_bits
+  let base (ctx : ctx) : t = ctx.base
 
   let pow (ctx : ctx) (e : t) : t =
     if equal ctx.modulus one then zero

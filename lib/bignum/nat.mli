@@ -238,6 +238,9 @@ module Fixed_base : sig
 
   val max_bits : ctx -> int
   (** The exponent-width bound the table was built for. *)
+
+  val base : ctx -> t
+  (** The base the table was built for, as given to {!create}. *)
 end
 
 val of_bytes_be : string -> t

@@ -90,30 +90,35 @@ let dleq (grp : Group.t) ~(g1 : Group.elt) ~(g2 : Group.elt)
   let items = Array.of_list items in
   let n = Array.length items in
   let q = grp.Group.q in
-  let transcript_parts () =
+  (* The sub-batch's items only: each passed [pre], so every element and
+     the response fit their fixed-width encodings (a malformed item, such
+     as an unreduced response, must be rejected, not crash the encoder). *)
+  let transcript_parts idxs =
     let buf = Buffer.create (64 * n) in
     Buffer.add_string buf (Group.elt_to_bytes grp g1);
     Buffer.add_string buf (Group.elt_to_bytes grp g2);
-    Array.iter
-      (fun (ctx, h1, h2, pf) ->
+    List.iter
+      (fun i ->
+        let (ctx, h1, h2, pf) = items.(i) in
         Buffer.add_string buf ctx;
         Buffer.add_char buf '\x00';
         Buffer.add_string buf (Group.elt_to_bytes grp h1);
         Buffer.add_string buf (Group.elt_to_bytes grp h2);
         Buffer.add_string buf (Dleq.to_bytes grp pf))
-      items;
+      idxs;
     [ Buffer.contents buf ]
   in
   let pre i =
     let (_, h1, h2, pf) = items.(i) in
     (not (Nat.is_zero pf.Dleq.a1)) && Nat.compare pf.Dleq.a1 grp.Group.p < 0
     && (not (Nat.is_zero pf.Dleq.a2)) && Nat.compare pf.Dleq.a2 grp.Group.p < 0
+    && Nat.compare pf.Dleq.response q < 0
     && (h1_trusted || Group.is_member grp h1)
     && Group.is_member grp h2
   in
   let combined idxs =
     let k = List.length idxs in
-    let delta = coefficients ~tag:"dleq" (transcript_parts ()) (2 * k) in
+    let delta = coefficients ~tag:"dleq" (transcript_parts idxs) (2 * k) in
     (* g1^(sum d_j z_j) * g2^(sum e_j z_j)  =
        prod a1_j^{d_j} h1_j^{d_j c_j} a2_j^{e_j} h2_j^{e_j c_j}, all
        exponents mod q (the hypothesis side lives in the order-q
@@ -125,7 +130,7 @@ let dleq (grp : Group.t) ~(g1 : Group.elt) ~(g2 : Group.elt)
         let (ctx, h1, h2, pf) = items.(i) in
         let d = delta.(2 * pos) and e = delta.((2 * pos) + 1) in
         let c = Dleq.challenge grp ~ctx ~g1 ~h1 ~g2 ~h2 pf in
-        let z = Nat.rem pf.Dleq.response q in
+        let z = pf.Dleq.response in
         sum_d_z := Nat.rem (Nat.add !sum_d_z (Nat.mul d z)) q;
         sum_e_z := Nat.rem (Nat.add !sum_e_z (Nat.mul e z)) q;
         rhs :=

@@ -30,7 +30,8 @@ val dleq :
     [(ctx, h1, h2, proof)].  [h1_trusted] (default false) skips the
     subgroup membership test on the [h1] side, sound when the [h1] are
     dealer-published verification keys (members by construction); all
-    other checks match {!Dleq.verify} item-for-item. *)
+    other checks, [z < q] included, match {!Dleq.verify} item-for-item.
+    Coefficients hash the well-formed items being combined only. *)
 
 val coin_shares :
   Threshold_coin.public -> name:string -> Threshold_coin.share list ->

@@ -33,12 +33,16 @@ let transcript grp ~ctx ~g1 ~h1 ~g2 ~h2 ~a1 ~a2 =
     Group.elt_to_bytes grp a1; Group.elt_to_bytes grp a2 ]
 
 (* The commitments must be serializable into the transcript, so reject
-   out-of-range field elements up front (proofs arrive off the wire). *)
+   out-of-range field elements up front (proofs arrive off the wire).  The
+   response must be reduced: z and z + q satisfy the same equations, and
+   accepting both would let anyone re-encode an honest proof into a
+   distinct valid one. *)
 let well_formed grp (proof : t) : bool =
   not (Nat.is_zero proof.a1)
   && Nat.compare proof.a1 grp.Group.p < 0
   && not (Nat.is_zero proof.a2)
   && Nat.compare proof.a2 grp.Group.p < 0
+  && Nat.compare proof.response grp.Group.q < 0
 
 let challenge grp ~(ctx : string) ~g1 ~h1 ~g2 ~h2 (proof : t) : Group.exponent =
   Group.hash_to_exponent grp
@@ -54,28 +58,35 @@ let prove grp ~(drbg : Hashes.Drbg.t) ~(ctx : string) ~g1 ~h1 ~g2 ~h2 ~(x : Grou
 
 (* Fast verification.  Each commitment is recomputed as
      a_i = g_i^z * h_i^(q-c)
-   — valid because h_i passed the order-q membership test, so h_i^(q-c) =
-   h_i^(-c) with no modular inversion — and compared against the carried
-   commitment.  Each pair costs one simultaneous double exponentiation
-   (Shamir's trick) instead of two exponentiations plus an inversion; when
-   the verifier holds fixed-base tables (g1 = g hits the group's own table
-   inside [Group.pow], and [h1_tbl] covers the long-lived verification key)
-   the first pair drops to two table hits. *)
-let verify grp ~(ctx : string) ?h1_tbl ~g1 ~h1 ~g2 ~h2 (proof : t) : bool =
+   — valid because h_i is an order-q member, so h_i^(q-c) = h_i^(-c) with
+   no modular inversion — and compared against the carried commitment.
+   Each pair costs one simultaneous double exponentiation (Shamir's trick)
+   instead of two exponentiations plus an inversion; [recompute_a1] lets
+   the keyed form below turn the first pair into two table hits (g1 = g
+   hits the group's own table inside [Group.pow]). *)
+let equations grp ~(ctx : string) ~g1 ~h1 ~g2 ~h2
+    ~(recompute_a1 : Group.exponent -> Group.elt) (proof : t) : bool =
+  let c = challenge grp ~ctx ~g1 ~h1 ~g2 ~h2 proof in
+  let neg_c = Nat.sub grp.Group.q c in
+  Group.elt_equal (recompute_a1 neg_c) proof.a1
+  && Group.elt_equal (Group.mul_exp2 grp g2 proof.response h2 neg_c) proof.a2
+
+let verify grp ~(ctx : string) ~g1 ~h1 ~g2 ~h2 (proof : t) : bool =
   well_formed grp proof
   && Group.is_member grp h1 && Group.is_member grp h2
-  && begin
-    let c = challenge grp ~ctx ~g1 ~h1 ~g2 ~h2 proof in
-    let neg_c = Nat.sub grp.Group.q c in
-    let a1 =
-      match h1_tbl with
-      | Some tbl ->
-        Group.mul grp (Group.pow grp g1 proof.response) (Group.pow_table tbl neg_c)
-      | None -> Group.mul_exp2 grp g1 proof.response h1 neg_c
-    in
-    Group.elt_equal a1 proof.a1
-    && Group.elt_equal (Group.mul_exp2 grp g2 proof.response h2 neg_c) proof.a2
-  end
+  && equations grp ~ctx ~g1 ~h1 ~g2 ~h2 proof
+       ~recompute_a1:(fun neg_c -> Group.mul_exp2 grp g1 proof.response h1 neg_c)
+
+(* The statement's h1 is a dealt verification key: it comes from the key's
+   fixed-base table, whose base [Group.precompute] tested for membership
+   when the dealer built it, so only the wire element h2 is tested here. *)
+let verify_keyed grp ~(ctx : string) ~g1 ~(key : Group.table) ~g2 ~h2
+    (proof : t) : bool =
+  well_formed grp proof
+  && Group.is_member grp h2
+  && equations grp ~ctx ~g1 ~h1:(Group.table_base key) ~g2 ~h2 proof
+       ~recompute_a1:(fun neg_c ->
+         Group.mul grp (Group.pow grp g1 proof.response) (Group.pow_table key neg_c))
 
 (* The pre-fast-path verifier (two powmods + an inversion per pair), kept
    for equivalence tests and the bench comparison.  [Group.pow] still hits

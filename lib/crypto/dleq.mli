@@ -35,15 +35,24 @@ val challenge :
     checked against — exposed for {!Batch}'s combined verification. *)
 
 val verify :
-  Group.t -> ctx:string -> ?h1_tbl:Group.table ->
+  Group.t -> ctx:string ->
   g1:Group.elt -> h1:Group.elt -> g2:Group.elt -> h2:Group.elt -> t -> bool
-(** Verify a proof.  Fast path: each commitment is recomputed as
+(** Verify a proof whose [h1] and [h2] are both untrusted: each is tested
+    for subgroup membership, then each commitment is recomputed as
     [g_i^z * h_i^(q-c)] by one {!Group.mul_exp2} (no inversion — [h_i] is
     order-[q], so [h_i^(q-c) = h_i^(-c)]) and compared to the carried
-    commitment; passing [h1_tbl] (the verification key's fixed-base table)
-    turns the first pair into two table hits, and [g1 = g] hits the group's
-    generator table automatically.  ~2-3x faster than {!verify_reference};
-    accepts exactly the same proofs. *)
+    commitment.  ~2-3x faster than {!verify_reference}; accepts exactly the
+    same proofs. *)
+
+val verify_keyed :
+  Group.t -> ctx:string -> g1:Group.elt -> key:Group.table ->
+  g2:Group.elt -> h2:Group.elt -> t -> bool
+(** {!verify} with [h1] a dealt verification key, given as its fixed-base
+    table ([h1 = Group.table_base key]): the first pair is two table hits
+    ([g1 = g] hits the group's generator table), and [h1] is not re-tested
+    for membership — {!Group.precompute} tested it once, when the table was
+    built.  Only the wire element [h2] is tested.  Accepts exactly what
+    {!verify} and {!verify_reference} accept on [h1 = Group.table_base key]. *)
 
 val verify_reference :
   Group.t -> ctx:string ->

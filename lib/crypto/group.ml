@@ -49,9 +49,19 @@ let pow (grp : t) (a : elt) (e : exponent) : elt =
 
 let pow_g (grp : t) (e : exponent) : elt = Bignum.Nat.Fixed_base.pow grp.g_tbl e
 
+let is_member (grp : t) (a : elt) : bool =
+  let open Bignum in
+  not (Nat.is_zero a)
+  && Nat.compare a grp.p < 0
+  && Nat.equal (Nat.Montgomery.powmod grp.mont a grp.q) Nat.one
+
 (* Fixed-base tables for long-lived non-generator bases (party verification
-   keys, TDH2's gbar and h), built once at dealer setup. *)
+   keys, TDH2's gbar and h), built once at dealer setup.  The base is tested
+   for subgroup membership here, once: a table exists only for a member, so
+   verifiers holding a dealt key's table never re-test the key. *)
 let precompute ?max_bits (grp : t) (a : elt) : table =
+  if not (is_member grp a) then
+    invalid_arg "Group.precompute: base is not in the order-q subgroup";
   let mb = match max_bits with
     | Some b -> b
     | None -> Bignum.Nat.numbits grp.q
@@ -59,6 +69,8 @@ let precompute ?max_bits (grp : t) (a : elt) : table =
   Bignum.Nat.Fixed_base.create ~base:a ~modulus:grp.p ~max_bits:mb
 
 let pow_table (tbl : table) (e : exponent) : elt = Bignum.Nat.Fixed_base.pow tbl e
+
+let table_base (tbl : table) : elt = Bignum.Nat.Fixed_base.base tbl
 
 (* Simultaneous double exponentiation a^ea * b^eb (Shamir's trick) — the
    shape of every share verification. *)
@@ -82,12 +94,6 @@ let pow_signed (grp : t) (a : elt) (e : Bignum.Bigint.t) : elt =
   Bigint.to_nat (Bigint.powmod_signed (Bigint.of_nat a) e (Bigint.of_nat grp.p))
 
 let elt_equal (a : elt) (b : elt) = Bignum.Nat.equal a b
-
-let is_member (grp : t) (a : elt) : bool =
-  let open Bignum in
-  not (Nat.is_zero a)
-  && Nat.compare a grp.p < 0
-  && Nat.equal (Nat.Montgomery.powmod grp.mont a grp.q) Nat.one
 
 (* Random exponent in [0, q). *)
 let random_exponent (grp : t) ~(drbg : Hashes.Drbg.t) : exponent =

@@ -77,7 +77,13 @@ val precompute : ?max_bits:int -> t -> elt -> table
 (** [precompute grp a] builds a fixed-base table for [a] covering exponents
     up to [max_bits] bits (default [|q|]).  Dealers call this for each
     party's verification key so every later share verification is
-    table-driven. *)
+    table-driven.  [a] is tested for subgroup membership here, once, so a
+    table's base ({!table_base}) is a member by construction.
+    @raise Invalid_argument if [a] is not in the order-[q] subgroup. *)
+
+val table_base : table -> elt
+(** The element a table was built for (a subgroup member, tested by
+    {!precompute}). *)
 
 val mul_exp2 : t -> elt -> exponent -> elt -> exponent -> elt
 (** [mul_exp2 grp a ea b eb] is [a^ea * b^eb mod p] by simultaneous double

@@ -45,7 +45,7 @@ let key ~(scheme : string) ~(digest : string) ~(sender : int) ~(index : int)
      anything else is a structural key smuggled in. *)
   if String.length digest <> 20 && String.length digest <> 32 then
     invalid_arg "Share_cache: key digest must be a SHA-1 or SHA-256 digest";
-  Printf.sprintf "%s|%d|%d|%s" scheme sender index digest
+  String.concat "|" [ scheme; string_of_int sender; string_of_int index; digest ]
 
 let size (t : t) : int = Hashtbl.length t.tbl
 let hits (t : t) : int = t.hits

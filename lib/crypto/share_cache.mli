@@ -21,6 +21,12 @@ val create : cap:int -> t
 (** An empty cache holding at most [cap] entries.
     @raise Invalid_argument if [cap < 1]. *)
 
+val key : scheme:string -> digest:string -> sender:int -> index:int -> string
+(** The flat key an entry is stored under:
+    [scheme ^ "|" ^ sender ^ "|" ^ index ^ "|" ^ digest], integers in
+    decimal.
+    @raise Invalid_argument if [digest] is not a SHA-1/SHA-256 digest. *)
+
 val mem :
   t -> scheme:string -> digest:string -> sender:int -> index:int -> bool
 (** Membership probe; counts a hit.

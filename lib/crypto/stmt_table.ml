@@ -17,11 +17,21 @@
    - The table never exceeds [cap] entries: statements of instances that
      never unregister here (closings checked for a peer's instance) would
      otherwise accumulate, so reaching the cap empties the table.  Losing
-     an entry costs one re-hash, never a different answer. *)
+     an entry costs one re-hash, never a different answer.
+   - An entry also keeps the SHA-256 midstate over ctx ‖ msg, the prefix
+     of every share-cache key on the statement, hashed on first use.  A
+     cache probe may create the entry before anything prepares the RSA
+     statement; [hashed] and [reused] count preparations and prepared
+     answers only. *)
+
+type entry = {
+  mutable stmt : Rsa.stmt option;       (* None until a [find] prepares it *)
+  key_prefix : Hashes.Sha256.midstate Lazy.t;
+}
 
 type t = {
   cap : int;
-  groups : (string, (string, Rsa.stmt) Hashtbl.t) Hashtbl.t;  (* ctx -> msg -> stmt *)
+  groups : (string, (string, entry) Hashtbl.t) Hashtbl.t;  (* ctx -> msg -> entry *)
   mutable size : int;
   mutable peak : int;
   mutable hashed : int;
@@ -41,15 +51,12 @@ let clear (t : t) : unit =
   Hashtbl.reset t.groups;
   t.size <- 0
 
-let find (t : t) ~(nbytes : int) ~(ctx : string) (msg : string) : Rsa.stmt =
-  let group = Hashtbl.find_opt t.groups ctx in
-  match Option.bind group (fun g -> Hashtbl.find_opt g msg) with
-  | Some st ->
-    t.reused <- t.reused + 1;
-    st
+(* The entry for (ctx, msg), created (unprepared) if absent — emptying
+   the table first if it is full. *)
+let entry (t : t) ~(ctx : string) (msg : string) : entry =
+  match Option.bind (Hashtbl.find_opt t.groups ctx) (fun g -> Hashtbl.find_opt g msg) with
+  | Some en -> en
   | None ->
-    t.hashed <- t.hashed + 1;
-    let st = Rsa.prepare ~nbytes ~ctx msg in
     if t.size >= t.cap then clear t;
     let g =
       match Hashtbl.find_opt t.groups ctx with
@@ -59,10 +66,28 @@ let find (t : t) ~(nbytes : int) ~(ctx : string) (msg : string) : Rsa.stmt =
         Hashtbl.replace t.groups ctx g;
         g
     in
-    Hashtbl.replace g msg st;
+    let en =
+      { stmt = None; key_prefix = lazy (Hashes.Sha256.midstate [ ctx; msg ]) }
+    in
+    Hashtbl.replace g msg en;
     t.size <- t.size + 1;
     if t.size > t.peak then t.peak <- t.size;
+    en
+
+let find (t : t) ~(nbytes : int) ~(ctx : string) (msg : string) : Rsa.stmt =
+  let en = entry t ~ctx msg in
+  match en.stmt with
+  | Some st ->
+    t.reused <- t.reused + 1;
     st
+  | None ->
+    t.hashed <- t.hashed + 1;
+    let st = Rsa.prepare ~nbytes ~ctx msg in
+    en.stmt <- Some st;
+    st
+
+let key_prefix (t : t) ~(ctx : string) (msg : string) : Hashes.Sha256.midstate =
+  Lazy.force (entry t ~ctx msg).key_prefix
 
 let evict_group (t : t) (ctx : string) : unit =
   match Hashtbl.find_opt t.groups ctx with

@@ -3,7 +3,9 @@
     Keeps the {!Rsa.prepare}d form of every [(ctx, msg)] statement a party
     signs or checks, so the full-domain hash's SHA-256 work is done once
     per statement per party instead of once per release, share check and
-    signature check.  The key is the full [(ctx, msg)] pair compared by
+    signature check.  Each entry also keeps the SHA-256 midstate over
+    [ctx ‖ msg] that every share-cache key on the statement starts with
+    ({!key_prefix}).  The key is the full [(ctx, msg)] pair compared by
     string equality: a hit returns exactly the statement preparing afresh
     would, so acceptance never changes.  Entries are grouped by [ctx] (the
     protocol instance's pid) and evicted with it; at [cap] entries the
@@ -20,6 +22,12 @@ val find : t -> nbytes:int -> ctx:string -> string -> Rsa.stmt
 (** The statement for [(ctx, msg)]: the stored one on a hit, else prepared
     for moduli of [nbytes] bytes and stored under group [ctx] (emptying
     the table first if it is full). *)
+
+val key_prefix : t -> ctx:string -> string -> Hashes.Sha256.midstate
+(** The midstate over [ctx ‖ msg] from the statement's entry, hashed on
+    first use and dropped with the entry.  An absent entry is created
+    without preparing the RSA statement (emptying the table first if it is
+    full); neither {!hashed} nor {!reused} counts this lookup. *)
 
 val evict_group : t -> string -> unit
 (** Drop every statement of this [ctx] — called when the owning protocol

@@ -68,9 +68,8 @@ let verify_share (pub : public) ~(name : string) (s : share) : bool =
   && begin
     let grp = pub.group in
     let gtilde = coin_base pub name in
-    Dleq.verify grp ~ctx:("coin-share|" ^ name ^ "|" ^ string_of_int s.origin)
-      ~h1_tbl:pub.share_vk_tbls.(s.origin - 1)
-      ~g1:grp.Group.g ~h1:pub.share_vks.(s.origin - 1)
+    Dleq.verify_keyed grp ~ctx:("coin-share|" ^ name ^ "|" ^ string_of_int s.origin)
+      ~g1:grp.Group.g ~key:pub.share_vk_tbls.(s.origin - 1)
       ~g2:gtilde ~h2:s.value s.proof
   end
 

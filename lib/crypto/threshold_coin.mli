@@ -19,7 +19,7 @@ type public = {
   share_vks : Group.elt array;   (** [VK_i = g^(x_i)], index [i-1] *)
   share_vk_tbls : Group.table array;
   (** fixed-base window tables for the [VK_i], built by {!deal} so that
-      every {!verify_share} is table-driven (see {!Dleq.verify}) *)
+      every {!verify_share} is table-driven (see {!Dleq.verify_keyed}) *)
 }
 
 type secret_share = {
@@ -46,7 +46,8 @@ val release : drbg:Hashes.Drbg.t -> public -> secret_share -> name:string -> sha
 
 val verify_share : public -> name:string -> share -> bool
 (** Check the share's DLEQ proof against [VK_origin] — table-driven on the
-    [g] side via {!share_vk_tbls} (see {!Dleq.verify}). *)
+    [g] side via {!share_vk_tbls}, with [VK_origin]'s membership tested
+    once when its table was built (see {!Dleq.verify_keyed}). *)
 
 val verify_share_reference : public -> name:string -> share -> bool
 (** {!verify_share}'s exact accept set checked by {!Dleq.verify_reference}

@@ -15,7 +15,7 @@
    log_g u = log_gbar ubar, which is what makes the scheme CCA-secure: a
    ciphertext cannot be mauled without breaking the proof.
 
-   Decryption share from party i (after checking ciphertext validity):
+   Decryption share from party i (on a ciphertext [check] validated):
      u_i = u^{x_i} with a DLEQ proof against h_i.
    Any k valid shares interpolate h^r in the exponent and recover msg. *)
 
@@ -41,7 +41,13 @@ type secret_share = {
 
 type keys = { public : public; shares : secret_share array }
 
-type ciphertext = {
+(* Phantom tags: a ciphertext is [checked] once [check] accepted it (or
+   [encrypt] made it), and only checked ones reach dec_share,
+   verify_dec_share and combine. *)
+type unchecked
+type checked
+
+type 'v ciphertext = {
   c : string;                    (* bulk-encrypted payload *)
   label : string;
   u : Group.elt;
@@ -99,7 +105,8 @@ let hash2 (pub : public) ~c ~label ~u ~w ~ubar ~wbar : Group.exponent =
       Group.elt_to_bytes grp u; Group.elt_to_bytes grp w;
       Group.elt_to_bytes grp ubar; Group.elt_to_bytes grp wbar ]
 
-let encrypt ~(drbg : Hashes.Drbg.t) (pub : public) ~(label : string) (msg : string) : ciphertext =
+let encrypt ~(drbg : Hashes.Drbg.t) (pub : public) ~(label : string) (msg : string)
+    : checked ciphertext =
   let grp = pub.group in
   let r = Group.random_exponent grp ~drbg in
   let s = Group.random_exponent grp ~drbg in
@@ -114,28 +121,41 @@ let encrypt ~(drbg : Hashes.Drbg.t) (pub : public) ~(label : string) (msg : stri
   let f = Nat.rem (Nat.add s (Nat.mul r e)) grp.Group.q in
   { c; label; u; ubar; e; f }
 
+let make ~c ~label ~u ~ubar ~e ~f : unchecked ciphertext = { c; label; u; ubar; e; f }
+
 (* Public ciphertext validity: recompute w = g^f * u^{-e} and
    wbar = gbar^f * ubar^{-e} and check the challenge.  u^{-e} is computed
    as u^{q-e} (u passed the order-q membership test), so each pair costs
-   one table hit plus one exponentiation — no inversions. *)
-let ciphertext_valid (pub : public) (ct : ciphertext) : bool =
+   one table hit plus one exponentiation — no inversions.  e >= q cannot
+   have come from hash2, and f >= q is the non-canonical twin (e, f + q)
+   of a reduced response, which satisfies the same equations: both are
+   rejected before any exponentiation. *)
+let check (pub : public) (ct : _ ciphertext) : checked ciphertext option =
   let grp = pub.group in
-  (* e >= q cannot have come from hash2; reject before forming q - e. *)
-  Nat.compare ct.e grp.Group.q < 0
-  && Group.is_member grp ct.u && Group.is_member grp ct.ubar
-  && begin
-    let neg_e = Nat.sub grp.Group.q ct.e in
-    let w = Group.mul grp (Group.pow_g grp ct.f) (Group.pow grp ct.u neg_e) in
-    let wbar =
-      Group.mul grp (Group.pow_table pub.gbar_tbl ct.f) (Group.pow grp ct.ubar neg_e)
-    in
-    let e = hash2 pub ~c:ct.c ~label:ct.label ~u:ct.u ~w ~ubar:ct.ubar ~wbar in
-    Nat.equal e ct.e
-  end
+  let valid =
+    Nat.compare ct.e grp.Group.q < 0
+    && Nat.compare ct.f grp.Group.q < 0
+    && Group.is_member grp ct.u && Group.is_member grp ct.ubar
+    && begin
+      let neg_e = Nat.sub grp.Group.q ct.e in
+      let w = Group.mul grp (Group.pow_g grp ct.f) (Group.pow grp ct.u neg_e) in
+      let wbar =
+        Group.mul grp (Group.pow_table pub.gbar_tbl ct.f) (Group.pow grp ct.ubar neg_e)
+      in
+      let e = hash2 pub ~c:ct.c ~label:ct.label ~u:ct.u ~w ~ubar:ct.ubar ~wbar in
+      Nat.equal e ct.e
+    end
+  in
+  if valid then
+    Some { c = ct.c; label = ct.label; u = ct.u; ubar = ct.ubar; e = ct.e; f = ct.f }
+  else None
 
-let dec_share ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) (ct : ciphertext)
-    : dec_share option =
-  if not (ciphertext_valid pub ct) then None
+let ciphertext_valid (pub : public) (ct : _ ciphertext) : bool =
+  Option.is_some (check pub ct)
+
+let dec_share ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share)
+    (ct : checked ciphertext) : dec_share option =
+  if sk.index < 1 || sk.index > pub.n then None
   else begin
     let grp = pub.group in
     let u_i = Group.pow grp ct.u sk.key in
@@ -146,40 +166,40 @@ let dec_share ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) (ct : c
     Some { origin = sk.index; u_i; proof }
   end
 
-let verify_dec_share (pub : public) (ct : ciphertext) (s : dec_share) : bool =
+let verify_dec_share (pub : public) (ct : checked ciphertext) (s : dec_share) : bool =
   s.origin >= 1 && s.origin <= pub.n
-  && Dleq.verify pub.group ~ctx:("tdh2-share|" ^ string_of_int s.origin)
-       ~h1_tbl:pub.hk_tbls.(s.origin - 1)
-       ~g1:pub.group.Group.g ~h1:pub.hks.(s.origin - 1) ~g2:ct.u ~h2:s.u_i s.proof
+  && Dleq.verify_keyed pub.group ~ctx:("tdh2-share|" ^ string_of_int s.origin)
+       ~g1:pub.group.Group.g ~key:pub.hk_tbls.(s.origin - 1) ~g2:ct.u ~h2:s.u_i
+       s.proof
 
-let combine (pub : public) (ct : ciphertext) (shares : dec_share list) : string option =
-  if not (ciphertext_valid pub ct) then None
+(* Interpolate h^r = prod u_i^lambda_i in the exponent with one k-way
+   multi-exponentiation (one shared squaring chain), then unmask. *)
+let combine (pub : public) (ct : checked ciphertext) (shares : dec_share list)
+    : string option =
+  let seen = Hashtbl.create 8 in
+  let shares =
+    List.filter
+      (fun s ->
+        if Hashtbl.mem seen s.origin || Hashtbl.length seen >= pub.k then false
+        else begin Hashtbl.add seen s.origin (); true end)
+      shares
+  in
+  if List.length shares < pub.k then None
   else begin
-    let seen = Hashtbl.create 8 in
-    let shares =
-      List.filter
-        (fun s ->
-          if Hashtbl.mem seen s.origin || Hashtbl.length seen >= pub.k then false
-          else begin Hashtbl.add seen s.origin (); true end)
-        shares
+    let grp = pub.group in
+    let points = List.map (fun s -> s.origin) shares in
+    let hr =
+      Group.mul_exp_multi grp
+        (List.map
+           (fun s ->
+             (s.u_i, Shamir.lagrange_coeff ~modulus:grp.Group.q ~points ~j:s.origin ~at:0))
+           shares)
     in
-    if List.length shares < pub.k then None
-    else begin
-      let grp = pub.group in
-      let points = List.map (fun s -> s.origin) shares in
-      let hr =
-        List.fold_left
-          (fun acc s ->
-            let lam = Shamir.lagrange_coeff ~modulus:grp.Group.q ~points ~j:s.origin ~at:0 in
-            Group.mul grp acc (Group.pow grp s.u_i lam))
-          (Group.one grp) shares
-      in
-      Some (stream_xor ~key:(session_key pub hr) ct.c)
-    end
+    Some (stream_xor ~key:(session_key pub hr) ct.c)
   end
 
 (* Serialize a ciphertext so it can travel on the atomic broadcast channel. *)
-let ciphertext_to_bytes (pub : public) (ct : ciphertext) : string =
+let ciphertext_to_bytes (pub : public) (ct : _ ciphertext) : string =
   let grp = pub.group in
   let parts =
     [ ct.c; ct.label;
@@ -189,7 +209,7 @@ let ciphertext_to_bytes (pub : public) (ct : ciphertext) : string =
   String.concat ""
     (List.map (fun p -> Printf.sprintf "%08d%s" (String.length p) p) parts)
 
-let ciphertext_of_bytes (s : string) : ciphertext option =
+let ciphertext_of_bytes (s : string) : unchecked ciphertext option =
   let len = String.length s in
   let read pos =
     if pos + 8 > len then None
@@ -215,11 +235,10 @@ let ciphertext_of_bytes (s : string) : ciphertext option =
               | Some (eb, p5) ->
                 (match read p5 with
                  | Some (fb, p6) when p6 = len ->
-                   Some {
-                     c; label;
-                     u = Group.elt_of_bytes ub;
-                     ubar = Group.elt_of_bytes ubarb;
-                     e = Group.exponent_of_bytes eb;
-                     f = Group.exponent_of_bytes fb;
-                   }
+                   Some
+                     (make ~c ~label
+                        ~u:(Group.elt_of_bytes ub)
+                        ~ubar:(Group.elt_of_bytes ubarb)
+                        ~e:(Group.exponent_of_bytes eb)
+                        ~f:(Group.exponent_of_bytes fb))
                  | _ -> None)))))

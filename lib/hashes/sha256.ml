@@ -142,6 +142,35 @@ let digest_list (parts : string list) : string =
   List.iter (feed_string ctx) parts;
   finish ctx
 
+(* A midstate is a context frozen after absorbing a prefix.  It keeps no
+   scratch schedule: [digest_from] resumes a fresh context from it, so one
+   midstate serves any number of digests and is never disturbed. *)
+type midstate = {
+  m_h : int array;
+  m_buf : Bytes.t;
+  m_buf_len : int;
+  m_total : int;
+}
+
+let midstate (parts : string list) : midstate =
+  let ctx = init () in
+  List.iter (feed_string ctx) parts;
+  { m_h = ctx.h; m_buf = ctx.buf; m_buf_len = ctx.buf_len; m_total = ctx.total }
+
+let midstate_length (m : midstate) : int = m.m_total
+
+let digest_from (m : midstate) (parts : string list) : string =
+  let ctx = {
+    h = Array.copy m.m_h;
+    buf = Bytes.copy m.m_buf;
+    w = Array.make 64 0;
+    buf_len = m.m_buf_len;
+    total = m.m_total;
+  }
+  in
+  List.iter (feed_string ctx) parts;
+  finish ctx
+
 let hex_of_digest (d : string) : string =
   let buf = Buffer.create (2 * String.length d) in
   String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;

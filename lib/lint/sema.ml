@@ -208,6 +208,9 @@ let priced_ops : (string * string) list = [
   ("Crypto.Threshold_coin.assemble", "coin_assemble");
   ("Crypto.Threshold_coin.assemble_bit", "coin_assemble");
   ("Crypto.Threshold_enc.encrypt", "enc_encrypt");
+  (* A party checks a ciphertext where it releases its decryption share,
+     and Charge.enc_dec_share prices that check, once. *)
+  ("Crypto.Threshold_enc.check", "enc_dec_share");
   ("Crypto.Threshold_enc.ciphertext_valid", "enc_ct_valid");
   ("Crypto.Threshold_enc.dec_share", "enc_dec_share");
   ("Crypto.Threshold_enc.verify_dec_share", "enc_verify_share");
@@ -220,6 +223,7 @@ let priced_ops : (string * string) list = [
   ("Crypto.Rsa.verify_stmt", "rsa_verify");
   ("Hashes.Sha256.digest", "hash");
   ("Hashes.Sha256.digest_list", "hash");
+  ("Hashes.Sha256.digest_from", "hash");
 ]
 
 let priced_charge (tok : string) : string option =

@@ -12,10 +12,9 @@
 type slot = {
   sl_index : int;
   sl_sender : int;
-  sl_ct : Crypto.Threshold_enc.ciphertext;
+  sl_stmt : Verify.enc_stmt;   (* the validated ciphertext and its key prefix *)
   shares : (int, Crypto.Threshold_enc.dec_share) Hashtbl.t;
   mutable plaintext : string option;
-  mutable emitted : bool;
 }
 
 type t = {
@@ -24,7 +23,7 @@ type t = {
   on_deliver : sender:int -> string -> unit;
   on_ciphertext : (sender:int -> string -> unit) option;
   mutable atomic : Atomic_channel.t option;
-  slots : (int, slot) Hashtbl.t;          (* atomic delivery index -> slot *)
+  slots : (int, slot) Hashtbl.t;          (* atomic delivery index -> open slot *)
   dead : (int, unit) Hashtbl.t;           (* slots holding invalid ciphertexts *)
   pending_shares : (int, (int * string) Queue.t) Hashtbl.t;
                                           (* shares arriving before the slot opens *)
@@ -70,17 +69,18 @@ let rec emit_ready (t : t) : unit =
       (match slot.plaintext with
        | None -> ()
        | Some m ->
-         if not slot.emitted then begin
-           slot.emitted <- true;
-           let tr = t.rt.Runtime.trace in
-           if Trace.Ctx.enabled tr then
-             Trace.Ctx.instant tr ~pid:(dec_pid t) ~cat:"abc"
-               ~args:[ ("sender", Trace.Event.Int slot.sl_sender) ]
-               "deliver_clear";
-           t.next_emit <- t.next_emit + 1;
-           t.on_deliver ~sender:slot.sl_sender m;
-           emit_ready t
-         end)
+         (* A delivered slot is done: a late share for it is dropped like
+            one for any index below [next_index], so the slot, its shares
+            and its key prefix go now. *)
+         Hashtbl.remove t.slots t.next_emit;
+         let tr = t.rt.Runtime.trace in
+         if Trace.Ctx.enabled tr then
+           Trace.Ctx.instant tr ~pid:(dec_pid t) ~cat:"abc"
+             ~args:[ ("sender", Trace.Event.Int slot.sl_sender) ]
+             "deliver_clear";
+         t.next_emit <- t.next_emit + 1;
+         t.on_deliver ~sender:slot.sl_sender m;
+         emit_ready t)
 
 (* Advance in-order delivery, then reopen the atomic channel's gate if all
    delivered ciphertexts have been decrypted (the decryption round is on the
@@ -98,9 +98,10 @@ let try_combine (t : t) (slot : slot) : unit =
   then begin
     let pub = t.rt.Runtime.keys.Dealer.enc_pub in
     let shares = Det.values slot.shares ~compare:Det.by_int in
+    let ct = slot.sl_stmt.Verify.ct in
     Charge.enc_combine t.rt.Runtime.charge ~k:(Config.dec_threshold t.rt.Runtime.cfg)
-      ~bytes:(String.length slot.sl_ct.Crypto.Threshold_enc.c);
-    match Crypto.Threshold_enc.combine pub slot.sl_ct shares with
+      ~bytes:(String.length ct.Crypto.Threshold_enc.c);
+    match Crypto.Threshold_enc.combine pub ct shares with
     | None -> ()
     | Some m ->
       slot.plaintext <- Some m;
@@ -115,7 +116,7 @@ let apply_share (t : t) ~(src : int) (slot : slot)
      && not (Hashtbl.mem slot.shares src)
      && slot.plaintext = None
   then begin
-    if Verify.enc_dec_share t.rt ~group:(dec_pid t) ~ct:slot.sl_ct share
+    if Verify.enc_dec_share t.rt ~group:(dec_pid t) ~stmt:slot.sl_stmt share
     then begin
       Hashtbl.add slot.shares src share;
       try_combine t slot
@@ -134,8 +135,9 @@ let parse_share (body : string) : (int * Crypto.Threshold_enc.dec_share) option 
      { Crypto.Threshold_enc.origin; u_i;
        proof = { Crypto.Dleq.a1; a2; response } }))
 
-(* A ciphertext was atomically delivered: open a slot and release our
-   decryption share. *)
+(* A ciphertext was atomically delivered: validate it once, open a slot
+   holding the checked ciphertext, and release our decryption share.  The
+   validity check is priced inside [Charge.enc_dec_share]. *)
 let on_atomic_deliver (t : t) ~(sender : int) (ct_bytes : string) : unit =
   let index = t.next_index in
   t.next_index <- index + 1;
@@ -151,25 +153,28 @@ let on_atomic_deliver (t : t) ~(sender : int) (ct_bytes : string) : unit =
       (match t.on_ciphertext with
        | Some f -> f ~sender ct_bytes
        | None -> ());
-      let slot = {
-        sl_index = index; sl_sender = sender; sl_ct = ct;
-        shares = Hashtbl.create 8;
-        plaintext = None;
-        emitted = false;
-      }
-      in
-      Hashtbl.replace t.slots index slot;
+      let pub = t.rt.Runtime.keys.Dealer.enc_pub in
       Charge.enc_dec_share t.rt.Runtime.charge;
-      match
-        Crypto.Threshold_enc.dec_share ~drbg:t.rt.Runtime.drbg
-          t.rt.Runtime.keys.Dealer.enc_pub t.rt.Runtime.keys.Dealer.enc_share ct
-      with
+      let released =
+        Option.bind (Crypto.Threshold_enc.check pub ct) (fun ct ->
+          Option.map (fun share -> (ct, share))
+            (Crypto.Threshold_enc.dec_share ~drbg:t.rt.Runtime.drbg pub
+               t.rt.Runtime.keys.Dealer.enc_share ct))
+      in
+      match released with
       | None ->
         (* The ciphertext fails its own validity proof: nobody can decrypt
            it, so all honest parties skip the slot. *)
-        Hashtbl.remove t.slots index;
         invalid ()
-      | Some share ->
+      | Some (ct, share) ->
+        let slot = {
+          sl_index = index; sl_sender = sender;
+          sl_stmt = Verify.enc_stmt t.rt ct;
+          shares = Hashtbl.create 8;
+          plaintext = None;
+        }
+        in
+        Hashtbl.replace t.slots index slot;
         trace_slot t index Trace.Event.Span_begin;
         Hashtbl.replace slot.shares t.rt.Runtime.me share;
         let body =

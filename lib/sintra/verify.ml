@@ -31,8 +31,12 @@
    threshold-signature verification here takes its prepared statement
    from Runtime.statement, keyed by the full (ctx, msg), so the RSA
    full-domain hash a party computed when it released its own share (or
-   checked the first share) is not recomputed for the rest.  The charges
-   stay where they were. *)
+   checked the first share) is not recomputed for the rest.  Likewise the
+   statement bytes at the front of every cache key are hashed once: a
+   digest resumes from a SHA-256 midstate over them — the statement
+   table's for threshold signatures, the decryption slot's [enc_stmt] for
+   decryption shares — and absorbs only the item's bytes.  Keys and
+   charges stay exactly those of hashing the whole input. *)
 
 (* Cache schemes.  The key's digest covers the statement AND the share
    bytes, so a key identifies one concrete verification, not just a
@@ -43,11 +47,14 @@ let sch_tsig_sig = "tsig-sig"
 let sch_coin = "coin"
 let sch_enc = "enc-share"
 
-(* One kind of cached verification over items of type ['a]. *)
+(* One kind of cached verification over items of type ['a].  A key's
+   digest input is [prefix] (the statement's bytes, already absorbed)
+   followed by [parts x]. *)
 type 'a kind = {
   scheme : string;
   origin : 'a -> int;            (* the sender, also the cache index *)
-  parts : 'a -> string list;     (* digest input: statement and item bytes *)
+  prefix : Hashes.Sha256.midstate;  (* the statement bytes, hashed once *)
+  parts : 'a -> string list;     (* the rest of the digest input: item bytes *)
   price : Charge.t -> unit;      (* the charge for one real verification *)
   verify : 'a -> bool;           (* the single verifier *)
 }
@@ -56,13 +63,16 @@ let len_sum (parts : string list) : int =
   List.fold_left (fun a s -> a + String.length s) 0 parts
 
 (* The S5 lint rule (cache-key-digest) checks that every Share_cache
-   insertion is keyed through a Hashes digest; this is that digest.
-   [charge] names the meter the hashing cost lands on: the party's
-   protocol CPU by default, or the storage core when a durability
-   endpoint verifies checkpoint certificates out-of-band. *)
-let stmt_digest (charge : Charge.t) (parts : string list) : string =
-  Charge.hash charge ~bytes:(len_sum parts);
-  Hashes.Sha256.digest_list parts
+   insertion is keyed through a Hashes digest; this is that digest.  It
+   is charged for the whole input, prefix included, exactly as hashing it
+   from scratch would be.  [charge] names the meter the hashing cost
+   lands on: the party's protocol CPU by default, or the storage core
+   when a durability endpoint verifies checkpoint certificates
+   out-of-band. *)
+let stmt_digest (charge : Charge.t) (prefix : Hashes.Sha256.midstate)
+    (parts : string list) : string =
+  Charge.hash charge ~bytes:(Hashes.Sha256.midstate_length prefix + len_sum parts);
+  Hashes.Sha256.digest_from prefix parts
 
 let probe (rt : Runtime.t) ~(charge : Charge.t) ~(scheme : string)
     ~(digest : string) ~(sender : int) : bool =
@@ -98,7 +108,7 @@ let settle (rt : Runtime.t) ~(charge : Charge.t) ~(group : string)
    eviction. *)
 let cached (rt : Runtime.t) ~(charge : Charge.t) ~(group : string)
     (kind : 'a kind) (x : 'a) : bool =
-  let digest = stmt_digest charge (kind.parts x) in
+  let digest = stmt_digest charge kind.prefix (kind.parts x) in
   probe rt ~charge ~scheme:kind.scheme ~digest ~sender:(kind.origin x)
   || settle rt ~charge ~group kind ~digest x
 
@@ -112,7 +122,9 @@ let cached_batch (rt : Runtime.t) ~(charge : Charge.t) ~(group : string)
     ~(batch : 'a list -> (unit -> int list) option) (xs : 'a list) :
     bool array =
   let valid = Array.make (List.length xs) false in
-  let keyed = List.mapi (fun i x -> (i, stmt_digest charge (kind.parts x), x)) xs in
+  let keyed =
+    List.mapi (fun i x -> (i, stmt_digest charge kind.prefix (kind.parts x), x)) xs
+  in
   let fresh =
     List.filter
       (fun (i, digest, x) ->
@@ -156,12 +168,13 @@ let rejected : Crypto.Batch.verdict -> int list = function
 
 (* --- threshold signatures --- *)
 
-let tsig_kind ~(pub : Tsig.public) ~(ctx : string) (msg : string)
-    (stmt : Crypto.Rsa.stmt Lazy.t) : Tsig.share kind =
+let tsig_kind (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
+    (msg : string) (stmt : Crypto.Rsa.stmt Lazy.t) : Tsig.share kind =
   {
     scheme = sch_tsig_share;
     origin = Tsig.share_origin;
-    parts = (fun s -> [ ctx; msg; Wire.encode (fun b -> Tsig.enc_share b s) ]);
+    prefix = Crypto.Stmt_table.key_prefix rt.Runtime.stmts ~ctx msg;
+    parts = (fun s -> [ Wire.encode (fun b -> Tsig.enc_share b s) ]);
     price = Charge.tsig_verify_share;
     verify = (fun s -> Tsig.verify_share_stmt pub (Lazy.force stmt) s);
   }
@@ -170,7 +183,7 @@ let tsig_share ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
     (msg : string) (share : Tsig.share) : bool =
   let charge = Option.value charge ~default:rt.Runtime.charge in
   let stmt = lazy (Runtime.statement rt ~pub ~ctx msg) in
-  cached rt ~charge ~group:ctx (tsig_kind ~pub ~ctx msg stmt) share
+  cached rt ~charge ~group:ctx (tsig_kind rt ~pub ~ctx msg stmt) share
 
 (* The combined equation only exists for Shoup shares under a Shoup key;
    multi-signature shares (independent RSA signatures) are settled one at
@@ -194,7 +207,7 @@ let tsig_shares ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
           (fun () ->
             rejected (Crypto.Batch.tsig_shares p (Lazy.force stmt) shoup))
   in
-  cached_batch rt ~charge ~group:ctx (tsig_kind ~pub ~ctx msg stmt)
+  cached_batch rt ~charge ~group:ctx (tsig_kind rt ~pub ~ctx msg stmt)
     ~batch_price:Charge.tsig_verify_share_batch ~batch shares
 
 (* Closings and vote justifications repeat the same (statement, signature)
@@ -207,7 +220,8 @@ let tsig_signature ?charge (rt : Runtime.t) ~(pub : Tsig.public)
     {
       scheme = sch_tsig_sig;
       origin = (fun _ -> 0);
-      parts = (fun signature -> [ ctx; msg; signature ]);
+      prefix = Crypto.Stmt_table.key_prefix rt.Runtime.stmts ~ctx msg;
+      parts = (fun signature -> [ signature ]);
       price = (fun charge -> Charge.tsig_verify charge ~k:(Tsig.k pub));
       verify =
         (fun signature ->
@@ -217,34 +231,53 @@ let tsig_signature ?charge (rt : Runtime.t) ~(pub : Tsig.public)
 
 (* --- threshold-decryption shares --- *)
 
-let enc_dec_share (rt : Runtime.t) ~(group : string)
-    ~(ct : Crypto.Threshold_enc.ciphertext)
+type enc_stmt = {
+  ct : Crypto.Threshold_enc.checked Crypto.Threshold_enc.ciphertext;
+  key_prefix : Hashes.Sha256.midstate;
+}
+
+(* The ciphertext's canonical bytes open every decryption-share key on
+   it: encoded and absorbed once, when the slot opens. *)
+let enc_stmt (rt : Runtime.t)
+    (ct : Crypto.Threshold_enc.checked Crypto.Threshold_enc.ciphertext) :
+    enc_stmt =
+  let bytes =
+    Crypto.Threshold_enc.ciphertext_to_bytes rt.Runtime.keys.Dealer.enc_pub ct
+  in
+  { ct; key_prefix = Hashes.Sha256.midstate [ bytes ] }
+
+let enc_dec_share (rt : Runtime.t) ~(group : string) ~(stmt : enc_stmt)
     (s : Crypto.Threshold_enc.dec_share) : bool =
   let pub = rt.Runtime.keys.Dealer.enc_pub in
   cached rt ~charge:rt.Runtime.charge ~group
     {
       scheme = sch_enc;
       origin = (fun s -> s.Crypto.Threshold_enc.origin);
+      prefix = stmt.key_prefix;
       parts =
         (fun s ->
-          [ Crypto.Threshold_enc.ciphertext_to_bytes pub ct;
-            string_of_int s.Crypto.Threshold_enc.origin;
+          [ string_of_int s.Crypto.Threshold_enc.origin;
             Bignum.Nat.to_bytes_be s.Crypto.Threshold_enc.u_i;
             Bignum.Nat.to_bytes_be s.Crypto.Threshold_enc.proof.Crypto.Dleq.a1;
             Bignum.Nat.to_bytes_be s.Crypto.Threshold_enc.proof.Crypto.Dleq.a2;
             Bignum.Nat.to_bytes_be
               s.Crypto.Threshold_enc.proof.Crypto.Dleq.response ]);
       price = Charge.enc_verify_share;
-      verify = Crypto.Threshold_enc.verify_dec_share pub ct;
+      verify = Crypto.Threshold_enc.verify_dec_share pub stmt.ct;
     }
     s
 
 (* --- threshold-coin shares --- *)
 
+(* A coin's statement is its short name, not worth a midstate of its own:
+   the digest starts from the empty prefix (midstates are immutable). *)
+let no_prefix : Hashes.Sha256.midstate = Hashes.Sha256.midstate []
+
 let coin_kind (rt : Runtime.t) ~(name : string) : Crypto.Threshold_coin.share kind =
   {
     scheme = sch_coin;
     origin = (fun s -> s.Crypto.Threshold_coin.origin);
+    prefix = no_prefix;
     parts =
       (fun s ->
         [ name;

@@ -58,11 +58,27 @@ val tsig_signature :
     across many messages, which all but the first collapse to a probe.
     [charge] as in {!tsig_share}. *)
 
+type enc_stmt = private {
+  ct : Crypto.Threshold_enc.checked Crypto.Threshold_enc.ciphertext;
+  key_prefix : Hashes.Sha256.midstate;
+  (** SHA-256 midstate over [ct]'s canonical bytes, the prefix of every
+      decryption-share cache key on it *)
+}
+(** The statement decryption shares are checked against: a validated
+    ciphertext with its cache-key prefix, hashed once.  The secure
+    channel keeps one per open slot. *)
+
+val enc_stmt :
+  Runtime.t -> Crypto.Threshold_enc.checked Crypto.Threshold_enc.ciphertext ->
+  enc_stmt
+(** Encode the ciphertext ({!Crypto.Threshold_enc.ciphertext_to_bytes})
+    and absorb the bytes into the key prefix. *)
+
 val enc_dec_share :
-  Runtime.t -> group:string -> ct:Crypto.Threshold_enc.ciphertext ->
+  Runtime.t -> group:string -> stmt:enc_stmt ->
   Crypto.Threshold_enc.dec_share -> bool
-(** Verify one threshold-decryption share against its ciphertext, through
-    the cache; [group] is the owning channel's decryption pid. *)
+(** Verify one threshold-decryption share against [stmt.ct], through the
+    cache; [group] is the owning channel's decryption pid. *)
 
 val coin_share :
   Runtime.t -> group:string -> name:string -> Crypto.Threshold_coin.share ->

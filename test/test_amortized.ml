@@ -621,7 +621,7 @@ let verify_plan (tsig_scheme : Config.tsig_scheme) : string =
      [ List.for_all coin_single batch ]);
   for _ = 1 to 2 do
     step "dec share"
-      (fun () -> [ Verify.enc_dec_share rt ~group:pid ~ct dec ])
+      (fun () -> [ Verify.enc_dec_share rt ~group:pid ~stmt:(Verify.enc_stmt rt ct) dec ])
       [ Threshold_enc.verify_dec_share enc_pub ct dec ]
   done;
   Printf.sprintf "%s hit=%g miss=%g batches=%d/%g stmt=%d/%d"

@@ -111,6 +111,24 @@ let fastpath_tests = [
     let e = Group.random_exponent g ~drbg:d in
     Alcotest.check nat "g table" (Group.pow_g g e) (Group.pow_table g.Group.g_tbl e));
 
+  Alcotest.test_case "a table is built only for a subgroup member" `Quick (fun () ->
+    let g = Lazy.force group in
+    let refuse name a =
+      Alcotest.check_raises name
+        (Invalid_argument "Group.precompute: base is not in the order-q subgroup")
+        (fun () -> ignore (Group.precompute g a))
+    in
+    refuse "zero" Bignum.Nat.zero;
+    refuse "p" g.Group.p;
+    let rec non_member k =
+      let e = Bignum.Nat.of_int k in
+      if Group.is_member g e then non_member (k + 1) else e
+    in
+    refuse "non-member" (non_member 2);
+    let a = Group.pow_g g (Bignum.Nat.of_int 12345) in
+    Alcotest.check nat "a member's table keeps its base" a
+      (Group.table_base (Group.precompute g a)));
+
   Alcotest.test_case "dleq fast verify == reference verify" `Quick (fun () ->
     let g = Lazy.force group in
     let d = Hashes.Drbg.fork drbg "dleq-eq" in
@@ -125,7 +143,7 @@ let fastpath_tests = [
       List.iter
         (fun (label, ok) -> Alcotest.(check bool) label true ok)
         [ "fast", Dleq.verify g ~ctx ~g1:g.Group.g ~h1 ~g2 ~h2 pf;
-          "fast+tbl", Dleq.verify g ~ctx ~h1_tbl ~g1:g.Group.g ~h1 ~g2 ~h2 pf;
+          "fast+tbl", Dleq.verify_keyed g ~ctx ~g1:g.Group.g ~key:h1_tbl ~g2 ~h2 pf;
           "reference", Dleq.verify_reference g ~ctx ~g1:g.Group.g ~h1 ~g2 ~h2 pf ];
       (* forged proofs: both verifiers agree (and reject) *)
       let tweak = Bignum.Nat.rem (Bignum.Nat.add pf.Dleq.response Bignum.Nat.one) g.Group.q in
@@ -137,7 +155,7 @@ let fastpath_tests = [
       ] in
       List.iter
         (fun bad ->
-          let fast = Dleq.verify g ~ctx ~h1_tbl ~g1:g.Group.g ~h1 ~g2 ~h2 bad in
+          let fast = Dleq.verify_keyed g ~ctx ~g1:g.Group.g ~key:h1_tbl ~g2 ~h2 bad in
           let slow = Dleq.verify_reference g ~ctx ~g1:g.Group.g ~h1 ~g2 ~h2 bad in
           Alcotest.(check bool) "verifiers agree" slow fast;
           Alcotest.(check bool) "forgery rejected" false fast)
@@ -257,6 +275,111 @@ let dleq_tests = [
     | Some p ->
       Alcotest.(check bool) "still verifies" true
         (Dleq.verify g ~ctx:"c" ~g1:g.Group.g ~h1 ~g2 ~h2 p));
+
+  Alcotest.test_case "unreduced response z + q rejected on every path" `Quick (fun () ->
+    let g = Lazy.force group in
+    let d = Hashes.Drbg.fork drbg "dleq-zq" in
+    let x = Group.random_exponent g ~drbg:d in
+    let g2 = Group.hash_to_group g "second base" in
+    let h1 = Group.pow_g g x and h2 = Group.pow g g2 x in
+    let key = Group.precompute g h1 in
+    let proof = Dleq.prove g ~drbg:d ~ctx:"c" ~g1:g.Group.g ~h1 ~g2 ~h2 ~x in
+    let twin = { proof with Dleq.response = Bignum.Nat.add proof.Dleq.response g.Group.q } in
+    (* The twin satisfies the verification equations: only the range check
+       tells it from the honest proof. *)
+    let c = Dleq.challenge g ~ctx:"c" ~g1:g.Group.g ~h1 ~g2 ~h2 twin in
+    Alcotest.check nat "g1^(z+q) = a1 * h1^c"
+      (Group.mul g twin.Dleq.a1 (Group.pow g h1 c)) (Group.pow g g.Group.g twin.Dleq.response);
+    (* It fits the fixed-width wire form whenever z + q < 2^(8 * |q| bytes). *)
+    let qbytes = (Bignum.Nat.numbits g.Group.q + 7) / 8 in
+    if Bignum.Nat.numbits twin.Dleq.response <= 8 * qbytes then
+      Alcotest.(check bool) "survives the wire" true
+        (Dleq.of_bytes g (Dleq.to_bytes g twin) <> None);
+    List.iter
+      (fun (name, ok) -> Alcotest.(check bool) name false ok)
+      [ "single", Dleq.verify g ~ctx:"c" ~g1:g.Group.g ~h1 ~g2 ~h2 twin;
+        "keyed", Dleq.verify_keyed g ~ctx:"c" ~g1:g.Group.g ~key ~g2 ~h2 twin;
+        "reference", Dleq.verify_reference g ~ctx:"c" ~g1:g.Group.g ~h1 ~g2 ~h2 twin ];
+    (* z + 256q outgrows the fixed-width field; shares arrive with
+       variable-length integers, so the batch must reject it, not fail to
+       encode it. *)
+    let wide =
+      { proof with
+        Dleq.response =
+          Bignum.Nat.add proof.Dleq.response (Bignum.Nat.mul (Bignum.Nat.of_int 256) g.Group.q) }
+    in
+    (match
+       Batch.dleq g ~g1:g.Group.g ~g2
+         [ ("c", h1, h2, proof); ("c", h1, h2, twin); ("c", h1, h2, wide); ("c", h1, h2, proof) ]
+     with
+     | Batch.Invalid [ 1; 2 ] -> ()
+     | _ -> Alcotest.fail "batch did not name exactly the twins");
+    (* the same twin of a coin share and of a decryption share *)
+    let keys = Lazy.force coin_keys in
+    let pub = keys.Threshold_coin.public in
+    let share i =
+      Threshold_coin.release ~drbg:d pub keys.Threshold_coin.shares.(i) ~name:"zq"
+    in
+    let s0 = share 0 and s1 = share 1 and s2 = share 2 in
+    let bump (p : Dleq.t) = { p with Dleq.response = Bignum.Nat.add p.Dleq.response g.Group.q } in
+    let bad = { s1 with Threshold_coin.proof = bump s1.Threshold_coin.proof } in
+    Alcotest.(check bool) "coin single" false (Threshold_coin.verify_share pub ~name:"zq" bad);
+    Alcotest.(check bool) "coin reference" false
+      (Threshold_coin.verify_share_reference pub ~name:"zq" bad);
+    (match Batch.coin_shares pub ~name:"zq" [ s0; bad; s2 ] with
+     | Batch.Invalid [ 1 ] -> ()
+     | _ -> Alcotest.fail "coin batch did not name exactly the twin");
+    let ekeys = Lazy.force enc_keys in
+    let epub = ekeys.Threshold_enc.public in
+    let ct = Threshold_enc.encrypt ~drbg:d epub ~label:"L" "zq" in
+    match Threshold_enc.dec_share ~drbg:d epub ekeys.Threshold_enc.shares.(0) ct with
+    | None -> Alcotest.fail "no decryption share"
+    | Some ds ->
+      Alcotest.(check bool) "decryption share" false
+        (Threshold_enc.verify_dec_share epub ct
+           { ds with Threshold_enc.proof = bump ds.Threshold_enc.proof }));
+
+  Alcotest.test_case "keyed verify accepts exactly what the reference accepts" `Quick
+    (fun () ->
+      let g = Lazy.force group in
+      let d = Hashes.Drbg.fork drbg "dleq-keyed" in
+      let non_member =
+        let rec find k =
+          let e = Bignum.Nat.of_int k in
+          if Group.is_member g e then find (k + 1) else e
+        in
+        find 2
+      in
+      for i = 1 to 6 do
+        let x = Group.random_exponent g ~drbg:d in
+        let g2 = Group.hash_to_group g (Printf.sprintf "keyed-%d" i) in
+        let h1 = Group.pow_g g x and h2 = Group.pow g g2 x in
+        let key = Group.precompute g h1 in
+        let ctx = Printf.sprintf "k%d" i in
+        let pf = Dleq.prove g ~drbg:d ~ctx ~g1:g.Group.g ~h1 ~g2 ~h2 ~x in
+        let forged = { pf with Dleq.a2 = Group.mul g pf.Dleq.a2 g.Group.g } in
+        let h2s =
+          [ "honest", h2; "zero", Bignum.Nat.zero; "p", g.Group.p;
+            "p + 1", Bignum.Nat.add g.Group.p Bignum.Nat.one;
+            "non-member", non_member; "other member", Group.mul g h2 g.Group.g ]
+        in
+        List.iter
+          (fun (hname, h2) ->
+            List.iter
+              (fun (pname, proof) ->
+                let reference =
+                  Dleq.verify_reference g ~ctx ~g1:g.Group.g ~h1 ~g2 ~h2 proof
+                in
+                let name = Printf.sprintf "%d: %s proof, h2 %s" i pname hname in
+                Alcotest.(check bool) (name ^ ", keyed") reference
+                  (Dleq.verify_keyed g ~ctx ~g1:g.Group.g ~key ~g2 ~h2 proof);
+                Alcotest.(check bool) (name ^ ", single") reference
+                  (Dleq.verify g ~ctx ~g1:g.Group.g ~h1 ~g2 ~h2 proof))
+              [ "honest", pf; "forged", forged ])
+          h2s;
+        Alcotest.(check bool) "the honest statement is accepted" true
+          (Dleq.verify_keyed g ~ctx ~g1:g.Group.g ~key ~g2 ~h2 pf)
+      done);
 ]
 
 let coin_tests =
@@ -550,6 +673,45 @@ let prepared_tests = [
       Stmt_table.clear t;
       Alcotest.(check (pair int int)) "counters survive clear" (5, 1)
         (Stmt_table.hashed t, Stmt_table.reused t));
+
+  Alcotest.test_case "statement table keeps the cache-key prefix with the entry" `Quick
+    (fun () ->
+      let nbytes = Rsa.signature_bytes (Lazy.force rsa_key).Rsa.pub in
+      let t = Stmt_table.create ~cap:3 in
+      let m = Stmt_table.key_prefix t ~ctx:"pid" "msg" in
+      Alcotest.(check string) "midstate over ctx ‖ msg"
+        (Hashes.Sha256.digest_list [ "pid"; "msg"; "share" ])
+        (Hashes.Sha256.digest_from m [ "share" ]);
+      Alcotest.(check (pair int int)) "a prefix lookup prepares nothing" (0, 0)
+        (Stmt_table.hashed t, Stmt_table.reused t);
+      Alcotest.(check int) "but opens the entry" 1 (Stmt_table.size t);
+      ignore (Stmt_table.find t ~nbytes ~ctx:"pid" "msg");
+      ignore (Stmt_table.find t ~nbytes ~ctx:"pid" "msg");
+      Alcotest.(check (pair int int)) "the first find prepares, the next reuses" (1, 1)
+        (Stmt_table.hashed t, Stmt_table.reused t);
+      Alcotest.(check bool) "the prefix is hashed once per entry" true
+        (m == Stmt_table.key_prefix t ~ctx:"pid" "msg");
+      Stmt_table.evict_group t "pid";
+      Alcotest.(check int) "and leaves with it" 0 (Stmt_table.size t);
+      Alcotest.(check bool) "a new entry hashes it again" false
+        (m == Stmt_table.key_prefix t ~ctx:"pid" "msg"));
+
+  Alcotest.test_case "share-cache key bytes are pinned" `Quick (fun () ->
+    let d32 = Hashes.Sha256.digest "k" and d20 = Hashes.Sha1.digest "k" in
+    Alcotest.(check string) "enc-share" ("enc-share|3|3|" ^ d32)
+      (Share_cache.key ~scheme:"enc-share" ~digest:d32 ~sender:3 ~index:3);
+    Alcotest.(check string) "tsig-sig" ("tsig-sig|0|0|" ^ d20)
+      (Share_cache.key ~scheme:"tsig-sig" ~digest:d20 ~sender:0 ~index:0);
+    (* the format the key was first built with, integers in decimal *)
+    List.iter
+      (fun (sender, index) ->
+        Alcotest.(check string) (Printf.sprintf "%d/%d" sender index)
+          (Printf.sprintf "%s|%d|%d|%s" "coin" sender index d32)
+          (Share_cache.key ~scheme:"coin" ~digest:d32 ~sender ~index))
+      [ (0, 0); (1, 7); (12, 3); (-1, 4); (1000000, 99) ];
+    Alcotest.check_raises "not a digest"
+      (Invalid_argument "Share_cache: key digest must be a SHA-1 or SHA-256 digest")
+      (fun () -> ignore (Share_cache.key ~scheme:"s" ~digest:"short" ~sender:1 ~index:1)));
 ]
 
 let tsig_tests =
@@ -646,6 +808,15 @@ let msig_tests =
         (Multi_sig.verify pub ~signature:forged (stmt "m")));
   ]
 
+(* [ct] with some fields replaced: an unchecked ciphertext. *)
+let remake ?c ?label ?u ?ubar ?e ?f (ct : _ Threshold_enc.ciphertext) :
+    Threshold_enc.unchecked Threshold_enc.ciphertext =
+  let pick o d = Option.value o ~default:d in
+  Threshold_enc.make ~c:(pick c ct.Threshold_enc.c)
+    ~label:(pick label ct.Threshold_enc.label) ~u:(pick u ct.Threshold_enc.u)
+    ~ubar:(pick ubar ct.Threshold_enc.ubar) ~e:(pick e ct.Threshold_enc.e)
+    ~f:(pick f ct.Threshold_enc.f)
+
 let enc_tests =
   let dec_share i ct =
     let keys = Lazy.force enc_keys in
@@ -691,15 +862,16 @@ let enc_tests =
         Bytes.to_string b
       in
       Alcotest.(check bool) "payload tamper" false
-        (Threshold_enc.ciphertext_valid pub { ct with Threshold_enc.c = flip ct.Threshold_enc.c });
+        (Threshold_enc.ciphertext_valid pub (remake ~c:(flip ct.Threshold_enc.c) ct));
       Alcotest.(check bool) "label tamper" false
-        (Threshold_enc.ciphertext_valid pub { ct with Threshold_enc.label = "L2" });
+        (Threshold_enc.ciphertext_valid pub (remake ~label:"L2" ct));
       Alcotest.(check bool) "u tamper" false
         (Threshold_enc.ciphertext_valid pub
-           { ct with Threshold_enc.u = Group.pow pub.Threshold_enc.group ct.Threshold_enc.u (Bignum.Nat.of_int 2) });
-      (* decryption shares are refused for invalid ciphertexts *)
+           (remake ~u:(Group.pow pub.Threshold_enc.group ct.Threshold_enc.u (Bignum.Nat.of_int 2)) ct));
+      (* no checked ciphertext, hence no decryption share, for an invalid
+         one *)
       Alcotest.(check bool) "no share" true
-        (dec_share 0 { ct with Threshold_enc.label = "L2" } = None));
+        (Option.is_none (Threshold_enc.check pub (remake ~label:"L2" ct))));
 
     Alcotest.test_case "forged decryption share rejected" `Quick (fun () ->
       let keys = Lazy.force enc_keys in
@@ -718,8 +890,154 @@ let enc_tests =
       match Threshold_enc.ciphertext_of_bytes (Threshold_enc.ciphertext_to_bytes pub ct) with
       | None -> Alcotest.fail "decode failed"
       | Some ct' ->
-        Alcotest.(check bool) "equal" true (ct = ct');
+        Alcotest.(check string) "equal" (Threshold_enc.ciphertext_to_bytes pub ct)
+          (Threshold_enc.ciphertext_to_bytes pub ct');
         Alcotest.(check bool) "still valid" true (Threshold_enc.ciphertext_valid pub ct'));
+
+    Alcotest.test_case "check-then-combine = the pairwise-power combine on every k-subset"
+      `Quick (fun () ->
+      let keys = Lazy.force enc_keys in
+      let pub = keys.Threshold_enc.public in
+      let grp = pub.Threshold_enc.group in
+      let sent = Threshold_enc.encrypt ~drbg:(Hashes.Drbg.fork drbg "e7") pub ~label:"L" "subsets" in
+      let ct =
+        match
+          Option.bind
+            (Threshold_enc.ciphertext_of_bytes (Threshold_enc.ciphertext_to_bytes pub sent))
+            (Threshold_enc.check pub)
+        with
+        | Some ct -> ct
+        | None -> Alcotest.fail "an honest ciphertext failed its check"
+      in
+      let ds = Array.of_list (List.filter_map (fun i -> dec_share i ct) [ 0; 1; 2; 3 ]) in
+      (* One exponentiation per share, multiplied up: the Lagrange step as
+         it was before the multi-exponentiation. *)
+      let pairwise shares =
+        let points = List.map (fun s -> s.Threshold_enc.origin) shares in
+        let hr =
+          List.fold_left
+            (fun acc s ->
+              let lam =
+                Shamir.lagrange_coeff ~modulus:grp.Group.q ~points
+                  ~j:s.Threshold_enc.origin ~at:0
+              in
+              Group.mul grp acc (Group.pow grp s.Threshold_enc.u_i lam))
+            (Group.one grp) shares
+        in
+        Threshold_enc.stream_xor
+          ~key:(Hashes.Sha256.digest_list [ "tdh2-key|"; Group.elt_to_bytes grp hr ])
+          ct.Threshold_enc.c
+      in
+      for a = 0 to 3 do
+        for b = 0 to 3 do
+          if a <> b then begin
+            let subset = [ ds.(a); ds.(b) ] in
+            let name = Printf.sprintf "shares {%d,%d}" (a + 1) (b + 1) in
+            Alcotest.(check (option string)) name (Some (pairwise subset))
+              (Threshold_enc.combine pub ct subset);
+            Alcotest.(check (option string)) (name ^ " plaintext") (Some "subsets")
+              (Threshold_enc.combine pub ct subset)
+          end
+        done
+      done;
+      Alcotest.(check (option string)) "one share is not enough" None
+        (Threshold_enc.combine pub ct [ ds.(0); ds.(0) ]));
+
+    Alcotest.test_case "every one-byte field mutation: check = reference validity" `Quick
+      (fun () ->
+      let keys = Lazy.force enc_keys in
+      let pub = keys.Threshold_enc.public in
+      let grp = pub.Threshold_enc.group in
+      let open Bignum in
+      (* The validity rule with plain exponentiations and inversions, and
+         no range check on f. *)
+      let reference (ct : _ Threshold_enc.ciphertext) =
+        let p = grp.Group.p in
+        Nat.compare ct.Threshold_enc.e grp.Group.q < 0
+        && Group.is_member grp ct.Threshold_enc.u && Group.is_member grp ct.Threshold_enc.ubar
+        && begin
+          let pair base b =
+            Group.div grp (Nat.powmod base ct.Threshold_enc.f p)
+              (Nat.powmod b ct.Threshold_enc.e p)
+          in
+          let w = pair grp.Group.g ct.Threshold_enc.u in
+          let wbar = pair pub.Threshold_enc.gbar ct.Threshold_enc.ubar in
+          let e =
+            Group.hash_to_exponent grp
+              [ "tdh2-e"; ct.Threshold_enc.c; ct.Threshold_enc.label;
+                Group.elt_to_bytes grp ct.Threshold_enc.u; Group.elt_to_bytes grp w;
+                Group.elt_to_bytes grp ct.Threshold_enc.ubar; Group.elt_to_bytes grp wbar ]
+          in
+          Nat.equal e ct.Threshold_enc.e
+        end
+      in
+      let ct = Threshold_enc.encrypt ~drbg:(Hashes.Drbg.fork drbg "e8") pub ~label:"lbl" "mutate me" in
+      Alcotest.(check bool) "the honest ciphertext" true (reference ct);
+      let bytes = Threshold_enc.ciphertext_to_bytes pub ct in
+      (* Walk the six length-prefixed fields and flip each byte of each. *)
+      let mutations = ref 0 in
+      let pos = ref 0 in
+      for field = 0 to 5 do
+        let len = int_of_string (String.sub bytes !pos 8) in
+        for i = !pos + 8 to !pos + 7 + len do
+          List.iter
+            (fun mask ->
+              let b = Bytes.of_string bytes in
+              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+              match Threshold_enc.ciphertext_of_bytes (Bytes.to_string b) with
+              | None -> Alcotest.failf "field %d byte %d: mutation did not parse" field i
+              | Some m ->
+                incr mutations;
+                let checked = Option.is_some (Threshold_enc.check pub m) in
+                if checked <> reference m then
+                  Alcotest.failf "field %d byte %d mask %x: check %b, reference %b" field i
+                    mask checked (reference m);
+                if checked then Alcotest.failf "field %d byte %d: mauled ciphertext accepted" field i;
+                Alcotest.(check bool) "ciphertext_valid = check" checked
+                  (Threshold_enc.ciphertext_valid pub m))
+            [ 0x01; 0x80 ]
+        done;
+        pos := !pos + 8 + len
+      done;
+      Alcotest.(check bool) "every field walked" true (!pos = String.length bytes && !mutations > 100));
+
+    Alcotest.test_case "the (e, f + q) twin of an honest ciphertext is rejected" `Quick
+      (fun () ->
+      let keys = Lazy.force enc_keys in
+      let pub = keys.Threshold_enc.public in
+      let grp = pub.Threshold_enc.group in
+      let q = grp.Group.q in
+      for i = 0 to 7 do
+        let ct =
+          Threshold_enc.encrypt ~drbg:(Hashes.Drbg.fork drbg (Printf.sprintf "fq%d" i)) pub
+            ~label:"L" "front-run me"
+        in
+        let f' = Bignum.Nat.add ct.Threshold_enc.f q in
+        let twin = remake ~f:f' ct in
+        Alcotest.(check bool) "twin rejected" false (Threshold_enc.ciphertext_valid pub twin);
+        Alcotest.(check bool) "no checked twin" true (Option.is_none (Threshold_enc.check pub twin));
+        (* On the wire: the same length-prefixed fields with f + q in
+           place of f (one byte longer when it outgrows the fixed width),
+           which decodes intact — and is still rejected. *)
+        let field x = Printf.sprintf "%08d%s" (String.length x) x in
+        let bytes =
+          String.concat ""
+            (List.map field
+               [ ct.Threshold_enc.c; ct.Threshold_enc.label;
+                 Group.elt_to_bytes grp ct.Threshold_enc.u;
+                 Group.elt_to_bytes grp ct.Threshold_enc.ubar;
+                 Group.exponent_to_bytes grp ct.Threshold_enc.e;
+                 Bignum.Nat.to_bytes_be f' ])
+        in
+        Alcotest.(check bool) "distinct bytes" false
+          (bytes = Threshold_enc.ciphertext_to_bytes pub ct);
+        match Threshold_enc.ciphertext_of_bytes bytes with
+        | None -> Alcotest.fail "the twin did not decode"
+        | Some w ->
+          Alcotest.check nat "decoded f + q" f' w.Threshold_enc.f;
+          Alcotest.(check bool) "decoded twin rejected" true
+            (Option.is_none (Threshold_enc.check pub w))
+      done);
 
     Alcotest.test_case "empty and large messages" `Quick (fun () ->
       let keys = Lazy.force enc_keys in

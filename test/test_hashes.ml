@@ -256,6 +256,28 @@ let suite = [
     Alcotest.(check string) "sha256 original" (hex (Hashes.Sha256.digest (prefix ^ "x")))
       (hex (Hashes.Sha256.finish a)));
 
+  Alcotest.test_case "sha256 midstate digests = digest_list, prefixes 0-200" `Quick
+    (fun () ->
+      let src = String.init 400 (fun i -> Char.chr ((i * 31 + 7) land 0xff)) in
+      for len = 0 to 200 do
+        let prefix = String.sub src 0 len in
+        (* the prefix absorbed whole and split across parts *)
+        let whole = Hashes.Sha256.midstate [ prefix ] in
+        let split =
+          Hashes.Sha256.midstate [ String.sub prefix 0 (len / 3); ""; String.sub prefix (len / 3) (len - (len / 3)) ]
+        in
+        Alcotest.(check int) "absorbed length" len (Hashes.Sha256.midstate_length whole);
+        List.iter
+          (fun parts ->
+            let want = hex (Hashes.Sha256.digest_list (prefix :: parts)) in
+            let name = Printf.sprintf "prefix %d, %d parts" len (List.length parts) in
+            Alcotest.(check string) name want (hex (Hashes.Sha256.digest_from whole parts));
+            Alcotest.(check string) (name ^ ", split") want
+              (hex (Hashes.Sha256.digest_from split parts)))
+          [ []; [ "" ]; [ "x" ]; [ String.sub src 200 55; String.sub src 300 9 ];
+            [ String.sub src 100 64 ]; [ String.sub src 0 130 ] ]
+      done);
+
   Alcotest.test_case "drbg determinism" `Quick (fun () ->
     let a = Hashes.Drbg.create ~seed:"s" in
     let b = Hashes.Drbg.create ~seed:"s" in

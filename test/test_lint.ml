@@ -253,6 +253,20 @@ let test_charge_coverage () =
     "let sign t st =\n\
      \  Charge.tsig_release t.charge;\n\
      \  Crypto.Threshold_sig.release ~drbg:t.drbg t.pub t.sk st\n";
+  (* a ciphertext check is priced inside the decryption-share charge *)
+  expect_fires ~rule "lib/sintra/proto.ml"
+    "let open_slot t ct =\n  Crypto.Threshold_enc.check t.pub ct\n";
+  expect_silent ~rule "lib/sintra/proto.ml"
+    "let open_slot t ct =\n\
+     \  Charge.enc_dec_share t.charge;\n\
+     \  Crypto.Threshold_enc.check t.pub ct\n";
+  (* a digest resumed from a midstate is hashing like any other *)
+  expect_fires ~rule "lib/sintra/proto.ml"
+    "let key prefix s = Hashes.Sha256.digest_from prefix [ s ]\n";
+  expect_silent ~rule "lib/sintra/proto.ml"
+    "let key c prefix s =\n\
+     \  Charge.hash c ~bytes:(String.length s);\n\
+     \  Hashes.Sha256.digest_from prefix [ s ]\n";
   (* a priced name in type position is not a call (dec_share the type) *)
   expect_silent ~rule "lib/sintra/proto.ml"
     "let parse (body : string) : (int * Crypto.Threshold_enc.dec_share) option =\n\
