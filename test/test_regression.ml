@@ -4,7 +4,78 @@
 
 open Sintra
 
+(* A digest of every public value a dealer hands out: the signing moduli,
+   both threshold-signature keys (RSA moduli, or Shoup's modulus,
+   verification base and keys), the discrete-log group, and the coin and
+   encryption verification keys.  Equal digests mean equal key material. *)
+let public_digest (d : Dealer.t) : string =
+  let nat = Bignum.Nat.to_hex in
+  let rsa (pk : Crypto.Rsa.public) = [ nat pk.Crypto.Rsa.n; nat pk.Crypto.Rsa.e ] in
+  let tsig = function
+    | Tsig.Multi_pub m ->
+      List.concat_map rsa (Array.to_list m.Crypto.Multi_sig.party_keys)
+    | Tsig.Shoup_pub s ->
+      rsa s.Crypto.Threshold_sig.rsa
+      @ (nat s.Crypto.Threshold_sig.v
+         :: List.map nat (Array.to_list s.Crypto.Threshold_sig.vks))
+  in
+  let g = d.Dealer.group and coin = d.Dealer.coin_pub and enc = d.Dealer.enc_pub in
+  Hashes.Sha256.hex_of_digest
+    (Hashes.Sha256.digest_list
+       (List.concat_map rsa (Array.to_list d.Dealer.parties.(0).Dealer.sign_pks)
+        @ tsig d.Dealer.bc_tsig_pub @ tsig d.Dealer.ag_tsig_pub
+        @ List.map nat [ g.Crypto.Group.p; g.Crypto.Group.q; g.Crypto.Group.g ]
+        @ List.map nat
+            (coin.Crypto.Threshold_coin.global_vk
+             :: Array.to_list coin.Crypto.Threshold_coin.share_vks)
+        @ List.map nat
+            (enc.Crypto.Threshold_enc.gbar :: enc.Crypto.Threshold_enc.h
+             :: Array.to_list enc.Crypto.Threshold_enc.hks)))
+
+(* The configurations the drivers deal under: the tests' and vopr's
+   (Config.test), the load sweeps' (Load.Sweep.sweep_cfg) and the paper
+   benchmarks' (bench/experiments.ml's bench_cfg, spelled out here since
+   the bench is not a library). *)
+let driver_cfgs (scheme : Config.tsig_scheme) : (string * Config.t) list =
+  [ ("test", Config.test ~tsig_scheme:scheme ());
+    ("bench", Config.make ~tsig_scheme:scheme ~perm_mode:Config.Random_local
+        ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96
+        ~model_rsa_bits:1024 ~model_dl_pbits:1024 ~model_dl_qbits:160
+        ~n:4 ~t:1 ()) ]
+  @ (if scheme = Config.Multi then
+       [ ("sweep", Load.Sweep.sweep_cfg ~n:4 ~t:1 ~max_batch:256 ()) ]
+     else [])
+
+(* Key material per (dealer seed, scheme); every driver configuration
+   must deal exactly it, whatever its batching or modeled sizes. *)
+let pinned_keys =
+  [ ("test", Config.Multi,
+     "4cfa21f72fa56cf0f0d09b542d8deffcd0a92d03bedf2bc12aa79747e76bfeee");
+    ("load-dealer", Config.Multi,
+     "c74c817b8ef4fd56c5bb4ba50fe1c181bf6db71069173a7734b03cece940f387");
+    ("vopr-dealer", Config.Multi,
+     "8b255be0741090be8c27cd782524b121f78fabb834780ea07856dfd0be0cd006");
+    ("bench-dealer", Config.Multi,
+     "f29de15ab4bc74eb8e369be9172e660df2506f4483387c0c22a8950ee95034b2");
+    ("test", Config.Shoup,
+     "9d4470953e1e7edd391321c0b375ee5cfbe50cb2b210d6b57ec8c513d40fe4f0");
+    ("bench-dealer", Config.Shoup,
+     "a73cc01e0c95b59b9a6e967d9fd30223ce05e98bd280cc8ad7966c39c42a02ea") ]
+
 let suite = [
+  Alcotest.test_case "dealt public key material is pinned for every driver seed"
+    `Quick (fun () ->
+      List.iter
+        (fun (seed, scheme, want) ->
+          List.iter
+            (fun (label, cfg) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s under %s (%s)" seed label
+                   (match scheme with Config.Multi -> "multi" | Config.Shoup -> "shoup"))
+                want (public_digest (Dealer.deal ~seed cfg)))
+            (driver_cfgs scheme))
+        pinned_keys);
+
   Alcotest.test_case "a lagging party catches up after others GC old rounds" `Slow
     (fun () ->
       (* Every message TO party 3 is delayed by several virtual seconds, so
