@@ -18,7 +18,7 @@ let avg_gap (ds : Experiments.delivery list) : float =
     (last.Experiments.time -. first.Experiments.time)
     /. float_of_int (List.length ds - 1)
 
-let batch_size () =
+let batch_size (h : Experiments.harness) =
   print_endline "=== Ablation: atomic-broadcast batch size (n=4, t=1, LAN) ===";
   print_endline
     "B = n - f + 1 trades fairness (delivery guaranteed when f parties know\n\
@@ -28,7 +28,7 @@ let batch_size () =
     (fun b ->
       let cfg = Experiments.bench_cfg ~batch_size:b ~n:4 ~t:1 () in
       let ds =
-        Experiments.run_channel ~seed:(Printf.sprintf "ab-batch%d" b)
+        Experiments.run_channel h ~seed:(Printf.sprintf "ab-batch%d" b)
           ~topo:Sim.Topology.lan ~cfg ~kind:Experiments.Atomic
           ~senders:[ 0; 1; 2 ] ~per_sender:20 ~measure_at:0 ()
       in
@@ -41,7 +41,7 @@ let batch_size () =
     "\nexpected: larger batches amortize the agreement over more deliveries\n\
      (smaller average gap) at the cost of waiting for more signers per round.\n"
 
-let perm_mode () =
+let perm_mode (h : Experiments.harness) =
   print_endline "=== Ablation: candidate order in multi-valued agreement (Internet) ===";
   print_endline
     "fixed order always tries party 1 first (hot-spotting it); the\n\
@@ -50,14 +50,9 @@ let perm_mode () =
   Printf.printf "%-14s %14s\n" "order" "avg gap (s)";
   List.iter
     (fun (label, mode) ->
-      let cfg =
-        Config.make ~tsig_scheme:Config.Multi ~perm_mode:mode
-          ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96
-          ~model_rsa_bits:1024 ~model_dl_pbits:1024 ~model_dl_qbits:160
-          ~n:4 ~t:1 ()
-      in
+      let cfg = Config.make ~tsig_scheme:Config.Multi ~perm_mode:mode ~n:4 ~t:1 () in
       let ds =
-        Experiments.run_channel ~seed:("ab-perm" ^ label)
+        Experiments.run_channel h ~seed:("ab-perm" ^ label)
           ~topo:Sim.Topology.internet ~cfg ~kind:Experiments.Atomic
           ~senders:[ 0; 1; 2 ] ~per_sender:15 ~measure_at:0 ()
       in
@@ -67,7 +62,7 @@ let perm_mode () =
     "\nexpected: similar latency - the variation balances load, not speed\n\
      (the paper: \"does not offer more security than a fixed order\").\n"
 
-let optimistic () =
+let optimistic (h : Experiments.harness) =
   print_endline "=== Ablation: optimistic (sequencer) vs randomized atomic broadcast ===";
   print_endline
     "the paper's Section 6: optimistic protocols reduce the cost of atomic\n\
@@ -76,7 +71,7 @@ let optimistic () =
   let run_opt ~topo ~seed ~crash_leader ~messages =
     let n = Sim.Topology.n topo in
     let cfg = Experiments.bench_cfg ~n ~t:((n - 1) / 3) () in
-    let c = Experiments.make_cluster ~seed ~topo cfg in
+    let c = Experiments.make_cluster h ~seed ~topo cfg in
     let deliveries = ref [] in
     let chans =
       Array.init n (fun i ->
@@ -103,7 +98,7 @@ let optimistic () =
     let n = Sim.Topology.n topo in
     let cfg = Experiments.bench_cfg ~n ~t:((n - 1) / 3) () in
     let ds =
-      Experiments.run_channel ~seed ~topo ~cfg ~kind:Experiments.Atomic
+      Experiments.run_channel h ~seed ~topo ~cfg ~kind:Experiments.Atomic
         ~senders:[ 1 ] ~per_sender:messages ~measure_at:0 ()
     in
     (List.length ds, avg_gap ds)
@@ -127,7 +122,7 @@ let optimistic () =
      a large factor (Castro-Liskov run in milliseconds on a LAN); a leader\n\
      crash costs one recovery agreement, then the new epoch resumes fast.\n"
 
-let lossy_links () =
+let lossy_links (h : Experiments.harness) =
   print_endline "=== Ablation: TCP-like links vs sliding-window over lossy datagrams ===";
   print_endline
     "the paper planned to replace TCP with its own sliding-window protocol\n\
@@ -140,21 +135,8 @@ let lossy_links () =
       let topo = Sim.Topology.lan in
       let seed = Printf.sprintf "ab-loss-%.2f" loss in
       let c =
-        let dealer_cfg = cfg in
-        let mac_keys =
-          Dealer.net_mac_keys (Experiments.make_cluster ~seed:"x" ~topo cfg).Cluster.dealer
-        in
-        let engine = Sim.Engine.create ~seed () in
-        let net =
-          if loss = 0.0 then Sim.Net.create ~engine ~topo ~mac_keys
-          else Sim.Net.create_lossy ~loss ~engine ~topo ~mac_keys
-        in
-        let dealer = (Experiments.make_cluster ~seed:"x" ~topo cfg).Cluster.dealer in
-        let runtimes =
-          Array.init 4 (fun i ->
-            Runtime.create ~engine ~net ~cfg:dealer_cfg ~keys:dealer.Dealer.parties.(i))
-        in
-        { Cluster.engine; net; cfg = dealer_cfg; dealer; runtimes }
+        Cluster.create ~dealer:(Experiments.dealer h cfg) ~engine_seed:seed
+          ?loss:(if loss = 0.0 then None else Some loss) ~topo cfg
       in
       let deliveries = ref [] in
       let chans =
@@ -184,8 +166,8 @@ let lossy_links () =
     "\nexpected: total order survives any loss rate; latency grows with the\n\
      retransmission rate (RTO 0.4s per lost frame on the critical path).\n"
 
-let all () =
-  batch_size ();
-  perm_mode ();
-  optimistic ();
-  lossy_links ()
+let all (h : Experiments.harness) =
+  batch_size h;
+  perm_mode h;
+  optimistic h;
+  lossy_links h

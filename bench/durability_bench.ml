@@ -34,58 +34,28 @@ type row = {
 
 (* Drive H one-payload rounds to quiescence, power-fail the last party
    (optionally wiping its device), restart it and drain the recovery,
-   returning the rebuild measurements.  Mirrors `sintra_sim
-   durability-check`, which gates correctness; here we only time it. *)
-let rebuild ~(seed : string) ~(history : int) ~(ckpt_interval : int)
-    ~(wipe : bool) ~(mode : string) : row =
-  let n = 4 and t = 1 in
-  let cfg = Experiments.bench_cfg ~n ~t () in
-  let topo = Sim.Topology.lan in
-  let c = Experiments.make_cluster ~seed:(seed ^ "|" ^ mode) ~topo cfg in
-  let devs = Array.init n (fun _ -> Store.Device.mem ()) in
-  let durs : Durable.t list ref array = Array.init n (fun _ -> ref []) in
-  let chans : Atomic_channel.t option array = Array.make n None in
-  let make_party i =
-    let rt = Cluster.runtime c i in
-    let ch =
-      Atomic_channel.create rt ~pid:"dbench" ~on_deliver:(fun ~sender:_ _ -> ()) ()
-    in
-    let d =
-      Durable.attach rt ~chan:ch ~pid:"dbench" ~dev:devs.(i)
-        ~interval:ckpt_interval ()
-    in
-    durs.(i) := d :: !(durs.(i));
-    chans.(i) <- Some ch
+   returning the rebuild measurements.  The scenario is Load.Rebuild's, the
+   one `sintra_sim durability-check` gates for correctness; here we only
+   time it. *)
+let rebuild (h : Experiments.harness) ~(seed : string) ~(history : int)
+    ~(ckpt_interval : int) ~(wipe : bool) ~(mode : string) : row =
+  let c =
+    Experiments.make_cluster h ~seed:(seed ^ "|" ^ mode) ~topo:Sim.Topology.lan
+      (Experiments.bench_cfg ~n:4 ~t:1 ())
   in
-  for i = 0 to n - 1 do
-    make_party i;
-    Runtime.on_rebuild (Cluster.runtime c i) (fun () -> make_party i)
-  done;
-  for k = 0 to history - 1 do
-    let p = k mod n in
-    let payload = Printf.sprintf "p%d.m%d" p k in
-    Cluster.inject c p (fun () ->
-      match chans.(p) with
-      | Some ch -> Atomic_channel.send ch payload
-      | None -> ());
-    ignore (Cluster.run c)
-  done;
-  let victim = n - 1 in
-  let log_bytes = Store.Device.size devs.(victim) in
+  let r = Load.Rebuild.create ~interval:ckpt_interval c ~pid:"dbench" in
+  ignore (Load.Rebuild.drive r ~rounds:history);
+  let victim = Load.Rebuild.victim r in
+  let log_bytes = Store.Device.size r.Load.Rebuild.devs.(victim) in
   let t0 = Unix.gettimeofday () in
-  Runtime.crash (Cluster.runtime c victim);
-  if wipe then Store.Device.rewrite devs.(victim) "";
-  Runtime.recover (Cluster.runtime c victim);
-  let rebuild_events = Cluster.run c in
+  let rebuild_events = Load.Rebuild.power_fail r ~wipe in
   let rebuild_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
   let newest =
-    match !(durs.(victim)) with
+    match r.Load.Rebuild.durs.(victim) with
     | d :: _ -> d
     | [] -> failwith "durability bench: victim never rebuilt"
   in
-  let tip p =
-    match chans.(p) with Some ch -> Atomic_channel.current_round ch | None -> 0
-  in
+  let tip = Load.Rebuild.tip r in
   if tip victim < tip 0 then
     failwith
       (Printf.sprintf "durability bench [%s H=%d]: rebuilt party stopped at \
@@ -95,7 +65,7 @@ let rebuild ~(seed : string) ~(history : int) ~(ckpt_interval : int)
     replayed = Durable.replayed_rounds newest;
     adopted = Durable.snapshots_adopted newest }
 
-let run ~(quick : bool) () : string =
+let run (h : Experiments.harness) ~(quick : bool) () : string =
   (* H must exceed the interval: at H <= interval the GC floor is still 0,
      peers retain the whole history, and a wiped restart is (correctly)
      served plain DECIDED catch-up rather than a snapshot. *)
@@ -115,7 +85,7 @@ let run ~(quick : bool) () : string =
         in
         List.map
           (fun (mode, ckpt_interval, wipe) ->
-            let r = rebuild ~seed ~history ~ckpt_interval ~wipe ~mode in
+            let r = rebuild h ~seed ~history ~ckpt_interval ~wipe ~mode in
             Printf.printf "  %8d  %-12s %11.1f %9d %9d %9d %8d\n%!" r.history
               r.mode r.rebuild_ms r.rebuild_events r.log_bytes r.replayed
               r.adopted;

@@ -18,38 +18,39 @@ let kind_name = function
   | Reliable -> "reliable"
   | Consistent -> "consistent"
 
-(* Benchmark configuration: small real keys, paper-sized modeled keys. *)
+(* Benchmark configuration: the dealer's small real keys, paper-sized
+   modeled keys. *)
 let bench_cfg ?batch_size ?(scheme = Config.Multi) ?(model_rsa_bits = 1024)
     ?(fast_path = true) ~n ~t () : Config.t =
   Config.make ?batch_size ~tsig_scheme:scheme ~perm_mode:Config.Random_local
-    ~crypto_fast_path:fast_path
-    ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96
-    ~model_rsa_bits ~model_dl_pbits:1024 ~model_dl_qbits:160 ~n ~t ()
+    ~crypto_fast_path:fast_path ~model_rsa_bits ~n ~t ()
 
-(* Key generation is the slow part of a run; share dealers across
-   experiments (model sizes do not affect the dealt keys). *)
-let dealer_cache : (string, Dealer.t) Hashtbl.t = Hashtbl.create 8
+(* What the harness owns across experiments: one dealer per group shape,
+   shared by every run of that shape (key generation is the slow part of a
+   run, and the modeled sizes do not affect the dealt keys), and the
+   per-experiment metrics it writes to BENCH_trace.json — message/byte
+   counts, charged CPU time and exponentiations per party, so a figure's
+   cost story is inspectable without re-running. *)
+type harness = {
+  dealers : (int * int * Config.tsig_scheme, Dealer.t) Hashtbl.t;
+  mutable metrics : (string * string) list;  (* newest first *)
+}
 
-let make_cluster ~(seed : string) ~(topo : Sim.Topology.t) (cfg : Config.t) : Cluster.t =
-  let key =
-    Printf.sprintf "%d|%d|%s" cfg.Config.n cfg.Config.t
-      (match cfg.Config.tsig_scheme with Config.Shoup -> "s" | Config.Multi -> "m")
-  in
-  let dealer =
-    match Hashtbl.find_opt dealer_cache key with
-    | Some d -> d
-    | None ->
-      let d = Dealer.deal ~seed:"bench-dealer" cfg in
-      Hashtbl.replace dealer_cache key d;
-      d
-  in
-  let engine = Sim.Engine.create ~seed:("bench-engine|" ^ seed) () in
-  let net = Sim.Net.create ~engine ~topo ~mac_keys:(Dealer.net_mac_keys dealer) in
-  let runtimes =
-    Array.init cfg.Config.n (fun i ->
-      Runtime.create ~engine ~net ~cfg ~keys:dealer.Dealer.parties.(i))
-  in
-  { Cluster.engine; net; cfg; dealer; runtimes }
+let harness () : harness = { dealers = Hashtbl.create 4; metrics = [] }
+
+let dealer (h : harness) (cfg : Config.t) : Dealer.t =
+  let key = (cfg.Config.n, cfg.Config.t, cfg.Config.tsig_scheme) in
+  match Hashtbl.find_opt h.dealers key with
+  | Some d -> d
+  | None ->
+    let d = Dealer.deal ~seed:"bench-dealer" cfg in
+    Hashtbl.replace h.dealers key d;
+    d
+
+let make_cluster (h : harness) ~(seed : string) ~(topo : Sim.Topology.t)
+    (cfg : Config.t) : Cluster.t =
+  Cluster.create ~dealer:(dealer h cfg) ~engine_seed:("bench-engine|" ^ seed)
+    ~topo cfg
 
 type delivery = {
   number : int;           (* delivery index at the measuring party *)
@@ -58,35 +59,26 @@ type delivery = {
   sender : int;
 }
 
-(* Per-experiment metrics, collected after each channel run and written to
-   BENCH_trace.json by the harness: message/byte counts, charged CPU time
-   and exponentiations per party, so a figure's cost story is inspectable
-   without re-running. *)
-let metrics_log : (string * string) list ref = ref []
+let record_metrics (h : harness) ~(label : string) (c : Cluster.t) : unit =
+  h.metrics <-
+    (label, Trace.Metrics.to_json (Cluster.publish_metrics c)) :: h.metrics
 
-let record_metrics ~(label : string) (c : Cluster.t) : unit =
-  metrics_log :=
-    (label, Trace.Metrics.to_json (Cluster.publish_metrics c)) :: !metrics_log
-
-let metrics_count () = List.length !metrics_log
-
-let metrics_json () : string =
-  let entries = List.rev !metrics_log in
+let metrics_json (h : harness) : string =
   "[\n"
   ^ String.concat ",\n"
-      (List.map
+      (List.rev_map
          (fun (label, json) ->
            Printf.sprintf "{\"experiment\":%S,\"metrics\":%s}" label json)
-         entries)
+         h.metrics)
   ^ "\n]\n"
 
 (* Run one channel experiment: [senders] each broadcast [per_sender] short
    payloads at maximum capacity from t=0; deliveries are recorded at
    [measure_at].  Returns the delivery series and the cluster. *)
-let run_channel ?(seed = "run") ~(topo : Sim.Topology.t) ~(cfg : Config.t)
-    ~(kind : channel_kind) ~(senders : int list) ~(per_sender : int)
-    ~(measure_at : int) () : delivery list =
-  let c = make_cluster ~seed ~topo cfg in
+let run_channel (h : harness) ?(seed = "run") ~(topo : Sim.Topology.t)
+    ~(cfg : Config.t) ~(kind : channel_kind) ~(senders : int list)
+    ~(per_sender : int) ~(measure_at : int) () : delivery list =
+  let c = make_cluster h ~seed ~topo cfg in
   let n = cfg.Config.n in
   let deliveries = ref [] in
   let count = ref 0 in
@@ -137,7 +129,7 @@ let run_channel ?(seed = "run") ~(topo : Sim.Topology.t) ~(cfg : Config.t)
       done)
     senders;
   ignore (Cluster.run c ~max_events:50_000_000);
-  record_metrics c
+  record_metrics h c
     ~label:(Printf.sprintf "%s|%s|%s" (kind_name kind) topo.Sim.Topology.label seed);
   List.rev !deliveries
 
@@ -202,7 +194,7 @@ let write_csv ~(path : string) (ds : delivery list) =
   close_out oc;
   Printf.printf "  (full series written to %s)\n" path
 
-let fig4 ?(fast_path = true) ~(messages : int) () =
+let fig4 (h : harness) ?(fast_path = true) ~(messages : int) () =
   print_endline "=== Figure 4: AtomicChannel delivery times on the LAN ===";
   Printf.printf
     "setup: n=4 t=1 batch=t+1, senders P0/Linux P2/AIX P3/Win2k, %d messages,\n\
@@ -211,7 +203,7 @@ let fig4 ?(fast_path = true) ~(messages : int) () =
   let cfg = bench_cfg ~fast_path ~n:4 ~t:1 () in
   let per = messages / 3 in
   let ds =
-    run_channel ~seed:"fig4" ~topo:Sim.Topology.lan ~cfg ~kind:Atomic
+    run_channel h ~seed:"fig4" ~topo:Sim.Topology.lan ~cfg ~kind:Atomic
       ~senders:[ 0; 2; 3 ] ~per_sender:per ~measure_at:0 ()
   in
   let names = Array.map (fun h -> h.Sim.Topology.name) Sim.Topology.lan.Sim.Topology.hosts in
@@ -221,7 +213,7 @@ let fig4 ?(fast_path = true) ~(messages : int) () =
     "\npaper: two bands - 0s (second message of each batch) and 0.5-1s (round\n\
      time); P0's messages delivered first, P3/Win2k (slowest host) last.\n"
 
-let fig5 ?(fast_path = true) ~(messages : int) () =
+let fig5 (h : harness) ?(fast_path = true) ~(messages : int) () =
   print_endline "=== Figure 5: AtomicChannel delivery times on the Internet ===";
   Printf.printf
     "setup: n=4 t=1 batch=t+1, senders Zurich Tokyo NewYork, %d messages,\n\
@@ -230,7 +222,7 @@ let fig5 ?(fast_path = true) ~(messages : int) () =
   let cfg = bench_cfg ~fast_path ~n:4 ~t:1 () in
   let per = messages / 3 in
   let ds =
-    run_channel ~seed:"fig5" ~topo:Sim.Topology.internet ~cfg ~kind:Atomic
+    run_channel h ~seed:"fig5" ~topo:Sim.Topology.internet ~cfg ~kind:Atomic
       ~senders:[ 0; 1; 2 ] ~per_sender:per ~measure_at:0 ()
   in
   let names = Array.map (fun h -> h.Sim.Topology.name) Sim.Topology.internet.Sim.Topology.hosts in
@@ -253,7 +245,7 @@ let fig5 ?(fast_path = true) ~(messages : int) () =
 
 (* --- Table 1: average delivery times across channels and setups --- *)
 
-let table1 ~(messages : int) () =
+let table1 (h : harness) ~(messages : int) () =
   print_endline "=== Table 1: average delivery times (s), one sender (P0/Zurich) ===";
   Printf.printf "%d messages per run; multi-signatures; modeled 1024-bit keys.\n\n" messages;
   let setups =
@@ -275,7 +267,7 @@ let table1 ~(messages : int) () =
       List.iter
         (fun kind ->
           let ds =
-            run_channel ~seed:("table1-" ^ label ^ kind_name kind) ~topo ~cfg ~kind
+            run_channel h ~seed:("table1-" ^ label ^ kind_name kind) ~topo ~cfg ~kind
               ~senders:[ 0 ] ~per_sender:messages ~measure_at:0 ()
           in
           let avg =
@@ -303,7 +295,7 @@ let table1 ~(messages : int) () =
 
 (* --- Figure 6: delivery time vs public-key size --- *)
 
-let fig6 ~(messages : int) () =
+let fig6 (h : harness) ~(messages : int) () =
   print_endline "=== Figure 6: average delivery time vs public-key size ===";
   Printf.printf
     "AtomicChannel, one sender, %d messages; modeled RSA key size sweeps\n\
@@ -323,7 +315,7 @@ let fig6 ~(messages : int) () =
             (fun bits ->
               let cfg = bench_cfg ~scheme ~model_rsa_bits:bits ~n:4 ~t:1 () in
               let ds =
-                run_channel
+                run_channel h
                   ~seed:(Printf.sprintf "fig6-%s-%s-%d" setup_label scheme_label bits)
                   ~topo ~cfg ~kind:Atomic ~senders:[ 0 ] ~per_sender:messages
                   ~measure_at:0 ()

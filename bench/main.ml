@@ -74,15 +74,16 @@ let () =
   Printf.printf "mode: %s%s\n\n%!"
     (if full then "full (paper-scale runs)" else "reduced (use --full for paper-scale)")
     (if fast_path then "" else ", fast-path cost accounting OFF (fig4/fig5)");
+  let h = Experiments.harness () in
   section "hosts" (fun () -> Experiments.hosts ());
   section "fig3" (fun () -> Experiments.fig3 ());
   section "fig4" (fun () ->
-    Experiments.fig4 ~fast_path ~messages:(if full then 999 else 150) ());
+    Experiments.fig4 h ~fast_path ~messages:(if full then 999 else 150) ());
   section "fig5" (fun () ->
-    Experiments.fig5 ~fast_path ~messages:(if full then 999 else 150) ());
-  section "table1" (fun () -> Experiments.table1 ~messages:(if full then 500 else 60) ());
-  section "fig6" (fun () -> Experiments.fig6 ~messages:(if full then 100 else 25) ());
-  section "ablations" (fun () -> Ablations.all ());
+    Experiments.fig5 h ~fast_path ~messages:(if full then 999 else 150) ());
+  section "table1" (fun () -> Experiments.table1 h ~messages:(if full then 500 else 60) ());
+  section "fig6" (fun () -> Experiments.fig6 h ~messages:(if full then 100 else 25) ());
+  section "ablations" (fun () -> Ablations.all h);
   section "micro" (fun () -> Micro.all ());
   let artifact name generate =
     section name (fun () ->
@@ -97,13 +98,13 @@ let () =
   artifact "vopr" Vopr_bench.run;
   artifact "throughput" Throughput_bench.run;
   artifact "latency" Latency_bench.run;
-  artifact "durability" Durability_bench.run;
-  if Experiments.metrics_count () > 0 then begin
+  artifact "durability" (Durability_bench.run h);
+  if h.Experiments.metrics <> [] then begin
     let path = "BENCH_trace.json" in
     let oc = open_out path in
-    output_string oc (Experiments.metrics_json ());
+    output_string oc (Experiments.metrics_json h);
     close_out oc;
     Printf.printf "wrote %s (%d experiment metric sets)\n" path
-      (Experiments.metrics_count ())
+      (List.length h.Experiments.metrics)
   end;
   Printf.printf "total: %.1fs real time\n" (Unix.gettimeofday () -. t0)

@@ -101,8 +101,7 @@ let make_cluster ~seed ~scheme ?(no_fast_path = false) ?(no_batching = false)
     Config.make ~tsig_scheme:scheme ~perm_mode:Config.Random_local
       ~crypto_fast_path:(not no_fast_path)
       ~max_batch:(if no_batching then 1 else 256)
-      ~pipeline_depth
-      ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96 ~n ~t ()
+      ~pipeline_depth ~n ~t ()
   in
   Cluster.create ~seed ~topo cfg
 
@@ -994,88 +993,37 @@ let durability_check_cmd =
       prerr_endline "sintra_sim durability-check: --checkpoint-interval must be positive";
       exit 2
     end;
-    let n = Sim.Topology.n topo in
     let pipeline_depth = 4 in
-    (* One variant of the run: same cluster, same seed, same injected
-       traffic; [durable] additionally attaches the durability layer to
-       every party and, after traffic has drained, power-fails the last
-       party with a WIPED device — its restart must adopt a peer snapshot,
-       not replay history it no longer has. *)
-    let run_variant ~(durable : bool) =
+    (* One variant of the run (Load.Rebuild): same cluster, same seed, same
+       injected traffic, one drained payload per round so --rounds really
+       is the history length.  The durable variant (given an [interval])
+       additionally attaches the durability layer to every party and,
+       after traffic has drained, power-fails the last party with a WIPED
+       device — its restart must adopt a peer snapshot, not replay history
+       it no longer has. *)
+    let run_variant ?interval () =
       let c = make_cluster ~seed ~scheme:Config.Multi topo in
-      let deliveries : (int * string) list ref = ref [] in
-      let backlog_peak = ref 0 in
-      let devs = Array.init n (fun _ -> Store.Device.mem ()) in
-      let durs : Durable.t list ref array = Array.init n (fun _ -> ref []) in
-      let chans : Atomic_channel.t option array = Array.make n None in
-      let make_party i =
-        let rt = Cluster.runtime c i in
-        let ch =
-          Atomic_channel.create rt ~pid:"dchk"
-            ~on_deliver:(fun ~sender m ->
-              if i = 0 then deliveries := (sender, m) :: !deliveries)
-            ()
-        in
-        if durable then begin
-          let d =
-            Durable.attach rt ~chan:ch ~pid:"dchk" ~dev:devs.(i) ~interval ()
-          in
-          durs.(i) := d :: !(durs.(i))
-        end;
-        chans.(i) <- Some ch
-      in
-      for i = 0 to n - 1 do
-        make_party i;
-        Runtime.on_rebuild (Cluster.runtime c i) (fun () -> make_party i)
-      done;
-      (* Phase 1: drive the history one round per injected payload —
-         inject, drain, repeat, round-robin over the senders.  Draining
-         between payloads keeps the round count exact (independent of
-         topology and adaptive batching), so --rounds really is the
-         history length.  Identical in both variants, so delivery order
-         must match byte for byte. *)
-      let events = ref 0 in
-      for k = 0 to rounds - 1 do
-        let p = k mod n in
-        let payload = Printf.sprintf "p%d.m%d" p k in
-        Cluster.inject c p (fun () ->
-          match chans.(p) with
-          | Some ch -> Atomic_channel.send ch payload
-          | None -> ());
-        events := !events + Cluster.run c;
-        match chans.(0) with
-        | Some ch ->
-          backlog_peak :=
-            Stdlib.max !backlog_peak (Atomic_channel.backlog_rounds ch)
-        | None -> ()
-      done;
-      (* Phase 2 (durable only): power-fail the last party at the drained
-         tip with a WIPED device, restart it, and drain the recovery — the
-         rebuild happens "at round N", after the full history. *)
-      if durable then begin
-        let victim = n - 1 in
-        Runtime.crash (Cluster.runtime c victim);
-        Store.Device.rewrite devs.(victim) "";
-        Runtime.recover (Cluster.runtime c victim);
-        events := !events + Cluster.run c
-      end;
-      (List.rev !deliveries, !backlog_peak, !events, devs, durs, chans)
+      let r = Load.Rebuild.create ?interval c ~pid:"dchk" in
+      let events = Load.Rebuild.drive r ~rounds in
+      if interval = None then (r, events)
+      else (r, events + Load.Rebuild.power_fail r ~wipe:true)
     in
-    let plain_log, plain_peak, plain_events, _, _, _ =
-      run_variant ~durable:false
-    in
-    let dur_log, dur_peak, dur_events, devs, durs, chans =
-      run_variant ~durable:true
-    in
+    let plain, plain_events = run_variant () in
+    let dur, dur_events = run_variant ~interval () in
+    let plain_log = Load.Rebuild.deliveries plain
+    and dur_log = Load.Rebuild.deliveries dur in
+    let dur_peak = dur.Load.Rebuild.backlog_peak in
+    let devs = dur.Load.Rebuild.devs and durs = dur.Load.Rebuild.durs in
     Printf.printf
       "durability-check topology=%s seed=%s: %d rounds, checkpoint interval %d\n"
       topo.Sim.Topology.label seed rounds interval;
     Printf.printf "  plain:   %7d events, %4d deliveries at p0, backlog peak %d\n"
-      plain_events (List.length plain_log) plain_peak;
+      plain_events (List.length plain_log) plain.Load.Rebuild.backlog_peak;
     Printf.printf "  durable: %7d events, %4d deliveries at p0, backlog peak %d\n"
       dur_events (List.length dur_log) dur_peak;
-    (match (chans.(0), !(durs.(0))) with
-     | Some ch, d0 :: _ ->
+    (match durs.(0) with
+     | d0 :: _ ->
+       let ch = dur.Load.Rebuild.chans.(0) in
        Printf.printf
          "  history: %d round(s), stable checkpoint %s, GC floor %d, p0 log \
           %dB\n"
@@ -1085,7 +1033,7 @@ let durability_check_cmd =
           | None -> "none")
          (Atomic_channel.gc_floor ch)
          (Store.Device.size devs.(0))
-     | _ -> ());
+     | [] -> ());
     let failures = ref [] in
     let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
     (* 1. The storage plane must not perturb the protocol schedule: the
@@ -1110,18 +1058,14 @@ let durability_check_cmd =
     else Printf.printf "  backlog bound:  peak %d <= %d\n" dur_peak bound;
     (* 3. The wiped party's restart adopted a verified peer snapshot and
        caught up without a full-history replay. *)
-    let victim = n - 1 in
-    (match !(durs.(victim)) with
+    let victim = Load.Rebuild.victim dur in
+    (match durs.(victim) with
      | newest :: _ :: _ ->
        if Durable.restored_from newest <> -1 then
          fail "rebuilt p%d restored from a wiped disk (impossible)" victim;
        if Durable.snapshots_adopted newest < 1 then
          fail "rebuilt p%d adopted no peer snapshot" victim;
-       let tip p =
-         match chans.(p) with
-         | Some ch -> Atomic_channel.current_round ch
-         | None -> -1
-       in
+       let tip = Load.Rebuild.tip dur in
        if tip victim < tip 0 then
          fail "rebuilt p%d stopped at round %d, cluster is at %d" victim
            (tip victim) (tip 0);

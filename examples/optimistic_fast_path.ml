@@ -15,7 +15,7 @@ open Sintra
 
 let () =
   let n = 4 in
-  let cfg = Config.test ~n ~t:1 () in
+  let cfg = Config.make ~n ~t:1 () in
   let topo = Sim.Topology.internet in
   let cluster = Cluster.create ~seed:"fast-path" ~topo cfg in
 

@@ -12,7 +12,7 @@ open Sintra
 let () =
   (* n = 4 servers tolerating t = 1 Byzantine fault; a uniform ~10 ms
      network.  All keys come from the (deterministic, seeded) dealer. *)
-  let cfg = Config.test ~n:4 ~t:1 () in
+  let cfg = Config.make ~n:4 ~t:1 () in
   let topo = Sim.Topology.uniform ~count:4 () in
   let cluster = Cluster.create ~seed:"quickstart" ~topo cfg in
 

@@ -53,7 +53,7 @@ let fingerprint (r : replica) : string =
 
 let () =
   let n = 4 in
-  let cfg = Config.test ~n ~t:1 () in
+  let cfg = Config.make ~n ~t:1 () in
   let topo = Sim.Topology.uniform ~count:n () in
   let cluster = Cluster.create ~seed:"kv-store" ~topo cfg in
 

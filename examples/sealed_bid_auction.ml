@@ -22,7 +22,7 @@ let contains (hay : string) (needle : string) : bool =
 
 let () =
   let n = 4 in
-  let cfg = Config.test ~n ~t:1 () in
+  let cfg = Config.make ~n ~t:1 () in
   let topo = Sim.Topology.uniform ~count:n () in
   let cluster = Cluster.create ~seed:"auction" ~topo cfg in
 

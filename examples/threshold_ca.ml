@@ -14,7 +14,7 @@ let cert_statement ~name ~pubkey ~serial =
 
 let () =
   let n = 4 and t = 1 in
-  let cfg = Config.test ~n ~t () in
+  let cfg = Config.make ~n ~t () in
   let topo = Sim.Topology.uniform ~count:n () in
   let cluster = Cluster.create ~seed:"threshold-ca" ~topo cfg in
   let byzantine = 2 in   (* this server will refuse to sign *)

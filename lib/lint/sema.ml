@@ -42,9 +42,9 @@
                      definition.
    S7 global-state   a module-level [ref], [Array.make]/[init],
                      [Bytes.create]/[make], [Hashtbl.create] or
-                     [Buffer.create] under lib/: state shared by every
-                     caller, which stops key material and contexts from
-                     being shared across domains.  Scratch is allocated per
+                     [Buffer.create] under lib/ or bench/: state shared by
+                     every caller, which stops key material and contexts
+                     from being shared across domains.  Scratch is allocated per
                      call instead; the few sanctioned caches are baselined
                      in .sintra-lint. *)
 
@@ -70,7 +70,7 @@ let rule_names : (string * string) list = [
   (s4, "inline quorum arithmetic on Config.n/Config.t; use the Config helpers");
   (s5, "Share_cache insertion keyed by something other than a Hashes digest");
   (s6, "raw file I/O outside the Store.Device seam in lib/store or lib/sintra");
-  (s7, "module-level ref/Array/Bytes/Hashtbl/Buffer allocation in lib/: shared mutable state");
+  (s7, "module-level ref/Array/Bytes/Hashtbl/Buffer allocation in lib/ or bench/: shared mutable state");
 ]
 
 (* --- path predicates --- *)
@@ -562,7 +562,7 @@ let check_s6 (src : Source.t) (sig_toks : Lex.token list) : finding list =
 
 (* --- S7: module-level mutable state --- *)
 
-let s7_scope path = is_ml path && in_dir "lib" path
+let s7_scope path = is_ml path && (in_dir "lib" path || in_dir "bench" path)
 
 let s7_allocators =
   [ "ref"; "Array.make"; "Array.init"; "Bytes.create"; "Bytes.make";

@@ -24,7 +24,7 @@
       seam itself ([device.ml]) is allowlisted in [.sintra-lint].
     - [global-state] (S7): a module-level [ref], [Array.make]/[init],
       [Bytes.create]/[make], [Hashtbl.create] or [Buffer.create] under
-      [lib/] — mutable state shared by every caller.  Allocations inside a
+      [lib/] or [bench/] — mutable state shared by every caller.  Allocations inside a
       function or a [fun] run per call and do not count. *)
 
 type finding = Rules.finding = {

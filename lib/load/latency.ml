@@ -38,34 +38,12 @@ type report = {
 (* One traced measurement run at a fixed offered rate. *)
 let run_point ~(seed : string) ~(dealer : Dealer.t) ~(cfg : Config.t)
     ~(duration : float) ~(rate : float) : point =
-  let n = cfg.Config.n in
-  let c = Sweep.make_cluster ~seed ~dealer cfg in
   let events = ref [] in
-  Sim.Engine.set_sink c.Cluster.engine
-    (Trace.Sink.Fn (fun e -> events := e :: !events));
-  let gen =
-    Gen.create ~ctx_of:(Sim.Net.trace_ctx c.Cluster.net) ~engine:c.Cluster.engine
-      ()
+  let gen, _ =
+    Sweep.drive ~sink:(Trace.Sink.Fn (fun e -> events := e :: !events))
+      ~arrivals:"latency-arrivals|" ~seed ~dealer ~cfg ~duration
+      (Sweep.Open_loop rate)
   in
-  let chans =
-    Array.init n (fun i ->
-      Atomic_channel.create (Cluster.runtime c i) ~pid:"load"
-        ~on_deliver:(fun ~sender:_ payload -> Gen.deliver gen ~party:i payload)
-        ())
-  in
-  let submit party ~cause payload =
-    Cluster.inject ~cause c party (fun () ->
-      Atomic_channel.send chans.(party) payload)
-  in
-  let drbg = Hashes.Drbg.create ~seed:("latency-arrivals|" ^ seed) in
-  for p = 0 to n - 1 do
-    let arrival =
-      Arrival.poisson ~rate:(rate /. float_of_int n)
-        (Hashes.Drbg.fork drbg (string_of_int p))
-    in
-    Gen.add_open gen ~party:p ~arrival ~until:duration ~submit:(submit p)
-  done;
-  ignore (Cluster.run c ~until:duration);
   let rep = Trace.Causal.analyze (List.rev !events) in
   let totals =
     Array.of_list (List.map (fun p -> p.Trace.Causal.p_total) rep.Trace.Causal.r_payloads)

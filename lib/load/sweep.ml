@@ -31,26 +31,12 @@ type report = {
 
 let sweep_cfg ?pipeline_depth ~(n : int) ~(t : int) ~(max_batch : int) () :
     Config.t =
-  Config.make ~max_batch ?pipeline_depth
-    ~perm_mode:Config.Random_local
-    ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96
-    ~model_rsa_bits:1024 ~model_dl_pbits:1024 ~model_dl_qbits:160 ~n ~t ()
+  Config.make ~max_batch ?pipeline_depth ~perm_mode:Config.Random_local ~n ~t ()
 
-(* Key generation dominates setup; keys depend only on the group size and
-   key sizes, not on max_batch or the load shape, so the driver deals once
-   per (n, t) and every run of that size shares the dealer. *)
+(* Key generation dominates setup; keys depend only on the group size, not
+   on max_batch or the load shape, so the driver deals once per (n, t) and
+   every run of that size shares the dealer. *)
 let deal (cfg : Config.t) : Dealer.t = Dealer.deal ~seed:"load-dealer" cfg
-
-let make_cluster ~(seed : string) ~(dealer : Dealer.t) (cfg : Config.t) :
-    Cluster.t =
-  let engine = Sim.Engine.create ~seed:("load-engine|" ^ seed) () in
-  let topo = Sim.Topology.uniform ~count:cfg.Config.n () in
-  let net = Sim.Net.create ~engine ~topo ~mac_keys:(Dealer.net_mac_keys dealer) in
-  let runtimes =
-    Array.init cfg.Config.n (fun i ->
-      Runtime.create ~engine ~net ~cfg ~keys:dealer.Dealer.parties.(i))
-  in
-  { Cluster.engine; net; cfg; dealer; runtimes }
 
 let quantile (sorted : float array) (q : float) : float =
   let len = Array.length sorted in
@@ -61,12 +47,15 @@ type load_shape =
   | Open_loop of float          (* offered rate across the group, req/s *)
   | Closed_loop of int          (* clients per party, zero think time *)
 
-(* One measurement run: a fresh cluster, an atomic channel per party, a
-   generator in the given shape, [duration] virtual seconds. *)
-let run_point ~(seed : string) ~(dealer : Dealer.t) ~(cfg : Config.t)
-    ~(duration : float) (shape : load_shape) : point * int =
+let drive ?sink ?(arrivals = "load-arrivals|") ~(seed : string)
+    ~(dealer : Dealer.t) ~(cfg : Config.t) ~(duration : float)
+    (shape : load_shape) : Gen.t * Atomic_channel.t array =
   let n = cfg.Config.n in
-  let c = make_cluster ~seed ~dealer cfg in
+  let c =
+    Cluster.create ~dealer ~engine_seed:("load-engine|" ^ seed)
+      ~topo:(Sim.Topology.uniform ~count:n ()) cfg
+  in
+  Option.iter (Cluster.set_sink c) sink;
   (* Clients share each party's network trace context, so request
      submit/complete events join the message-level causal DAG. *)
   let gen =
@@ -82,28 +71,30 @@ let run_point ~(seed : string) ~(dealer : Dealer.t) ~(cfg : Config.t)
     Cluster.inject ~cause c party (fun () ->
       Atomic_channel.send chans.(party) payload)
   in
-  let offered =
-    match shape with
-    | Open_loop rate ->
-      let drbg = Hashes.Drbg.create ~seed:("load-arrivals|" ^ seed) in
-      for p = 0 to n - 1 do
-        let arrival =
-          Arrival.poisson ~rate:(rate /. float_of_int n)
-            (Hashes.Drbg.fork drbg (string_of_int p))
-        in
-        Gen.add_open gen ~party:p ~arrival ~until:duration ~submit:(submit p)
-      done;
-      rate
-    | Closed_loop per_party ->
-      for p = 0 to n - 1 do
-        for _ = 1 to per_party do
-          Gen.add_closed gen ~party:p ~think:0.0 ~until:duration
-            ~submit:(submit p)
-        done
-      done;
-      0.0 (* patched below: closed-loop offered = achieved *)
-  in
+  (match shape with
+   | Open_loop rate ->
+     let drbg = Hashes.Drbg.create ~seed:(arrivals ^ seed) in
+     for p = 0 to n - 1 do
+       let arrival =
+         Arrival.poisson ~rate:(rate /. float_of_int n)
+           (Hashes.Drbg.fork drbg (string_of_int p))
+       in
+       Gen.add_open gen ~party:p ~arrival ~until:duration ~submit:(submit p)
+     done
+   | Closed_loop per_party ->
+     for p = 0 to n - 1 do
+       for _ = 1 to per_party do
+         Gen.add_closed gen ~party:p ~think:0.0 ~until:duration
+           ~submit:(submit p)
+       done
+     done);
   ignore (Cluster.run c ~until:duration);
+  (gen, chans)
+
+(* One measurement run, summarized at party 0. *)
+let run_point ~(seed : string) ~(dealer : Dealer.t) ~(cfg : Config.t)
+    ~(duration : float) (shape : load_shape) : point * int =
+  let gen, chans = drive ~seed ~dealer ~cfg ~duration shape in
   let delivered = Atomic_channel.deliveries chans.(0) in
   let rounds = Atomic_channel.rounds_completed chans.(0) in
   let lats = Array.of_list (Gen.latencies gen) in
@@ -113,8 +104,12 @@ let run_point ~(seed : string) ~(dealer : Dealer.t) ~(cfg : Config.t)
     else Array.fold_left ( +. ) 0.0 lats /. float_of_int (Array.length lats)
   in
   let throughput = float_of_int delivered /. duration in
+  (* Closed-loop offered load is the achieved throughput. *)
+  let offered =
+    match shape with Open_loop rate -> rate | Closed_loop _ -> throughput
+  in
   ( {
-      offered_per_s = (if offered > 0.0 then offered else throughput);
+      offered_per_s = offered;
       issued = Gen.issued gen;
       completed = Gen.completed gen;
       delivered;

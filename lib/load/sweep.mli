@@ -48,20 +48,31 @@ type report = {
 val sweep_cfg :
   ?pipeline_depth:int -> n:int -> t:int -> max_batch:int -> unit ->
   Sintra.Config.t
-(** The benchmark configuration: real 256-bit cryptography priced at the
+(** The benchmark configuration: the dealer's small real keys priced at the
     paper's 1024-bit key sizes, pseudo-random candidate permutation.
     [pipeline_depth] defaults to the {!Sintra.Config.make} default (a
     window of 4 rounds). *)
 
 val deal : Sintra.Config.t -> Sintra.Dealer.t
 (** The sweep's dealer for a configuration (seed ["load-dealer"]).  Keys
-    depend only on [(n, t)] and the key sizes, not on [max_batch] or the
-    load shape, so a driver deals once per group size — key generation
-    dominates setup — and passes the dealer to every run. *)
+    depend only on [(n, t)], not on [max_batch] or the load shape, so a
+    driver deals once per group size — key generation dominates setup —
+    and passes the dealer to every run. *)
 
-val make_cluster :
-  seed:string -> dealer:Sintra.Dealer.t -> Sintra.Config.t -> Sintra.Cluster.t
-(** A fresh simulated group for one measurement run, keyed by [dealer]. *)
+type load_shape =
+  | Open_loop of float   (** Poisson clients at this offered rate across the group, req/s *)
+  | Closed_loop of int   (** this many clients per party, zero think time *)
+
+val drive :
+  ?sink:Trace.Sink.t -> ?arrivals:string -> seed:string ->
+  dealer:Sintra.Dealer.t -> cfg:Sintra.Config.t -> duration:float ->
+  load_shape -> Gen.t * Sintra.Atomic_channel.t array
+(** One measurement run: a fresh group keyed by [dealer] (engine seed
+    ["load-engine|" ^ seed]), an atomic channel per party delivering into
+    a generator of the given shape, run for [duration] virtual seconds.
+    [sink] receives the run's trace; open-loop arrivals are drawn from
+    [arrivals ^ seed] (default prefix ["load-arrivals|"]).  Returns the
+    generator and the per-party channels. *)
 
 val quantile : float array -> float -> float
 (** [quantile sorted q] is the element at rank [q] (nearest-rank on a

@@ -1,7 +1,7 @@
 (* Virtual-CPU charging for cryptographic operations.
 
-   The protocols run real cryptography at the configured [actual] key sizes,
-   but the simulated clock advances according to the [model] key sizes, so
+   The protocols run real cryptography at the dealer's small key sizes, but
+   the simulated clock advances according to the modeled key sizes, so
    the experiments reproduce the paper's 1024-bit setting (and Figure 6's
    key-size sweep) regardless of how big the test keys really are.
 
@@ -148,22 +148,20 @@ let tsig_verify (c : t) ~(k : int) =
 
 (* --- the threshold coin --- *)
 
-let dl_exp (c : t) =
-  exp c ~mod_bits:c.cfg.Config.model_dl_pbits ~exp_bits:c.cfg.Config.model_dl_qbits
+(* The modeled discrete-log group: the paper's 1024-bit p, 160-bit q. *)
+let model_dl_pbits = 1024
+let model_dl_qbits = 160
 
-let dl_exp2 (c : t) =
-  exp2 c ~mod_bits:c.cfg.Config.model_dl_pbits ~exp_bits:c.cfg.Config.model_dl_qbits
-
-let dl_fixed (c : t) =
-  fixed c ~mod_bits:c.cfg.Config.model_dl_pbits ~exp_bits:c.cfg.Config.model_dl_qbits
+let dl_exp (c : t) = exp c ~mod_bits:model_dl_pbits ~exp_bits:model_dl_qbits
+let dl_exp2 (c : t) = exp2 c ~mod_bits:model_dl_pbits ~exp_bits:model_dl_qbits
+let dl_fixed (c : t) = fixed c ~mod_bits:model_dl_pbits ~exp_bits:model_dl_qbits
 
 (* Release: hash-to-group cofactor power (~full-size exponent), the share
    itself (coin-dependent base), and two DLEQ commitments — of which g^w
    hits the generator table on the fast path. *)
 let coin_release (c : t) =
   spanned c "coin_release" (fun () ->
-    exp c ~mod_bits:c.cfg.Config.model_dl_pbits
-      ~exp_bits:(c.cfg.Config.model_dl_pbits - c.cfg.Config.model_dl_qbits);
+    exp c ~mod_bits:model_dl_pbits ~exp_bits:(model_dl_pbits - model_dl_qbits);
     dl_exp c;
     if fast c then begin dl_fixed c; dl_exp c end
     else begin dl_exp c; dl_exp c end)
@@ -182,7 +180,7 @@ let coin_verify_share (c : t) =
    coefficients and coefficient*challenge products mod q). *)
 let coin_verify_share_batch (c : t) ~(k : int) =
   spanned c "coin_verify_share_batch" (fun () ->
-    let p = c.cfg.Config.model_dl_pbits and q = c.cfg.Config.model_dl_qbits in
+    let p = model_dl_pbits and q = model_dl_qbits in
     Sim.Cost.exp_multi c.meter ~mod_bits:p ~sq_bits:q ~exp_bits:[ q; q ];
     Sim.Cost.exp_multi c.meter ~mod_bits:p ~sq_bits:q
       ~exp_bits:(List.concat (List.init k (fun _ -> [ 64; q; 64; q ]))))
@@ -192,9 +190,8 @@ let coin_verify_share_batch (c : t) ~(k : int) =
 let coin_assemble (c : t) ~(k : int) =
   spanned c "coin_assemble" (fun () ->
     if fast c then
-      Sim.Cost.exp_multi c.meter ~mod_bits:c.cfg.Config.model_dl_pbits
-        ~sq_bits:c.cfg.Config.model_dl_qbits
-        ~exp_bits:(List.init k (fun _ -> c.cfg.Config.model_dl_qbits))
+      Sim.Cost.exp_multi c.meter ~mod_bits:model_dl_pbits ~sq_bits:model_dl_qbits
+        ~exp_bits:(List.init k (fun _ -> model_dl_qbits))
     else for _ = 1 to k do dl_exp c done)
 
 (* --- threshold encryption (TDH2) --- *)

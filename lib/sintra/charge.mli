@@ -1,9 +1,11 @@
 (** Virtual-CPU charging for cryptographic operations.
 
-    Protocols run real cryptography at the configured {e actual} key sizes
-    but charge the simulated clock according to the {e model} key sizes;
-    the per-scheme operation counts (exponentiations by exponent width) are
-    spelled out in the implementation.
+    Protocols run real cryptography at {!Dealer}'s small key sizes but
+    charge the simulated clock for the {e modeled} ones: RSA at
+    [Config.model_rsa_bits], discrete logs at the paper's 1024-bit [p] with
+    a 160-bit [q] (constants here).  The per-scheme operation counts
+    (exponentiations by exponent width) are spelled out in the
+    implementation.
 
     When [cfg.crypto_fast_path] is set (the default), operations that the
     real bignum layer serves from a precomputed fixed-base window table or

@@ -1,6 +1,7 @@
 (* The test-bed harness: build a full SINTRA group — engine, network,
    dealer, one runtime per party — from a topology, a configuration and a
-   seed.  Used by the tests, the examples and the benchmark drivers. *)
+   seed.  Every driver builds its groups here: the tests, the examples, the
+   load sweeps, the vopr workloads and the benchmarks. *)
 
 type t = {
   engine : Sim.Engine.t;
@@ -10,11 +11,17 @@ type t = {
   runtimes : Runtime.t array;
 }
 
-let create ?(seed = "sintra") ?loss ~(topo : Sim.Topology.t) (cfg : Config.t) : t =
+let create ?(seed = "sintra") ?dealer ?engine_seed ?loss ~(topo : Sim.Topology.t)
+    (cfg : Config.t) : t =
   if Sim.Topology.n topo <> cfg.Config.n then
     invalid_arg "Cluster.create: topology size differs from configured n";
-  let dealer = Dealer.deal ~seed cfg in
-  let engine = Sim.Engine.create ~seed:("engine|" ^ seed) () in
+  let dealer = match dealer with Some d -> d | None -> Dealer.deal ~seed cfg in
+  let dealt = dealer.Dealer.cfg in
+  if dealt.Config.n <> cfg.Config.n || dealt.Config.t <> cfg.Config.t then
+    invalid_arg "Cluster.create: dealer dealt for another (n, t)";
+  let engine =
+    Sim.Engine.create ~seed:(Option.value engine_seed ~default:("engine|" ^ seed)) ()
+  in
   let mac_keys = Dealer.net_mac_keys dealer in
   let net =
     match loss with

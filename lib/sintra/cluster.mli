@@ -1,6 +1,7 @@
 (** The test-bed harness: a full SINTRA group — engine, network, dealer,
     one runtime per party — built from a topology, a configuration and a
-    seed.  Used by the tests, the examples and the benchmark drivers. *)
+    seed.  Every driver builds its groups here: the tests, the examples,
+    the load sweeps, the vopr workloads and the benchmarks. *)
 
 type t = {
   engine : Sim.Engine.t;
@@ -10,11 +11,18 @@ type t = {
   runtimes : Runtime.t array;
 }
 
-val create : ?seed:string -> ?loss:float -> topo:Sim.Topology.t -> Config.t -> t
-(** [loss] switches the network to unreliable datagrams with the given
-    per-frame loss probability, recovered by sliding-window links
-    ({!Sim.Net.create_lossy}).
-    @raise Invalid_argument if the topology size differs from [cfg.n]. *)
+val create :
+  ?seed:string -> ?dealer:Dealer.t -> ?engine_seed:string -> ?loss:float ->
+  topo:Sim.Topology.t -> Config.t -> t
+(** A fresh group.  [dealer] shares key material dealt once across many
+    runs (key generation dominates set-up); without it the group deals its
+    own under [seed] (default ["sintra"]).  The engine — every latency draw
+    and protocol coin — is seeded by [engine_seed], default
+    ["engine|" ^ seed].  [loss] switches the network to unreliable
+    datagrams with the given per-frame loss probability, recovered by
+    sliding-window links ({!Sim.Net.create_lossy}).
+    @raise Invalid_argument if the topology size differs from [cfg.n], or
+    [dealer] was dealt for another [(n, t)]. *)
 
 val runtime : t -> int -> Runtime.t
 (** Party [i]'s runtime. *)

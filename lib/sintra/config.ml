@@ -1,11 +1,12 @@
 (* Static group configuration.
 
    SINTRA's group model is static: n servers, at most t < n/3 corrupted, all
-   keys dealt up front by a trusted dealer.  [actual] key sizes are what the
-   OCaml crypto really computes with (tests keep them small for speed);
-   [model] key sizes drive the virtual-time cost model, so experiments can
-   faithfully model 1024-bit keys (or sweep 128..1024 as in Figure 6)
-   while the underlying — real — cryptography runs at a convenient size. *)
+   keys dealt up front by a trusted dealer.  The real key sizes are
+   constants of the dealer, small so runs stay fast; [model_rsa_bits] (with
+   Charge's 1024/160-bit discrete-log constants) drives the virtual-time
+   cost model, so experiments faithfully model 1024-bit keys (or sweep
+   128..1024 as in Figure 6) while the real cryptography runs at a
+   convenient size. *)
 
 type tsig_scheme =
   | Shoup        (* proper RSA threshold signatures [Shoup, EUROCRYPT 2000] *)
@@ -23,15 +24,7 @@ type t = {
   pipeline_depth : int;      (* atomic rounds in flight concurrently; 1 = sequential *)
   tsig_scheme : tsig_scheme;
   perm_mode : perm_mode;
-  (* actual cryptographic sizes *)
-  rsa_bits : int;            (* per-party signing keys and multi-signatures *)
-  tsig_bits : int;           (* Shoup threshold-signature modulus *)
-  dl_pbits : int;            (* discrete-log field prime *)
-  dl_qbits : int;            (* discrete-log subgroup order *)
-  (* modeled sizes, for virtual-time cost accounting *)
-  model_rsa_bits : int;
-  model_dl_pbits : int;
-  model_dl_qbits : int;
+  model_rsa_bits : int;      (* modeled RSA size, for virtual-time cost accounting *)
   (* Charge virtual CPU for the multi-exponentiation / fixed-base fast path
      the real bignum layer always uses (Nat.powmod2, Nat.Fixed_base); when
      off, every operation is priced as a plain square-and-multiply
@@ -64,32 +57,19 @@ let dec_threshold (c : t) : int = c.t + 1
    amplification, batch adoption, termination-request counting. *)
 let one_honest (c : t) : int = c.t + 1
 
-(* Default: real crypto at modest sizes, cost model at the paper's 1024-bit
-   RSA / 1024-bit p with 160-bit q. *)
 let make ?(batch_size : int option) ?(max_batch = 256) ?(pipeline_depth = 4)
     ?(tsig_scheme = Multi)
     ?(perm_mode = Fixed)
-    ?(rsa_bits = 512) ?(tsig_bits = 512) ?(dl_pbits = 512) ?(dl_qbits = 160)
-    ?(model_rsa_bits = 1024) ?(model_dl_pbits = 1024) ?(model_dl_qbits = 160)
+    ?(model_rsa_bits = 1024)
     ?(crypto_fast_path = true)
     ?(share_cache_cap = 4096)
     ~n ~t () : t =
   let batch_size = match batch_size with Some b -> b | None -> t + 1 in
   let c = {
     n; t; batch_size; max_batch; pipeline_depth;
-    tsig_scheme; perm_mode;
-    rsa_bits; tsig_bits; dl_pbits; dl_qbits;
-    model_rsa_bits; model_dl_pbits; model_dl_qbits;
+    tsig_scheme; perm_mode; model_rsa_bits;
     crypto_fast_path; share_cache_cap;
   }
   in
   validate c;
   c
-
-(* A small fast configuration for unit tests: tiny real keys. *)
-let test ?(n = 4) ?(t = 1) ?(tsig_scheme = Multi) ?(perm_mode = Fixed)
-    ?(batch_size : int option) ?max_batch ?pipeline_depth
-    ?crypto_fast_path ?share_cache_cap () : t =
-  make ?batch_size ?max_batch ?pipeline_depth
-    ?crypto_fast_path ?share_cache_cap ~tsig_scheme
-    ~perm_mode ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96 ~n ~t ()

@@ -2,10 +2,11 @@
 
     SINTRA's group model is static: [n] servers of which at most [t < n/3]
     may be corrupted, all keys dealt up front by a trusted dealer.  The
-    [actual] key sizes are what the OCaml cryptography really computes with
-    (tests keep them small); the [model] sizes drive the virtual-time cost
-    model, so experiments can model the paper's 1024-bit keys — or sweep
-    them, as in Figure 6 — independently of the real key size. *)
+    real key sizes are {!Dealer}'s constants (small, so runs stay fast);
+    [model_rsa_bits] drives the virtual-time cost model, with {!Charge}'s
+    1024/160-bit discrete-log constants, so experiments model the paper's
+    1024-bit keys — or sweep the RSA size, as in Figure 6 — independently
+    of the real key size. *)
 
 type tsig_scheme =
   | Shoup        (** proper RSA threshold signatures (Shoup, EUROCRYPT 2000) *)
@@ -35,13 +36,7 @@ type t = {
       (round [k+1] starts only after round [k] delivers). *)
   tsig_scheme : tsig_scheme;
   perm_mode : perm_mode;
-  rsa_bits : int;            (** actual: signing keys / multi-signatures *)
-  tsig_bits : int;           (** actual: Shoup threshold-signature modulus *)
-  dl_pbits : int;            (** actual: discrete-log field prime *)
-  dl_qbits : int;            (** actual: discrete-log subgroup order *)
-  model_rsa_bits : int;
-  model_dl_pbits : int;
-  model_dl_qbits : int;
+  model_rsa_bits : int;      (** RSA key size the cost model prices *)
   crypto_fast_path : bool;
   (** Charge virtual CPU for the multi-exponentiation / fixed-base fast
       path the real bignum layer always uses; off prices everything as
@@ -80,19 +75,9 @@ val make :
   ?batch_size:int -> ?max_batch:int -> ?pipeline_depth:int ->
   ?tsig_scheme:tsig_scheme ->
   ?perm_mode:perm_mode ->
-  ?rsa_bits:int -> ?tsig_bits:int -> ?dl_pbits:int -> ?dl_qbits:int ->
-  ?model_rsa_bits:int -> ?model_dl_pbits:int -> ?model_dl_qbits:int ->
-  ?crypto_fast_path:bool -> ?share_cache_cap:int ->
+  ?model_rsa_bits:int -> ?crypto_fast_path:bool -> ?share_cache_cap:int ->
   n:int -> t:int -> unit -> t
 (** Defaults: batch [t+1], max batch 256 payloads per party per round,
     pipeline depth 4 with adaptive batching, multi-signatures, fixed
-    candidate order, modest real key sizes, modeled 1024-bit RSA and
-    1024/160-bit discrete logs, fast-path cost accounting on, a
+    candidate order, modeled 1024-bit RSA, fast-path cost accounting on, a
     4096-entry verified-share cache. *)
-
-val test :
-  ?n:int -> ?t:int -> ?tsig_scheme:tsig_scheme -> ?perm_mode:perm_mode ->
-  ?batch_size:int -> ?max_batch:int -> ?pipeline_depth:int ->
-  ?crypto_fast_path:bool -> ?share_cache_cap:int ->
-  unit -> t
-(** A fast configuration for unit tests (tiny real keys; default n=4, t=1). *)

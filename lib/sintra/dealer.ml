@@ -5,6 +5,15 @@
    the threshold-encryption keys.  The dealer runs once at initialization,
    exactly as in the paper. *)
 
+(* The real key sizes.  Every run deals at these small sizes so tests and
+   benchmarks finish in seconds; virtual time prices the paper's 1024-bit
+   keys regardless (Config.model_rsa_bits, Charge's discrete-log sizes).
+   Raise them to 1024/1024/1024/160 for full-size cryptography. *)
+let rsa_bits = 256     (* per-party signing keys and multi-signatures *)
+let tsig_bits = 256    (* Shoup threshold-signature modulus *)
+let dl_pbits = 256     (* discrete-log field prime *)
+let dl_qbits = 96      (* discrete-log subgroup order *)
+
 type party_keys = {
   index : int;                                     (* 0-based party id *)
   sign_sk : Crypto.Rsa.secret;                     (* own signing key *)
@@ -34,7 +43,7 @@ let deal_tsig ~(drbg : Hashes.Drbg.t) (cfg : Config.t) ~(k : int) ~(label : stri
   | Config.Shoup ->
     let keys =
       Crypto.Threshold_sig.deal ~drbg:(Hashes.Drbg.fork drbg label)
-        ~modulus_bits:cfg.Config.tsig_bits ~nparties:cfg.Config.n ~k ~t:cfg.Config.t ()
+        ~modulus_bits:tsig_bits ~nparties:cfg.Config.n ~k ~t:cfg.Config.t ()
     in
     Array.map
       (fun s -> Tsig.Shoup_sec (keys.Crypto.Threshold_sig.public, s))
@@ -42,7 +51,7 @@ let deal_tsig ~(drbg : Hashes.Drbg.t) (cfg : Config.t) ~(k : int) ~(label : stri
   | Config.Multi ->
     let keys =
       Crypto.Multi_sig.deal ~drbg:(Hashes.Drbg.fork drbg label)
-        ~modulus_bits:cfg.Config.rsa_bits ~nparties:cfg.Config.n ~k ~t:cfg.Config.t ()
+        ~modulus_bits:rsa_bits ~nparties:cfg.Config.n ~k ~t:cfg.Config.t ()
     in
     Array.map
       (fun s -> Tsig.Multi_sec (keys.Crypto.Multi_sig.public, s))
@@ -63,13 +72,13 @@ let deal ~(seed : string) (cfg : Config.t) : t =
   let sign_keys =
     Array.init n (fun i ->
       Crypto.Rsa.keygen ~drbg:(Hashes.Drbg.fork drbg (Printf.sprintf "sign-%d" i))
-        ~bits:cfg.Config.rsa_bits ())
+        ~bits:rsa_bits ())
   in
   let sign_pks = Array.map (fun sk -> sk.Crypto.Rsa.pub) sign_keys in
   (* The discrete-log group shared by the coin and the cryptosystem. *)
   let group =
     Crypto.Group.generate ~drbg:(Hashes.Drbg.fork drbg "group")
-      ~pbits:cfg.Config.dl_pbits ~qbits:cfg.Config.dl_qbits
+      ~pbits:dl_pbits ~qbits:dl_qbits
   in
   let coin =
     Crypto.Threshold_coin.deal ~drbg:(Hashes.Drbg.fork drbg "coin") ~group

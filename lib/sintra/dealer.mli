@@ -30,7 +30,12 @@ type t = {
 }
 
 val deal : seed:string -> Config.t -> t
-(** Deterministic in [seed] and the configuration's actual key sizes. *)
+(** Deterministic in [seed], [n], [t] and the threshold-signature scheme.
+    Keys are dealt at fixed small sizes (256-bit RSA and Shoup moduli, a
+    256-bit group with a 96-bit subgroup; constants in [dealer.ml]) so runs
+    finish in seconds; virtual time prices the paper's 1024-bit keys
+    regardless ([Config.model_rsa_bits] and {!Charge}'s discrete-log
+    sizes). *)
 
 val net_mac_keys : t -> string array array
 (** The MAC-key matrix in the symmetric layout {!Sim.Net.create} expects. *)

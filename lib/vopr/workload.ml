@@ -51,20 +51,6 @@ let schedule ~(kind : Oracle.kind) ~(run_seed : string) : Schedule.t =
   Explorer.schedule_of ~run_seed ~n:4 ~max_faulty
     ~allow_equiv:(byz_supported kind)
 
-let make_cluster ~(cfg : Config.t) ~(dealer : Dealer.t) ~(run_seed : string) :
-    Cluster.t =
-  let n = cfg.Config.n in
-  let topo = Sim.Topology.uniform ~count:n () in
-  let engine = Sim.Engine.create ~seed:("engine|" ^ run_seed) () in
-  let net =
-    Sim.Net.create ~engine ~topo ~mac_keys:(Dealer.net_mac_keys dealer)
-  in
-  let runtimes =
-    Array.init n (fun i ->
-      Runtime.create ~engine ~net ~cfg ~keys:dealer.Dealer.parties.(i))
-  in
-  { Cluster.engine; net; cfg; dealer; runtimes }
-
 (* Broadcast_channel frames payloads with a leading 0x01; the Byzantine
    sender harnesses speak the inner-instance wire format directly. *)
 let framed (s : string) : string = "\x01" ^ s
@@ -82,11 +68,13 @@ let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
     | Oracle.Durable -> Some 8
     | _ -> None
   in
-  let cfg = Config.test ~n ~t ?max_batch () in
+  let cfg = Config.make ~n ~t ?max_batch () in
   (* Key material is independent of the run seed: deal once per runner. *)
   let dealer = Dealer.deal ~seed:"vopr-dealer" cfg in
   fun ~seed sched ->
-  let c = make_cluster ~cfg ~dealer ~run_seed:seed in
+  let c =
+    Cluster.create ~seed ~dealer ~topo:(Sim.Topology.uniform ~count:n ()) cfg
+  in
   (* The amortized-crypto workload layers a deterministic retransmit storm
      over the generated schedule: every 4th frame duplicated, every 4th+2
      frame replayed out of FIFO order.  Dups and replays re-present

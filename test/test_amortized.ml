@@ -772,8 +772,8 @@ let cost_tests =
           f s;
           s.Charge.meter.Sim.Cost.total_ms
         in
-        let shoup = Config.test ~n:4 ~t:1 ~tsig_scheme:Config.Shoup () in
-        let multi = Config.test ~n:4 ~t:1 ~tsig_scheme:Config.Multi () in
+        let shoup = Config.make ~n:4 ~t:1 ~tsig_scheme:Config.Shoup () in
+        let multi = Config.make ~n:4 ~t:1 ~tsig_scheme:Config.Multi () in
         let tsig_single = cost shoup Charge.tsig_verify_share in
         let tsig_batch3 =
           cost shoup (fun s -> Charge.tsig_verify_share_batch s ~k:3)
@@ -814,21 +814,11 @@ let cost_tests =
 (* One dealer for the whole sweep (key material is independent of the run
    seed); engines are seeded per run, as in the vopr workloads. *)
 let aba_dealer =
-  lazy (Dealer.deal ~seed:"amort-aba" (Config.test ~n:4 ~t:1 ()))
+  lazy (Dealer.deal ~seed:"amort-aba" (Config.make ~n:4 ~t:1 ()))
 
 let pregen_cluster ~(run_seed : string) : Cluster.t =
-  let cfg = Config.test ~n:4 ~t:1 () in
-  let topo = Util.default_topo () in
-  let dealer = Lazy.force aba_dealer in
-  let engine = Sim.Engine.create ~seed:("engine|" ^ run_seed) () in
-  let net =
-    Sim.Net.create ~engine ~topo ~mac_keys:(Dealer.net_mac_keys dealer)
-  in
-  let runtimes =
-    Array.init 4 (fun i ->
-      Runtime.create ~engine ~net ~cfg ~keys:dealer.Dealer.parties.(i))
-  in
-  { Cluster.engine; net; cfg; dealer; runtimes }
+  Cluster.create ~seed:run_seed ~dealer:(Lazy.force aba_dealer)
+    ~topo:(Util.default_topo ()) (Config.make ~n:4 ~t:1 ())
 
 (* Run one seeded ABA instance with mixed proposals; returns the per-party
    decisions and the summed cache-hit count (coin-share justifications

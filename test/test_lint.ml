@@ -482,6 +482,10 @@ let test_global_state () =
        \  Array.to_list sieve\n";
       "type t = { r : int ref }\nand u = int\n";
       "(* let w = Array.make 64 0 *)\nlet s = \"ref\"\n" ];
+  (* the benchmark drivers are in scope: their dealers and metrics live in
+     a harness value, not a module-level table *)
+  expect_fires ~rule "bench/experiments.ml"
+    "let dealer_cache : (string, int) Hashtbl.t = Hashtbl.create 8\n";
   (* out of scope: tests and binaries *)
   expect_silent ~rule "test/util.ml" "let cache = Hashtbl.create 8\n";
   expect_silent ~rule "bin/sintra_sim.ml" "let verbose = ref false\n";

@@ -33,14 +33,12 @@ let public_digest (d : Dealer.t) : string =
              :: Array.to_list enc.Crypto.Threshold_enc.hks)))
 
 (* The configurations the drivers deal under: the tests' and vopr's
-   (Config.test), the load sweeps' (Load.Sweep.sweep_cfg) and the paper
+   (Config.make), the load sweeps' (Load.Sweep.sweep_cfg) and the paper
    benchmarks' (bench/experiments.ml's bench_cfg, spelled out here since
    the bench is not a library). *)
 let driver_cfgs (scheme : Config.tsig_scheme) : (string * Config.t) list =
-  [ ("test", Config.test ~tsig_scheme:scheme ());
+  [ ("test", Config.make ~tsig_scheme:scheme ~n:4 ~t:1 ());
     ("bench", Config.make ~tsig_scheme:scheme ~perm_mode:Config.Random_local
-        ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96
-        ~model_rsa_bits:1024 ~model_dl_pbits:1024 ~model_dl_qbits:160
         ~n:4 ~t:1 ()) ]
   @ (if scheme = Config.Multi then
        [ ("sweep", Load.Sweep.sweep_cfg ~n:4 ~t:1 ~max_batch:256 ()) ]
@@ -106,9 +104,7 @@ let suite = [
     (fun () ->
       let duration model_rsa_bits =
         let cfg =
-          Config.make ~tsig_scheme:Config.Multi
-            ~rsa_bits:256 ~tsig_bits:256 ~dl_pbits:256 ~dl_qbits:96
-            ~model_rsa_bits ~model_dl_pbits:1024 ~model_dl_qbits:160 ~n:4 ~t:1 ()
+          Config.make ~tsig_scheme:Config.Multi ~model_rsa_bits ~n:4 ~t:1 ()
         in
         let topo = Sim.Topology.lan in
         let c = Cluster.create ~seed:"model-sweep" ~topo cfg in
@@ -129,7 +125,7 @@ let suite = [
         Alcotest.failf "model size had no effect: %f vs %f" t_small t_big);
 
   Alcotest.test_case "optimistic channel over 10% frame loss" `Slow (fun () ->
-    let cfg = Config.test () in
+    let cfg = Config.make ~n:4 ~t:1 () in
     let topo = Sim.Topology.uniform ~count:4 () in
     let c = Cluster.create ~seed:"opt-lossy" ~loss:0.10 ~topo cfg in
     let logs = Array.init 4 (fun _ -> ref []) in
@@ -150,8 +146,7 @@ let suite = [
   Alcotest.test_case "service over the Internet topology" `Quick (fun () ->
     (* End-to-end: replicated accumulator across the WAN test-bed. *)
     let cfg =
-      Config.make ~tsig_scheme:Config.Multi ~rsa_bits:256 ~tsig_bits:256
-        ~dl_pbits:256 ~dl_qbits:96 ~n:4 ~t:1 ()
+      Config.make ~tsig_scheme:Config.Multi ~n:4 ~t:1 ()
     in
     let c = Cluster.create ~seed:"svc-wan" ~topo:Sim.Topology.internet cfg in
     let apply acc req =

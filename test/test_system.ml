@@ -36,7 +36,7 @@ let suite = [
   (* --- the dealer --- *)
 
   Alcotest.test_case "dealer is deterministic in its seed" `Quick (fun () ->
-    let cfg = Config.test () in
+    let cfg = Config.make ~n:4 ~t:1 () in
     let d1 = Dealer.deal ~seed:"alpha" cfg in
     let d2 = Dealer.deal ~seed:"alpha" cfg in
     let d3 = Dealer.deal ~seed:"beta" cfg in
@@ -47,7 +47,7 @@ let suite = [
       (d1.Dealer.mac_keys <> d3.Dealer.mac_keys));
 
   Alcotest.test_case "dealer wires the right thresholds" `Quick (fun () ->
-    let cfg = Config.test ~n:7 ~t:2 () in
+    let cfg = Config.make ~n:7 ~t:2 () in
     let d = Dealer.deal ~seed:"thresholds" cfg in
     Alcotest.(check int) "coin k" 3 d.Dealer.coin_pub.Crypto.Threshold_coin.k;
     Alcotest.(check int) "bc tsig k" (Config.echo_quorum cfg) (Tsig.k d.Dealer.bc_tsig_pub);
@@ -55,8 +55,25 @@ let suite = [
     Alcotest.(check int) "enc k" 3 d.Dealer.enc_pub.Crypto.Threshold_enc.k;
     Alcotest.(check int) "parties" 7 (Array.length d.Dealer.parties));
 
+  Alcotest.test_case "cluster refuses a dealer dealt for another (n, t)" `Quick
+    (fun () ->
+      let dealer = (Util.cluster ~n:4 ~t:1 ()).Cluster.dealer in
+      let refuses ~n ~t =
+        Alcotest.check_raises (Printf.sprintf "n=%d t=%d" n t)
+          (Invalid_argument "Cluster.create: dealer dealt for another (n, t)")
+          (fun () ->
+            ignore
+              (Cluster.create ~dealer ~topo:(Util.default_topo ~count:n ())
+                 (Config.make ~n ~t ())))
+      in
+      refuses ~n:7 ~t:2;
+      refuses ~n:4 ~t:0;
+      ignore
+        (Cluster.create ~dealer ~topo:(Util.default_topo ())
+           (Config.make ~max_batch:1 ~n:4 ~t:1 ())));
+
   Alcotest.test_case "dealer mac matrix is symmetric and per-pair" `Quick (fun () ->
-    let cfg = Config.test () in
+    let cfg = Config.make ~n:4 ~t:1 () in
     let d = Dealer.deal ~seed:"macs" cfg in
     let m = Dealer.net_mac_keys d in
     for i = 0 to 3 do
@@ -278,7 +295,7 @@ let suite = [
 
 let lossy_suite = [
   Alcotest.test_case "reliable broadcast over 10% frame loss" `Quick (fun () ->
-    let cfg = Config.test () in
+    let cfg = Config.make ~n:4 ~t:1 () in
     let topo = Sim.Topology.uniform ~count:4 () in
     let c = Cluster.create ~seed:"lossy-rbc" ~loss:0.10 ~topo cfg in
     let got = Array.make 4 None in
@@ -295,7 +312,7 @@ let lossy_suite = [
 
   Alcotest.test_case "atomic channel over 10% frame loss keeps total order" `Slow
     (fun () ->
-      let cfg = Config.test () in
+      let cfg = Config.make ~n:4 ~t:1 () in
       let topo = Sim.Topology.uniform ~count:4 () in
       let c = Cluster.create ~seed:"lossy-abc" ~loss:0.10 ~topo cfg in
       let logs = Array.init 4 (fun _ -> ref []) in
@@ -316,7 +333,7 @@ let lossy_suite = [
       Alcotest.(check int) "all six delivered" 6 (List.length seqs.(0)));
 
   Alcotest.test_case "binary agreement over 15% frame loss" `Slow (fun () ->
-    let cfg = Config.test () in
+    let cfg = Config.make ~n:4 ~t:1 () in
     let topo = Sim.Topology.uniform ~count:4 () in
     let c = Cluster.create ~seed:"lossy-aba" ~loss:0.15 ~topo cfg in
     let decided = Array.make 4 None in

@@ -12,7 +12,7 @@ let cluster ?(seed = "test") ?(n = 4) ?(t = 1) ?(tsig_scheme = Config.Multi)
     ?(perm_mode = Config.Fixed) ?batch_size ?max_batch ?pipeline_depth
     ?share_cache_cap ?topo () : Cluster.t =
   let cfg =
-    Config.test ~n ~t ~tsig_scheme ~perm_mode ?batch_size ?max_batch
+    Config.make ~n ~t ~tsig_scheme ~perm_mode ?batch_size ?max_batch
       ?pipeline_depth ?share_cache_cap ()
   in
   let topo = match topo with Some tp -> tp | None -> default_topo ~count:n () in
@@ -20,21 +20,15 @@ let cluster ?(seed = "test") ?(n = 4) ?(t = 1) ?(tsig_scheme = Config.Multi)
     Printf.sprintf "%s|%d|%d|%s" seed n t
       (match tsig_scheme with Config.Shoup -> "shoup" | Config.Multi -> "multi")
   in
-  match Hashtbl.find_opt dealer_cache key with
-  | Some dealer ->
-    let engine = Sim.Engine.create ~seed:("engine|" ^ seed) () in
-    let net =
-      Sim.Net.create ~engine ~topo ~mac_keys:(Dealer.net_mac_keys dealer)
-    in
-    let runtimes =
-      Array.init n (fun i ->
-        Runtime.create ~engine ~net ~cfg ~keys:dealer.Dealer.parties.(i))
-    in
-    { Cluster.engine; net; cfg; dealer; runtimes }
-  | None ->
-    let c = Cluster.create ~seed ~topo cfg in
-    Hashtbl.replace dealer_cache key c.Cluster.dealer;
-    c
+  let dealer =
+    match Hashtbl.find_opt dealer_cache key with
+    | Some dealer -> dealer
+    | None ->
+      let dealer = Dealer.deal ~seed cfg in
+      Hashtbl.replace dealer_cache key dealer;
+      dealer
+  in
+  Cluster.create ~seed ~dealer ~topo cfg
 
 let check_all_equal (name : string) (values : 'a list) : unit =
   match values with
