@@ -176,6 +176,19 @@ let print_stats (c : Cluster.t) : unit =
       (get (p "p%d/crypto.exps")) (get (p "p%d/crypto.exp2s"))
       (get (p "p%d/crypto.fixed"))
   done;
+  (* The bounded tables side by side, so a leak shows: share-cache entries
+     live now and at peak, the peak of the FIFO behind them, and the
+     statement table's peak. *)
+  Printf.printf "\nper-party tables:\n";
+  Printf.printf "  %5s %10s %14s %12s %14s\n"
+    "party" "cache_size" "cache_size_max" "retained_max" "stmt_table_max";
+  for i = 0 to n - 1 do
+    let p fmt = Printf.sprintf fmt i in
+    Printf.printf "  %5d %10.0f %14.0f %12.0f %14.0f\n" i
+      (get (p "p%d/verify.cache_size")) (get (p "p%d/verify.cache_size/max"))
+      (get (p "p%d/verify.cache_retained/max"))
+      (get (p "p%d/tsig.stmt_table/max"))
+  done;
   (* Everything else (protocol counters, drops), minus the table columns
      and the per-link detail. *)
   let tabled name =
@@ -185,6 +198,8 @@ let print_stats (c : Cluster.t) : unit =
            (String.length suffix) = suffix)
       [ "/net.sent_msgs"; "/net.sent_bytes"; "/net.recv_msgs";
         "/cpu.charged_s"; "/crypto.exps"; "/crypto.exp2s"; "/crypto.fixed";
+        "/verify.cache_size"; "/verify.cache_size/max";
+        "/verify.cache_retained/max"; "/tsig.stmt_table/max";
         (* published histogram quantiles render in the histogram table *)
         "/p50"; "/p90"; "/p99" ]
     || (String.length name >= 5 && String.sub name 0 5 = "link/")

@@ -275,6 +275,16 @@ let divmod (a : t) (b : t) : t * t =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
+(* Horner over the limbs from the top: r < m <= 2^31 keeps
+   r * 2^31 + limb within max_int = 2^62 - 1, so nothing allocates. *)
+let rem_int (a : t) (m : int) : int =
+  if m < 1 || m > limb_base then invalid_arg "Nat.rem_int: modulus outside 1 .. 2^31";
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl limb_bits) lor a.(i)) mod m
+  done;
+  !r
+
 (* Barrett reduction: for a fixed modulus m of k limbs, precompute
    mu = floor(base^(2k) / m); then for x < base^(2k),
      q = floor( floor(x / base^(k-1)) * mu / base^(k+1) )
@@ -428,6 +438,12 @@ module Mont = struct
     u
 
   let sqr (ctx : ctx) (a : residue) : residue = mul ctx a a
+
+  (* Residues are fully reduced, so equal values have equal limbs. *)
+  let equal (a : residue) (b : residue) : bool =
+    let k = Array.length a in
+    let rec go i = i >= k || (Int.equal a.(i) b.(i) && go (i + 1)) in
+    k = Array.length b && go 0
 
   (* Inverse of an odd limb modulo 2^26 by Hensel/Newton lifting:
      x := x(2 - m0 x) doubles the number of correct low bits each round,

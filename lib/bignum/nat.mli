@@ -94,6 +94,11 @@ val div : t -> t -> t
 val rem : t -> t -> t
 (** Remainder of {!divmod}. *)
 
+val rem_int : t -> int -> int
+(** [rem_int a m] is [a mod m] for a single-limb modulus
+    [1 <= m <= 2]{^31}, without allocating: one native division per limb.
+    @raise Invalid_argument on a modulus outside that range. *)
+
 (** Barrett reduction for a fixed modulus: one precomputed reciprocal turns
     every reduction into two multiplications and at most two subtractions
     (HAC 14.42).  Used by {!powmod} for even moduli and by
@@ -151,6 +156,10 @@ module Montgomery : sig
 
   val sqr : ctx -> residue -> residue
   (** [sqr ctx a = mul ctx a a]. *)
+
+  val equal : residue -> residue -> bool
+  (** Equality of two residues of one context: residues are fully
+      reduced, so this is equality of the values they represent. *)
 
   val one_m : ctx -> residue
   (** The Montgomery form of 1, i.e. [R mod m]. *)

@@ -24,38 +24,32 @@ let small_primes =
   done;
   Array.of_list !out
 
+(* Whether a small prime below [n] divides it: one allocation-free
+   single-limb remainder per prime. *)
 let divisible_by_small_prime (n : Nat.t) : bool =
-  let found = ref false in
-  (try
-     Array.iter
-       (fun p ->
-         let p_nat = Nat.of_int p in
-         if Nat.compare n p_nat > 0 && Nat.is_zero (Nat.rem n p_nat) then begin
-           found := true;
-           raise Exit
-         end)
-       small_primes
-   with Exit -> ());
-  !found
+  let below = match Nat.to_int_opt n with Some v -> v | None -> max_int in
+  let rec from i =
+    i < Array.length small_primes
+    && (let p = small_primes.(i) in
+        (p < below && Nat.rem_int n p = 0) || from (i + 1))
+  in
+  from 0
 
-(* One Miller-Rabin round with witness [a]. [n] odd, > 3.
-   n - 1 = d * 2^s with d odd. *)
-let miller_rabin_round (n : Nat.t) (n_minus_1 : Nat.t) (d : Nat.t) (s : int) (a : Nat.t) : bool =
-  let x = ref (Nat.powmod a d n) in
-  if Nat.equal !x Nat.one || Nat.equal !x n_minus_1 then true
-  else begin
-    let ok = ref false in
-    (try
-       for _ = 1 to s - 1 do
-         x := Nat.rem (Nat.sqr !x) n;
-         if Nat.equal !x n_minus_1 then begin
-           ok := true;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !ok
-  end
+(* One Miller-Rabin round with witness [a] over the candidate's Montgomery
+   context: n - 1 = d * 2^s with d odd, [minus_one] is n - 1 in
+   Montgomery form, and the s - 1 squarings stay in the domain. *)
+let miller_rabin_round (ctx : Nat.Montgomery.ctx) ~(n_minus_1 : Nat.t)
+    ~(minus_one : Nat.Montgomery.residue) (d : Nat.t) (s : int) (a : Nat.t)
+    : bool =
+  let x = Nat.Montgomery.powmod ctx a d in
+  Nat.equal x Nat.one || Nat.equal x n_minus_1
+  ||
+  let rec square x i =
+    i < s
+    && (let x = Nat.Montgomery.sqr ctx x in
+        Nat.Montgomery.equal x minus_one || square x (i + 1))
+  in
+  square (Nat.Montgomery.to_mont ctx x) 1
 
 let is_probable_prime ?(rounds = 24) ~(random_bytes : int -> string) (n : Nat.t) : bool =
   match Nat.to_int_opt n with
@@ -72,20 +66,17 @@ let is_probable_prime ?(rounds = 24) ~(random_bytes : int -> string) (n : Nat.t)
         d := Nat.shift_right !d 1;
         incr s
       done;
-      let two = Nat.two in
+      let ctx = Nat.Montgomery.create n in
+      let minus_one = Nat.Montgomery.to_mont ctx n_minus_1 in
       let span = Nat.sub n (Nat.of_int 4) in
-      let all_pass = ref true in
-      (try
-         for _ = 1 to rounds do
-           (* witness in [2, n-2] *)
-           let a = Nat.add two (Nat.random_below ~random_bytes span) in
-           if not (miller_rabin_round n n_minus_1 !d !s a) then begin
-             all_pass := false;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !all_pass
+      let rec rounds_pass r =
+        r > rounds
+        || ((* witness in [2, n-2] *)
+            let a = Nat.add Nat.two (Nat.random_below ~random_bytes span) in
+            miller_rabin_round ctx ~n_minus_1 ~minus_one !d !s a
+            && rounds_pass (r + 1))
+      in
+      rounds_pass 1
     end
 
 (* Generate a random probable prime of exactly [bits] bits. *)

@@ -6,7 +6,10 @@
 
 val is_probable_prime : ?rounds:int -> random_bytes:(int -> string) -> Nat.t -> bool
 (** Trial division by all primes below 2000, then [rounds] (default 24)
-    Miller-Rabin rounds with random witnesses. *)
+    Miller-Rabin rounds with random witnesses, all over one
+    {!Nat.Montgomery} context for [n].
+    @raise Invalid_argument if [n] is odd, has no prime factor below 2000
+    and is wider than {!Nat.Montgomery.create} supports (13286 bits). *)
 
 val gen_prime : ?rounds:int -> random_bytes:(int -> string) -> int -> Nat.t
 (** [gen_prime ~random_bytes bits] draws a probable prime of exactly [bits]

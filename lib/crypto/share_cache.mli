@@ -9,10 +9,14 @@
     Keys are built over a {e digest} of the message (SHA-1 or SHA-256
     output, enforced by length here and by the sintra-lint S5 rule
     [cache-key-digest] at call sites), membership and insertion never
-    iterate the table, and eviction is FIFO in insertion order — cache
+    iterate the table, and eviction is FIFO by latest insertion — cache
     behaviour is a pure function of the call sequence.  Entries belong to
-    a [group] (protocol-instance id) evicted wholesale when the instance
-    is garbage-collected, and the table never exceeds its capacity. *)
+    a [group] (protocol-instance id; the secure channel uses one per
+    decryption slot) evicted wholesale when the instance is
+    garbage-collected or the slot delivered.  The table never exceeds its
+    capacity, and the FIFO behind it never holds more than
+    [2 * size + 64] keys: memory follows the live entries, not the
+    history. *)
 
 type t
 (** A cache instance (one per party; volatile — crash discards it). *)
@@ -36,13 +40,16 @@ val add :
   t -> group:string -> scheme:string -> digest:string -> sender:int ->
   index:int -> unit
 (** Record a verified share under eviction group [group], evicting the
-    oldest live entry first when at capacity.  Idempotent.
+    entry inserted longest ago first when at capacity.  Idempotent: a key
+    already present keeps its group and its FIFO position.
     @raise Invalid_argument if [digest] is not a SHA-1/SHA-256 digest. *)
 
 val evict_group : t -> string -> unit
 (** Drop every entry added under this group — called when the owning
     protocol instance is garbage-collected, so replayed frames cannot
-    resurrect verification state. *)
+    resurrect verification state.  Compacts the FIFO to its live keys
+    when it holds more than [2 * size + 64]; amortized O(1) per
+    insertion. *)
 
 val clear : t -> unit
 (** Drop everything (crash recovery). *)
@@ -50,6 +57,14 @@ val clear : t -> unit
 val size : t -> int
 (** Current number of live entries ([<= cap] always) — the cache-size
     gauge. *)
+
+val retained : t -> int
+(** Keys the FIFO holds, stale ones included: at most [2 * size t + 64]
+    at every call boundary. *)
+
+val peak_retained : t -> int
+(** The high-water mark of {!retained} over the cache's life ({!clear}
+    keeps it). *)
 
 val hits : t -> int
 (** Probes that found their key. *)

@@ -87,7 +87,12 @@ let publish_metrics (c : t) : Trace.Metrics.t =
       let stmts = rt.Runtime.stmts in
       set rt "tsig.stmt_hashed" (Crypto.Stmt_table.hashed stmts);
       set rt "tsig.stmt_reused" (Crypto.Stmt_table.reused stmts);
-      set rt "tsig.stmt_table/max" (Crypto.Stmt_table.peak stmts))
+      set rt "tsig.stmt_table/max" (Crypto.Stmt_table.peak stmts);
+      (* The share cache's live entries now (the insertion-time gauge
+         misses group evictions) and its FIFO's high-water mark. *)
+      let cache = rt.Runtime.cache in
+      set rt "verify.cache_size" (Crypto.Share_cache.size cache);
+      set rt "verify.cache_retained/max" (Crypto.Share_cache.peak_retained cache))
     c.runtimes;
   (* Percentile summaries of every histogram, as <name>/p50|p90|p99. *)
   Trace.Metrics.publish_quantiles (Sim.Engine.metrics c.engine);

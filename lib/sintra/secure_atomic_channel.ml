@@ -13,6 +13,7 @@ type slot = {
   sl_index : int;
   sl_sender : int;
   sl_stmt : Verify.enc_stmt;   (* the validated ciphertext and its key prefix *)
+  sl_group : string;           (* the share-cache group of its decryption shares *)
   shares : (int, Crypto.Threshold_enc.dec_share) Hashtbl.t;
   mutable plaintext : string option;
 }
@@ -70,9 +71,11 @@ let rec emit_ready (t : t) : unit =
        | None -> ()
        | Some m ->
          (* A delivered slot is done: a late share for it is dropped like
-            one for any index below [next_index], so the slot, its shares
-            and its key prefix go now. *)
+            one for any index below [next_index], before any check, so the
+            slot, its shares, its key prefix and its cached share
+            verifications go now. *)
          Hashtbl.remove t.slots t.next_emit;
+         Crypto.Share_cache.evict_group t.rt.Runtime.cache slot.sl_group;
          let tr = t.rt.Runtime.trace in
          if Trace.Ctx.enabled tr then
            Trace.Ctx.instant tr ~pid:(dec_pid t) ~cat:"abc"
@@ -116,7 +119,7 @@ let apply_share (t : t) ~(src : int) (slot : slot)
      && not (Hashtbl.mem slot.shares src)
      && slot.plaintext = None
   then begin
-    if Verify.enc_dec_share t.rt ~group:(dec_pid t) ~stmt:slot.sl_stmt share
+    if Verify.enc_dec_share t.rt ~group:slot.sl_group ~stmt:slot.sl_stmt share
     then begin
       Hashtbl.add slot.shares src share;
       try_combine t slot
@@ -170,6 +173,7 @@ let on_atomic_deliver (t : t) ~(sender : int) (ct_bytes : string) : unit =
         let slot = {
           sl_index = index; sl_sender = sender;
           sl_stmt = Verify.enc_stmt t.rt ct;
+          sl_group = dec_pid t ^ "/" ^ string_of_int index;
           shares = Hashtbl.create 8;
           plaintext = None;
         }
@@ -280,4 +284,6 @@ let is_closed (t : t) = Atomic_channel.is_closed (atomic t)
 
 let abort (t : t) : unit =
   Atomic_channel.abort (atomic t);
+  Det.iter t.slots ~compare:Det.by_int (fun _ slot ->
+    Crypto.Share_cache.evict_group t.rt.Runtime.cache slot.sl_group);
   Runtime.unregister t.rt ~pid:(dec_pid t)

@@ -17,7 +17,9 @@
     and {!Crypto.Batch} agrees with the single verifiers item by item.
     Only the virtual-CPU charges move.  Counters:
     [verify.cache_hit]/[verify.cache_miss], histogram [verify.batch_size],
-    gauge [verify.cache_size] (with [/max] high-water mark).
+    gauge [verify.cache_size] (with [/max] high-water mark), set at each
+    insertion and again by {!Cluster.publish_metrics}, which also writes
+    the FIFO's [verify.cache_retained/max].
 
     Two RSA checks bypass this seam and call {!Crypto.Rsa.verify} with
     their own charge: the atomic channel's INIT signatures and the

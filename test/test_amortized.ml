@@ -1058,6 +1058,154 @@ let secure_pin_tests =
         Alcotest.(check string) "pinned" secure_pin_golden (secure_pin ()));
   ]
 
+(* --- the share cache's memory follows its live entries --- *)
+
+let cache_memory_tests =
+  [
+    Alcotest.test_case "share cache: the FIFO stays within 2*size + 64 over 10 000 cycles"
+      `Quick (fun () ->
+        (* Each cycle opens a group, fills it and evicts it, with one
+           long-lived group growing alongside: without compaction the FIFO
+           would keep every key ever inserted. *)
+        let t = Share_cache.create ~cap:4096 in
+        for i = 1 to 10_000 do
+          let g = Printf.sprintf "g%d" i in
+          for s = 0 to 2 do
+            Share_cache.add t ~group:g ~scheme:"s" ~digest:(sha (string_of_int i))
+              ~sender:s ~index:s
+          done;
+          if i mod 10 = 0 then
+            Share_cache.add t ~group:"long" ~scheme:"l"
+              ~digest:(sha (string_of_int i)) ~sender:0 ~index:0;
+          Share_cache.evict_group t g;
+          let size = Share_cache.size t and retained = Share_cache.retained t in
+          if retained > (2 * size) + 64 then
+            Alcotest.failf "cycle %d: %d keys retained for %d live entries" i
+              retained size
+        done;
+        Alcotest.(check int) "only the long-lived group is live" 1000
+          (Share_cache.size t);
+        if Share_cache.peak_retained t > (2 * 1000) + 64 then
+          Alcotest.failf "peak %d keys retained" (Share_cache.peak_retained t));
+
+    Alcotest.test_case
+      "share cache: FIFO by latest insertion under capacity pressure = a reference model"
+      `Quick (fun () ->
+        (* The model: live (key, group) pairs oldest first. *)
+        let model = ref [] and cap = 5 in
+        let m_add k g =
+          if not (List.mem_assoc k !model) then begin
+            if List.length !model >= cap then model := List.tl !model;
+            model := !model @ [ (k, g) ]
+          end
+        in
+        let m_evict g = model := List.filter (fun (_, g') -> g' <> g) !model in
+        let t = Share_cache.create ~cap in
+        let add k g =
+          m_add k g;
+          Share_cache.add t ~group:g ~scheme:"s" ~digest:(sha (string_of_int k))
+            ~sender:k ~index:k
+        and evict g =
+          m_evict g;
+          Share_cache.evict_group t g
+        in
+        let check what =
+          for k = 0 to 11 do
+            let live = List.mem_assoc k !model in
+            if Share_cache.mem t ~scheme:"s" ~digest:(sha (string_of_int k))
+                 ~sender:k ~index:k <> live
+            then Alcotest.failf "%s: key %d should be %s" what k
+                (if live then "live" else "gone")
+          done;
+          Alcotest.(check int) (what ^ ": size") (List.length !model)
+            (Share_cache.size t)
+        in
+        (* Scripted: a key re-added after its group was evicted takes its
+           new FIFO position... *)
+        add 0 "a"; add 1 "b"; evict "a"; add 0 "b";
+        add 2 "b"; add 3 "b"; add 4 "b"; add 5 "b";
+        check "re-added key outlives an older one";
+        evict "b";
+        (* ...and a key pushed out of a live group by capacity, then
+           re-added to another, survives its old group's eviction. *)
+        add 6 "c"; add 7 "x"; add 8 "x"; add 9 "x"; add 11 "c"; add 10 "x";
+        add 6 "e";
+        evict "c";
+        check "a stale pair leaves the key's new group alone";
+        (* Randomized: 4000 operations over 12 keys and 4 groups. *)
+        let rb = Util.random_bytes ~seed:"cache-model" () in
+        let draw n = Char.code (rb 1).[0] mod n in
+        let groups = [| "a"; "b"; "c"; "d" |] in
+        for i = 1 to 4000 do
+          if draw 4 = 0 then evict groups.(draw 4)
+          else add (draw 12) groups.(draw 4);
+          check (Printf.sprintf "operation %d" i)
+        done);
+
+    Alcotest.test_case
+      "share-cache memory does not grow with history: atomic and secure channels"
+      `Quick (fun () ->
+        (* Drive each channel for R rounds and then R more, one payload per
+           party per round, to quiescence each time.  The FIFO's high-water
+           mark and the live entries must not follow the delivered count. *)
+        let rounds = 8 in
+        let drive c send from =
+          for r = from to from + rounds - 1 do
+            for p = 0 to 3 do
+              Cluster.inject c p (fun () -> send p (Printf.sprintf "h.%d.%d" p r))
+            done;
+            ignore (Cluster.run c ~until:(Cluster.now c +. 30.0))
+          done
+        in
+        let marks c =
+          let m = Cluster.publish_metrics c in
+          Array.init 4 (fun p ->
+            let get name =
+              match Trace.Metrics.find_counter m (Printf.sprintf "p%d/verify.%s" p name) with
+              | Some ctr -> int_of_float (Trace.Metrics.value ctr)
+              | None -> Alcotest.failf "p%d/verify.%s not published" p name
+            in
+            (get "cache_retained/max", get "cache_size"))
+        in
+        let check_flat what c send delivered =
+          drive c send 0;
+          let at_r = marks c and n_r = delivered () in
+          drive c send rounds;
+          let at_2r = marks c in
+          if delivered () < 2 * n_r then
+            Alcotest.failf "%s: %d then %d deliveries" what n_r (delivered ());
+          Array.iteri
+            (fun p (peak, live) ->
+              let peak', live' = at_2r.(p) in
+              if peak' > peak + 16 then
+                Alcotest.failf "%s: party %d retained %d keys at R, %d at 2R" what p
+                  peak peak';
+              if live' > live + 16 then
+                Alcotest.failf "%s: party %d held %d live entries at R, %d at 2R"
+                  what p live live')
+            at_r
+        in
+        let c = Util.cluster ~seed:"cache-history" () in
+        let count = ref 0 in
+        let abc =
+          Array.init 4 (fun p ->
+            Atomic_channel.create (Cluster.runtime c p) ~pid:"hist"
+              ~on_deliver:(fun ~sender:_ _ -> if p = 0 then incr count) ())
+        in
+        check_flat "atomic" c (fun p m -> Atomic_channel.send abc.(p) m)
+          (fun () -> !count);
+        let c = Util.cluster ~seed:"cache-history" () in
+        let count = ref 0 in
+        let sac =
+          Array.init 4 (fun p ->
+            Secure_atomic_channel.create (Cluster.runtime c p) ~pid:"hist"
+              ~on_deliver:(fun ~sender:_ _ -> if p = 0 then incr count) ())
+        in
+        check_flat "secure" c (fun p m -> Secure_atomic_channel.send sac.(p) m)
+          (fun () -> !count));
+  ]
+
 let suite =
   equivalence_tests @ cache_tests @ stmt_tests @ verify_tests
   @ determinism_tests @ cost_tests @ pregen_tests @ secure_pin_tests
+  @ cache_memory_tests

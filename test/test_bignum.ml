@@ -642,4 +642,114 @@ let held_context_tests = [
         (Nat.Montgomery.powmod (Nat.Montgomery.create Nat.one) (n 5) (n 3)))
 ]
 
-let suite = unit_tests @ property_tests @ fastpath_tests @ held_context_tests
+(* The prime search before single-limb remainders and held Montgomery
+   contexts, kept as the reference the prime-path tests compare against:
+   trial division by a full [Nat.rem] per small prime, and Miller-Rabin
+   rounds through [Nat.powmod] and [Nat.rem (Nat.sqr x) n]. *)
+let small_primes_below_2000 : int list =
+  List.filter
+    (fun p -> p >= 2 && List.for_all (fun d -> d * d > p || p mod d <> 0)
+                          (List.init 45 (fun i -> i + 2)))
+    (List.init 2000 Fun.id)
+
+let ref_divisible_by_small_prime (n : Nat.t) : bool =
+  List.exists
+    (fun p ->
+      let p_nat = Nat.of_int p in
+      Nat.compare n p_nat > 0 && Nat.is_zero (Nat.rem n p_nat))
+    small_primes_below_2000
+
+let ref_miller_rabin_round n n_minus_1 d s a : bool =
+  let x = ref (Nat.powmod a d n) in
+  Nat.equal !x Nat.one || Nat.equal !x n_minus_1
+  || begin
+    let ok = ref false in
+    for _ = 1 to s - 1 do
+      if not !ok then begin
+        x := Nat.rem (Nat.sqr !x) n;
+        if Nat.equal !x n_minus_1 then ok := true
+      end
+    done;
+    !ok
+  end
+
+let ref_is_probable_prime ~rounds ~random_bytes (n : Nat.t) : bool =
+  match Nat.to_int_opt n with
+  | Some v when v < 2 -> false
+  | Some 2 | Some 3 -> true
+  | _ ->
+    Nat.testbit n 0
+    && (not (ref_divisible_by_small_prime n))
+    && begin
+      let n_minus_1 = Nat.sub n Nat.one in
+      let s = ref 0 and d = ref n_minus_1 in
+      while not (Nat.testbit !d 0) do
+        d := Nat.shift_right !d 1;
+        incr s
+      done;
+      let span = Nat.sub n (Nat.of_int 4) in
+      let rec go r =
+        r > rounds
+        || (let a = Nat.add Nat.two (Nat.random_below ~random_bytes span) in
+            ref_miller_rabin_round n n_minus_1 !d !s a && go (r + 1))
+      in
+      go 1
+    end
+
+let prime_path_tests = [
+  Alcotest.test_case "rem_int = rem for every small prime, 0 to 1100 bits" `Quick
+    (fun () ->
+      let rb = Util.random_bytes ~seed:"rem-int" () in
+      let values =
+        [ Nat.zero; Nat.one; Nat.of_int 1999; Nat.of_int 2000;
+          Nat.sub (Nat.shift_left Nat.one 31) Nat.one;
+          Nat.shift_left Nat.one 31; Nat.sub (Nat.shift_left Nat.one 1100) Nat.one ]
+        @ List.init 120 (fun i -> Nat.random_bits ~random_bytes:rb (i * 1100 / 119))
+      in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun p ->
+              let want = Option.get (Nat.to_int_opt (Nat.rem a (Nat.of_int p))) in
+              if Nat.rem_int a p <> want then
+                Alcotest.failf "rem_int %s %d = %d, rem says %d" (Nat.to_string a) p
+                  (Nat.rem_int a p) want)
+            small_primes_below_2000)
+        values;
+      (* The single-limb bound: 2^31 is the widest modulus. *)
+      let a = Nat.random_bits ~random_bytes:rb 1100 in
+      Alcotest.(check int) "m = 2^31"
+        (Option.get (Nat.to_int_opt (Nat.rem a (Nat.shift_left Nat.one 31))))
+        (Nat.rem_int a (1 lsl 31));
+      Alcotest.check_raises "m = 0" (Invalid_argument "Nat.rem_int: modulus outside 1 .. 2^31")
+        (fun () -> ignore (Nat.rem_int a 0));
+      Alcotest.check_raises "m > 2^31"
+        (Invalid_argument "Nat.rem_int: modulus outside 1 .. 2^31")
+        (fun () -> ignore (Nat.rem_int a ((1 lsl 31) + 1))));
+
+  Alcotest.test_case "is_probable_prime = the reference rounds under one witness stream"
+    `Quick (fun () ->
+      (* Same verdicts on 2000 random odd candidates per width, and the
+         witness streams stay in step: both paths draw the same witnesses. *)
+      List.iter
+        (fun bits ->
+          let seed = Printf.sprintf "mr-witness-%d" bits in
+          let cand = Util.random_bytes ~seed:("mr-cand-" ^ string_of_int bits) () in
+          let fast = Util.random_bytes ~seed () and slow = Util.random_bytes ~seed () in
+          let primes = ref 0 in
+          for _ = 1 to 2000 do
+            let c = Nat.random_bits ~random_bytes:cand bits in
+            let c = if Nat.testbit c 0 then c else Nat.add c Nat.one in
+            let got = Prime.is_probable_prime ~random_bytes:fast c in
+            let want = ref_is_probable_prime ~rounds:24 ~random_bytes:slow c in
+            if got <> want then
+              Alcotest.failf "%d-bit %s: %b, reference %b" bits (Nat.to_string c) got want;
+            if got then incr primes
+          done;
+          Alcotest.(check string) "witness streams in step" (slow 16) (fast 16);
+          if !primes = 0 then Alcotest.failf "no %d-bit prime among the candidates" bits)
+        [ 128; 256 ]);
+]
+
+let suite =
+  unit_tests @ property_tests @ fastpath_tests @ held_context_tests @ prime_path_tests
