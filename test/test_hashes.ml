@@ -41,6 +41,99 @@ let reference_hmac ~(algo : Hashes.Hmac.algo) ~(key : string) (msg : string) : s
 
 let both_algos = [ ("sha1", Hashes.Hmac.SHA1); ("sha256", Hashes.Hmac.SHA256) ]
 
+(* Reference hashes: the word-at-a-time loop compress functions the
+   library first shipped, over a message padded up front.  The production
+   kernels must match them byte for byte. *)
+module Reference = struct
+  let mask = 0xFFFFFFFF
+  let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+
+  let padded msg =
+    let len = String.length msg in
+    let pad = (55 - len) land 63 in
+    let b = Bytes.make (len + 1 + pad + 8) '\000' in
+    Bytes.blit_string msg 0 b 0 len;
+    Bytes.set b len '\x80';
+    Bytes.set_int64_be b (len + 1 + pad) (Int64.of_int (len * 8));
+    b
+
+  let word b off = Int32.to_int (Bytes.get_int32_be b off) land mask
+
+  let output h =
+    let out = Bytes.create (4 * Array.length h) in
+    Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
+    Bytes.to_string out
+
+  let sha1 msg =
+    let h = [| 0x67452301; 0xEFCDAB89; 0x98BADCFE; 0x10325476; 0xC3D2E1F0 |] in
+    let b = padded msg in
+    let w = Array.make 80 0 in
+    for blk = 0 to (Bytes.length b / 64) - 1 do
+      for i = 0 to 15 do w.(i) <- word b ((64 * blk) + (4 * i)) done;
+      for i = 16 to 79 do
+        w.(i) <- rotl (w.(i - 3) lxor w.(i - 8) lxor w.(i - 14) lxor w.(i - 16)) 1
+      done;
+      let a = ref h.(0) and bb = ref h.(1) and c = ref h.(2) and d = ref h.(3)
+      and e = ref h.(4) in
+      for i = 0 to 79 do
+        let f, k =
+          if i < 20 then (!bb land !c) lor (lnot !bb land !d), 0x5A827999
+          else if i < 40 then !bb lxor !c lxor !d, 0x6ED9EBA1
+          else if i < 60 then
+            (!bb land !c) lor (!bb land !d) lor (!c land !d), 0x8F1BBCDC
+          else !bb lxor !c lxor !d, 0xCA62C1D6
+        in
+        let tmp = (rotl !a 5 + f + !e + k + w.(i)) land mask in
+        e := !d; d := !c; c := rotl !bb 30; bb := !a; a := tmp
+      done;
+      List.iteri (fun i v -> h.(i) <- (h.(i) + v) land mask) [ !a; !bb; !c; !d; !e ]
+    done;
+    output h
+
+  let k256 = [|
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
+
+  let sha256 msg =
+    let h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+               0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |] in
+    let b = padded msg in
+    let w = Array.make 64 0 in
+    for blk = 0 to (Bytes.length b / 64) - 1 do
+      for i = 0 to 15 do w.(i) <- word b ((64 * blk) + (4 * i)) done;
+      for i = 16 to 63 do
+        let x = w.(i - 15) and y = w.(i - 2) in
+        let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+        let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+        w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+      done;
+      let v = Array.copy h in
+      for i = 0 to 63 do
+        let a = v.(0) and e = v.(4) in
+        let s1 = rotr e 6 lxor rotr e 11 lxor rotr e 25 in
+        let ch = (e land v.(5)) lxor (lnot e land v.(6)) in
+        let t1 = v.(7) + s1 + ch + k256.(i) + w.(i) in
+        let s0 = rotr a 2 lxor rotr a 13 lxor rotr a 22 in
+        let maj = (a land v.(1)) lxor (a land v.(2)) lxor (v.(1) land v.(2)) in
+        Array.blit v 0 v 1 7;
+        v.(4) <- (v.(4) + t1) land mask;
+        v.(0) <- (t1 + s0 + maj) land mask
+      done;
+      Array.iteri (fun i x -> h.(i) <- (h.(i) + x) land mask) v
+    done;
+    output h
+end
+
 (* (key, message, tag): RFC 2202 test cases 1-7 for HMAC-SHA1 and RFC 4231
    test cases 1-4, 6 and 7 for HMAC-SHA256.  The last two of each list use
    a key longer than the block, which is hashed first. *)
@@ -161,6 +254,105 @@ let suite = [
     in
     let distinct = List.sort_uniq compare digests in
     Alcotest.(check int) "all distinct" 130 (List.length distinct));
+
+  Alcotest.test_case "sha1 padding boundary lengths" `Quick (fun () ->
+    (* one and two padding blocks on either side of the 55/56 and 63/64
+       edges, against the reference *)
+    List.iter
+      (fun len ->
+        let msg = String.init len (fun i -> Char.chr ((i * 7) land 0xff)) in
+        Alcotest.(check string) (Printf.sprintf "len %d" len)
+          (hex (Reference.sha1 msg)) (hex (Hashes.Sha1.digest msg)))
+      [ 55; 56; 63; 64; 119; 120; 127; 128 ];
+    let digests = List.init 130 (fun i -> hex (Hashes.Sha1.digest (String.make i 'x'))) in
+    Alcotest.(check int) "all distinct" 130 (List.length (List.sort_uniq compare digests)));
+
+  Alcotest.test_case "digests = the loop-compress reference, 2000 random messages"
+    `Quick (fun () ->
+      let d = Hashes.Drbg.create ~seed:"hash-reference" in
+      for i = 1 to 2000 do
+        let msg = Hashes.Drbg.bytes d (Hashes.Drbg.int d 1001) in
+        let label = Printf.sprintf "#%d, %d bytes" i (String.length msg) in
+        Alcotest.(check string) ("sha1 " ^ label) (hex (Reference.sha1 msg))
+          (hex (Hashes.Sha1.digest msg));
+        Alcotest.(check string) ("sha256 " ^ label) (hex (Reference.sha256 msg))
+          (hex (Hashes.Sha256.digest msg))
+      done);
+
+  Alcotest.test_case "copies and midstates taken mid-stream stay independent" `Quick
+    (fun () ->
+      let d = Hashes.Drbg.create ~seed:"hash-copies" in
+      (* [msg] cut at [cuts] sorted random points into consecutive pieces *)
+      let pieces msg cuts =
+        let pts = List.sort compare (List.init cuts (fun _ ->
+          Hashes.Drbg.int d (String.length msg + 1))) in
+        let rec go from = function
+          | [] -> [ String.sub msg from (String.length msg - from) ]
+          | p :: rest -> String.sub msg from (p - from) :: go p rest
+        in
+        go 0 pts
+      in
+      for i = 1 to 300 do
+        let prefix = Hashes.Drbg.bytes d (Hashes.Drbg.int d 300) in
+        let s1 = Hashes.Drbg.bytes d (Hashes.Drbg.int d 200) in
+        let s2 = Hashes.Drbg.bytes d (Hashes.Drbg.int d 200) in
+        let label = Printf.sprintf "#%d prefix %d" i (String.length prefix) in
+        let feed_all feed ctx parts = List.iter (feed ctx) parts in
+        (* SHA-1: the original and its copy each take their own suffix,
+           fed interleaved *)
+        let a = Hashes.Sha1.init () in
+        feed_all Hashes.Sha1.feed_string a (pieces prefix 3);
+        let b = Hashes.Sha1.copy a in
+        List.iter2
+          (fun pa pb -> Hashes.Sha1.feed_string a pa; Hashes.Sha1.feed_string b pb)
+          (pieces s1 2) (pieces s2 2);
+        Alcotest.(check string) ("sha1 copy " ^ label) (hex (Reference.sha1 (prefix ^ s2)))
+          (hex (Hashes.Sha1.finish b));
+        Alcotest.(check string) ("sha1 original " ^ label)
+          (hex (Reference.sha1 (prefix ^ s1))) (hex (Hashes.Sha1.finish a));
+        (* SHA-256, the same through copy *)
+        let a = Hashes.Sha256.init () in
+        feed_all Hashes.Sha256.feed_string a (pieces prefix 3);
+        let b = Hashes.Sha256.copy a in
+        List.iter2
+          (fun pa pb -> Hashes.Sha256.feed_string a pa; Hashes.Sha256.feed_string b pb)
+          (pieces s1 2) (pieces s2 2);
+        Alcotest.(check string) ("sha256 copy " ^ label)
+          (hex (Reference.sha256 (prefix ^ s2))) (hex (Hashes.Sha256.finish b));
+        Alcotest.(check string) ("sha256 original " ^ label)
+          (hex (Reference.sha256 (prefix ^ s1))) (hex (Hashes.Sha256.finish a));
+        (* and through a midstate, resumed twice in either order *)
+        let m = Hashes.Sha256.midstate (pieces prefix 3) in
+        let want1 = hex (Reference.sha256 (prefix ^ s1)) in
+        let want2 = hex (Reference.sha256 (prefix ^ s2)) in
+        Alcotest.(check string) ("midstate s1 " ^ label) want1
+          (hex (Hashes.Sha256.digest_from m (pieces s1 2)));
+        Alcotest.(check string) ("midstate s2 " ^ label) want2
+          (hex (Hashes.Sha256.digest_from m (pieces s2 2)));
+        Alcotest.(check string) ("midstate s1 again " ^ label) want1
+          (hex (Hashes.Sha256.digest_from m [ s1 ]));
+        Alcotest.(check int) ("midstate length " ^ label) (String.length prefix)
+          (Hashes.Sha256.midstate_length m)
+      done);
+
+  Alcotest.test_case "hmac tag of [header; payload] = mac of the concatenation" `Quick
+    (fun () ->
+      let d = Hashes.Drbg.create ~seed:"hmac-frames" in
+      List.iter
+        (fun (name, algo) ->
+          let raw = Hashes.Drbg.bytes d 16 in
+          let k = Hashes.Hmac.key ~algo raw in
+          for len = 0 to 300 do
+            let hdr = Printf.sprintf "%d>%d|" (len mod 4) ((len + 1) mod 4) in
+            let payload = Hashes.Drbg.bytes d len in
+            let want = Hashes.Hmac.mac ~algo ~key:raw (hdr ^ payload) in
+            let label = Printf.sprintf "%s payload %d" name len in
+            Alcotest.(check string) label (hex want)
+              (hex (Hashes.Hmac.tag k [ hdr; payload ]));
+            Alcotest.(check string) (label ^ " reference")
+              (hex (reference_hmac ~algo ~key:raw (hdr ^ payload))) (hex want)
+          done)
+        both_algos);
 
   Alcotest.test_case "digest_list equals concatenation" `Quick (fun () ->
     Alcotest.(check string) "equal"
