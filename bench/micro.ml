@@ -198,6 +198,34 @@ let time_ms ~(budget : float) (f : unit -> unit) : float =
   let samples = List.sort compare [ sample (); sample (); sample () ] in
   List.nth samples 1
 
+(* The hash layer under every frame MAC, share-cache key and DRBG block:
+   ns per 64-byte block of a 64 KiB message for each compression function,
+   a frame tag the way [Sim.Net] computes it (prepared key, "src>dst|"
+   header, 256-byte payload), and a share-cache key (a 40-byte share
+   resumed from a 1 KiB statement's midstate).  Hash timings do not depend
+   on a modulus, so they are measured once, outside the per-size ladder. *)
+let hash_rows ~(budget : float) : (string * float) list =
+  let d = Hashes.Drbg.fork drbg "perf-hashes" in
+  let msg = Hashes.Drbg.bytes d 65536 in
+  let blocks = float_of_int (String.length msg / 64) in
+  let mac_key = Hashes.Hmac.key ~algo:Hashes.Hmac.SHA1 (Hashes.Drbg.bytes d 16) in
+  let payload = Hashes.Drbg.bytes d 256 in
+  let stmt = Hashes.Sha256.midstate [ Hashes.Drbg.bytes d 1024 ] in
+  let share = Hashes.Drbg.bytes d 40 in
+  let ns ~per f = time_ms ~budget f *. 1e6 /. per in
+  let rows =
+    [ ("sha1-block", ns ~per:blocks (fun () -> ignore (Hashes.Sha1.digest msg)));
+      ("sha256-block", ns ~per:blocks (fun () -> ignore (Hashes.Sha256.digest msg)));
+      ( "hmac-sha1-frame",
+        ns ~per:1.0 (fun () -> ignore (Hashes.Hmac.tag mac_key [ "0>1|"; payload ])) );
+      ( "sha256-digest-from",
+        ns ~per:1.0 (fun () -> ignore (Hashes.Sha256.digest_from stmt [ share ])) ) ]
+  in
+  Printf.printf "--- hash kernels ---\n";
+  List.iter (fun (name, v) -> Printf.printf "  %-32s %12.1f ns\n%!" name v) rows;
+  print_newline ();
+  rows
+
 let perf ~(quick : bool) () : string =
   let open Bignum in
   let qbits = 160 in
@@ -207,6 +235,7 @@ let perf ~(quick : bool) () : string =
     "=== Fast-path wall-clock comparison (%s-bit moduli, %d-bit group order) ===\n\n"
     (String.concat "/" (List.map string_of_int sizes))
     qbits;
+  let hashes = hash_rows ~budget in
   let results : (string * int * float) list ref = ref [] in
   let speedups : (string * float) list ref = ref [] in
   let speedup_bits = ref 0 in
@@ -357,6 +386,11 @@ let perf ~(quick : bool) () : string =
                Printf.sprintf "{\"name\": %S, \"mod_bits\": %d, \"ms_per_op\": %.6f}"
                  n bits ms)
              !results) );
+      ( "hashes",
+        Load.Artifact.rows
+          (List.map
+             (fun (n, v) -> Printf.sprintf "{\"name\": %S, \"ns_per_op\": %.1f}" n v)
+             hashes) );
       ( "speedups",
         Printf.sprintf "{\n%s\n  }"
           (String.concat ",\n"

@@ -1,6 +1,6 @@
-(** SHA-1 (FIPS 180-4). SINTRA uses SHA-1 for link authentication and as the
-    160-bit hash inside its threshold schemes; kept for fidelity to the paper
-    (SHA-256 is used where the repo needs a 256-bit PRF). *)
+(** SHA-1 (FIPS 180-4). SINTRA authenticates every point-to-point link with
+    HMAC-SHA1, as the paper does, and {!Hmac} is this module's only user;
+    every other hash in the repository is SHA-256. *)
 
 type ctx
 

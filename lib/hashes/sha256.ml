@@ -19,58 +19,81 @@ let k = [|
 type ctx = {
   h : int array;       (* 8 state words *)
   buf : Bytes.t;               (* 64-byte block buffer *)
-  w : int array;               (* message-schedule scratch, owned by this hash *)
+  w : int array;               (* 16-word message-schedule ring, owned by this hash *)
   mutable buf_len : int;
   mutable total : int;         (* total bytes fed *)
 }
+
+(* A zeroed schedule ring.  The literal is allocated inline, where
+   [Array.make] is a call into the runtime; [copy] spells out the state
+   words for the same reason. *)
+let[@inline] ring () = [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]
 
 let init () = {
   h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
          0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
   buf = Bytes.create 64;
-  w = Array.make 64 0;
+  w = ring ();
   buf_len = 0;
   total = 0;
 }
 
 (* An independent context in the same state: the scratch schedule is fresh,
    so feeding either one never disturbs the other. *)
-let copy (ctx : ctx) : ctx = {
-  h = Array.copy ctx.h;
-  buf = Bytes.copy ctx.buf;
-  w = Array.make 64 0;
-  buf_len = ctx.buf_len;
-  total = ctx.total;
-}
+let copy (ctx : ctx) : ctx =
+  let h = ctx.h in
+  {
+    h = [| h.(0); h.(1); h.(2); h.(3); h.(4); h.(5); h.(6); h.(7) |];
+    buf = Bytes.copy ctx.buf;
+    w = ring ();
+    buf_len = ctx.buf_len;
+    total = ctx.total;
+  }
 
-(* Rotation without the final mask: bits above 32 are garbage that the
-   next masked addition discards.  Only masked words are ever rotated or
-   shifted right, so the garbage never reaches the low 32 bits. *)
-let rotr x n = (x lsr n) lor (x lsl (32 - n))
+(* The 32-bit rotations inside Σ and σ come from one doubled word: with
+   [x] masked, [x lor (x lsl 32)] shifted right by n < 32 holds
+   [rotr x n] in its low 32 bits (the top bit of the copy falls off the
+   63-bit int, but no shift below 32 reads it).  Bits above 32 are garbage
+   that the next masked addition discards. *)
+let[@inline] dup x = x lor (x lsl 32)
 
+(* Schedule word [i >= 16], kept in slot [i mod 16] of a 16-word ring
+   that then holds exactly the words the next one needs.  Ring and round
+   indices are in bounds by construction, so their loads are unchecked. *)
+let[@inline] sched w i =
+  let x = Array.unsafe_get w ((i - 15) land 15) in
+  let y = Array.unsafe_get w ((i - 2) land 15) in
+  let x2 = dup x and y2 = dup y in
+  let s0 = (x2 lsr 7) lxor (x2 lsr 18) lxor (x lsr 3) in
+  let s1 = (y2 lsr 17) lxor (y2 lsr 19) lxor (y lsr 10) in
+  let v = Array.unsafe_get w (i land 15) + s0 + Array.unsafe_get w ((i - 7) land 15) + s1 in
+  let v = v land mask in
+  Array.unsafe_set w (i land 15) v;
+  v
+
+(* Rounds over refs, each reading [a] and [e] once; Ch and Maj take their
+   three- and four-operation forms. *)
 let compress (ctx : ctx) (block : Bytes.t) (off : int) =
   let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask
-  done;
-  for i = 16 to 63 do
-    let x = w.(i - 15) and y = w.(i - 2) in
-    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
-    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x = Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) in
+    Array.unsafe_set w i (x land mask)
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = !hh + s1 + ch + k.(i) + w.(i) in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    hh := !g; g := !f; f := !e;
+    let a0 = !a and e0 = !e in
+    let wi = if i < 16 then Array.unsafe_get w i else sched w i in
+    let e2 = dup e0 and a2 = dup a0 in
+    let s1 = (e2 lsr 6) lxor (e2 lsr 11) lxor (e2 lsr 25) in
+    let ch = !g lxor (e0 land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + wi in
+    let s0 = (a2 lsr 2) lxor (a2 lsr 13) lxor (a2 lsr 22) in
+    let maj = (a0 land !b) lor (!c land (a0 lor !b)) in
+    hh := !g; g := !f; f := e0;
     e := (!d + t1) land mask;
-    d := !c; c := !b; b := !a;
+    d := !c; c := !b; b := a0;
     a := (t1 + s0 + maj) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
@@ -108,29 +131,25 @@ let feed_string (ctx : ctx) (s : string) =
     ctx.buf_len <- n - !pos
   end
 
+(* Pads in the context's own block buffer: 0x80, zeros, and the 64-bit
+   big-endian bit length, with one more block when the length does not fit
+   after the 0x80. *)
 let finish (ctx : ctx) : string =
-  let bit_len = ctx.total * 8 in
-  (* Append 0x80, pad with zeros, then 64-bit big-endian length. *)
-  let pad_len =
-    let r = (ctx.total + 1) mod 64 in
-    if r <= 56 then 56 - r else 120 - r
-  in
-  let tail = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set tail (1 + pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  feed_string ctx (Bytes.unsafe_to_string tail);
-  assert (ctx.buf_len = 0);
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n < 56 then Bytes.fill buf (n + 1) (55 - n) '\000'
+  else begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end;
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out (4 * i + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out (4 * i + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out (4 * i + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest (s : string) : string =
   let ctx = init () in
@@ -142,36 +161,31 @@ let digest_list (parts : string list) : string =
   List.iter (feed_string ctx) parts;
   finish ctx
 
-(* A midstate is a context frozen after absorbing a prefix.  It keeps no
-   scratch schedule: [digest_from] resumes a fresh context from it, so one
-   midstate serves any number of digests and is never disturbed. *)
-type midstate = {
-  m_h : int array;
-  m_buf : Bytes.t;
-  m_buf_len : int;
-  m_total : int;
-}
+(* A midstate is a context frozen after absorbing a prefix: nothing feeds
+   or finishes it, and [digest_from] resumes a copy, so one midstate serves
+   any number of digests and is never disturbed. *)
+type midstate = ctx
 
 let midstate (parts : string list) : midstate =
   let ctx = init () in
   List.iter (feed_string ctx) parts;
-  { m_h = ctx.h; m_buf = ctx.buf; m_buf_len = ctx.buf_len; m_total = ctx.total }
+  ctx
 
-let midstate_length (m : midstate) : int = m.m_total
+let midstate_length (m : midstate) : int = m.total
 
 let digest_from (m : midstate) (parts : string list) : string =
-  let ctx = {
-    h = Array.copy m.m_h;
-    buf = Bytes.copy m.m_buf;
-    w = Array.make 64 0;
-    buf_len = m.m_buf_len;
-    total = m.m_total;
-  }
-  in
+  let ctx = copy m in
   List.iter (feed_string ctx) parts;
   finish ctx
 
+let hex_digits = "0123456789abcdef"
+
 let hex_of_digest (d : string) : string =
-  let buf = Buffer.create (2 * String.length d) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+  let out = Bytes.create (2 * String.length d) in
+  String.iteri
+    (fun i c ->
+      let v = Char.code c in
+      Bytes.set out (2 * i) hex_digits.[v lsr 4];
+      Bytes.set out ((2 * i) + 1) hex_digits.[v land 15])
+    d;
+  Bytes.unsafe_to_string out

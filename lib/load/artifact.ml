@@ -39,6 +39,9 @@ let min_dleq_speedup = 1.5
 let full_mod_bits = 1024
 let batch_floors bits = if bits >= full_mod_bits then (3.0, 2.0) else (2.0, 1.5)
 
+(* The hash-layer rows a full perf report times beside the bignum ladder. *)
+let hash_rows = [ "sha1-block"; "sha256-block"; "hmac-sha1-frame"; "sha256-digest-from" ]
+
 let throughput ~committed:_ doc =
   let series = items doc "series" in
   let modes = List.filter_map (fun s -> str s "mode") series in
@@ -99,6 +102,15 @@ let perf ~committed doc =
       (Printf.sprintf
          "a full report needs %d-bit rows and speedups quoted at %d bits"
          full_mod_bits full_mod_bits);
+    need
+      (smoke_of doc <> Some false
+       || List.for_all
+            (fun k ->
+              List.exists
+                (fun r -> str r "name" = Some k && num r "ns_per_op" <> None)
+                (items doc "hashes"))
+            hash_rows)
+      ("a full report needs \"hashes\" rows " ^ String.concat ", " hash_rows);
     need
       (List.for_all (fun k -> speedup k <> None)
          [ "montgomery"; "multi_exp"; "fixed_base" ])

@@ -55,6 +55,9 @@ let planted =
     ( "full perf report without 1024-bit rows", "BENCH_perf.json",
       field "results" (keep_if "mod_bits" (( <> ) (Some (J.Num 1024.0)))),
       "1024-bit rows" );
+    ( "full perf report without the sha256-digest-from row", "BENCH_perf.json",
+      field "hashes" (keep_if "name" (( <> ) (Some (J.Str "sha256-digest-from")))),
+      "\"hashes\" rows" );
     ( "512-bit smoke report in the committed perf place", "BENCH_perf.json",
       smoke_perf, "full run" );
     ( "DLEQ speedup 1.4x", "BENCH_perf.json",
