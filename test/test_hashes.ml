@@ -255,6 +255,57 @@ let suite = [
     let distinct = List.sort_uniq compare digests in
     Alcotest.(check int) "all distinct" 130 (List.length distinct));
 
+  Alcotest.test_case "digest_list equals concatenation" `Quick (fun () ->
+    Alcotest.(check string) "equal"
+      (hex (Hashes.Sha256.digest "foobarbaz"))
+      (hex (Hashes.Sha256.digest_list [ "foo"; "bar"; "baz" ])));
+
+  Alcotest.test_case "hmac-sha256 rfc4231" `Quick (fun () ->
+    check_hmac_vectors Hashes.Hmac.SHA256 hmac_sha256_vectors);
+
+  Alcotest.test_case "hmac-sha1 rfc2202" `Quick (fun () ->
+    check_hmac_vectors Hashes.Hmac.SHA1 hmac_sha1_vectors);
+
+  Alcotest.test_case "hmac verify accepts/rejects" `Quick (fun () ->
+    let tag = Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA256 ~key:"k" "msg" in
+    Alcotest.(check bool) "good" true
+      (Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA256 ~key:"k" ~tag "msg");
+    Alcotest.(check bool) "bad msg" false
+      (Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA256 ~key:"k" ~tag "msg2");
+    Alcotest.(check bool) "bad key" false
+      (Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA256 ~key:"k2" ~tag "msg");
+    Alcotest.(check bool) "truncated tag" false
+      (Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA256 ~key:"k"
+         ~tag:(String.sub tag 0 10) "msg");
+    (* The prepared key checks a message given in parts. *)
+    let k = Hashes.Hmac.key ~algo:Hashes.Hmac.SHA256 "k" in
+    Alcotest.(check bool) "parts good" true (Hashes.Hmac.check k ~tag [ "m"; "sg" ]);
+    let flipped = Bytes.of_string tag in
+    Bytes.set flipped 5 (Char.chr (Char.code tag.[5] lxor 0x40));
+    Alcotest.(check bool) "flipped tag byte" false
+      (Hashes.Hmac.check k ~tag:(Bytes.to_string flipped) [ "m"; "sg" ]);
+    Alcotest.(check bool) "parts bad msg" false (Hashes.Hmac.check k ~tag [ "m"; "sh" ]));
+
+  Alcotest.test_case "hmac prepared key = RFC 2104 on random keys of every size class"
+    `Quick (fun () ->
+      let d = Hashes.Drbg.create ~seed:"hmac-keys" in
+      List.iter
+        (fun (name, algo) ->
+          List.iter
+            (fun key_len ->
+              for _ = 1 to 8 do
+                let key = Hashes.Drbg.bytes d key_len in
+                let msg = Hashes.Drbg.bytes d (Hashes.Drbg.int d 300) in
+                let want = reference_hmac ~algo ~key msg in
+                let label = Printf.sprintf "%s key %d msg %d" name key_len (String.length msg) in
+                Alcotest.(check string) label (hex want)
+                  (hex (Hashes.Hmac.tag (Hashes.Hmac.key ~algo key) [ msg ]));
+                Alcotest.(check bool) (label ^ " check") true
+                  (Hashes.Hmac.check (Hashes.Hmac.key ~algo key) ~tag:want [ msg ])
+              done)
+            [ 0; 1; 16; 20; 63; 64; 65; 100; 200 ])
+        both_algos);
+
   Alcotest.test_case "sha1 padding boundary lengths" `Quick (fun () ->
     (* one and two padding blocks on either side of the 55/56 and 63/64
        edges, against the reference *)
@@ -352,57 +403,6 @@ let suite = [
             Alcotest.(check string) (label ^ " reference")
               (hex (reference_hmac ~algo ~key:raw (hdr ^ payload))) (hex want)
           done)
-        both_algos);
-
-  Alcotest.test_case "digest_list equals concatenation" `Quick (fun () ->
-    Alcotest.(check string) "equal"
-      (hex (Hashes.Sha256.digest "foobarbaz"))
-      (hex (Hashes.Sha256.digest_list [ "foo"; "bar"; "baz" ])));
-
-  Alcotest.test_case "hmac-sha256 rfc4231" `Quick (fun () ->
-    check_hmac_vectors Hashes.Hmac.SHA256 hmac_sha256_vectors);
-
-  Alcotest.test_case "hmac-sha1 rfc2202" `Quick (fun () ->
-    check_hmac_vectors Hashes.Hmac.SHA1 hmac_sha1_vectors);
-
-  Alcotest.test_case "hmac verify accepts/rejects" `Quick (fun () ->
-    let tag = Hashes.Hmac.mac ~algo:Hashes.Hmac.SHA256 ~key:"k" "msg" in
-    Alcotest.(check bool) "good" true
-      (Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA256 ~key:"k" ~tag "msg");
-    Alcotest.(check bool) "bad msg" false
-      (Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA256 ~key:"k" ~tag "msg2");
-    Alcotest.(check bool) "bad key" false
-      (Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA256 ~key:"k2" ~tag "msg");
-    Alcotest.(check bool) "truncated tag" false
-      (Hashes.Hmac.verify ~algo:Hashes.Hmac.SHA256 ~key:"k"
-         ~tag:(String.sub tag 0 10) "msg");
-    (* The prepared key checks a message given in parts. *)
-    let k = Hashes.Hmac.key ~algo:Hashes.Hmac.SHA256 "k" in
-    Alcotest.(check bool) "parts good" true (Hashes.Hmac.check k ~tag [ "m"; "sg" ]);
-    let flipped = Bytes.of_string tag in
-    Bytes.set flipped 5 (Char.chr (Char.code tag.[5] lxor 0x40));
-    Alcotest.(check bool) "flipped tag byte" false
-      (Hashes.Hmac.check k ~tag:(Bytes.to_string flipped) [ "m"; "sg" ]);
-    Alcotest.(check bool) "parts bad msg" false (Hashes.Hmac.check k ~tag [ "m"; "sh" ]));
-
-  Alcotest.test_case "hmac prepared key = RFC 2104 on random keys of every size class"
-    `Quick (fun () ->
-      let d = Hashes.Drbg.create ~seed:"hmac-keys" in
-      List.iter
-        (fun (name, algo) ->
-          List.iter
-            (fun key_len ->
-              for _ = 1 to 8 do
-                let key = Hashes.Drbg.bytes d key_len in
-                let msg = Hashes.Drbg.bytes d (Hashes.Drbg.int d 300) in
-                let want = reference_hmac ~algo ~key msg in
-                let label = Printf.sprintf "%s key %d msg %d" name key_len (String.length msg) in
-                Alcotest.(check string) label (hex want)
-                  (hex (Hashes.Hmac.tag (Hashes.Hmac.key ~algo key) [ msg ]));
-                Alcotest.(check bool) (label ^ " check") true
-                  (Hashes.Hmac.check (Hashes.Hmac.key ~algo key) ~tag:want [ msg ])
-              done)
-            [ 0; 1; 16; 20; 63; 64; 65; 100; 200 ])
         both_algos);
 
   Alcotest.test_case "hmac tag is independent of how the message is split" `Quick
