@@ -29,4 +29,5 @@ let () =
       ("store", Test_store.suite);
       ("amortized", Test_amortized.suite);
       ("artifact", Test_artifact.suite);
+      ("ondemand", Test_ondemand.suite);
     ]
