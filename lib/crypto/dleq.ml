@@ -48,13 +48,25 @@ let challenge grp ~(ctx : string) ~g1 ~h1 ~g2 ~h2 (proof : t) : Group.exponent =
   Group.hash_to_exponent grp
     (transcript grp ~ctx ~g1 ~h1 ~g2 ~h2 ~a1:proof.a1 ~a2:proof.a2)
 
-(* [prove grp ~drbg ~ctx ~g1 ~h1 ~g2 ~h2 ~x] with h1 = g1^x, h2 = g2^x. *)
-let prove grp ~(drbg : Hashes.Drbg.t) ~(ctx : string) ~g1 ~h1 ~g2 ~h2 ~(x : Group.exponent) : t =
-  let r = Group.random_exponent grp ~drbg in
+(* A proof's only randomness is its commitment exponent r.  Drawing it is
+   the only use of the DRBG, so a prover can draw r when its DRBG turn
+   comes and compute the proof later — or never — without moving the
+   DRBG stream. *)
+type nonce = Group.exponent
+
+let draw_nonce grp ~(drbg : Hashes.Drbg.t) : nonce = Group.random_exponent grp ~drbg
+
+(* [prove_with grp ~nonce ~ctx ~g1 ~h1 ~g2 ~h2 ~x] with h1 = g1^x,
+   h2 = g2^x: deterministic given the nonce. *)
+let prove_with grp ~nonce:(r : nonce) ~(ctx : string) ~g1 ~h1 ~g2 ~h2
+    ~(x : Group.exponent) : t =
   let a1 = Group.pow grp g1 r and a2 = Group.pow grp g2 r in
   let c = Group.hash_to_exponent grp (transcript grp ~ctx ~g1 ~h1 ~g2 ~h2 ~a1 ~a2) in
   let response = Nat.rem (Nat.add r (Nat.mul c x)) grp.Group.q in
   { a1; a2; response }
+
+let prove grp ~(drbg : Hashes.Drbg.t) ~(ctx : string) ~g1 ~h1 ~g2 ~h2 ~(x : Group.exponent) : t =
+  prove_with grp ~nonce:(draw_nonce grp ~drbg) ~ctx ~g1 ~h1 ~g2 ~h2 ~x
 
 (* Fast verification.  Each commitment is recomputed as
      a_i = g_i^z * h_i^(q-c)

@@ -25,7 +25,22 @@ val prove :
   g1:Group.elt -> h1:Group.elt -> g2:Group.elt -> h2:Group.elt ->
   x:Group.exponent -> t
 (** Prove knowledge of [x] with [h1 = g1^x] and [h2 = g2^x], bound to the
-    domain-separation string [ctx]. *)
+    domain-separation string [ctx]: {!prove_with} on a fresh
+    {!draw_nonce}. *)
+
+type nonce
+(** A proof's commitment exponent [r], drawn before the proof is made. *)
+
+val draw_nonce : Group.t -> drbg:Hashes.Drbg.t -> nonce
+(** Draw the commitment exponent: the proof's only use of the DRBG, so
+    the DRBG stream is the same whether or when the proof is finished. *)
+
+val prove_with :
+  Group.t -> nonce:nonce -> ctx:string ->
+  g1:Group.elt -> h1:Group.elt -> g2:Group.elt -> h2:Group.elt ->
+  x:Group.exponent -> t
+(** {!prove} with the commitment exponent drawn earlier: deterministic,
+    and equal to {!prove} run at the DRBG state the nonce was drawn from. *)
 
 val challenge :
   Group.t -> ctx:string ->

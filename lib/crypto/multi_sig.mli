@@ -38,8 +38,16 @@ val statement : public -> ctx:string -> string -> Rsa.stmt
 val release : public -> secret_share -> Rsa.stmt -> share
 (** One ordinary (CRT) RSA signature on a prepared statement. *)
 
-val verify_share : public -> Rsa.stmt -> share -> bool
-(** One RSA verification against the origin's public key. *)
+val verify_share :
+  ?known:(share -> bool) -> ?checked:(share -> bool -> unit) ->
+  public -> Rsa.stmt -> share -> bool
+(** One RSA verification against the origin's public key.  A share with
+    an in-range origin for which [known] says [true] is accepted without
+    the check: [known] must only claim shares the caller holds as valid
+    on this statement (its own, or ones that passed a check), which an
+    RSA-FDH signature's uniqueness makes byte-for-byte re-verifiable.
+    [checked share ok] hears every check that does run.  Both default to
+    nothing known and nobody told. *)
 
 val assemble : public -> share list -> string
 (** Concatenate [k] shares from distinct origins (length-prefixed); a
@@ -47,6 +55,11 @@ val assemble : public -> share list -> string
     needs none.
     @raise Invalid_argument with fewer than [k] distinct origins. *)
 
-val verify : public -> signature:string -> Rsa.stmt -> bool
+val verify :
+  ?known:(share -> bool) -> ?checked:(share -> bool -> unit) ->
+  public -> signature:string -> Rsa.stmt -> bool
 (** At least [k] valid signatures from distinct parties, no duplicates —
-    all [k] checked against the one prepared statement. *)
+    all [k] checked against the one prepared statement, each part as by
+    {!verify_share} with the same [known] and [checked].  With every
+    [known] answer true only for valid parts, the verdict is the one
+    with nothing known. *)

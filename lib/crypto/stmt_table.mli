@@ -9,7 +9,12 @@
     string equality: a hit returns exactly the statement preparing afresh
     would, so acceptance never changes.  Entries are grouped by [ctx] (the
     protocol instance's pid) and evicted with it; at [cap] entries the
-    table empties itself. *)
+    table empties itself.
+
+    An entry also keeps the RSA signatures on its statement this party
+    knows are valid, each with its key ({!learn}, {!checked}): an
+    RSA-FDH signature is unique for a key and a statement, so {!known}
+    can answer a byte-identical pair without re-running the check. *)
 
 type t
 (** A table instance (one per party; volatile — crash discards it). *)
@@ -28,6 +33,26 @@ val key_prefix : t -> ctx:string -> string -> Hashes.Sha256.midstate
     first use and dropped with the entry.  An absent entry is created
     without preparing the RSA statement (emptying the table first if it is
     full); neither {!hashed} nor {!reused} counts this lookup. *)
+
+val learn : t -> ctx:string -> string -> key:Rsa.public -> string -> unit
+(** Record that [signature] is valid under [key] on [(ctx, msg)] — for a
+    signature this party made itself.  A no-op when the statement has no
+    entry (nothing is created) or [key] already has a signature on it. *)
+
+val known : t -> ctx:string -> string -> key:Rsa.public -> string -> bool
+(** Whether [signature] under [key] is byte for byte a pair recorded on
+    [(ctx, msg)]'s entry; {!share_known} counts each [true]. *)
+
+val checked : t -> ctx:string -> string -> key:Rsa.public -> string -> bool -> unit
+(** Report a real RSA check of [signature] under [key] on [(ctx, msg)]
+    and its verdict: {!share_checked} counts it, and a pass is recorded
+    as by {!learn}. *)
+
+val share_known : t -> int
+(** Signatures answered by {!known} instead of an RSA check. *)
+
+val share_checked : t -> int
+(** RSA checks reported through {!checked}. *)
 
 val evict_group : t -> string -> unit
 (** Drop every statement of this [ctx] — called when the owning protocol

@@ -51,17 +51,32 @@ let deal ~(drbg : Hashes.Drbg.t) ~(group : Group.t) ~n ~k ~t : keys =
 let coin_base (pub : public) (name : string) : Group.elt =
   Group.hash_to_group pub.group ("coin|" ^ name)
 
-(* Party [share] releases its share of the coin [name]. *)
-let release ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) ~(name : string) : share =
+(* A release in two steps: [draw_nonce] takes the share's only randomness
+   (its proof's commitment exponent) from the DRBG, and [finish] computes
+   the share from it — the hash to the group, the share's exponentiation
+   and the proof — deterministically.  A party can thus keep its DRBG turn
+   at the point it would release, and do the work only if the share is
+   ever revealed. *)
+type nonce = Dleq.nonce
+
+let draw_nonce ~(drbg : Hashes.Drbg.t) (pub : public) : nonce =
+  Dleq.draw_nonce pub.group ~drbg
+
+let finish (pub : public) (sk : secret_share) ~(name : string) (nonce : nonce) : share =
   let grp = pub.group in
   let gtilde = coin_base pub name in
   let value = Group.pow grp gtilde sk.key in
   let proof =
-    Dleq.prove grp ~drbg ~ctx:("coin-share|" ^ name ^ "|" ^ string_of_int sk.index)
+    Dleq.prove_with grp ~nonce
+      ~ctx:("coin-share|" ^ name ^ "|" ^ string_of_int sk.index)
       ~g1:grp.Group.g ~h1:pub.share_vks.(sk.index - 1)
       ~g2:gtilde ~h2:value ~x:sk.key
   in
   { origin = sk.index; value; proof }
+
+(* Party [share] releases its share of the coin [name]. *)
+let release ~(drbg : Hashes.Drbg.t) (pub : public) (sk : secret_share) ~(name : string) : share =
+  finish pub sk ~name (draw_nonce ~drbg pub)
 
 let verify_share (pub : public) ~(name : string) (s : share) : bool =
   s.origin >= 1 && s.origin <= pub.n

@@ -42,7 +42,21 @@ val coin_base : public -> string -> Group.elt
 (** [HashToGroup] of the coin name. *)
 
 val release : drbg:Hashes.Drbg.t -> public -> secret_share -> name:string -> share
-(** Party [share.index]'s share of the coin [name], with its proof. *)
+(** Party [share.index]'s share of the coin [name], with its proof:
+    {!finish} on a fresh {!draw_nonce}. *)
+
+type nonce
+(** A share's only randomness (its proof's commitment exponent), drawn
+    before the share is computed. *)
+
+val draw_nonce : drbg:Hashes.Drbg.t -> public -> nonce
+(** The DRBG half of {!release}: draws exactly what {!release} draws. *)
+
+val finish : public -> secret_share -> name:string -> nonce -> share
+(** The deterministic half of {!release}: the hash to the group, the
+    share's exponentiation and its DLEQ proof.  [finish pub sk ~name
+    (draw_nonce ~drbg pub)] equals [release ~drbg pub sk ~name] from the
+    same DRBG state, byte for byte. *)
 
 val verify_share : public -> name:string -> share -> bool
 (** Check the share's DLEQ proof against [VK_origin] — table-driven on the

@@ -190,6 +190,7 @@ let check_s1 (src : Source.t) (sig_toks : Lex.token list) : finding list =
 let priced_ops : (string * string) list = [
   ("Tsig.release", "tsig_release");
   ("Tsig.release_stmt", "tsig_release");
+  ("Runtime.release_share", "tsig_release");
   ("Tsig.verify_share", "tsig_verify_share");
   ("Tsig.verify_share_stmt", "tsig_verify_share");
   ("Tsig.assemble", "tsig_assemble");
@@ -204,6 +205,10 @@ let priced_ops : (string * string) list = [
   ("Crypto.Multi_sig.assemble", "tsig_assemble");
   ("Crypto.Multi_sig.verify", "tsig_verify");
   ("Crypto.Threshold_coin.release", "coin_release");
+  (* A release in two steps is still one priced release: the charge goes
+     where the nonce is drawn, and the finish is the work it paid for. *)
+  ("Crypto.Threshold_coin.draw_nonce", "coin_release");
+  ("Crypto.Threshold_coin.finish", "coin_release");
   ("Crypto.Threshold_coin.verify_share", "coin_verify_share");
   ("Crypto.Threshold_coin.assemble", "coin_assemble");
   ("Crypto.Threshold_coin.assemble_bit", "coin_assemble");

@@ -53,11 +53,13 @@ type round_state = {
   mainvotes : (int, mainvote) Hashtbl.t;
   coin_shares : (int, Crypto.Threshold_coin.share) Hashtbl.t;
   mutable coin_value : bool option;
-  (* Our own coin share for this round, pre-released at the idle start of
-     the round so [try_finish_round] finds it ready instead of paying the
-     exponentiations on the critical path.  Volatile: a crash loses it, and
-     the release path recomputes on demand. *)
-  mutable pregen_coin : Crypto.Threshold_coin.share option;
+  (* Our own coin share's nonce for this round, drawn (and the release
+     charged) at the idle start of the round, so the virtual critical path
+     never pays for the share.  The share itself is computed from it only
+     if [try_finish_round] reveals it: a round that decides never needs
+     the coin.  Volatile: a crash loses it, and the release path draws and
+     charges on demand. *)
+  mutable coin_nonce : Crypto.Threshold_coin.nonce option;
   mutable sent_prevote : bool;
   mutable sent_mainvote : bool;
   mutable released_coin : bool;
@@ -190,7 +192,7 @@ let round_state (t : t) (r : int) : round_state =
       mainvotes = Hashtbl.create 8;
       coin_shares = Hashtbl.create 8;
       coin_value = None;
-      pregen_coin = None;
+      coin_nonce = None;
       sent_prevote = false;
       sent_mainvote = false;
       released_coin = false;
@@ -340,29 +342,32 @@ let send_prevote (t : t) (r : int) (b : bool) (just : justification) : unit =
     let charge = t.rt.Runtime.charge in
     Charge.tsig_release charge;
     let share =
-      Tsig.release_stmt ~drbg:t.rt.Runtime.drbg t.rt.Runtime.keys.Dealer.ag_tsig
-        (Runtime.statement t.rt ~pub:(ag_pub t) ~ctx:t.pid (pre_stmt t r b))
+      Runtime.release_share t.rt t.rt.Runtime.keys.Dealer.ag_tsig ~ctx:t.pid
+        (pre_stmt t r b)
     in
     let proof = Hashtbl.find_opt t.proofs b in
     let pv = { pv_round = r; pv_value = b; pv_share = share; pv_just = just; pv_proof = proof } in
     let body = Wire.encode (fun buf -> Wire.Enc.u8 buf tag_prevote; enc_prevote buf pv) in
     Runtime.broadcast t.rt ~pid:t.pid body;
     (* Coin pre-generation: our round-r coin share depends only on the coin
-       name, known now, so release it at the idle start of the round rather
-       than on the critical path when the round fails to decide.  The bias
-       stands in for the round-1 coin, so there is nothing to precompute
-       there.  Broadcasting still happens in [try_finish_round]: revealing
-       the share early would let the adversary see coins ahead of votes. *)
+       name, known now, so its release is charged at the idle start of the
+       round rather than on the critical path when the round fails to
+       decide.  Only the nonce is drawn now, keeping the DRBG stream where
+       the release puts it; [try_finish_round] computes the share if the
+       round reveals it.  The bias stands in for the round-1 coin, so there
+       is nothing to precompute there.  Broadcasting happens in
+       [try_finish_round]: revealing the share early would let the
+       adversary see coins ahead of votes. *)
     (match t.bias with
      | Some _ when r = 1 -> ()
      | Some _ | None ->
-       if st.pregen_coin = None then begin
+       if st.coin_nonce = None then begin
          Charge.coin_release charge;
-         st.pregen_coin <-
+         t.rt.Runtime.coin_pregen <- t.rt.Runtime.coin_pregen + 1;
+         st.coin_nonce <-
            Some
-             (Crypto.Threshold_coin.release ~drbg:t.rt.Runtime.drbg
-                t.rt.Runtime.keys.Dealer.coin_pub
-                t.rt.Runtime.keys.Dealer.coin_share ~name:(coin_name t r))
+             (Crypto.Threshold_coin.draw_nonce ~drbg:t.rt.Runtime.drbg
+                t.rt.Runtime.keys.Dealer.coin_pub)
        end)
   end
 
@@ -395,8 +400,8 @@ let try_send_mainvote (t : t) (r : int) : unit =
     in
     Charge.tsig_release charge;
     let share =
-      Tsig.release_stmt ~drbg:t.rt.Runtime.drbg t.rt.Runtime.keys.Dealer.ag_tsig
-        (Runtime.statement t.rt ~pub:(ag_pub t) ~ctx:t.pid (main_stmt t r value))
+      Runtime.release_share t.rt t.rt.Runtime.keys.Dealer.ag_tsig ~ctx:t.pid
+        (main_stmt t r value)
     in
     let mv = { mv_round = r; mv_value = value; mv_share = share; mv_just = just } in
     let body = Wire.encode (fun buf -> Wire.Enc.u8 buf tag_mainvote; enc_mainvote buf mv) in
@@ -473,15 +478,18 @@ let rec try_finish_round (t : t) (r : int) : unit =
           if not st.released_coin then begin
             st.released_coin <- true;
             trace_coin t r Trace.Event.Span_begin [];
-            let charge = t.rt.Runtime.charge in
-            let share =
-              match st.pregen_coin with
-              | Some share -> share    (* already paid for at round start *)
+            let coin_pub = t.rt.Runtime.keys.Dealer.coin_pub in
+            let nonce =
+              match st.coin_nonce with
+              | Some nonce -> nonce    (* already paid for at round start *)
               | None ->
-                Charge.coin_release charge;
-                Crypto.Threshold_coin.release ~drbg:t.rt.Runtime.drbg
-                  t.rt.Runtime.keys.Dealer.coin_pub
-                  t.rt.Runtime.keys.Dealer.coin_share ~name:(coin_name t r)
+                Charge.coin_release t.rt.Runtime.charge;
+                Crypto.Threshold_coin.draw_nonce ~drbg:t.rt.Runtime.drbg coin_pub
+            in
+            t.rt.Runtime.coin_finished <- t.rt.Runtime.coin_finished + 1;
+            let share =
+              Crypto.Threshold_coin.finish coin_pub
+                t.rt.Runtime.keys.Dealer.coin_share ~name:(coin_name t r) nonce
             in
             let body =
               Wire.encode (fun buf ->

@@ -88,6 +88,17 @@ let publish_metrics (c : t) : Trace.Metrics.t =
       set rt "tsig.stmt_hashed" (Crypto.Stmt_table.hashed stmts);
       set rt "tsig.stmt_reused" (Crypto.Stmt_table.reused stmts);
       set rt "tsig.stmt_table/max" (Crypto.Stmt_table.peak stmts);
+      (* Crypto work that runs only when its result is needed and not
+         already known: multi-signature parts and shares answered from
+         the statement's known list vs. really RSA-checked; coin-share
+         nonces drawn (and charged) at round start vs. shares computed
+         because a round revealed them; own ciphertexts delivered without
+         a validity check. *)
+      set rt "tsig.share_known" (Crypto.Stmt_table.share_known stmts);
+      set rt "tsig.share_checked" (Crypto.Stmt_table.share_checked stmts);
+      set rt "aba.coin_pregen" rt.Runtime.coin_pregen;
+      set rt "aba.coin_finished" rt.Runtime.coin_finished;
+      set rt "sac.own_ct_reused" rt.Runtime.own_ct_reused;
       (* The share cache's live entries now (the insertion-time gauge
          misses group evictions) and its FIFO's high-water mark. *)
       let cache = rt.Runtime.cache in

@@ -86,11 +86,9 @@ let handle (t : t) ~src body =
           if t.rt.Runtime.me <> t.sender then
             Trace.Ctx.span_begin (trace t) ~pid:t.pid ~cat:"bcast" "echo";
           Charge.tsig_release charge;
-          let sec = t.rt.Runtime.keys.Dealer.bc_tsig in
           let share =
-            Tsig.release_stmt ~drbg:t.rt.Runtime.drbg sec
-              (Runtime.statement t.rt ~pub:(Tsig.public_of_secret sec)
-                 ~ctx:t.pid (statement ~pid:t.pid payload))
+            Runtime.release_share t.rt t.rt.Runtime.keys.Dealer.bc_tsig
+              ~ctx:t.pid (statement ~pid:t.pid payload)
           in
           let body =
             Wire.encode (fun b ->

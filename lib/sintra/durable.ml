@@ -221,8 +221,8 @@ let begin_checkpoint (t : t) ~(cp_round : int) : unit =
       (Printf.sprintf "checkpoint %d" cp_round);
   Charge.tsig_release t.charge;
   let share =
-    Tsig.release_stmt ~drbg:t.drbg t.rt.Runtime.keys.Dealer.ag_tsig
-      (Runtime.statement t.rt ~pub:t.pub ~ctx:t.dpid stmt)
+    Runtime.release_share ~drbg:t.drbg t.rt t.rt.Runtime.keys.Dealer.ag_tsig
+      ~ctx:t.dpid stmt
   in
   Runtime.broadcast_store t.rt ~pid:t.dpid
     (Wire.encode (fun b -> enc_msg b (Cp_share (cp_round, share))));

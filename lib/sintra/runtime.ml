@@ -25,6 +25,9 @@ type t = {
   orphans : (string, (int * string * int) Queue.t) Hashtbl.t;
       (* src, body, causal flow id at buffering time *)
   mutable dropped_orphans : int;
+  mutable coin_pregen : int;      (* coin-share nonces drawn at round start *)
+  mutable coin_finished : int;    (* coin shares computed, when revealed *)
+  mutable own_ct_reused : int;    (* own ciphertexts delivered unchecked *)
   mutable rebuild : (unit -> unit) list;   (* newest first *)
   cache : Crypto.Share_cache.t;
       (* verified shares, grouped by pid; volatile (cleared on crash),
@@ -79,6 +82,9 @@ let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
     store_handlers = Hashtbl.create 8;
     orphans = Hashtbl.create 64;
     dropped_orphans = 0;
+    coin_pregen = 0;
+    coin_finished = 0;
+    own_ct_reused = 0;
     rebuild = [];
     cache = Crypto.Share_cache.create ~cap:cfg.Config.share_cache_cap;
     stmts = Crypto.Stmt_table.create ~cap:stmt_cap;
@@ -182,6 +188,26 @@ let unregister (rt : t) ~(pid : string) : unit =
 let statement (rt : t) ~(pub : Tsig.public) ~(ctx : string) (msg : string)
     : Crypto.Rsa.stmt =
   Crypto.Stmt_table.find rt.stmts ~nbytes:(Tsig.modulus_bytes pub) ~ctx msg
+
+(* Release our threshold-signature share on [(ctx, msg)] from the
+   prepared statement.  A multi-signature share is an RSA-FDH signature,
+   valid by construction, so it goes on the statement's known list: when
+   it comes back — our own echo or vote, or a part of a signature
+   assembled from it — the check is answered without an exponentiation.
+   The caller charges [Charge.tsig_release]. *)
+let release_share ?drbg (rt : t) (sec : Tsig.secret) ~(ctx : string) (msg : string)
+    : Tsig.share =
+  let drbg = Option.value drbg ~default:rt.drbg in
+  let pub = Tsig.public_of_secret sec in
+  (* lint: allow charge-coverage — priced at every caller of release_share *)
+  let share = Tsig.release_stmt ~drbg sec (statement rt ~pub ~ctx msg) in
+  (match sec, share with
+   | Tsig.Multi_sec (p, _), Tsig.Multi_share s ->
+     Crypto.Stmt_table.learn rt.stmts ~ctx msg
+       ~key:p.Crypto.Multi_sig.party_keys.(s.Crypto.Multi_sig.origin - 1)
+       s.Crypto.Multi_sig.signature
+   | _ -> ());
+  share
 
 let forget_statements (rt : t) ~(pid : string) : unit =
   Crypto.Stmt_table.evict_group rt.stmts pid

@@ -26,6 +26,14 @@ type t = {
   store_handlers : (string, src:int -> string -> unit) Hashtbl.t;
   orphans : (string, (int * string * int) Queue.t) Hashtbl.t;
   mutable dropped_orphans : int;
+  mutable coin_pregen : int;
+  (** Coin-share nonces {!Binary_agreement} drew at a round's start (each
+      charged as a coin release). *)
+  mutable coin_finished : int;
+  (** Coin shares it actually computed: those a round revealed. *)
+  mutable own_ct_reused : int;
+  (** Own ciphertexts {!Secure_atomic_channel} delivered with the checked
+      form [encrypt] returned, instead of re-checking their bytes. *)
   mutable rebuild : (unit -> unit) list;
   cache : Crypto.Share_cache.t;
   (** Verified shares, grouped by protocol instance (pid): {!unregister}
@@ -60,6 +68,14 @@ val statement :
     owner to call {!forget_statements}; statements of a pid this party
     never runs (a peer's closing, checked in catch-up) stay until the
     table's bound empties it. *)
+
+val release_share :
+  ?drbg:Hashes.Drbg.t -> t -> Tsig.secret -> ctx:string -> string -> Tsig.share
+(** Our share on [(ctx, msg)] from {!statement}'s prepared form, drawing
+    from [drbg] (default: the party's).  A multi-signature share is valid
+    by construction, so it is recorded on the statement's known list
+    ({!Crypto.Stmt_table.learn}): {!Verify} accepts it back, alone or as
+    a part, without an RSA check.  The caller charges the release. *)
 
 val forget_statements : t -> pid:string -> unit
 (** Evict the prepared statements of [pid] — for an owner whose pid never

@@ -28,6 +28,11 @@ type t = {
   dead : (int, unit) Hashtbl.t;           (* slots holding invalid ciphertexts *)
   pending_shares : (int, (int * string) Queue.t) Hashtbl.t;
                                           (* shares arriving before the slot opens *)
+  own_cts :
+    (string, Crypto.Threshold_enc.checked Crypto.Threshold_enc.ciphertext) Hashtbl.t;
+      (* ciphertexts we encrypted and have not yet seen delivered, by their
+         bytes: valid by construction, so delivering the same bytes needs
+         no check *)
   mutable next_index : int;               (* next atomic delivery index *)
   mutable next_emit : int;                (* next slot to deliver in order *)
 }
@@ -140,7 +145,10 @@ let parse_share (body : string) : (int * Crypto.Threshold_enc.dec_share) option 
 
 (* A ciphertext was atomically delivered: validate it once, open a slot
    holding the checked ciphertext, and release our decryption share.  The
-   validity check is priced inside [Charge.enc_dec_share]. *)
+   validity check is priced inside [Charge.enc_dec_share].  Bytes we
+   encrypted ourselves are valid by construction: the first delivery of
+   them takes the checked ciphertext [send] kept (whoever broadcast them)
+   instead of running the check, still charged alike. *)
 let on_atomic_deliver (t : t) ~(sender : int) (ct_bytes : string) : unit =
   let index = t.next_index in
   t.next_index <- index + 1;
@@ -158,8 +166,16 @@ let on_atomic_deliver (t : t) ~(sender : int) (ct_bytes : string) : unit =
        | None -> ());
       let pub = t.rt.Runtime.keys.Dealer.enc_pub in
       Charge.enc_dec_share t.rt.Runtime.charge;
+      let checked =
+        match Hashtbl.find_opt t.own_cts ct_bytes with
+        | Some own ->
+          Hashtbl.remove t.own_cts ct_bytes;
+          t.rt.Runtime.own_ct_reused <- t.rt.Runtime.own_ct_reused + 1;
+          Some own
+        | None -> Crypto.Threshold_enc.check pub ct
+      in
       let released =
-        Option.bind (Crypto.Threshold_enc.check pub ct) (fun ct ->
+        Option.bind checked (fun ct ->
           Option.map (fun share -> (ct, share))
             (Crypto.Threshold_enc.dec_share ~drbg:t.rt.Runtime.drbg pub
                t.rt.Runtime.keys.Dealer.enc_share ct))
@@ -244,6 +260,7 @@ let create (rt : Runtime.t) ~(pid : string)
     slots = Hashtbl.create 64;
     dead = Hashtbl.create 4;
     pending_shares = Hashtbl.create 16;
+    own_cts = Hashtbl.create 16;
     next_index = 0;
     next_emit = 0;
   }
@@ -265,14 +282,18 @@ let atomic (t : t) : Atomic_channel.t =
   match t.atomic with Some a -> a | None -> assert false
 
 (* Send a cleartext message: encrypted here, ordered atomically, decrypted
-   after ordering. *)
+   after ordering.  The checked ciphertext is kept until its bytes are
+   delivered (see [on_atomic_deliver]). *)
 let send (t : t) (message : string) : unit =
   Charge.enc_encrypt t.rt.Runtime.charge ~bytes:(String.length message);
+  let pub = t.rt.Runtime.keys.Dealer.enc_pub in
   let ct =
-    encrypt ~drbg:t.rt.Runtime.drbg ~enc_pub:t.rt.Runtime.keys.Dealer.enc_pub
-      ~pid:t.pid message
+    Crypto.Threshold_enc.encrypt ~drbg:t.rt.Runtime.drbg pub ~label:(label t.pid)
+      message
   in
-  Atomic_channel.send (atomic t) ct
+  let bytes = Crypto.Threshold_enc.ciphertext_to_bytes pub ct in
+  Hashtbl.replace t.own_cts bytes ct;
+  Atomic_channel.send (atomic t) bytes
 
 (* Broadcast an externally produced ciphertext (the paper's sendCiphertext,
    for messages encrypted by non-members). *)
@@ -284,6 +305,7 @@ let is_closed (t : t) = Atomic_channel.is_closed (atomic t)
 
 let abort (t : t) : unit =
   Atomic_channel.abort (atomic t);
+  Hashtbl.reset t.own_cts;
   Det.iter t.slots ~compare:Det.by_int (fun _ slot ->
     Crypto.Share_cache.evict_group t.rt.Runtime.cache slot.sl_group);
   Runtime.unregister t.rt ~pid:(dec_pid t)

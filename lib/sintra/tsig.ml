@@ -46,10 +46,13 @@ let release_stmt ~(drbg : Hashes.Drbg.t) (sec : secret) (st : Crypto.Rsa.stmt) :
 let release ~(drbg : Hashes.Drbg.t) (sec : secret) ~(ctx : string) (msg : string) : share =
   release_stmt ~drbg sec (statement (public_of_secret sec) ~ctx msg)
 
-let verify_share_stmt (pub : public) (st : Crypto.Rsa.stmt) (s : share) : bool =
+(* [known] and [checked] reach the multi-signature verifier only: a Shoup
+   share has no per-party signature to recognise. *)
+let verify_share_stmt ?known ?checked (pub : public) (st : Crypto.Rsa.stmt)
+    (s : share) : bool =
   match pub, s with
   | Shoup_pub p, Shoup_share sh -> Crypto.Threshold_sig.verify_share p st sh
-  | Multi_pub p, Multi_share sh -> Crypto.Multi_sig.verify_share p st sh
+  | Multi_pub p, Multi_share sh -> Crypto.Multi_sig.verify_share ?known ?checked p st sh
   | _ -> false
 
 let verify_share (pub : public) ~(ctx : string) (msg : string) (s : share) : bool =
@@ -68,10 +71,11 @@ let assemble (pub : public) ~(ctx : string) (msg : string) (shares : share list)
     in
     Crypto.Multi_sig.assemble p shares
 
-let verify_stmt (pub : public) ~(signature : string) (st : Crypto.Rsa.stmt) : bool =
+let verify_stmt ?known ?checked (pub : public) ~(signature : string)
+    (st : Crypto.Rsa.stmt) : bool =
   match pub with
   | Shoup_pub p -> Crypto.Threshold_sig.verify p ~signature st
-  | Multi_pub p -> Crypto.Multi_sig.verify p ~signature st
+  | Multi_pub p -> Crypto.Multi_sig.verify ?known ?checked p ~signature st
 
 let verify (pub : public) ~(ctx : string) ~(signature : string) (msg : string) : bool =
   verify_stmt pub ~signature (statement pub ~ctx msg)

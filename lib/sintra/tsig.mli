@@ -47,8 +47,13 @@ val release_stmt : drbg:Hashes.Drbg.t -> secret -> Crypto.Rsa.stmt -> share
 val release : drbg:Hashes.Drbg.t -> secret -> ctx:string -> string -> share
 (** {!release_stmt} on a freshly prepared statement. *)
 
-val verify_share_stmt : public -> Crypto.Rsa.stmt -> share -> bool
-(** Check one received share (and its proof) against the statement. *)
+val verify_share_stmt :
+  ?known:(Crypto.Multi_sig.share -> bool) ->
+  ?checked:(Crypto.Multi_sig.share -> bool -> unit) ->
+  public -> Crypto.Rsa.stmt -> share -> bool
+(** Check one received share (and its proof) against the statement.  A
+    multi-signature share goes through {!Crypto.Multi_sig.verify_share}
+    with [known] and [checked]; a Shoup share ignores both. *)
 
 val verify_share : public -> ctx:string -> string -> share -> bool
 (** {!verify_share_stmt} on a freshly prepared statement. *)
@@ -60,8 +65,13 @@ val assemble : public -> ctx:string -> string -> share list -> string
     @raise Invalid_argument with fewer than [k] distinct valid-scheme
     shares. *)
 
-val verify_stmt : public -> signature:string -> Crypto.Rsa.stmt -> bool
-(** Check an assembled group signature on a prepared statement. *)
+val verify_stmt :
+  ?known:(Crypto.Multi_sig.share -> bool) ->
+  ?checked:(Crypto.Multi_sig.share -> bool -> unit) ->
+  public -> signature:string -> Crypto.Rsa.stmt -> bool
+(** Check an assembled group signature on a prepared statement; a
+    multi-signature's parts go through {!Crypto.Multi_sig.verify} with
+    [known] and [checked], a Shoup signature ignores both. *)
 
 val verify : public -> ctx:string -> signature:string -> string -> bool
 (** {!verify_stmt} on a freshly prepared statement. *)

@@ -168,6 +168,37 @@ let rejected : Crypto.Batch.verdict -> int list = function
 
 (* --- threshold signatures --- *)
 
+(* A multi-signature share or part is one RSA-FDH signature, unique for
+   its key and statement: the statement table's known list answers a
+   byte-identical (key, signature) pair this party signed or already
+   checked, and every check that does run reports back to it, so parts
+   met again inside assembled signatures are not re-checked.  The charge
+   is the kind's, paid either way.  A Shoup key has no per-party
+   signatures: nothing is known. *)
+type memo = {
+  known : (Crypto.Multi_sig.share -> bool) option;
+  checked : (Crypto.Multi_sig.share -> bool -> unit) option;
+}
+
+let memo (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string) (msg : string) : memo =
+  match pub with
+  | Tsig.Shoup_pub _ -> { known = None; checked = None }
+  | Tsig.Multi_pub p ->
+    let stmts = rt.Runtime.stmts in
+    let key (part : Crypto.Multi_sig.share) =
+      p.Crypto.Multi_sig.party_keys.(part.Crypto.Multi_sig.origin - 1)
+    in
+    {
+      known =
+        Some (fun part ->
+          Crypto.Stmt_table.known stmts ~ctx msg ~key:(key part)
+            part.Crypto.Multi_sig.signature);
+      checked =
+        Some (fun part ok ->
+          Crypto.Stmt_table.checked stmts ~ctx msg ~key:(key part)
+            part.Crypto.Multi_sig.signature ok);
+    }
+
 let tsig_kind (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
     (msg : string) (stmt : Crypto.Rsa.stmt Lazy.t) : Tsig.share kind =
   {
@@ -176,7 +207,11 @@ let tsig_kind (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
     prefix = Crypto.Stmt_table.key_prefix rt.Runtime.stmts ~ctx msg;
     parts = (fun s -> [ Wire.encode (fun b -> Tsig.enc_share b s) ]);
     price = Charge.tsig_verify_share;
-    verify = (fun s -> Tsig.verify_share_stmt pub (Lazy.force stmt) s);
+    verify =
+      (fun s ->
+        let m = memo rt ~pub ~ctx msg in
+        Tsig.verify_share_stmt ?known:m.known ?checked:m.checked pub
+          (Lazy.force stmt) s);
   }
 
 let tsig_share ?charge (rt : Runtime.t) ~(pub : Tsig.public) ~(ctx : string)
@@ -225,7 +260,9 @@ let tsig_signature ?charge (rt : Runtime.t) ~(pub : Tsig.public)
       price = (fun charge -> Charge.tsig_verify charge ~k:(Tsig.k pub));
       verify =
         (fun signature ->
-          Tsig.verify_stmt pub ~signature (Runtime.statement rt ~pub ~ctx msg));
+          let m = memo rt ~pub ~ctx msg in
+          Tsig.verify_stmt ?known:m.known ?checked:m.checked pub ~signature
+            (Runtime.statement rt ~pub ~ctx msg));
     }
     signature
 

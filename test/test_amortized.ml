@@ -1205,7 +1205,150 @@ let cache_memory_tests =
           (fun () -> !count));
   ]
 
+(* --- near-copies of what a party already knows ---
+
+   A party accepts a multi-signature share or part it signed or already
+   checked without an RSA check, and delivers a ciphertext it encrypted
+   without a validity check.  Each shortcut must fire only on the exact
+   bytes: a one-byte near-copy is checked for real and rejected. *)
+
+let flip_byte (s : string) (i : int) : string =
+  let b = Bytes.of_string s in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  Bytes.to_string b
+
+let near_copy_tests =
+  [
+    Alcotest.test_case
+      "near-copies of a known multi-signature share or part are RSA-checked \
+       and rejected"
+      `Quick (fun () ->
+        let c = Util.cluster ~seed:"near-copy" ~tsig_scheme:Config.Multi () in
+        let rt = Cluster.runtime c 0 in
+        let sec = rt.Runtime.keys.Dealer.bc_tsig in
+        let pub = Tsig.public_of_secret sec in
+        let pid = "near" and msg = "near-stmt" in
+        Runtime.register rt ~pid (fun ~src:_ _ -> ());
+        let own = Runtime.release_share rt sec ~ctx:pid msg in
+        let part p =
+          let r = Cluster.runtime c p in
+          Tsig.release ~drbg:r.Runtime.drbg r.Runtime.keys.Dealer.bc_tsig ~ctx:pid msg
+        in
+        let multi = function
+          | Tsig.Multi_share s -> s
+          | Tsig.Shoup_share _ -> Alcotest.fail "a multi-signature key released a Shoup share"
+        in
+        let own_m = multi own in
+        let near =
+          { own_m with
+            Multi_sig.signature =
+              flip_byte own_m.Multi_sig.signature
+                (String.length own_m.Multi_sig.signature - 1) }
+        in
+        let counts () =
+          (Stmt_table.share_known rt.Runtime.stmts, Stmt_table.share_checked rt.Runtime.stmts)
+        in
+        let expect what ~known ~checked ok run =
+          let k0, c0 = counts () in
+          Alcotest.(check bool) what ok (run ());
+          let k1, c1 = counts () in
+          Alcotest.(check (pair int int)) (what ^ ": known/checked") (known, checked)
+            (k1 - k0, c1 - c0)
+        in
+        expect "own share" ~known:1 ~checked:0 true (fun () ->
+          Verify.tsig_share rt ~pub ~ctx:pid msg own);
+        expect "near-copy of own share" ~known:0 ~checked:1 false (fun () ->
+          Verify.tsig_share rt ~pub ~ctx:pid msg (Tsig.Multi_share near));
+        let p1 = multi (part 1) and p2 = multi (part 2) in
+        let signature parts = Multi_sig.assemble (match pub with
+          | Tsig.Multi_pub p -> p
+          | Tsig.Shoup_pub _ -> Alcotest.fail "expected a multi-signature key") parts
+        in
+        expect "own + two unchecked parts" ~known:1 ~checked:2 true (fun () ->
+          Verify.tsig_signature rt ~pub ~ctx:pid ~signature:(signature [ own_m; p1; p2 ]) msg);
+        (* Now all three parts are known, in any order... *)
+        expect "reordered known parts" ~known:3 ~checked:0 true (fun () ->
+          Verify.tsig_signature rt ~pub ~ctx:pid ~signature:(signature [ p2; own_m; p1 ]) msg);
+        (* ...but a near-copy of one is checked, and fails the signature
+           (the parts after it are not looked at). *)
+        let near_p1 =
+          { p1 with Multi_sig.signature = flip_byte p1.Multi_sig.signature 0 }
+        in
+        expect "near-copy part" ~known:1 ~checked:1 false (fun () ->
+          Verify.tsig_signature rt ~pub ~ctx:pid
+            ~signature:(signature [ own_m; near_p1; p2 ]) msg);
+        (* A known signature under another origin's key is not known. *)
+        expect "own signature claimed by party 2" ~known:0 ~checked:1 false (fun () ->
+          Verify.tsig_share rt ~pub ~ctx:pid msg
+            (Tsig.Multi_share { own_m with Multi_sig.origin = 2 }));
+        (* Known lists are per statement. *)
+        expect "own share on another statement" ~known:0 ~checked:1 false (fun () ->
+          Verify.tsig_share rt ~pub ~ctx:pid (msg ^ "'") own));
+
+    Alcotest.test_case
+      "a near-copy of an own ciphertext is checked and its slot skipped"
+      `Quick (fun () ->
+        let c = Util.cluster ~seed:"near-ct" () in
+        let logs = Array.init 4 (fun _ -> ref []) in
+        let chans =
+          Array.init 4 (fun i ->
+            Secure_atomic_channel.create (Cluster.runtime c i) ~pid:"near"
+              ~on_deliver:(fun ~sender m ->
+                logs.(i) := Printf.sprintf "%d:%s" sender m :: !(logs.(i)))
+              ())
+        in
+        let enc_pub = c.Cluster.dealer.Dealer.enc_pub in
+        let message = "only-once" in
+        let ct_len =
+          String.length
+            (Secure_atomic_channel.encrypt ~drbg:(Util.drbg ~seed:"near-len" ())
+               ~enc_pub ~pid:"near" message)
+        in
+        (* A ciphertext's bytes are length-prefixed fields: c, then the label. *)
+        let marker = Printf.sprintf "%08d%s" (String.length "sac|near") "sac|near" in
+        let find s =
+          let m = String.length marker in
+          let rec go i =
+            if i + m > String.length s then None
+            else if String.sub s i m = marker then Some i
+            else go (i + 1)
+          in
+          go 0
+        in
+        let sent = ref false in
+        Cluster.set_intercept c (fun ~src ~dst:_ payload ->
+          (if src = 0 && not !sent then
+             match find payload with
+             | Some j when j >= 8 + String.length message ->
+               let start = j - 8 - String.length message in
+               if start + ct_len <= String.length payload then begin
+                 sent := true;
+                 let ct = String.sub payload start ct_len in
+                 (* The sender itself broadcasts a one-byte near-copy of its
+                    own ciphertext: only the exact bytes are known valid. *)
+                 Cluster.inject c 0 (fun () ->
+                   Secure_atomic_channel.send_ciphertext chans.(0) (flip_byte ct 8))
+               end
+             | Some _ | None -> ());
+          Sim.Net.Deliver);
+        Cluster.inject c 0 (fun () -> Secure_atomic_channel.send chans.(0) message);
+        ignore (Cluster.run c ~until:120.0);
+        Alcotest.(check bool) "near-copy broadcast" true !sent;
+        for p = 0 to 3 do
+          Alcotest.(check (list string)) (Printf.sprintf "party %d delivers once" p)
+            [ "0:" ^ message ] (List.rev !(logs.(p)))
+        done;
+        let m = Cluster.publish_metrics c in
+        let get p =
+          match Trace.Metrics.find_counter m (Printf.sprintf "p%d/sac.own_ct_reused" p) with
+          | Some ctr -> int_of_float (Trace.Metrics.value ctr)
+          | None -> Alcotest.failf "p%d/sac.own_ct_reused not published" p
+        in
+        Alcotest.(check (list int)) "only the sender's exact bytes skip the check"
+          [ 1; 0; 0; 0 ] (List.init 4 get));
+  ]
+
 let suite =
   equivalence_tests @ cache_tests @ stmt_tests @ verify_tests
   @ determinism_tests @ cost_tests @ pregen_tests @ secure_pin_tests
-  @ cache_memory_tests
+  @ cache_memory_tests @ near_copy_tests

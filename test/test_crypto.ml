@@ -1051,6 +1051,149 @@ let enc_tests =
         [ ""; String.make 5000 'q' ]);
   ]
 
+(* --- results a party already knows, or computes late ---
+
+   A multi-signature verify that accepts known parts without an RSA check
+   must agree with the plain verify whenever the known parts are valid
+   shares on the statement; a coin share finished from a drawn nonce must
+   be the one the eager release makes from the same DRBG state, and leave
+   the DRBG where the release leaves it. *)
+
+let msig_part (origin : int) (signature : string) : Multi_sig.share =
+  { Multi_sig.origin; signature }
+
+let encode_msig (parts : Multi_sig.share list) : string =
+  String.concat ""
+    (Printf.sprintf "%04d" (List.length parts)
+     :: List.map
+          (fun (p : Multi_sig.share) ->
+            Printf.sprintf "%04d%08d%s" p.Multi_sig.origin
+              (String.length p.Multi_sig.signature) p.Multi_sig.signature)
+          parts)
+
+let ondemand_tests =
+  [
+    Alcotest.test_case
+      "multi-signature: verify with known parts = verify with none, 400 \
+       random and forged signatures, random known lists"
+      `Quick (fun () ->
+        let keys = Lazy.force msig_keys in
+        let pub = keys.Multi_sig.public in
+        let msgs = [| "ka"; "kb"; "kc" |] in
+        let stmt m = Multi_sig.statement pub ~ctx:"known" m in
+        (* honest.(m).(i): party i+1's share on msgs.(m) *)
+        let honest =
+          Array.map
+            (fun m ->
+              Array.init 4 (fun i -> Multi_sig.release pub keys.Multi_sig.shares.(i) (stmt m)))
+            msgs
+        in
+        let d = Util.drbg ~seed:"known-parts" () in
+        let pick n = Hashes.Drbg.int d n in
+        let flip (sg : string) =
+          let b = Bytes.of_string sg in
+          let i = pick (Bytes.length b) in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + pick 255)));
+          Bytes.to_string b
+        in
+        let accepted = ref 0 and skipped = ref 0 in
+        for case = 1 to 400 do
+          let m = pick 3 in
+          let valid = honest.(m) in
+          let part () =
+            let i = pick 4 in
+            match pick 8 with
+            | 0 -> msig_part (1 + i) (flip valid.(i).Multi_sig.signature)
+            | 1 -> msig_part (1 + i) honest.((m + 1) mod 3).(i).Multi_sig.signature
+            | 2 -> msig_part (1 + ((i + 1) mod 4)) valid.(i).Multi_sig.signature
+            | 3 -> msig_part (if pick 2 = 0 then 0 else 5) valid.(i).Multi_sig.signature
+            | _ -> valid.(i)
+          in
+          let parts = List.init (pick 6) (fun _ -> part ()) in
+          let known_list =
+            List.filter (fun _ -> pick 2 = 0) (Array.to_list valid)
+          in
+          let known (s : Multi_sig.share) =
+            List.exists
+              (fun (k : Multi_sig.share) ->
+                k.Multi_sig.origin = s.Multi_sig.origin
+                && String.equal k.Multi_sig.signature s.Multi_sig.signature)
+              known_list
+          in
+          let checked (s : Multi_sig.share) _ =
+            if known s then
+              Alcotest.failf "case %d: a known part was RSA-checked" case
+          in
+          let signature = encode_msig parts in
+          let plain = Multi_sig.verify pub ~signature (stmt msgs.(m)) in
+          let fast = Multi_sig.verify ~known ~checked pub ~signature (stmt msgs.(m)) in
+          if plain <> fast then
+            Alcotest.failf "case %d: %d parts, %d known: plain %b, with known %b" case
+              (List.length parts) (List.length known_list) plain fast;
+          List.iter
+            (fun (s : Multi_sig.share) ->
+              let plain = Multi_sig.verify_share pub (stmt msgs.(m)) s in
+              let fast =
+                Multi_sig.verify_share ~known ~checked pub (stmt msgs.(m)) s
+              in
+              if plain <> fast then
+                Alcotest.failf "case %d: share from %d: plain %b, with known %b"
+                  case s.Multi_sig.origin plain fast;
+              if known s then incr skipped)
+            parts;
+          if plain then incr accepted
+        done;
+        (* Both verdicts and the skip path must have been exercised. *)
+        if !accepted = 0 || !accepted = 400 || !skipped = 0 then
+          Alcotest.failf "degenerate sweep: %d accepted, %d known parts" !accepted
+            !skipped);
+
+    Alcotest.test_case
+      "coin: finish on a drawn nonce = the eager release from the same DRBG \
+       state, and the DRBG ends where the release leaves it"
+      `Quick (fun () ->
+        let keys = Lazy.force coin_keys in
+        let pub = keys.Threshold_coin.public in
+        let same (a : Threshold_coin.share) (b : Threshold_coin.share) =
+          a.Threshold_coin.origin = b.Threshold_coin.origin
+          && Bignum.Nat.equal a.Threshold_coin.value b.Threshold_coin.value
+          && Bignum.Nat.equal a.Threshold_coin.proof.Dleq.a1 b.Threshold_coin.proof.Dleq.a1
+          && Bignum.Nat.equal a.Threshold_coin.proof.Dleq.a2 b.Threshold_coin.proof.Dleq.a2
+          && Bignum.Nat.equal a.Threshold_coin.proof.Dleq.response
+               b.Threshold_coin.proof.Dleq.response
+        in
+        for i = 0 to 3 do
+          for round = 1 to 5 do
+            let name = Printf.sprintf "aba-coin|eq|%d" round in
+            let seed = Printf.sprintf "finish-%d-%d" i round in
+            let eager = Hashes.Drbg.create ~seed and lazy_ = Hashes.Drbg.create ~seed in
+            let sk = keys.Threshold_coin.shares.(i) in
+            let released = Threshold_coin.release ~drbg:eager pub sk ~name in
+            let nonce = Threshold_coin.draw_nonce ~drbg:lazy_ pub in
+            (* Draws in between must not matter to the finished share. *)
+            let after = Hashes.Drbg.bytes lazy_ 16 in
+            let finished = Threshold_coin.finish pub sk ~name nonce in
+            if not (same released finished) then
+              Alcotest.failf "party %d round %d: finish differs from release" i round;
+            Alcotest.(check string) "DRBG position" (Hashes.Drbg.bytes eager 16) after;
+            Alcotest.(check bool) "finished share verifies" true
+              (Threshold_coin.verify_share pub ~name finished)
+          done
+        done;
+        (* The same split one layer down: prove = prove_with a drawn nonce. *)
+        let g = Lazy.force group in
+        let x = Group.random_exponent g ~drbg:(Util.drbg ~seed:"dleq-x" ()) in
+        let h1 = Group.pow_g g x and g2 = Group.hash_to_group g "g2" in
+        let h2 = Group.pow g g2 x in
+        let a = Dleq.prove g ~drbg:(Util.drbg ~seed:"dleq-n" ()) ~ctx:"c" ~g1:g.Group.g ~h1 ~g2 ~h2 ~x in
+        let b =
+          Dleq.prove_with g ~nonce:(Dleq.draw_nonce g ~drbg:(Util.drbg ~seed:"dleq-n" ()))
+            ~ctx:"c" ~g1:g.Group.g ~h1 ~g2 ~h2 ~x
+        in
+        Alcotest.(check string) "same proof bytes" (Dleq.to_bytes g a) (Dleq.to_bytes g b));
+  ]
+
 let suite =
   group_tests @ fastpath_tests @ shamir_tests @ dleq_tests @ coin_tests
   @ rsa_tests @ tsig_tests @ msig_tests @ enc_tests @ prepared_tests
+  @ ondemand_tests

@@ -282,6 +282,40 @@ let test_charge_coverage () =
      \  (* lint: allow charge-coverage — adversary-side call *)\n\
      \  Tsig.verify_share t.pub ~ctx:t.pid sh\n"
 
+(* The two halves of a coin release, and a share released through the
+   runtime, are priced like the one-step releases they split or wrap. *)
+let test_charge_coverage_split_release () =
+  let rule = "charge-coverage" in
+  expect_fires ~rule "lib/sintra/proto.ml"
+    "let start t st =\n\
+     \  st.nonce <- Some (Crypto.Threshold_coin.draw_nonce ~drbg:t.drbg t.pub)\n";
+  expect_silent ~rule "lib/sintra/proto.ml"
+    "let start t st =\n\
+     \  Charge.coin_release t.charge;\n\
+     \  st.nonce <- Some (Crypto.Threshold_coin.draw_nonce ~drbg:t.drbg t.pub)\n";
+  expect_fires ~rule "lib/sintra/proto.ml"
+    "let reveal t nonce =\n\
+     \  Crypto.Threshold_coin.finish t.pub t.sk ~name:t.name nonce\n";
+  expect_silent ~rule "lib/sintra/proto.ml"
+    "let reveal t st =\n\
+     \  let nonce =\n\
+     \    match st.nonce with\n\
+     \    | Some n -> n\n\
+     \    | None ->\n\
+     \      Charge.coin_release t.charge;\n\
+     \      Crypto.Threshold_coin.draw_nonce ~drbg:t.drbg t.pub\n\
+     \  in\n\
+     \  Crypto.Threshold_coin.finish t.pub t.sk ~name:t.name nonce\n";
+  expect_fires ~rule "lib/sintra/proto.ml"
+    "let echo t m =\n  Runtime.release_share t.rt t.sec ~ctx:t.pid m\n";
+  expect_silent ~rule "lib/sintra/proto.ml"
+    "let echo t m =\n\
+     \  Charge.tsig_release t.charge;\n\
+     \  Runtime.release_share t.rt t.sec ~ctx:t.pid m\n";
+  (* the nonce type in a record field is not a call *)
+  expect_silent ~rule "lib/sintra/proto.ml"
+    "type st = { mutable nonce : Crypto.Threshold_coin.nonce option }\n"
+
 (* Regression (fixed in this PR): optimistic_channel's report_stmt hashed
    the closing vector without charging the meter.  The exact pre-fix shape
    must keep firing; the fixed shape must stay silent. *)
@@ -810,4 +844,6 @@ let suite =
     Alcotest.test_case ".sintra-lint allow/baseline precedence" `Quick
       test_baseline_apply;
     Alcotest.test_case "whole tree is lint-clean" `Quick test_tree_clean;
+    Alcotest.test_case "charge-coverage (S2) prices split coin releases" `Quick
+      test_charge_coverage_split_release;
   ]
