@@ -289,9 +289,7 @@ let table1 (h : harness) ~(messages : int) () =
       List.iter (fun v -> Printf.printf " %10.2f" v) vals;
       print_newline ())
     paper;
-  print_endline
-    "\nshape checks: reliable/consistent fastest; atomic 4-6x consistent;\n\
-     secure = atomic + 0.5-1s threshold decryption.\n"
+  print_newline ()
 
 (* --- Figure 6: delivery time vs public-key size --- *)
 

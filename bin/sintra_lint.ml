@@ -1,9 +1,10 @@
 (* sintra-lint: the repo's protocol-safety static analysis pass.
 
      sintra_lint [--format text|json] [--config FILE] [--budget SEC]
-                 [--rules] [DIR-or-FILE ...]        default roots: lib bin
+                 [--rules] [DIR-or-FILE ...]
 
-   Line rules (L1-L5) and semantic rules (S1-S7) run together; findings
+   Default roots: lib bin test bench examples benchmark, those that exist.
+   Line rules (L1-L5) and semantic rules (S1-S8) run together; findings
    are filtered through the inline allow directives and then through the
    .sintra-lint policy file (allow entries and count-based baselines).
 
@@ -15,7 +16,8 @@
 let usage () =
   print_endline
     "usage: sintra_lint [--format text|json] [--config FILE] [--budget SEC] \
-     [--rules] [DIR-or-FILE ...]   (default roots: lib bin)";
+     [--rules] [DIR-or-FILE ...]   (default roots: lib bin test bench \
+     examples benchmark)";
   print_endline "";
   print_endline "rules:";
   List.iter
@@ -57,7 +59,12 @@ let () =
     in
     parse args;
     let roots =
-      match List.rev !roots with [] -> [ "lib"; "bin" ] | rs -> rs
+      match List.rev !roots with
+      | [] ->
+        (* S8 needs every caller of lib/ in the scan *)
+        List.filter Sys.file_exists
+          [ "lib"; "bin"; "test"; "bench"; "examples"; "benchmark" ]
+      | rs -> rs
     in
     let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in
     if missing <> [] then begin

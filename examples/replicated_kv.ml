@@ -5,7 +5,9 @@
    honest replicas hold byte-identical state although commands arrive from
    different frontends concurrently and one replica actively lies on the
    network (its forged frontend commands carry bad signatures and are
-   filtered by the protocol).
+   filtered by the protocol).  Sintra.Service does the replication: it
+   owns each replica's atomic channel, applies requests exactly once in
+   delivery order, and keeps the store as an immutable map.
 
      dune exec examples/replicated_kv.exe *)
 
@@ -29,27 +31,25 @@ let decode_command s =
     | 1 -> Del (Wire.Dec.bytes d)
     | t -> Wire.fail "bad command tag %d" t)
 
-(* A replica: an atomic channel endpoint plus the materialized store. *)
-type replica = {
-  store : (string, string) Hashtbl.t;
-  mutable applied : int;
-  channel : Atomic_channel.t;
-}
+module Kv = Map.Make (String)
 
-let apply (r : replica) (cmd : command) =
-  r.applied <- r.applied + 1;
-  match cmd with
-  | Set (k, v) -> Hashtbl.replace r.store k v
-  | Del k -> Hashtbl.remove r.store k
+(* The service's deterministic transition: the store is an immutable map,
+   and the reply is the key's previous value ("" if unset).  A request
+   that does not decode leaves the store as it is. *)
+let apply (store : string Kv.t) (request : string) : string Kv.t * string =
+  match decode_command request with
+  | Some (Set (k, v)) ->
+    (Kv.add k v store, Option.value ~default:"" (Kv.find_opt k store))
+  | Some (Del k) ->
+    (Kv.remove k store, Option.value ~default:"" (Kv.find_opt k store))
+  | None -> (store, "")
 
-let fingerprint (r : replica) : string =
-  let entries =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) r.store []
-    |> List.sort compare
-    |> List.map (fun (k, v) -> k ^ "=" ^ v)
-  in
-  Hashes.Sha256.hex_of_digest
-    (Hashes.Sha256.digest (String.concat ";" entries))
+let fingerprint (store : string Kv.t) : string =
+  Kv.bindings store
+  |> List.map (fun (k, v) -> k ^ "=" ^ v)
+  |> String.concat ";"
+  |> Hashes.Sha256.digest
+  |> Hashes.Sha256.hex_of_digest
 
 let () =
   let n = 4 in
@@ -57,28 +57,18 @@ let () =
   let topo = Sim.Topology.uniform ~count:n () in
   let cluster = Cluster.create ~seed:"kv-store" ~topo cfg in
 
+  (* One service replica per party: each runs its own atomic channel
+     endpoint and applies the delivered requests in order. *)
   let replicas =
     Array.init n (fun i ->
-      let rec r =
-        lazy {
-          store = Hashtbl.create 16;
-          applied = 0;
-          channel =
-            Atomic_channel.create (Cluster.runtime cluster i) ~pid:"kv"
-              ~on_deliver:(fun ~sender:_ payload ->
-                match decode_command payload with
-                | Some cmd -> apply (Lazy.force r) cmd
-                | None -> ())   (* garbage from a corrupted frontend *)
-              ();
-        }
-      in
-      Lazy.force r)
+      Service.create (Cluster.runtime cluster i) ~pid:"kv" ~init:Kv.empty
+        ~apply)
   in
 
   (* Frontends submit workloads through different replicas, concurrently. *)
   let submit replica cmd =
     Cluster.inject cluster replica (fun () ->
-      Atomic_channel.send replicas.(replica).channel (encode_command cmd))
+      ignore (Service.submit replicas.(replica) (encode_command cmd)))
   in
   submit 0 (Set ("user:1", "alice"));
   submit 1 (Set ("user:2", "bob"));
@@ -111,12 +101,15 @@ let () =
 
   Array.iteri
     (fun i r ->
-      Printf.printf "replica %d: applied=%d fingerprint=%s%s\n" i r.applied
-        (String.sub (fingerprint r) 0 16)
+      Printf.printf "replica %d: applied=%d fingerprint=%s%s\n" i
+        (Service.executed r)
+        (String.sub (fingerprint (Service.state r)) 0 16)
         (if i = 3 then "  (corrupted node - ran protocol but its junk was dropped)" else ""))
     replicas;
 
-  let fps = Array.to_list (Array.map fingerprint replicas) in
+  let fps =
+    Array.to_list (Array.map (fun r -> fingerprint (Service.state r)) replicas)
+  in
   (match fps with
    | f :: rest when List.for_all (( = ) f) rest ->
      print_endline "\nall replicas converged to identical state."
@@ -126,6 +119,6 @@ let () =
 
   (* Read back through any replica. *)
   Printf.printf "\nfinal store (via replica 1):\n";
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) replicas.(1).store []
-  |> List.sort compare
-  |> List.iter (fun (k, v) -> Printf.printf "  %-10s -> %s\n" k v)
+  Kv.iter
+    (fun k v -> Printf.printf "  %-10s -> %s\n" k v)
+    (Service.state replicas.(1))

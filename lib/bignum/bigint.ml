@@ -22,11 +22,6 @@ let of_int x =
   if x >= 0 then { sign = Pos; mag = Nat.of_int x }
   else { sign = Neg; mag = Nat.of_int (-x) }
 
-let to_int_opt (a : t) =
-  match Nat.to_int_opt a.mag with
-  | None -> None
-  | Some v -> Some (match a.sign with Pos -> v | Neg -> -v)
-
 let is_zero a = Nat.is_zero a.mag
 let is_neg a = a.sign = Neg && not (Nat.is_zero a.mag)
 

@@ -4,17 +4,11 @@
 
 type t
 
-val zero : t
-(** The integer 0. *)
-
 val one : t
 (** The integer 1. *)
 
 val two : t
 (** The integer 2. *)
-
-val minus_one : t
-(** The integer -1. *)
 
 val of_nat : Nat.t -> t
 (** Inject a natural number (non-negative, by construction). *)
@@ -24,9 +18,6 @@ val to_nat : t -> Nat.t
 
 val of_int : int -> t
 (** Exact conversion from a native [int] (any sign). *)
-
-val to_int_opt : t -> int option
-(** [None] when the value does not fit in a native [int]. *)
 
 val is_zero : t -> bool
 (** [is_zero x] iff [x = 0]. *)

@@ -54,9 +54,6 @@ val equal : t -> t -> bool
 val numbits : t -> int
 (** Number of significant bits; [numbits zero = 0].  O(1). *)
 
-val num_limbs : t -> int
-(** Internal limb count (for cost accounting).  O(1). *)
-
 val testbit : t -> int -> bool
 (** [testbit a i] is bit [i] (LSB = bit 0); [false] beyond the top.  O(1). *)
 

@@ -88,11 +88,6 @@ let inv (grp : t) (a : elt) : elt =
 
 let div (grp : t) (a : elt) (b : elt) : elt = mul grp a (inv grp b)
 
-(* Signed-exponent power, used by Lagrange interpolation in the exponent. *)
-let pow_signed (grp : t) (a : elt) (e : Bignum.Bigint.t) : elt =
-  let open Bignum in
-  Bigint.to_nat (Bigint.powmod_signed (Bigint.of_nat a) e (Bigint.of_nat grp.p))
-
 let elt_equal (a : elt) (b : elt) = Bignum.Nat.equal a b
 
 (* Random exponent in [0, q). *)

@@ -97,10 +97,6 @@ val mul_exp_multi : t -> (elt * exponent) list -> elt
     per extra base.  The shape of Lagrange combination over all [k] shares
     and of batched share verification. *)
 
-val pow_signed : t -> elt -> Bignum.Bigint.t -> elt
-(** Power with a signed exponent (Lagrange interpolation in the exponent);
-    negative exponents cost one extra inversion. *)
-
 val elt_equal : elt -> elt -> bool
 (** Element equality (use instead of [(=)]). *)
 

@@ -30,9 +30,6 @@ val make_public : n:Bignum.Nat.t -> e:Bignum.Nat.t -> public
 (** A public key with its Montgomery context.
     @raise Invalid_argument on an even [n]. *)
 
-val default_e : Bignum.Nat.t
-(** 65537. *)
-
 val keygen : ?e:Bignum.Nat.t -> drbg:Hashes.Drbg.t -> bits:int -> unit -> secret
 (** Deterministic (DRBG-driven) key generation with a [bits]-bit modulus. *)
 

@@ -14,8 +14,6 @@ type t = {
 let create ~(seed : string) : t =
   { key = Sha256.digest ("sintra-drbg-v1|" ^ seed); counter = 0; pool = ""; pool_pos = 0 }
 
-let of_int_seed (n : int) : t = create ~seed:(string_of_int n)
-
 let reseed (t : t) (extra : string) =
   t.key <- Sha256.digest_list [ t.key; "|reseed|"; extra ];
   t.counter <- 0;

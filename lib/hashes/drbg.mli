@@ -9,10 +9,6 @@ type t
 val create : seed:string -> t
 (** A fresh generator; equal seeds yield identical output streams. *)
 
-val of_int_seed : int -> t
-(** {!create} with the decimal rendering of the seed — for callers that
-    derive streams from party indices or counters. *)
-
 val reseed : t -> string -> unit
 (** Mix extra entropy into the state and reset the output stream. *)
 

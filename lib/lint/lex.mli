@@ -1,5 +1,5 @@
 (** The lossless OCaml tokenizer under every lint and doc rule: the
-    semantic rules (S1–S7) walk its tokens, and {!Source} derives the line
+    semantic rules (S1–S8) walk its tokens, and {!Source} derives the line
     rules' per-line code tokens, the allowlist directives and the doc
     comments from the same stream.
 

@@ -48,10 +48,11 @@ let segments (path : string) : string list = String.split_on_char '/' path
 let under_lib (path : string) : bool = List.mem "lib" (segments path)
 
 (* test/ and bench/ are scanned only by the determinism rule (Sema S1):
-   test code legitimately uses List.hd, printf, raw Hashtbl folds. *)
+   test code legitimately uses List.hd, printf, raw Hashtbl folds.
+   examples/ and benchmark/ are read only as callers for S8 unused-export. *)
 let aux_tree (path : string) : bool =
-  let segs = segments path in
-  List.mem "test" segs || List.mem "bench" segs
+  List.exists (fun d -> List.mem d [ "test"; "bench"; "examples"; "benchmark" ])
+    (segments path)
 
 let is_ml (path : string) = Filename.check_suffix path ".ml"
 

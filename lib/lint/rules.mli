@@ -22,8 +22,5 @@ type finding = {
 val rule_names : (string * string) list
 (** [(name, one-line description)] for every rule, for docs and [--help]. *)
 
-val check_file : Source.t -> finding list
-(** The per-line rules (L1–L4), allowlist already applied. *)
-
 val check_tree : Source.t list -> finding list
 (** All rules over a file set, including [missing-mli]. *)

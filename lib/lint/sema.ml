@@ -1,4 +1,4 @@
-(* The semantic rule family (S1–S7): protocol-aware checks that need more
+(* The semantic rule family (S1–S8): protocol-aware checks that need more
    than one line's code tokens — the file's whole token stream (Lex, via
    Source) grouped into top-level module items.
 
@@ -46,7 +46,11 @@
                      every caller, which stops key material and contexts
                      from being shared across domains.  Scratch is allocated per
                      call instead; the few sanctioned caches are baselined
-                     in .sintra-lint. *)
+                     in .sintra-lint.
+   S8 unused-export  a top-level [val] in a lib/ interface that no other
+                     compilation unit names: each layer exports only what
+                     the code above it calls.  Runs only when the scan
+                     holds files outside lib/, the callers it judges by. *)
 
 type finding = Rules.finding = {
   file : string;
@@ -62,6 +66,7 @@ let s4 = "quorum-literal"
 let s5 = "cache-key-digest"
 let s6 = "durable-io"
 let s7 = "global-state"
+let s8 = "unused-export"
 
 let rule_names : (string * string) list = [
   (s1, "wall clock / OS entropy (Unix.*, Random.*, Sys.time, Hashtbl.hash) in deterministic code");
@@ -71,6 +76,7 @@ let rule_names : (string * string) list = [
   (s5, "Share_cache insertion keyed by something other than a Hashes digest");
   (s6, "raw file I/O outside the Store.Device seam in lib/store or lib/sintra");
   (s7, "module-level ref/Array/Bytes/Hashtbl/Buffer allocation in lib/ or bench/: shared mutable state");
+  (s8, "lib/ interface value that no other compilation unit names");
 ]
 
 (* --- path predicates --- *)
@@ -113,6 +119,8 @@ let s5_scope path =
    than excluded here: which file is the seam is policy, not definition. *)
 let s6_scope path =
   is_ml path && (in_dir "store" path || in_dir "sintra" path)
+
+let s8_scope path = in_dir "lib" path && Filename.check_suffix path ".mli"
 
 (* --- token helpers --- *)
 
@@ -216,7 +224,7 @@ let priced_ops : (string * string) list = [
   (* A party checks a ciphertext where it releases its decryption share,
      and Charge.enc_dec_share prices that check, once. *)
   ("Crypto.Threshold_enc.check", "enc_dec_share");
-  ("Crypto.Threshold_enc.ciphertext_valid", "enc_ct_valid");
+  ("Crypto.Threshold_enc.ciphertext_valid", "enc_dec_share");
   ("Crypto.Threshold_enc.dec_share", "enc_dec_share");
   ("Crypto.Threshold_enc.verify_dec_share", "enc_verify_share");
   ("Crypto.Threshold_enc.combine", "enc_combine");
@@ -683,6 +691,139 @@ let check_s7 (src : Source.t) (sig_toks : Lex.token list) : finding list =
     toks;
   List.rev !out
 
+(* --- S8: unused exports --- *)
+
+let unit_name (path : string) : string =
+  String.capitalize_ascii (Filename.basename (Filename.remove_extension path))
+
+let last_seg (tok : string) : string =
+  match List.rev (segs_of_tok tok) with s :: _ -> s | [] -> tok
+
+let all_cap (tok : string) : bool = List.for_all is_cap (segs_of_tok tok)
+
+(* The top-level [val]s of an interface, with their lines.  Values of
+   nested signatures and operators are not judged. *)
+let exports (sig_toks : Lex.token list) : (string * int) list =
+  let rec go acc = function
+    | (v : Lex.token) :: (name : Lex.token) :: rest
+      when v.Lex.col = 0 && v.Lex.text = "val" && name.Lex.kind = Lex.Word ->
+      go ((name.Lex.text, name.Lex.line) :: acc) rest
+    | _ :: rest -> go acc rest
+    | [] -> List.rev acc
+  in
+  go [] sig_toks
+
+(* What one file says about other modules' values. *)
+type mentions = {
+  m_stem : string;                         (* the compilation unit *)
+  m_named : (string * string) list;        (* [M.v]: (M, v) *)
+  m_opened : string list;                  (* bare names of M in scope *)
+  m_whole : string list;                   (* M passed or included whole *)
+  m_aliases : (string * string) list;      (* [module X = ...M]: (X, M) *)
+  m_bare : (string, unit) Hashtbl.t;       (* first segments of all words *)
+}
+
+(* A [Word] path names the value [M.v] when [v] is its first lowercase
+   segment and every segment before it is a module; [r.M.f] is a field.
+   [open M], [let open M in] and [M.(...)] put M's bare names in scope for
+   the whole file; [include M], [(module M)] and a functor argument [F (M)]
+   hand all of M to code that names its values through another path, so
+   every export of M counts as used. *)
+let mentions_of (src : Source.t) : mentions =
+  let toks = Array.of_list (Lex.significant (Source.tokens src)) in
+  let n = Array.length toks in
+  let text i = if i >= 0 && i < n then toks.(i).Lex.text else "" in
+  let word i = i >= 0 && i < n && toks.(i).Lex.kind = Lex.Word in
+  let module_path i = word i && all_cap (text i) in
+  let named = ref [] and opened = ref [] and whole = ref [] in
+  let aliases = ref [] in
+  let bare = Hashtbl.create 256 in
+  for i = 0 to n - 1 do
+    let tx = text i in
+    if word i then begin
+      let segs = segs_of_tok tx in
+      (match segs with s :: _ -> Hashtbl.replace bare s () | [] -> ());
+      let rec pair prev = function
+        | s :: rest when is_cap s -> pair s rest
+        | s :: _ -> if prev <> "" then named := (prev, s) :: !named
+        | [] -> ()
+      in
+      pair "" segs
+    end;
+    (match tx with
+     | "open" | "include" ->
+       let j = if text (i + 1) = "!" then i + 2 else i + 1 in
+       if module_path j then
+         if tx = "open" then opened := last_seg (text j) :: !opened
+         else whole := last_seg (text j) :: !whole
+     | "module" ->
+       if text (i - 1) = "(" && module_path (i + 1) then
+         whole := last_seg (text (i + 1)) :: !whole
+       else if module_path (i + 1) && text (i + 2) = "=" && module_path (i + 3)
+               && text (i + 4) <> "("
+       then aliases := (text (i + 1), last_seg (text (i + 3))) :: !aliases
+     | "." ->
+       if module_path (i - 1)
+          && List.mem (text (i + 1)) [ "("; "{"; "["; "[|" ]
+       then opened := last_seg (text (i - 1)) :: !opened
+     | "(" ->
+       if module_path (i - 1) && module_path (i + 1) && text (i + 2) = ")"
+       then whole := last_seg (text (i + 1)) :: !whole
+     | _ -> ())
+  done;
+  { m_stem = Filename.remove_extension (Source.path src); m_named = !named;
+    m_opened = !opened; m_whole = !whole; m_aliases = !aliases;
+    m_bare = bare }
+
+let check_s8 (files : Source.t list) : finding list =
+  let ms = List.map mentions_of files in
+  let aliases = List.concat_map (fun m -> m.m_aliases) ms in
+  (* a name and every module it aliases *)
+  let resolve (x : string) : string list =
+    x :: List.filter_map (fun (a, t) -> if a = x then Some t else None) aliases
+  in
+  let named : (string * string, string list) Hashtbl.t = Hashtbl.create 1024 in
+  let opened : (string, mentions list) Hashtbl.t = Hashtbl.create 64 in
+  let whole : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+  let add tbl k v =
+    Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+  in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun (x, v) -> List.iter (fun md -> add named (md, v) m.m_stem) (resolve x))
+        m.m_named;
+      List.iter (fun x -> List.iter (fun md -> add opened md m) (resolve x)) m.m_opened;
+      List.iter (fun x -> List.iter (fun md -> Hashtbl.replace whole md ()) (resolve x))
+        m.m_whole)
+    ms;
+  let used ~stem md v =
+    Hashtbl.mem whole md
+    || List.exists (fun s -> s <> stem)
+         (Option.value ~default:[] (Hashtbl.find_opt named (md, v)))
+    || List.exists (fun m -> m.m_stem <> stem && Hashtbl.mem m.m_bare v)
+         (Option.value ~default:[] (Hashtbl.find_opt opened md))
+  in
+  List.concat_map
+    (fun src ->
+      let path = Source.path src in
+      if not (s8_scope path) then []
+      else begin
+        let md = unit_name path and stem = Filename.remove_extension path in
+        List.filter_map
+          (fun (v, line) ->
+            if used ~stem md v || Source.allowed src ~rule:s8 ~line then None
+            else
+              Some { file = path; line; rule = s8;
+                     message =
+                       Printf.sprintf
+                         "%s.%s is exported but no other compilation unit \
+                          names it; delete it or drop it from the interface"
+                         md v })
+          (exports (Lex.significant (Source.tokens src)))
+      end)
+    files
+
 (* --- driver --- *)
 
 let check_tree (files : Source.t list) : finding list =
@@ -733,3 +874,6 @@ let check_tree (files : Source.t list) : finding list =
         f1 @ f2 @ f3 @ f4 @ f5 @ f6 @ f7
       end)
     files
+  @ (if List.exists (fun src -> not (in_dir "lib" (Source.path src))) files
+     then check_s8 files
+     else [])

@@ -1,5 +1,6 @@
-(** The semantic lint rules (S1–S7), running on each file's {!Lex} token
-    stream (from its {!Source.t}) grouped into top-level module items.
+(** The semantic lint rules (S1–S8), running on each file's {!Lex} token
+    stream (from its {!Source.t}), S1–S7 grouped into top-level module
+    items.
 
     - [determinism] (S1): [Unix.*], [Random.*], [Sys.time], [Hashtbl.hash]
       in protocol ([lib/sintra]), simulator ([lib/sim]), test, or bench
@@ -25,7 +26,14 @@
     - [global-state] (S7): a module-level [ref], [Array.make]/[init],
       [Bytes.create]/[make], [Hashtbl.create] or [Buffer.create] under
       [lib/] or [bench/] — mutable state shared by every caller.  Allocations inside a
-      function or a [fun] run per call and do not count. *)
+      function or a [fun] run per call and do not count.
+    - [unused-export] (S8): a top-level [val] of a [lib/] interface that no
+      other compilation unit in the scan names — as [M.v] behind module
+      names only, or bare in a file that opens [M] ([open], [let open],
+      [M.(...)]).  [include M], [(module M)], a functor argument [F (M)]
+      and [module X = M] aliases count as well, so the rule may miss an
+      unused export but never flags a used one.  It needs the callers: a
+      scan made only of [lib/] files reports nothing. *)
 
 type finding = Rules.finding = {
   file : string;
@@ -34,30 +42,9 @@ type finding = Rules.finding = {
   message : string;
 }
 
-val s1 : string
-(** The [determinism] rule name. *)
-
-val s2 : string
-(** The [charge-coverage] rule name. *)
-
-val s3 : string
-(** The [handler-flow] rule name. *)
-
-val s4 : string
-(** The [quorum-literal] rule name. *)
-
-val s5 : string
-(** The [cache-key-digest] rule name. *)
-
-val s6 : string
-(** The [durable-io] rule name. *)
-
-val s7 : string
-(** The [global-state] rule name. *)
-
 val rule_names : (string * string) list
 (** [(name, one-line description)] for the S rules. *)
 
 val check_tree : Source.t list -> finding list
-(** Run S1–S7 over the tree.  [.mli] files contribute only the S3
-    public-constructor exemption. *)
+(** Run S1–S8 over the tree.  [.mli] files contribute the S3
+    public-constructor exemption and the S8 exports. *)

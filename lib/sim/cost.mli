@@ -22,9 +22,6 @@ val create_meter : exp_ms:float -> meter
 (** A zeroed meter for a host that takes [exp_ms] milliseconds per full
     1024-bit modular exponentiation. *)
 
-val charge : meter -> float -> unit
-(** Charge [ms] of virtual CPU to the current step. *)
-
 val take : meter -> float
 (** Drain the per-step accumulator; returns seconds. *)
 

@@ -9,7 +9,6 @@ type t = {
   events : (unit -> unit) Heap.t;
   drbg : Hashes.Drbg.t;
   mutable executed : int;
-  mutable stopped : bool;
   sink : Trace.Sink.t ref;                  (* observability: shared trace sink *)
   metrics : Trace.Metrics.t;                (* observability: shared registry *)
   mutable next_flow_id : int;               (* causal-tracing id allocator *)
@@ -21,7 +20,6 @@ let create ?(seed = "sintra-sim") () : t =
     events = Heap.create ();
     drbg = Hashes.Drbg.create ~seed;
     executed = 0;
-    stopped = false;
     sink = ref Trace.Sink.Null;
     metrics = Trace.Metrics.create ();
     next_flow_id = 0;
@@ -38,8 +36,6 @@ let fresh_flow_id (t : t) : int =
 let now (t : t) = t.now
 
 let drbg (t : t) = t.drbg
-
-let sink (t : t) = t.sink
 
 let set_sink (t : t) (s : Trace.Sink.t) = t.sink := s
 
@@ -60,16 +56,13 @@ let schedule_at (t : t) ~(time : float) (f : unit -> unit) : unit =
   let time = if time < t.now then t.now else time in
   Heap.push t.events ~time f
 
-let stop (t : t) = t.stopped <- true
-
 (* Run until the event queue drains, [until] virtual seconds pass, or
    [max_events] fire.  Returns the number of events executed. *)
 let run ?(until = infinity) ?(max_events = max_int) (t : t) : int =
-  t.stopped <- false;
   let count = ref 0 in
   let continue = ref true in
   while !continue do
-    if t.stopped || !count >= max_events then continue := false
+    if !count >= max_events then continue := false
     else
       match Heap.peek_time t.events with
       | None -> continue := false

@@ -15,13 +15,10 @@ val now : t -> float
 val drbg : t -> Hashes.Drbg.t
 (** The engine's seeded generator — the run's only randomness source. *)
 
-val sink : t -> Trace.Sink.t ref
-(** The shared trace sink slot.  Starts null; install one with
-    {!set_sink}.  Contexts made by {!trace_ctx} alias this ref, so a sink
-    installed after construction is seen by every instrumentation site. *)
-
 val set_sink : t -> Trace.Sink.t -> unit
-(** Install a trace sink into the shared slot (see {!sink}). *)
+(** Install a trace sink into the shared slot.  Contexts made by
+    {!trace_ctx} alias that slot, so a sink installed after construction
+    is seen by every instrumentation site. *)
 
 val metrics : t -> Trace.Metrics.t
 (** The run-wide metrics registry. *)
@@ -38,9 +35,6 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Run the thunk at absolute virtual [time] (the past clamps to now). *)
-
-val stop : t -> unit
-(** Make a running {!run} return after the current event. *)
 
 val run : ?until:float -> ?max_events:int -> t -> int
 (** Execute events in time order until the queue drains, [until] virtual

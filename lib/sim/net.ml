@@ -324,7 +324,6 @@ let init_links (t : t) (p : float) : unit =
                  end)
                ())))
 
-let n (t : t) = Array.length t.nodes
 (* --- the storage plane --- *)
 
 (* Process at most one storage-plane message of node [nd]: same sequential
@@ -402,7 +401,6 @@ let oob_advance (t : t) (i : int) : unit =
     nd.oob_busy_until <-
       Stdlib.max nd.oob_busy_until (Engine.now t.engine) +. cost
 
-let node (t : t) (i : int) = t.nodes.(i)
 let meter (t : t) (i : int) = t.nodes.(i).meter
 
 let set_handler (t : t) (i : int) (h : src:int -> string -> unit) : unit =
@@ -411,7 +409,6 @@ let set_handler (t : t) (i : int) (h : src:int -> string -> unit) : unit =
 let set_intercept (t : t) (f : src:int -> dst:int -> string -> action) : unit =
   t.intercept <- Some f
 
-let clear_intercept (t : t) = t.intercept <- None
 
 let crash (t : t) (i : int) = t.nodes.(i).crashed <- true
 

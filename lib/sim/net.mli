@@ -40,12 +40,6 @@ val create_lossy :
     restored by a per-pair {!Swlink} sliding-window endpoint — the paper's
     planned TCP replacement, carrying the whole protocol stack. *)
 
-val n : t -> int
-(** Number of nodes (the topology's host count). *)
-
-val node : t -> int -> node
-(** Node [i]'s handle, for the lower-level per-node operations. *)
-
 val meter : t -> int -> Cost.meter
 (** Node [i]'s virtual-CPU meter. *)
 
@@ -54,9 +48,6 @@ val set_handler : t -> int -> (src:int -> string -> unit) -> unit
 
 val set_intercept : t -> (src:int -> dst:int -> string -> action) -> unit
 (** Install the network adversary. *)
-
-val clear_intercept : t -> unit
-(** Remove the adversary installed by {!set_intercept}, if any. *)
 
 val crash : t -> int -> unit
 (** Silence a node: it neither sends nor processes until {!recover}. *)

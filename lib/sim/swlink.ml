@@ -33,7 +33,6 @@ type endpoint = {
   mutable sent_frames : int;
   mutable retransmissions : int;
   mutable rejected_frames : int;       (* bad MAC / malformed *)
-  mutable duplicate_frames : int;
 }
 
 let tag_data = 0
@@ -62,7 +61,6 @@ let create ~(engine : Engine.t) ~(mac_key : string) ?(window = 32) ?(rto = 0.5)
     sent_frames = 0;
     retransmissions = 0;
     rejected_frames = 0;
-    duplicate_frames = 0;
   }
 
 let encode_data (ep : endpoint) ~(seq : int) (payload : string) : string =
@@ -114,13 +112,9 @@ let send (ep : endpoint) (payload : string) : unit =
 let handle_data (ep : endpoint) ~(seq : int) (payload : string) : unit =
   (* Always (re-)acknowledge our cumulative progress: the ACK itself may
      have been lost. *)
-  if seq < ep.rcv_next then begin
-    ep.duplicate_frames <- ep.duplicate_frames + 1;
-    ep.out (encode_ack ep ~cumulative:ep.rcv_next)
-  end
+  if seq < ep.rcv_next then ep.out (encode_ack ep ~cumulative:ep.rcv_next)
   else begin
-    if not (Hashtbl.mem ep.out_of_order seq) then Hashtbl.replace ep.out_of_order seq payload
-    else ep.duplicate_frames <- ep.duplicate_frames + 1;
+    if not (Hashtbl.mem ep.out_of_order seq) then Hashtbl.replace ep.out_of_order seq payload;
     (* Deliver any consecutive run that is now complete. *)
     let rec deliver_run () =
       match Hashtbl.find_opt ep.out_of_order ep.rcv_next with
@@ -174,4 +168,3 @@ let in_flight (ep : endpoint) = Hashtbl.length ep.unacked
 let backlog_length (ep : endpoint) = Queue.length ep.backlog
 let retransmissions (ep : endpoint) = ep.retransmissions
 let rejected_frames (ep : endpoint) = ep.rejected_frames
-let duplicate_frames (ep : endpoint) = ep.duplicate_frames

@@ -35,7 +35,3 @@ val retransmissions : endpoint -> int
 
 val rejected_frames : endpoint -> int
 (** Received frames dropped as malformed or failing authentication. *)
-
-val duplicate_frames : endpoint -> int
-(** Authentic DATA frames received more than once (loss of our ACK, or a
-    replaying network). *)

@@ -247,8 +247,6 @@ let propose (t : t) (value : string) : unit =
   t.proposed <- true;
   Consistent_broadcast.send t.vcbc.(t.rt.Runtime.me) value
 
-let decided (t : t) : bool = t.decided
-
 let abort (t : t) : unit =
   t.aborted <- true;
   Array.iter Consistent_broadcast.abort t.vcbc;

@@ -38,8 +38,5 @@ val create :
 val propose : t -> string -> unit
 (** @raise Invalid_argument on re-proposal or failing validation. *)
 
-val decided : t -> bool
-(** Whether this party has decided. *)
-
 val abort : t -> unit
 (** Terminate the local instance and its live sub-protocols. *)

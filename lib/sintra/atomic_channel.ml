@@ -944,11 +944,9 @@ let close (t : t) : unit =
     enqueue t frame_term
   end
 
-let is_closed (t : t) = t.closed
 let deliveries (t : t) = t.deliveries
 let current_round (t : t) = t.base
 let rounds_completed (t : t) = t.rounds_completed
-let queue_depth (t : t) = Queue.length t.queue
 let batch_limit (t : t) = t.cur_batch
 let reorder_depth (t : t) = t.parked
 

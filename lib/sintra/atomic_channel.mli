@@ -50,9 +50,6 @@ val send : t -> string -> unit
 val close : t -> unit
 (** Request termination (the paper's close event); idempotent. *)
 
-val is_closed : t -> bool
-(** Whether the channel has closed (delivered [t+1] termination requests). *)
-
 val deliveries : t -> int
 (** Payloads delivered locally so far. *)
 
@@ -63,10 +60,6 @@ val current_round : t -> int
 val rounds_completed : t -> int
 (** Agreement rounds finished locally — [deliveries / rounds_completed] is
     the realized batching factor. *)
-
-val queue_depth : t -> int
-(** This party's own payloads queued and not yet known delivered (the
-    backlog a closed-loop generator watches). *)
 
 val batch_limit : t -> int
 (** The current adaptive per-round vector cap, between [min 8 max_batch]

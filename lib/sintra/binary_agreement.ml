@@ -723,8 +723,6 @@ let propose ?(proof = "") (t : t) (value : bool) : unit =
   try_send_mainvote t 1;
   try_finish_round t 1
 
-let decided (t : t) : bool option = Option.map fst t.decided
-
 let abort (t : t) : unit =
   t.aborted <- true;
   Runtime.unregister t.rt ~pid:t.pid

@@ -30,8 +30,5 @@ val propose : ?proof:string -> t -> bool -> unit
     @raise Invalid_argument on a second proposal, or (with a validator) if
     the proof does not validate the value. *)
 
-val decided : t -> bool option
-(** The decision at this party, if reached. *)
-
 val abort : t -> unit
 (** Terminate the local instance immediately. *)

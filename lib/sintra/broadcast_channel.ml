@@ -31,7 +31,6 @@ module Make (B : BROADCAST) = struct
     term_requests : (int, unit) Hashtbl.t;
     mutable closing : bool;
     mutable closed : bool;
-    mutable deliveries : int;
   }
 
   let frame_payload (s : string) : string = "\x01" ^ s
@@ -71,7 +70,6 @@ module Make (B : BROADCAST) = struct
         end
       end
       else if String.length framed >= 1 && framed.[0] = '\x01' then begin
-        t.deliveries <- t.deliveries + 1;
         Trace.Ctx.incr t.rt.Runtime.trace "bcast.deliveries";
         let tr = t.rt.Runtime.trace in
         if Trace.Ctx.enabled tr then
@@ -99,7 +97,6 @@ module Make (B : BROADCAST) = struct
       term_requests = Hashtbl.create 4;
       closing = false;
       closed = false;
-      deliveries = 0;
     }
     in
     t.instances <- Array.init n (fun i -> make_instance t i 0);
@@ -117,11 +114,4 @@ module Make (B : BROADCAST) = struct
       Queue.push frame_term t.pending;
       pump t
     end
-
-  let is_closed (t : t) = t.closed
-  let deliveries (t : t) = t.deliveries
-
-  let abort (t : t) : unit =
-    t.closed <- true;
-    Array.iter B.abort t.instances
 end

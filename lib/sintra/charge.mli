@@ -65,10 +65,6 @@ val coin_assemble : t -> k:int -> unit
 val enc_encrypt : t -> bytes:int -> unit
 (** Threshold-encrypting a [bytes]-long payload (label hashing included). *)
 
-val enc_ct_valid : t -> unit
-(** The public ciphertext-validity check run before decryption shares are
-    released. *)
-
 val enc_dec_share : t -> unit
 (** Computing one decryption share with its proof. *)
 

@@ -58,16 +58,10 @@ let crash (c : t) (i : int) : unit = Sim.Net.crash c.net i
 let recover (c : t) (i : int) : unit = Sim.Net.recover c.net i
 
 let set_intercept (c : t) f = Sim.Net.set_intercept c.net f
-let clear_intercept (c : t) = Sim.Net.clear_intercept c.net
-
-let honest_indices (c : t) ~(corrupted : int list) : int list =
-  List.filter (fun i -> not (List.mem i corrupted)) (List.init c.cfg.Config.n (fun i -> i))
 
 (* Observability. *)
 
 let set_sink (c : t) (s : Trace.Sink.t) : unit = Sim.Engine.set_sink c.engine s
-
-let metrics (c : t) : Trace.Metrics.t = Sim.Engine.metrics c.engine
 
 (* Flush the network/CPU counters into the registry and return it. *)
 let publish_metrics (c : t) : Trace.Metrics.t =

@@ -57,19 +57,9 @@ val set_intercept : t -> (src:int -> dst:int -> string -> Sim.Net.action) -> uni
 (** Install a per-frame adversary hook deciding deliver/drop/delay/replace
     for every frame on every link. *)
 
-val clear_intercept : t -> unit
-(** Remove the intercept; subsequent frames deliver normally. *)
-
-val honest_indices : t -> corrupted:int list -> int list
-(** Party indices not listed in [corrupted], ascending. *)
-
 val set_sink : t -> Trace.Sink.t -> unit
 (** Install a trace sink on the cluster's engine; every party's
     instrumentation reports through it. *)
-
-val metrics : t -> Trace.Metrics.t
-(** The cluster's metrics registry (counters and histograms accumulate
-    here as the simulation runs). *)
 
 val publish_metrics : t -> Trace.Metrics.t
 (** Flush per-node network/CPU counters (and orphan-drop counts) into the

@@ -223,8 +223,6 @@ let send (t : t) (payload : string) : unit =
   in
   Runtime.broadcast t.rt ~pid:t.pid body
 
-let delivered (t : t) = t.delivered
-
 (* --- the verifiable interface (closing messages) --- *)
 
 (* Encode the closing message of a terminated instance. *)
@@ -236,6 +234,7 @@ let get_closing (t : t) : string option =
       Wire.Enc.bytes b payload;
       Wire.Enc.bytes b signature))
 
+(* (payload, signature), without verification. *)
 let parse_closing (v : string) : (string * string) option =
   Wire.decode v (fun d ->
     let payload = Wire.Dec.bytes d in

@@ -21,14 +21,8 @@ val create :
 val send : t -> string -> unit
 (** @raise Invalid_argument if not the sender, or already sent. *)
 
-val delivered : t -> bool
-(** Whether this instance has delivered its payload here. *)
-
 val get_closing : t -> string option
 (** The closing message of a delivered instance (the paper's getClosing). *)
-
-val parse_closing : string -> (string * string) option
-(** (payload, signature), without verification. *)
 
 val payload_of_closing : string -> string option
 (** The paper's getPayloadFromClosing. *)

@@ -18,15 +18,3 @@ val create :
 val send : t -> string -> unit
 (** Queue a payload on this party's current broadcast instance.
     @raise Invalid_argument once closing or closed. *)
-
-val close : t -> unit
-(** Send the termination request as this party's last message. *)
-
-val is_closed : t -> bool
-(** Whether termination has completed at this party. *)
-
-val deliveries : t -> int
-(** Total payloads delivered here so far, across all senders. *)
-
-val abort : t -> unit
-(** Tear the channel down without the closing handshake. *)

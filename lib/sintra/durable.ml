@@ -364,6 +364,8 @@ let handle (t : t) ~(src : int) (body : string) : unit =
        Atomic_channel.serve_backlog t.chan ~dst:src ~from_round
      | Snap (cp, state) -> adopt_snapshot t ~src cp state)
 
+(* Append a channel-state delta record.  A delta supersedes earlier deltas
+   with the same key; compaction keeps only the newest per key. *)
 let log_delta (t : t) ~(key : string) ~(data : string) : unit =
   if not t.replaying then begin
     let bytes = Store.Log.append t.dev (Store.Log.Delta { key; data }) in
@@ -508,7 +510,6 @@ let observe_optimistic (t : t) (oc : Optimistic_channel.t) : unit =
 
 let device (t : t) : Store.Device.t = t.dev
 let stable_checkpoint (t : t) : Store.Checkpoint.t option = t.stable
-let deltas (t : t) : (string * string) list = t.deltas
 let checkpoints (t : t) : int = t.stats.checkpoints
 let snapshots_served (t : t) : int = t.stats.snapshots_served
 let snapshots_adopted (t : t) : int = t.stats.snapshots_adopted

@@ -26,12 +26,8 @@ val attach :
     checkpointing (log only).  The device must be held OUTSIDE the
     runtime so it survives [Runtime.crash], like a disk. *)
 
-val log_delta : t -> key:string -> data:string -> unit
-(** Append a channel-state delta record.  A delta supersedes earlier
-    deltas with the same key; compaction keeps only the newest per key. *)
-
 val observe_optimistic : t -> Optimistic_channel.t -> unit
-(** Wire the optimistic channel's epoch-change hook to {!log_delta}
+(** Wire the optimistic channel's epoch-change hook to the delta log
     (key ["opt.epoch"]), so epoch progress survives restarts. *)
 
 val device : t -> Store.Device.t
@@ -39,10 +35,6 @@ val device : t -> Store.Device.t
 
 val stable_checkpoint : t -> Store.Checkpoint.t option
 (** The latest stable (certificate-backed) checkpoint, if any. *)
-
-val deltas : t -> (string * string) list
-(** The delta records replayed from the device at attach time, oldest
-    first. *)
 
 val checkpoints : t -> int
 (** Checkpoints this party saw reach stability locally. *)

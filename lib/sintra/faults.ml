@@ -12,11 +12,6 @@
 type spec = src:int -> dst:int -> string -> Sim.Net.action
 
 let install (c : Cluster.t) (spec : spec) : unit = Cluster.set_intercept c spec
-let clear (c : Cluster.t) : unit = Cluster.clear_intercept c
-
-(* Silence one party entirely in both directions (a network-level crash). *)
-let silence (party : int) : spec =
- fun ~src ~dst _ -> if src = party || dst = party then Sim.Net.Drop else Sim.Net.Deliver
 
 (* Delay all traffic into [party] by [delay] seconds (an eclipsed node). *)
 let eclipse (party : int) ~(delay : float) : spec =
@@ -44,12 +39,6 @@ let replay_every (nth : int) ~(delay : float) : spec =
   fun ~src:_ ~dst:_ _ ->
     incr counter;
     if !counter mod nth = 0 then Sim.Net.Replay delay else Sim.Net.Deliver
-
-(* Byzantine selective send: [party] silently omits its messages to the
-   [victims], who must reconstruct the protocol state from the others. *)
-let selective_send (party : int) ~(victims : int list) : spec =
- fun ~src ~dst _ ->
-  if src = party && List.mem dst victims then Sim.Net.Drop else Sim.Net.Deliver
 
 (* Split the group into components: traffic inside a component flows,
    traffic across components is held back until [heal_at] (virtual time),

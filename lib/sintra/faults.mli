@@ -9,12 +9,6 @@ type spec = src:int -> dst:int -> string -> Sim.Net.action
 val install : Cluster.t -> spec -> unit
 (** Make [spec] the cluster's active network intercept. *)
 
-val clear : Cluster.t -> unit
-(** Remove the active spec; traffic flows normally again. *)
-
-val silence : int -> spec
-(** Drop all traffic to and from one party (a network-level crash). *)
-
 val eclipse : int -> delay:float -> spec
 (** Delay all traffic {e into} one party (an eclipsed node). *)
 
@@ -28,10 +22,6 @@ val duplicate_every : int -> spec
 val replay_every : int -> delay:float -> spec
 (** Replay every nth message after [delay] extra seconds (the copy bypasses
     FIFO order, like an adversary re-injecting recorded frames). *)
-
-val selective_send : int -> victims:int list -> spec
-(** Byzantine selective send: the given party silently omits its messages
-    to the victims. *)
 
 val partition : Cluster.t -> groups:int list list -> heal_at:float -> spec
 (** Split the group into components whose cross-traffic is held back until

@@ -608,10 +608,3 @@ let deliveries_recovered (t : t) = t.stats_recovered
 
 let set_epoch_hook (t : t) (f : epoch:int -> data:string -> unit) : unit =
   t.epoch_hook <- Some f
-
-let abort (t : t) : unit =
-  t.in_recovery <- true;
-  Det.iter t.insts ~compare:Det.by_int (fun _ inst -> Consistent_broadcast.abort inst);
-  Hashtbl.reset t.insts;
-  (match t.recovery_mvba with Some m -> Array_agreement.abort m | None -> ());
-  Runtime.unregister t.rt ~pid:t.pid

@@ -42,6 +42,3 @@ val set_epoch_hook : t -> (epoch:int -> data:string -> unit) -> unit
 (** Install the durability layer's epoch observer: fires after each epoch
     change with the new epoch number and an encoded state delta (epoch and
     delivery counters) for the write-ahead log — see [Durable.observe_optimistic]. *)
-
-val abort : t -> unit
-(** Terminate the local instance and its live sub-protocols. *)

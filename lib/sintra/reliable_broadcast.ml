@@ -149,8 +149,6 @@ let send (t : t) (payload : string) : unit =
   if t.rt.Runtime.me <> t.sender then invalid_arg "Reliable_broadcast.send: not the sender";
   Runtime.broadcast t.rt ~pid:t.pid (encode ~tag:tag_send payload)
 
-let delivered (t : t) = t.delivered
-
 let abort (t : t) : unit =
   t.aborted <- true;
   Runtime.unregister t.rt ~pid:t.pid

@@ -17,9 +17,6 @@ val send : t -> string -> unit
 (** Start the broadcast.  Only the designated sender may call this, once.
     @raise Invalid_argument otherwise. *)
 
-val delivered : t -> bool
-(** Whether this instance has delivered its payload here. *)
-
 val abort : t -> unit
 (** Terminate the local instance immediately (the paper's abort: the state
     of other parties is unspecified). *)
@@ -33,9 +30,6 @@ val tag_send : int
 
 val tag_echo : int
 (** Message tag of the first-phase ECHO votes. *)
-
-val tag_ready : int
-(** Message tag of the second-phase READY votes. *)
 
 val encode : tag:int -> string -> string
 (** A raw protocol frame for [pid]-less injection: [tag] then the

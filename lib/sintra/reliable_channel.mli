@@ -20,12 +20,3 @@ val send : t -> string -> unit
 
 val close : t -> unit
 (** Send the termination request as this party's last message. *)
-
-val is_closed : t -> bool
-(** Whether termination has completed at this party. *)
-
-val deliveries : t -> int
-(** Total payloads delivered here so far, across all senders. *)
-
-val abort : t -> unit
-(** Tear the channel down without the closing handshake. *)

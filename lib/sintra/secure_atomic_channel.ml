@@ -300,12 +300,3 @@ let send (t : t) (message : string) : unit =
 let send_ciphertext (t : t) (ct_bytes : string) : unit =
   Atomic_channel.send (atomic t) ct_bytes
 
-let close (t : t) : unit = Atomic_channel.close (atomic t)
-let is_closed (t : t) = Atomic_channel.is_closed (atomic t)
-
-let abort (t : t) : unit =
-  Atomic_channel.abort (atomic t);
-  Hashtbl.reset t.own_cts;
-  Det.iter t.slots ~compare:Det.by_int (fun _ slot ->
-    Crypto.Share_cache.evict_group t.rt.Runtime.cache slot.sl_group);
-  Runtime.unregister t.rt ~pid:(dec_pid t)

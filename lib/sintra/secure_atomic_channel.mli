@@ -31,12 +31,3 @@ val send : t -> string -> unit
 val send_ciphertext : t -> string -> unit
 (** Broadcast an externally produced ciphertext (the paper's
     sendCiphertext). *)
-
-val close : t -> unit
-(** Close the underlying atomic channel (this party's last message). *)
-
-val is_closed : t -> bool
-(** Whether the underlying channel has terminated at this party. *)
-
-val abort : t -> unit
-(** Terminate the local instance and the underlying channel. *)

@@ -89,6 +89,3 @@ let reply_digest (t : 'state t) : string =
   (* lint: allow charge-coverage — cross-replica audit helper outside the
      simulation's cost model; a generic service has no Runtime handle *)
   Hashes.Sha256.hex_of_digest (Hashes.Sha256.digest (String.concat ";" entries))
-
-let close (t : 'state t) : unit = Atomic_channel.close (channel t)
-let abort (t : 'state t) : unit = Atomic_channel.abort (channel t)

@@ -33,9 +33,3 @@ val reply : 'state t -> origin:int -> tag:int -> string option
 val reply_digest : 'state t -> string
 (** A digest of the reply log — identical across honest replicas that have
     executed the same prefix; useful for cross-replica auditing. *)
-
-val close : 'state t -> unit
-(** Close the underlying atomic channel (no further submissions here). *)
-
-val abort : 'state t -> unit
-(** Terminate the replica and the underlying channel. *)

@@ -7,34 +7,16 @@
    biased instance always decides the preferred value when it detects that
    an honest party proposed it. *)
 
-type t = {
-  aba : Binary_agreement.t;
-  mutable decision : (bool * string) option;
-}
+type t = Binary_agreement.t
 
 let create ?bias (rt : Runtime.t) ~(pid : string)
     ~(validator : bool -> string -> bool)
     ~(on_decide : bool -> proof:string -> unit) : t =
-  let cell = ref None in
-  let aba =
-    Binary_agreement.create ?bias rt ~pid ~validator
-      ~on_decide:(fun value proof ->
-        let proof = Option.value proof ~default:"" in
-        (match !cell with
-         | Some t -> t.decision <- Some (value, proof)
-         | None -> ());
-        on_decide value ~proof)
-  in
-  let t = { aba; decision = None } in
-  cell := Some t;
-  t
+  Binary_agreement.create ?bias rt ~pid ~validator
+    ~on_decide:(fun value proof ->
+      on_decide value ~proof:(Option.value proof ~default:""))
 
 let propose (t : t) (value : bool) ~(proof : string) : unit =
-  Binary_agreement.propose ~proof t.aba value
+  Binary_agreement.propose ~proof t value
 
-let decided (t : t) : bool option = Option.map fst t.decision
-
-(* The validation data for the decided value (the paper's getProof). *)
-let get_proof (t : t) : string option = Option.map snd t.decision
-
-let abort (t : t) : unit = Binary_agreement.abort t.aba
+let abort : t -> unit = Binary_agreement.abort

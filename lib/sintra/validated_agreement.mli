@@ -18,11 +18,5 @@ val create :
 val propose : t -> bool -> proof:string -> unit
 (** @raise Invalid_argument on re-proposal or failing validation. *)
 
-val decided : t -> bool option
-(** The decision at this party, if reached. *)
-
-val get_proof : t -> string option
-(** Validation data for the decided value (after decision). *)
-
 val abort : t -> unit
 (** Terminate the local instance immediately. *)

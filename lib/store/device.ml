@@ -17,13 +17,11 @@
    simulator deterministic.  (lint: allow durable-io — the seam itself) *)
 
 type t = {
-  name : string;
   append : string -> unit;
   rewrite : string -> unit;
   contents : unit -> string;
 }
 
-let name (d : t) : string = d.name
 let append (d : t) (bytes : string) : unit = d.append bytes
 let rewrite (d : t) (bytes : string) : unit = d.rewrite bytes
 let contents (d : t) : string = d.contents ()
@@ -32,7 +30,6 @@ let size (d : t) : int = String.length (d.contents ())
 let mem () : t =
   let buf = Buffer.create 1024 in
   {
-    name = "mem";
     append = (fun s -> Buffer.add_string buf s);
     rewrite = (fun s -> Buffer.clear buf; Buffer.add_string buf s);
     contents = (fun () -> Buffer.contents buf);
@@ -57,7 +54,6 @@ let file (path : string) : t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (read_file path);
   {
-    name = path;
     append =
       (fun s ->
         Buffer.add_string buf s;
@@ -75,8 +71,3 @@ let file (path : string) : t =
         write_file path s);
     contents = (fun () -> Buffer.contents buf);
   }
-
-let of_string (name : string) (data : string) : t =
-  let d = mem () in
-  d.rewrite data;
-  { d with name }

@@ -19,13 +19,6 @@ val file : string -> t
     append.  Existing contents are loaded at open; each append is flushed
     before returning, so a crash loses at most the record being written. *)
 
-val of_string : string -> string -> t
-(** [of_string name bytes]: an in-memory device pre-loaded with [bytes]
-    (for inspecting serialized stores, e.g. corruption tests). *)
-
-val name : t -> string
-(** The device's label: ["mem"] or the backing file path. *)
-
 val append : t -> string -> unit
 (** Append bytes at the end of the device. *)
 

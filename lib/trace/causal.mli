@@ -35,12 +35,6 @@ type phases = {
       (** the rest of each send→xmit CPU window *)
 }
 
-val phases_zero : unit -> phases
-(** A fresh all-zero bucket set. *)
-
-val phases_sum : phases -> float
-(** Total attributed seconds across the five buckets. *)
-
 val phases_fields : phases -> (string * float) list
 (** The buckets as (name, seconds) pairs in canonical order. *)
 

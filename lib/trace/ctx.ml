@@ -35,7 +35,6 @@ let null () : t =
 
 let enabled (t : t) : bool = Sink.enabled !(t.sink)
 let metrics (t : t) : Metrics.t = t.metrics
-let party (t : t) : int = t.party
 let now (t : t) : float = t.now ()
 let cause (t : t) : int = t.cause
 let set_cause (t : t) (id : int) : unit = t.cause <- id

@@ -21,9 +21,6 @@ val enabled : t -> bool
 val metrics : t -> Metrics.t
 (** The shared metrics registry this context records into. *)
 
-val party : t -> int
-(** The owning party's index. *)
-
 val now : t -> float
 (** The current virtual time, read through the context's clock. *)
 

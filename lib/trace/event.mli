@@ -50,8 +50,5 @@ val escape : string -> string
 val float_str : float -> string
 (** Deterministic fixed-point float rendering used by every sink. *)
 
-val arg_json : arg -> string
-(** One argument value as JSON. *)
-
 val args_json : (string * arg) list -> string
 (** An argument list as one JSON object (field order preserved). *)

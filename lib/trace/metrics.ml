@@ -7,10 +7,7 @@
    order: an insertion-order list is kept on the side and [dump]/[hists]
    sort by name, so reports are deterministic. *)
 
-type counter = {
-  c_name : string;
-  mutable c_value : float;
-}
+type counter = { mutable c_value : float }
 
 type hist = {
   h_name : string;
@@ -40,7 +37,7 @@ let counter (t : t) (name : string) : counter =
   | Some (C c) -> c
   | Some (H _) -> invalid_arg ("Metrics.counter: " ^ name ^ " is a histogram")
   | None ->
-    let c = { c_name = name; c_value = 0.0 } in
+    let c = { c_value = 0.0 } in
     Hashtbl.replace t.tbl name (C c);
     t.names <- name :: t.names;
     c
@@ -49,7 +46,6 @@ let add (c : counter) (v : float) : unit = c.c_value <- c.c_value +. v
 let inc (c : counter) : unit = add c 1.0
 let set (c : counter) (v : float) : unit = c.c_value <- v
 let value (c : counter) : float = c.c_value
-let counter_name (c : counter) : string = c.c_name
 
 let make_hist ?(buckets = default_buckets) (name : string) : hist =
   let ok = ref (Array.length buckets > 0) in

@@ -9,10 +9,6 @@ type hist
 val create : unit -> t
 (** An empty registry. *)
 
-val default_buckets : float array
-(** Latency bucket upper bounds (seconds) spanning the paper's measurement
-    range, from batch-mate deliveries to recovery epochs. *)
-
 (** {2 Counters} *)
 
 val counter : t -> string -> counter
@@ -30,14 +26,11 @@ val set : counter -> float -> unit
 val value : counter -> float
 (** The current value. *)
 
-val counter_name : counter -> string
-(** The registered name. *)
-
 (** {2 Histograms} *)
 
 val histogram : ?buckets:float array -> t -> string -> hist
 (** Get or create a histogram with the given ascending bucket upper bounds
-    (default {!default_buckets}) plus an implicit overflow bucket.
+    (by default, latency bounds from 10 ms to 30 s) plus an implicit overflow bucket.
     @raise Invalid_argument if the name is a counter or bounds are not
     strictly ascending. *)
 

@@ -18,12 +18,7 @@ type t =
   | Null
   | Fn of (Event.t -> unit)
 
-let null : t = Null
-
 let enabled (s : t) : bool = match s with Null -> false | Fn _ -> true
-
-let emit (s : t) (ev : Event.t) : unit =
-  match s with Null -> () | Fn f -> f ev
 
 (* --- JSONL --- *)
 
@@ -45,17 +40,6 @@ let jsonl (buf : Buffer.t) : t =
     (fun ev ->
       Buffer.add_string buf (jsonl_line ev);
       Buffer.add_char buf '\n')
-
-(* A JSONL sink that writes straight to stdout, for ad-hoc console use from
-   the CLI.  This is lib/trace's own formatting seam, so the debug-print
-   lint rule is explicitly allowlisted here. *)
-let console () : t =
-  Fn
-    (fun ev ->
-      (* lint: allow debug-print — the console sink's entire job is stdout *)
-      print_string (jsonl_line ev);
-      (* lint: allow debug-print — the console sink's entire job is stdout *)
-      print_newline ())
 
 (* --- Chrome trace-event --- *)
 

@@ -9,23 +9,11 @@ type t =
   | Null
   | Fn of (Event.t -> unit)
 
-val null : t
-(** The discarding sink ([Null]). *)
-
 val enabled : t -> bool
-(** False exactly for {!null} — the fast-path test at every site. *)
-
-val emit : t -> Event.t -> unit
-(** Hand one record to the sink (no-op on {!null}). *)
-
-val jsonl_line : Event.t -> string
-(** One event as a single-line JSON object (no trailing newline). *)
+(** False exactly for [Null] — the fast-path test at every site. *)
 
 val jsonl : Buffer.t -> t
 (** A sink appending one JSONL line per event to [buf]. *)
-
-val console : unit -> t
-(** A JSONL sink writing to stdout, for ad-hoc CLI use. *)
 
 (** {2 Chrome trace-event format} *)
 

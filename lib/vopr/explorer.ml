@@ -17,6 +17,7 @@ type fail = {
 
 type outcome = Clean | Failed of fail
 
+(* First failing oracle wins, in suite order. *)
 let check (oracles : Oracle.oracle list) (obs : Oracle.obs) : outcome =
   match
     List.find_map
@@ -60,6 +61,9 @@ let split_chunks (g : int) (l : 'a list) : 'a list list =
   in
   go 0 l []
 
+(* Minimize a failing schedule: a sub-list that still fails (with its
+   possibly different failure) and the verification runs spent, at most
+   [budget]. *)
 let shrink ~(runner : runner) ~(oracles : Oracle.oracle list) ~(seed : string)
     ~(budget : int) (sched : Schedule.t) (orig : fail) :
     Schedule.t * fail * int =

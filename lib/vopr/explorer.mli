@@ -22,23 +22,11 @@ type fail = {
 (** The judgement of one run. *)
 type outcome = Clean | Failed of fail
 
-val check : Oracle.oracle list -> Oracle.obs -> outcome
-(** First failing oracle wins, in suite order. *)
-
 val eval :
   runner:runner -> oracles:Oracle.oracle list -> seed:string -> Schedule.t ->
   outcome
 (** Run and judge once; exceptions (including invariant violations) are
     converted into failures rather than propagated. *)
-
-val shrink :
-  runner:runner -> oracles:Oracle.oracle list -> seed:string -> budget:int ->
-  Schedule.t -> fail -> Schedule.t * fail * int
-(** [shrink ~runner ~oracles ~seed ~budget sched f] minimizes a failing
-    schedule: returns a sub-list that still fails (with its possibly
-    different failure) and the number of verification runs spent, at most
-    [budget].  The failure an oracle reports for the minimal schedule may
-    differ from the original — both are kept in {!failure}. *)
 
 (** One failing seed, with its original and shrunk schedules. *)
 type failure = {

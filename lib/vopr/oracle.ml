@@ -34,9 +34,6 @@ let all_kinds : kind list =
   [ Reliable; Consistent; Aba; Mvba; Atomic; Secure; Throughput; Pipeline;
     Amortized; Durable ]
 
-let kind_of_string (s : string) : kind option =
-  List.find_opt (fun k -> kind_to_string k = s) all_kinds
-
 type obs = {
   kind : kind;
   n : int;

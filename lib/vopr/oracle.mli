@@ -51,9 +51,6 @@ val all_kinds : kind list
 val kind_to_string : kind -> string
 (** Lower-case CLI name, e.g. ["atomic"]. *)
 
-val kind_of_string : string -> kind option
-(** Inverse of {!kind_to_string}. *)
-
 (** Everything one run exposes to the oracles. *)
 type obs = {
   kind : kind;  (** which workload produced this run *)
@@ -86,40 +83,6 @@ type oracle = {
   name : string;  (** short stable name, e.g. ["total-order"] *)
   check : obs -> verdict;  (** evaluate the property over one run *)
 }
-
-val agreement : oracle
-(** Honest decisions are all equal (agreement workloads); per-origin
-    deliveries are consistent across honest parties, and — for the
-    totality-promising kinds, at quiescence — never-degraded honest
-    parties hold identical delivery multisets (broadcast workloads). *)
-
-val total_order : oracle
-(** Atomic/secure channels only: any two honest delivery sequences are
-    prefix-comparable. *)
-
-val fifo : oracle
-(** Atomic/secure channels only: at every honest party, deliveries from
-    one honest origin follow that origin's submission order ([sent]
-    order); gaps and immediate repeats are left to liveness and
-    integrity.  For the [Durable] kind only never-degraded origins are
-    checked, since a restarted party or snapshot adopter re-proposes
-    queued own payloads under fresh sequence numbers. *)
-
-val integrity : oracle
-(** No honest party delivers the same message twice, and every delivery
-    attributed to an honest origin was really submitted by it. *)
-
-val validity : oracle
-(** Agreement workloads with no corrupted parties: decisions come from
-    honest proposals, and a unanimous proposal forces that decision. *)
-
-val liveness : oracle
-(** The run quiesced, and every never-degraded honest party delivered all
-    messages from never-degraded honest senders (or decided, for the
-    agreement workloads). *)
-
-val flags : oracle
-(** No honest party's invariant checker flagged another honest party. *)
 
 val all : kind -> oracle list
 (** The oracle suite applicable to a workload kind. *)

@@ -27,11 +27,9 @@ type mutation =
 
 type t = mutation list
 
-val mutation_to_string : mutation -> string
-(** One mutation in [--mutations] syntax, e.g. ["delay@17:250"]. *)
-
 val to_string : t -> string
-(** Comma-joined {!mutation_to_string}; the empty schedule is [""]. *)
+(** Comma-joined mutations in [--mutations] syntax, e.g.
+    ["delay@17:250"]; the empty schedule is [""]. *)
 
 val of_string : string -> t option
 (** Inverse of {!to_string}; [None] on any malformed mutation. *)
@@ -43,15 +41,6 @@ val degraded : t -> int list
 
 val equivocators : t -> int list
 (** Sorted distinct parties with a [Byz_equivocate] mutation. *)
-
-val selective : t -> int list
-(** Sorted distinct parties with a [Byz_selective] mutation. *)
-
-val crashes : t -> (int * float) list
-(** [(party, virtual seconds)] for every [Crash_at]. *)
-
-val recovers : t -> (int * float) list
-(** [(party, virtual seconds)] for every [Recover_at]. *)
 
 val generate :
   drbg:Hashes.Drbg.t -> n:int -> max_faulty:int -> allow_equiv:bool -> t

@@ -792,6 +792,85 @@ let test_tree_clean () =
       (Lint.render (List.hd findings))
 (* lint note: the List.hd above is in test code; only S1 scans test/ *)
 
+(* --- S8: unused-export --- *)
+
+let lib_m_mli = "val used : int -> int\n(** Named elsewhere. *)\n\nval spare : int\n"
+let lib_m_ml = "let used x = x + spare\nlet spare = 1\n"
+
+let s8_findings (files : (string * string) list) : Lint.finding list =
+  find_rule "unused-export"
+    (Lint.check_sources
+       (("lib/sintra/m.mli", lib_m_mli) :: ("lib/sintra/m.ml", lib_m_ml) :: files))
+
+let test_unused_export_fires () =
+  (match s8_findings [ ("bin/tool.ml", "let () = ignore (Sintra.M.used 1)\n") ] with
+   | [ f ] ->
+     Alcotest.(check string) "file" "lib/sintra/m.mli" f.Lint.file;
+     Alcotest.(check int) "line of the val" 4 f.Lint.line
+   | fs -> Alcotest.failf "expected one unused-export finding, got %d"
+             (List.length fs));
+  (* a record field path is not the value M.used; the own module's use
+     does not count either *)
+  (match s8_findings [ ("bin/tool.ml", "let f r = r.M.used\n") ] with
+   | [ _; _ ] -> ()
+   | fs -> Alcotest.failf "field path: expected two findings, got %d"
+             (List.length fs));
+  (* a scan of lib/ alone holds no callers, so S8 stays silent *)
+  Alcotest.(check int) "lib-only scan" 0 (List.length (s8_findings []))
+
+(* Each caller names both exports in one way; none of them may leave a
+   finding. *)
+let test_unused_export_uses () =
+  List.iter
+    (fun (path, text) ->
+      match s8_findings [ (path, text) ] with
+      | [] -> ()
+      | f :: _ ->
+        Alcotest.failf "%s: %S should use both exports, but: %s" path text
+          f.Lint.message)
+    [ ("bin/tool.ml", "let x = Sintra.M.used Sintra.M.spare\n");
+      ("test/test_m.ml", "let x = M.used M.spare\n");
+      ("bench/b.ml", "open M\nlet x = used spare\n");
+      ("bench/c.ml", "open! Sintra.M\nlet x = used spare\n");
+      ("examples/e.ml", "let x =\n  let open M in\n  used spare\n");
+      ("benchmark/w.ml", "let x = M.(used spare)\n");
+      ("lib/other/x.ml", "include M\nlet x = used spare\n");
+      ("lib/other/y.ml", "module X = Sintra.M\nlet x = X.used X.spare\n");
+      ("lib/other/z.ml", "module F (A : S) = struct end\nmodule G = F (M)\n");
+      ("lib/other/h.ml", "let x = key_with (module M) 1\n") ]
+
+let test_unused_export_policy () =
+  let mli =
+    "val used : int -> int\n\
+     (* lint: allow unused-export — kept for a pending caller *)\n\
+     val spare : int\n"
+  in
+  let caller = ("bin/tool.ml", "let () = ignore (M.used 1)\n") in
+  let inline =
+    Lint.check_sources
+      [ ("lib/sintra/m.mli", mli); ("lib/sintra/m.ml", lib_m_ml); caller ]
+  in
+  Alcotest.(check int) "inline allow" 0
+    (List.length (find_rule "unused-export" inline));
+  let findings =
+    find_rule "unused-export"
+      (Lint.check_sources
+         [ ("lib/sintra/m.mli", lib_m_mli ^ "val other : int\n");
+           ("lib/sintra/m.ml", lib_m_ml ^ "let other = 2\n"); caller ])
+  in
+  Alcotest.(check int) "two unused" 2 (List.length findings);
+  let apply text =
+    match Lint.Baseline.parse text with
+    | Ok p -> Lint.Baseline.apply p findings
+    | Error e -> Alcotest.failf "policy parse: %s" e
+  in
+  let kept, suppressed = apply "allow unused-export lib/sintra\n" in
+  Alcotest.(check (pair int int)) "allow" (0, 2) (List.length kept, suppressed);
+  let kept, suppressed = apply "baseline unused-export lib 1\n" in
+  Alcotest.(check (pair int int)) "baseline" (1, 1) (List.length kept, suppressed);
+  let kept, _ = apply "baseline unused-export lib 0\n" in
+  Alcotest.(check int) "zero baseline keeps both" 2 (List.length kept)
+
 let suite =
   [
     Alcotest.test_case "hashtbl-order fires/clears/allows" `Quick
@@ -846,4 +925,10 @@ let suite =
     Alcotest.test_case "whole tree is lint-clean" `Quick test_tree_clean;
     Alcotest.test_case "charge-coverage (S2) prices split coin releases" `Quick
       test_charge_coverage_split_release;
+    Alcotest.test_case "unused-export (S8) fires on an unnamed export" `Quick
+      test_unused_export_fires;
+    Alcotest.test_case "unused-export (S8) sees every way of naming a value"
+      `Quick test_unused_export_uses;
+    Alcotest.test_case "unused-export (S8) obeys allow and baseline" `Quick
+      test_unused_export_policy;
   ]
