@@ -38,6 +38,119 @@ let jsonl_of_run ~(seed : string) : string * (float * int * string) list =
   let _, log = run_atomic ~seed ~sink:(Trace.Sink.jsonl buf) () in
   (Buffer.contents buf, log)
 
+(* --- the published registry, pinned ---
+
+   Three fixed-seed n=4 runs: an atomic channel whose adversary delays,
+   duplicates, replays and tampers with frames (self-addressed ones
+   included), a secure causal channel, and a durable atomic channel whose
+   party 3 loses its disk and adopts a snapshot.  Each is rendered after
+   [Cluster.publish_metrics] as "run|name" keys: every counter, every
+   histogram's buckets, sum and count, and the network's MAC-failure
+   count.  registry.pin holds the rendering; an entry may be added to the
+   registry, but none may change or vanish. *)
+
+let pin_value (v : float) : string = Printf.sprintf "%.17g" v
+
+let render_registry (run : string) (c : Cluster.t) : (string * string) list =
+  let m = Cluster.publish_metrics c in
+  let counters =
+    List.map (fun (name, v) -> (run ^ "|" ^ name, pin_value v))
+      (Trace.Metrics.dump m)
+  in
+  let hists =
+    List.map
+      (fun h ->
+        ( run ^ "|" ^ Trace.Metrics.hist_name h ^ "#hist",
+          String.concat " "
+            (List.map
+               (fun (b, n) -> Printf.sprintf "%s:%d" (pin_value b) n)
+               (Trace.Metrics.hist_buckets h))
+          ^ Printf.sprintf " sum=%s count=%d"
+              (pin_value (Trace.Metrics.hist_sum h))
+              (Trace.Metrics.hist_count h) ))
+      (Trace.Metrics.hists m)
+  in
+  counters @ hists
+  @ [ (run ^ "|mac_failures",
+       string_of_int (Sim.Net.mac_failures c.Cluster.net)) ]
+
+let pin_atomic () : (string * string) list =
+  let c = Util.cluster ~seed:"pin-registry" () in
+  let frames = ref 0 in
+  Cluster.set_intercept c (fun ~src ~dst payload ->
+    incr frames;
+    match !frames mod 53 with
+    | 7 -> Sim.Net.Delay 0.05
+    | 19 -> Sim.Net.Duplicate
+    | 31 -> Sim.Net.Replay 0.2
+    | 43 when src = dst && !frames < 200 -> Sim.Net.Replace (payload ^ "!")
+    | 43 when !frames < 200 -> Sim.Net.Replace ("x" ^ payload)
+    | _ -> Sim.Net.Deliver);
+  let chans =
+    Array.init 4 (fun i ->
+      Atomic_channel.create (Cluster.runtime c i) ~pid:"pin"
+        ~on_deliver:(fun ~sender:_ _ -> ()) ())
+  in
+  for p = 0 to 3 do
+    Cluster.inject c p (fun () ->
+      for k = 0 to 2 do
+        Atomic_channel.send chans.(p) (Printf.sprintf "p%d.%d" p k)
+      done)
+  done;
+  ignore (Cluster.run c ~until:120.0);
+  render_registry "atomic" c
+
+let pin_secure () : (string * string) list =
+  let c = Util.cluster ~seed:"pin-registry-sac" () in
+  let chans =
+    Array.init 4 (fun i ->
+      Secure_atomic_channel.create (Cluster.runtime c i) ~pid:"pin"
+        ~on_deliver:(fun ~sender:_ _ -> ()) ())
+  in
+  for p = 0 to 3 do
+    Cluster.inject c p (fun () ->
+      Secure_atomic_channel.send chans.(p) (Printf.sprintf "s%d" p))
+  done;
+  ignore (Cluster.run c ~until:120.0);
+  render_registry "secure" c
+
+let pin_durable () : (string * string) list =
+  let h = Test_store.durable_cluster ~seed:"pin-registry-dur" ~interval:2 () in
+  let rt3 = Cluster.runtime h.Test_store.c 3 in
+  Runtime.on_rebuild rt3 (fun () ->
+    h.Test_store.devs.(3) <- Store.Device.mem ();
+    Hashtbl.reset h.Test_store.seen.(3);
+    h.Test_store.logs.(3) := [];
+    Test_store.attach_party h 3 ~interval:2 ~pid:"dur");
+  Test_store.send_waves h ~waves:6 ~per:3;
+  Cluster.at h.Test_store.c ~time:2.6 (fun () -> Runtime.crash rt3);
+  Cluster.at h.Test_store.c ~time:4.4 (fun () -> Runtime.recover rt3);
+  ignore (Cluster.run h.Test_store.c ~until:300.0);
+  render_registry "durable" h.Test_store.c
+
+let registry_lines () : (string * string) list =
+  pin_atomic () @ pin_secure () @ pin_durable ()
+
+(* "key<TAB>value" lines; the test's working directory is test/ in the
+   build tree. *)
+let read_pin (path : string) : (string * string) list =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | line ->
+          (match String.index_opt line '\t' with
+           | Some i ->
+             go ((String.sub line 0 i,
+                  String.sub line (i + 1) (String.length line - i - 1))
+                 :: acc)
+           | None -> go acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
 let suite = [
   (* --- metrics arithmetic --- *)
 
@@ -212,4 +325,23 @@ let suite = [
     | None -> Alcotest.fail "missing p0/abc.latency histogram"
     | Some h ->
       Alcotest.(check int) "three sends measured" 3 (Trace.Metrics.hist_count h));
+
+  Alcotest.test_case "registry: atomic, secure and durable runs keep every pinned entry"
+    `Quick (fun () ->
+    let want = read_pin "registry.pin" in
+    let got = Hashtbl.create 1024 in
+    List.iter (fun (k, v) -> Hashtbl.replace got k v) (registry_lines ());
+    let bad =
+      List.filter_map
+        (fun (k, v) ->
+          match Hashtbl.find_opt got k with
+          | Some v' when v' = v -> None
+          | Some v' -> Some (Printf.sprintf "%s: pinned %s, now %s" k v v')
+          | None -> Some (Printf.sprintf "%s: pinned %s, now missing" k v))
+        want
+    in
+    Alcotest.(check bool) "pin is non-trivial" true (List.length want > 500);
+    if bad <> [] then
+      Alcotest.failf "%d of %d pinned registry entries moved:\n%s"
+        (List.length bad) (List.length want) (String.concat "\n" bad));
 ]
