@@ -392,6 +392,13 @@ module Mont = struct
     out.(!j) <- !acc;
     normalize out
 
+  (* [u] >= [n] over their low [i + 1] limbs.  Top-level rather than local
+     to [mul_into], where it would be a closure allocated on every product. *)
+  let rec geq (u : int array) (n : int array) (i : int) : bool =
+    i < 0
+    || (let d = Array.unsafe_get u i - Array.unsafe_get n i in
+        if d <> 0 then d > 0 else geq u n (i - 1))
+
   (* [u] := a * b * R^-1 mod m.  [u] must not alias [a] or [b]; all three
      have length k and a, b < m. *)
   let mul_into (ctx : ctx) (u : int array) (a : int array) (b : int array) : unit =
@@ -418,12 +425,7 @@ module Mont = struct
       acc := !s lsr bits
     done;
     (* acc * R + u is below 2m: subtract m once if it is not below m. *)
-    let rec geq i =
-      i < 0
-      || (let d = Array.unsafe_get u i - Array.unsafe_get n i in
-          if d <> 0 then d > 0 else geq (i - 1))
-    in
-    if !acc <> 0 || geq (k - 1) then begin
+    if !acc <> 0 || geq u n (k - 1) then begin
       let borrow = ref 0 in
       for i = 0 to k - 1 do
         let d = Array.unsafe_get u i - Array.unsafe_get n i + !borrow in

@@ -751,5 +751,33 @@ let prime_path_tests = [
         [ 128; 256 ]);
 ]
 
+(* The Montgomery chain allocates only at its start: two running buffers
+   and the window table, whatever the exponent's length.  A product that
+   allocated (a closure, a boxed temporary) would grow the count with the
+   number of products, ~8x from a 128-bit to a 1024-bit exponent. *)
+let alloc_tests = [
+  Alcotest.test_case "Montgomery.powmod allocates the same for 128- and 1024-bit exponents"
+    `Quick (fun () ->
+      let rb = Util.random_bytes ~seed:"mont-alloc" () in
+      let m =
+        let m = Nat.random_bits ~random_bytes:rb 256 in
+        if Nat.testbit m 0 then m else Nat.add m Nat.one
+      in
+      let ctx = Nat.Montgomery.create m in
+      let b = Nat.rem (Nat.random_bits ~random_bytes:rb 256) m in
+      let words bits =
+        let e = Nat.random_bits ~random_bytes:rb bits in
+        ignore (Nat.Montgomery.powmod ctx b e);
+        let before = Gc.minor_words () in
+        ignore (Nat.Montgomery.powmod ctx b e);
+        Gc.minor_words () -. before
+      in
+      let short = words 128 and long = words 1024 in
+      if long -. short > 64.0 then
+        Alcotest.failf "minor words: %.0f for a 128-bit exponent, %.0f for 1024 bits"
+          short long);
+]
+
 let suite =
   unit_tests @ property_tests @ fastpath_tests @ held_context_tests @ prime_path_tests
+  @ alloc_tests
