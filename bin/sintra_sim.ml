@@ -166,13 +166,15 @@ let print_stats (c : Cluster.t) : unit =
   in
   let n = Cluster.n c in
   Printf.printf "\nper-party metrics:\n";
-  Printf.printf "  %5s %10s %12s %10s %9s %7s %7s %7s\n"
-    "party" "sent_msgs" "sent_bytes" "recv_msgs" "cpu_s" "exps" "exp2s" "fixed";
+  Printf.printf "  %5s %10s %12s %10s %9s %8s %9s %7s %7s %7s\n"
+    "party" "sent_msgs" "sent_bytes" "recv_msgs" "loopback" "macs" "cpu_s"
+    "exps" "exp2s" "fixed";
   for i = 0 to n - 1 do
     let p fmt = Printf.sprintf fmt i in
-    Printf.printf "  %5d %10.0f %12.0f %10.0f %9.2f %7.0f %7.0f %7.0f\n" i
+    Printf.printf "  %5d %10.0f %12.0f %10.0f %9.0f %8.0f %9.2f %7.0f %7.0f %7.0f\n" i
       (get (p "p%d/net.sent_msgs")) (get (p "p%d/net.sent_bytes"))
-      (get (p "p%d/net.recv_msgs")) (get (p "p%d/cpu.charged_s"))
+      (get (p "p%d/net.recv_msgs")) (get (p "p%d/net.loopback_msgs"))
+      (get (p "p%d/net.macs")) (get (p "p%d/cpu.charged_s"))
       (get (p "p%d/crypto.exps")) (get (p "p%d/crypto.exp2s"))
       (get (p "p%d/crypto.fixed"))
   done;
@@ -197,7 +199,8 @@ let print_stats (c : Cluster.t) : unit =
       && String.sub name (String.length name - String.length suffix)
            (String.length suffix) = suffix)
       [ "/net.sent_msgs"; "/net.sent_bytes"; "/net.recv_msgs";
-        "/cpu.charged_s"; "/crypto.exps"; "/crypto.exp2s"; "/crypto.fixed";
+        "/net.loopback_msgs"; "/net.macs"; "/cpu.charged_s"; "/crypto.exps";
+        "/crypto.exp2s"; "/crypto.fixed";
         "/verify.cache_size"; "/verify.cache_size/max";
         "/verify.cache_retained/max"; "/tsig.stmt_table/max";
         (* published histogram quantiles render in the histogram table *)

@@ -10,7 +10,20 @@
      this is what makes slow hosts lag exactly as in Figures 4 and 5;
    - an adversary hook may drop, delay or replace messages in flight
      (replacement is detected by the MAC unless the adversary controls the
-     sender), which models the asynchronous scheduler's power. *)
+     sender), which models the asynchronous scheduler's power.
+
+   Loopbacks.  A frame a node sends itself (src = dst, on either plane)
+   crosses no link, so its bytes are neither tagged nor checked while they
+   are the sender's: a plain delivery, a delay, a duplicate and a replay.
+   A [Replace]d loopback is still tagged over the original bytes and
+   checked, so it fails like any tampered frame.  Everything else is
+   unchanged: the latency draw for the same size (payload + 20-byte tag +
+   28), the FIFO clamp, the arrival event, the flow id, the trace
+   records, and the intercept call.  The intercept still sees loopbacks
+   because vopr's mutation indices and repro lines count every frame it
+   is shown; hiding loopbacks from it would renumber every recorded
+   schedule.  [publish_metrics] reports the HMACs actually computed
+   ([net.macs]) and the loopback frames ([net.loopback_msgs]). *)
 
 type action =
   | Deliver
@@ -34,6 +47,8 @@ type node = {
   mutable sent_msgs : int;
   mutable sent_bytes : int;
   mutable received_msgs : int;
+  mutable macs : int;               (* link HMACs computed: tags sent, tags checked *)
+  mutable loopback_msgs : int;      (* frames to itself, both planes: no MAC *)
   (* The storage plane: a second, out-of-band message class with its own
      CPU meter, busy clock and inbox — a dedicated storage core and a
      separate transfer connection per host.  Durability traffic (checkpoint
@@ -93,6 +108,8 @@ let make ?lossy ~(engine : Engine.t) ~(topo : Topology.t)
         sent_msgs = 0;
         sent_bytes = 0;
         received_msgs = 0;
+        macs = 0;
+        loopback_msgs = 0;
         oob_meter =
           Cost.create_meter ~exp_ms:topo.Topology.hosts.(id).Topology.exp_ms;
         oob_busy_until = 0.0;
@@ -128,12 +145,31 @@ let make ?lossy ~(engine : Engine.t) ~(topo : Topology.t)
   }
 
 (* A frame's tag covers "src>dst|" and the payload, streamed as two parts
-   under the pair's prepared key. *)
+   under the pair's prepared key.  The sender pays for the tag, the
+   receiver for the check. *)
 let mac_tag (t : t) ~(src : int) ~(dst : int) (payload : string) : string =
+  let nd = t.nodes.(src) in
+  nd.macs <- nd.macs + 1;
   Hashes.Hmac.tag t.link_keys.(src).(dst) [ t.link_headers.(src).(dst); payload ]
 
 let mac_ok (t : t) ~(src : int) ~(dst : int) ~(tag : string) (payload : string) : bool =
+  let nd = t.nodes.(dst) in
+  nd.macs <- nd.macs + 1;
   Hashes.Hmac.check t.link_keys.(src).(dst) ~tag [ t.link_headers.(src).(dst); payload ]
+
+(* An HMAC-SHA1 tag's length.  A frame's modeled wire size counts it even
+   on a loopback, which carries no tag, so latency draws do not depend on
+   whether a frame crosses a link. *)
+let tag_bytes = 20
+
+(* The sender's own bytes on a loopback cross no link: no tag, no check.
+   Every other frame is tagged here and checked by [authentic]. *)
+let link_tag (t : t) ~(src : int) ~(dst : int) (payload : string) : string =
+  if src = dst then "" else mac_tag t ~src ~dst payload
+
+let authentic (t : t) ~(src : int) ~(dst : int) ~(tag : string) (payload : string)
+    : bool =
+  src = dst || mac_ok t ~src ~dst ~tag payload
 
 (* Process at most one inbox message of node [nd], then reschedule. *)
 let rec process_one (t : t) (nd : node) () : unit =
@@ -213,8 +249,8 @@ and transmit_reliable (t : t) ~(src : int) ~(dst : int) ~(id : int)
         "recv"
   in
   let deliver ~extra_delay payload =
-    let tag = mac_tag t ~src ~dst payload in
-    let size = String.length payload + String.length tag + 28 in
+    let tag = link_tag t ~src ~dst payload in
+    let size = String.length payload + tag_bytes + 28 in
     let latency = t.topo.Topology.one_way src dst size t.latency_drbg in
     let arrival = depart +. latency +. extra_delay in
     (* FIFO per directed pair, like the TCP streams in the prototype. *)
@@ -224,7 +260,7 @@ and transmit_reliable (t : t) ~(src : int) ~(dst : int) ~(id : int)
     Engine.schedule_at t.engine ~time:arrival (fun () ->
       if not nd.crashed then begin
         (* Verify the link MAC on arrival. *)
-        if mac_ok t ~src ~dst ~tag payload then begin
+        if authentic t ~src ~dst ~tag payload then begin
           arrived ~arrival;
           Queue.push (src, payload, id) nd.inbox;
           wake t nd (Stdlib.max arrival nd.busy_until)
@@ -238,14 +274,14 @@ and transmit_reliable (t : t) ~(src : int) ~(dst : int) ~(id : int)
      genuine one, so honest receivers accept the copy — deduplication is the
      protocol's job, which is exactly what replay schedules probe. *)
   let replay_copy ~extra_delay payload =
-    let tag = mac_tag t ~src ~dst payload in
-    let size = String.length payload + String.length tag + 28 in
+    let tag = link_tag t ~src ~dst payload in
+    let size = String.length payload + tag_bytes + 28 in
     let latency = t.topo.Topology.one_way src dst size t.latency_drbg in
     let arrival = depart +. latency +. extra_delay in
     let nd = t.nodes.(dst) in
     Engine.schedule_at t.engine ~time:arrival (fun () ->
       if not nd.crashed then begin
-        if mac_ok t ~src ~dst ~tag payload then begin
+        if authentic t ~src ~dst ~tag payload then begin
           arrived ~arrival;
           Queue.push (src, payload, id) nd.inbox;
           wake t nd (Stdlib.max arrival nd.busy_until)
@@ -265,9 +301,11 @@ and transmit_reliable (t : t) ~(src : int) ~(dst : int) ~(id : int)
     replay_copy ~extra_delay:d payload
   | Replace p ->
     (* The tag is computed over the original payload, so honest receivers
-       detect tampering; used to test robustness of link authentication. *)
+       detect tampering; used to test robustness of link authentication.
+       A loopback is tagged and checked here too: the bytes are no longer
+       the sender's. *)
     let tag = mac_tag t ~src ~dst payload in
-    let size = String.length p + String.length tag + 28 in
+    let size = String.length p + tag_bytes + 28 in
     let latency = t.topo.Topology.one_way src dst size t.latency_drbg in
     let arrival = depart +. latency in
     let nd = t.nodes.(dst) in
@@ -366,9 +404,10 @@ let send_oob (t : t) ~(src : int) ~(dst : int) (payload : string) : unit =
   if not nd.crashed then begin
     nd.oob_sent_msgs <- nd.oob_sent_msgs + 1;
     nd.oob_sent_bytes <- nd.oob_sent_bytes + String.length payload;
+    if src = dst then nd.loopback_msgs <- nd.loopback_msgs + 1;
     let id = Engine.fresh_flow_id t.engine in
-    let tag = mac_tag t ~src ~dst payload in
-    let size = String.length payload + String.length tag + 28 in
+    let tag = link_tag t ~src ~dst payload in
+    let size = String.length payload + tag_bytes + 28 in
     let latency = t.topo.Topology.one_way src dst size t.oob_latency_drbg in
     let depart = Engine.now t.engine in
     let arrival = depart +. latency in
@@ -377,7 +416,7 @@ let send_oob (t : t) ~(src : int) ~(dst : int) (payload : string) : unit =
     let rcv = t.nodes.(dst) in
     Engine.schedule_at t.engine ~time:arrival (fun () ->
       if not rcv.crashed then begin
-        if mac_ok t ~src ~dst ~tag payload then begin
+        if authentic t ~src ~dst ~tag payload then begin
           Queue.push (src, payload, id) rcv.oob_inbox;
           oob_wake t rcv (Stdlib.max arrival rcv.oob_busy_until)
         end
@@ -447,6 +486,7 @@ let send (t : t) ~(src : int) ~(dst : int) (payload : string) : unit =
   if not nd.crashed then begin
     nd.sent_msgs <- nd.sent_msgs + 1;
     nd.sent_bytes <- nd.sent_bytes + String.length payload;
+    if src = dst then nd.loopback_msgs <- nd.loopback_msgs + 1;
     t.link_msgs.(src).(dst) <- t.link_msgs.(src).(dst) + 1;
     t.link_bytes.(src).(dst) <- t.link_bytes.(src).(dst) + String.length payload;
     (* Allocate the flow id unconditionally (a pure counter), so traced
@@ -516,6 +556,8 @@ let publish_metrics (t : t) : unit =
       setc (Printf.sprintf "p%d/net.sent_msgs" i) (float_of_int nd.sent_msgs);
       setc (Printf.sprintf "p%d/net.sent_bytes" i) (float_of_int nd.sent_bytes);
       setc (Printf.sprintf "p%d/net.recv_msgs" i) (float_of_int nd.received_msgs);
+      setc (Printf.sprintf "p%d/net.macs" i) (float_of_int nd.macs);
+      setc (Printf.sprintf "p%d/net.loopback_msgs" i) (float_of_int nd.loopback_msgs);
       setc (Printf.sprintf "p%d/cpu.charged_s" i) (nd.meter.Cost.total_ms /. 1000.0);
       setc (Printf.sprintf "p%d/crypto.exps" i) (float_of_int nd.meter.Cost.exp_count);
       setc (Printf.sprintf "p%d/crypto.exp2s" i) (float_of_int nd.meter.Cost.exp2_count);

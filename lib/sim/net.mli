@@ -10,7 +10,11 @@
       slow hosts lag exactly as in Figures 4 and 5;
     - an adversary hook can drop, delay or replace messages in flight
       (replacement is caught by the MAC unless the adversary controls the
-      sender), modelling the asynchronous scheduler's power. *)
+      sender), modelling the asynchronous scheduler's power;
+    - a loopback (a node's frame to itself) crosses no link and carries no
+      MAC while its bytes are the sender's; it still draws its latency,
+      keeps FIFO order and is shown to the adversary hook, and a replaced
+      loopback is tagged, checked and rejected like any tampered frame. *)
 
 type action =
   | Deliver
@@ -47,7 +51,8 @@ val set_handler : t -> int -> (src:int -> string -> unit) -> unit
 (** Install node [i]'s message handler (one per node). *)
 
 val set_intercept : t -> (src:int -> dst:int -> string -> action) -> unit
-(** Install the network adversary. *)
+(** Install the network adversary.  It sees every protocol-plane frame,
+    loopbacks included, so schedules that count frames are unchanged. *)
 
 val crash : t -> int -> unit
 (** Silence a node: it neither sends nor processes until {!recover}. *)
@@ -116,4 +121,7 @@ val trace_ctx : t -> int -> Trace.Ctx.t
 
 val publish_metrics : t -> unit
 (** Dump per-node and per-link message/byte/CPU/exponentiation counters
-    into the engine's metrics registry.  Idempotent. *)
+    into the engine's metrics registry, with each node's link HMACs
+    computed ([p<i>/net.macs]: tags it sent plus tags it checked, on both
+    planes) and its loopback frames ([p<i>/net.loopback_msgs]).
+    Idempotent. *)

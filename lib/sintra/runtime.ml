@@ -222,8 +222,14 @@ let handling (rt : t) ~(pid : string) ~(cat : string) (kind : string) : unit =
 let send (rt : t) ~(dst : int) ~(pid : string) (body : string) : unit =
   Sim.Net.send rt.net ~src:rt.me ~dst (envelope ~pid body)
 
-(* Send to every party, including ourselves (self-delivery goes through the
-   network with negligible latency, keeping the protocol code uniform). *)
+(* Send to every party, including ourselves: self-delivery goes through the
+   network, keeping the protocol code uniform.  The loopback frame carries
+   no link MAC, but it still draws a latency from the topology, which is
+   negligible only on the Internet topology (1 us).  The LAN topology
+   charges a jittered 0.2 ms hop, the combined topology the same for
+   every same-site pair, self included, and [Topology.uniform] a full
+   jittered link latency.  One loopback rule for every topology waits for
+   ROADMAP item 13 step 2, because it moves virtual time. *)
 let broadcast (rt : t) ~(pid : string) (body : string) : unit =
   let payload = envelope ~pid body in
   for dst = 0 to rt.cfg.Config.n - 1 do

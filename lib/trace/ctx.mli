@@ -1,7 +1,13 @@
 (** A tracing context: the handle instrumentation sites hold.  Bundles the
     shared sink slot (a ref, so a sink can be installed after construction),
     the shared metrics registry, the virtual clock and the owning party.
-    Every helper is a no-op costing one dereference when the sink is null. *)
+    Every helper is a no-op costing one dereference when the sink is null.
+
+    The metric helpers resolve each short name to its registry cell once
+    per context and keep the handle, so a later update neither builds the
+    ["p<party>/"] name nor hashes it; a gauge keeps its value and ["/max"]
+    cells as one pair.  Cells are created in the registry on first use,
+    as without the handles, so its contents and order do not change. *)
 
 type t
 

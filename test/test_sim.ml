@@ -236,4 +236,113 @@ let suite = [
       let l = Sim.Topology.internet.Sim.Topology.one_way 0 1 100 d in
       if not (l > 0.1 && l < 0.6) then Alcotest.failf "latency out of range: %f" l
     done);
+
+  Alcotest.test_case "loopback: a replaced self-addressed frame is rejected by the MAC"
+    `Quick (fun () ->
+    let topo = Sim.Topology.uniform ~count:2 () in
+    let engine = Sim.Engine.create () in
+    let net = Sim.Net.create ~engine ~topo ~mac_keys:(Array.make_matrix 2 2 "secret") in
+    let got = ref [] in
+    Sim.Net.set_handler net 0 (fun ~src:_ m -> got := m :: !got);
+    Sim.Net.set_intercept net (fun ~src:_ ~dst:_ payload ->
+      if payload = "evil-target" then Sim.Net.Replace "replaced!" else Sim.Net.Deliver);
+    Sim.Net.send net ~src:0 ~dst:0 "fine";
+    Sim.Net.send net ~src:0 ~dst:0 "evil-target";
+    ignore (Sim.Engine.run engine);
+    Alcotest.(check (list string)) "only the sender's bytes delivered" [ "fine" ] !got;
+    Alcotest.(check int) "mac failure counted" 1 (Sim.Net.mac_failures net);
+    Sim.Net.publish_metrics net;
+    let get name =
+      match Trace.Metrics.find_counter (Sim.Engine.metrics engine) name with
+      | Some c -> Trace.Metrics.value c
+      | None -> Alcotest.failf "missing counter %s" name
+    in
+    (* The replaced frame alone was tagged and checked. *)
+    Alcotest.(check (float 0.0)) "macs" 2.0 (get "p0/net.macs");
+    Alcotest.(check (float 0.0)) "loopbacks" 2.0 (get "p0/net.loopback_msgs"));
+
+  Alcotest.test_case "loopback: delay, duplicate and replay keep their schedule"
+    `Quick (fun () ->
+    (* Latency grows with the frame's size and draws jitter, so a loopback
+       that skipped the draw or sized its frame without the 20-byte tag
+       would move every arrival below. *)
+    let topo =
+      { Sim.Topology.label = "sized";
+        hosts =
+          Array.init 2 (fun i ->
+            { Sim.Topology.name = Printf.sprintf "N%d" i; exp_ms = 10.0 });
+        one_way =
+          (fun _ _ size drbg ->
+            0.01 +. (float_of_int size *. 1e-5) +. Hashes.Drbg.float drbg 0.002) }
+    in
+    let engine = Sim.Engine.create ~seed:"loopback" () in
+    let net = Sim.Net.create ~engine ~topo ~mac_keys:(Array.make_matrix 2 2 "k") in
+    let log = ref [] in
+    for i = 0 to 1 do
+      Sim.Net.set_handler net i (fun ~src m ->
+        log := Printf.sprintf "%d>%d:%s@%.9f" src i m (Sim.Engine.now engine) :: !log)
+    done;
+    Sim.Net.set_intercept net (fun ~src:_ ~dst:_ payload ->
+      match payload with
+      | "delay" -> Sim.Net.Delay 0.3
+      | "dup" -> Sim.Net.Duplicate
+      | "replay" -> Sim.Net.Replay 0.5
+      | _ -> Sim.Net.Deliver);
+    List.iter
+      (fun (src, dst, m) -> Sim.Net.send net ~src ~dst m)
+      [ (1, 1, "a"); (1, 1, "delay"); (1, 0, "x"); (1, 1, "dup");
+        (1, 1, "replay"); (0, 1, "y"); (1, 1, "b") ];
+    ignore (Sim.Engine.run engine);
+    (* The schedule every loopback had when it was tagged and checked. *)
+    Alcotest.(check (list string)) "arrivals"
+      [ "0>1:y@0.011083336"; "1>1:a@0.011612489"; "1>0:x@0.012276755";
+        "1>1:delay@0.310813166"; "1>1:dup@0.310813167"; "1>1:dup@0.310813168";
+        "1>1:replay@0.310813169"; "1>1:b@0.310813170"; "1>1:replay@0.511735464" ]
+      (List.rev !log);
+    Alcotest.(check int) "no mac failures" 0 (Sim.Net.mac_failures net);
+    Sim.Net.publish_metrics net;
+    let get name =
+      match Trace.Metrics.find_counter (Sim.Engine.metrics engine) name with
+      | Some c -> Trace.Metrics.value c
+      | None -> Alcotest.failf "missing counter %s" name
+    in
+    (* x and y crossed the link: each tagged by its sender, checked by its
+       receiver. *)
+    Alcotest.(check (list (float 0.0))) "macs, loopbacks"
+      [ 2.0; 2.0; 0.0; 5.0 ]
+      [ get "p0/net.macs"; get "p1/net.macs";
+        get "p0/net.loopback_msgs"; get "p1/net.loopback_msgs" ]);
+
+  Alcotest.test_case "loopback: a fault-free cluster computes two MACs per link frame"
+    `Quick (fun () ->
+    let c = Util.cluster ~seed:"loopback-macs" () in
+    let chans =
+      Array.init 4 (fun i ->
+        Sintra.Atomic_channel.create (Sintra.Cluster.runtime c i) ~pid:"lb"
+          ~on_deliver:(fun ~sender:_ _ -> ()) ())
+    in
+    for p = 0 to 3 do
+      Sintra.Cluster.inject c p (fun () ->
+        Sintra.Atomic_channel.send chans.(p) (Printf.sprintf "m%d" p))
+    done;
+    ignore (Sintra.Cluster.run c ~until:60.0);
+    let m = Sintra.Cluster.publish_metrics c in
+    let get name =
+      match Trace.Metrics.find_counter m name with
+      | Some ct -> Trace.Metrics.value ct
+      | None -> 0.0
+    in
+    let macs = ref 0.0 and link_frames = ref 0.0 in
+    for i = 0 to 3 do
+      macs := !macs +. get (Printf.sprintf "p%d/net.macs" i);
+      let self = get (Printf.sprintf "link/%d>%d/msgs" i i) in
+      if self = 0.0 then Alcotest.failf "party %d sent itself nothing" i;
+      Alcotest.(check (float 0.0)) (Printf.sprintf "p%d loopbacks" i) self
+        (get (Printf.sprintf "p%d/net.loopback_msgs" i));
+      for j = 0 to 3 do
+        if i <> j then
+          link_frames := !link_frames +. get (Printf.sprintf "link/%d>%d/msgs" i j)
+      done
+    done;
+    Alcotest.(check (float 0.0)) "macs = 2 x link frames" (2.0 *. !link_frames) !macs);
 ]
