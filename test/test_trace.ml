@@ -40,10 +40,11 @@ let jsonl_of_run ~(seed : string) : string * (float * int * string) list =
 
 (* --- the published registry, pinned ---
 
-   Three fixed-seed n=4 runs: an atomic channel whose adversary delays,
+   Four fixed-seed n=4 runs: an atomic channel whose adversary delays,
    duplicates, replays and tampers with frames (self-addressed ones
-   included), a secure causal channel, and a durable atomic channel whose
-   party 3 loses its disk and adopts a snapshot.  Each is rendered after
+   included), a secure causal channel, a durable atomic channel whose
+   party 3 loses its disk and adopts a snapshot, and a reliable broadcast
+   over lossy datagram links.  Each is rendered after
    [Cluster.publish_metrics] as "run|name" keys: every counter, every
    histogram's buckets, sum and count, and the network's MAC-failure
    count.  registry.pin holds the rendering; an entry may be added to the
@@ -128,8 +129,23 @@ let pin_durable () : (string * string) list =
   ignore (Cluster.run h.Test_store.c ~until:300.0);
   render_registry "durable" h.Test_store.c
 
+(* Reliable broadcast over datagrams losing 10% of frames: the only pin
+   whose frames travel through the sliding-window links. *)
+let pin_lossy () : (string * string) list =
+  let cfg = Config.make ~n:4 ~t:1 () in
+  let topo = Sim.Topology.uniform ~count:4 () in
+  let c = Cluster.create ~seed:"lossy-rbc" ~loss:0.10 ~topo cfg in
+  let insts =
+    Array.init 4 (fun i ->
+      Reliable_broadcast.create (Cluster.runtime c i) ~pid:"lr" ~sender:0
+        ~on_deliver:(fun _ -> ()))
+  in
+  Cluster.inject c 0 (fun () -> Reliable_broadcast.send insts.(0) "through the storm");
+  ignore (Cluster.run c ~until:120.0);
+  render_registry "lossy" c
+
 let registry_lines () : (string * string) list =
-  pin_atomic () @ pin_secure () @ pin_durable ()
+  pin_atomic () @ pin_secure () @ pin_durable () @ pin_lossy ()
 
 (* "key<TAB>value" lines; the test's working directory is test/ in the
    build tree. *)
