@@ -12,6 +12,22 @@
      (replacement is detected by the MAC unless the adversary controls the
      sender), which models the asynchronous scheduler's power.
 
+   Planes.  Every node runs two instances of one [plane] model: the
+   protocol plane, and the storage plane that carries durability traffic
+   (checkpoint shares, snapshot transfer) on a dedicated storage core and a
+   separate transfer connection.  Each plane has its own CPU meter, busy
+   clock, inbox, handler, send counters, FIFO clamp and latency jitter
+   stream, so a durable run shares no schedule-bearing resource with the
+   protocol plane and its delivery schedule stays byte-identical to a
+   non-durable one.  Every frame of either plane arrives through [arrive]
+   and is traced alike ("msg", "xmit", "recv").  What differs is kept to
+   the protocol plane: sends from its handlers are buffered until the
+   computation finishes (storage sends depart at once), only its frames
+   count as [net.recv_msgs] and [link/*], and only it is shown to the
+   adversary intercept and carried by lossy datagrams.  The transfer
+   connection is modeled reliable; Byzantine storage-plane content is
+   handled end-to-end (certificate verification), not at the link.
+
    Loopbacks.  A frame a node sends itself (src = dst, on either plane)
    crosses no link, so its bytes are neither tagged nor checked while they
    are the sender's: a plain delivery, a delay, a duplicate and a replay.
@@ -33,36 +49,32 @@ type action =
   | Duplicate                    (* deliver twice, back to back *)
   | Replay of float              (* deliver now and again after the delay *)
 
-type node = {
-  id : int;
+(* One message class of one node: a sequential core and its links. *)
+type plane = {
+  protocol : bool;                  (* the protocol plane; else storage *)
   meter : Cost.meter;
   mutable busy_until : float;
   inbox : (int * string * int) Queue.t;      (* src, payload, flow id *)
-  outbox : (int * string * int) Queue.t;     (* dst, payload, flow id;
-                                                sends buffered in a handler *)
   mutable handler : (src:int -> string -> unit) option;
   mutable wake_scheduled : bool;
-  mutable crashed : bool;
-  mutable in_handler : bool;
   mutable sent_msgs : int;
   mutable sent_bytes : int;
   mutable received_msgs : int;
+  latency : Hashes.Drbg.t;          (* the plane's jitter stream, shared by all nodes *)
+  last_arrival : float array;       (* FIFO clamp per destination *)
+}
+
+type node = {
+  id : int;
+  proto : plane;
+  store : plane;
+  outbox : (int * string * int) Queue.t;     (* dst, payload, flow id;
+                                                sends buffered in a
+                                                protocol handler *)
+  mutable crashed : bool;
+  mutable in_handler : bool;        (* in a protocol-plane handler or [inject] *)
   mutable macs : int;               (* link HMACs computed: tags sent, tags checked *)
   mutable loopback_msgs : int;      (* frames to itself, both planes: no MAC *)
-  (* The storage plane: a second, out-of-band message class with its own
-     CPU meter, busy clock and inbox — a dedicated storage core and a
-     separate transfer connection per host.  Durability traffic (checkpoint
-     shares, snapshot transfer) rides here so it shares NO schedule-bearing
-     resource with the protocol plane: neither the protocol meter nor the
-     protocol latency stream is ever touched, which is what keeps a durable
-     run's delivery schedule byte-identical to a non-durable one. *)
-  oob_meter : Cost.meter;
-  mutable oob_busy_until : float;
-  oob_inbox : (int * string * int) Queue.t;
-  mutable oob_handler : (src:int -> string -> unit) option;
-  mutable oob_wake_scheduled : bool;
-  mutable oob_sent_msgs : int;
-  mutable oob_sent_bytes : int;
 }
 
 type t = {
@@ -72,12 +84,8 @@ type t = {
   mac_keys : string array array;       (* symmetric, per unordered pair *)
   link_keys : Hashes.Hmac.key array array;  (* [mac_keys] prepared, per directed pair *)
   link_headers : string array array;   (* "src>dst|", per directed pair *)
-  latency_drbg : Hashes.Drbg.t;
-  oob_latency_drbg : Hashes.Drbg.t;    (* storage plane's own jitter stream *)
-  oob_last_arrival : float array array;  (* FIFO per (src,dst), oob plane *)
   mutable intercept : (src:int -> dst:int -> string -> action) option;
   mutable mac_failures : int;
-  last_arrival : float array array;  (* FIFO ordering per (src,dst) *)
   (* Lossy-datagram mode: when [lossy = Some p] the links are unreliable,
      reordering datagram channels losing each frame with probability [p],
      and reliability/FIFO/authentication come from a sliding-window
@@ -93,31 +101,26 @@ type t = {
 let make ?lossy ~(engine : Engine.t) ~(topo : Topology.t)
     ~(mac_keys : string array array) () : t =
   let n = Topology.n topo in
+  let proto_latency = Hashes.Drbg.fork (Engine.drbg engine) "net-latency" in
+  let store_latency = Hashes.Drbg.fork (Engine.drbg engine) "net-oob-latency" in
+  let plane ~protocol ~exp_ms latency =
+    { protocol; meter = Cost.create_meter ~exp_ms; busy_until = 0.0;
+      inbox = Queue.create (); handler = None; wake_scheduled = false;
+      sent_msgs = 0; sent_bytes = 0; received_msgs = 0; latency;
+      last_arrival = Array.make n 0.0 }
+  in
   let nodes =
     Array.init n (fun id ->
+      let exp_ms = topo.Topology.hosts.(id).Topology.exp_ms in
       {
         id;
-        meter = Cost.create_meter ~exp_ms:topo.Topology.hosts.(id).Topology.exp_ms;
-        busy_until = 0.0;
-        inbox = Queue.create ();
+        proto = plane ~protocol:true ~exp_ms proto_latency;
+        store = plane ~protocol:false ~exp_ms store_latency;
         outbox = Queue.create ();
-        handler = None;
-        wake_scheduled = false;
         crashed = false;
         in_handler = false;
-        sent_msgs = 0;
-        sent_bytes = 0;
-        received_msgs = 0;
         macs = 0;
         loopback_msgs = 0;
-        oob_meter =
-          Cost.create_meter ~exp_ms:topo.Topology.hosts.(id).Topology.exp_ms;
-        oob_busy_until = 0.0;
-        oob_inbox = Queue.create ();
-        oob_handler = None;
-        oob_wake_scheduled = false;
-        oob_sent_msgs = 0;
-        oob_sent_bytes = 0;
       })
   in
   {
@@ -131,12 +134,8 @@ let make ?lossy ~(engine : Engine.t) ~(topo : Topology.t)
           Hashes.Hmac.key ~algo:Hashes.Hmac.SHA1 mac_keys.(min i j).(max i j)));
     link_headers =
       Array.init n (fun src -> Array.init n (fun dst -> Printf.sprintf "%d>%d|" src dst));
-    latency_drbg = Hashes.Drbg.fork (Engine.drbg engine) "net-latency";
-    oob_latency_drbg = Hashes.Drbg.fork (Engine.drbg engine) "net-oob-latency";
     intercept = None;
     mac_failures = 0;
-    last_arrival = Array.init n (fun _ -> Array.make n 0.0);
-    oob_last_arrival = Array.init n (fun _ -> Array.make n 0.0);
     lossy;
     links = [||];
     link_msgs = Array.init n (fun _ -> Array.make n 0);
@@ -162,166 +161,139 @@ let mac_ok (t : t) ~(src : int) ~(dst : int) ~(tag : string) (payload : string) 
    whether a frame crosses a link. *)
 let tag_bytes = 20
 
-(* The sender's own bytes on a loopback cross no link: no tag, no check.
-   Every other frame is tagged here and checked by [authentic]. *)
-let link_tag (t : t) ~(src : int) ~(dst : int) (payload : string) : string =
-  if src = dst then "" else mac_tag t ~src ~dst payload
+(* The sender's own bytes on a loopback cross no link: no tag, no check. *)
+let link_tag (t : t) ~(src : int) ~(dst : int) (payload : string) : string option =
+  if src = dst then None else Some (mac_tag t ~src ~dst payload)
 
-let authentic (t : t) ~(src : int) ~(dst : int) ~(tag : string) (payload : string)
-    : bool =
-  src = dst || mac_ok t ~src ~dst ~tag payload
+(* A trace instant of the "net" category naming flow [id]. *)
+let net_instant (tr : Trace.Ctx.t) ~(time : float) ~(id : int) (name : string) : unit =
+  if Trace.Ctx.enabled tr then
+    Trace.Ctx.emit_at tr ~time ~pid:"net" ~cat:"net" ~ph:Trace.Event.Instant
+      ~args:[ ("id", Trace.Event.Int id) ]
+      name
 
-(* Process at most one inbox message of node [nd], then reschedule. *)
-let rec process_one (t : t) (nd : node) () : unit =
-  nd.wake_scheduled <- false;
-  if not nd.crashed && not (Queue.is_empty nd.inbox) then begin
+(* Process at most one inbox message of plane [p] of node [nd], then
+   reschedule. *)
+let rec process_one (t : t) (nd : node) (p : plane) () : unit =
+  p.wake_scheduled <- false;
+  if not nd.crashed && not (Queue.is_empty p.inbox) then begin
     let now = Engine.now t.engine in
-    if nd.busy_until > now then wake t nd nd.busy_until
+    if p.busy_until > now then wake t nd p p.busy_until
     else begin
-      let src, payload, flow = Queue.pop nd.inbox in
-      nd.received_msgs <- nd.received_msgs + 1;
-      (match nd.handler with
+      let src, payload, flow = Queue.pop p.inbox in
+      p.received_msgs <- p.received_msgs + 1;
+      (match p.handler with
        | None -> ()
        | Some h ->
-         nd.in_handler <- true;
+         nd.in_handler <- p.protocol;
          (* Records emitted while the handler runs carry the triggering
             message's flow id — the causal edge the analyzer follows. *)
          Trace.Ctx.set_cause t.traces.(nd.id) flow;
          h ~src payload;
          Trace.Ctx.set_cause t.traces.(nd.id) (-1);
          nd.in_handler <- false);
-      let cost = Cost.take nd.meter in
-      nd.busy_until <- now +. cost;
+      let cost = Cost.take p.meter in
+      p.busy_until <- now +. cost;
       flush_outbox t nd;
-      if not (Queue.is_empty nd.inbox) then wake t nd nd.busy_until
+      if not (Queue.is_empty p.inbox) then wake t nd p p.busy_until
     end
   end
 
-and wake (t : t) (nd : node) (at : float) : unit =
-  if not nd.wake_scheduled then begin
-    nd.wake_scheduled <- true;
-    Engine.schedule_at t.engine ~time:at (process_one t nd)
+and wake (t : t) (nd : node) (p : plane) (at : float) : unit =
+  if not p.wake_scheduled then begin
+    p.wake_scheduled <- true;
+    Engine.schedule_at t.engine ~time:at (process_one t nd p)
   end
 
-(* Lossy-datagram mode: hand the payload to the sliding-window link at
-   departure time; frames below travel as unreliable datagrams. *)
-and transmit_lossy (t : t) ~(src : int) ~(dst : int) ~(depart : float) (payload : string)
+and enqueue (t : t) (nd : node) (p : plane) ~(at : float) (msg : int * string * int)
     : unit =
-  match t.links.(src).(dst) with
-  | None -> ()
-  | Some ep -> Engine.schedule_at t.engine ~time:depart (fun () -> Swlink.send ep payload)
+  Queue.push msg p.inbox;
+  wake t nd p (Stdlib.max at p.busy_until)
 
-(* Put [payload] on the wire from [src] to [dst], departing at [depart].
-   [id] is the causal flow id allocated at send time; the sliding-window
-   path cannot carry it through retransmission frames, so lossy-mode
-   deliveries enter the inbox with id -1 (no causal edge). *)
+(* The one arrival path: one copy of a frame from [src] to [dst] on the
+   sender's plane [sp], departing at [depart].  Draws its latency from the
+   plane's jitter stream, adds [extra], clamps it to the pair's FIFO order
+   when [fifo] (TCP streams in the prototype), and on arrival checks [tag]
+   ([None] for a loopback's own bytes), queues the frame and wakes the
+   receiver.  A frame that passes its check is always handled. *)
+and arrive (t : t) (sp : plane) ~(src : int) ~(dst : int) ~(id : int)
+    ~(depart : float) ~(tag : string option) ~(extra : float) ~(fifo : bool)
+    (payload : string) : unit =
+  let size = String.length payload + tag_bytes + 28 in
+  let latency = t.topo.Topology.one_way src dst size sp.latency in
+  let arrival = depart +. latency +. extra in
+  let arrival =
+    if fifo then Stdlib.max arrival (sp.last_arrival.(dst) +. 1e-9) else arrival
+  in
+  if fifo then sp.last_arrival.(dst) <- arrival;
+  let nd = t.nodes.(dst) in
+  let rp = if sp.protocol then nd.proto else nd.store in
+  Engine.schedule_at t.engine ~time:arrival (fun () ->
+    if not nd.crashed then
+      match tag with
+      | Some tag when not (mac_ok t ~src ~dst ~tag payload) ->
+        t.mac_failures <- t.mac_failures + 1
+      | Some _ | None ->
+        net_instant t.traces.(dst) ~time:arrival ~id "recv";
+        enqueue t nd rp ~at:arrival (src, payload, id))
+
+(* Put a protocol-plane [payload] on the wire from [src] to [dst],
+   departing at [depart].  [id] is the causal flow id allocated at send
+   time; the sliding-window path cannot carry it through retransmission
+   frames, so lossy-mode deliveries enter the inbox with id -1 (no causal
+   edge). *)
 and transmit (t : t) ~(src : int) ~(dst : int) ~(id : int) ~(depart : float)
     (payload : string) : unit =
-  if t.lossy <> None && src <> dst then transmit_lossy t ~src ~dst ~depart payload
-  else transmit_reliable t ~src ~dst ~id ~depart payload
-
-and transmit_reliable (t : t) ~(src : int) ~(dst : int) ~(id : int)
-    ~(depart : float) (payload : string) : unit =
-  let decide = match t.intercept with
-    | None -> Deliver
-    | Some f -> f ~src ~dst payload
-  in
-  (* The bytes leave src's virtual CPU here: the end of the message's
-     send→xmit compute window.  One record per transmit, even when the
-     adversary duplicates the delivery below. *)
-  let tr_src = t.traces.(src) in
-  let dropped =
-    match decide with
-    | Drop -> true
-    | Deliver | Delay _ | Replace _ | Duplicate | Replay _ -> false
-  in
-  if Trace.Ctx.enabled tr_src && not dropped then
-    Trace.Ctx.emit_at tr_src ~time:depart ~pid:"net" ~cat:"net"
-      ~ph:Trace.Event.Instant
-      ~args:[ ("id", Trace.Event.Int id) ]
-      "xmit";
-  let arrived ~(arrival : float) : unit =
-    let tr_dst = t.traces.(dst) in
-    if Trace.Ctx.enabled tr_dst then
-      Trace.Ctx.emit_at tr_dst ~time:arrival ~pid:"net" ~cat:"net"
-        ~ph:Trace.Event.Instant
-        ~args:[ ("id", Trace.Event.Int id) ]
-        "recv"
-  in
-  let deliver ~extra_delay payload =
-    let tag = link_tag t ~src ~dst payload in
-    let size = String.length payload + tag_bytes + 28 in
-    let latency = t.topo.Topology.one_way src dst size t.latency_drbg in
-    let arrival = depart +. latency +. extra_delay in
-    (* FIFO per directed pair, like the TCP streams in the prototype. *)
-    let arrival = Stdlib.max arrival (t.last_arrival.(src).(dst) +. 1e-9) in
-    t.last_arrival.(src).(dst) <- arrival;
-    let nd = t.nodes.(dst) in
-    Engine.schedule_at t.engine ~time:arrival (fun () ->
-      if not nd.crashed then begin
-        (* Verify the link MAC on arrival. *)
-        if authentic t ~src ~dst ~tag payload then begin
-          arrived ~arrival;
-          Queue.push (src, payload, id) nd.inbox;
-          wake t nd (Stdlib.max arrival nd.busy_until)
-        end
-        else t.mac_failures <- t.mac_failures + 1
-      end)
-  in
-  (* Re-inject a recorded copy of [payload] after [d] extra seconds.  Like
-     [Replace], the copy bypasses the FIFO clamp: the adversary is not bound
-     by the link's stream order when it replays old frames.  The MAC is the
-     genuine one, so honest receivers accept the copy — deduplication is the
-     protocol's job, which is exactly what replay schedules probe. *)
-  let replay_copy ~extra_delay payload =
-    let tag = link_tag t ~src ~dst payload in
-    let size = String.length payload + tag_bytes + 28 in
-    let latency = t.topo.Topology.one_way src dst size t.latency_drbg in
-    let arrival = depart +. latency +. extra_delay in
-    let nd = t.nodes.(dst) in
-    Engine.schedule_at t.engine ~time:arrival (fun () ->
-      if not nd.crashed then begin
-        if authentic t ~src ~dst ~tag payload then begin
-          arrived ~arrival;
-          Queue.push (src, payload, id) nd.inbox;
-          wake t nd (Stdlib.max arrival nd.busy_until)
-        end
-        else t.mac_failures <- t.mac_failures + 1
-      end)
-  in
-  match decide with
-  | Deliver -> deliver ~extra_delay:0.0 payload
-  | Drop -> ()
-  | Delay d -> deliver ~extra_delay:d payload
-  | Duplicate ->
-    deliver ~extra_delay:0.0 payload;
-    deliver ~extra_delay:0.0 payload
-  | Replay d ->
-    deliver ~extra_delay:0.0 payload;
-    replay_copy ~extra_delay:d payload
-  | Replace p ->
-    (* The tag is computed over the original payload, so honest receivers
-       detect tampering; used to test robustness of link authentication.
-       A loopback is tagged and checked here too: the bytes are no longer
-       the sender's. *)
-    let tag = mac_tag t ~src ~dst payload in
-    let size = String.length p + tag_bytes + 28 in
-    let latency = t.topo.Topology.one_way src dst size t.latency_drbg in
-    let arrival = depart +. latency in
-    let nd = t.nodes.(dst) in
-    Engine.schedule_at t.engine ~time:arrival (fun () ->
-      if not nd.crashed then begin
-        if mac_ok t ~src ~dst ~tag p then begin
-          arrived ~arrival;
-          Queue.push (src, p, id) nd.inbox
-        end
-        else t.mac_failures <- t.mac_failures + 1
-      end)
+  if t.lossy <> None && src <> dst then
+    (* Hand the payload to the sliding-window link at departure time. *)
+    Option.iter
+      (fun ep -> Engine.schedule_at t.engine ~time:depart (fun () -> Swlink.send ep payload))
+      t.links.(src).(dst)
+  else begin
+    let decide = match t.intercept with
+      | None -> Deliver
+      | Some f -> f ~src ~dst payload
+    in
+    (* The bytes leave src's virtual CPU here: the end of the message's
+       send→xmit compute window.  One record per transmit, even when the
+       adversary duplicates the delivery below. *)
+    (match decide with
+     | Drop -> ()
+     | Deliver | Delay _ | Replace _ | Duplicate | Replay _ ->
+       net_instant t.traces.(src) ~time:depart ~id "xmit");
+    let sp = t.nodes.(src).proto in
+    let copy ~extra ~fifo =
+      arrive t sp ~src ~dst ~id ~depart ~tag:(link_tag t ~src ~dst payload) ~extra ~fifo
+        payload
+    in
+    (match decide with
+     | Deliver -> copy ~extra:0.0 ~fifo:true
+     | Drop -> ()
+     | Delay d -> copy ~extra:d ~fifo:true
+     | Duplicate ->
+       copy ~extra:0.0 ~fifo:true;
+       copy ~extra:0.0 ~fifo:true
+     | Replay d ->
+       (* The recorded copy bypasses the FIFO clamp: the adversary is not
+          bound by the link's stream order when it replays old frames.  The
+          MAC is the genuine one, so honest receivers accept the copy —
+          deduplication is the protocol's job, which is exactly what replay
+          schedules probe. *)
+       copy ~extra:0.0 ~fifo:true;
+       copy ~extra:d ~fifo:false
+     | Replace p ->
+       (* The tag is computed over the original payload, so honest
+          receivers detect tampering; used to test robustness of link
+          authentication.  A loopback is tagged and checked here too: the
+          bytes are no longer the sender's. *)
+       arrive t sp ~src ~dst ~id ~depart ~tag:(Some (mac_tag t ~src ~dst payload))
+         ~extra:0.0 ~fifo:false p)
+  end
 
 and flush_outbox (t : t) (nd : node) : unit =
   while not (Queue.is_empty nd.outbox) do
     let dst, payload, id = Queue.pop nd.outbox in
-    transmit t ~src:nd.id ~dst ~id ~depart:nd.busy_until payload
+    transmit t ~src:nd.id ~dst ~id ~depart:nd.proto.busy_until payload
   done
 
 (* Build the sliding-window endpoints for lossy mode.  The datagram channel
@@ -332,9 +304,10 @@ let init_links (t : t) (p : float) : unit =
   let n = Array.length t.nodes in
   let chaos = Hashes.Drbg.fork (Engine.drbg t.engine) "net-loss" in
   let datagram ~src ~dst frame =
-    if not t.nodes.(src).crashed && Hashes.Drbg.float chaos 1.0 >= p then begin
+    let nd = t.nodes.(src) in
+    if not nd.crashed && Hashes.Drbg.float chaos 1.0 >= p then begin
       let size = String.length frame + 28 in
-      let latency = t.topo.Topology.one_way src dst size t.latency_drbg in
+      let latency = t.topo.Topology.one_way src dst size nd.proto.latency in
       Engine.schedule t.engine ~delay:latency (fun () ->
         if not t.nodes.(dst).crashed then
           match t.links.(dst).(src) with
@@ -354,96 +327,72 @@ let init_links (t : t) (p : float) : unit =
                ~out:(fun frame -> datagram ~src:i ~dst:j frame)
                ~deliver:(fun payload ->
                  let nd = t.nodes.(i) in
-                 if not nd.crashed then begin
-                   (* Flow ids don't survive sliding-window reassembly; the
-                      causal edge is severed in lossy mode. *)
-                   Queue.push (j, payload, -1) nd.inbox;
-                   wake t nd (Stdlib.max (Engine.now t.engine) nd.busy_until)
-                 end)
+                 (* Flow ids don't survive sliding-window reassembly; the
+                    causal edge is severed in lossy mode. *)
+                 if not nd.crashed then
+                   enqueue t nd nd.proto ~at:(Engine.now t.engine) (j, payload, -1))
                ())))
 
-(* --- the storage plane --- *)
-
-(* Process at most one storage-plane message of node [nd]: same sequential
-   core model as [process_one], on the node's storage meter and busy clock.
-   Storage handlers send protocol messages only on recovery paths (snapshot
-   catch-up), so there is no oob outbox — those sends depart directly. *)
-let rec process_oob_one (t : t) (nd : node) () : unit =
-  nd.oob_wake_scheduled <- false;
-  if not nd.crashed && not (Queue.is_empty nd.oob_inbox) then begin
+(* Count a send on plane [p] of node [nd] and open its causal flow: the
+   "msg" record's parent edge is the context's current cause (stamped
+   automatically when sent from inside a handler). *)
+let open_flow (t : t) (nd : node) (p : plane) ~(dst : int) (payload : string) : int =
+  p.sent_msgs <- p.sent_msgs + 1;
+  p.sent_bytes <- p.sent_bytes + String.length payload;
+  if nd.id = dst then nd.loopback_msgs <- nd.loopback_msgs + 1;
+  (* Allocate the flow id unconditionally (a pure counter), so traced and
+     untraced runs make identical allocations and the schedule is never
+     perturbed by observability. *)
+  let id = Engine.fresh_flow_id t.engine in
+  let tr = t.traces.(nd.id) in
+  if Trace.Ctx.enabled tr then begin
     let now = Engine.now t.engine in
-    if nd.oob_busy_until > now then oob_wake t nd nd.oob_busy_until
-    else begin
-      let src, payload, flow = Queue.pop nd.oob_inbox in
-      (match nd.oob_handler with
-       | None -> ()
-       | Some h ->
-         Trace.Ctx.set_cause t.traces.(nd.id) flow;
-         h ~src payload;
-         Trace.Ctx.set_cause t.traces.(nd.id) (-1));
-      let cost = Cost.take nd.oob_meter in
-      nd.oob_busy_until <- now +. cost;
-      if not (Queue.is_empty nd.oob_inbox) then oob_wake t nd nd.oob_busy_until
-    end
-  end
+    if p.protocol then
+      Trace.Ctx.emit_at tr ~time:now ~pid:"net" ~cat:"net" ~ph:Trace.Event.Counter
+        ~args:
+          [ ("msgs", Trace.Event.Int p.sent_msgs);
+            ("bytes", Trace.Event.Int p.sent_bytes) ]
+        "sent";
+    Trace.Ctx.emit_at tr ~time:now ~pid:"net" ~cat:"net" ~ph:Trace.Event.Flow_start
+      ~args:
+        [ ("id", Trace.Event.Int id);
+          ("dst", Trace.Event.Int dst);
+          ("bytes", Trace.Event.Int (String.length payload)) ]
+      "msg"
+  end;
+  id
 
-and oob_wake (t : t) (nd : node) (at : float) : unit =
-  if not nd.oob_wake_scheduled then begin
-    nd.oob_wake_scheduled <- true;
-    Engine.schedule_at t.engine ~time:at (process_oob_one t nd)
-  end
-
-(* Send on the storage plane: authenticated FIFO point-to-point, latency
-   drawn from the plane's own jitter stream, arrival clamped by the plane's
-   own per-pair FIFO order.  The adversary intercept and lossy-datagram
-   mode apply to the protocol plane only — the transfer connection is
-   modeled reliable; Byzantine storage-plane content is handled end-to-end
-   (certificate verification), not at the link. *)
+(* Send on the storage plane: departs at once (the protocol thread's
+   handoff to the storage core is modeled free), never intercepted. *)
 let send_oob (t : t) ~(src : int) ~(dst : int) (payload : string) : unit =
   let nd = t.nodes.(src) in
   if not nd.crashed then begin
-    nd.oob_sent_msgs <- nd.oob_sent_msgs + 1;
-    nd.oob_sent_bytes <- nd.oob_sent_bytes + String.length payload;
-    if src = dst then nd.loopback_msgs <- nd.loopback_msgs + 1;
-    let id = Engine.fresh_flow_id t.engine in
-    let tag = link_tag t ~src ~dst payload in
-    let size = String.length payload + tag_bytes + 28 in
-    let latency = t.topo.Topology.one_way src dst size t.oob_latency_drbg in
+    let id = open_flow t nd nd.store ~dst payload in
     let depart = Engine.now t.engine in
-    let arrival = depart +. latency in
-    let arrival = Stdlib.max arrival (t.oob_last_arrival.(src).(dst) +. 1e-9) in
-    t.oob_last_arrival.(src).(dst) <- arrival;
-    let rcv = t.nodes.(dst) in
-    Engine.schedule_at t.engine ~time:arrival (fun () ->
-      if not rcv.crashed then begin
-        if authentic t ~src ~dst ~tag payload then begin
-          Queue.push (src, payload, id) rcv.oob_inbox;
-          oob_wake t rcv (Stdlib.max arrival rcv.oob_busy_until)
-        end
-        else t.mac_failures <- t.mac_failures + 1
-      end)
+    net_instant t.traces.(src) ~time:depart ~id "xmit";
+    arrive t nd.store ~src ~dst ~id ~depart ~tag:(link_tag t ~src ~dst payload)
+      ~extra:0.0 ~fifo:true payload
   end
 
 let set_oob_handler (t : t) (i : int) (h : src:int -> string -> unit) : unit =
-  t.nodes.(i).oob_handler <- Some h
+  t.nodes.(i).store.handler <- Some h
 
-let oob_meter (t : t) (i : int) = t.nodes.(i).oob_meter
+let oob_meter (t : t) (i : int) = t.nodes.(i).store.meter
 
 (* Flush work charged to the storage meter outside a storage handler (log
    appends and checkpoint crypto triggered synchronously by a delivered
    round) into the storage core's busy clock, so snapshot service queues
    behind it honestly. *)
 let oob_advance (t : t) (i : int) : unit =
-  let nd = t.nodes.(i) in
-  let cost = Cost.take nd.oob_meter in
+  let p = t.nodes.(i).store in
+  let cost = Cost.take p.meter in
   if cost > 0.0 then
-    nd.oob_busy_until <-
-      Stdlib.max nd.oob_busy_until (Engine.now t.engine) +. cost
+    p.busy_until <- Stdlib.max p.busy_until (Engine.now t.engine) +. cost
 
-let meter (t : t) (i : int) = t.nodes.(i).meter
+let meter (t : t) (i : int) = t.nodes.(i).proto.meter
 
 let set_handler (t : t) (i : int) (h : src:int -> string -> unit) : unit =
-  t.nodes.(i).handler <- Some h
+  t.nodes.(i).proto.handler <- Some h
 
 let set_intercept (t : t) (f : src:int -> dst:int -> string -> action) : unit =
   t.intercept <- Some f
@@ -458,10 +407,11 @@ let recover (t : t) (i : int) : unit =
   let nd = t.nodes.(i) in
   if nd.crashed then begin
     nd.crashed <- false;
-    if not (Queue.is_empty nd.inbox) then
-      wake t nd (Stdlib.max (Engine.now t.engine) nd.busy_until);
-    if not (Queue.is_empty nd.oob_inbox) then
-      oob_wake t nd (Stdlib.max (Engine.now t.engine) nd.oob_busy_until)
+    List.iter
+      (fun p ->
+        if not (Queue.is_empty p.inbox) then
+          wake t nd p (Stdlib.max (Engine.now t.engine) p.busy_until))
+      [ nd.proto; nd.store ]
   end
 
 
@@ -484,37 +434,13 @@ let create_lossy ~(loss : float) ~(engine : Engine.t) ~(topo : Topology.t)
 let send (t : t) ~(src : int) ~(dst : int) (payload : string) : unit =
   let nd = t.nodes.(src) in
   if not nd.crashed then begin
-    nd.sent_msgs <- nd.sent_msgs + 1;
-    nd.sent_bytes <- nd.sent_bytes + String.length payload;
-    if src = dst then nd.loopback_msgs <- nd.loopback_msgs + 1;
     t.link_msgs.(src).(dst) <- t.link_msgs.(src).(dst) + 1;
     t.link_bytes.(src).(dst) <- t.link_bytes.(src).(dst) + String.length payload;
-    (* Allocate the flow id unconditionally (a pure counter), so traced
-       and untraced runs make identical allocations and the schedule is
-       never perturbed by observability. *)
-    let id = Engine.fresh_flow_id t.engine in
-    let tr = t.traces.(src) in
-    if Trace.Ctx.enabled tr then begin
-      Trace.Ctx.emit_at tr ~time:(Engine.now t.engine) ~pid:"net" ~cat:"net"
-        ~ph:Trace.Event.Counter
-        ~args:
-          [ ("msgs", Trace.Event.Int nd.sent_msgs);
-            ("bytes", Trace.Event.Int nd.sent_bytes) ]
-        "sent";
-      (* The flow starts here; its parent edge is the context's current
-         cause (stamped automatically when sent from inside a handler). *)
-      Trace.Ctx.emit_at tr ~time:(Engine.now t.engine) ~pid:"net" ~cat:"net"
-        ~ph:Trace.Event.Flow_start
-        ~args:
-          [ ("id", Trace.Event.Int id);
-            ("dst", Trace.Event.Int dst);
-            ("bytes", Trace.Event.Int (String.length payload)) ]
-        "msg"
-    end;
+    let id = open_flow t nd nd.proto ~dst payload in
     if nd.in_handler then Queue.push (dst, payload, id) nd.outbox
     else
       transmit t ~src ~dst ~id
-        ~depart:(Stdlib.max (Engine.now t.engine) nd.busy_until)
+        ~depart:(Stdlib.max (Engine.now t.engine) nd.proto.busy_until)
         payload
   end
 
@@ -527,7 +453,7 @@ let inject ?(cause = -1) (t : t) (i : int) (f : unit -> unit) : unit =
   let nd = t.nodes.(i) in
   if not nd.crashed then begin
     let now = Engine.now t.engine in
-    let start = Stdlib.max now nd.busy_until in
+    let start = Stdlib.max now nd.proto.busy_until in
     Engine.schedule_at t.engine ~time:start (fun () ->
       if not nd.crashed then begin
         nd.in_handler <- true;
@@ -535,8 +461,8 @@ let inject ?(cause = -1) (t : t) (i : int) (f : unit -> unit) : unit =
         f ();
         Trace.Ctx.set_cause t.traces.(i) (-1);
         nd.in_handler <- false;
-        let cost = Cost.take nd.meter in
-        nd.busy_until <- Engine.now t.engine +. cost;
+        let cost = Cost.take nd.proto.meter in
+        nd.proto.busy_until <- Engine.now t.engine +. cost;
         flush_outbox t nd
       end)
   end
@@ -553,18 +479,19 @@ let publish_metrics (t : t) : unit =
   let setc name v = Trace.Metrics.set (Trace.Metrics.counter m name) v in
   Array.iteri
     (fun i nd ->
-      setc (Printf.sprintf "p%d/net.sent_msgs" i) (float_of_int nd.sent_msgs);
-      setc (Printf.sprintf "p%d/net.sent_bytes" i) (float_of_int nd.sent_bytes);
-      setc (Printf.sprintf "p%d/net.recv_msgs" i) (float_of_int nd.received_msgs);
+      let p = nd.proto and s = nd.store in
+      setc (Printf.sprintf "p%d/net.sent_msgs" i) (float_of_int p.sent_msgs);
+      setc (Printf.sprintf "p%d/net.sent_bytes" i) (float_of_int p.sent_bytes);
+      setc (Printf.sprintf "p%d/net.recv_msgs" i) (float_of_int p.received_msgs);
       setc (Printf.sprintf "p%d/net.macs" i) (float_of_int nd.macs);
       setc (Printf.sprintf "p%d/net.loopback_msgs" i) (float_of_int nd.loopback_msgs);
-      setc (Printf.sprintf "p%d/cpu.charged_s" i) (nd.meter.Cost.total_ms /. 1000.0);
-      setc (Printf.sprintf "p%d/crypto.exps" i) (float_of_int nd.meter.Cost.exp_count);
-      setc (Printf.sprintf "p%d/crypto.exp2s" i) (float_of_int nd.meter.Cost.exp2_count);
-      setc (Printf.sprintf "p%d/crypto.fixed" i) (float_of_int nd.meter.Cost.fixed_count);
-      setc (Printf.sprintf "p%d/store.cpu_s" i) (nd.oob_meter.Cost.total_ms /. 1000.0);
-      setc (Printf.sprintf "p%d/store.net_msgs" i) (float_of_int nd.oob_sent_msgs);
-      setc (Printf.sprintf "p%d/store.net_bytes" i) (float_of_int nd.oob_sent_bytes))
+      setc (Printf.sprintf "p%d/cpu.charged_s" i) (p.meter.Cost.total_ms /. 1000.0);
+      setc (Printf.sprintf "p%d/crypto.exps" i) (float_of_int p.meter.Cost.exp_count);
+      setc (Printf.sprintf "p%d/crypto.exp2s" i) (float_of_int p.meter.Cost.exp2_count);
+      setc (Printf.sprintf "p%d/crypto.fixed" i) (float_of_int p.meter.Cost.fixed_count);
+      setc (Printf.sprintf "p%d/store.cpu_s" i) (s.meter.Cost.total_ms /. 1000.0);
+      setc (Printf.sprintf "p%d/store.net_msgs" i) (float_of_int s.sent_msgs);
+      setc (Printf.sprintf "p%d/store.net_bytes" i) (float_of_int s.sent_bytes))
     t.nodes;
   Array.iteri
     (fun src row ->

@@ -14,7 +14,12 @@
     - a loopback (a node's frame to itself) crosses no link and carries no
       MAC while its bytes are the sender's; it still draws its latency,
       keeps FIFO order and is shown to the adversary hook, and a replaced
-      loopback is tagged, checked and rejected like any tampered frame. *)
+      loopback is tagged, checked and rejected like any tampered frame;
+    - every node runs two instances of one plane model, the protocol plane
+      and the storage plane below.  Frames of both arrive the same way
+      (latency draw, FIFO clamp, MAC check, queueing, wake-up), so a frame
+      that passes its check is always handled, and both are traced alike
+      (["msg"], ["xmit"], ["recv"]). *)
 
 type action =
   | Deliver
@@ -78,9 +83,10 @@ val inject : ?cause:int -> t -> int -> (unit -> unit) -> unit
 
 (** {2 The storage plane}
 
-    A second, out-of-band message class per node, modelling a dedicated
+    The second instance of the node's plane model, modelling a dedicated
     storage core and a separate transfer connection: its own CPU meter,
-    busy clock, inbox, FIFO clamp and latency jitter stream.  Durability
+    busy clock, inbox, send counters, FIFO clamp and latency jitter
+    stream.  Durability
     traffic (checkpoint shares, snapshot transfer) rides here so that a
     durable run shares {e no} schedule-bearing resource with the protocol
     plane — neither the protocol meter nor the protocol latency stream is
@@ -99,7 +105,8 @@ val send_oob : t -> src:int -> dst:int -> string -> unit
     protocol thread's handoff to the storage core is modelled free);
     latency is drawn from the plane's own jitter stream and arrival obeys
     the plane's own per-pair FIFO order.  Crashed senders and receivers
-    drop the message, as on the protocol plane. *)
+    drop the message, and a sink records the same ["msg"], ["xmit"] and
+    ["recv"] records, as on the protocol plane. *)
 
 val oob_meter : t -> int -> Cost.meter
 (** Node [i]'s storage-core meter.  Work done inside a storage-plane

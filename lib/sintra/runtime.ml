@@ -62,6 +62,14 @@ let envelope ~(pid : string) (body : string) : string =
     Wire.Enc.bytes b pid;
     Wire.Enc.bytes b body)
 
+(* The pid and body of an [envelope]; [None] for a malformed frame, which
+   both planes drop, as a real server would. *)
+let open_envelope (payload : string) : (string * string) option =
+  Wire.decode payload (fun d ->
+    let pid = Wire.Dec.bytes d in
+    let body = Wire.Dec.bytes d in
+    (pid, body))
+
 let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
     ~(keys : Dealer.party_keys) : t =
   let me = keys.Dealer.index in
@@ -92,12 +100,8 @@ let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
   in
   Sim.Net.set_handler net me (fun ~src payload ->
     Sim.Cost.per_message rt.charge.Charge.meter ~bytes:(String.length payload);
-    match Wire.decode payload (fun d ->
-      let pid = Wire.Dec.bytes d in
-      let body = Wire.Dec.bytes d in
-      (pid, body))
-    with
-    | None -> ()   (* malformed envelope: drop, as a real server would *)
+    match open_envelope payload with
+    | None -> ()
     | Some (pid, body) ->
       (match Hashtbl.find_opt rt.handlers pid with
        | Some h ->
@@ -124,23 +128,21 @@ let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
              ~args:[ ("src", Trace.Event.Int src) ]
              "orphan_dropped"
          end));
-  (* Storage-plane dispatcher: same envelope format, costs charged to the
-     storage core's meter.  No orphan buffering — a durability endpoint
-     solicits peer traffic only after registering (it broadcasts its
-     snapshot request from [Durable.attach]), so an unknown pid here means
-     a stale or hostile frame and is dropped. *)
+  (* Storage-plane dispatcher: same envelope format and flow-end record,
+     costs charged to the storage core's meter.  No orphan buffering — a
+     durability endpoint solicits peer traffic only after registering (it
+     broadcasts its snapshot request from [Durable.attach]), so an unknown
+     pid here means a stale or hostile frame and is dropped. *)
   Sim.Net.set_oob_handler net me (fun ~src payload ->
     Sim.Cost.per_message rt.store_charge.Charge.meter
       ~bytes:(String.length payload);
-    match Wire.decode payload (fun d ->
-      let pid = Wire.Dec.bytes d in
-      let body = Wire.Dec.bytes d in
-      (pid, body))
-    with
+    match open_envelope payload with
     | None -> ()
     | Some (pid, body) ->
       (match Hashtbl.find_opt rt.store_handlers pid with
-       | Some h -> h ~src body
+       | Some h ->
+         dispatched rt.trace ~pid;
+         h ~src body
        | None -> ()));
   rt
 

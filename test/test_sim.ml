@@ -101,12 +101,21 @@ let suite = [
     let got = ref 0 in
     Sim.Net.set_handler net 1 (fun ~src:_ _ -> incr got);
     Sim.Net.set_intercept net (fun ~src:_ ~dst:_ payload ->
-      if payload = "evil-target" then Sim.Net.Replace "replaced!" else Sim.Net.Deliver);
+      match payload with
+      | "evil-target" -> Sim.Net.Replace "replaced!"
+      | "same-bytes" -> Sim.Net.Replace "same-bytes"
+      | _ -> Sim.Net.Deliver);
     Sim.Net.send net ~src:0 ~dst:1 "fine";
     Sim.Net.send net ~src:0 ~dst:1 "evil-target";
     ignore (Sim.Engine.run engine);
     Alcotest.(check int) "only clean delivered" 1 !got;
-    Alcotest.(check int) "mac failure counted" 1 (Sim.Net.mac_failures net));
+    Alcotest.(check int) "mac failure counted" 1 (Sim.Net.mac_failures net);
+    (* A frame replaced by its own bytes passes the MAC, so the idle
+       receiver must be woken to handle it. *)
+    Sim.Net.send net ~src:0 ~dst:1 "same-bytes";
+    ignore (Sim.Engine.run engine);
+    Alcotest.(check int) "replaced by its own bytes, delivered" 2 !got;
+    Alcotest.(check int) "no further mac failure" 1 (Sim.Net.mac_failures net));
 
   Alcotest.test_case "drop and delay interception" `Quick (fun () ->
     let topo = Sim.Topology.uniform ~count:2 ~latency:0.1 ~jitter_frac:0.0 () in
