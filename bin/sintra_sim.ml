@@ -66,7 +66,7 @@ let no_batching_arg =
                  benchmarks.")
 
 let pipeline_depth_arg =
-  Arg.(value & opt int 4
+  Arg.(value & opt (some ~none:"Config default" int) None
        & info [ "pipeline-depth" ] ~docv:"W"
            ~doc:"Atomic-broadcast rounds in flight concurrently (the \
                  pipeline window); 1 reproduces the strictly sequential \
@@ -94,14 +94,14 @@ let store_dir_arg =
                  an in-memory device.  The directory is created if missing.")
 
 let make_cluster ~seed ~scheme ?(no_fast_path = false) ?(no_batching = false)
-    ?(pipeline_depth = 4) (topo : Sim.Topology.t) : Cluster.t =
+    ?pipeline_depth (topo : Sim.Topology.t) : Cluster.t =
   let n = Sim.Topology.n topo in
   let t = faults_t topo in
   let cfg =
     Config.make ~tsig_scheme:scheme ~perm_mode:Config.Random_local
       ~crypto_fast_path:(not no_fast_path)
-      ~max_batch:(if no_batching then 1 else 256)
-      ~pipeline_depth ~n ~t ()
+      ?max_batch:(if no_batching then Some 1 else None)
+      ?pipeline_depth ~n ~t ()
   in
   Cluster.create ~seed ~topo cfg
 
@@ -248,7 +248,7 @@ let run_cmd =
       exit 2
     end;
     let c =
-      make_cluster ~seed ~scheme ~no_fast_path ~no_batching ~pipeline_depth
+      make_cluster ~seed ~scheme ~no_fast_path ~no_batching ?pipeline_depth
         topo
     in
     let finish_trace = setup_trace c trace_file trace_format in
@@ -450,7 +450,7 @@ let crypto_cmd =
     let drbg = Hashes.Drbg.create ~seed in
     let group = Crypto.Group.generate ~drbg ~pbits:512 ~qbits:160 in
     match op with
-    | "coin" ->
+    | `Coin ->
       let keys = Crypto.Threshold_coin.deal ~drbg ~group ~n:4 ~k:2 ~t:1 in
       let pub = keys.Crypto.Threshold_coin.public in
       for round = 1 to 5 do
@@ -465,7 +465,7 @@ let crypto_cmd =
         Printf.printf "coin %-8s = %b\n" name
           (Crypto.Threshold_coin.assemble_bit pub ~name shares)
       done
-    | "sign" ->
+    | `Sign ->
       let keys =
         Crypto.Threshold_sig.deal ~drbg ~modulus_bits:512 ~nparties:4 ~k:3 ~t:1 ()
       in
@@ -485,7 +485,7 @@ let crypto_cmd =
       Printf.printf "assembled %d-byte RSA signature from shares {1,2,4}; verifies: %b\n"
         (String.length signature)
         (Crypto.Threshold_sig.verify pub ~signature stmt)
-    | "encrypt" ->
+    | `Encrypt ->
       let keys = Crypto.Threshold_enc.deal ~drbg ~group ~n:4 ~k:2 ~t:1 in
       let pub = keys.Crypto.Threshold_enc.public in
       let sent = Crypto.Threshold_enc.encrypt ~drbg pub ~label:"cli" "hello threshold world" in
@@ -510,10 +510,11 @@ let crypto_cmd =
          (match Crypto.Threshold_enc.combine pub ct shares with
           | Some m -> Printf.printf "decrypted with shares {2,3}: %S\n" m
           | None -> print_endline "decryption failed"))
-    | other -> Printf.eprintf "unknown op %S (coin|sign|encrypt)\n" other
   in
   let op =
-    Arg.(value & opt string "coin" & info [ "op" ] ~docv:"OP" ~doc:"coin, sign or encrypt.")
+    Arg.(value
+         & opt (enum [ ("coin", `Coin); ("sign", `Sign); ("encrypt", `Encrypt) ]) `Coin
+         & info [ "op" ] ~docv:"OP" ~doc:"coin, sign or encrypt.")
   in
   Cmd.v (Cmd.info "crypto" ~doc:"Exercise one threshold-cryptography primitive.")
     Term.(const run $ seed_arg $ op)
@@ -1011,7 +1012,6 @@ let durability_check_cmd =
       prerr_endline "sintra_sim durability-check: --checkpoint-interval must be positive";
       exit 2
     end;
-    let pipeline_depth = 4 in
     (* One variant of the run (Load.Rebuild): same cluster, same seed, same
        injected traffic, one drained payload per round so --rounds really
        is the history length.  The durable variant (given an [interval])
@@ -1070,6 +1070,7 @@ let durability_check_cmd =
     (* 2. Checkpoint GC keeps the resident DECIDED backlog bounded by the
        checkpoint interval (plus one interval of straggler slack and the
        pipeline window), independent of history length. *)
+    let pipeline_depth = dur.Load.Rebuild.cluster.Cluster.cfg.Config.pipeline_depth in
     let bound = (2 * interval) + (2 * pipeline_depth) + 4 in
     if dur_peak > bound then
       fail "durable backlog peak %d exceeds the bound %d" dur_peak bound
