@@ -40,11 +40,12 @@ let jsonl_of_run ~(seed : string) : string * (float * int * string) list =
 
 (* --- the published registry, pinned ---
 
-   Four fixed-seed n=4 runs: an atomic channel whose adversary delays,
+   Five fixed-seed n=4 runs: an atomic channel whose adversary delays,
    duplicates, replays and tampers with frames (self-addressed ones
    included), a secure causal channel, a durable atomic channel whose
-   party 3 loses its disk and adopts a snapshot, and a reliable broadcast
-   over lossy datagram links.  Each is rendered after
+   party 3 loses its disk and adopts a snapshot, a reliable broadcast
+   over lossy datagram links, and a secure channel that delivers one
+   payload per round.  Each is rendered after
    [Cluster.publish_metrics] as "run|name" keys: every counter, every
    histogram's buckets, sum and count, and the network's MAC-failure
    count.  registry.pin holds the rendering; an entry may be added to the
@@ -144,8 +145,28 @@ let pin_lossy () : (string * string) list =
   ignore (Cluster.run c ~until:120.0);
   render_registry "lossy" c
 
+(* The secure channel with one sender and one payload per round
+   ([max_batch = 1], [pipeline_depth = 1]): every round releases exactly
+   one decryption share per party, the paper's own round shape. *)
+let pin_secure_single () : (string * string) list =
+  let c =
+    Util.cluster ~seed:"pin-registry-sac" ~max_batch:1 ~pipeline_depth:1 ()
+  in
+  let chans =
+    Array.init 4 (fun i ->
+      Secure_atomic_channel.create (Cluster.runtime c i) ~pid:"pin1"
+        ~on_deliver:(fun ~sender:_ _ -> ()) ())
+  in
+  Cluster.inject c 0 (fun () ->
+    for k = 0 to 5 do
+      Secure_atomic_channel.send chans.(0) (Printf.sprintf "one%d" k)
+    done);
+  ignore (Cluster.run c ~until:120.0);
+  render_registry "secure1" c
+
 let registry_lines () : (string * string) list =
   pin_atomic () @ pin_secure () @ pin_durable () @ pin_lossy ()
+  @ pin_secure_single ()
 
 (* "key<TAB>value" lines; the test's working directory is test/ in the
    build tree. *)
