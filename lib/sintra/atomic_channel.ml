@@ -88,6 +88,7 @@ type t = {
   rt : Runtime.t;
   pid : string;
   on_deliver : sender:int -> string -> unit;
+  on_round_end : unit -> unit;    (* after each round's [on_deliver] calls *)
   on_close : unit -> unit;
   (* outgoing queue of this party's own payloads *)
   queue : (int * string) Queue.t;               (* seq, marked payload *)
@@ -702,6 +703,7 @@ and deliver_round (t : t) (round : int) (batch : string) : unit =
                (String.sub it.it_payload 1 (String.length it.it_payload - 1))
          end)
        items;
+     t.on_round_end ();
      t.rounds_completed <- t.rounds_completed + 1;
      (* Throughput accounting: rounds, payloads carried, and how full the
         decided batches run (the batch-occupancy histogram behind the
@@ -878,10 +880,10 @@ let handle (t : t) ~src body =
 
 let create (rt : Runtime.t) ~(pid : string)
     ~(on_deliver : sender:int -> string -> unit)
-    ?(on_close = fun () -> ()) () : t =
+    ?(on_round_end = fun () -> ()) ?(on_close = fun () -> ()) () : t =
   let cfg = rt.Runtime.cfg in
   let t = {
-    rt; pid; on_deliver; on_close;
+    rt; pid; on_deliver; on_round_end; on_close;
     queue = Queue.create ();
     next_seq = 0;
     base = 0;

@@ -37,9 +37,15 @@ type t
 val create :
   Runtime.t -> pid:string ->
   on_deliver:(sender:int -> string -> unit) ->
-  ?on_close:(unit -> unit) -> unit -> t
+  ?on_round_end:(unit -> unit) -> ?on_close:(unit -> unit) -> unit -> t
 (** Register the channel under [pid]; [on_deliver] fires once per delivered
-    payload in the agreed total order, [on_close] when the channel closes. *)
+    payload in the agreed total order, [on_close] when the channel closes.
+    [on_round_end] (default: nothing) fires once per delivered round,
+    right after the round's last [on_deliver] and before the channel
+    closes or slides its window, so a consumer can act on a whole round at
+    once — the secure channel sends all of a round's decryption shares in
+    one frame per peer.  It fires for a round that delivered no fresh
+    payload too. *)
 
 val send : t -> string -> unit
 (** Queue a payload for broadcast (the paper's send event); any number of

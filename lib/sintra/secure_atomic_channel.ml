@@ -7,7 +7,16 @@
    send: encrypt under the channel public key, broadcast the ciphertext
    atomically.  On every atomic delivery, each party releases a decryption
    share (one extra round of interaction); t+1 valid shares recover the
-   cleartext, and cleartexts are delivered strictly in atomic order. *)
+   cleartext, and cleartexts are delivered strictly in atomic order.
+
+   Shares travel per delivered round, not per ciphertext: each delivery
+   opens its slot and queues our share, and when the atomic round ends
+   ([Atomic_channel.create]'s [on_round_end]) one "<pid>/dec" frame
+   carrying every share of the round goes to each peer.  A frame is the
+   share record (index, origin, u_i, proof) repeated, with no count
+   prefix; a one-payload round sends exactly the single-record frame a
+   per-share channel would, at the same point of the handler.  Shares for
+   slots not yet open here are buffered, the first per (slot, sender). *)
 
 type slot = {
   sl_index : int;
@@ -26,8 +35,12 @@ type t = {
   mutable atomic : Atomic_channel.t option;
   slots : (int, slot) Hashtbl.t;          (* atomic delivery index -> open slot *)
   dead : (int, unit) Hashtbl.t;           (* slots holding invalid ciphertexts *)
-  pending_shares : (int, (int * string) Queue.t) Hashtbl.t;
-                                          (* shares arriving before the slot opens *)
+  pending_shares :
+    (int, (int * Crypto.Threshold_enc.dec_share) Queue.t) Hashtbl.t;
+      (* shares arriving before the slot opens: the first per sender, in
+         arrival order *)
+  opened : (slot * Crypto.Threshold_enc.dec_share) Queue.t;
+      (* slots opened in the current atomic round, with our share *)
   own_cts :
     (string, Crypto.Threshold_enc.checked Crypto.Threshold_enc.ciphertext) Hashtbl.t;
       (* ciphertexts we encrypted and have not yet seen delivered, by their
@@ -131,20 +144,51 @@ let apply_share (t : t) ~(src : int) (slot : slot)
     end
   end
 
-let parse_share (body : string) : (int * Crypto.Threshold_enc.dec_share) option =
+let enc_record (b : Wire.Enc.t) ~(index : int)
+    (share : Crypto.Threshold_enc.dec_share) : unit =
+  let nat v = Wire.Enc.bytes b (Bignum.Nat.to_bytes_be v) in
+  Wire.Enc.int b index;
+  Wire.Enc.int b share.Crypto.Threshold_enc.origin;
+  nat share.Crypto.Threshold_enc.u_i;
+  nat share.Crypto.Threshold_enc.proof.Crypto.Dleq.a1;
+  nat share.Crypto.Threshold_enc.proof.Crypto.Dleq.a2;
+  nat share.Crypto.Threshold_enc.proof.Crypto.Dleq.response
+
+let dec_record (d : Wire.Dec.t) : int * Crypto.Threshold_enc.dec_share =
+  let index = Wire.Dec.int d in
+  let origin = Wire.Dec.int d in
+  let nat () = Bignum.Nat.of_bytes_be (Wire.Dec.bytes d) in
+  let u_i = nat () in
+  let a1 = nat () in
+  let a2 = nat () in
+  let response = nat () in
+  (index,
+   { Crypto.Threshold_enc.origin; u_i;
+     proof = { Crypto.Dleq.a1; a2; response } })
+
+(* A frame holds one or more records; any malformed record drops it all. *)
+let parse_frame (body : string) :
+    (int * Crypto.Threshold_enc.dec_share) list option =
   Wire.decode body (fun d ->
-    let index = Wire.Dec.int d in
-    let origin = Wire.Dec.int d in
-    let u_i = Bignum.Nat.of_bytes_be (Wire.Dec.bytes d) in
-    let a1 = Bignum.Nat.of_bytes_be (Wire.Dec.bytes d) in
-    let a2 = Bignum.Nat.of_bytes_be (Wire.Dec.bytes d) in
-    let response = Bignum.Nat.of_bytes_be (Wire.Dec.bytes d) in
-    (index,
-     { Crypto.Threshold_enc.origin; u_i;
-       proof = { Crypto.Dleq.a1; a2; response } }))
+    let rec go acc =
+      let acc = dec_record d :: acc in
+      if Wire.Dec.finished d then List.rev acc else go acc
+    in
+    go [])
+
+(* Apply the shares buffered for a slot before it opened here, then try to
+   decrypt it. *)
+let settle (t : t) (slot : slot) : unit =
+  (match Hashtbl.find_opt t.pending_shares slot.sl_index with
+   | None -> ()
+   | Some q ->
+     Hashtbl.remove t.pending_shares slot.sl_index;
+     Queue.iter (fun (src, share) -> apply_share t ~src slot share) q);
+  try_combine t slot
 
 (* A ciphertext was atomically delivered: validate it once, open a slot
-   holding the checked ciphertext, and release our decryption share.  The
+   holding the checked ciphertext, and release our decryption share — sent
+   with the rest of the round's in [on_round_end].  The
    validity check is priced inside [Charge.enc_dec_share].  Bytes we
    encrypted ourselves are valid by construction: the first delivery of
    them takes the checked ciphertext [send] kept (whoever broadcast them)
@@ -197,58 +241,53 @@ let on_atomic_deliver (t : t) ~(sender : int) (ct_bytes : string) : unit =
         Hashtbl.replace t.slots index slot;
         trace_slot t index Trace.Event.Span_begin;
         Hashtbl.replace slot.shares t.rt.Runtime.me share;
-        let body =
-          Wire.encode (fun b ->
-            Wire.Enc.int b index;
-            Wire.Enc.int b share.Crypto.Threshold_enc.origin;
-            Wire.Enc.bytes b (Bignum.Nat.to_bytes_be share.Crypto.Threshold_enc.u_i);
-            Wire.Enc.bytes b
-              (Bignum.Nat.to_bytes_be share.Crypto.Threshold_enc.proof.Crypto.Dleq.a1);
-            Wire.Enc.bytes b
-              (Bignum.Nat.to_bytes_be share.Crypto.Threshold_enc.proof.Crypto.Dleq.a2);
-            Wire.Enc.bytes b
-              (Bignum.Nat.to_bytes_be share.Crypto.Threshold_enc.proof.Crypto.Dleq.response))
-        in
-        Runtime.broadcast t.rt ~pid:(dec_pid t) body;
-        (* Shares from faster parties may have arrived before we opened the
-           slot. *)
-        (match Hashtbl.find_opt t.pending_shares index with
-         | None -> ()
-         | Some q ->
-           Hashtbl.remove t.pending_shares index;
-           Queue.iter
-             (fun (src, body) ->
-               match parse_share body with
-               | Some (_, sh) -> apply_share t ~src slot sh
-               | None -> ())
-             q);
-        try_combine t slot
+        Queue.push (slot, share) t.opened
     end
 
-let pending_cap = 4096
+(* The atomic round ended: send our shares for every slot it opened as one
+   frame, then settle those slots in index order (shares from faster
+   parties may have arrived before we opened them).  The queue is emptied
+   first, so a round delivered from inside [settle] starts afresh. *)
+let on_round_end (t : t) : unit =
+  if not (Queue.is_empty t.opened) then begin
+    let opened = Queue.create () in
+    Queue.transfer t.opened opened;
+    Runtime.broadcast t.rt ~pid:(dec_pid t)
+      (Wire.encode (fun b ->
+         Queue.iter (fun (slot, share) -> enc_record b ~index:slot.sl_index share)
+           opened));
+    Queue.iter (fun (slot, _) -> settle t slot) opened
+  end
+
+let handle_share (t : t) ~src (index : int)
+    (share : Crypto.Threshold_enc.dec_share) : unit =
+  if index >= 0 then begin
+    match Hashtbl.find_opt t.slots index with
+    | Some slot -> apply_share t ~src slot share
+    | None ->
+      if index >= t.next_index && not (Hashtbl.mem t.dead index) then begin
+        (* Slot not opened yet at this party: buffer the sender's first
+           share for it.  An honest sender sends one; later copies would
+           only let a faulty one grow the buffer. *)
+        let q =
+          match Hashtbl.find_opt t.pending_shares index with
+          | Some q -> q
+          | None ->
+            let q = Queue.create () in
+            Hashtbl.add t.pending_shares index q;
+            q
+        in
+        if not (Queue.fold (fun seen (s, _) -> seen || s = src) false q) then
+          Queue.push (src, share) q
+      end
+  end
 
 let handle_dec (t : t) ~src body =
-  match parse_share body with
+  match parse_frame body with
   | None -> ()
-  | Some (index, share) ->
+  | Some records ->
     Runtime.handling t.rt ~pid:(dec_pid t) ~cat:"abc" "decshare";
-    if index >= 0 then begin
-      match Hashtbl.find_opt t.slots index with
-      | Some slot -> apply_share t ~src slot share
-      | None ->
-        if index >= t.next_index && not (Hashtbl.mem t.dead index) then begin
-          (* Slot not opened yet at this party: buffer the share. *)
-          let q =
-            match Hashtbl.find_opt t.pending_shares index with
-            | Some q -> q
-            | None ->
-              let q = Queue.create () in
-              Hashtbl.add t.pending_shares index q;
-              q
-          in
-          if Queue.length q < pending_cap then Queue.push (src, body) q
-        end
-    end
+    List.iter (fun (index, share) -> handle_share t ~src index share) records
 
 let create (rt : Runtime.t) ~(pid : string)
     ~(on_deliver : sender:int -> string -> unit)
@@ -260,6 +299,7 @@ let create (rt : Runtime.t) ~(pid : string)
     slots = Hashtbl.create 64;
     dead = Hashtbl.create 4;
     pending_shares = Hashtbl.create 16;
+    opened = Queue.create ();
     own_cts = Hashtbl.create 16;
     next_index = 0;
     next_emit = 0;
@@ -269,7 +309,7 @@ let create (rt : Runtime.t) ~(pid : string)
   t.atomic <-
     Some (Atomic_channel.create rt ~pid:(pid ^ "/abc")
             ~on_deliver:(fun ~sender ct -> on_atomic_deliver t ~sender ct)
-            ~on_close ());
+            ~on_round_end:(fun () -> on_round_end t) ~on_close ());
   (* The decryption round gates the next atomic round: the channel's output
      is consumed (and hence the next round started) only once every ordered
      ciphertext so far has been decrypted. *)
@@ -277,6 +317,10 @@ let create (rt : Runtime.t) ~(pid : string)
    | Some a -> Atomic_channel.set_gate a (fun () -> t.next_emit >= t.next_index)
    | None -> ());
   t
+
+let buffered_shares (t : t) : int =
+  Det.fold t.pending_shares ~compare:Det.by_int
+    (fun _ q n -> n + Queue.length q) 0
 
 let atomic (t : t) : Atomic_channel.t =
   match t.atomic with Some a -> a | None -> assert false

@@ -7,7 +7,8 @@
     share (one extra round of interaction); [t+1] shares recover the
     cleartext, and cleartexts are delivered strictly in atomic order.  The
     decryption round is on the critical path, as in the prototype (it gates
-    the underlying channel's next round). *)
+    the underlying channel's next round).  A party sends all its shares of
+    one delivered atomic round in a single frame to each peer. *)
 
 type t
 
@@ -31,3 +32,7 @@ val send : t -> string -> unit
 val send_ciphertext : t -> string -> unit
 (** Broadcast an externally produced ciphertext (the paper's
     sendCiphertext). *)
+
+val buffered_shares : t -> int
+(** Decryption shares held for slots not yet open at this party: at most
+    one per (slot, sender), however often a sender repeats itself. *)

@@ -229,6 +229,108 @@ let suite = [
     Util.check_all_equal "order" (Array.to_list seqs);
     Alcotest.(check (list (pair int string))) "only real" [ (1, "real") ] seqs.(0));
 
+  Alcotest.test_case "secure: one decryption-share frame per peer per round" `Quick
+    (fun () ->
+      let c = Util.cluster ~seed:"sc6" () in
+      let logs = Array.init 4 (fun _ -> ref []) in
+      let chans =
+        Array.init 4 (fun i ->
+          Secure_atomic_channel.create (Cluster.runtime c i) ~pid:"sac"
+            ~on_deliver:(fun ~sender m -> logs.(i) := (sender, m) :: !(logs.(i))) ())
+      in
+      (* Per sender: share frames and share records to the other parties;
+         a frame's slot indices must run consecutively upward. *)
+      let frames = Array.make 4 0 and records = Array.make 4 0 in
+      Cluster.set_intercept c (fun ~src ~dst payload ->
+        (match
+           Wire.decode payload (fun d ->
+             let pid = Wire.Dec.bytes d in
+             (pid, Wire.Dec.bytes d))
+         with
+         | Some ("sac/dec", body) when src <> dst ->
+           let indices =
+             Wire.decode body (fun d ->
+               let rec go acc =
+                 let index = Wire.Dec.int d in
+                 ignore (Wire.Dec.int d);
+                 for _ = 1 to 4 do ignore (Wire.Dec.bytes d) done;
+                 if Wire.Dec.finished d then List.rev (index :: acc)
+                 else go (index :: acc)
+               in
+               go [])
+           in
+           (match indices with
+            | Some (first :: _ as l) ->
+              Alcotest.(check (list int)) "consecutive slots"
+                (List.init (List.length l) (fun k -> first + k)) l;
+              frames.(src) <- frames.(src) + 1;
+              records.(src) <- records.(src) + List.length l
+            | Some [] | None -> Alcotest.fail "malformed share frame")
+         | _ -> ());
+        Sim.Net.Deliver);
+      for i = 0 to 3 do
+        Cluster.inject c i (fun () ->
+          for k = 0 to 2 do
+            Secure_atomic_channel.send chans.(i) (Printf.sprintf "s%d.%d" i k)
+          done)
+      done;
+      ignore (Cluster.run c);
+      let seqs = sequences logs in
+      Util.check_all_equal "order" (Array.to_list seqs);
+      Alcotest.(check int) "all twelve" 12 (List.length seqs.(0));
+      for p = 0 to 3 do
+        Alcotest.(check int) "one share per slot and peer" 36 records.(p);
+        let rounds = int_of_float (Util.counter_value c p "abc.rounds") in
+        if frames.(p) > 3 * rounds || frames.(p) >= records.(p) then
+          Alcotest.failf "party %d sent %d share frames (%d records) in %d rounds"
+            p frames.(p) records.(p) rounds
+      done);
+
+  Alcotest.test_case "secure: early shares are buffered once per (slot, sender)" `Quick
+    (fun () ->
+      let c = Util.cluster ~seed:"sc7" () in
+      let logs = Array.init 4 (fun _ -> ref []) in
+      let chans =
+        Array.init 4 (fun i ->
+          Secure_atomic_channel.create (Cluster.runtime c i) ~pid:"sac"
+            ~on_deliver:(fun ~sender m -> logs.(i) := (sender, m) :: !(logs.(i))) ())
+      in
+      (* Share records for future slots, with junk group elements: nothing
+         checks a share before its slot opens. *)
+      let frame ~src indices =
+        Wire.encode (fun b ->
+          List.iter
+            (fun index ->
+              Wire.Enc.int b index;
+              Wire.Enc.int b (src + 1);
+              for _ = 1 to 4 do Wire.Enc.bytes b "\x01" done)
+            indices)
+      in
+      let send ~src body = Runtime.send (Cluster.runtime c src) ~dst:0 ~pid:"sac/dec" body in
+      (* Party 3 floods party 0: 50 copies of a share for each of slots
+         5-7, then one frame repeating them and adding slot 8. *)
+      Cluster.inject c 3 (fun () ->
+        for _ = 1 to 50 do
+          List.iter (fun index -> send ~src:3 (frame ~src:3 [ index ])) [ 5; 6; 7 ]
+        done;
+        send ~src:3 (frame ~src:3 [ 5; 5; 6; 6; 7; 7; 8; 8 ]));
+      Cluster.inject c 1 (fun () -> send ~src:1 (frame ~src:1 [ 5 ]));
+      (* A frame with a trailing byte is dropped whole. *)
+      Cluster.inject c 2 (fun () -> send ~src:2 (frame ~src:2 [ 9 ] ^ "\x00"));
+      ignore (Cluster.run c);
+      Alcotest.(check int) "one per (slot, sender)" 5
+        (Secure_atomic_channel.buffered_shares chans.(0));
+      (* The flood costs the channel nothing: slot 0 still decrypts. *)
+      Cluster.inject c 2 (fun () -> Secure_atomic_channel.send chans.(2) "after");
+      ignore (Cluster.run c);
+      Array.iter
+        (fun log ->
+          Alcotest.(check (list (pair int string))) "delivered" [ (2, "after") ]
+            (List.rev !log))
+        logs;
+      Alcotest.(check int) "unchanged" 5
+        (Secure_atomic_channel.buffered_shares chans.(0)));
+
   Alcotest.test_case "reliable channel: unordered but complete" `Quick (fun () ->
     let c = Util.cluster ~seed:"rc1" () in
     let logs = Array.init 4 (fun _ -> ref []) in

@@ -316,13 +316,13 @@ let own_ct_pin () : string =
 
 let own_ct_golden =
   String.concat "\n"
-    [ "p0 [0:mine,3:mine,1:yours] cpu=220.531209 hit=26 miss=45 valid=4 share=4 \
+    [ "p0 [0:mine,3:mine,1:yours] cpu=217.076585 hit=26 miss=45 valid=4 share=4 \
        verify=3 combine=3 encrypt=1";
-      "p1 [0:mine,3:mine,1:yours] cpu=220.531309 hit=26 miss=45 valid=4 share=4 \
+      "p1 [0:mine,3:mine,1:yours] cpu=217.076685 hit=26 miss=45 valid=4 share=4 \
        verify=3 combine=3 encrypt=1";
-      "p2 [0:mine,3:mine,1:yours] cpu=219.281129 hit=26 miss=45 valid=4 share=4 \
+      "p2 [0:mine,3:mine,1:yours] cpu=215.826505 hit=26 miss=45 valid=4 share=4 \
        verify=3 combine=3 encrypt=0";
-      "p3 [0:mine,3:mine,1:yours] cpu=219.281209 hit=26 miss=45 valid=4 share=4 \
+      "p3 [0:mine,3:mine,1:yours] cpu=215.826585 hit=26 miss=45 valid=4 share=4 \
        verify=3 combine=3 encrypt=0" ]
 
 let suite =
