@@ -483,7 +483,14 @@ let publish_metrics (t : t) : unit =
       setc (Printf.sprintf "p%d/net.sent_msgs" i) (float_of_int p.sent_msgs);
       setc (Printf.sprintf "p%d/net.sent_bytes" i) (float_of_int p.sent_bytes);
       setc (Printf.sprintf "p%d/net.recv_msgs" i) (float_of_int p.received_msgs);
-      setc (Printf.sprintf "p%d/net.macs" i) (float_of_int nd.macs);
+      (* In lossy mode the link HMACs are the node's Swlink endpoints'. *)
+      let link_macs =
+        Array.fold_left
+          (fun acc ep -> match ep with Some ep -> acc + Swlink.macs ep | None -> acc)
+          0
+          (if i < Array.length t.links then t.links.(i) else [||])
+      in
+      setc (Printf.sprintf "p%d/net.macs" i) (float_of_int (nd.macs + link_macs));
       setc (Printf.sprintf "p%d/net.loopback_msgs" i) (float_of_int nd.loopback_msgs);
       setc (Printf.sprintf "p%d/cpu.charged_s" i) (p.meter.Cost.total_ms /. 1000.0);
       setc (Printf.sprintf "p%d/crypto.exps" i) (float_of_int p.meter.Cost.exp_count);

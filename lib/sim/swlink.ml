@@ -33,6 +33,7 @@ type endpoint = {
   mutable sent_frames : int;
   mutable retransmissions : int;
   mutable rejected_frames : int;       (* bad MAC / malformed *)
+  mutable macs : int;                  (* HMACs computed: tags sent and checked *)
 }
 
 let tag_data = 0
@@ -41,9 +42,11 @@ let tag_ack = 1
 (* A frame's tag covers its fields joined by NUL bytes; the fields are
    streamed into the MAC, never joined. *)
 let data_tag (ep : endpoint) ~(seq : int) (payload : string) : string =
+  ep.macs <- ep.macs + 1;
   Hashes.Hmac.tag ep.mac_key [ "data\x00"; string_of_int seq; "\x00"; payload ]
 
 let ack_tag (ep : endpoint) ~(cumulative : int) : string =
+  ep.macs <- ep.macs + 1;
   Hashes.Hmac.tag ep.mac_key [ "ack\x00"; string_of_int cumulative ]
 
 let create ~(engine : Engine.t) ~(mac_key : string) ?(window = 32) ?(rto = 0.5)
@@ -61,6 +64,7 @@ let create ~(engine : Engine.t) ~(mac_key : string) ?(window = 32) ?(rto = 0.5)
     sent_frames = 0;
     retransmissions = 0;
     rejected_frames = 0;
+    macs = 0;
   }
 
 let encode_data (ep : endpoint) ~(seq : int) (payload : string) : string =
@@ -168,3 +172,4 @@ let in_flight (ep : endpoint) = Hashtbl.length ep.unacked
 let backlog_length (ep : endpoint) = Queue.length ep.backlog
 let retransmissions (ep : endpoint) = ep.retransmissions
 let rejected_frames (ep : endpoint) = ep.rejected_frames
+let macs (ep : endpoint) = ep.macs

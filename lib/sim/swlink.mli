@@ -35,3 +35,7 @@ val retransmissions : endpoint -> int
 
 val rejected_frames : endpoint -> int
 (** Received frames dropped as malformed or failing authentication. *)
+
+val macs : endpoint -> int
+(** HMACs this endpoint computed: one per DATA or ACK frame sent (first
+    sends and retransmissions) and one per well-formed frame checked. *)

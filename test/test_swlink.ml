@@ -181,4 +181,14 @@ let suite = [
     Alcotest.(check (list string)) "intact stream" (workload 30) (List.rev !delivered);
     Alcotest.(check bool) "corruption detected" true
       (Sim.Swlink.rejected_frames (Option.get !b_ref) > 0));
+
+  Alcotest.test_case "macs: every tag sent or checked is counted" `Quick (fun () ->
+    (* Lossless: the sender tags 10 DATA frames and checks 10 ACKs; the
+       receiver checks 10 DATA frames and tags 10 ACKs. *)
+    let engine, a, b, _ad, bd = make_pair ~seed:"sw-macs" ~loss:0.0 ~reorder:0.0 in
+    List.iter (Sim.Swlink.send a) (workload 10);
+    ignore (Sim.Engine.run engine);
+    Alcotest.(check int) "delivered" 10 (List.length !bd);
+    Alcotest.(check int) "sender" 20 (Sim.Swlink.macs a);
+    Alcotest.(check int) "receiver" 20 (Sim.Swlink.macs b));
 ]
