@@ -246,8 +246,7 @@ let on_atomic_deliver (t : t) ~(sender : int) (ct_bytes : string) : unit =
 
 (* The atomic round ended: send our shares for every slot it opened as one
    frame, then settle those slots in index order (shares from faster
-   parties may have arrived before we opened them).  The queue is emptied
-   first, so a round delivered from inside [settle] starts afresh. *)
+   parties may have arrived before we opened them). *)
 let on_round_end (t : t) : unit =
   if not (Queue.is_empty t.opened) then begin
     let opened = Queue.create () in
