@@ -24,7 +24,8 @@
      cache group, so replayed frames re-verify instead of resurrecting
      stale verification state, and capacity bounds memory;
    - cost-charge regressions: the charge model prices a k-batch strictly
-     below k singles and a cache hit far below any verification;
+     below k singles and a cache hit far below any verification, and every
+     Charge entry's price and operation mix is pinned;
    - coin pre-generation safety: ABA reproduces the pinned decisions of
      the on-demand release path across 50 seeds, and a crash/rebuild
      mid-pregen reproduces its pinned total order. *)
@@ -757,6 +758,84 @@ let determinism_tests =
 
 (* --- cost-charge regression: the charge model itself --- *)
 
+(* Every Charge entry priced alone on a fresh meter (a 100 ms host,
+   modeled 1024-bit RSA; batch and assemble entries at k = 3, byte-priced
+   entries at 1000 bytes), rendered as "name ms exp exp2 fixed multi".
+   The goldens below hold the exact charge and operation mix of each. *)
+let price_list (scheme : Config.tsig_scheme) : string list =
+  let cfg = Config.make ~n:4 ~t:1 ~tsig_scheme:scheme ~model_rsa_bits:1024 () in
+  let price name f =
+    let s =
+      { Charge.meter = Sim.Cost.create_meter ~exp_ms:100.0;
+        cfg;
+        trace = Trace.Ctx.null () }
+    in
+    f s;
+    let m = s.Charge.meter in
+    Printf.sprintf "%s %.17g %d %d %d %d" name m.Sim.Cost.total_ms
+      m.Sim.Cost.exp_count m.Sim.Cost.exp2_count m.Sim.Cost.fixed_count
+      m.Sim.Cost.multi_count
+  in
+  let k = 3 and bytes = 1000 in
+  [ price "rsa_sign" Charge.rsa_sign;
+    price "rsa_verify" Charge.rsa_verify;
+    price "tsig_release" Charge.tsig_release;
+    price "tsig_verify_share" Charge.tsig_verify_share;
+    price "tsig_verify_share_batch" (Charge.tsig_verify_share_batch ~k);
+    price "tsig_assemble" (Charge.tsig_assemble ~k);
+    price "tsig_verify" (Charge.tsig_verify ~k);
+    price "coin_release" Charge.coin_release;
+    price "coin_verify_share" Charge.coin_verify_share;
+    price "coin_verify_share_batch" (Charge.coin_verify_share_batch ~k);
+    price "coin_assemble" (Charge.coin_assemble ~k);
+    price "enc_encrypt" (Charge.enc_encrypt ~bytes);
+    price "enc_dec_share" Charge.enc_dec_share;
+    price "enc_verify_share" Charge.enc_verify_share;
+    price "enc_combine" (Charge.enc_combine ~k ~bytes);
+    price "cache_hit" Charge.cache_hit;
+    price "hash" (Charge.hash ~bytes);
+    price "store_append" (Charge.store_append ~bytes) ]
+
+let price_golden : (Config.tsig_scheme * string list) list =
+  [ (Config.Shoup,
+     [ "rsa_sign 25 1 0 0 0";
+       "rsa_verify 1.66015625 1 0 0 0";
+       "tsig_release 274 2 0 1 0";
+       "tsig_verify_share 249 4 0 1 0";
+       "tsig_verify_share_batch 191.9921875 1 0 0 2";
+       "tsig_assemble 18.619791666666664 2 0 0 1";
+       "tsig_verify 1.66015625 1 0 0 0";
+       "coin_release 118.125 3 0 1 0";
+       "coin_verify_share 20.3125 0 1 2 0";
+       "coin_verify_share_batch 33.528645833333329 0 0 0 2";
+       "coin_assemble 15.299479166666666 0 0 0 1";
+       "enc_encrypt 12.52 0 0 5 0";
+       "enc_dec_share 70 4 0 3 0";
+       "enc_verify_share 20.3125 0 1 2 0";
+       "enc_combine 46.895000000000003 3 0 0 0";
+       "cache_hit 0.00020000000000000001 0 0 0 0";
+       "hash 0.02 0 0 0 0";
+       "store_append 0.0070000000000000001 0 0 0 0" ]);
+    (Config.Multi,
+     [ "rsa_sign 25 1 0 0 0";
+       "rsa_verify 1.66015625 1 0 0 0";
+       "tsig_release 25 1 0 0 0";
+       "tsig_verify_share 1.66015625 1 0 0 0";
+       "tsig_verify_share_batch 4.98046875 3 0 0 0";
+       "tsig_assemble 0 0 0 0 0";
+       "tsig_verify 4.98046875 3 0 0 0";
+       "coin_release 118.125 3 0 1 0";
+       "coin_verify_share 20.3125 0 1 2 0";
+       "coin_verify_share_batch 33.528645833333329 0 0 0 2";
+       "coin_assemble 15.299479166666666 0 0 0 1";
+       "enc_encrypt 12.52 0 0 5 0";
+       "enc_dec_share 70 4 0 3 0";
+       "enc_verify_share 20.3125 0 1 2 0";
+       "enc_combine 46.895000000000003 3 0 0 0";
+       "cache_hit 0.00020000000000000001 0 0 0 0";
+       "hash 0.02 0 0 0 0";
+       "store_append 0.0070000000000000001 0 0 0 0" ]) ]
+
 let cost_tests =
   [
     Alcotest.test_case
@@ -807,6 +886,15 @@ let cost_tests =
         let hit = cost shoup Charge.cache_hit in
         if not (hit < tsig_single /. 10.0 && hit < coin_single /. 10.0) then
           Alcotest.failf "cache hit (%.6f ms) not far below a verification" hit);
+
+    Alcotest.test_case "charge model: every entry's price pinned" `Quick
+      (fun () ->
+        List.iter
+          (fun (scheme, golden) ->
+            Alcotest.(check (list string))
+              (if scheme = Config.Shoup then "shoup" else "multi")
+              golden (price_list scheme))
+          price_golden);
   ]
 
 (* --- coin pre-generation safety --- *)
