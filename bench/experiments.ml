@@ -21,9 +21,9 @@ let kind_name = function
 (* Benchmark configuration: the dealer's small real keys, paper-sized
    modeled keys. *)
 let bench_cfg ?batch_size ?(scheme = Config.Multi) ?(model_rsa_bits = 1024)
-    ?(fast_path = true) ~n ~t () : Config.t =
+    ~n ~t () : Config.t =
   Config.make ?batch_size ~tsig_scheme:scheme ~perm_mode:Config.Random_local
-    ~crypto_fast_path:fast_path ~model_rsa_bits ~n ~t ()
+    ~model_rsa_bits ~n ~t ()
 
 (* What the harness owns across experiments: one dealer per group shape,
    shared by every run of that shape (key generation is the slow part of a
@@ -194,13 +194,12 @@ let write_csv ~(path : string) (ds : delivery list) =
   close_out oc;
   Printf.printf "  (full series written to %s)\n" path
 
-let fig4 (h : harness) ?(fast_path = true) ~(messages : int) () =
+let fig4 (h : harness) ~(messages : int) () =
   print_endline "=== Figure 4: AtomicChannel delivery times on the LAN ===";
   Printf.printf
     "setup: n=4 t=1 batch=t+1, senders P0/Linux P2/AIX P3/Win2k, %d messages,\n\
-     measured at P0; multi-signatures; modeled 1024-bit keys%s.\n\n" messages
-    (if fast_path then "" else "; fast-path cost accounting OFF");
-  let cfg = bench_cfg ~fast_path ~n:4 ~t:1 () in
+     measured at P0; multi-signatures; modeled 1024-bit keys.\n\n" messages;
+  let cfg = bench_cfg ~n:4 ~t:1 () in
   let per = messages / 3 in
   let ds =
     run_channel h ~seed:"fig4" ~topo:Sim.Topology.lan ~cfg ~kind:Atomic
@@ -208,18 +207,17 @@ let fig4 (h : harness) ?(fast_path = true) ~(messages : int) () =
   in
   let names = Array.map (fun h -> h.Sim.Topology.name) Sim.Topology.lan.Sim.Topology.hosts in
   print_series_summary ~label:"LAN series" ds ~host_names:names;
-  write_csv ~path:(if fast_path then "fig4.csv" else "fig4-nofast.csv") ds;
+  write_csv ~path:"fig4.csv" ds;
   print_endline
     "\npaper: two bands - 0s (second message of each batch) and 0.5-1s (round\n\
      time); P0's messages delivered first, P3/Win2k (slowest host) last.\n"
 
-let fig5 (h : harness) ?(fast_path = true) ~(messages : int) () =
+let fig5 (h : harness) ~(messages : int) () =
   print_endline "=== Figure 5: AtomicChannel delivery times on the Internet ===";
   Printf.printf
     "setup: n=4 t=1 batch=t+1, senders Zurich Tokyo NewYork, %d messages,\n\
-     measured at Zurich; multi-signatures; modeled 1024-bit keys%s.\n\n" messages
-    (if fast_path then "" else "; fast-path cost accounting OFF");
-  let cfg = bench_cfg ~fast_path ~n:4 ~t:1 () in
+     measured at Zurich; multi-signatures; modeled 1024-bit keys.\n\n" messages;
+  let cfg = bench_cfg ~n:4 ~t:1 () in
   let per = messages / 3 in
   let ds =
     run_channel h ~seed:"fig5" ~topo:Sim.Topology.internet ~cfg ~kind:Atomic
@@ -237,7 +235,7 @@ let fig5 (h : harness) ?(fast_path = true) ~(messages : int) () =
     (List.length lower_band) (List.length upper_band)
     (100.0 *. float_of_int (List.length upper_band)
      /. float_of_int (max 1 (List.length uppers)));
-  write_csv ~path:(if fast_path then "fig5.csv" else "fig5-nofast.csv") ds;
+  write_csv ~path:"fig5.csv" ds;
   print_endline
     "\npaper: bands at 2-2.5s and 3-3.5s (~1/4 of points need a second binary\n\
      agreement); NewYork delivered first, Tokyo (best CPU, worst connectivity)\n\

@@ -41,16 +41,12 @@ let () =
   in
   let out, args = take_out (List.tl (Array.to_list Sys.argv)) in
   let full = List.mem "--full" args in
-  let fast_path = not (List.mem "--no-fast-path" args) in
-  let args =
-    List.filter (fun a -> a <> "--full" && a <> "--no-fast-path") args
-  in
+  let args = List.filter (fun a -> a <> "--full") args in
   List.iter
     (fun a ->
       if not (List.mem a known) then begin
         Printf.eprintf
-          "unknown experiment %S (known: %s, plus --full, --no-fast-path \
-           and --out FILE)\n" a
+          "unknown experiment %S (known: %s, plus --full and --out FILE)\n" a
           (String.concat " " known);
         exit 2
       end)
@@ -71,16 +67,13 @@ let () =
     end
   in
   print_endline "SINTRA benchmark harness - reproducing DSN 2002, Section 4";
-  Printf.printf "mode: %s%s\n\n%!"
-    (if full then "full (paper-scale runs)" else "reduced (use --full for paper-scale)")
-    (if fast_path then "" else ", fast-path cost accounting OFF (fig4/fig5)");
+  Printf.printf "mode: %s\n\n%!"
+    (if full then "full (paper-scale runs)" else "reduced (use --full for paper-scale)");
   let h = Experiments.harness () in
   section "hosts" (fun () -> Experiments.hosts ());
   section "fig3" (fun () -> Experiments.fig3 ());
-  section "fig4" (fun () ->
-    Experiments.fig4 h ~fast_path ~messages:(if full then 999 else 150) ());
-  section "fig5" (fun () ->
-    Experiments.fig5 h ~fast_path ~messages:(if full then 999 else 150) ());
+  section "fig4" (fun () -> Experiments.fig4 h ~messages:(if full then 999 else 150) ());
+  section "fig5" (fun () -> Experiments.fig5 h ~messages:(if full then 999 else 150) ());
   section "table1" (fun () -> Experiments.table1 h ~messages:(if full then 500 else 60) ());
   section "fig6" (fun () -> Experiments.fig6 h ~messages:(if full then 100 else 25) ());
   section "ablations" (fun () -> Ablations.all h);

@@ -51,13 +51,6 @@ let int_list_arg name ~doc ~default =
 let faults_t (topo : Sim.Topology.t) : int =
   (Sim.Topology.n topo - 1) / 3
 
-let no_fast_path_arg =
-  Arg.(value & flag
-       & info [ "no-fast-path" ]
-           ~doc:"Charge virtual CPU as plain square-and-multiply \
-                 exponentiations (the paper's cost tables) instead of the \
-                 multi-exponentiation / fixed-base fast path.")
-
 let no_batching_arg =
   Arg.(value & flag
        & info [ "no-batching" ]
@@ -93,13 +86,12 @@ let store_dir_arg =
                  $(docv)/p<i>.wal (inspectable with store-check) instead of \
                  an in-memory device.  The directory is created if missing.")
 
-let make_cluster ~seed ~scheme ?(no_fast_path = false) ?(no_batching = false)
-    ?pipeline_depth (topo : Sim.Topology.t) : Cluster.t =
+let make_cluster ~seed ~scheme ?(no_batching = false) ?pipeline_depth
+    (topo : Sim.Topology.t) : Cluster.t =
   let n = Sim.Topology.n topo in
   let t = faults_t topo in
   let cfg =
     Config.make ~tsig_scheme:scheme ~perm_mode:Config.Random_local
-      ~crypto_fast_path:(not no_fast_path)
       ?max_batch:(if no_batching then Some 1 else None)
       ?pipeline_depth ~n ~t ()
   in
@@ -240,17 +232,14 @@ let channel_arg =
        & info [ "channel" ] ~docv:"KIND" ~doc:"atomic, secure, reliable or consistent.")
 
 let run_cmd =
-  let run channel topo seed scheme no_fast_path no_batching pipeline_depth
+  let run channel topo seed scheme no_batching pipeline_depth
       durable checkpoint_interval store_dir
       senders messages crashes verbose trace_file trace_format stats =
     if durable && channel <> Atomic then begin
       prerr_endline "sintra_sim run: --durable requires --channel atomic";
       exit 2
     end;
-    let c =
-      make_cluster ~seed ~scheme ~no_fast_path ~no_batching ?pipeline_depth
-        topo
-    in
+    let c = make_cluster ~seed ~scheme ~no_batching ?pipeline_depth topo in
     let finish_trace = setup_trace c trace_file trace_format in
     let n = Cluster.n c in
     let senders = List.filter (fun s -> s >= 0 && s < n) senders in
@@ -368,7 +357,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Drive a broadcast channel over a simulated test-bed.")
     Term.(const run $ channel_arg $ topology_arg $ seed_arg $ scheme_arg
-          $ no_fast_path_arg $ no_batching_arg $ pipeline_depth_arg
+          $ no_batching_arg $ pipeline_depth_arg
           $ durable_arg
           $ checkpoint_interval_arg ~default:256 $ store_dir_arg
           $ senders $ messages

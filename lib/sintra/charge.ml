@@ -20,14 +20,12 @@ let full (c : t) ~bits = Sim.Cost.exp_full c.meter ~bits
 let exp2 (c : t) ~mod_bits ~exp_bits = Sim.Cost.exp2 c.meter ~mod_bits ~exp_bits
 let fixed (c : t) ~mod_bits ~exp_bits = Sim.Cost.exp_fixed c.meter ~mod_bits ~exp_bits
 
-(* With [cfg.crypto_fast_path] the per-scheme operation counts below follow
-   the real implementations exactly: powers of a base with a precomputed
-   window table (the group generator, verification keys, public keys)
-   charge [fixed]; the paired commitment recomputations of the DLEQ /
-   Shoup proofs charge one [exp2] instead of two [exp]s; powers of
-   message-dependent bases stay plain [exp]s.  Off, every operation is a
-   plain exponentiation — the paper's accounting. *)
-let fast (c : t) = c.cfg.Config.crypto_fast_path
+(* The per-scheme operation counts below follow the real implementations
+   exactly: powers of a base with a precomputed window table (the group
+   generator, verification keys, public keys) charge [fixed]; the paired
+   commitment recomputations of the DLEQ / Shoup proofs charge one [exp2]
+   instead of two [exp]s; powers of message-dependent bases stay plain
+   [exp]s. *)
 
 (* Record [f]'s work as a span on the party's "crypto" pseudo-thread.  The
    virtual clock does not advance inside a handler, so the span is anchored
@@ -65,7 +63,7 @@ let rsa_verify (c : t) =
 
 (* Shoup release: x_i = x^{2 Delta s_i} (full-size exponent), x~ (tiny),
    plus the correctness proof's two commitments with an exponent ~ |n|+512
-   bits.  Fast path: the v-commitment v^r hits v's fixed-base table; the
+   bits.  The v-commitment v^r hits v's fixed-base table; the
    x~-commitment has a message-dependent base and stays plain.  Multi
    release: one CRT RSA signature. *)
 let tsig_release (c : t) =
@@ -75,19 +73,13 @@ let tsig_release (c : t) =
     | Config.Shoup ->
       let b = c.cfg.Config.model_rsa_bits in
       full c ~bits:b;
-      if fast c then begin
-        fixed c ~mod_bits:b ~exp_bits:(b + 512);
-        exp c ~mod_bits:b ~exp_bits:(b + 512)
-      end
-      else begin
-        exp c ~mod_bits:b ~exp_bits:(b + 512);
-        exp c ~mod_bits:b ~exp_bits:(b + 512)
-      end)
+      fixed c ~mod_bits:b ~exp_bits:(b + 512);
+      exp c ~mod_bits:b ~exp_bits:(b + 512))
 
 (* Shoup share verification: recompute x~ (tiny exponent), the two
    commitments v^z and x~^z (z-bit exponents) and the two challenge
-   powers VK_i^c and (x_i^2)^c.  Fast path: v^z is a table hit, the rest
-   have share- or message-dependent bases and stay plain.  Multi: one RSA
+   powers VK_i^c and (x_i^2)^c.  v^z is a table hit; the rest have
+   share- or message-dependent bases and stay plain.  Multi: one RSA
    verification. *)
 let tsig_verify_share (c : t) =
   spanned c "tsig_verify_share" (fun () ->
@@ -96,8 +88,7 @@ let tsig_verify_share (c : t) =
     | Config.Shoup ->
       let b = c.cfg.Config.model_rsa_bits in
       exp c ~mod_bits:b ~exp_bits:256;           (* x~ = x^{4 Delta} *)
-      if fast c then fixed c ~mod_bits:b ~exp_bits:(b + 512)
-      else exp c ~mod_bits:b ~exp_bits:(b + 512);  (* v^z *)
+      fixed c ~mod_bits:b ~exp_bits:(b + 512);   (* v^z *)
       exp c ~mod_bits:b ~exp_bits:(b + 512);     (* x~^z *)
       exp c ~mod_bits:b ~exp_bits:256;           (* VK_i^c *)
       exp c ~mod_bits:b ~exp_bits:256)           (* (x_i^2)^c *)
@@ -121,20 +112,16 @@ let tsig_verify_share_batch (c : t) ~(k : int) =
         ~exp_bits:(List.concat (List.init k (fun _ -> [ 64; 320; 64; 320 ]))))
 
 (* Shoup combination: one k-way multi-exponentiation with small (Lagrange)
-   exponents on the fast path — k plain small-exponent powers in the
-   paper's accounting — plus the extended-GCD correction pair.  Multi:
-   concatenation, free. *)
+   exponents plus the extended-GCD correction pair.  Multi: concatenation,
+   free. *)
 let tsig_assemble (c : t) ~(k : int) =
   spanned c "tsig_assemble" (fun () ->
     match c.cfg.Config.tsig_scheme with
     | Config.Multi -> ()
     | Config.Shoup ->
       let b = c.cfg.Config.model_rsa_bits in
-      if fast c then
-        Sim.Cost.exp_multi c.meter ~mod_bits:b ~sq_bits:64
-          ~exp_bits:(List.init k (fun _ -> 64))
-      else
-        for _ = 1 to k do exp c ~mod_bits:b ~exp_bits:64 done;
+      Sim.Cost.exp_multi c.meter ~mod_bits:b ~sq_bits:64
+        ~exp_bits:(List.init k (fun _ -> 64));
       exp c ~mod_bits:b ~exp_bits:64;
       exp c ~mod_bits:b ~exp_bits:64)
 
@@ -158,21 +145,22 @@ let dl_fixed (c : t) = fixed c ~mod_bits:model_dl_pbits ~exp_bits:model_dl_qbits
 
 (* Release: hash-to-group cofactor power (~full-size exponent), the share
    itself (coin-dependent base), and two DLEQ commitments — of which g^w
-   hits the generator table on the fast path. *)
+   hits the generator table. *)
 let coin_release (c : t) =
   spanned c "coin_release" (fun () ->
     exp c ~mod_bits:model_dl_pbits ~exp_bits:(model_dl_pbits - model_dl_qbits);
     dl_exp c;
-    if fast c then begin dl_fixed c; dl_exp c end
-    else begin dl_exp c; dl_exp c end)
+    dl_fixed c;
+    dl_exp c)
 
-(* Verify: DLEQ verification is four exponentiations; the fast path is two
-   table hits (g^z, VK_i^{q-c}) plus one simultaneous double
-   exponentiation for the coin-base pair. *)
+(* Verify: DLEQ verification's four exponentiations run as two table hits
+   (g^z, VK_i^{q-c}) plus one simultaneous double exponentiation for the
+   coin-base pair. *)
 let coin_verify_share (c : t) =
   spanned c "coin_verify_share" (fun () ->
-    if fast c then begin dl_fixed c; dl_fixed c; dl_exp2 c end
-    else begin dl_exp c; dl_exp c; dl_exp c; dl_exp c end)
+    dl_fixed c;
+    dl_fixed c;
+    dl_exp2 c)
 
 (* Batched DLEQ verification of k coin (or decryption) shares: one
    combined equation — a 2-way multi-exp on the left (combined responses,
@@ -185,40 +173,38 @@ let coin_verify_share_batch (c : t) ~(k : int) =
     Sim.Cost.exp_multi c.meter ~mod_bits:p ~sq_bits:q
       ~exp_bits:(List.concat (List.init k (fun _ -> [ 64; q; 64; q ]))))
 
-(* Assemble: a k-way Lagrange multi-exponentiation on the fast path; k
-   plain exponentiations in the paper's accounting. *)
+(* Assemble: a k-way Lagrange multi-exponentiation. *)
 let coin_assemble (c : t) ~(k : int) =
   spanned c "coin_assemble" (fun () ->
-    if fast c then
-      Sim.Cost.exp_multi c.meter ~mod_bits:model_dl_pbits ~sq_bits:model_dl_qbits
-        ~exp_bits:(List.init k (fun _ -> model_dl_qbits))
-    else for _ = 1 to k do dl_exp c done)
+    Sim.Cost.exp_multi c.meter ~mod_bits:model_dl_pbits ~sq_bits:model_dl_qbits
+      ~exp_bits:(List.init k (fun _ -> model_dl_qbits)))
 
 (* --- threshold encryption (TDH2) --- *)
 
-(* Encrypt: five exponentiations — all of g, h or gbar, so on the fast
-   path all five are table hits. *)
+(* Encrypt: five exponentiations — all of g, h or gbar, so all five are
+   table hits. *)
 let enc_encrypt (c : t) ~(bytes : int) =
   spanned c "enc_encrypt" (fun () ->
-    if fast c then for _ = 1 to 5 do dl_fixed c done
-    else for _ = 1 to 5 do dl_exp c done;
+    for _ = 1 to 5 do dl_fixed c done;
     Sim.Cost.symmetric c.meter ~bytes)
 
 (* Validity: recompute (w, wbar) — g^f and gbar^f are table hits, the
    u^{-e} / ubar^{-e} halves have ciphertext-dependent bases. *)
 let enc_ct_valid (c : t) =
   spanned c "enc_ct_valid" (fun () ->
-    if fast c then begin dl_fixed c; dl_fixed c; dl_exp c; dl_exp c end
-    else for _ = 1 to 4 do dl_exp c done)
+    dl_fixed c;
+    dl_fixed c;
+    dl_exp c;
+    dl_exp c)
 
 (* Decryption share: ciphertext check + share u^{x_i} + DLEQ proof whose
-   g^w commitment is a table hit on the fast path. *)
+   g^w commitment is a table hit. *)
 let enc_dec_share (c : t) =
   spanned c "enc_dec_share" (fun () ->
     enc_ct_valid c;
     dl_exp c;
-    if fast c then begin dl_fixed c; dl_exp c end
-    else begin dl_exp c; dl_exp c end)
+    dl_fixed c;
+    dl_exp c)
 
 let enc_verify_share (c : t) =
   spanned c "enc_verify_share" (fun () -> coin_verify_share c)

@@ -7,12 +7,11 @@
     (exponentiations by exponent width) are spelled out in the
     implementation.
 
-    When [cfg.crypto_fast_path] is set (the default), operations that the
-    real bignum layer serves from a precomputed fixed-base window table or
-    as a simultaneous double exponentiation charge the cheaper
-    [Sim.Cost.exp_fixed] / [Sim.Cost.exp2] classes, mirroring the actual
-    algorithms; when clear, everything is priced as plain
-    square-and-multiply, as in the paper's cost tables. *)
+    Operations that the real bignum layer serves from a precomputed
+    fixed-base window table or as a simultaneous double exponentiation
+    charge the cheaper [Sim.Cost.exp_fixed] / [Sim.Cost.exp2] classes,
+    mirroring the actual algorithms; the rest are plain square-and-multiply
+    exponentiations. *)
 
 type t = {
   meter : Sim.Cost.meter;

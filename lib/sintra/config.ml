@@ -25,13 +25,6 @@ type t = {
   tsig_scheme : tsig_scheme;
   perm_mode : perm_mode;
   model_rsa_bits : int;      (* modeled RSA size, for virtual-time cost accounting *)
-  (* Charge virtual CPU for the multi-exponentiation / fixed-base fast path
-     the real bignum layer always uses (Nat.powmod2, Nat.Fixed_base); when
-     off, every operation is priced as a plain square-and-multiply
-     exponentiation, as in the paper's cost tables.  On by default;
-     `sintra_sim run --no-fast-path` and the benchmarks can switch it off
-     to measure what the fast path buys. *)
-  crypto_fast_path : bool;
   share_cache_cap : int;     (* bound on cached verified shares per party *)
 }
 
@@ -61,14 +54,12 @@ let make ?(batch_size : int option) ?(max_batch = 256) ?(pipeline_depth = 4)
     ?(tsig_scheme = Multi)
     ?(perm_mode = Fixed)
     ?(model_rsa_bits = 1024)
-    ?(crypto_fast_path = true)
     ?(share_cache_cap = 4096)
     ~n ~t () : t =
   let batch_size = match batch_size with Some b -> b | None -> t + 1 in
   let c = {
     n; t; batch_size; max_batch; pipeline_depth;
-    tsig_scheme; perm_mode; model_rsa_bits;
-    crypto_fast_path; share_cache_cap;
+    tsig_scheme; perm_mode; model_rsa_bits; share_cache_cap;
   }
   in
   validate c;

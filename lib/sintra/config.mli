@@ -37,11 +37,6 @@ type t = {
   tsig_scheme : tsig_scheme;
   perm_mode : perm_mode;
   model_rsa_bits : int;      (** RSA key size the cost model prices *)
-  crypto_fast_path : bool;
-  (** Charge virtual CPU for the multi-exponentiation / fixed-base fast
-      path the real bignum layer always uses; off prices everything as
-      plain square-and-multiply, as in the paper's cost tables.  On by
-      default. *)
   share_cache_cap : int;
   (** Bound on the verified shares {!Verify} remembers per party, keyed by
       (scheme, message digest, sender, index), so retransmits, replays and
@@ -75,9 +70,9 @@ val make :
   ?batch_size:int -> ?max_batch:int -> ?pipeline_depth:int ->
   ?tsig_scheme:tsig_scheme ->
   ?perm_mode:perm_mode ->
-  ?model_rsa_bits:int -> ?crypto_fast_path:bool -> ?share_cache_cap:int ->
+  ?model_rsa_bits:int -> ?share_cache_cap:int ->
   n:int -> t:int -> unit -> t
 (** Defaults: batch [t+1], max batch 256 payloads per party per round,
     pipeline depth 4 with adaptive batching, multi-signatures, fixed
-    candidate order, modeled 1024-bit RSA, fast-path cost accounting on, a
-    4096-entry verified-share cache. *)
+    candidate order, modeled 1024-bit RSA, a 4096-entry verified-share
+    cache. *)
