@@ -48,8 +48,9 @@ let jsonl_of_run ~(seed : string) : string * (float * int * string) list =
    payload per round.  Each is rendered after
    [Cluster.publish_metrics] as "run|name" keys: every counter, every
    histogram's buckets, sum and count, and the network's MAC-failure
-   count.  registry.pin holds the rendering; an entry may be added to the
-   registry, but none may change or vanish. *)
+   count.  registry.pin holds the whole rendering: no entry may change or
+   vanish, and an entry added to the registry must be added to the pin
+   too. *)
 
 let pin_value (v : float) : string = Printf.sprintf "%.17g" v
 
@@ -366,9 +367,10 @@ let suite = [
   Alcotest.test_case "registry: atomic, secure and durable runs keep every pinned entry"
     `Quick (fun () ->
     let want = read_pin "registry.pin" in
+    let lines = registry_lines () in
     let got = Hashtbl.create 1024 in
-    List.iter (fun (k, v) -> Hashtbl.replace got k v) (registry_lines ());
-    let bad =
+    List.iter (fun (k, v) -> Hashtbl.replace got k v) lines;
+    let moved =
       List.filter_map
         (fun (k, v) ->
           match Hashtbl.find_opt got k with
@@ -377,8 +379,17 @@ let suite = [
           | None -> Some (Printf.sprintf "%s: pinned %s, now missing" k v))
         want
     in
+    let unpinned =
+      List.filter_map
+        (fun (k, v) ->
+          if List.mem_assoc k want then None
+          else Some (Printf.sprintf "%s: rendered %s, not pinned" k v))
+        lines
+    in
+    let bad = moved @ unpinned in
     Alcotest.(check bool) "pin is non-trivial" true (List.length want > 500);
     if bad <> [] then
-      Alcotest.failf "%d of %d pinned registry entries moved:\n%s"
-        (List.length bad) (List.length want) (String.concat "\n" bad));
+      Alcotest.failf "%d of %d pinned registry entries moved, %d unpinned:\n%s"
+        (List.length moved) (List.length want) (List.length unpinned)
+        (String.concat "\n" bad));
 ]
