@@ -239,10 +239,18 @@ let run_cmd =
       prerr_endline "sintra_sim run: --durable requires --channel atomic";
       exit 2
     end;
+    let n = Sim.Topology.n topo in
+    List.iter
+      (fun (flag, ids) ->
+        match List.find_opt (fun i -> i < 0 || i >= n) ids with
+        | Some i ->
+          Printf.eprintf "sintra_sim run: %s: party %d is outside 0..%d\n" flag
+            i (n - 1);
+          exit 2
+        | None -> ())
+      [ ("--senders", senders); ("--crash", crashes) ];
     let c = make_cluster ~seed ~scheme ~no_batching ?pipeline_depth topo in
     let finish_trace = setup_trace c trace_file trace_format in
-    let n = Cluster.n c in
-    let senders = List.filter (fun s -> s >= 0 && s < n) senders in
     let deliveries = ref [] in
     let record i ~sender msg =
       if i = 0 then deliveries := (Cluster.now c, sender, msg) :: !deliveries
