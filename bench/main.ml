@@ -4,7 +4,8 @@
      dune exec bench/main.exe                 - everything, reduced message
                                                 counts (finishes in minutes)
      dune exec bench/main.exe -- --full       - paper-scale message counts
-     dune exec bench/main.exe -- fig4 table1  - a subset
+     dune exec bench/main.exe -- fig4 table1  - a subset (@paper-smoke runs
+                                                fig4 fig5 table1)
      dune exec bench/main.exe -- micro        - bechamel crypto microbenches
      dune exec bench/main.exe -- perf         - fast-path wall-clock comparison
                                                 (512-bit quick mode unless --full)
