@@ -29,7 +29,7 @@ let batch_size (h : Experiments.harness) =
       let cfg = Experiments.bench_cfg ~batch_size:b ~n:4 ~t:1 () in
       let ds =
         Experiments.run_channel h ~seed:(Printf.sprintf "ab-batch%d" b)
-          ~topo:Sim.Topology.lan ~cfg ~kind:Experiments.Atomic
+          ~topo:Sim.Topology.lan ~cfg ~kind:Cluster.Atomic
           ~senders:[ 0; 1; 2 ] ~per_sender:20 ~measure_at:0 ()
       in
       let total =
@@ -53,7 +53,7 @@ let perm_mode (h : Experiments.harness) =
       let cfg = Config.make ~tsig_scheme:Config.Multi ~perm_mode:mode ~n:4 ~t:1 () in
       let ds =
         Experiments.run_channel h ~seed:("ab-perm" ^ label)
-          ~topo:Sim.Topology.internet ~cfg ~kind:Experiments.Atomic
+          ~topo:Sim.Topology.internet ~cfg ~kind:Cluster.Atomic
           ~senders:[ 0; 1; 2 ] ~per_sender:15 ~measure_at:0 ()
       in
       Printf.printf "%-14s %14.3f\n" label (avg_gap ds))
@@ -98,7 +98,7 @@ let optimistic (h : Experiments.harness) =
     let n = Sim.Topology.n topo in
     let cfg = Experiments.bench_cfg ~n ~t:((n - 1) / 3) () in
     let ds =
-      Experiments.run_channel h ~seed ~topo ~cfg ~kind:Experiments.Atomic
+      Experiments.run_channel h ~seed ~topo ~cfg ~kind:Cluster.Atomic
         ~senders:[ 1 ] ~per_sender:messages ~measure_at:0 ()
     in
     (List.length ds, avg_gap ds)

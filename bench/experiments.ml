@@ -10,14 +10,6 @@
 
 open Sintra
 
-type channel_kind = Atomic | Secure | Reliable | Consistent
-
-let kind_name = function
-  | Atomic -> "atomic"
-  | Secure -> "secure"
-  | Reliable -> "reliable"
-  | Consistent -> "consistent"
-
 (* Benchmark configuration: the dealer's small real keys, paper-sized
    modeled keys. *)
 let bench_cfg ?batch_size ?(scheme = Config.Multi) ?(model_rsa_bits = 1024)
@@ -76,7 +68,7 @@ let metrics_json (h : harness) : string =
    payloads at maximum capacity from t=0; deliveries are recorded at
    [measure_at].  Returns the delivery series and the cluster. *)
 let run_channel (h : harness) ?(seed = "run") ~(topo : Sim.Topology.t)
-    ~(cfg : Config.t) ~(kind : channel_kind) ~(senders : int list)
+    ~(cfg : Config.t) ~(kind : Cluster.channel) ~(senders : int list)
     ~(per_sender : int) ~(measure_at : int) () : delivery list =
   let c = make_cluster h ~seed ~topo cfg in
   let n = cfg.Config.n in
@@ -91,35 +83,8 @@ let run_channel (h : harness) ?(seed = "run") ~(topo : Sim.Topology.t)
   in
   let on_deliver i ~sender (_ : string) = if i = measure_at then record sender in
   let send_fns =
-    match kind with
-    | Atomic ->
-      let chans =
-        Array.init n (fun i ->
-          Atomic_channel.create (Cluster.runtime c i) ~pid:"bench"
-            ~on_deliver:(on_deliver i) ())
-      in
-      Array.map (fun ch payload -> Atomic_channel.send ch payload) chans
-    | Secure ->
-      let chans =
-        Array.init n (fun i ->
-          Secure_atomic_channel.create (Cluster.runtime c i) ~pid:"bench"
-            ~on_deliver:(on_deliver i) ())
-      in
-      Array.map (fun ch payload -> Secure_atomic_channel.send ch payload) chans
-    | Reliable ->
-      let chans =
-        Array.init n (fun i ->
-          Reliable_channel.create (Cluster.runtime c i) ~pid:"bench"
-            ~on_deliver:(on_deliver i) ())
-      in
-      Array.map (fun ch payload -> Reliable_channel.send ch payload) chans
-    | Consistent ->
-      let chans =
-        Array.init n (fun i ->
-          Consistent_channel.create (Cluster.runtime c i) ~pid:"bench"
-            ~on_deliver:(on_deliver i) ())
-      in
-      Array.map (fun ch payload -> Consistent_channel.send ch payload) chans
+    Array.init n (fun i ->
+      Cluster.join kind (Cluster.runtime c i) ~pid:"bench" ~on_deliver:(on_deliver i))
   in
   List.iter
     (fun s ->
@@ -130,7 +95,9 @@ let run_channel (h : harness) ?(seed = "run") ~(topo : Sim.Topology.t)
     senders;
   ignore (Cluster.run c ~max_events:50_000_000);
   record_metrics h c
-    ~label:(Printf.sprintf "%s|%s|%s" (kind_name kind) topo.Sim.Topology.label seed);
+    ~label:
+      (Printf.sprintf "%s|%s|%s" (Cluster.channel_name kind)
+         topo.Sim.Topology.label seed);
   List.rev !deliveries
 
 (* --- Figure 3: the WAN topology --- *)
@@ -202,7 +169,7 @@ let fig4 (h : harness) ~(messages : int) () =
   let cfg = bench_cfg ~n:4 ~t:1 () in
   let per = messages / 3 in
   let ds =
-    run_channel h ~seed:"fig4" ~topo:Sim.Topology.lan ~cfg ~kind:Atomic
+    run_channel h ~seed:"fig4" ~topo:Sim.Topology.lan ~cfg ~kind:Cluster.Atomic
       ~senders:[ 0; 2; 3 ] ~per_sender:per ~measure_at:0 ()
   in
   let names = Array.map (fun h -> h.Sim.Topology.name) Sim.Topology.lan.Sim.Topology.hosts in
@@ -220,7 +187,7 @@ let fig5 (h : harness) ~(messages : int) () =
   let cfg = bench_cfg ~n:4 ~t:1 () in
   let per = messages / 3 in
   let ds =
-    run_channel h ~seed:"fig5" ~topo:Sim.Topology.internet ~cfg ~kind:Atomic
+    run_channel h ~seed:"fig5" ~topo:Sim.Topology.internet ~cfg ~kind:Cluster.Atomic
       ~senders:[ 0; 1; 2 ] ~per_sender:per ~measure_at:0 ()
   in
   let names = Array.map (fun h -> h.Sim.Topology.name) Sim.Topology.internet.Sim.Topology.hosts in
@@ -251,7 +218,6 @@ let table1 (h : harness) ~(messages : int) () =
       ("Internet", Sim.Topology.internet, 4, 1);
       ("LAN+I'net", Sim.Topology.combined, 7, 2) ]
   in
-  let kinds = [ Atomic; Secure; Reliable; Consistent ] in
   Printf.printf "%-10s %10s %10s %10s %10s\n" "Setup" "atomic" "secure" "reliable" "consistent";
   let paper =
     [ ("LAN", [ 0.69; 1.07; 0.13; 0.11 ]);
@@ -265,8 +231,8 @@ let table1 (h : harness) ~(messages : int) () =
       List.iter
         (fun kind ->
           let ds =
-            run_channel h ~seed:("table1-" ^ label ^ kind_name kind) ~topo ~cfg ~kind
-              ~senders:[ 0 ] ~per_sender:messages ~measure_at:0 ()
+            run_channel h ~seed:("table1-" ^ label ^ Cluster.channel_name kind)
+              ~topo ~cfg ~kind ~senders:[ 0 ] ~per_sender:messages ~measure_at:0 ()
           in
           let avg =
             match ds with
@@ -276,7 +242,7 @@ let table1 (h : harness) ~(messages : int) () =
               (last.time -. first.time) /. float_of_int (List.length ds - 1)
           in
           Printf.printf " %10.2f" avg)
-        kinds;
+        Cluster.channels;
       print_newline ())
     setups;
   print_endline "\npaper reported:";
@@ -313,7 +279,7 @@ let fig6 (h : harness) ~(messages : int) () =
               let ds =
                 run_channel h
                   ~seed:(Printf.sprintf "fig6-%s-%s-%d" setup_label scheme_label bits)
-                  ~topo ~cfg ~kind:Atomic ~senders:[ 0 ] ~per_sender:messages
+                  ~topo ~cfg ~kind:Cluster.Atomic ~senders:[ 0 ] ~per_sender:messages
                   ~measure_at:0 ()
               in
               let avg =

@@ -1,6 +1,8 @@
 (* Schedule-explorer throughput: sweep a batch of seeds per workload and
    report seeds/sec and oracle failures for every explorer workload,
-   rendered as the vopr artifact (whose floors demand zero failures). *)
+   rendered as the vopr artifact (whose floors demand zero failures).  Each
+   failing seed is printed with its diagnosis: oracle verdict, shrunk
+   schedule and repro line. *)
 
 let seed = "bench-vopr"
 
@@ -25,6 +27,10 @@ let run ~(quick : bool) () : string =
         Printf.printf "  %-12s %4d runs  %d failure(s)  %8.1f seeds/sec\n%!"
           (Vopr.Oracle.kind_to_string kind)
           report.Vopr.Explorer.runs failures rate;
+        List.iter
+          (fun f ->
+            print_string (Vopr.Explorer.failure_report ~workload:kind ~base_seed:seed f))
+          report.Vopr.Explorer.failures;
         (kind, report.Vopr.Explorer.runs, failures, rate))
       Vopr.Oracle.all_kinds
   in

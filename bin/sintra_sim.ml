@@ -2,12 +2,15 @@
 
      dune exec bin/sintra_sim.exe -- run --channel atomic --topology internet \
          --senders 0,1,2 --messages 30
-     dune exec bin/sintra_sim.exe -- topologies
      dune exec bin/sintra_sim.exe -- agree --proposals 1,0,1,0
-     dune exec bin/sintra_sim.exe -- crypto --op coin
+     dune exec bin/sintra_sim.exe -- explore --workload secure --seeds 50
 
-   Useful for poking at the system interactively: pick a channel, topology,
-   fault set and workload; get the delivery trace and per-host statistics. *)
+   Eight subcommands: run and agree drive the protocols over a simulated
+   test-bed (pick a channel, topology, fault set and workload; get the
+   delivery trace and per-host statistics); explore sweeps adversarial
+   schedules; trace-check, critical-path, bench-check, store-check and
+   durability-check judge what the others write.  Each is argument parsing
+   plus calls into the library, where the logic lives next to its tests. *)
 
 open Cmdliner
 open Sintra
@@ -31,6 +34,37 @@ let topology_conv =
 let topology_arg =
   Arg.(value & opt topology_conv Sim.Topology.lan
        & info [ "topology" ] ~docv:"TOPO" ~doc:"lan, internet, combined, or a node count.")
+
+(* Party-id lists checked against the group size n of --topology: an id
+   outside 0..n-1 is a usage error (exit 2), caught before anything runs.
+   Returns the topology. *)
+let group_arg ~(cmd : string) (lists : (string * int list Term.t) list) :
+    Sim.Topology.t Term.t =
+  let check topo flag ids =
+    let n = Sim.Topology.n topo in
+    (match List.find_opt (fun i -> i < 0 || i >= n) ids with
+     | Some i ->
+       Printf.eprintf "sintra_sim %s: %s: party %d is outside 0..%d\n" cmd flag i
+         (n - 1);
+       exit 2
+     | None -> ());
+    topo
+  in
+  List.fold_left
+    (fun topo (flag, ids) -> Term.(const check $ topo $ const flag $ ids))
+    topology_arg lists
+
+(* Counts: a value below [min] is a usage error, like a malformed integer. *)
+let count ~(min : int) : int Arg.conv =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun v ->
+      if v >= min then Ok v
+      else Error (`Msg (Printf.sprintf "%d is below the minimum %d" v min)))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let non_negative = count ~min:0
+let positive = count ~min:1
 
 let seed_arg =
   Arg.(value & opt string "cli" & info [ "seed" ] ~docv:"SEED" ~doc:"Determinism seed.")
@@ -59,7 +93,7 @@ let no_batching_arg =
                  benchmarks.")
 
 let pipeline_depth_arg =
-  Arg.(value & opt (some ~none:"Config default" int) None
+  Arg.(value & opt (some ~none:"Config default" positive) None
        & info [ "pipeline-depth" ] ~docv:"W"
            ~doc:"Atomic-broadcast rounds in flight concurrently (the \
                  pipeline window); 1 reproduces the strictly sequential \
@@ -73,11 +107,8 @@ let durable_arg =
                  threshold-signed checkpoints, and log/backlog garbage \
                  collection below the latest stable checkpoint.")
 
-let checkpoint_interval_arg ~default =
-  Arg.(value & opt int default
-       & info [ "checkpoint-interval" ] ~docv:"R"
-           ~doc:"Rounds between checkpoints; 0 disables checkpointing (log \
-                 only).")
+let checkpoint_interval_arg count ~default ~doc =
+  Arg.(value & opt count default & info [ "checkpoint-interval" ] ~docv:"R" ~doc)
 
 let store_dir_arg =
   Arg.(value & opt (some string) None
@@ -117,203 +148,86 @@ let stats_arg =
        & info [ "stats" ] ~doc:"Print per-party metrics after the run.")
 
 let write_file (path : string) (contents : string) : unit =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
 
-let read_file (path : string) : string =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file (path : string) : string = In_channel.with_open_bin path In_channel.input_all
 
 (* Install the requested sink on [c]; returns a finalizer that writes the
    file and reports the event count. *)
 let setup_trace (c : Cluster.t) (file : string option) (fmt : trace_format)
   : unit -> unit =
-  match file with
-  | None -> (fun () -> ())
-  | Some path ->
-    (match fmt with
-     | Jsonl ->
-       let buf = Buffer.create (1 lsl 16) in
-       Cluster.set_sink c (Trace.Sink.jsonl buf);
-       fun () ->
-         write_file path (Buffer.contents buf);
-         Printf.printf "trace: wrote %s (jsonl)\n" path
-     | Chrome ->
-       let ch = Trace.Sink.chrome () in
-       Cluster.set_sink c (Trace.Sink.chrome_sink ch);
-       fun () ->
-         write_file path (Trace.Sink.chrome_contents ch);
-         Printf.printf "trace: wrote %s (chrome, %d events)\n" path
-           (Trace.Sink.chrome_count ch))
-
-let print_stats (c : Cluster.t) : unit =
-  let m = Cluster.publish_metrics c in
-  let get name =
-    match Trace.Metrics.find_counter m name with
-    | Some ct -> Trace.Metrics.value ct
-    | None -> 0.0
-  in
-  let n = Cluster.n c in
-  Printf.printf "\nper-party metrics:\n";
-  Printf.printf "  %5s %10s %12s %10s %9s %8s %9s %7s %7s %7s\n"
-    "party" "sent_msgs" "sent_bytes" "recv_msgs" "loopback" "macs" "cpu_s"
-    "exps" "exp2s" "fixed";
-  for i = 0 to n - 1 do
-    let p fmt = Printf.sprintf fmt i in
-    Printf.printf "  %5d %10.0f %12.0f %10.0f %9.0f %8.0f %9.2f %7.0f %7.0f %7.0f\n" i
-      (get (p "p%d/net.sent_msgs")) (get (p "p%d/net.sent_bytes"))
-      (get (p "p%d/net.recv_msgs")) (get (p "p%d/net.loopback_msgs"))
-      (get (p "p%d/net.macs")) (get (p "p%d/cpu.charged_s"))
-      (get (p "p%d/crypto.exps")) (get (p "p%d/crypto.exp2s"))
-      (get (p "p%d/crypto.fixed"))
-  done;
-  (* The bounded tables side by side, so a leak shows: share-cache entries
-     live now and at peak, the peak of the FIFO behind them, and the
-     statement table's peak. *)
-  Printf.printf "\nper-party tables:\n";
-  Printf.printf "  %5s %10s %14s %12s %14s\n"
-    "party" "cache_size" "cache_size_max" "retained_max" "stmt_table_max";
-  for i = 0 to n - 1 do
-    let p fmt = Printf.sprintf fmt i in
-    Printf.printf "  %5d %10.0f %14.0f %12.0f %14.0f\n" i
-      (get (p "p%d/verify.cache_size")) (get (p "p%d/verify.cache_size/max"))
-      (get (p "p%d/verify.cache_retained/max"))
-      (get (p "p%d/tsig.stmt_table/max"))
-  done;
-  (* Everything else (protocol counters, drops), minus the table columns
-     and the per-link detail. *)
-  let tabled name =
-    List.exists (fun suffix ->
-      String.length name > String.length suffix
-      && String.sub name (String.length name - String.length suffix)
-           (String.length suffix) = suffix)
-      [ "/net.sent_msgs"; "/net.sent_bytes"; "/net.recv_msgs";
-        "/net.loopback_msgs"; "/net.macs"; "/cpu.charged_s"; "/crypto.exps";
-        "/crypto.exp2s"; "/crypto.fixed";
-        "/verify.cache_size"; "/verify.cache_size/max";
-        "/verify.cache_retained/max"; "/tsig.stmt_table/max";
-        (* published histogram quantiles render in the histogram table *)
-        "/p50"; "/p90"; "/p99" ]
-    || (String.length name >= 5 && String.sub name 0 5 = "link/")
-  in
-  let rest = List.filter (fun (name, _) -> not (tabled name)) (Trace.Metrics.dump m) in
-  if rest <> [] then begin
-    Printf.printf "\ncounters:\n";
-    List.iter (fun (name, v) -> Printf.printf "  %-40s %12.0f\n" name v) rest
-  end;
-  let hists = Trace.Metrics.hists m in
-  if hists <> [] then begin
-    Printf.printf "\nlatency histograms (seconds):\n";
-    List.iter
-      (fun h ->
-        Printf.printf "  %-40s n=%-6d mean=%.3f p50=%.3f p90=%.3f p99=%.3f\n"
-          (Trace.Metrics.hist_name h) (Trace.Metrics.hist_count h)
-          (Trace.Metrics.hist_mean h)
-          (Trace.Metrics.hist_quantile h 0.5)
-          (Trace.Metrics.hist_quantile h 0.9)
-          (Trace.Metrics.hist_quantile h 0.99))
-      hists
-  end
+  match file, fmt with
+  | None, _ -> ignore
+  | Some path, Jsonl ->
+    let buf = Buffer.create (1 lsl 16) in
+    Cluster.set_sink c (Trace.Sink.jsonl buf);
+    fun () ->
+      write_file path (Buffer.contents buf);
+      Printf.printf "trace: wrote %s (jsonl)\n" path
+  | Some path, Chrome ->
+    let ch = Trace.Sink.chrome () in
+    Cluster.set_sink c (Trace.Sink.chrome_sink ch);
+    fun () ->
+      write_file path (Trace.Sink.chrome_contents ch);
+      Printf.printf "trace: wrote %s (chrome, %d events)\n" path
+        (Trace.Sink.chrome_count ch)
 
 (* --- run: drive a channel --- *)
 
-type channel_kind = Atomic | Secure | Reliable | Consistent
-
 let channel_arg =
   let channel_conv =
-    Arg.enum
-      [ ("atomic", Atomic); ("secure", Secure); ("reliable", Reliable);
-        ("consistent", Consistent) ]
+    Arg.enum (List.map (fun k -> (Cluster.channel_name k, k)) Cluster.channels)
   in
-  Arg.(value & opt channel_conv Atomic
+  Arg.(value & opt channel_conv Cluster.Atomic
        & info [ "channel" ] ~docv:"KIND" ~doc:"atomic, secure, reliable or consistent.")
 
 let run_cmd =
   let run channel topo seed scheme no_batching pipeline_depth
       durable checkpoint_interval store_dir
       senders messages crashes verbose trace_file trace_format stats =
-    if durable && channel <> Atomic then begin
+    if durable && channel <> Cluster.Atomic then begin
       prerr_endline "sintra_sim run: --durable requires --channel atomic";
       exit 2
     end;
     let n = Sim.Topology.n topo in
-    List.iter
-      (fun (flag, ids) ->
-        match List.find_opt (fun i -> i < 0 || i >= n) ids with
-        | Some i ->
-          Printf.eprintf "sintra_sim run: %s: party %d is outside 0..%d\n" flag
-            i (n - 1);
-          exit 2
-        | None -> ())
-      [ ("--senders", senders); ("--crash", crashes) ];
     let c = make_cluster ~seed ~scheme ~no_batching ?pipeline_depth topo in
     let finish_trace = setup_trace c trace_file trace_format in
     let deliveries = ref [] in
     let record i ~sender msg =
       if i = 0 then deliveries := (Cluster.now c, sender, msg) :: !deliveries
     in
-    let durables : (int * Durable.t) list ref = ref [] in
-    let senders_fn =
-      match channel with
-      | Atomic ->
+    let rt = Cluster.runtime c in
+    let sends, durables =
+      if durable then begin
         (match store_dir with
          | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
          | Some _ | None -> ());
-        let chans =
+        let parties =
           Array.init n (fun i ->
-            let ch =
-              Atomic_channel.create (Cluster.runtime c i) ~pid:"cli"
-                ~on_deliver:(record i) ()
+            let ch = Atomic_channel.create (rt i) ~pid:"cli" ~on_deliver:(record i) () in
+            let dev =
+              match store_dir with
+              | Some dir ->
+                Store.Device.file (Filename.concat dir (Printf.sprintf "p%d.wal" i))
+              | None -> Store.Device.mem ()
             in
-            if durable then begin
-              let dev =
-                match store_dir with
-                | Some dir ->
-                  Store.Device.file
-                    (Filename.concat dir (Printf.sprintf "p%d.wal" i))
-                | None -> Store.Device.mem ()
-              in
-              let d =
-                Durable.attach (Cluster.runtime c i) ~chan:ch ~pid:"cli" ~dev
-                  ~interval:checkpoint_interval ()
-              in
-              durables := (i, d) :: !durables
-            end;
-            ch)
+            ( Atomic_channel.send ch,
+              Durable.attach (rt i) ~chan:ch ~pid:"cli" ~dev
+                ~interval:checkpoint_interval () ))
         in
-        fun s m -> Atomic_channel.send chans.(s) m
-      | Secure ->
-        let chans =
-          Array.init n (fun i ->
-            Secure_atomic_channel.create (Cluster.runtime c i) ~pid:"cli"
-              ~on_deliver:(record i) ())
-        in
-        fun s m -> Secure_atomic_channel.send chans.(s) m
-      | Reliable ->
-        let chans =
-          Array.init n (fun i ->
-            Reliable_channel.create (Cluster.runtime c i) ~pid:"cli"
-              ~on_deliver:(record i) ())
-        in
-        fun s m -> Reliable_channel.send chans.(s) m
-      | Consistent ->
-        let chans =
-          Array.init n (fun i ->
-            Consistent_channel.create (Cluster.runtime c i) ~pid:"cli"
-              ~on_deliver:(record i) ())
-        in
-        fun s m -> Consistent_channel.send chans.(s) m
+        (Array.map fst parties, Array.map snd parties)
+      end
+      else
+        ( Array.init n (fun i ->
+            Cluster.join channel (rt i) ~pid:"cli" ~on_deliver:(record i)),
+          [||] )
     in
     List.iter (Cluster.crash c) crashes;
     List.iter
       (fun s ->
         if not (List.mem s crashes) then
           for k = 0 to messages - 1 do
-            Cluster.inject c s (fun () ->
-              senders_fn s (Printf.sprintf "msg-%d.%d" s k))
+            Cluster.inject c s (fun () -> sends.(s) (Printf.sprintf "msg-%d.%d" s k))
           done)
       senders;
     let events = Cluster.run c in
@@ -339,8 +253,8 @@ let run_cmd =
     end;
     if durable then begin
       Printf.printf "store (checkpoint interval %d):\n" checkpoint_interval;
-      List.iter
-        (fun (i, d) ->
+      Array.iteri
+        (fun i d ->
           Printf.printf
             "  p%d  log=%dB  ckpts=%d  stable=%s  served=%d  adopted=%d\n" i
             (Store.Device.size (Durable.device d))
@@ -349,25 +263,30 @@ let run_cmd =
              | Some cp -> string_of_int cp.Store.Checkpoint.round
              | None -> "-")
             (Durable.snapshots_served d) (Durable.snapshots_adopted d))
-        (List.sort compare !durables)
+        durables
     end;
     finish_trace ();
-    if stats then print_stats c
+    if stats then print_string (Cluster.stats c)
   in
   let senders =
     int_list_arg "senders" ~doc:"Comma-separated sending parties." ~default:[ 0 ]
   in
   let messages =
-    Arg.(value & opt int 10 & info [ "messages" ] ~docv:"N" ~doc:"Messages per sender.")
+    Arg.(value & opt non_negative 10
+         & info [ "messages" ] ~docv:"N" ~doc:"Messages per sender.")
   in
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the full delivery trace.")
   in
+  let checkpoint_interval =
+    checkpoint_interval_arg non_negative ~default:256
+      ~doc:"Rounds between checkpoints; 0 disables checkpointing (log only)."
+  in
   Cmd.v (Cmd.info "run" ~doc:"Drive a broadcast channel over a simulated test-bed.")
-    Term.(const run $ channel_arg $ topology_arg $ seed_arg $ scheme_arg
-          $ no_batching_arg $ pipeline_depth_arg
-          $ durable_arg
-          $ checkpoint_interval_arg ~default:256 $ store_dir_arg
+    Term.(const run $ channel_arg
+          $ group_arg ~cmd:"run" [ ("--senders", senders); ("--crash", crashes_arg) ]
+          $ seed_arg $ scheme_arg $ no_batching_arg $ pipeline_depth_arg
+          $ durable_arg $ checkpoint_interval $ store_dir_arg
           $ senders $ messages
           $ crashes_arg $ verbose $ trace_file_arg $ trace_format_arg
           $ stats_arg)
@@ -387,8 +306,7 @@ let agree_cmd =
       in
       List.iteri
         (fun i v ->
-          if i < n then
-            Cluster.inject c i (fun () -> Binary_agreement.propose insts.(i) (v <> 0)))
+          Cluster.inject c i (fun () -> Binary_agreement.propose insts.(i) (v <> 0)))
         proposals
     end
     else begin
@@ -400,9 +318,8 @@ let agree_cmd =
       in
       List.iteri
         (fun i v ->
-          if i < n then
-            Cluster.inject c i (fun () ->
-              Array_agreement.propose insts.(i) (Printf.sprintf "value-%d" v)))
+          Cluster.inject c i (fun () ->
+            Array_agreement.propose insts.(i) (Printf.sprintf "value-%d" v)))
         proposals
     end;
     let events = Cluster.run c in
@@ -414,182 +331,26 @@ let agree_cmd =
       decided
   in
   let proposals =
-    int_list_arg "proposals" ~doc:"Per-party proposals (ints; binary uses 0/non-0)."
+    int_list_arg "proposals"
+      ~doc:"Per-party proposals (ints; binary uses 0/non-0), at most one per party."
       ~default:[ 1; 0; 1; 0 ]
   in
   let binary =
     Arg.(value & flag & info [ "binary" ] ~doc:"Run binary agreement instead of multi-valued.")
   in
+  (* Proposal i is party i's: a list longer than the group names a party
+     outside it. *)
+  let proposers = Term.(const (List.mapi (fun i _ -> i)) $ proposals) in
   Cmd.v (Cmd.info "agree" ~doc:"Run one Byzantine agreement instance.")
-    Term.(const run $ topology_arg $ seed_arg $ scheme_arg $ proposals $ binary)
-
-(* --- topologies: list the built-in test-beds --- *)
-
-let topologies_cmd =
-  let run () =
-    List.iter
-      (fun (t : Sim.Topology.t) ->
-        Printf.printf "%s (n=%d):\n" t.Sim.Topology.label (Sim.Topology.n t);
-        Array.iter
-          (fun h ->
-            Printf.printf "  %-18s exp(1024-bit) = %5.0f ms\n"
-              h.Sim.Topology.name h.Sim.Topology.exp_ms)
-          t.Sim.Topology.hosts)
-      [ Sim.Topology.lan; Sim.Topology.internet; Sim.Topology.combined ]
-  in
-  Cmd.v (Cmd.info "topologies" ~doc:"List the built-in test-beds (Section 4).")
-    Term.(const run $ const ())
-
-(* --- crypto: exercise one threshold primitive --- *)
-
-let crypto_cmd =
-  let run seed op =
-    let drbg = Hashes.Drbg.create ~seed in
-    let group = Crypto.Group.generate ~drbg ~pbits:512 ~qbits:160 in
-    match op with
-    | `Coin ->
-      let keys = Crypto.Threshold_coin.deal ~drbg ~group ~n:4 ~k:2 ~t:1 in
-      let pub = keys.Crypto.Threshold_coin.public in
-      for round = 1 to 5 do
-        let name = Printf.sprintf "round-%d" round in
-        let shares =
-          List.map
-            (fun i ->
-              Crypto.Threshold_coin.release ~drbg pub
-                keys.Crypto.Threshold_coin.shares.(i) ~name)
-            [ 0; 2 ]
-        in
-        Printf.printf "coin %-8s = %b\n" name
-          (Crypto.Threshold_coin.assemble_bit pub ~name shares)
-      done
-    | `Sign ->
-      let keys =
-        Crypto.Threshold_sig.deal ~drbg ~modulus_bits:512 ~nparties:4 ~k:3 ~t:1 ()
-      in
-      let pub = keys.Crypto.Threshold_sig.public in
-      let stmt =
-        Crypto.Rsa.stmt_for pub.Crypto.Threshold_sig.rsa ~ctx:"cli"
-          "the quick brown fox"
-      in
-      let shares =
-        List.map
-          (fun i ->
-            Crypto.Threshold_sig.release ~drbg pub
-              keys.Crypto.Threshold_sig.shares.(i) stmt)
-          [ 0; 1; 3 ]
-      in
-      let signature = Crypto.Threshold_sig.assemble pub stmt shares in
-      Printf.printf "assembled %d-byte RSA signature from shares {1,2,4}; verifies: %b\n"
-        (String.length signature)
-        (Crypto.Threshold_sig.verify pub ~signature stmt)
-    | `Encrypt ->
-      let keys = Crypto.Threshold_enc.deal ~drbg ~group ~n:4 ~k:2 ~t:1 in
-      let pub = keys.Crypto.Threshold_enc.public in
-      let sent = Crypto.Threshold_enc.encrypt ~drbg pub ~label:"cli" "hello threshold world" in
-      (* What a server receives: wire bytes, validated once before any
-         decryption share is released. *)
-      let received =
-        Option.bind
-          (Crypto.Threshold_enc.ciphertext_of_bytes
-             (Crypto.Threshold_enc.ciphertext_to_bytes pub sent))
-          (Crypto.Threshold_enc.check pub)
-      in
-      (match received with
-       | None -> print_endline "ciphertext rejected"
-       | Some ct ->
-         let shares =
-           List.filter_map
-             (fun i ->
-               Crypto.Threshold_enc.dec_share ~drbg pub
-                 keys.Crypto.Threshold_enc.shares.(i) ct)
-             [ 1; 2 ]
-         in
-         (match Crypto.Threshold_enc.combine pub ct shares with
-          | Some m -> Printf.printf "decrypted with shares {2,3}: %S\n" m
-          | None -> print_endline "decryption failed"))
-  in
-  let op =
-    Arg.(value
-         & opt (enum [ ("coin", `Coin); ("sign", `Sign); ("encrypt", `Encrypt) ]) `Coin
-         & info [ "op" ] ~docv:"OP" ~doc:"coin, sign or encrypt.")
-  in
-  Cmd.v (Cmd.info "crypto" ~doc:"Exercise one threshold-cryptography primitive.")
-    Term.(const run $ seed_arg $ op)
+    Term.(const run $ group_arg ~cmd:"agree" [ ("--proposals", proposers) ]
+          $ seed_arg $ scheme_arg $ proposals $ binary)
 
 (* --- trace-check: validate a trace file written by --trace --- *)
 
 let trace_check_cmd =
-  (* Balanced B/E per (pid, tid) lane: the count never goes negative and
-     ends at zero. *)
-  let check_chrome (events : Trace.Json.value list) : (int, string) result =
-    let lanes : (string, int) Hashtbl.t = Hashtbl.create 64 in
-    let lane_order : string list ref = ref [] in
-    let depth k = Option.value ~default:0 (Hashtbl.find_opt lanes k) in
-    let bump k d =
-      if not (Hashtbl.mem lanes k) then lane_order := k :: !lane_order;
-      Hashtbl.replace lanes k (depth k + d)
-    in
-    let key ev =
-      let num f =
-        match Option.bind (Trace.Json.member f ev) Trace.Json.num_opt with
-        | Some v -> int_of_float v
-        | None -> -1
-      in
-      Printf.sprintf "%d:%d" (num "pid") (num "tid")
-    in
-    let bad = ref None in
-    List.iter
-      (fun ev ->
-        match Option.bind (Trace.Json.member "ph" ev) Trace.Json.str_opt with
-        | Some "B" -> bump (key ev) 1
-        | Some "E" ->
-          let k = key ev in
-          if depth k <= 0 && !bad = None then
-            bad := Some (Printf.sprintf "unmatched E on lane %s" k);
-          bump k (-1)
-        | Some _ -> ()
-        | None -> if !bad = None then bad := Some "event without a \"ph\" field")
-      events;
-    (match !bad with
-     | None ->
-       List.iter
-         (fun k ->
-           let d = depth k in
-           if d <> 0 && !bad = None then
-             bad := Some (Printf.sprintf "%d unclosed span(s) on lane %s" d k))
-         (List.rev !lane_order)
-     | Some _ -> ());
-    match !bad with
-    | Some msg -> Error msg
-    | None -> Ok (List.length events)
-  in
   let run file =
-    let contents = read_file file in
-    let outcome =
-      match Trace.Json.parse contents with
-      | Ok doc when Trace.Json.member "traceEvents" doc <> None ->
-        (match Option.bind (Trace.Json.member "traceEvents" doc) Trace.Json.list_opt with
-         | None -> Error "\"traceEvents\" is not an array"
-         | Some events ->
-           (match check_chrome events with
-            | Ok n -> Ok ("chrome", n)
-            | Error e -> Error e))
-      | Ok _ -> Error "a JSON document without \"traceEvents\" is not a trace"
-      | Error _ ->
-        (* Not one JSON document: try JSONL, then check the event stream's
-           causal well-formedness (every cause id emitted, edges monotone,
-           per-message times ordered). *)
-        (match Trace.Json.parse_lines contents with
-         | Ok events ->
-           (match Trace.Causal.validate (List.filter_map Trace.Causal.of_json events) with
-            | [] -> Ok ("jsonl", List.length events)
-            | errs ->
-              Error ("causally ill-formed:\n  " ^ String.concat "\n  " errs))
-         | Error e -> Error e)
-    in
-    match outcome with
-    | Ok (kind, n) ->
-      Printf.printf "%s: valid %s trace, %d events\n" file kind n
+    match Trace.Sink.check (read_file file) with
+    | Ok (kind, n) -> Printf.printf "%s: valid %s trace, %d events\n" file kind n
     | Error msg ->
       Printf.eprintf "%s: INVALID trace: %s\n" file msg;
       exit 1
@@ -660,111 +421,41 @@ let critical_path_cmd =
 (* --- explore: the vopr seed-sweeping schedule explorer --- *)
 
 let explore_cmd =
-  let print_failure ~kind ~base_seed (f : Vopr.Explorer.failure) : unit =
-    Printf.printf "seed #%d (%s): oracle=%s: %s\n" f.Vopr.Explorer.index
-      f.Vopr.Explorer.run_seed f.Vopr.Explorer.outcome.Vopr.Explorer.oracle
-      f.Vopr.Explorer.outcome.Vopr.Explorer.reason;
-    Printf.printf "  schedule: %s\n"
-      (match Vopr.Schedule.to_string f.Vopr.Explorer.schedule with
-       | "" -> "(empty)"
-       | s -> s);
-    Printf.printf "  shrunk (%d runs): %s -> oracle=%s: %s\n"
-      f.Vopr.Explorer.shrink_runs
-      (match Vopr.Schedule.to_string f.Vopr.Explorer.shrunk with
-       | "" -> "(empty)"
-       | s -> s)
-      f.Vopr.Explorer.shrunk_outcome.Vopr.Explorer.oracle
-      f.Vopr.Explorer.shrunk_outcome.Vopr.Explorer.reason;
-    Printf.printf "  repro: %s\n"
-      (Vopr.Explorer.repro ~workload:kind ~base_seed f)
-  in
-  let print_obs (o : Vopr.Oracle.obs) : unit =
-    Printf.printf
-      "  run: %d events, %.3f virtual seconds, quiesced=%b, degraded=[%s], corrupted=[%s]\n"
-      o.Vopr.Oracle.events o.Vopr.Oracle.vtime o.Vopr.Oracle.quiesced
-      (String.concat ";" (List.map string_of_int o.Vopr.Oracle.degraded))
-      (String.concat ";" (List.map string_of_int o.Vopr.Oracle.corrupted));
-    Printf.printf "  sent: %d\n" (List.length o.Vopr.Oracle.sent);
-    Array.iteri
-      (fun p log ->
-        Printf.printf "  party %d: %d delivered%s%s%s\n" p (List.length log)
-          (match o.Vopr.Oracle.decisions.(p) with
-           | Some d -> Printf.sprintf ", decided %s" d
-           | None -> "")
-          (match o.Vopr.Oracle.proposals.(p) with
-           | Some v -> Printf.sprintf ", proposed %s" v
-           | None -> "")
-          (match o.Vopr.Oracle.flagged.(p) with
-           | [] -> ""
-           | fl ->
-             Printf.sprintf ", flagged [%s]"
-               (String.concat "; "
-                  (List.map
-                     (fun (off, why) -> Printf.sprintf "%d: %s" off why)
-                     fl)));
-        List.iter
-          (fun (sender, m) -> Printf.printf "    %d: %S\n" sender m)
-          log)
-      o.Vopr.Oracle.delivered
-  in
   let run kind seeds seed index mutations max_failures shrink_budget progress
       verbose =
     let runner = Vopr.Workload.runner ~kind () in
     let oracles = Vopr.Oracle.all kind in
     let generate ~run_seed = Vopr.Workload.schedule ~kind ~run_seed in
-    match (mutations, index) with
-    | Some muts, _ ->
-      (* Replay one run under an explicit schedule (a repro line). *)
-      let idx = Option.value index ~default:0 in
-      let run_seed = Vopr.Explorer.run_seed_of ~base:seed idx in
-      (match Vopr.Schedule.of_string muts with
-       | None ->
-         Printf.eprintf "malformed --mutations %S\n" muts;
-         exit 2
-       | Some sched ->
-         if verbose then (
-           match runner ~seed:run_seed sched with
-           | obs -> print_obs obs
-           | exception e ->
-             Printf.printf "  run raised: %s\n" (Printexc.to_string e));
-         (match Vopr.Explorer.eval ~runner ~oracles ~seed:run_seed sched with
-          | Vopr.Explorer.Clean ->
-            Printf.printf "replay %s [%s]: clean\n" run_seed
-              (Vopr.Schedule.to_string sched)
-          | Vopr.Explorer.Failed f ->
-            Printf.printf "replay %s [%s]: FAIL oracle=%s: %s\n" run_seed
-              (Vopr.Schedule.to_string sched) f.Vopr.Explorer.oracle
-              f.Vopr.Explorer.reason;
-            exit 1))
-    | None, Some idx ->
-      (* Re-run one sweep index with its generated schedule. *)
-      let run_seed = Vopr.Explorer.run_seed_of ~base:seed idx in
-      let sched = generate ~run_seed in
-      Printf.printf "seed #%d (%s): schedule %s\n" idx run_seed
-        (match Vopr.Schedule.to_string sched with "" -> "(empty)" | s -> s);
-      (match Vopr.Explorer.eval ~runner ~oracles ~seed:run_seed sched with
-       | Vopr.Explorer.Clean -> Printf.printf "clean\n"
-       | Vopr.Explorer.Failed f ->
-         Printf.printf "FAIL oracle=%s: %s\n" f.Vopr.Explorer.oracle
-           f.Vopr.Explorer.reason;
-         exit 1)
-    | None, None ->
-      let t0 = Sys.time () in
-      let progress_fn =
-        if progress then
-          Some
-            (fun k ->
-              if k > 0 && k mod 50 = 0 then (
-                Printf.printf "  ... %d seeds\n" k;
-                flush stdout))
-        else None
+    if mutations <> None || index <> None then begin
+      (* Replay one sweep index, under a repro line's mutations if given. *)
+      let sched =
+        Option.map
+          (fun muts ->
+            match Vopr.Schedule.of_string muts with
+            | Some sched -> sched
+            | None ->
+              Printf.eprintf "malformed --mutations %S\n" muts;
+              exit 2)
+          mutations
       in
+      let report, clean =
+        Vopr.Explorer.replay ~verbose ~runner ~oracles ~generate ~seed
+          ~index:(Option.value index ~default:0) sched
+      in
+      print_string report;
+      if not clean then exit 1
+    end
+    else begin
+      let t0 = Sys.time () in
+      let tick k = if k > 0 && k mod 50 = 0 then Printf.printf "  ... %d seeds\n%!" k in
       let report =
-        Vopr.Explorer.explore ?progress:progress_fn ~max_failures
+        Vopr.Explorer.explore ?progress:(if progress then Some tick else None) ~max_failures
           ~shrink_budget ~runner ~oracles ~generate ~seed ~seeds ()
       in
       let dt = Sys.time () -. t0 in
-      List.iter (print_failure ~kind ~base_seed:seed)
+      List.iter
+        (fun f ->
+          print_string (Vopr.Explorer.failure_report ~workload:kind ~base_seed:seed f))
         report.Vopr.Explorer.failures;
       Printf.printf
         "explore workload=%s seed=%s: %d seeds, %d runs, %d failure(s)%s\n"
@@ -775,6 +466,7 @@ let explore_cmd =
            Printf.sprintf " (%.1f seeds/sec)" (float_of_int seeds /. dt)
          else "");
       if report.Vopr.Explorer.failures <> [] then exit 1
+    end
   in
   let workload =
     let workload_conv =
@@ -788,7 +480,7 @@ let explore_cmd =
                    throughput, pipeline, crypto-amortized or durable.")
   in
   let seeds =
-    Arg.(value & opt int 100
+    Arg.(value & opt non_negative 100
          & info [ "seeds" ] ~docv:"N" ~doc:"Seed indices to sweep.")
   in
   let base_seed =
@@ -796,7 +488,7 @@ let explore_cmd =
          & info [ "seed" ] ~docv:"SEED" ~doc:"Base seed of the sweep.")
   in
   let index =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some non_negative) None
          & info [ "index" ] ~docv:"K"
              ~doc:"Run only sweep index $(docv) (with its generated \
                    schedule, or --mutations if given).")
@@ -808,12 +500,12 @@ let explore_cmd =
                    repro line) instead of generating one.")
   in
   let max_failures =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive 1
          & info [ "max-failures" ] ~docv:"N"
              ~doc:"Stop the sweep after $(docv) failing seeds.")
   in
   let shrink_budget =
-    Arg.(value & opt int 200
+    Arg.(value & opt non_negative 200
          & info [ "shrink-budget" ] ~docv:"N"
              ~doc:"Extra runs the shrinker may spend per failure.")
   in
@@ -835,27 +527,6 @@ let explore_cmd =
           $ max_failures $ shrink_budget $ progress $ verbose)
 
 (* --- bench-check: judge BENCH_*.json artifacts by the floor table --- *)
-
-(* One line per numeric leaf: baseline, this report, relative change. *)
-let print_changes (changes : Load.Artifact.change list) : unit =
-  let width =
-    List.fold_left (fun w c -> max w (String.length c.Load.Artifact.path)) 0 changes
-  in
-  List.iter
-    (fun { Load.Artifact.path; before; after } ->
-      let value = function Some x -> Printf.sprintf "%g" x | None -> "-" in
-      let delta =
-        match before, after with
-        | Some b, Some a when b = a -> "="
-        | Some b, Some a when b <> 0.0 ->
-          Printf.sprintf "%+.1f%%" (100.0 *. ((a -. b) /. Float.abs b))
-        | Some _, Some _ -> "changed"
-        | None, _ -> "new"
-        | _, None -> "gone"
-      in
-      Printf.printf "  %-*s  %12s -> %-12s  %s\n" width path (value before)
-        (value after) delta)
-    changes
 
 let bench_check_cmd =
   let run baseline files =
@@ -888,7 +559,8 @@ let bench_check_cmd =
              | None -> ok
              | Some (bfile, bdoc) when schema bdoc = Some s ->
                Printf.printf "%s against %s:\n" file bfile;
-               print_changes (Load.Artifact.diff ~baseline:bdoc doc);
+               print_string
+                 (Load.Artifact.changes_table (Load.Artifact.diff ~baseline:bdoc doc));
                ok
              | Some (bfile, _) ->
                Printf.eprintf "%s: INVALID: baseline %s is not a %s report\n" file
@@ -926,65 +598,41 @@ let bench_check_cmd =
 
 let store_check_cmd =
   let run verbose files =
-    let failed = ref false in
-    List.iter
-      (fun file ->
-        if not (Sys.file_exists file) then begin
-          Printf.eprintf "%s: INVALID: no such file\n" file;
-          failed := true
-        end
-        else begin
-          let rp = Store.Log.replay_string (read_file file) in
-          let rounds = ref 0 and deltas = ref 0 and snaps = ref 0 in
-          let bad_digest = ref None in
-          List.iter
-            (fun r ->
-              match r with
-              | Store.Log.Round { round; batch } ->
-                incr rounds;
-                if verbose then
-                  Printf.printf "  round %-6d  batch %dB\n" round
-                    (String.length batch)
-              | Store.Log.Delta { key; data } ->
-                incr deltas;
-                if verbose then
-                  Printf.printf "  delta %s = %dB\n" key (String.length data)
-              | Store.Log.Snapshot { checkpoint; state } ->
-                incr snaps;
-                if
-                  Hashes.Sha256.digest state
-                  <> checkpoint.Store.Checkpoint.digest
-                then bad_digest := Some checkpoint.Store.Checkpoint.round;
-                if verbose then
-                  Printf.printf "  snapshot round %-6d  state %dB  cert %dB\n"
-                    checkpoint.Store.Checkpoint.round (String.length state)
-                    (String.length checkpoint.Store.Checkpoint.cert))
-            rp.Store.Log.records;
-          let summary =
-            Printf.sprintf "%d record(s) (%d round(s), %d delta(s), %d \
-                            snapshot(s), %dB)"
-              (List.length rp.Store.Log.records) !rounds !deltas !snaps
-              rp.Store.Log.bytes
-          in
-          match (!bad_digest, rp.Store.Log.status) with
-          | Some r, _ ->
-            Printf.eprintf
-              "%s: INVALID: snapshot at round %d: state does not match the \
-               certified digest\n" file r;
-            failed := true
-          | None, Store.Log.Corrupt (off, why) ->
-            Printf.eprintf "%s: INVALID: corrupt frame at offset %d: %s\n"
-              file off why;
-            failed := true
-          | None, Store.Log.Torn off ->
-            Printf.printf
-              "%s: valid prefix, %s; torn tail at offset %d (crash \
-               mid-append — replay drops it)\n" file summary off
-          | None, Store.Log.Complete ->
-            Printf.printf "%s: valid log, %s\n" file summary
-        end)
-      files;
-    if !failed then exit 1
+    let ok =
+      List.fold_left
+        (fun ok file ->
+          if not (Sys.file_exists file) then begin
+            Printf.eprintf "%s: INVALID: no such file\n" file;
+            false
+          end
+          else begin
+            let rp = Store.Log.replay_string (read_file file) in
+            if verbose then
+              List.iter
+                (fun r -> Printf.printf "  %s\n" (Store.Log.describe r))
+                rp.Store.Log.records;
+            match (Store.Log.bad_snapshot rp, rp.Store.Log.status) with
+            | Some r, _ ->
+              Printf.eprintf
+                "%s: INVALID: snapshot at round %d: state does not match the \
+                 certified digest\n" file r;
+              false
+            | None, Store.Log.Corrupt (off, why) ->
+              Printf.eprintf "%s: INVALID: corrupt frame at offset %d: %s\n"
+                file off why;
+              false
+            | None, Store.Log.Torn off ->
+              Printf.printf
+                "%s: valid prefix, %s; torn tail at offset %d (crash \
+                 mid-append — replay drops it)\n" file (Store.Log.summary rp) off;
+              ok
+            | None, Store.Log.Complete ->
+              Printf.printf "%s: valid log, %s\n" file (Store.Log.summary rp);
+              ok
+          end)
+        true files
+    in
+    if not ok then exit 1
   in
   let files =
     Arg.(non_empty & pos_all string []
@@ -1005,116 +653,21 @@ let store_check_cmd =
 
 let durability_check_cmd =
   let run topo seed rounds interval =
-    if interval <= 0 then begin
-      prerr_endline "sintra_sim durability-check: --checkpoint-interval must be positive";
-      exit 2
-    end;
-    (* One variant of the run (Load.Rebuild): same cluster, same seed, same
-       injected traffic, one drained payload per round so --rounds really
-       is the history length.  The durable variant (given an [interval])
-       additionally attaches the durability layer to every party and,
-       after traffic has drained, power-fails the last party with a WIPED
-       device — its restart must adopt a peer snapshot, not replay history
-       it no longer has. *)
-    let run_variant ?interval () =
-      let c = make_cluster ~seed ~scheme:Config.Multi topo in
-      let r = Load.Rebuild.create ?interval c ~pid:"dchk" in
-      let events = Load.Rebuild.drive r ~rounds in
-      if interval = None then (r, events)
-      else (r, events + Load.Rebuild.power_fail r ~wipe:true)
+    let report, failures =
+      Load.Rebuild.gate ~rounds ~interval
+        ~make:(fun () -> make_cluster ~seed ~scheme:Config.Multi topo)
     in
-    let plain, plain_events = run_variant () in
-    let dur, dur_events = run_variant ~interval () in
-    let plain_log = Load.Rebuild.deliveries plain
-    and dur_log = Load.Rebuild.deliveries dur in
-    let dur_peak = dur.Load.Rebuild.backlog_peak in
-    let devs = dur.Load.Rebuild.devs and durs = dur.Load.Rebuild.durs in
     Printf.printf
       "durability-check topology=%s seed=%s: %d rounds, checkpoint interval %d\n"
       topo.Sim.Topology.label seed rounds interval;
-    Printf.printf "  plain:   %7d events, %4d deliveries at p0, backlog peak %d\n"
-      plain_events (List.length plain_log) plain.Load.Rebuild.backlog_peak;
-    Printf.printf "  durable: %7d events, %4d deliveries at p0, backlog peak %d\n"
-      dur_events (List.length dur_log) dur_peak;
-    (match durs.(0) with
-     | d0 :: _ ->
-       let ch = dur.Load.Rebuild.chans.(0) in
-       Printf.printf
-         "  history: %d round(s), stable checkpoint %s, GC floor %d, p0 log \
-          %dB\n"
-         (Atomic_channel.current_round ch)
-         (match Durable.stable_checkpoint d0 with
-          | Some cp -> string_of_int cp.Store.Checkpoint.round
-          | None -> "none")
-         (Atomic_channel.gc_floor ch)
-         (Store.Device.size devs.(0))
-     | [] -> ());
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    (* 1. The storage plane must not perturb the protocol schedule: the
-       delivery sequence at party 0 is byte-identical with and without the
-       durability layer. *)
-    if plain_log <> dur_log then begin
-      let describe log =
-        String.concat " "
-          (List.map (fun (s, m) -> Printf.sprintf "%d:%s" s m) log)
-      in
-      fail "delivery order diverged between the plain and durable runs";
-      Printf.printf "    plain:   %s\n    durable: %s\n" (describe plain_log)
-        (describe dur_log)
-    end
-    else Printf.printf "  delivery order: byte-identical across variants\n";
-    (* 2. Checkpoint GC keeps the resident DECIDED backlog bounded by the
-       checkpoint interval (plus one interval of straggler slack and the
-       pipeline window), independent of history length. *)
-    let pipeline_depth = dur.Load.Rebuild.cluster.Cluster.cfg.Config.pipeline_depth in
-    let bound = (2 * interval) + (2 * pipeline_depth) + 4 in
-    if dur_peak > bound then
-      fail "durable backlog peak %d exceeds the bound %d" dur_peak bound
-    else Printf.printf "  backlog bound:  peak %d <= %d\n" dur_peak bound;
-    (* 3. The wiped party's restart adopted a verified peer snapshot and
-       caught up without a full-history replay. *)
-    let victim = Load.Rebuild.victim dur in
-    (match durs.(victim) with
-     | newest :: _ :: _ ->
-       if Durable.restored_from newest <> -1 then
-         fail "rebuilt p%d restored from a wiped disk (impossible)" victim;
-       if Durable.snapshots_adopted newest < 1 then
-         fail "rebuilt p%d adopted no peer snapshot" victim;
-       let tip = Load.Rebuild.tip dur in
-       if tip victim < tip 0 then
-         fail "rebuilt p%d stopped at round %d, cluster is at %d" victim
-           (tip victim) (tip 0);
-       if !failures = [] then
-         Printf.printf
-           "  rebuilt p%d:    adopted a verified snapshot (stable round %s), \
-            caught up to round %d\n"
-           victim
-           (match Durable.stable_checkpoint newest with
-            | Some cp -> string_of_int cp.Store.Checkpoint.round
-            | None -> "-")
-           (tip victim)
-     | _ -> fail "p%d was never rebuilt" victim);
-    (* 4. Log round-trip: re-encoding party 0's parsed log reproduces the
-       device bytes exactly. *)
-    let rp = Store.Log.replay devs.(0) in
-    let reenc =
-      String.concat "" (List.map Store.Log.frame rp.Store.Log.records)
-    in
-    if rp.Store.Log.status <> Store.Log.Complete then
-      fail "p0's log did not parse to completion"
-    else if reenc <> Store.Device.contents devs.(0) then
-      fail "re-encoding p0's parsed log does not reproduce the device bytes"
-    else
-      Printf.printf "  log round-trip: %d record(s), byte-identical re-encoding\n"
-        (List.length rp.Store.Log.records);
-    if !failures <> [] then begin
-      List.iter (Printf.eprintf "INVALID: %s\n") (List.rev !failures);
+    print_string report;
+    if failures <> [] then begin
+      List.iter (Printf.eprintf "INVALID: %s\n") failures;
       exit 1
     end
   in
   let rounds =
-    Arg.(value & opt int 48
+    Arg.(value & opt positive 48
          & info [ "rounds" ] ~docv:"N"
              ~doc:"History length in atomic-broadcast rounds (one payload \
                    per round).")
@@ -1127,13 +680,13 @@ let durability_check_cmd =
              by a party restarted on a wiped disk, and a byte-exact log \
              round-trip.")
     Term.(const run $ topology_arg $ seed_arg $ rounds
-          $ checkpoint_interval_arg ~default:8)
+          $ checkpoint_interval_arg positive ~default:8
+              ~doc:"Rounds between checkpoints.")
 
 let () =
   let doc = "SINTRA: secure intrusion-tolerant replication (DSN 2002), simulated" in
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "sintra_sim" ~doc)
-          [ run_cmd; agree_cmd; explore_cmd; topologies_cmd; crypto_cmd;
-            trace_check_cmd; critical_path_cmd; bench_check_cmd;
-            store_check_cmd; durability_check_cmd ]))
+          [ run_cmd; agree_cmd; explore_cmd; trace_check_cmd; critical_path_cmd;
+            bench_check_cmd; store_check_cmd; durability_check_cmd ]))

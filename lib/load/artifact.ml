@@ -283,3 +283,24 @@ let diff ~baseline doc =
         if List.mem_assoc path cur then None
         else Some { path; before = Some x; after = None })
       old
+
+(* One line per change: path, baseline value, this report's value, and the
+   relative change. *)
+let changes_table (changes : change list) : string =
+  let width = List.fold_left (fun w c -> max w (String.length c.path)) 0 changes in
+  let value = function Some x -> Printf.sprintf "%g" x | None -> "-" in
+  String.concat ""
+    (List.map
+       (fun { path; before; after } ->
+         let delta =
+           match before, after with
+           | Some b, Some a when b = a -> "="
+           | Some b, Some a when b <> 0.0 ->
+             Printf.sprintf "%+.1f%%" (100.0 *. ((a -. b) /. Float.abs b))
+           | Some _, Some _ -> "changed"
+           | None, _ -> "new"
+           | _, None -> "gone"
+         in
+         Printf.sprintf "  %-*s  %12s -> %-12s  %s\n" width path (value before)
+           (value after) delta)
+       changes)

@@ -50,3 +50,8 @@ val diff : baseline:Trace.Json.value -> Trace.Json.value -> change list
     leaves in document order, then those only the baseline has.  What
     [sintra_sim bench-check --baseline] prints, so a change quotes its
     effect on an artifact row by row. *)
+
+val changes_table : change list -> string
+(** {!diff}'s changes as aligned lines of path, baseline value, this
+    report's value and relative change ([=] when equal, [new] or [gone]
+    when only one side has the row, [changed] from a zero baseline). *)

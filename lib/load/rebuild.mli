@@ -40,5 +40,17 @@ val power_fail : t -> wipe:bool -> int
 val tip : t -> int -> int
 (** Party [p]'s current atomic-broadcast round. *)
 
-val deliveries : t -> (int * string) list
-(** Party 0's deliveries as (sender, payload), in delivery order. *)
+val gate :
+  make:(unit -> Sintra.Cluster.t) -> rounds:int -> interval:int ->
+  string * string list
+(** The durability gate ([sintra_sim durability-check]).  Two runs of
+    {!drive} over [rounds] rounds, each on a fresh cluster from [make]:
+    plain, and durable with checkpoints every [interval] rounds, after
+    which {!victim} is power-failed on a wiped device.  Checks that
+    (1) party 0 delivers the same sequence in both runs, (2) party 0's
+    DECIDED backlog peak stays within [2 * interval + 2 * pipeline_depth
+    + 4], (3) the wiped victim adopted a peer snapshot (and restored
+    nothing from disk) and caught up to party 0's round, and (4) party 0's
+    log parses completely and re-encodes to its device bytes.  Returns
+    the report, one line per run and per passed check, and the failures,
+    empty when the gate passes. *)

@@ -102,3 +102,96 @@ let publish_metrics (c : t) : Trace.Metrics.t =
   (* Percentile summaries of every histogram, as <name>/p50|p90|p99. *)
   Trace.Metrics.publish_quantiles (Sim.Engine.metrics c.engine);
   Sim.Engine.metrics c.engine
+
+(* The per-party tables of `sintra_sim run --stats`. *)
+let stats (c : t) : string =
+  let m = publish_metrics c in
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.bprintf b fmt in
+  let get name =
+    match Trace.Metrics.find_counter m name with
+    | Some ct -> Trace.Metrics.value ct
+    | None -> 0.0
+  in
+  let n = n c in
+  line "\nper-party metrics:\n";
+  line "  %5s %10s %12s %10s %9s %8s %9s %7s %7s %7s\n"
+    "party" "sent_msgs" "sent_bytes" "recv_msgs" "loopback" "macs" "cpu_s"
+    "exps" "exp2s" "fixed";
+  for i = 0 to n - 1 do
+    let p fmt = Printf.sprintf fmt i in
+    line "  %5d %10.0f %12.0f %10.0f %9.0f %8.0f %9.2f %7.0f %7.0f %7.0f\n" i
+      (get (p "p%d/net.sent_msgs")) (get (p "p%d/net.sent_bytes"))
+      (get (p "p%d/net.recv_msgs")) (get (p "p%d/net.loopback_msgs"))
+      (get (p "p%d/net.macs")) (get (p "p%d/cpu.charged_s"))
+      (get (p "p%d/crypto.exps")) (get (p "p%d/crypto.exp2s"))
+      (get (p "p%d/crypto.fixed"))
+  done;
+  (* The bounded tables side by side, so a leak shows: share-cache entries
+     live now and at peak, the peak of the FIFO behind them, and the
+     statement table's peak. *)
+  line "\nper-party tables:\n";
+  line "  %5s %10s %14s %12s %14s\n"
+    "party" "cache_size" "cache_size_max" "retained_max" "stmt_table_max";
+  for i = 0 to n - 1 do
+    let p fmt = Printf.sprintf fmt i in
+    line "  %5d %10.0f %14.0f %12.0f %14.0f\n" i
+      (get (p "p%d/verify.cache_size")) (get (p "p%d/verify.cache_size/max"))
+      (get (p "p%d/verify.cache_retained/max"))
+      (get (p "p%d/tsig.stmt_table/max"))
+  done;
+  (* Everything else (protocol counters, drops), minus the table columns
+     and the per-link detail. *)
+  let tabled name =
+    List.exists
+      (fun suffix ->
+        String.length name > String.length suffix && String.ends_with ~suffix name)
+      [ "/net.sent_msgs"; "/net.sent_bytes"; "/net.recv_msgs";
+        "/net.loopback_msgs"; "/net.macs"; "/cpu.charged_s"; "/crypto.exps";
+        "/crypto.exp2s"; "/crypto.fixed";
+        "/verify.cache_size"; "/verify.cache_size/max";
+        "/verify.cache_retained/max"; "/tsig.stmt_table/max";
+        (* published histogram quantiles render in the histogram table *)
+        "/p50"; "/p90"; "/p99" ]
+    || String.starts_with ~prefix:"link/" name
+  in
+  let rest = List.filter (fun (name, _) -> not (tabled name)) (Trace.Metrics.dump m) in
+  if rest <> [] then begin
+    line "\ncounters:\n";
+    List.iter (fun (name, v) -> line "  %-40s %12.0f\n" name v) rest
+  end;
+  let hists = Trace.Metrics.hists m in
+  if hists <> [] then begin
+    line "\nlatency histograms (seconds):\n";
+    List.iter
+      (fun h ->
+        line "  %-40s n=%-6d mean=%.3f p50=%.3f p90=%.3f p99=%.3f\n"
+          (Trace.Metrics.hist_name h) (Trace.Metrics.hist_count h)
+          (Trace.Metrics.hist_mean h)
+          (Trace.Metrics.hist_quantile h 0.5)
+          (Trace.Metrics.hist_quantile h 0.9)
+          (Trace.Metrics.hist_quantile h 0.99))
+      hists
+  end;
+  Buffer.contents b
+
+(* The paper's four broadcast channels, behind one send function per party. *)
+type channel = Atomic | Secure | Reliable | Consistent
+
+let channels = [ Atomic; Secure; Reliable; Consistent ]
+
+let channel_name = function
+  | Atomic -> "atomic"
+  | Secure -> "secure"
+  | Reliable -> "reliable"
+  | Consistent -> "consistent"
+
+let join (kind : channel) (rt : Runtime.t) ~(pid : string)
+    ~(on_deliver : sender:int -> string -> unit) : string -> unit =
+  match kind with
+  | Atomic -> Atomic_channel.send (Atomic_channel.create rt ~pid ~on_deliver ())
+  | Secure ->
+    Secure_atomic_channel.send (Secure_atomic_channel.create rt ~pid ~on_deliver ())
+  | Reliable -> Reliable_channel.send (Reliable_channel.create rt ~pid ~on_deliver ())
+  | Consistent ->
+    Consistent_channel.send (Consistent_channel.create rt ~pid ~on_deliver ())

@@ -65,3 +65,29 @@ val publish_metrics : t -> Trace.Metrics.t
 (** Flush per-node network/CPU counters (and orphan-drop counts) into the
     registry, publish p50/p90/p99 summaries for every histogram, and
     return it.  Idempotent. *)
+
+val stats : t -> string
+(** {!publish_metrics}, rendered for reading: per-party message, byte,
+    loopback, MAC, charged-CPU and exponentiation totals; the bounded
+    tables (share-cache size now and at peak, its FIFO's peak, the
+    statement table's peak); every other counter except per-link detail;
+    and each latency histogram's count, mean and p50/p90/p99. *)
+
+(** {2 Channels} *)
+
+(** The paper's four broadcast channels (Section 2), in the column order
+    of its Table 1. *)
+type channel = Atomic | Secure | Reliable | Consistent
+
+val channels : channel list
+(** All four, in the order above. *)
+
+val channel_name : channel -> string
+(** ["atomic"], ["secure"], ["reliable"] or ["consistent"]. *)
+
+val join :
+  channel -> Runtime.t -> pid:string ->
+  on_deliver:(sender:int -> string -> unit) -> string -> unit
+(** Join channel [pid] of the given kind on one party; the result sends
+    one payload on it.  [on_deliver] fires per delivered payload with its
+    sender. *)

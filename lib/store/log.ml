@@ -121,3 +121,34 @@ let replay_string (s : string) : replay =
   { records = List.rev !records; status = !status; bytes = !off }
 
 let replay (dev : Device.t) : replay = replay_string (Device.contents dev)
+
+(* --- Inspection (store-check) --- *)
+
+let describe (r : record) : string =
+  match r with
+  | Round { round; batch } ->
+    Printf.sprintf "round %-6d  batch %dB" round (String.length batch)
+  | Delta { key; data } -> Printf.sprintf "delta %s = %dB" key (String.length data)
+  | Snapshot { checkpoint; state } ->
+    Printf.sprintf "snapshot round %-6d  state %dB  cert %dB"
+      checkpoint.Checkpoint.round (String.length state)
+      (String.length checkpoint.Checkpoint.cert)
+
+let summary (rp : replay) : string =
+  let count p = List.length (List.filter p rp.records) in
+  Printf.sprintf "%d record(s) (%d round(s), %d delta(s), %d snapshot(s), %dB)"
+    (List.length rp.records)
+    (count (function Round _ -> true | Delta _ | Snapshot _ -> false))
+    (count (function Delta _ -> true | Round _ | Snapshot _ -> false))
+    (count (function Snapshot _ -> true | Round _ | Delta _ -> false))
+    rp.bytes
+
+let bad_snapshot (rp : replay) : int option =
+  List.fold_left
+    (fun bad r ->
+      match r with
+      | Snapshot { checkpoint; state }
+        when Hashes.Sha256.digest state <> checkpoint.Checkpoint.digest ->
+        Some checkpoint.Checkpoint.round
+      | Round _ | Delta _ | Snapshot _ -> bad)
+    None rp.records

@@ -58,3 +58,15 @@ val replay : Device.t -> replay
 
 val replay_string : string -> replay
 (** {!replay} over raw bytes (for [store-check] and tests). *)
+
+val describe : record -> string
+(** One line naming a record and its sizes, e.g.
+    ["round 7       batch 64B"] ([store-check --verbose]). *)
+
+val summary : replay -> string
+(** The record counts by kind and the bytes of the valid prefix, e.g.
+    ["3 record(s) (2 round(s), 0 delta(s), 1 snapshot(s), 530B)"]. *)
+
+val bad_snapshot : replay -> int option
+(** The round of the last snapshot record whose state does not hash
+    (SHA-256) to its certified digest, if any. *)

@@ -197,3 +197,59 @@ let chrome_contents (c : chrome) : string =
     (List.rev !tid_order);
   "{\"traceEvents\":[\n" ^ Buffer.contents body
   ^ "\n],\"displayTimeUnit\":\"ms\"}\n"
+
+(* --- Checking a written trace --- *)
+
+(* Balanced B/E per (pid, tid) lane: the count never goes negative and ends
+   at zero. *)
+let check_chrome (events : Json.value list) : (int, string) result =
+  let lanes : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let order = ref [] in
+  let depth k = Option.value ~default:0 (Hashtbl.find_opt lanes k) in
+  let bump k d =
+    if not (Hashtbl.mem lanes k) then order := k :: !order;
+    Hashtbl.replace lanes k (depth k + d)
+  in
+  let lane ev =
+    let num f =
+      match Option.bind (Json.member f ev) Json.num_opt with
+      | Some v -> int_of_float v
+      | None -> -1
+    in
+    Printf.sprintf "%d:%d" (num "pid") (num "tid")
+  in
+  let rec walk = function
+    | [] ->
+      (match List.find_opt (fun k -> depth k <> 0) (List.rev !order) with
+       | Some k -> Error (Printf.sprintf "%d unclosed span(s) on lane %s" (depth k) k)
+       | None -> Ok (List.length events))
+    | ev :: rest ->
+      (match Option.bind (Json.member "ph" ev) Json.str_opt with
+       | Some "B" -> bump (lane ev) 1; walk rest
+       | Some "E" when depth (lane ev) <= 0 ->
+         Error (Printf.sprintf "unmatched E on lane %s" (lane ev))
+       | Some "E" -> bump (lane ev) (-1); walk rest
+       | Some _ -> walk rest
+       | None -> Error "event without a \"ph\" field")
+  in
+  walk events
+
+let check (contents : string) : (string * int, string) result =
+  match Json.parse contents with
+  | Ok doc ->
+    (match Json.member "traceEvents" doc with
+     | None -> Error "a JSON document without \"traceEvents\" is not a trace"
+     | Some evs ->
+       (match Json.list_opt evs with
+        | None -> Error "\"traceEvents\" is not an array"
+        | Some events -> Result.map (fun n -> ("chrome", n)) (check_chrome events)))
+  | Error _ ->
+    (* Not one JSON document: JSONL, whose event stream must also be
+       causally well-formed (every cause id emitted, edges monotone,
+       per-message times ordered). *)
+    (match Json.parse_lines contents with
+     | Error e -> Error e
+     | Ok events ->
+       (match Causal.validate (List.filter_map Causal.of_json events) with
+        | [] -> Ok ("jsonl", List.length events)
+        | errs -> Error ("causally ill-formed:\n  " ^ String.concat "\n  " errs)))

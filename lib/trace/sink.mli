@@ -36,3 +36,16 @@ val chrome_contents : chrome -> string
     Spans still open at the end of the run are closed at the final
     timestamp (balanced B/E guaranteed), and process/thread naming
     metadata records are appended. *)
+
+(** {2 Checking a written trace} *)
+
+val check : string -> (string * int, string) result
+(** Check a trace file's contents: a Chrome document or a JSONL stream.
+    A Chrome document is one JSON object whose [traceEvents] array holds
+    events that each have a ["ph"] field and whose begin/end spans balance
+    on every (pid, tid) lane: an [E] never closes more than was opened and
+    every [B] is closed.  A JSONL stream must parse line by line and pass
+    {!Causal.validate}.  Returns the format (["chrome"] or ["jsonl"]) and
+    the event count, or the first violation: for Chrome, an unmatched [E]
+    or an event without ["ph"] in event order, else the first lane in
+    first-seen order left with open spans. *)

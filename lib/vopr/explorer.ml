@@ -176,3 +176,72 @@ let repro ~(workload : Oracle.kind) ~(base_seed : string) (f : failure) :
     "sintra_sim explore --workload %s --seed %s --index %d --mutations '%s'"
     (Oracle.kind_to_string workload) base_seed f.index
     (Schedule.to_string f.shrunk)
+
+(* --- Reports (sintra_sim explore, bench/main.exe vopr) --- *)
+
+let schedule_text (s : Schedule.t) : string =
+  match Schedule.to_string s with "" -> "(empty)" | s -> s
+
+let failure_report ~(workload : Oracle.kind) ~(base_seed : string)
+    (f : failure) : string =
+  Printf.sprintf
+    "seed #%d (%s): oracle=%s: %s\n  schedule: %s\n  shrunk (%d runs): %s -> \
+     oracle=%s: %s\n  repro: %s\n"
+    f.index f.run_seed f.outcome.oracle f.outcome.reason
+    (schedule_text f.schedule) f.shrink_runs (schedule_text f.shrunk)
+    f.shrunk_outcome.oracle f.shrunk_outcome.reason
+    (repro ~workload ~base_seed f)
+
+let obs_report (o : Oracle.obs) : string =
+  let b = Buffer.create 1024 in
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.bprintf b
+    "  run: %d events, %.3f virtual seconds, quiesced=%b, degraded=[%s], \
+     corrupted=[%s]\n  sent: %d\n"
+    o.Oracle.events o.Oracle.vtime o.Oracle.quiesced (ints o.Oracle.degraded)
+    (ints o.Oracle.corrupted) (List.length o.Oracle.sent);
+  Array.iteri
+    (fun p log ->
+      let some label = function
+        | Some v -> Printf.sprintf ", %s %s" label v
+        | None -> ""
+      in
+      Printf.bprintf b "  party %d: %d delivered%s%s%s\n" p (List.length log)
+        (some "decided" o.Oracle.decisions.(p))
+        (some "proposed" o.Oracle.proposals.(p))
+        (match o.Oracle.flagged.(p) with
+         | [] -> ""
+         | fl ->
+           Printf.sprintf ", flagged [%s]"
+             (String.concat "; "
+                (List.map (fun (off, why) -> Printf.sprintf "%d: %s" off why) fl)));
+      List.iter (fun (sender, m) -> Printf.bprintf b "    %d: %S\n" sender m) log)
+    o.Oracle.delivered;
+  Buffer.contents b
+
+let replay ?(verbose = false) ~(runner : runner)
+    ~(oracles : Oracle.oracle list) ~(generate : run_seed:string -> Schedule.t)
+    ~(seed : string) ~(index : int) (mutations : Schedule.t option) :
+    string * bool =
+  let run_seed = run_seed_of ~base:seed index in
+  let head, sched, prefix =
+    match mutations with
+    | Some sched ->
+      let obs =
+        if not verbose then ""
+        else
+          match runner ~seed:run_seed sched with
+          | obs -> obs_report obs
+          | exception e -> Printf.sprintf "  run raised: %s\n" (Printexc.to_string e)
+      in
+      (obs, sched,
+       Printf.sprintf "replay %s [%s]: " run_seed (Schedule.to_string sched))
+    | None ->
+      let sched = generate ~run_seed in
+      (Printf.sprintf "seed #%d (%s): schedule %s\n" index run_seed
+         (schedule_text sched), sched, "")
+  in
+  match eval ~runner ~oracles ~seed:run_seed sched with
+  | Clean -> (Printf.sprintf "%s%sclean\n" head prefix, true)
+  | Failed f ->
+    (Printf.sprintf "%s%sFAIL oracle=%s: %s\n" head prefix f.oracle f.reason, false)

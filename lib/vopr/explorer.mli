@@ -19,15 +19,6 @@ type fail = {
   reason : string;  (** the oracle's verdict message *)
 }
 
-(** The judgement of one run. *)
-type outcome = Clean | Failed of fail
-
-val eval :
-  runner:runner -> oracles:Oracle.oracle list -> seed:string -> Schedule.t ->
-  outcome
-(** Run and judge once; exceptions (including invariant violations) are
-    converted into failures rather than propagated. *)
-
 (** One failing seed, with its original and shrunk schedules. *)
 type failure = {
   index : int;  (** seed index within the sweep *)
@@ -45,9 +36,6 @@ type report = {
   runs : int;  (** total workload runs, including shrinking *)
   failures : failure list;  (** failing seeds, in sweep order *)
 }
-
-val run_seed_of : base:string -> int -> string
-(** The run seed for sweep index [k]: [base ^ "#" ^ string_of_int k]. *)
 
 val schedule_of :
   run_seed:string -> n:int -> max_faulty:int -> allow_equiv:bool -> Schedule.t
@@ -67,3 +55,22 @@ val explore :
 val repro :
   workload:Oracle.kind -> base_seed:string -> failure -> string
 (** The CLI line replaying one failure's shrunk schedule exactly. *)
+
+val failure_report :
+  workload:Oracle.kind -> base_seed:string -> failure -> string
+(** The diagnosis of one failing seed, four lines: the original oracle
+    verdict, the generated schedule, the shrunk schedule with its verdict
+    and the runs spent shrinking, and the {!repro} line. *)
+
+val replay :
+  ?verbose:bool -> runner:runner -> oracles:Oracle.oracle list ->
+  generate:(run_seed:string -> Schedule.t) -> seed:string -> index:int ->
+  Schedule.t option -> string * bool
+(** Re-run sweep index [index] of base [seed] under an explicit schedule
+    (a {!repro} line's mutations) or, given [None], the one [generate]
+    derives; returns the verdict's report and whether the run was clean.
+    A run that raises (an invariant violation included) fails.  With
+    [verbose] and an explicit schedule, the report starts with the run's
+    full observation record: event count, virtual time, quiescence,
+    degraded and corrupted parties, payloads sent, and each party's
+    deliveries, decision, proposal and invariant flags. *)

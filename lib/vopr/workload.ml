@@ -133,18 +133,13 @@ let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
            match tweaks.make_channel with
            | Some mk -> mk rt ~party:p ~on_deliver
            | None ->
+             let join k = { send = Cluster.join k rt ~pid:"vopr" ~on_deliver } in
              (match kind with
-              | Oracle.Reliable ->
-                let ch = Reliable_channel.create rt ~pid:"vopr" ~on_deliver () in
-                { send = (fun m -> Reliable_channel.send ch m) }
-              | Oracle.Consistent | Oracle.Amortized ->
-                let ch =
-                  Consistent_channel.create rt ~pid:"vopr" ~on_deliver ()
-                in
-                { send = (fun m -> Consistent_channel.send ch m) }
+              | Oracle.Reliable -> join Cluster.Reliable
+              | Oracle.Consistent | Oracle.Amortized -> join Cluster.Consistent
               | Oracle.Atomic | Oracle.Throughput | Oracle.Pipeline ->
-                let ch = Atomic_channel.create rt ~pid:"vopr" ~on_deliver () in
-                { send = (fun m -> Atomic_channel.send ch m) }
+                join Cluster.Atomic
+              | Oracle.Secure -> join Cluster.Secure
               | Oracle.Durable ->
                 (* Atomic channel + the durability layer over the party's
                    device.  [cur] survives the scripted power-fail below;
@@ -175,11 +170,6 @@ let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
                       match !cur with
                       | Some ch -> Atomic_channel.send ch m
                       | None -> ()) }
-              | Oracle.Secure ->
-                let ch =
-                  Secure_atomic_channel.create rt ~pid:"vopr" ~on_deliver ()
-                in
-                { send = (fun m -> Secure_atomic_channel.send ch m) }
               | Oracle.Aba | Oracle.Mvba -> { send = (fun _ -> ()) })
          in
          chans.(p) <- Some ch)

@@ -134,6 +134,20 @@ let diff_test =
       Alcotest.(check int) "as many rows as the baseline" (List.length same)
         (List.length changes))
 
+let changes_table_test =
+  Alcotest.test_case "changes table: one aligned line per row" `Quick (fun () ->
+    let row path before after = { Load.Artifact.path; before; after } in
+    Alcotest.(check string) "table"
+      "  a.x              2 -> 2             =\n\
+      \  a.yy             4 -> 5             +25.0%\n\
+      \  b                0 -> 1             changed\n\
+      \  c                - -> 3             new\n\
+      \  d              1.5 -> -             gone\n"
+      (Load.Artifact.changes_table
+         [ row "a.x" (Some 2.0) (Some 2.0); row "a.yy" (Some 4.0) (Some 5.0);
+           row "b" (Some 0.0) (Some 1.0); row "c" None (Some 3.0);
+           row "d" (Some 1.5) None ]))
+
 let suite =
   Alcotest.test_case "every committed artifact passes" `Quick (fun () ->
     List.iter
@@ -168,4 +182,4 @@ let suite =
                Alcotest.failf "no violation mentions %S: %s" fragment
                  (String.concat "; " vs)))
        planted
-  @ [ diff_test ]
+  @ [ diff_test; changes_table_test ]

@@ -145,6 +145,47 @@ let suite =
          Alcotest.(check int) "corruption located" first_len off
        | _ -> Alcotest.fail "expected corruption");
       Alcotest.(check int) "prefix kept" 1 (List.length rp.Store.Log.records));
+    Alcotest.test_case "log summary, record lines and snapshot digests" `Quick
+      (fun () ->
+      let dev = Store.Device.mem () in
+      List.iter (fun r -> ignore (Store.Log.append dev r)) sample_records;
+      let rp = Store.Log.replay dev in
+      Alcotest.(check string) "summary"
+        (Printf.sprintf
+           "4 record(s) (2 round(s), 1 delta(s), 1 snapshot(s), %dB)"
+           (Store.Device.size dev))
+        (Store.Log.summary rp);
+      Alcotest.(check (list string)) "one line per record"
+        [ "round 0       batch 10B"; "delta opt.epoch = 2B";
+          "round 1       batch 300B"; "snapshot round 2       state 10B  cert 1B" ]
+        (List.map Store.Log.describe rp.Store.Log.records);
+      (* The sample snapshot's digest is not the hash of its state. *)
+      Alcotest.(check (option int)) "forged digest found" (Some 2)
+        (Store.Log.bad_snapshot rp);
+      let honest =
+        Store.Log.Snapshot
+          { checkpoint =
+              { Store.Checkpoint.round = 5;
+                digest = Hashes.Sha256.digest "state"; cert = "c" };
+            state = "state" }
+      in
+      Alcotest.(check (option int)) "certified digest passes" None
+        (Store.Log.bad_snapshot (Store.Log.replay_string (Store.Log.frame honest))));
+    Alcotest.test_case "durability gate: passes, and fails a history shorter than one interval"
+      `Quick (fun () ->
+      let make () =
+        Cluster.create ~seed:"gate" ~topo:Sim.Topology.lan
+          (Config.make ~n:4 ~t:1 ())
+      in
+      let report, failures = Load.Rebuild.gate ~make ~rounds:24 ~interval:4 in
+      Alcotest.(check (list string)) "no failures" [] failures;
+      Alcotest.(check int) "a line per run and per check" 7
+        (List.length (String.split_on_char '\n' report) - 1);
+      (* Below one interval the GC floor is still 0: peers serve the wiped
+         party plain catch-up, so no snapshot is adopted. *)
+      let _, failures = Load.Rebuild.gate ~make ~rounds:4 ~interval:8 in
+      Alcotest.(check (list string)) "no snapshot adopted"
+        [ "rebuilt p3 adopted no peer snapshot" ] failures);
     Alcotest.test_case "crc32 matches the IEEE reference" `Quick (fun () ->
       (* Standard check value: crc32("123456789") = 0xCBF43926. *)
       Alcotest.(check int) "check value" 0xCBF43926

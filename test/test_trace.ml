@@ -298,50 +298,44 @@ let suite = [
     let ch = Trace.Sink.chrome () in
     let _, _ = run_atomic ~seed:"chrome" ~sink:(Trace.Sink.chrome_sink ch) () in
     let doc = Trace.Sink.chrome_contents ch in
-    match Trace.Json.parse doc with
-    | Error e -> Alcotest.failf "chrome trace does not parse: %s" e
-    | Ok v ->
-      let events =
-        match Option.bind (Trace.Json.member "traceEvents" v) Trace.Json.list_opt with
-        | Some l -> l
-        | None -> Alcotest.fail "no traceEvents array"
-      in
-      Alcotest.(check bool) "many events" true (List.length events > 50);
-      (* balanced B/E per (pid, tid) lane *)
-      let lanes : (string, int) Hashtbl.t = Hashtbl.create 16 in
-      let field f ev = Option.bind (Trace.Json.member f ev) Trace.Json.num_opt in
-      let cats = ref [] in
-      List.iter
-        (fun ev ->
-          let lane =
-            Printf.sprintf "%.0f:%.0f"
-              (Option.value ~default:(-1.0) (field "pid" ev))
-              (Option.value ~default:(-1.0) (field "tid" ev))
-          in
-          (match Option.bind (Trace.Json.member "cat" ev) Trace.Json.str_opt with
-           | Some c when not (List.mem c !cats) -> cats := c :: !cats
-           | Some _ | None -> ());
-          match Option.bind (Trace.Json.member "ph" ev) Trace.Json.str_opt with
-          | Some "B" ->
-            Hashtbl.replace lanes lane
-              (1 + Option.value ~default:0 (Hashtbl.find_opt lanes lane))
-          | Some "E" ->
-            let d = Option.value ~default:0 (Hashtbl.find_opt lanes lane) - 1 in
-            if d < 0 then Alcotest.failf "unmatched E on lane %s" lane;
-            Hashtbl.replace lanes lane d
-          | Some _ -> ()
-          | None -> Alcotest.fail "event without ph")
-        events;
-      Hashtbl.iter
-        (fun lane d ->
-          if d <> 0 then Alcotest.failf "%d unclosed span(s) on lane %s" d lane)
-        lanes;
-      (* protocol, crypto and network events all made it through *)
-      List.iter
-        (fun c ->
-          Alcotest.(check bool) (Printf.sprintf "category %s present" c) true
-            (List.mem c !cats))
-        [ "bcast"; "aba"; "abc"; "crypto"; "net" ]);
+    (match Trace.Sink.check doc with
+     | Ok (kind, n) ->
+       Alcotest.(check string) "read as a chrome trace" "chrome" kind;
+       Alcotest.(check bool) "many events" true (n > 50)
+     | Error e -> Alcotest.failf "chrome trace rejected: %s" e);
+    (* protocol, crypto and network events all made it through *)
+    let events =
+      match Result.map (Trace.Json.member "traceEvents") (Trace.Json.parse doc) with
+      | Ok (Some v) -> Option.value ~default:[] (Trace.Json.list_opt v)
+      | Ok None | Error _ -> []
+    in
+    let cats =
+      List.filter_map
+        (fun ev -> Option.bind (Trace.Json.member "cat" ev) Trace.Json.str_opt)
+        events
+    in
+    List.iter
+      (fun c ->
+        Alcotest.(check bool) (Printf.sprintf "category %s present" c) true
+          (List.mem c cats))
+      [ "bcast"; "aba"; "abc"; "crypto"; "net" ]);
+
+  Alcotest.test_case "chrome: unbalanced spans are rejected" `Quick (fun () ->
+    let ev ph pid tid = Printf.sprintf "{\"ph\":%S,\"pid\":%d,\"tid\":%d}" ph pid tid in
+    let doc events = "{\"traceEvents\":[" ^ String.concat "," events ^ "]}" in
+    Alcotest.(check (result (pair string int) string)) "balanced lanes pass"
+      (Ok ("chrome", 4))
+      (Trace.Sink.check (doc [ ev "B" 1 2; ev "B" 1 3; ev "E" 1 3; ev "E" 1 2 ]));
+    List.iter
+      (fun (what, events, message) ->
+        Alcotest.(check (result (pair string int) string)) what (Error message)
+          (Trace.Sink.check (doc events)))
+      [ ("unmatched E", [ ev "B" 1 2; ev "E" 1 2; ev "E" 1 2 ],
+         "unmatched E on lane 1:2");
+        ("unclosed B", [ ev "B" 0 1; ev "B" 3 4; ev "E" 0 1 ],
+         "1 unclosed span(s) on lane 3:4");
+        ("event without ph", [ ev "B" 1 2; "{\"pid\":1,\"tid\":2}" ],
+         "event without a \"ph\" field") ]);
 
   Alcotest.test_case "metrics: published per-party registry" `Quick (fun () ->
     let c, log = run_atomic ~seed:"reg" () in
@@ -358,6 +352,19 @@ let suite = [
       Alcotest.(check bool) (Printf.sprintf "p%d charged cpu" i) true
         (get (Printf.sprintf "p%d/cpu.charged_s" i) > 0.0)
     done;
+    (* the --stats rendering tables every party and the histograms *)
+    let stats = String.split_on_char '\n' (Cluster.stats c) in
+    List.iter
+      (fun line ->
+        Alcotest.(check bool) (Printf.sprintf "stats has %S" line) true
+          (List.mem line stats))
+      [ "per-party metrics:"; "per-party tables:"; "latency histograms (seconds):" ];
+    Alcotest.(check int) "a metrics and a tables row per party" 8
+      (List.length
+         (List.filter
+            (fun l -> List.exists (fun p -> String.starts_with ~prefix:p l)
+                [ "      0 "; "      1 "; "      2 "; "      3 " ])
+            stats));
     (* sender 0's enqueue->deliver latencies landed in its histogram *)
     match Trace.Metrics.find_hist m "p0/abc.latency" with
     | None -> Alcotest.fail "missing p0/abc.latency histogram"

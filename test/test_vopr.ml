@@ -7,6 +7,11 @@ open Sintra
 
 let no_tweaks = Vopr.Workload.no_tweaks
 
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* Run a planted-bug explorer sweep and assert: a failure is found within
    the seed budget, the expected oracle is blamed for the *shrunk* schedule,
    the shrunk schedule replays to the same verdict, and the repro line
@@ -15,12 +20,12 @@ let expect_planted ~kind ~tweaks ~oracle:expected ?(seeds = 10)
     ?(expect_empty_shrink = false) () =
   let runner = Vopr.Workload.runner ~tweaks ~kind () in
   let oracles = Vopr.Oracle.all kind in
+  let generate ~run_seed =
+    Vopr.Explorer.schedule_of ~run_seed ~n:4 ~max_faulty:1
+      ~allow_equiv:(Vopr.Workload.byz_supported kind)
+  in
   let report =
-    Vopr.Explorer.explore ~runner ~oracles
-      ~generate:(fun ~run_seed ->
-        Vopr.Explorer.schedule_of ~run_seed ~n:4 ~max_faulty:1
-          ~allow_equiv:(Vopr.Workload.byz_supported kind))
-      ~seed:"planted" ~seeds ()
+    Vopr.Explorer.explore ~runner ~oracles ~generate ~seed:"planted" ~seeds ()
   in
   match report.Vopr.Explorer.failures with
   | [] ->
@@ -32,26 +37,26 @@ let expect_planted ~kind ~tweaks ~oracle:expected ?(seeds = 10)
       Alcotest.(check string)
         "shrinks to the empty schedule" ""
         (Vopr.Schedule.to_string f.Vopr.Explorer.shrunk);
-    (* the minimal schedule must replay to the same failure *)
-    (match
-       Vopr.Explorer.eval ~runner ~oracles ~seed:f.Vopr.Explorer.run_seed
-         f.Vopr.Explorer.shrunk
-     with
-     | Vopr.Explorer.Failed g ->
-       Alcotest.(check string)
-         "replay blames the same oracle" expected g.Vopr.Explorer.oracle
-     | Vopr.Explorer.Clean ->
-       Alcotest.fail "shrunk schedule replays clean");
-    let line = Vopr.Explorer.repro ~workload:kind ~base_seed:"planted" f in
-    let has needle hay =
-      let nl = String.length needle and hl = String.length hay in
-      let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-      go 0
+    (* the minimal schedule must replay to the same failure, as the repro
+       line's --index/--mutations replay does *)
+    let replayed, clean =
+      Vopr.Explorer.replay ~runner ~oracles ~generate ~seed:"planted"
+        ~index:f.Vopr.Explorer.index (Some f.Vopr.Explorer.shrunk)
     in
-    if not (has ("--workload " ^ Vopr.Oracle.kind_to_string kind) line) then
+    if clean then Alcotest.fail "shrunk schedule replays clean";
+    if not (contains ("FAIL oracle=" ^ expected ^ ":") replayed) then
+      Alcotest.failf "replay blames another oracle: %s" replayed;
+    let line = Vopr.Explorer.repro ~workload:kind ~base_seed:"planted" f in
+    if not (contains ("--workload " ^ Vopr.Oracle.kind_to_string kind) line) then
       Alcotest.failf "repro line lacks the workload: %s" line;
-    if not (has (Vopr.Schedule.to_string f.Vopr.Explorer.shrunk) line) then
-      Alcotest.failf "repro line lacks the minimal mutations: %s" line
+    if not (contains (Vopr.Schedule.to_string f.Vopr.Explorer.shrunk) line) then
+      Alcotest.failf "repro line lacks the minimal mutations: %s" line;
+    (* the sweep's diagnosis carries the verdict and the repro line *)
+    let diagnosis =
+      Vopr.Explorer.failure_report ~workload:kind ~base_seed:"planted" f
+    in
+    if not (contains ("  repro: " ^ line ^ "\n") diagnosis) then
+      Alcotest.failf "diagnosis lacks the repro line: %s" diagnosis
 
 let check_clean ~kind ~seeds =
   let runner = Vopr.Workload.runner ~kind () in
@@ -384,4 +389,22 @@ let suite = [
           if List.length (List.sort_uniq compare l) <> 4 then
             Alcotest.failf "party %d saw a duplicate delivery" p)
         logs);
+
+  Alcotest.test_case "verbose replay reports the observation record" `Quick
+    (fun () ->
+      let kind = Vopr.Oracle.Reliable in
+      let report, clean =
+        Vopr.Explorer.replay ~verbose:true
+          ~runner:(Vopr.Workload.runner ~kind ())
+          ~oracles:(Vopr.Oracle.all kind)
+          ~generate:(fun ~run_seed -> Vopr.Workload.schedule ~kind ~run_seed)
+          ~seed:"obs" ~index:2 (Some [])
+      in
+      Alcotest.(check bool) "clean" true clean;
+      List.iter
+        (fun needle ->
+          if not (contains needle report) then
+            Alcotest.failf "report lacks %S:\n%s" needle report)
+        [ "  run: "; "quiesced=true"; "  sent: 8\n"; "  party 3: 8 delivered\n";
+          "replay obs#2 []: clean\n" ]);
 ]
