@@ -157,4 +157,48 @@ let suite = [
         (List.length seqs.(2))
         (List.length (List.sort_uniq compare seqs.(2)));
       Util.check_all_equal "order after rebuild" (Array.to_list seqs));
+
+  Alcotest.test_case "rebuilt party heals a seq clash at delivery time" `Quick
+    (fun () ->
+      (* Party 2 sends "old" as (2, 0) and power-fails once its INIT has
+         left; the other three deliver it while party 2 is down.  Rebuilt
+         without a disk, party 2 restarts its counter and queues "new" under
+         the same seq 0.  Its stale INIT draws the peers' DECIDED backlog, so
+         the pre-crash "old" reaches it only after "new" is queued: that
+         delivery reveals the clash, and "new" must move to a fresh seq
+         rather than be mistaken for delivered.  Every party delivers each
+         payload exactly once, "old" first. *)
+      let c = Util.cluster ~seed:"bat6" ~max_batch:8 () in
+      let logs = Array.init 4 (fun _ -> ref []) in
+      let chans : Atomic_channel.t option array = Array.make 4 None in
+      let make p =
+        chans.(p) <-
+          Some
+            (Atomic_channel.create (Cluster.runtime c p) ~pid:"bat"
+               ~on_deliver:(fun ~sender m ->
+                 logs.(p) := (sender, m) :: !(logs.(p)))
+               ())
+      in
+      for p = 0 to 3 do make p done;
+      let rt2 = Cluster.runtime c 2 in
+      Runtime.on_rebuild rt2 (fun () ->
+        logs.(2) := [];
+        make 2);
+      let send_from_2 m () =
+        Cluster.inject c 2 (fun () ->
+          Option.iter (fun ch -> Atomic_channel.send ch m) chans.(2))
+      in
+      send_from_2 "old" ();
+      Cluster.at c ~time:0.05 (fun () -> Runtime.crash rt2);
+      Cluster.at c ~time:2.0 (fun () -> Runtime.recover rt2);
+      Cluster.at c ~time:2.5 (send_from_2 "new");
+      ignore (Cluster.run c ~until:300.0);
+      Alcotest.(check int) "quiesced" 0 (Sim.Engine.pending c.Cluster.engine);
+      Array.iteri
+        (fun p log ->
+          Alcotest.(check (list (pair int string)))
+            (Printf.sprintf "party %d delivers old then new, once each" p)
+            [ (2, "old"); (2, "new") ]
+            log)
+        (sequences logs));
 ]
