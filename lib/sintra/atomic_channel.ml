@@ -30,8 +30,8 @@
    Pipelining: up to [Config.pipeline_depth] rounds run their agreements
    concurrently.  [base] is the next round to deliver; rounds in the window
    [base, base + w) may be INITed and proposed while earlier rounds are
-   still undecided, each round carrying a disjoint chunk of the local queue
-   (an own payload is assigned to exactly one in-flight round at a time).
+   still undecided, each round's own vector a prefix of the pending own
+   payloads (see [own_items]).
    Decisions can land out of order; a decided round parks in the reorder
    buffer ([decided_batches] entries at or beyond [base]) until every
    earlier round has delivered, so delivery order — and hence the paper's
@@ -84,26 +84,45 @@ type entry = {
   en_sig : string;        (* one signature over the whole vector *)
 }
 
+(* One own payload in the ledger: queued here and not yet delivered.  Its
+   seq moves only when a renumber gives it a fresh one; its enqueue time,
+   which the latency histogram reads at delivery, never moves. *)
+type own = {
+  mutable seq : int;
+  framed : string;        (* the payload with its frame byte *)
+  enqueued : float;       (* virtual time of [enqueue] *)
+}
+
+(* Everything the channel keeps for one undelivered round; [drop_rounds]
+   removes it in one step. *)
+type round = {
+  (* signer -> (arrival rank, entry); the rank (pool size at insertion)
+     reproduces the paper's behaviour of considering messages in the order
+     they arrive in the current round *)
+  pool : (int, int * entry) Hashtbl.t;
+  mutable mine : entry option;                 (* our own INIT *)
+  mutable proposed : bool;                     (* we proposed a batch *)
+  (* DECIDED tallies: batch -> claiming senders *)
+  claims : (string, (int, unit) Hashtbl.t) Hashtbl.t;
+  mutable mvba : Array_agreement.t option;     (* the round's open agreement *)
+}
+
 type t = {
   rt : Runtime.t;
   pid : string;
   on_deliver : sender:int -> string -> unit;
   on_round_end : unit -> unit;    (* after each round's [on_deliver] calls *)
   on_close : unit -> unit;
-  (* outgoing queue of this party's own payloads *)
-  queue : (int * string) Queue.t;               (* seq, marked payload *)
+  (* The own-payload ledger, in send order: every payload of ours still
+     pending.  A payload leaves it when delivered, so no entry's seq is
+     ever in [delivered]. *)
+  pending : own Queue.t;
   mutable next_seq : int;
   mutable base : int;                  (* next round to deliver, in order *)
-  (* round -> signer -> (arrival rank, entry); the rank (table size at
-     insertion) reproduces the paper's behaviour of considering messages in
-     the order they arrive in the current round *)
-  inits : (int, (int, int * entry) Hashtbl.t) Hashtbl.t;
+  rounds : (int, round) Hashtbl.t;     (* undelivered rounds we hold state for *)
   delivered : (int * int, unit) Hashtbl.t;          (* (orig, seq) *)
   term_requests : (int, unit) Hashtbl.t;            (* parties asking to close *)
-  my_init : (int, entry) Hashtbl.t;         (* round -> our own INIT *)
-  mvbas : (int, Array_agreement.t) Hashtbl.t;      (* open, per in-flight round *)
   past_mvba : (int, Array_agreement.t) Hashtbl.t;  (* delivered, awaiting GC *)
-  proposed_rounds : (int, unit) Hashtbl.t;  (* rounds we proposed a batch for *)
   mutable cur_batch : int;         (* adaptive per-round vector cap *)
   mutable parked : int;            (* decided-but-undelivered rounds *)
   mutable closing : bool;                            (* close requested here *)
@@ -115,18 +134,14 @@ type t = {
      drained the channel's outputs (the paper: "if the outputs are not
      removed ... the channel will stall"). *)
   mutable gate : unit -> bool;
-  enqueued_at : (int, float) Hashtbl.t;   (* seq -> enqueue virtual time *)
   (* Catch-up state.  [decided_batches] keeps decided batches down to
      [floor] so we can serve stragglers; entries at or beyond [base] double
      as the reorder buffer.  Without a durability layer the floor stays at
      0 and the backlog is unbounded; with one ({!Durable}), [gc_below]
      raises the floor to the latest stable checkpoint and stragglers
-     further behind are served a signed snapshot instead ([catchup_miss]).
-     [claims] tallies DECIDED messages for rounds we have not finished:
-     round -> batch -> claiming senders. *)
+     further behind are served a signed snapshot instead ([catchup_miss]). *)
   decided_batches : (int, string) Hashtbl.t;
   mutable floor : int;           (* lowest round still in decided_batches *)
-  claims : (int, (string, (int, unit) Hashtbl.t) Hashtbl.t) Hashtbl.t;
   mutable requested_for : int;   (* highest future round that triggered a REQUEST *)
   (* Durability hooks: [round_hook] fires after each round is delivered and
      the window slides (WAL append); [catchup_miss] fires when a straggler
@@ -209,13 +224,52 @@ let window (t : t) : int = t.rt.Runtime.cfg.Config.pipeline_depth
 
 let batch_floor (t : t) : int = min adaptive_step t.rt.Runtime.cfg.Config.max_batch
 
+(* A round's record, created on first use. *)
+let round_state (t : t) (r : int) : round =
+  match Hashtbl.find_opt t.rounds r with
+  | Some rd -> rd
+  | None ->
+    let rd =
+      { pool = Hashtbl.create 8; mine = None; proposed = false;
+        claims = Hashtbl.create 4; mvba = None }
+    in
+    Hashtbl.add t.rounds r rd;
+    rd
+
+let my_init (t : t) (r : int) : entry option =
+  match Hashtbl.find_opt t.rounds r with Some rd -> rd.mine | None -> None
+
+let proposed (t : t) (r : int) : bool =
+  match Hashtbl.find_opt t.rounds r with Some rd -> rd.proposed | None -> false
+
+(* The one place a round's state is dropped: every round below [below]
+   leaves [rounds] in one step, and its open agreement is aborted — or,
+   with [~retire], kept registered in [past_mvba] for a grace period
+   ([expire_agreements] ends it). *)
+let drop_rounds (t : t) ~(below : int) ~(retire : bool) : unit =
+  Det.iter t.rounds ~compare:Det.by_int (fun r rd ->
+    if r < below then begin
+      Hashtbl.remove t.rounds r;
+      match rd.mvba with
+      | Some m when retire -> Hashtbl.replace t.past_mvba r m
+      | Some m -> Array_agreement.abort m
+      | None -> ()
+    end)
+
+(* Abort the retired agreements of rounds below [below]. *)
+let expire_agreements (t : t) ~(below : int) : unit =
+  Det.iter t.past_mvba ~compare:Det.by_int (fun r m ->
+    if r < below then begin
+      Array_agreement.abort m;
+      Hashtbl.remove t.past_mvba r
+    end)
+
 (* How deep the agreement pipeline currently runs: proposed, undecided
    rounds inside the window. *)
 let inflight_rounds (t : t) : int =
   let count = ref 0 in
   for r = t.base to t.base + window t - 1 do
-    if Hashtbl.mem t.proposed_rounds r && not (Hashtbl.mem t.decided_batches r)
-    then incr count
+    if proposed t r && not (Hashtbl.mem t.decided_batches r) then incr count
   done;
   !count
 
@@ -238,10 +292,10 @@ let item_equal (a : item) (b : item) : bool =
    a pure function of (pid, round, signer, items, signature), so an exact
    match answers it without the RSA verification. *)
 let pooled_init (t : t) ~(round : int) (en : entry) : bool =
-  match Hashtbl.find_opt t.inits round with
+  match Hashtbl.find_opt t.rounds round with
   | None -> false
-  | Some tbl ->
-    (match Hashtbl.find_opt tbl en.en_signer with
+  | Some rd ->
+    (match Hashtbl.find_opt rd.pool en.en_signer with
      | Some (_, pooled) ->
        String.equal pooled.en_sig en.en_sig
        && List.equal item_equal pooled.en_items en.en_items
@@ -309,14 +363,6 @@ let trace_phase (t : t) (name : string) (r : int) (ph : Trace.Event.phase) :
       ~args:[ ("round", Trace.Event.Int r) ]
       (Printf.sprintf "%s %d" name r)
 
-let round_inits (t : t) (round : int) : (int, int * entry) Hashtbl.t =
-  match Hashtbl.find_opt t.inits round with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 8 in
-    Hashtbl.add t.inits round tbl;
-    tbl
-
 type msg =
   | Init of int * entry
   | Decided of int * string
@@ -365,7 +411,7 @@ let send_init (t : t) (round : int) (items : item list) : unit =
       (init_stmt t ~round ~signer:t.rt.Runtime.me items)
   in
   let en = { en_signer = t.rt.Runtime.me; en_items = items; en_sig = signature } in
-  Hashtbl.replace t.my_init round en;
+  (round_state t round).mine <- Some en;
   let body =
     Wire.encode (fun b ->
       Wire.Enc.u8 b tag_init;
@@ -374,51 +420,41 @@ let send_init (t : t) (round : int) (items : item list) : unit =
   in
   Runtime.broadcast t.rt ~pid:t.pid body
 
-(* Drop the delivered prefix so the queue never regrows past deliveries. *)
-let trim_queue (t : t) : unit =
-  let rec trim () =
-    match Queue.peek_opt t.queue with
-    | Some (seq, _) when Hashtbl.mem t.delivered (t.rt.Runtime.me, seq) ->
-      ignore (Queue.pop t.queue);
-      trim ()
-    | Some _ | None -> ()
-  in
-  trim ()
+(* The one renumber rule: the next own sequence number that no delivered
+   (me, seq) shadows.  A rebuilt party restarts its counter at 0 but learns
+   its own pre-crash deliveries later, so a seq the counter reaches may
+   already be taken. *)
+let fresh_seq (t : t) : int =
+  while Hashtbl.mem t.delivered (t.rt.Runtime.me, t.next_seq) do
+    t.next_seq <- t.next_seq + 1
+  done;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
 
-(* After a state-losing rebuild our early sequence numbers can collide with
-   pre-crash history adopted through catch-up: the old payload owns the
-   (party, seq) identity, so a queued payload reusing that seq would be
-   silently treated as delivered and lost.  When a delivered own item
-   reveals such a clash, renumber the whole undelivered queue past the
-   adopted history (relative order — and so FIFO — is preserved; any
-   in-flight vector still carrying the stale identity deduplicates away at
-   delivery). *)
-let heal_seq_collision (t : t) (it : item) : unit =
-  let me = t.rt.Runtime.me in
-  let clash =
-    Queue.fold
-      (fun acc (seq, framed) ->
-        acc || (seq = it.it_seq && not (String.equal framed it.it_payload)))
-      false t.queue
-  in
-  if clash then begin
-    let entries = List.rev (Queue.fold (fun acc e -> e :: acc) [] t.queue) in
-    Queue.clear t.queue;
-    List.iter
-      (fun (old_seq, framed) ->
-        while Hashtbl.mem t.delivered (me, t.next_seq) do
-          t.next_seq <- t.next_seq + 1
-        done;
-        let seq = t.next_seq in
-        t.next_seq <- seq + 1;
-        Queue.push (seq, framed) t.queue;
-        match Hashtbl.find_opt t.enqueued_at old_seq with
-        | Some t0 ->
-          Hashtbl.remove t.enqueued_at old_seq;
-          Hashtbl.replace t.enqueued_at seq t0
-        | None -> ())
-      entries
-  end
+(* An own payload was delivered: it leaves the ledger, and its enqueue time
+   gives its end-to-end latency (the per-message latency of Figures 4
+   and 5).  A pending payload under the same seq with other bytes is a
+   clash after a rebuild: the delivered payload (pre-crash history) owns
+   the (party, seq) identity, so every pending payload moves to a fresh
+   seq.  Queue order, and so FIFO, is kept; an in-flight vector still
+   carrying a stale identity deduplicates away at delivery. *)
+let settle_own (t : t) (it : item) : unit =
+  match Seq.find (fun o -> o.seq = it.it_seq) (Queue.to_seq t.pending) with
+  | Some o when String.equal o.framed it.it_payload ->
+    (* Seqs are unique in the ledger; the delivered payload is usually its
+       head. *)
+    (match Queue.peek_opt t.pending with
+     | Some head when head.seq = o.seq -> ignore (Queue.pop t.pending)
+     | Some _ | None ->
+       let rest =
+         Queue.of_seq (Seq.filter (fun p -> p.seq <> o.seq) (Queue.to_seq t.pending))
+       in
+       Queue.clear t.pending;
+       Queue.transfer rest t.pending);
+    Trace.Ctx.observe (trace t) "abc.latency" (Runtime.now t.rt -. o.enqueued)
+  | Some _ -> Queue.iter (fun o -> o.seq <- fresh_seq t) t.pending
+  | None -> ()
 
 (* AIMD self-tuning of the vector cap from the observed backlog. *)
 let adapt_batch (t : t) (depth : int) : unit =
@@ -435,66 +471,45 @@ let adapt_batch (t : t) (depth : int) : unit =
       (float_of_int next)
   end
 
-(* The undelivered prefix of our own queue, up to the current adaptive cap.
+(* The ledger's prefix, up to the current adaptive cap.
    Every in-flight round's vector is such a prefix — never a disjoint
    chunk — which is what preserves per-sender FIFO order under pipelining:
    a batch can only carry our payload s together with (or after the
    delivery of) every earlier payload, whichever rounds our vectors end up
    riding in.  Concurrent rounds deduplicate the overlap at delivery. *)
 let own_items (t : t) : item list =
-  let cap = t.cur_batch in
-  trim_queue t;
-  let items = ref [] in
-  let count = ref 0 in
-  (try
-     Queue.iter
-       (fun (seq, payload) ->
-         if !count >= cap then raise Exit;
-         if not (Hashtbl.mem t.delivered (t.rt.Runtime.me, seq)) then begin
-           items :=
-             { it_orig = t.rt.Runtime.me; it_seq = seq; it_payload = payload }
-             :: !items;
-           incr count
-         end)
-       t.queue
-   with Exit -> ());
-  List.rev !items
+  let me = t.rt.Runtime.me in
+  List.of_seq
+    (Seq.map
+       (fun o -> { it_orig = me; it_seq = o.seq; it_payload = o.framed })
+       (Seq.take t.cur_batch (Queue.to_seq t.pending)))
 
 (* The highest own sequence number riding in any open INIT of ours; fresh
    payloads beyond it are what justify opening a deeper pipeline round. *)
 let own_hwm (t : t) : int =
-  Det.fold t.my_init ~compare:Det.by_int
-    (fun _ en acc ->
-      List.fold_left
-        (fun acc it ->
-          if it.it_orig = t.rt.Runtime.me && it.it_seq > acc then it.it_seq
-          else acc)
-        acc en.en_items)
+  Det.fold t.rounds ~compare:Det.by_int
+    (fun _ rd acc ->
+      match rd.mine with
+      | None -> acc
+      | Some en ->
+        List.fold_left
+          (fun acc it ->
+            if it.it_orig = t.rt.Runtime.me && it.it_seq > acc then it.it_seq
+            else acc)
+          acc en.en_items)
     (-1)
 
-(* Is there an undelivered own payload no open INIT of ours carries yet? *)
+(* Is there a pending own payload no open INIT of ours carries yet? *)
 let has_fresh_items (t : t) : bool =
   let hwm = own_hwm t in
-  let fresh = ref false in
-  (try
-     Queue.iter
-       (fun (seq, _) ->
-         if seq > hwm && not (Hashtbl.mem t.delivered (t.rt.Runtime.me, seq))
-         then begin
-           fresh := true;
-           raise Exit
-         end)
-       t.queue
-   with Exit -> ());
-  !fresh
+  Seq.exists (fun o -> o.seq > hwm) (Queue.to_seq t.pending)
 
 (* Undelivered payloads seen in one round's INITs, in arrival order and
    capped — what an empty-queue party adopts so that slow parties' payloads
    appear in more than one vector (the fairness lever). *)
 let adoptable_items (t : t) (round : int) : item list =
   let cap = t.cur_batch in
-  let tbl = round_inits t round in
-  let entries = Det.values tbl ~compare:Det.by_int in
+  let entries = Det.values (round_state t round).pool ~compare:Det.by_int in
   let entries = List.sort (fun (r1, _) (r2, _) -> compare r1 r2) entries in
   let chosen = Hashtbl.create 8 in
   let items = ref [] in
@@ -525,17 +540,16 @@ let adoptable_items (t : t) (round : int) : item list =
 let rec try_send_init_round (t : t) (round : int) : unit =
   if not t.closed && t.gate () && round >= t.base && round < t.base + window t
      && round >= t.init_floor
-     && not (Hashtbl.mem t.my_init round)
+     && my_init t round = None
   then begin
-    trim_queue t;
-    let depth = Queue.length t.queue in
+    let depth = Queue.length t.pending in
     if depth > 0 then adapt_batch t depth;
-    let joined = Hashtbl.length (round_inits t round) > 0 in
+    let joined = Hashtbl.length (round_state t round).pool > 0 in
     if has_fresh_items t || joined then begin
       match own_items t with
       | _ :: _ as items ->
         Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.queue_depth"
-          (float_of_int (Queue.length t.queue));
+          (float_of_int depth);
         send_init t round items
       | [] -> if joined then send_init t round (adoptable_items t round)
     end
@@ -547,17 +561,13 @@ and try_send_inits (t : t) : unit =
   done
 
 and try_propose_round (t : t) (round : int) : unit =
-  if not t.closed && round >= t.base && round < t.base + window t
-     && not (Hashtbl.mem t.proposed_rounds round)
-     && Hashtbl.mem t.my_init round
-  then begin
-    let tbl = round_inits t round in
+  match Hashtbl.find_opt t.rounds round with
+  | Some ({ mine = Some en; proposed = false; _ } as rd)
+    when not t.closed && round >= t.base && round < t.base + window t ->
+    let tbl = rd.pool in
     (* Include our own INIT in the pool. *)
-    (match Hashtbl.find_opt t.my_init round with
-     | Some en ->
-       if not (Hashtbl.mem tbl en.en_signer) then
-         Hashtbl.replace tbl en.en_signer (Hashtbl.length tbl, en)
-     | None -> ());
+    if not (Hashtbl.mem tbl en.en_signer) then
+      Hashtbl.replace tbl en.en_signer (Hashtbl.length tbl, en);
     let b = t.rt.Runtime.cfg.Config.batch_size in
     (* Wait for INITs from n-t distinct signers (guaranteed to arrive, since
        every honest party signs or adopts) before choosing the batch: the
@@ -598,10 +608,10 @@ and try_propose_round (t : t) (round : int) : unit =
       in
       let batch = List.filteri (fun i _ -> i < b) (primary @ rest) in
       let encoded = Wire.encode (fun b -> Wire.Enc.list b enc_entry batch) in
-      Hashtbl.replace t.proposed_rounds round ();
+      rd.proposed <- true;
       trace_phase t "agree" round Trace.Event.Span_begin;
       let mvba =
-        match Hashtbl.find_opt t.mvbas round with
+        match rd.mvba with
         | Some m -> m
         | None ->
           let m =
@@ -609,14 +619,14 @@ and try_propose_round (t : t) (round : int) : unit =
               ~validator:(fun batch -> batch_valid t ~round batch)
               ~on_decide:(fun decided -> round_decided t round decided)
           in
-          Hashtbl.replace t.mvbas round m;
+          rd.mvba <- Some m;
           m
       in
       Array_agreement.propose mvba encoded;
       Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.inflight_rounds"
         (float_of_int (inflight_rounds t))
     end
-  end
+  | Some _ | None -> ()
 
 and try_propose_all (t : t) : unit =
   for r = t.base to t.base + window t - 1 do
@@ -633,8 +643,7 @@ and round_decided (t : t) (round : int) (batch : string) : unit =
   then begin
     Hashtbl.replace t.decided_batches round batch;
     t.parked <- t.parked + 1;
-    if Hashtbl.mem t.proposed_rounds round then
-      trace_phase t "agree" round Trace.Event.Span_end;
+    if proposed t round then trace_phase t "agree" round Trace.Event.Span_end;
     Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.reorder_depth"
       (float_of_int t.parked);
     advance t
@@ -679,16 +688,7 @@ and deliver_round (t : t) (round : int) (batch : string) : unit =
            Hashtbl.replace t.delivered (it.it_orig, it.it_seq) ();
            t.deliveries <- t.deliveries + 1;
            incr fresh;
-           (* Own-payload end-to-end latency: enqueue -> atomic delivery
-              (the per-message latency of Figures 4 and 5). *)
-           if it.it_orig = t.rt.Runtime.me then begin
-             heal_seq_collision t it;
-             match Hashtbl.find_opt t.enqueued_at it.it_seq with
-             | Some t0 ->
-               Hashtbl.remove t.enqueued_at it.it_seq;
-               Trace.Ctx.observe (trace t) "abc.latency" (Runtime.now t.rt -. t0)
-             | None -> ()
-           end;
+           if it.it_orig = t.rt.Runtime.me then settle_own t it;
            let tr = trace t in
            if Trace.Ctx.enabled tr then
              Trace.Ctx.instant tr ~pid:t.pid ~cat:"abc"
@@ -713,13 +713,12 @@ and deliver_round (t : t) (round : int) (batch : string) : unit =
      Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.batch_occupancy"
        (float_of_int !fresh));
   (* Rounds adopted through catch-up never opened a round span. *)
-  if Hashtbl.mem t.my_init round then
+  if my_init t round <> None then
     trace_phase t "round" round Trace.Event.Span_end;
   (* Close once t+1 distinct parties asked. *)
   if Hashtbl.length t.term_requests >= Config.one_honest t.rt.Runtime.cfg then begin
     t.closed <- true;
-    Det.iter t.mvbas ~compare:Det.by_int (fun _ m -> Array_agreement.abort m);
-    Hashtbl.reset t.mvbas;
+    drop_rounds t ~below:max_int ~retire:false;
     t.on_close ()
   end
   else begin
@@ -731,21 +730,8 @@ and deliver_round (t : t) (round : int) (batch : string) : unit =
        necessary: a party whose round-r traffic was delayed past this point
        can no longer finish round r through the agreement, and recovers by
        adopting DECIDED claims instead. *)
-    (match Hashtbl.find_opt t.mvbas round with
-     | Some m ->
-       Hashtbl.remove t.mvbas round;
-       Hashtbl.replace t.past_mvba round m
-     | None -> ());
-    let gc = round - max 2 (window t) in
-    (match Hashtbl.find_opt t.past_mvba gc with
-     | Some old ->
-       Array_agreement.abort old;
-       Hashtbl.remove t.past_mvba gc
-     | None -> ());
-    Hashtbl.remove t.inits round;
-    Hashtbl.remove t.my_init round;
-    Hashtbl.remove t.claims round;
-    Hashtbl.remove t.proposed_rounds round;
+    drop_rounds t ~below:t.base ~retire:true;
+    expire_agreements t ~below:(round - max 2 (window t) + 1);
     (* The WAL hook sees the round only after the window slid, so the
        durability layer observes the post-delivery state (base = round+1).
        The closing round is not logged: a closed channel never restarts. *)
@@ -762,12 +748,12 @@ and maybe_adopt_round (t : t) (round : int) : unit =
   if (not t.closed) && round >= t.base
      && not (Hashtbl.mem t.decided_batches round)
   then
-    match Hashtbl.find_opt t.claims round with
+    match Hashtbl.find_opt t.rounds round with
     | None -> ()
-    | Some by_batch ->
+    | Some rd ->
       let quorum = Config.one_honest t.rt.Runtime.cfg in
       let winner = ref None in
-      Det.iter by_batch ~compare:String.compare (fun batch senders ->
+      Det.iter rd.claims ~compare:String.compare (fun batch senders ->
         if !winner = None && Hashtbl.length senders >= quorum then
           winner := Some batch);
       (match !winner with
@@ -776,7 +762,7 @@ and maybe_adopt_round (t : t) (round : int) : unit =
 
 and try_adopt_claims (t : t) : unit =
   if not t.closed then
-    Det.iter t.claims ~compare:Det.by_int (fun round _ ->
+    Det.iter t.rounds ~compare:Det.by_int (fun round _ ->
       maybe_adopt_round t round)
 
 let handle (t : t) ~src body =
@@ -793,7 +779,7 @@ let handle (t : t) ~src body =
         | Request _ -> "request");
       match m with
       | Init (round, en) when en.en_signer = src && round >= t.base ->
-        let tbl = round_inits t round in
+        let tbl = (round_state t round).pool in
         (* A conflicting, validly signed INIT from a signer we already hold
            one from is Byzantine evidence — record it, drop the duplicate. *)
         (match Hashtbl.find_opt tbl src with
@@ -817,9 +803,8 @@ let handle (t : t) ~src body =
              and only catch-up can revive us. *)
           let base_dark () =
             (not (Hashtbl.mem t.decided_batches t.base))
-            && (not (Hashtbl.mem t.my_init t.base))
-            && (match Hashtbl.find_opt t.inits t.base with
-                | Some tbl -> Hashtbl.length tbl = 0
+            && (match Hashtbl.find_opt t.rounds t.base with
+                | Some rd -> rd.mine = None && Hashtbl.length rd.pool = 0
                 | None -> true)
           in
           if round > t.base && round > t.requested_for
@@ -845,14 +830,7 @@ let handle (t : t) ~src body =
           send_backlog t ~dst:src ~from_round:round
       | Decided (round, batch) ->
         if round >= t.base && round <= t.base + max_claim_lead then begin
-          let by_batch =
-            match Hashtbl.find_opt t.claims round with
-            | Some m -> m
-            | None ->
-              let m = Hashtbl.create 4 in
-              Hashtbl.add t.claims round m;
-              m
-          in
+          let by_batch = (round_state t round).claims in
           (* One claim per (round, sender); a second claim with a different
              batch is Byzantine evidence. *)
           let conflicting = ref false and already = ref false in
@@ -884,16 +862,13 @@ let create (rt : Runtime.t) ~(pid : string)
   let cfg = rt.Runtime.cfg in
   let t = {
     rt; pid; on_deliver; on_round_end; on_close;
-    queue = Queue.create ();
+    pending = Queue.create ();
     next_seq = 0;
     base = 0;
-    inits = Hashtbl.create 16;
+    rounds = Hashtbl.create 16;
     delivered = Hashtbl.create 64;
     term_requests = Hashtbl.create 4;
-    my_init = Hashtbl.create 16;
-    mvbas = Hashtbl.create 8;
     past_mvba = Hashtbl.create 8;
-    proposed_rounds = Hashtbl.create 8;
     cur_batch = min adaptive_step cfg.Config.max_batch;
     parked = 0;
     closing = false;
@@ -901,10 +876,8 @@ let create (rt : Runtime.t) ~(pid : string)
     deliveries = 0;
     rounds_completed = 0;
     gate = (fun () -> true);
-    enqueued_at = Hashtbl.create 16;
     decided_batches = Hashtbl.create 32;
     floor = 0;
-    claims = Hashtbl.create 8;
     requested_for = -1;
     round_hook = None;
     catchup_miss = None;
@@ -916,20 +889,12 @@ let create (rt : Runtime.t) ~(pid : string)
   t
 
 let enqueue (t : t) (framed : string) : unit =
-  (* A rebuilt party restarts its counter at 0 but learns its own pre-crash
-     deliveries through catch-up; skip those sequence numbers, or the fresh
-     payload would be mistaken for an already-delivered one and dropped. *)
-  while Hashtbl.mem t.delivered (t.rt.Runtime.me, t.next_seq) do
-    t.next_seq <- t.next_seq + 1
-  done;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  Queue.push (seq, framed) t.queue;
-  Hashtbl.replace t.enqueued_at seq (Runtime.now t.rt);
+  let o = { seq = fresh_seq t; framed; enqueued = Runtime.now t.rt } in
+  Queue.push o t.pending;
   let tr = trace t in
   if Trace.Ctx.enabled tr then
     Trace.Ctx.instant tr ~pid:t.pid ~cat:"abc"
-      ~args:[ ("seq", Trace.Event.Int seq) ]
+      ~args:[ ("seq", Trace.Event.Int o.seq) ]
       "enqueue";
   try_send_inits t;
   try_propose_all t
@@ -1073,16 +1038,6 @@ let install_state (t : t) (state : string) : bool =
         runs;
       Hashtbl.reset t.term_requests;
       List.iter (fun p -> Hashtbl.replace t.term_requests p ()) terms;
-      let drop_below (type k) (tbl : (int, k) Hashtbl.t) (f : k -> unit) : unit
-          =
-        List.iter
-          (fun r ->
-            if r < base then begin
-              (match Hashtbl.find_opt tbl r with Some v -> f v | None -> ());
-              Hashtbl.remove tbl r
-            end)
-          (Det.keys tbl ~compare:Det.by_int)
-      in
       List.iter
         (fun r ->
           if r < base then begin
@@ -1090,35 +1045,15 @@ let install_state (t : t) (state : string) : bool =
             Hashtbl.remove t.decided_batches r
           end)
         (Det.keys t.decided_batches ~compare:Det.by_int);
-      drop_below t.inits (fun _ -> ());
-      drop_below t.my_init (fun _ -> ());
-      drop_below t.claims (fun _ -> ());
-      drop_below t.proposed_rounds (fun _ -> ());
-      drop_below t.mvbas (fun m -> Array_agreement.abort m);
-      drop_below t.past_mvba (fun m -> Array_agreement.abort m);
+      drop_rounds t ~below:base ~retire:false;
+      expire_agreements t ~below:base;
       t.base <- base;
       if base > t.floor then t.floor <- base;
-      (* Renumber queued payloads shadowed by the adopted history. *)
+      (* Renumber pending payloads shadowed by the adopted history. *)
       let me = t.rt.Runtime.me in
-      let entries = List.rev (Queue.fold (fun acc e -> e :: acc) [] t.queue) in
-      Queue.clear t.queue;
-      List.iter
-        (fun (old_seq, framed) ->
-          if Hashtbl.mem t.delivered (me, old_seq) then begin
-            while Hashtbl.mem t.delivered (me, t.next_seq) do
-              t.next_seq <- t.next_seq + 1
-            done;
-            let seq = t.next_seq in
-            t.next_seq <- seq + 1;
-            Queue.push (seq, framed) t.queue;
-            match Hashtbl.find_opt t.enqueued_at old_seq with
-            | Some t0 ->
-              Hashtbl.remove t.enqueued_at old_seq;
-              Hashtbl.replace t.enqueued_at seq t0
-            | None -> ()
-          end
-          else Queue.push (old_seq, framed) t.queue)
-        entries;
+      Queue.iter
+        (fun o -> if Hashtbl.mem t.delivered (me, o.seq) then o.seq <- fresh_seq t)
+        t.pending;
       (* Parked decisions at or past the new base may be deliverable now. *)
       advance t;
       if not t.closed then begin
@@ -1138,8 +1073,6 @@ let kick (t : t) : unit =
 
 let abort (t : t) : unit =
   t.closed <- true;
-  Det.iter t.mvbas ~compare:Det.by_int (fun _ m -> Array_agreement.abort m);
-  Hashtbl.reset t.mvbas;
-  Det.iter t.past_mvba ~compare:Det.by_int (fun _ m -> Array_agreement.abort m);
-  Hashtbl.reset t.past_mvba;
+  drop_rounds t ~below:max_int ~retire:false;
+  expire_agreements t ~below:max_int;
   Runtime.unregister t.rt ~pid:t.pid
