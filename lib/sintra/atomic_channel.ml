@@ -89,6 +89,9 @@ type entry = {
    which the latency histogram reads at delivery, never moves. *)
 type own = {
   mutable seq : int;
+  mutable init_round : int;
+      (* the lowest round whose INIT of ours carried it under [seq], or
+         [max_int] *)
   framed : string;        (* the payload with its frame byte *)
   enqueued : float;       (* virtual time of [enqueue] *)
 }
@@ -156,7 +159,8 @@ type t = {
      be in flight, and a second one with different content is
      equivocation, indistinguishable from Byzantine behaviour to every
      peer.  Rounds below the floor still complete — the other n-1 parties
-     INIT and propose them; we merely abstain from initiating. *)
+     INIT and propose them; we merely abstain from initiating, and keep our
+     own payloads out of every INIT until [base] reaches the floor. *)
   mutable init_hook : (round:int -> unit) option;
   mutable init_floor : int;
 }
@@ -432,13 +436,33 @@ let fresh_seq (t : t) : int =
   t.next_seq <- seq + 1;
   seq
 
+(* Give the first pending payload [from] selects, and every one behind it,
+   a fresh seq in queue order, so seqs keep rising along the ledger and
+   delivery keeps send order. *)
+let renumber_from (t : t) (from : own -> bool) : unit =
+  let moving = ref false in
+  Queue.iter
+    (fun o ->
+      if !moving || from o then begin
+        moving := true;
+        o.seq <- fresh_seq t;
+        o.init_round <- max_int
+      end)
+    t.pending
+
+(* Keep the pending payloads [keep] selects, in queue order. *)
+let filter_pending (t : t) (keep : own -> bool) : unit =
+  let rest = Queue.of_seq (Seq.filter keep (Queue.to_seq t.pending)) in
+  Queue.clear t.pending;
+  Queue.transfer rest t.pending
+
 (* An own payload was delivered: it leaves the ledger, and its enqueue time
    gives its end-to-end latency (the per-message latency of Figures 4
    and 5).  A pending payload under the same seq with other bytes is a
    clash after a rebuild: the delivered payload (pre-crash history) owns
    the (party, seq) identity, so every pending payload moves to a fresh
-   seq.  Queue order, and so FIFO, is kept; an in-flight vector still
-   carrying a stale identity deduplicates away at delivery. *)
+   seq; a vector still carrying the clashing identity deduplicates away at
+   delivery. *)
 let settle_own (t : t) (it : item) : unit =
   match Seq.find (fun o -> o.seq = it.it_seq) (Queue.to_seq t.pending) with
   | Some o when String.equal o.framed it.it_payload ->
@@ -446,14 +470,9 @@ let settle_own (t : t) (it : item) : unit =
        head. *)
     (match Queue.peek_opt t.pending with
      | Some head when head.seq = o.seq -> ignore (Queue.pop t.pending)
-     | Some _ | None ->
-       let rest =
-         Queue.of_seq (Seq.filter (fun p -> p.seq <> o.seq) (Queue.to_seq t.pending))
-       in
-       Queue.clear t.pending;
-       Queue.transfer rest t.pending);
+     | Some _ | None -> filter_pending t (fun p -> p.seq <> o.seq));
     Trace.Ctx.observe (trace t) "abc.latency" (Runtime.now t.rt -. o.enqueued)
-  | Some _ -> Queue.iter (fun o -> o.seq <- fresh_seq t) t.pending
+  | Some _ -> renumber_from t (fun _ -> true)
   | None -> ()
 
 (* AIMD self-tuning of the vector cap from the observed backlog. *)
@@ -476,13 +495,17 @@ let adapt_batch (t : t) (depth : int) : unit =
    chunk — which is what preserves per-sender FIFO order under pipelining:
    a batch can only carry our payload s together with (or after the
    delivery of) every earlier payload, whichever rounds our vectors end up
-   riding in.  Concurrent rounds deduplicate the overlap at delivery. *)
-let own_items (t : t) : item list =
-  let me = t.rt.Runtime.me in
-  List.of_seq
-    (Seq.map
-       (fun o -> { it_orig = me; it_seq = o.seq; it_payload = o.framed })
-       (Seq.take t.cur_batch (Queue.to_seq t.pending)))
+   riding in.  Concurrent rounds deduplicate the overlap at delivery.
+   Below [init_floor] the prefix is empty: a restarted party's pre-crash
+   payloads can still be delivered in the rounds its earlier incarnation
+   INITed, under seqs it has not yet learned are taken, so it proposes
+   none of its own until it has delivered those rounds and any collision
+   among its pending seqs has been renumbered away.  That is what makes
+   an own payload covered by an installed state after riding in an INIT
+   of ours really delivered ([install_state]). *)
+let own_items (t : t) : own list =
+  if t.base < t.init_floor then []
+  else List.of_seq (Seq.take t.cur_batch (Queue.to_seq t.pending))
 
 (* The highest own sequence number riding in any open INIT of ours; fresh
    payloads beyond it are what justify opening a deeper pipeline round. *)
@@ -547,10 +570,15 @@ let rec try_send_init_round (t : t) (round : int) : unit =
     let joined = Hashtbl.length (round_state t round).pool > 0 in
     if has_fresh_items t || joined then begin
       match own_items t with
-      | _ :: _ as items ->
+      | _ :: _ as mine ->
         Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.queue_depth"
           (float_of_int depth);
-        send_init t round items
+        List.iter (fun o -> o.init_round <- min o.init_round round) mine;
+        let me = t.rt.Runtime.me in
+        send_init t round
+          (List.map
+             (fun o -> { it_orig = me; it_seq = o.seq; it_payload = o.framed })
+             mine)
       | [] -> if joined then send_init t round (adoptable_items t round)
     end
   end
@@ -889,7 +917,9 @@ let create (rt : Runtime.t) ~(pid : string)
   t
 
 let enqueue (t : t) (framed : string) : unit =
-  let o = { seq = fresh_seq t; framed; enqueued = Runtime.now t.rt } in
+  let o =
+    { seq = fresh_seq t; init_round = max_int; framed; enqueued = Runtime.now t.rt }
+  in
   Queue.push o t.pending;
   let tr = trace t in
   if Trace.Ctx.enabled tr then
@@ -1049,11 +1079,15 @@ let install_state (t : t) (state : string) : bool =
       expire_agreements t ~below:base;
       t.base <- base;
       if base > t.floor then t.floor <- base;
-      (* Renumber pending payloads shadowed by the adopted history. *)
+      (* Settle the pending payloads the adopted history covers.  One that
+         an INIT of ours carried under its seq for a round below the new
+         base was delivered: it leaves the ledger.  Any other collides with
+         an earlier incarnation's payload under that seq: it and every
+         payload behind it move to fresh seqs. *)
       let me = t.rt.Runtime.me in
-      Queue.iter
-        (fun o -> if Hashtbl.mem t.delivered (me, o.seq) then o.seq <- fresh_seq t)
-        t.pending;
+      let covered o = Hashtbl.mem t.delivered (me, o.seq) in
+      filter_pending t (fun o -> not (covered o && o.init_round < base));
+      renumber_from t covered;
       (* Parked decisions at or past the new base may be deliverable now. *)
       advance t;
       if not t.closed then begin

@@ -106,7 +106,11 @@ val set_init_floor : t -> round:int -> unit
     different content is equivocation, indistinguishable from Byzantine
     behaviour.  The durability layer replays the persisted initiation
     water-mark ({!set_init_hook}) and sets the floor one past it; barred
-    rounds still complete, driven by the other parties' INITs. *)
+    rounds still complete, driven by the other parties' INITs.  Until the
+    channel has delivered every barred round, its INITs carry none of its
+    own payloads: a pre-crash payload can still be delivered in those
+    rounds under a sequence number the restarted party would otherwise
+    reuse. *)
 
 val backlog_rounds : t -> int
 (** Decided batches currently retained (catch-up backlog plus reorder
@@ -151,9 +155,13 @@ val install_state : t -> string -> bool
 (** Adopt a snapshot state blob, jumping the channel forward; returns
     false (and changes nothing) if the blob is malformed or does not move
     the base strictly forward.  The caller must have verified the
-    checkpoint certificate over the blob's digest first.  Queued own
-    payloads whose sequence numbers collide with adopted history are
-    renumbered, preserving FIFO order. *)
+    checkpoint certificate over the blob's digest first.  A queued own
+    payload whose sequence number the adopted history covers was delivered
+    if one of this channel's INITs carried it under that number for a
+    round below the new base, and is dropped; otherwise the number belongs
+    to an earlier incarnation's payload, and that payload and every one
+    queued behind it get fresh numbers in queue order, so FIFO order is
+    kept. *)
 
 val set_gate : t -> (unit -> bool) -> unit
 (** Backpressure: while the gate returns false this party neither INITs nor

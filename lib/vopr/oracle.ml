@@ -39,6 +39,7 @@ type obs = {
   n : int;
   t : int;
   degraded : int list;
+  restarted : int list;
   corrupted : int list;
   sent : (int * string) list;
   delivered : (int * string) list array;
@@ -121,10 +122,9 @@ let agreement : oracle =
     | Amortized | Durable ->
       (* The durable kind holds only steady parties to position-wise
          consistency: snapshot state transfer legitimately skips history
-         (the adopter's app log has gaps), and a restarted party's
-         re-proposed own payloads can deliver late at itself while
-         deduplicating away at full-history parties.  Such parties are in
-         [degraded]; integrity still covers them. *)
+         (the adopter's app log has gaps), and the power-failed party
+         misses the rounds delivered while it was down.  Such parties are
+         in [degraded]; integrity still covers them. *)
       let honest_parties =
         List.filter
           (if o.kind = Durable then steady o else honest o)
@@ -193,8 +193,8 @@ let total_order : oracle =
     | Reliable | Consistent | Aba | Mvba | Amortized -> Pass
     | Atomic | Secure | Throughput | Pipeline | Durable ->
       (* Durable: steady parties only, for the same reason as the
-         agreement oracle — snapshot adopters and restarted parties hold
-         gappy or locally-reordered (but integrity-clean) logs. *)
+         agreement oracle — snapshot adopters and the restarted party
+         hold gappy (but integrity-clean) logs. *)
       let honest_parties =
         List.filter
           (if o.kind = Durable then steady o else honest o)
@@ -229,10 +229,9 @@ let total_order : oracle =
    the deliveries from one honest origin follow that origin's submission
    order.  Gaps are allowed (liveness judges them) and so are repeats of
    the latest delivery (integrity judges them); what fails is a payload
-   delivered after a later one from the same origin.  Durable: steady
-   origins only — a restarted party or snapshot adopter renumbers queued
-   own payloads whose seqs the adopted history covers and re-proposes
-   them, so its send order is not promised across the adoption. *)
+   delivered after a later one from the same origin.  Durable: every
+   origin but the power-failed party, whose payloads queued before the
+   failure are lost with its volatile state. *)
 let fifo : oracle =
   let check (o : obs) : verdict =
     match o.kind with
@@ -240,7 +239,7 @@ let fifo : oracle =
     | Atomic | Secure | Throughput | Pipeline | Durable ->
       let origins =
         List.filter
-          (if o.kind = Durable then steady o else honest o)
+          (fun p -> honest o p && not (List.mem p o.restarted))
           (parties o)
       in
       let rank (origin : int) : (string, int) Hashtbl.t =

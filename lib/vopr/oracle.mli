@@ -42,7 +42,8 @@ type kind =
           that adopted a peer snapshot, since state transfer legitimately
           skips history — added to the degraded set: position-wise
           consistency, total order, totality and liveness are demanded of
-          the full-history parties, integrity of everyone *)
+          the full-history parties, integrity of everyone, and per-origin
+          FIFO of every origin but the power-failed party *)
 
 val all_kinds : kind list
 (** Every workload kind, in declaration order: the sweep set of
@@ -57,6 +58,9 @@ type obs = {
   n : int;  (** group size *)
   t : int;  (** fault threshold *)
   degraded : int list;  (** parties hit by destructive mutations *)
+  restarted : int list;
+      (** parties power-failed mid-run and restarted from their own disk
+          (the durable workload's party 3); a subset of [degraded] *)
   corrupted : int list;  (** parties replaced by Byzantine harnesses *)
   sent : (int * string) list;
       (** [(origin, payload)] for every honestly submitted message;

@@ -117,13 +117,8 @@ let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
    | Oracle.Durable ->
      let chans : chan option array = Array.make n None in
      (* Durable workload state: per-party in-memory devices held OUTSIDE
-        the runtimes (a disk survives a power failure), and per-party
-        dedup sets modelling an idempotent application — replaying the
-        log after a restart re-delivers rounds the app already saw. *)
+        the runtimes (a disk survives a power failure). *)
      let devs = Array.init n (fun _ -> Store.Device.mem ()) in
-     let seen : (int * string, unit) Hashtbl.t array =
-       Array.init n (fun _ -> Hashtbl.create 64)
-     in
      List.iter
        (fun p ->
          let rt = Cluster.runtime c p in
@@ -146,20 +141,25 @@ let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
                    the rebuild hook re-creates channel and controller from
                    the same device, exactly as a restarted process would. *)
                 let cur = ref None in
+                (* Restoring from the device re-delivers the rounds the
+                   application saw before the power failure; only those
+                   replayed deliveries are left out of the log, so a
+                   payload delivered twice afterwards shows up as a
+                   duplicate. *)
+                let replaying = ref false in
                 let make () =
                   let ch =
                     Atomic_channel.create rt ~pid:"vopr"
                       ~on_deliver:(fun ~sender m ->
-                        if not (Hashtbl.mem seen.(p) (sender, m)) then begin
-                          Hashtbl.add seen.(p) (sender, m) ();
-                          record (sender, m)
-                        end)
+                        if not !replaying then record (sender, m))
                       ()
                   in
+                  replaying := true;
                   let d =
                     Durable.attach rt ~chan:ch ~pid:"vopr" ~dev:devs.(p)
                       ~interval:2 ()
                   in
+                  replaying := false;
                   durables := (p, d) :: !durables;
                   cur := Some ch
                 in
@@ -316,6 +316,7 @@ let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
            !durables
        in
        d @ List.sort_uniq compare jumped);
+    restarted = (if kind = Oracle.Durable then [ 3 ] else []);
     corrupted;
     sent = List.rev !sent;
     delivered = Array.map List.rev delivered;

@@ -201,4 +201,49 @@ let suite = [
             [ (2, "old"); (2, "new") ]
             log)
         (sequences logs));
+
+  Alcotest.test_case "snapshot install renumbers unproposed payloads in order"
+    `Quick (fun () ->
+      (* Party 1 queues a, b and c (seqs 0-2) behind a closed gate, so none
+         rides in an INIT.  Every party then installs a state whose history
+         covers (1, 0) and (1, 1): those seqs belong to an earlier
+         incarnation, so a, b and c all move past them and keep their send
+         order once the gate opens. *)
+      let c = Util.cluster ~seed:"bat7" ~max_batch:8 () in
+      let chans, logs = make_atomic c "abc" in
+      let gate_open = ref false in
+      Atomic_channel.set_gate chans.(1) (fun () -> !gate_open);
+      Cluster.inject c 1 (fun () ->
+        List.iter (Atomic_channel.send chans.(1)) [ "a"; "b"; "c" ]);
+      let state =
+        Wire.encode (fun b ->
+          Wire.Enc.int b 1;
+          Wire.Enc.list b
+            (fun b (o, lo, len) ->
+              Wire.Enc.int b o;
+              Wire.Enc.int b lo;
+              Wire.Enc.int b len)
+            [ (1, 0, 1) ];
+          Wire.Enc.list b Wire.Enc.int [])
+      in
+      Cluster.at c ~time:0.5 (fun () ->
+        for p = 0 to 3 do
+          Cluster.inject c p (fun () ->
+            Alcotest.(check bool)
+              (Printf.sprintf "party %d installs" p)
+              true
+              (Atomic_channel.install_state chans.(p) state))
+        done);
+      Cluster.at c ~time:1.0 (fun () ->
+        Cluster.inject c 1 (fun () ->
+          gate_open := true;
+          Atomic_channel.kick chans.(1)));
+      ignore (Cluster.run c ~until:300.0);
+      Array.iteri
+        (fun p log ->
+          Alcotest.(check (list (pair int string)))
+            (Printf.sprintf "party %d delivers a;b;c" p)
+            [ (1, "a"); (1, "b"); (1, "c") ]
+            log)
+        (sequences logs));
 ]
