@@ -115,7 +115,7 @@ let store_dir_arg =
        & info [ "store-dir" ] ~docv:"DIR"
            ~doc:"Back each party's write-ahead log with a real file \
                  $(docv)/p<i>.wal (inspectable with store-check) instead of \
-                 an in-memory device.  The directory is created if missing.")
+                 an in-memory device.  The directory is created if missing.                  Requires --durable.")
 
 let make_cluster ~seed ~scheme ?(no_batching = false) ?pipeline_depth
     (topo : Sim.Topology.t) : Cluster.t =
@@ -187,6 +187,10 @@ let run_cmd =
       senders messages crashes verbose trace_file trace_format stats =
     if durable && channel <> Cluster.Atomic then begin
       prerr_endline "sintra_sim run: --durable requires --channel atomic";
+      exit 2
+    end;
+    if store_dir <> None && not durable then begin
+      prerr_endline "sintra_sim run: --store-dir requires --durable";
       exit 2
     end;
     let n = Sim.Topology.n topo in
@@ -653,6 +657,15 @@ let store_check_cmd =
 
 let durability_check_cmd =
   let run topo seed rounds interval =
+    (* The wiped party can only adopt a peer snapshot once the GC floor has
+       risen, which takes two checkpoints' worth of history. *)
+    if rounds < 2 * interval then begin
+      Printf.eprintf
+        "sintra_sim durability-check: --rounds %d is below 2 x \
+         --checkpoint-interval (%d): too short to raise the GC floor\n"
+        rounds (2 * interval);
+      exit 2
+    end;
     let report, failures =
       Load.Rebuild.gate ~rounds ~interval
         ~make:(fun () -> make_cluster ~seed ~scheme:Config.Multi topo)
@@ -670,7 +683,7 @@ let durability_check_cmd =
     Arg.(value & opt positive 48
          & info [ "rounds" ] ~docv:"N"
              ~doc:"History length in atomic-broadcast rounds (one payload \
-                   per round).")
+                   per round); at least twice the checkpoint interval.")
   in
   Cmd.v
     (Cmd.info "durability-check"
