@@ -563,7 +563,7 @@ let adoptable_items (t : t) (round : int) : item list =
 let rec try_send_init_round (t : t) (round : int) : unit =
   if not t.closed && t.gate () && round >= t.base && round < t.base + window t
      && round >= t.init_floor
-     && my_init t round = None
+     && Option.is_none (my_init t round)
   then begin
     let depth = Queue.length t.pending in
     if depth > 0 then adapt_batch t depth;
@@ -741,7 +741,7 @@ and deliver_round (t : t) (round : int) (batch : string) : unit =
      Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.batch_occupancy"
        (float_of_int !fresh));
   (* Rounds adopted through catch-up never opened a round span. *)
-  if my_init t round <> None then
+  if Option.is_some (my_init t round) then
     trace_phase t "round" round Trace.Event.Span_end;
   (* Close once t+1 distinct parties asked. *)
   if Hashtbl.length t.term_requests >= Config.one_honest t.rt.Runtime.cfg then begin
@@ -832,7 +832,7 @@ let handle (t : t) ~src body =
           let base_dark () =
             (not (Hashtbl.mem t.decided_batches t.base))
             && (match Hashtbl.find_opt t.rounds t.base with
-                | Some rd -> rd.mine = None && Hashtbl.length rd.pool = 0
+                | Some rd -> Option.is_none rd.mine && Hashtbl.length rd.pool = 0
                 | None -> true)
           in
           if round > t.base && round > t.requested_for
