@@ -427,7 +427,18 @@ let critical_path_cmd =
 let explore_cmd =
   let run kind seeds seed index mutations max_failures shrink_budget progress
       verbose =
-    let runner = Vopr.Workload.runner ~kind () in
+    let catchup = Hashtbl.create 8 in
+    let runner =
+      let run = Vopr.Workload.runner ~kind () in
+      fun ~seed sched ->
+        let obs = run ~seed sched in
+        List.iter
+          (fun (name, v) ->
+            Hashtbl.replace catchup name
+              (v +. Option.value (Hashtbl.find_opt catchup name) ~default:0.0))
+          obs.Vopr.Oracle.catchup;
+        obs
+    in
     let oracles = Vopr.Oracle.all kind in
     let generate ~run_seed = Vopr.Workload.schedule ~kind ~run_seed in
     if mutations <> None || index <> None then begin
@@ -469,6 +480,13 @@ let explore_cmd =
         (if dt > 0.0 then
            Printf.sprintf " (%.1f seeds/sec)" (float_of_int seeds /. dt)
          else "");
+      (* Every catch-up path's firings, summed over the sweep's runs. *)
+      if Hashtbl.length catchup > 0 then
+        Printf.printf "  catch-up:%s\n"
+          (String.concat ""
+             (List.map
+                (fun (name, v) -> Printf.sprintf " %s=%.0f" name v)
+                (Det.bindings catchup ~compare:String.compare)));
       if report.Vopr.Explorer.failures <> [] then exit 1
     end
   in

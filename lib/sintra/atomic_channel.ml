@@ -395,6 +395,7 @@ let send_backlog (t : t) ~(dst : int) ~(from_round : int) : unit =
   for r = from_round to upto do
     match Hashtbl.find_opt t.decided_batches r with
     | Some batch ->
+      Trace.Ctx.incr (trace t) "abc.catchup.decided_sent";
       Runtime.send t.rt ~dst ~pid:t.pid
         (Wire.encode (fun b ->
           Wire.Enc.u8 b tag_decided;
@@ -785,7 +786,9 @@ and maybe_adopt_round (t : t) (round : int) : unit =
         if !winner = None && Hashtbl.length senders >= quorum then
           winner := Some batch);
       (match !winner with
-       | Some batch -> round_decided t round batch
+       | Some batch ->
+         Trace.Ctx.incr (trace t) "abc.catchup.adopted";
+         round_decided t round batch
        | None -> ())
 
 and try_adopt_claims (t : t) : unit =
@@ -839,6 +842,7 @@ let handle (t : t) ~src body =
              && (round >= t.base + window t || base_dark ())
           then begin
             t.requested_for <- round;
+            Trace.Ctx.incr (trace t) "abc.catchup.request_sent";
             Runtime.broadcast t.rt ~pid:t.pid
               (Wire.encode (fun b ->
                 Wire.Enc.u8 b tag_request;
@@ -851,11 +855,14 @@ let handle (t : t) ~src body =
         end
       | Init (round, en) when en.en_signer = src ->
         (* Stale INIT: the sender is behind — help it catch up. *)
+        Trace.Ctx.incr (trace t) "abc.catchup.stale_served";
         send_backlog t ~dst:src ~from_round:round
       | Init _ -> ()
       | Request round ->
-        if round >= 0 && round < t.base then
+        if round >= 0 && round < t.base then begin
+          Trace.Ctx.incr (trace t) "abc.catchup.request_served";
           send_backlog t ~dst:src ~from_round:round
+        end
       | Decided (round, batch) ->
         if round >= t.base && round <= t.base + max_claim_lead then begin
           let by_batch = (round_state t round).claims in
@@ -991,8 +998,10 @@ let adopt_round (t : t) ~(round : int) ~(batch : string) : unit =
 (* Serve a straggler's catch-up request on behalf of the durability layer
    (its snapshot-request message funnels into the same path as REQUEST). *)
 let serve_backlog (t : t) ~(dst : int) ~(from_round : int) : unit =
-  if from_round >= 0 && from_round < t.base then
+  if from_round >= 0 && from_round < t.base then begin
+    Trace.Ctx.incr (trace t) "abc.catchup.request_served";
     send_backlog t ~dst ~from_round
+  end
 
 (* The channel state a checkpoint covers: the next round to deliver, the
    delivered (origin, seq) set as per-origin runs, and the termination

@@ -49,6 +49,7 @@ type obs = {
   quiesced : bool;
   events : int;
   vtime : float;
+  catchup : (string * float) list;
 }
 
 type verdict = Pass | Fail of string

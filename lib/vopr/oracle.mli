@@ -77,6 +77,10 @@ type obs = {
   quiesced : bool;  (** the run drained within its event/time bounds *)
   events : int;  (** simulation events executed *)
   vtime : float;  (** final virtual time *)
+  catchup : (string * float) list;
+      (** the run's [abc.catchup.<name>] registry counters by [<name>],
+          each summed over parties, in name order; empty when no
+          catch-up path fired *)
 }
 
 (** The outcome of one oracle on one run. *)

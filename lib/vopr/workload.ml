@@ -55,6 +55,23 @@ let schedule ~(kind : Oracle.kind) ~(run_seed : string) : Schedule.t =
    sender harnesses speak the inner-instance wire format directly. *)
 let framed (s : string) : string = "\x01" ^ s
 
+(* The [abc.catchup.*] counters of a run, each summed over parties (the
+   registry keys them "p<i>/abc.catchup.<name>"), keyed by <name>. *)
+let catchup_counters (c : Cluster.t) : (string * float) list =
+  let prefix = "abc.catchup." in
+  let skip = String.length prefix in
+  let sums = Hashtbl.create 8 in
+  List.iter
+    (fun (key, v) ->
+      match String.split_on_char '/' key with
+      | [ _party; counter ] when String.starts_with ~prefix counter ->
+        let name = String.sub counter skip (String.length counter - skip) in
+        Hashtbl.replace sums name
+          (v +. Option.value (Hashtbl.find_opt sums name) ~default:0.0)
+      | _ -> ())
+    (Trace.Metrics.dump (Sim.Engine.metrics c.Cluster.engine));
+  Det.bindings sums ~compare:String.compare
+
 let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
     ~(kind : Oracle.kind) () : seed:string -> Schedule.t -> Oracle.obs =
   let n = 4 and t = 1 in
@@ -328,4 +345,5 @@ let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
     quiesced = Sim.Engine.pending c.Cluster.engine = 0;
     events;
     vtime = Cluster.now c;
+    catchup = catchup_counters c;
   }
