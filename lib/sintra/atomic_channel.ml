@@ -105,8 +105,7 @@ type round = {
   pool : (int, int * entry) Hashtbl.t;
   mutable mine : entry option;                 (* our own INIT *)
   mutable proposed : bool;                     (* we proposed a batch *)
-  (* DECIDED tallies: batch -> claiming senders *)
-  claims : (string, (int, unit) Hashtbl.t) Hashtbl.t;
+  claims : (int, string) Hashtbl.t;            (* DECIDED: sender -> batch *)
   mutable mvba : Array_agreement.t option;     (* the round's open agreement *)
 }
 
@@ -680,8 +679,7 @@ and round_decided (t : t) (round : int) (batch : string) : unit =
 
 (* Deliver decided rounds in round order from the reorder buffer, opening
    the window one round at a time; after each delivery give the freed
-   window slot a chance to INIT/propose and absorb any claims that became
-   adoptable. *)
+   window slot a chance to INIT/propose. *)
 and advance (t : t) : unit =
   match Hashtbl.find_opt t.decided_batches t.base with
   | None -> ()
@@ -690,7 +688,6 @@ and advance (t : t) : unit =
     if not t.closed then begin
       try_send_inits t;
       try_propose_all t;
-      try_adopt_claims t;
       advance t
     end
 
@@ -769,32 +766,24 @@ and deliver_round (t : t) (round : int) (batch : string) : unit =
      | None -> ())
   end
 
-(* Adopt a round's batch once t+1 distinct parties claim the same one; the
-   adopted decision parks in the reorder buffer like any other, so claims
-   for any undelivered round — in-window or far ahead — are usable the
-   moment their quorum completes. *)
-and maybe_adopt_round (t : t) (round : int) : unit =
-  if (not t.closed) && round >= t.base
+(* Adopt a round's batch once t+1 distinct parties claim it; the adopted
+   decision parks in the reorder buffer like any other, so claims for any
+   undelivered round — in-window or far ahead — are usable the moment
+   their quorum completes.  Only the batch a claim just backed can have
+   completed a quorum, so it is the only one counted. *)
+let maybe_adopt_round (t : t) (round : int) (claims : (int, string) Hashtbl.t)
+    (batch : string) : unit =
+  let backers =
+    Det.fold claims ~compare:Det.by_int
+      (fun _ b n -> if String.equal b batch then n + 1 else n)
+      0
+  in
+  if backers >= Config.one_honest t.rt.Runtime.cfg
      && not (Hashtbl.mem t.decided_batches round)
-  then
-    match Hashtbl.find_opt t.rounds round with
-    | None -> ()
-    | Some rd ->
-      let quorum = Config.one_honest t.rt.Runtime.cfg in
-      let winner = ref None in
-      Det.iter rd.claims ~compare:String.compare (fun batch senders ->
-        if !winner = None && Hashtbl.length senders >= quorum then
-          winner := Some batch);
-      (match !winner with
-       | Some batch ->
-         Trace.Ctx.incr (trace t) "abc.catchup.adopted";
-         round_decided t round batch
-       | None -> ())
-
-and try_adopt_claims (t : t) : unit =
-  if not t.closed then
-    Det.iter t.rounds ~compare:Det.by_int (fun round _ ->
-      maybe_adopt_round t round)
+  then begin
+    Trace.Ctx.incr (trace t) "abc.catchup.adopted";
+    round_decided t round batch
+  end
 
 let handle (t : t) ~src body =
   if not t.closed then begin
@@ -865,29 +854,18 @@ let handle (t : t) ~src body =
         end
       | Decided (round, batch) ->
         if round >= t.base && round <= t.base + max_claim_lead then begin
-          let by_batch = (round_state t round).claims in
+          let claims = (round_state t round).claims in
           (* One claim per (round, sender); a second claim with a different
              batch is Byzantine evidence. *)
-          let conflicting = ref false and already = ref false in
-          Det.iter by_batch ~compare:String.compare (fun b srcs ->
-            if Hashtbl.mem srcs src then
-              if b = batch then already := true else conflicting := true);
-          if !conflicting then
+          match Hashtbl.find_opt claims src with
+          | Some b when String.equal b batch -> ()
+          | Some _ ->
             Invariant.flag inv ~offender:src
               (Printf.sprintf "abc %s: conflicting DECIDED for round %d" t.pid
                  round)
-          else if not !already then begin
-            let srcs =
-              match Hashtbl.find_opt by_batch batch with
-              | Some s -> s
-              | None ->
-                let s = Hashtbl.create 4 in
-                Hashtbl.add by_batch batch s;
-                s
-            in
-            Hashtbl.replace srcs src ();
-            maybe_adopt_round t round
-          end
+          | None ->
+            Hashtbl.add claims src batch;
+            maybe_adopt_round t round claims batch
         end
   end
 
@@ -1101,8 +1079,7 @@ let install_state (t : t) (state : string) : bool =
       advance t;
       if not t.closed then begin
         try_send_inits t;
-        try_propose_all t;
-        try_adopt_claims t
+        try_propose_all t
       end;
       true
     end
