@@ -503,11 +503,6 @@ let attach (rt : Runtime.t) ~(chan : Atomic_channel.t) ~(pid : string)
   Sim.Net.oob_advance rt.Runtime.net rt.Runtime.me;
   t
 
-let observe_optimistic (t : t) (oc : Optimistic_channel.t) : unit =
-  Optimistic_channel.set_epoch_hook oc (fun ~epoch ~data ->
-    ignore epoch;
-    log_delta t ~key:"opt.epoch" ~data)
-
 let device (t : t) : Store.Device.t = t.dev
 let stable_checkpoint (t : t) : Store.Checkpoint.t option = t.stable
 let checkpoints (t : t) : int = t.stats.checkpoints

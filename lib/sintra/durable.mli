@@ -26,10 +26,6 @@ val attach :
     checkpointing (log only).  The device must be held OUTSIDE the
     runtime so it survives [Runtime.crash], like a disk. *)
 
-val observe_optimistic : t -> Optimistic_channel.t -> unit
-(** Wire the optimistic channel's epoch-change hook to the delta log
-    (key ["opt.epoch"]), so epoch progress survives restarts. *)
-
 val device : t -> Store.Device.t
 (** The backing device (for inspection and crash/recover tests). *)
 

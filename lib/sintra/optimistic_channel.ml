@@ -75,9 +75,6 @@ type t = {
   mutable stats_recovered : int;
   mutable epochs_started : int;
   mutable rec_span_open : bool;        (* a "recovery" trace span is open *)
-  (* Durability: fires after each epoch change with a state delta for the
-     write-ahead log. *)
-  mutable epoch_hook : (epoch:int -> data:string -> unit) option;
 }
 
 let tag_request = 0
@@ -454,18 +451,6 @@ and finish_recovery (t : t) ~(epoch : int) (decided : string) : unit =
     t.recovery_mvba <- None;
     t.epoch <- epoch + 1;
     t.epochs_started <- t.epochs_started + 1;
-    (* Log the epoch change: the new epoch and the delivery counters it
-       starts from — the delta a durable restart needs to resume complaint
-       timing and leader choice without replaying the old epoch. *)
-    (match t.epoch_hook with
-     | Some f ->
-       f ~epoch:t.epoch
-         ~data:
-           (Wire.encode (fun b ->
-             Wire.Enc.int b t.epoch;
-             Wire.Enc.int b t.stats_fast;
-             Wire.Enc.int b t.stats_recovered))
-     | None -> ());
     t.in_recovery <- false;
     t.next_assign <- 0;
     t.vcbc_prefix <- 0;
@@ -583,7 +568,6 @@ let create ?(timeout = 5.0) (rt : Runtime.t) ~(pid : string)
     stats_recovered = 0;
     epochs_started = 1;
     rec_span_open = false;
-    epoch_hook = None;
   }
   in
   Runtime.register rt ~pid (fun ~src body -> handle t ~src body);
@@ -605,6 +589,3 @@ let current_epoch (t : t) = t.epoch
 let current_leader (t : t) = leader t
 let deliveries_fast (t : t) = t.stats_fast
 let deliveries_recovered (t : t) = t.stats_recovered
-
-let set_epoch_hook (t : t) (f : epoch:int -> data:string -> unit) : unit =
-  t.epoch_hook <- Some f

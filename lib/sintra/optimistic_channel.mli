@@ -37,8 +37,3 @@ val deliveries_fast : t -> int
 
 val deliveries_recovered : t -> int
 (** Locally delivered during epoch-change recovery. *)
-
-val set_epoch_hook : t -> (epoch:int -> data:string -> unit) -> unit
-(** Install the durability layer's epoch observer: fires after each epoch
-    change with the new epoch number and an encoded state delta (epoch and
-    delivery counters) for the write-ahead log — see [Durable.observe_optimistic]. *)

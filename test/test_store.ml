@@ -10,7 +10,7 @@ open Sintra
 let sample_records : Store.Log.record list =
   [
     Store.Log.Round { round = 0; batch = "batch-zero" };
-    Store.Log.Delta { key = "opt.epoch"; data = "\x01\x02" };
+    Store.Log.Delta { key = "abc.init_hwm"; data = "12" };
     Store.Log.Round { round = 1; batch = String.make 300 'x' };
     Store.Log.Snapshot
       {
@@ -156,7 +156,7 @@ let suite =
            (Store.Device.size dev))
         (Store.Log.summary rp);
       Alcotest.(check (list string)) "one line per record"
-        [ "round 0       batch 10B"; "delta opt.epoch = 2B";
+        [ "round 0       batch 10B"; "delta abc.init_hwm = 2B";
           "round 1       batch 300B"; "snapshot round 2       state 10B  cert 1B" ]
         (List.map Store.Log.describe rp.Store.Log.records);
       (* The sample snapshot's digest is not the hash of its state. *)
@@ -434,49 +434,6 @@ let suite =
         (List.length durable);
       if plain <> durable then
         Alcotest.fail "durable delivery order diverged from the plain run");
-    Alcotest.test_case "optimistic epoch deltas reach the log" `Quick
-      (fun () ->
-      (* Observe an optimistic channel from a durability controller;
-         crashing the epoch-0 leader forces an epoch change, whose delta
-         must land in the WAL under the "opt.epoch" key. *)
-      let c = Util.cluster ~seed:"dur-opt" () in
-      let n = 4 in
-      let dev = Store.Device.mem () in
-      let logs = Array.init n (fun _ -> ref []) in
-      let ochans =
-        Array.init n (fun i ->
-          Optimistic_channel.create ~timeout:1.0 (Cluster.runtime c i)
-            ~pid:"opt"
-            ~on_deliver:(fun ~sender m ->
-              logs.(i) := (sender, m) :: !(logs.(i)))
-            ())
-      in
-      let ch =
-        Atomic_channel.create (Cluster.runtime c 1) ~pid:"dur-side"
-          ~on_deliver:(fun ~sender:_ _ -> ())
-          ()
-      in
-      let d =
-        Durable.attach (Cluster.runtime c 1) ~chan:ch ~pid:"dur-side" ~dev
-          ~interval:0 ()
-      in
-      Durable.observe_optimistic d ochans.(1);
-      Cluster.crash c 0;
-      Cluster.at c ~time:0.2 (fun () ->
-        Cluster.inject c 1 (fun () ->
-          Optimistic_channel.send ochans.(1) "needs-epoch-change"));
-      ignore (Cluster.run c ~until:120.0);
-      Alcotest.(check bool) "epoch advanced" true
-        (Optimistic_channel.current_epoch ochans.(1) >= 1);
-      let rp = Store.Log.replay dev in
-      let has_delta =
-        List.exists
-          (function
-            | Store.Log.Delta { key; _ } -> key = "opt.epoch"
-            | _ -> false)
-          rp.Store.Log.records
-      in
-      Alcotest.(check bool) "epoch delta logged" true has_delta);
     Alcotest.test_case "statement table stays bounded over a long durable run"
       `Quick (fun () ->
       (* Instance GC (checkpoint-driven, via gc_below) evicts the protocol
