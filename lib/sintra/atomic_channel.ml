@@ -842,8 +842,10 @@ let handle (t : t) ~src body =
             try_propose_round t round
           end
         end
-      | Init (round, en) when en.en_signer = src ->
-        (* Stale INIT: the sender is behind — help it catch up. *)
+      | Init (round, en) when en.en_signer = src && src <> t.rt.Runtime.me ->
+        (* Stale INIT: the sender is behind — help it catch up.  Our own
+           INIT loops back stale once we delivered its round without it;
+           we are not behind ourselves. *)
         Trace.Ctx.incr (trace t) "abc.catchup.stale_served";
         send_backlog t ~dst:src ~from_round:round
       | Init _ -> ()
