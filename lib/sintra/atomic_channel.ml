@@ -57,12 +57,20 @@
    point where its peers garbage-collected the round-r instance can never
    finish round r through the agreement itself.  (The schedule explorer
    found exactly this: delay one link long enough and the victim stalls
-   forever, losing its own payloads.)  Three extra message kinds repair it:
-   - REQUEST(r): broadcast when we see a validly signed INIT for a round
-     beyond our window — proof that someone delivered our base round;
+   forever, losing its own payloads.)  Catch-up repairs it, and the
+   channel is the only party that asks for it:
+   - REQUEST(base), broadcast by [request] on evidence in peers' traffic
+     that our base round went on without us (a validly signed INIT beyond
+     our window, or ahead of a base round with no activity at all; a
+     later round deciding here while we never proposed in the base round)
+     and on our own progress (the end of a rebuild, a snapshot install,
+     each catch-up window of base progress made by adopted claims), since
+     a quiet cluster sends no traffic that would make a rebuilt party ask;
    - DECIDED(r, batch): sent point-to-point in reply to a REQUEST or to a
      stale INIT, carrying the whole batch we decided in round r (catch-up
-     moves whole batches, never single payloads);
+     moves whole batches, never single payloads), at most a window of
+     rounds per reply; a request from below the GC floor also fires the
+     durability layer's snapshot service ([catchup_miss]);
    - a straggler adopts a batch for any undelivered round once t+1 distinct
      parties claim the same one — any t+1 set contains an honest party, so
      the batch really is the round's decision and agreement is preserved
@@ -144,7 +152,8 @@ type t = {
      further behind are served a signed snapshot instead ([catchup_miss]). *)
   decided_batches : (int, string) Hashtbl.t;
   mutable floor : int;           (* lowest round still in decided_batches *)
-  mutable requested_for : int;   (* highest future round that triggered a REQUEST *)
+  mutable requested_for : int;   (* highest later round that triggered a REQUEST *)
+  mutable pulled_at : int;       (* [base] when we last sent a REQUEST *)
   (* Durability hooks: [round_hook] fires after each round is delivered and
      the window slides (WAL append); [catchup_miss] fires when a straggler
      asks for history below [floor] (snapshot state transfer). *)
@@ -169,7 +178,7 @@ let tag_decided = 1
 let tag_request = 2
 
 (* DECIDED batches sent per stale INIT or REQUEST; the straggler re-INITs
-   (or re-REQUESTs) as it advances, so a small window still converges. *)
+   or re-REQUESTs as it advances, so a small window still converges. *)
 let catchup_window = 8
 
 (* Future-round DECIDED claims kept at most this far ahead, bounding what a
@@ -402,6 +411,27 @@ let send_backlog (t : t) ~(dst : int) ~(from_round : int) : unit =
           Wire.Enc.bytes b batch))
     | None -> ()
   done
+
+(* The one catch-up request: ask every party for the decided batches from
+   our base on.  Inside a rebuild it waits for the restart pull, which runs
+   once the rebuild is over and asks from the base the rebuild reached. *)
+let request (t : t) : unit =
+  if (not t.closed) && not (Runtime.rebuilding t.rt) then begin
+    t.pulled_at <- t.base;
+    Trace.Ctx.incr (trace t) "abc.catchup.request_sent";
+    Runtime.broadcast t.rt ~pid:t.pid
+      (Wire.encode (fun b ->
+        Wire.Enc.u8 b tag_request;
+        Wire.Enc.int b t.base))
+  end
+
+(* Round [round], beyond our base, is running or decided elsewhere while
+   our base round cannot finish here: ask, at most once per such round. *)
+let request_ahead (t : t) (round : int) : unit =
+  if round > t.requested_for then begin
+    t.requested_for <- round;
+    request t
+  end
 
 (* Sign and broadcast our INIT vector for one in-window round.  The init
    hook fires first — write-ahead — so the round number is on disk before
@@ -674,7 +704,11 @@ and round_decided (t : t) (round : int) (batch : string) : unit =
     if proposed t round then trace_phase t "agree" round Trace.Event.Span_end;
     Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.reorder_depth"
       (float_of_int t.parked);
-    advance t
+    advance t;
+    (* A later round decided, but we never proposed in our base round: it
+       most likely decided without us (a restarted party lost the INITs
+       sent while it was down), and no INIT will ever tell us. *)
+    if round > t.base && not (proposed t t.base) then request_ahead t round
   end
 
 (* Deliver decided rounds in round order from the reorder buffer, opening
@@ -782,7 +816,9 @@ let maybe_adopt_round (t : t) (round : int) (claims : (int, string) Hashtbl.t)
      && not (Hashtbl.mem t.decided_batches round)
   then begin
     Trace.Ctx.incr (trace t) "abc.catchup.adopted";
-    round_decided t round batch
+    round_decided t round batch;
+    (* Adopting means we are behind: keep pulling as the base advances. *)
+    if t.base >= t.pulled_at + catchup_window then request t
   end
 
 let handle (t : t) ~src body =
@@ -827,16 +863,8 @@ let handle (t : t) ~src body =
                 | Some rd -> Option.is_none rd.mine && Hashtbl.length rd.pool = 0
                 | None -> true)
           in
-          if round > t.base && round > t.requested_for
-             && (round >= t.base + window t || base_dark ())
-          then begin
-            t.requested_for <- round;
-            Trace.Ctx.incr (trace t) "abc.catchup.request_sent";
-            Runtime.broadcast t.rt ~pid:t.pid
-              (Wire.encode (fun b ->
-                Wire.Enc.u8 b tag_request;
-                Wire.Enc.int b t.base))
-          end;
+          if round > t.base && (round >= t.base + window t || base_dark ())
+          then request_ahead t round;
           if round < t.base + window t then begin
             try_send_init_round t round;
             try_propose_round t round
@@ -894,6 +922,7 @@ let create (rt : Runtime.t) ~(pid : string)
     decided_batches = Hashtbl.create 32;
     floor = 0;
     requested_for = -1;
+    pulled_at = 0;
     round_hook = None;
     catchup_miss = None;
     init_hook = None;
@@ -901,6 +930,9 @@ let create (rt : Runtime.t) ~(pid : string)
   }
   in
   Runtime.register rt ~pid (fun ~src body -> handle t ~src body);
+  (* A rebuilt party pulls once its rebuild is over: in a quiet cluster no
+     peer traffic would ever make it ask. *)
+  Runtime.after_rebuild rt (fun () -> request t);
   t
 
 let enqueue (t : t) (framed : string) : unit =
@@ -974,14 +1006,6 @@ let adopt_round (t : t) ~(round : int) ~(batch : string) : unit =
     && (not (Hashtbl.mem t.decided_batches round))
     && batch_valid t ~round batch
   then round_decided t round batch
-
-(* Serve a straggler's catch-up request on behalf of the durability layer
-   (its snapshot-request message funnels into the same path as REQUEST). *)
-let serve_backlog (t : t) ~(dst : int) ~(from_round : int) : unit =
-  if from_round >= 0 && from_round < t.base then begin
-    Trace.Ctx.incr (trace t) "abc.catchup.request_served";
-    send_backlog t ~dst ~from_round
-  end
 
 (* The channel state a checkpoint covers: the next round to deliver, the
    delivered (origin, seq) set as per-origin runs, and the termination
@@ -1083,6 +1107,9 @@ let install_state (t : t) (state : string) : bool =
         try_send_inits t;
         try_propose_all t
       end;
+      (* The tail beyond the installed checkpoint comes from the peers'
+         retained backlogs. *)
+      request t;
       true
     end
 

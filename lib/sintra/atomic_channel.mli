@@ -45,7 +45,10 @@ val create :
     closes or slides its window, so a consumer can act on a whole round at
     once — the secure channel sends all of a round's decryption shares in
     one frame per peer.  It fires for a round that delivered no fresh
-    payload too. *)
+    payload too.  A channel created by a rebuild hook ({!Runtime.recover})
+    asks every party for the rounds it missed once the whole rebuild has
+    run — a durability layer's restore included — and keeps asking as
+    rounds it adopts from the answers move it forward. *)
 
 val send : t -> string -> unit
 (** Queue a payload for broadcast (the paper's send event); any number of
@@ -133,18 +136,6 @@ val adopt_round : t -> round:int -> batch:string -> unit
     against this round number, so a tampered log can lose history but
     never forge it. *)
 
-val catchup_window : int
-(** DECIDED batches served per catch-up request ({!serve_backlog} and the
-    protocol's own REQUEST path).  A straggler further behind converges by
-    re-requesting as it advances; in a quiesced cluster there is no
-    traffic to trigger the channel's own re-REQUESTs, so the durability
-    layer re-announces its round every window of progress. *)
-
-val serve_backlog : t -> dst:int -> from_round:int -> unit
-(** Serve a straggler retained batches starting at [from_round] (the
-    durability layer's snapshot-request path funnels into the same
-    catch-up machinery as the protocol's own REQUEST message). *)
-
 val encode_state : t -> string
 (** The canonical state blob a checkpoint covers: next round to deliver,
     the delivered (origin, sequence) set as sorted runs, and the
@@ -161,7 +152,8 @@ val install_state : t -> string -> bool
     round below the new base, and is dropped; otherwise the number belongs
     to an earlier incarnation's payload, and that payload and every one
     queued behind it get fresh numbers in queue order, so FIFO order is
-    kept. *)
+    kept.  The channel then asks every party for the rounds beyond the
+    installed base. *)
 
 val set_gate : t -> (unit -> bool) -> unit
 (** Backpressure: while the gate returns false this party neither INITs nor

@@ -21,11 +21,12 @@
       log (snapshot record + history since) and garbage-collects the
       channel's in-memory DECIDED backlog below it.
 
-   3. Snapshots.  A straggler asking for history below the GC floor — or
-      broadcasting SNAP_REQ after a rebuild — is served the latest
-      certificate plus state blob; the receiver re-digests the blob,
-      verifies the certificate, and only then installs the state.  A bad
-      snapshot from a Byzantine peer is flagged and dropped. *)
+   3. Snapshots.  A straggler whose catch-up REQUEST (the channel's; the
+      controller itself never asks) reaches below the GC floor is served
+      the latest certificate plus state blob on the storage plane; the
+      receiver re-digests the blob, verifies the certificate, and only
+      then installs the state, after which its channel asks for the tail.
+      A bad snapshot from a Byzantine peer is flagged and dropped. *)
 
 type stats = {
   mutable checkpoints : int;
@@ -61,13 +62,11 @@ type t = {
   mutable stable_state : string;
   mutable deltas : (string * string) list;   (* replayed deltas, oldest first *)
   mutable replaying : bool;
-  mutable last_announce : int;   (* channel round of the last Snap_req *)
   stats : stats;
 }
 
 type msg =
   | Cp_share of int * Tsig.share
-  | Snap_req of int
   | Snap of Store.Checkpoint.t * string
 
 let enc_msg (b : Wire.Enc.t) (m : msg) : unit =
@@ -76,11 +75,8 @@ let enc_msg (b : Wire.Enc.t) (m : msg) : unit =
     Wire.Enc.u8 b 0;
     Wire.Enc.int b round;
     Tsig.enc_share b share
-  | Snap_req round ->
-    Wire.Enc.u8 b 1;
-    Wire.Enc.int b round
   | Snap (cp, state) ->
-    Wire.Enc.u8 b 2;
+    Wire.Enc.u8 b 1;
     Store.Checkpoint.enc b cp;
     Wire.Enc.bytes b state
 
@@ -90,8 +86,7 @@ let dec_msg (d : Wire.Dec.t) : msg =
     let round = Wire.Dec.int d in
     let share = Tsig.dec_share d in
     Cp_share (round, share)
-  | 1 -> Snap_req (Wire.Dec.int d)
-  | 2 ->
+  | 1 ->
     let cp = Store.Checkpoint.dec d in
     let state = Wire.Dec.bytes d in
     Snap (cp, state)
@@ -230,18 +225,6 @@ let begin_checkpoint (t : t) ~(cp_round : int) : unit =
      round; they were parked and can be judged now. *)
   try_stable t cp_round
 
-(* Broadcast our round on the storage plane.  Peers ahead reply with
-   retained DECIDED rounds (or a snapshot, if our round fell below their
-   GC floor); peers at or behind our round reply with nothing, so
-   announcements are self-terminating.  Re-announced every catch-up window
-   of progress and after each snapshot adoption: a rebuilt straggler in an
-   otherwise quiet cluster sees no stale INITs to trigger the channel's
-   own re-REQUESTs, so the pull is on us. *)
-let announce (t : t) : unit =
-  t.last_announce <- Atomic_channel.current_round t.chan;
-  Runtime.broadcast_store t.rt ~pid:t.dpid
-    (Wire.encode (fun b -> enc_msg b (Snap_req t.last_announce)))
-
 let on_round (t : t) ~(round : int) ~(batch : string) : unit =
   if not t.replaying then begin
     let bytes = Store.Log.append t.dev (Store.Log.Round { round; batch }) in
@@ -249,8 +232,6 @@ let on_round (t : t) ~(round : int) ~(batch : string) : unit =
     gauges t;
     if t.interval > 0 && (round + 1) mod t.interval = 0 then
       begin_checkpoint t ~cp_round:(round + 1);
-    if round + 1 >= t.last_announce + Atomic_channel.catchup_window then
-      announce t;
     (* The round hook runs inside a protocol handler: fold the storage
        work just charged into the storage core's busy clock. *)
     Sim.Net.oob_advance t.rt.Runtime.net t.rt.Runtime.me
@@ -311,9 +292,6 @@ let adopt_snapshot (t : t) ~(src : int) (cp : Store.Checkpoint.t)
       Atomic_channel.gc_below t.chan ~round:cp.Store.Checkpoint.round;
       Runtime.forget_statements t.rt ~pid:t.dpid;
       t.stats.snapshots_adopted <- t.stats.snapshots_adopted + 1;
-      (* The tail beyond the adopted checkpoint still has to come from the
-         peers' retained backlogs: ask from the new round. *)
-      announce t;
       let tr = trace t in
       if Trace.Ctx.enabled tr then
         Trace.Ctx.instant tr ~pid:t.dpid ~cat:"store"
@@ -333,7 +311,6 @@ let handle (t : t) ~(src : int) (body : string) : unit =
     Runtime.handling t.rt ~pid:t.dpid ~cat:"store"
       (match m with
        | Cp_share _ -> "cp_share"
-       | Snap_req _ -> "snap_req"
        | Snap _ -> "snap");
     (match m with
      | Cp_share (round, share) ->
@@ -357,11 +334,6 @@ let handle (t : t) ~(src : int) (body : string) : unit =
            try_stable t round
          end
        end
-     | Snap_req from_round ->
-       (* Funnel into the channel's catch-up: retained rounds are served
-          as DECIDED; a request below the GC floor fires the snapshot
-          path. *)
-       Atomic_channel.serve_backlog t.chan ~dst:src ~from_round
      | Snap (cp, state) -> adopt_snapshot t ~src cp state)
 
 (* Append a channel-state delta record.  A delta supersedes earlier deltas
@@ -458,7 +430,6 @@ let attach (rt : Runtime.t) ~(chan : Atomic_channel.t) ~(pid : string)
       stable_state = "";
       deltas = [];
       replaying = false;
-      last_announce = 0;
       stats =
         {
           checkpoints = 0;
@@ -494,12 +465,10 @@ let attach (rt : Runtime.t) ~(chan : Atomic_channel.t) ~(pid : string)
       hwm := round;
       log_delta t ~key:init_hwm_key ~data:(string_of_int round)
     end);
-  (* Announce where we stand: peers ahead of us reply with retained rounds
-     or — if our needed history is GC'd everywhere — a signed snapshot.
-     At a fresh cluster start this is a no-op round trip. *)
-  announce t;
-  (* Restore and announcement ran synchronously (attach or rebuild hook):
-     their cost belongs to the storage core, not the protocol CPU. *)
+  (* Restore ran synchronously (attach or rebuild hook): its cost belongs
+     to the storage core, not the protocol CPU.  A rebuilt channel asks
+     for what it missed once the rebuild is over, from the base the
+     restore reached. *)
   Sim.Net.oob_advance rt.Runtime.net rt.Runtime.me;
   t
 

@@ -19,8 +19,10 @@ val attach :
   ?interval:int -> unit -> t
 (** Attach durability to a channel: restore from [dev] (verified snapshot
     adoption plus re-validated tail replay), install the channel's round
-    and catch-up-miss hooks, register the controller's own network pid
-    ([pid ^ "!dur"]) and announce our round to the cluster.  [pid] must be
+    and catch-up-miss hooks and register the controller's own network pid
+    ([pid ^ "!dur"]).  The controller sends no catch-up request of its
+    own: the channel's requests reach it when they ask for history below
+    the GC floor, and it answers them with a snapshot.  [pid] must be
     the channel's pid — it names the certified statement.  [interval]
     (default 256) is the checkpoint period in rounds; [0] disables
     checkpointing (log only).  The device must be held OUTSIDE the

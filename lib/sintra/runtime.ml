@@ -29,6 +29,8 @@ type t = {
   mutable coin_finished : int;    (* coin shares computed, when revealed *)
   mutable own_ct_reused : int;    (* own ciphertexts delivered unchecked *)
   mutable rebuild : (unit -> unit) list;   (* newest first *)
+  mutable after_rebuild : (unit -> unit) list option;
+      (* while the rebuild hooks run: what runs after them, newest first *)
   cache : Crypto.Share_cache.t;
       (* verified shares, grouped by pid; volatile (cleared on crash),
          a pid's group is evicted when the instance unregisters *)
@@ -94,6 +96,7 @@ let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
     coin_finished = 0;
     own_ct_reused = 0;
     rebuild = [];
+    after_rebuild = None;
     cache = Crypto.Share_cache.create ~cap:cfg.Config.share_cache_cap;
     stmts = Crypto.Stmt_table.create ~cap:stmt_cap;
   }
@@ -270,6 +273,13 @@ let now (rt : t) : float = Sim.Engine.now rt.engine
 let on_rebuild (rt : t) (f : unit -> unit) : unit =
   rt.rebuild <- f :: rt.rebuild
 
+let rebuilding (rt : t) : bool = Option.is_some rt.after_rebuild
+
+let after_rebuild (rt : t) (f : unit -> unit) : unit =
+  match rt.after_rebuild with
+  | Some fs -> rt.after_rebuild <- Some (f :: fs)
+  | None -> ()
+
 let crash (rt : t) : unit =
   Sim.Net.crash rt.net rt.me;
   Hashtbl.reset rt.handlers;
@@ -286,4 +296,9 @@ let recover (rt : t) : unit =
     ~level:Trace.Event.Warn "recover";
   let hooks = List.rev rt.rebuild in
   if hooks <> [] then
-    Sim.Net.inject rt.net rt.me (fun () -> List.iter (fun f -> f ()) hooks)
+    Sim.Net.inject rt.net rt.me (fun () ->
+      rt.after_rebuild <- Some [];
+      List.iter (fun f -> f ()) hooks;
+      let after = Option.value rt.after_rebuild ~default:[] in
+      rt.after_rebuild <- None;
+      List.iter (fun f -> f ()) (List.rev after))

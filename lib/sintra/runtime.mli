@@ -35,6 +35,9 @@ type t = {
   (** Own ciphertexts {!Secure_atomic_channel} delivered with the checked
       form [encrypt] returned, instead of re-checking their bytes. *)
   mutable rebuild : (unit -> unit) list;
+  mutable after_rebuild : (unit -> unit) list option;
+  (** While {!recover}'s rebuild hooks run: the actions queued by
+      {!after_rebuild}, newest first; [None] otherwise. *)
   cache : Crypto.Share_cache.t;
   (** Verified shares, grouped by protocol instance (pid): {!unregister}
       evicts the pid's group, {!crash} clears everything — the cache is
@@ -116,6 +119,15 @@ val on_rebuild : t -> (unit -> unit) -> unit
     order, on the party's virtual CPU) when {!recover} is called after a
     {!crash}.  Typically re-creates protocol instances from persisted
     application state. *)
+
+val rebuilding : t -> bool
+(** Whether {!recover}'s rebuild hooks are running. *)
+
+val after_rebuild : t -> (unit -> unit) -> unit
+(** Inside a rebuild, run [f] once every {!on_rebuild} hook has run, in
+    the same step on the party's virtual CPU, so what [f] sends departs
+    after the whole rebuild's charged work.  Outside a rebuild, do
+    nothing: a fresh start has nothing to recover. *)
 
 val crash : t -> unit
 (** Power-fail this party: it stops sending and processing at the network
