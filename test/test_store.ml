@@ -95,6 +95,51 @@ let send_waves (h : harness) ~(waves : int) ~(per : int) : unit =
     done
   done
 
+(* A restart into a quiet cluster: party 3 power-fails after a few rounds,
+   the others run more than 60 rounds without it and go quiet, then party
+   3 restarts — from its disk (a log-only controller, so no snapshot
+   shortcut: every missed round comes from the peers' backlogs, a
+   catch-up window per request) or rebuilt without one — and nothing else
+   happens.  Only its own pulls can bring it to the tip. *)
+let quiet_restart ~(disk : bool) : unit =
+  let n = 4 in
+  let c = Util.cluster ~seed:"quiet-restart" ~max_batch:8 () in
+  let devs = Array.init n (fun _ -> Store.Device.mem ()) in
+  let logs = Array.init n (fun _ -> ref []) in
+  let make i =
+    let rt = Cluster.runtime c i in
+    let ch =
+      Atomic_channel.create rt ~pid:"quiet"
+        ~on_deliver:(fun ~sender m -> logs.(i) := (sender, m) :: !(logs.(i)))
+        ()
+    in
+    if disk then
+      ignore (Durable.attach rt ~chan:ch ~pid:"quiet" ~dev:devs.(i) ~interval:0 ());
+    ch
+  in
+  let chans = Array.init n make in
+  let rt3 = Cluster.runtime c 3 in
+  Runtime.on_rebuild rt3 (fun () ->
+    logs.(3) := [];
+    chans.(3) <- make 3);
+  for k = 0 to 67 do
+    let p = k mod 3 in
+    Cluster.at c ~time:(0.5 *. float_of_int k) (fun () ->
+      Cluster.inject c p (fun () ->
+        Atomic_channel.send chans.(p) (Printf.sprintf "m%d" k)))
+  done;
+  Cluster.at c ~time:1.8 (fun () -> Runtime.crash rt3);
+  ignore (Cluster.run c ~until:100.0);
+  let tip = Atomic_channel.current_round chans.(0) in
+  let behind = tip - Atomic_channel.current_round chans.(3) in
+  if behind < 60 then Alcotest.failf "party 3 only %d rounds behind" behind;
+  Runtime.recover rt3;
+  ignore (Cluster.run c ~until:200.0);
+  Alcotest.(check int) "restarted party reached the tip" tip
+    (Atomic_channel.current_round chans.(3));
+  if List.rev !(logs.(3)) <> List.rev !(logs.(0)) then
+    Alcotest.fail "restarted party's deliveries differ from party 0's"
+
 let suite =
   [
     Alcotest.test_case "log round-trip is byte-deterministic" `Quick (fun () ->
@@ -427,6 +472,13 @@ let suite =
           done
         done;
         ignore (Cluster.run c ~until:300.0);
+        (* A fresh start has nothing to catch up: no party asks. *)
+        for i = 0 to n - 1 do
+          let key = Printf.sprintf "p%d/abc.catchup.request_sent" i in
+          if Trace.Metrics.find_counter (Sim.Engine.metrics c.Cluster.engine) key
+             <> None
+          then Alcotest.failf "fresh cluster: %s fired" key
+        done;
         List.rev !(logs.(0))
       in
       let plain = run false and durable = run true in
@@ -434,6 +486,10 @@ let suite =
         (List.length durable);
       if plain <> durable then
         Alcotest.fail "durable delivery order diverged from the plain run");
+    Alcotest.test_case "party restarted from disk into a quiet cluster reaches the tip"
+      `Quick (fun () -> quiet_restart ~disk:true);
+    Alcotest.test_case "party rebuilt without a disk in a quiet cluster reaches the tip"
+      `Quick (fun () -> quiet_restart ~disk:false);
     Alcotest.test_case "statement table stays bounded over a long durable run"
       `Quick (fun () ->
       (* Instance GC (checkpoint-driven, via gc_below) evicts the protocol

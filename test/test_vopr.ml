@@ -232,6 +232,24 @@ let suite = [
       in
       assert_all_pass ~what:"vopr#70" obs);
 
+  Alcotest.test_case "regression: a restarted party's own payload is delivered"
+    `Quick (fun () ->
+      (* Durable sweep seeds where party 3, restarted from disk, never
+         learned the decision of a round that ran while it was down: its
+         base round decided without its vector, the later rounds it did
+         decide stayed parked, and "p3.m3", sent after the restart, was
+         lost.  The oracles cannot see it (party 3 is degraded), so look
+         for the payload directly. *)
+      let kind = Vopr.Oracle.Durable in
+      let runner = Vopr.Workload.runner ~kind () in
+      List.iter
+        (fun k ->
+          let run_seed = Printf.sprintf "sweep#%d" k in
+          let obs = runner ~seed:run_seed (Vopr.Workload.schedule ~kind ~run_seed) in
+          if not (Array.exists (List.mem (3, "p3.m3")) obs.Vopr.Oracle.delivered)
+          then Alcotest.failf "%s: no party delivered p3.m3" run_seed)
+        [ 1; 2; 13; 17 ]);
+
   Alcotest.test_case "equivocating CBC sender: safety holds, culprit flagged"
     `Quick (fun () ->
       let sched = [ Vopr.Schedule.Byz_equivocate 3 ] in
