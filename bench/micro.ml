@@ -180,9 +180,9 @@ let run_group ~(name : string) (tests : Test.t list) : unit =
    1024 and the committed BENCH_perf.json reports its speedups at the
    paper's 1024 bits. *)
 
-(* Median of three runs of [iters] calls, where [iters] targets [budget]
-   wall seconds per run (calibrated by one warm-up call); ms/op. *)
-let time_ms ~(budget : float) (f : unit -> unit) : float =
+(* One timed sample of [f]: the mean of [iters] calls, where [iters]
+   targets [budget] wall seconds (calibrated by one warm-up call); ms/op. *)
+let sampler ~(budget : float) (f : unit -> unit) : unit -> float =
   let once () =
     let t0 = Unix.gettimeofday () in
     f ();
@@ -190,13 +190,39 @@ let time_ms ~(budget : float) (f : unit -> unit) : float =
   in
   let warm = once () in
   let iters = max 1 (min 2000 (int_of_float (budget /. (warm +. 1e-9)))) in
-  let sample () =
+  fun () ->
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do f () done;
     (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int iters
+
+let median3 (a : float) (b : float) (c : float) : float =
+  List.nth (List.sort compare [ a; b; c ]) 1
+
+(* Median of three samples; ms/op. *)
+let time_ms ~(budget : float) (f : unit -> unit) : float =
+  let sample = sampler ~budget f in
+  let a = sample () in
+  let b = sample () in
+  let c = sample () in
+  median3 a b c
+
+(* A reference and a fast path timed in three alternated sample pairs:
+   each side's median ms/op, and the speedup as the median of the three
+   pairs' ratios.  Host noise (a parallel build job, a frequency step)
+   then lands on both sides of a ratio, where two separately taken
+   medians can each catch a different burst. *)
+let time_pair ~(budget : float) (reference : unit -> unit) (fast : unit -> unit) :
+    float * float * float =
+  let ref_sample = sampler ~budget reference in
+  let fast_sample = sampler ~budget fast in
+  let pair () =
+    let r = ref_sample () in
+    (r, fast_sample ())
   in
-  let samples = List.sort compare [ sample (); sample (); sample () ] in
-  List.nth samples 1
+  let r1, f1 = pair () in
+  let r2, f2 = pair () in
+  let r3, f3 = pair () in
+  (median3 r1 r2 r3, median3 f1 f2 f3, median3 (r1 /. f1) (r2 /. f2) (r3 /. f3))
 
 (* The hash layer under every frame MAC, share-cache key and DRBG block:
    ns per 64-byte block of a 64 KiB message for each compression function,
@@ -243,35 +269,44 @@ let perf ~(quick : bool) () : string =
     let d = Hashes.Drbg.fork drbg (Printf.sprintf "perf%d" pbits) in
     let rb = Hashes.Drbg.random_bytes d in
     Printf.printf "--- %d-bit modulus ---\n" pbits;
-    let bench name f =
-      let ms = time_ms ~budget f in
+    let record name ms =
       results := (name, pbits, ms) :: !results;
-      Printf.printf "  %-32s %12.4f ms/op\n%!" name ms;
-      ms
+      Printf.printf "  %-32s %12.4f ms/op\n%!" name ms
+    in
+    let bench name f = record name (time_ms ~budget f) in
+    (* A speedup row: both sides recorded, the ratio from [time_pair]. *)
+    let speedup ref_name reference fast_name fast =
+      let ref_ms, fast_ms, ratio = time_pair ~budget reference fast in
+      record ref_name ref_ms;
+      record fast_name fast_ms;
+      ratio
     in
     (* modular exponentiation: Barrett reference vs the Montgomery default *)
     let m = Nat.add (Nat.random_bits ~random_bytes:rb pbits) Nat.one in
     let m = if Nat.testbit m 0 then m else Nat.add m Nat.one in
     let base = Nat.rem (Nat.random_bits ~random_bytes:rb pbits) m in
     let e_full = Nat.random_bits ~random_bytes:rb pbits in
-    let plain =
-      bench "powmod-barrett" (fun () -> ignore (Nat.powmod_barrett base e_full m))
+    let montgomery =
+      speedup "powmod-barrett" (fun () -> ignore (Nat.powmod_barrett base e_full m))
+        "powmod-montgomery" (fun () -> ignore (Nat.powmod base e_full m))
     in
-    let mont = bench "powmod-montgomery" (fun () -> ignore (Nat.powmod base e_full m)) in
     (* simultaneous double exponentiation vs two separate exponentiations,
        at the group-order exponent width of every DLEQ verification *)
     let b2 = Nat.rem (Nat.random_bits ~random_bytes:rb pbits) m in
     let e1 = Nat.random_bits ~random_bytes:rb qbits in
     let e2 = Nat.random_bits ~random_bytes:rb qbits in
-    let two =
-      bench "two-powmods" (fun () ->
-        ignore (Nat.rem (Nat.mul (Nat.powmod base e1 m) (Nat.powmod b2 e2 m)) m))
+    let multi_exp =
+      speedup "two-powmods"
+        (fun () ->
+          ignore (Nat.rem (Nat.mul (Nat.powmod base e1 m) (Nat.powmod b2 e2 m)) m))
+        "powmod2" (fun () -> ignore (Nat.powmod2 base e1 b2 e2 m))
     in
-    let multi = bench "powmod2" (fun () -> ignore (Nat.powmod2 base e1 b2 e2 m)) in
     (* fixed-base window table vs plain powmod, same base and width *)
     let tbl = Nat.Fixed_base.create ~base ~modulus:m ~max_bits:qbits in
-    let single = bench "powmod-160bit" (fun () -> ignore (Nat.powmod base e1 m)) in
-    let fixed = bench "fixed-base-160bit" (fun () -> ignore (Nat.Fixed_base.pow tbl e1)) in
+    let fixed_base =
+      speedup "powmod-160bit" (fun () -> ignore (Nat.powmod base e1 m))
+        "fixed-base-160bit" (fun () -> ignore (Nat.Fixed_base.pow tbl e1))
+    in
     (* DLEQ verification: the hot path of coin and decryption shares *)
     let grp = Crypto.Group.generate ~drbg:d ~pbits ~qbits in
     let x = Crypto.Group.random_exponent grp ~drbg:d in
@@ -282,17 +317,17 @@ let perf ~(quick : bool) () : string =
     let proof =
       Crypto.Dleq.prove grp ~drbg:d ~ctx:"perf" ~g1:grp.Crypto.Group.g ~h1 ~g2 ~h2 ~x
     in
-    let dleq_ref =
-      bench "dleq-verify-reference" (fun () ->
-        ignore
-          (Crypto.Dleq.verify_reference grp ~ctx:"perf" ~g1:grp.Crypto.Group.g ~h1 ~g2
-             ~h2 proof))
-    in
-    let dleq_fast =
-      bench "dleq-verify-fast" (fun () ->
-        ignore
-          (Crypto.Dleq.verify_keyed grp ~ctx:"perf" ~g1:grp.Crypto.Group.g ~key:h1_tbl
-             ~g2 ~h2 proof))
+    let dleq_verify =
+      speedup "dleq-verify-reference"
+        (fun () ->
+          ignore
+            (Crypto.Dleq.verify_reference grp ~ctx:"perf" ~g1:grp.Crypto.Group.g ~h1
+               ~g2 ~h2 proof))
+        "dleq-verify-fast"
+        (fun () ->
+          ignore
+            (Crypto.Dleq.verify_keyed grp ~ctx:"perf" ~g1:grp.Crypto.Group.g
+               ~key:h1_tbl ~g2 ~h2 proof))
     in
     (* amortized batch verification: k Shoup signature shares checked as one
        random linear combination vs k one-at-a-time verifications (the
@@ -314,22 +349,19 @@ let perf ~(quick : bool) () : string =
             tkeys.Crypto.Threshold_sig.shares.(i) (tstmt ()))
         [ 0; 1; 2 ]
     in
-    let _ =
-      bench "tsig-verify-share" (fun () ->
-        ignore
-          (Crypto.Threshold_sig.verify_share tpub (tstmt ()) (List.hd tshares)))
-    in
-    let tsig_ref =
-      bench "tsig-verify-share-reference" (fun () ->
-        ignore
-          (Crypto.Threshold_sig.verify_share_reference tpub ~ctx:"perf" "message"
-             (List.hd tshares)))
-    in
-    let tsig_batch =
-      bench "tsig-batch-verify-k3" (fun () ->
-        match Crypto.Batch.tsig_shares tpub (tstmt ()) tshares with
-        | Crypto.Batch.All_valid -> ()
-        | Crypto.Batch.Invalid _ -> failwith "perf: honest tsig batch rejected")
+    bench "tsig-verify-share" (fun () ->
+      ignore (Crypto.Threshold_sig.verify_share tpub (tstmt ()) (List.hd tshares)));
+    let tsig_batch_verify =
+      speedup "tsig-verify-share-reference"
+        (fun () ->
+          ignore
+            (Crypto.Threshold_sig.verify_share_reference tpub ~ctx:"perf" "message"
+               (List.hd tshares)))
+        "tsig-batch-verify-k3"
+        (fun () ->
+          match Crypto.Batch.tsig_shares tpub (tstmt ()) tshares with
+          | Crypto.Batch.All_valid -> ()
+          | Crypto.Batch.Invalid _ -> failwith "perf: honest tsig batch rejected")
     in
     (* threshold-coin (DLEQ) shares, same shape *)
     let ckeys =
@@ -344,32 +376,31 @@ let perf ~(quick : bool) () : string =
             ckeys.Crypto.Threshold_coin.shares.(i) ~name:"perf-coin")
         [ 0; 1; 2 ]
     in
-    let _ =
-      bench "coin-verify-share" (fun () ->
-        ignore (Crypto.Threshold_coin.verify_share cpub ~name:"perf-coin" (List.hd cshares)))
-    in
-    let coin_ref =
-      bench "coin-verify-share-reference" (fun () ->
-        ignore
-          (Crypto.Threshold_coin.verify_share_reference cpub ~name:"perf-coin"
-             (List.hd cshares)))
-    in
-    let coin_batch =
-      bench "coin-batch-verify-k3" (fun () ->
-        match Crypto.Batch.coin_shares cpub ~name:"perf-coin" cshares with
-        | Crypto.Batch.All_valid -> ()
-        | Crypto.Batch.Invalid _ -> failwith "perf: honest coin batch rejected")
+    bench "coin-verify-share" (fun () ->
+      ignore (Crypto.Threshold_coin.verify_share cpub ~name:"perf-coin" (List.hd cshares)));
+    let coin_batch_verify =
+      speedup "coin-verify-share-reference"
+        (fun () ->
+          ignore
+            (Crypto.Threshold_coin.verify_share_reference cpub ~name:"perf-coin"
+               (List.hd cshares)))
+        "coin-batch-verify-k3"
+        (fun () ->
+          match Crypto.Batch.coin_shares cpub ~name:"perf-coin" cshares with
+          | Crypto.Batch.All_valid -> ()
+          | Crypto.Batch.Invalid _ -> failwith "perf: honest coin batch rejected")
     in
     (* Speedups from the largest modulus measured (the committed --full
        report therefore quotes them at the paper's 1024 bits). *)
     speedup_bits := pbits;
+    (* A k3 batch replaces three single reference verifications. *)
     speedups :=
-      [ ("montgomery", plain /. mont);
-        ("multi_exp", two /. multi);
-        ("fixed_base", single /. fixed);
-        ("dleq_verify", dleq_ref /. dleq_fast);
-        ("tsig_batch_verify", 3.0 *. tsig_ref /. tsig_batch);
-        ("coin_batch_verify", 3.0 *. coin_ref /. coin_batch) ];
+      [ ("montgomery", montgomery);
+        ("multi_exp", multi_exp);
+        ("fixed_base", fixed_base);
+        ("dleq_verify", dleq_verify);
+        ("tsig_batch_verify", 3.0 *. tsig_batch_verify);
+        ("coin_batch_verify", 3.0 *. coin_batch_verify) ];
     print_newline ()
   in
   List.iter run_at sizes;
