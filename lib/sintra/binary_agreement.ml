@@ -15,6 +15,23 @@
      pre-vote for 0 and one for 1;
    - a party decides b on n-t main-votes for b.
 
+   Deciding halts the instance at once, in the deciding round.  The n-t
+   main-vote shares a party decides on assemble into the agreement key's
+   threshold signature on "main-vote b in round r": a decision certificate
+   anyone can check.  A halted party answers each peer it hears from in a
+   later round with one DECIDED(r, b, signature, validation data) frame; a
+   party that receives a valid certificate decides b, passes the
+   certificate on once to every peer (it may never have voted in round r,
+   so its votes cannot be what others wait for) and halts too.  Safety:
+   the signature shows at least n-2t >= t+1 honest parties main-voted b in
+   round r, so no honest party main-voted the other bit there; every
+   honest party that completes round r holds a main-vote for b, adopts b
+   for round r+1, and b is the only bit anyone can decide later.
+   Liveness: until it decides, an honest party sends every vote and coin
+   share of every round it reaches, so an undecided party either finishes
+   the round its peers decided in or moves past it, and a pre-vote for
+   the next round is answered with a certificate.
+
    The threshold signatures use the agreement key (k = n-t); the coin is the
    (n, t+1, t) Diffie-Hellman threshold coin.  The [bias] option replaces
    the round-1 coin by a fixed value (Section 2.3, biased validated
@@ -66,6 +83,10 @@ type round_state = {
   mutable finished : bool;                    (* processed n-t main-votes *)
 }
 
+(* A transferable decision: the agreement key's threshold signature on
+   "main-vote [c_value] in round [c_round]". *)
+type cert = { c_round : int; c_value : bool; c_sig : string }
+
 type t = {
   rt : Runtime.t;
   pid : string;
@@ -74,11 +95,10 @@ type t = {
   on_decide : bool -> string option -> unit;
   rounds : (int, round_state) Hashtbl.t;
   proofs : (bool, string) Hashtbl.t;          (* external validity data *)
+  answered : (int, unit) Hashtbl.t;           (* peers sent our certificate *)
   mutable proposal : (bool * string) option;
-  mutable decided : (bool * int) option;      (* value, round *)
-  mutable decide_emitted : bool;
-  mutable pending_decide : bool option;       (* waiting for a proof *)
-  mutable halted : bool;
+  mutable decided : cert option;              (* Some: halted *)
+  mutable decide_emitted : bool;              (* false while a proof is due *)
   mutable aborted : bool;
 }
 
@@ -175,9 +195,23 @@ let dec_mainvote (d : Wire.Dec.t) : mainvote =
   in
   { mv_round; mv_value; mv_share; mv_just }
 
+let enc_cert (b : Wire.Enc.t) (c : cert) (proof : string option) : unit =
+  Wire.Enc.int b c.c_round;
+  Wire.Enc.bool b c.c_value;
+  Wire.Enc.bytes b c.c_sig;
+  Wire.Enc.option b Wire.Enc.bytes proof
+
+let dec_cert (d : Wire.Dec.t) : cert * string option =
+  let c_round = Wire.Dec.int d in
+  let c_value = Wire.Dec.bool d in
+  let c_sig = Wire.Dec.bytes d in
+  let proof = Wire.Dec.option d Wire.Dec.bytes in
+  ({ c_round; c_value; c_sig }, proof)
+
 let tag_prevote = 0
 let tag_mainvote = 1
 let tag_coinshare = 2
+let tag_decided = 3
 
 (* --- helpers --- *)
 
@@ -405,43 +439,58 @@ let try_send_mainvote (t : t) (r : int) : unit =
     in
     let mv = { mv_round = r; mv_value = value; mv_share = share; mv_just = just } in
     let body = Wire.encode (fun buf -> Wire.Enc.u8 buf tag_mainvote; enc_mainvote buf mv) in
-    Runtime.broadcast t.rt ~pid:t.pid body;
-    (* Deciding in round r means halting after our round-(r+1) main-vote:
-       by then every honest party can finish round r+1 without us. *)
-    match t.decided with
-    | Some (_, dr) when r >= dr + 1 -> t.halted <- true
-    | _ -> ()
+    Runtime.broadcast t.rt ~pid:t.pid body
   end
 
+(* Hand the decision to the caller once (under external validity, once
+   its validation data is here: a justified pre-vote or a certificate for
+   the bit carries it).  Idempotent, so every handler just calls it. *)
 let emit_decide (t : t) : unit =
-  if not t.decide_emitted then begin
-    match t.decided with
-    | None -> ()
-    | Some (b, _) ->
-      let trace_decide () =
-        let tr = trace t in
-        if Trace.Ctx.enabled tr then
-          Trace.Ctx.instant tr ~pid:t.pid ~cat:"aba"
-            ~args:[ ("value", Trace.Event.Bool b) ]
-            "decide"
-      in
-      (match t.validator with
-       | None ->
-         t.decide_emitted <- true;
-         trace_decide ();
-         t.on_decide b None
-       | Some _ ->
-         (match Hashtbl.find_opt t.proofs b with
-          | Some proof ->
-            t.decide_emitted <- true;
-            t.pending_decide <- None;
-            trace_decide ();
-            t.on_decide b (Some proof)
-          | None ->
-            (* External validity: defer until validation data arrives (a
-               justified round-1 pre-vote for b is on its way). *)
-            t.pending_decide <- Some b))
+  match t.decided with
+  | Some c when not t.decide_emitted ->
+    let proof = Hashtbl.find_opt t.proofs c.c_value in
+    if t.validator = None || proof <> None then begin
+      t.decide_emitted <- true;
+      let tr = trace t in
+      if Trace.Ctx.enabled tr then
+        Trace.Ctx.instant tr ~pid:t.pid ~cat:"aba"
+          ~args:[ ("value", Trace.Event.Bool c.c_value) ]
+          "decide";
+      t.on_decide c.c_value proof
+    end
+  | Some _ | None -> ()
+
+(* Our certificate to [dst], at most once per peer. *)
+let send_cert (t : t) (c : cert) ~(dst : int) : unit =
+  if dst <> t.rt.Runtime.me && not (Hashtbl.mem t.answered dst) then begin
+    Hashtbl.add t.answered dst ();
+    t.rt.Runtime.cert_sent <- t.rt.Runtime.cert_sent + 1;
+    let body =
+      Wire.encode (fun buf ->
+        Wire.Enc.u8 buf tag_decided;
+        enc_cert buf c (Hashtbl.find_opt t.proofs c.c_value))
+    in
+    Runtime.send t.rt ~dst ~pid:t.pid body
   end
+
+(* Whether [src] sent us anything for a round after [r]. *)
+let heard_after (t : t) ~(r : int) (src : int) : bool =
+  List.exists
+    (fun (r', st) ->
+      r' > r
+      && (Hashtbl.mem st.prevotes src || Hashtbl.mem st.mainvotes src
+          || Hashtbl.mem st.coin_shares src))
+    (Det.bindings t.rounds ~compare:Det.by_int)
+
+(* Decide and halt.  A peer already heard from in a later round gets the
+   certificate now: it will send us nothing more to answer.  With
+   [~pass_on] every peer gets it. *)
+let decide (t : t) (c : cert) ~(pass_on : bool) : unit =
+  t.decided <- Some c;
+  for dst = 0 to t.rt.Runtime.cfg.Config.n - 1 do
+    if pass_on || heard_after t ~r:c.c_round dst then send_cert t c ~dst
+  done;
+  emit_decide t
 
 let rec try_finish_round (t : t) (r : int) : unit =
   let st = round_state t r in
@@ -465,9 +514,14 @@ let rec try_finish_round (t : t) (r : int) : unit =
     in
     (match unanimous_bit with
      | Some b ->
+       (* The n-t main-vote shares we decide on are the certificate. *)
        if t.decided = None then begin
-         t.decided <- Some (b, r);
-         emit_decide t
+         Charge.tsig_assemble t.rt.Runtime.charge ~k:(quorum t);
+         let c_sig =
+           Tsig.assemble (ag_pub t) ~ctx:t.pid (main_stmt t r (MV_bit b))
+             (List.map (fun (_, mv) -> mv.mv_share) bit_votes)
+         in
+         decide t { c_round = r; c_value = b; c_sig } ~pass_on:false
        end
      | None ->
        (* Not decided: release our coin share for this round (unless the
@@ -506,7 +560,9 @@ let rec try_finish_round (t : t) (r : int) : unit =
    determined (step 4 of the protocol). *)
 and try_advance (t : t) (r : int) : unit =
   let st = round_state t r in
-  if st.finished && not t.halted && not (round_state t (r + 1)).sent_prevote then begin
+  if st.finished && t.decided = None
+     && not (round_state t (r + 1)).sent_prevote
+  then begin
     (* Canonical sender order: the adopted bit-vote (and the signature we
        re-broadcast with it) must be the same at every replay. *)
     let votes = Det.values st.mainvotes ~compare:Det.by_int in
@@ -558,8 +614,34 @@ and try_advance (t : t) (r : int) : unit =
 
 (* --- message handling --- *)
 
+(* A DECIDED frame.  Undecided, a valid certificate decides; decided with
+   the validation data still due, it may carry that.  A certificate that
+   fails its check (wrong round, bit or signature) flags its sender. *)
+let on_certificate (t : t) ~(src : int) (c : cert) (proof : string option) : unit =
+  let inv = t.rt.Runtime.inv in
+  Invariant.sender_in_range inv src;
+  match t.decided with
+  | Some mine ->
+    (match proof with
+     | Some p when c.c_value = mine.c_value -> store_proof t c.c_value p
+     | Some _ | None -> ())
+  | None ->
+    if c.c_round >= 1
+       && Verify.tsig_signature t.rt ~pub:(ag_pub t) ~ctx:t.pid ~signature:c.c_sig
+            (main_stmt t c.c_round (MV_bit c.c_value))
+    then begin
+      (match proof with Some p -> store_proof t c.c_value p | None -> ());
+      t.rt.Runtime.cert_decided <- t.rt.Runtime.cert_decided + 1;
+      Hashtbl.replace t.answered src ();       (* it holds the certificate *)
+      decide t c ~pass_on:true
+    end
+    else
+      Invariant.flag inv ~offender:src
+        (Printf.sprintf "aba %s: invalid decision certificate for round %d"
+           t.pid c.c_round)
+
 let handle (t : t) ~src body =
-  if not t.aborted && not (t.halted && t.decide_emitted) then begin
+  if not t.aborted then begin
     match Wire.decode_prefix body (fun d -> (Wire.Dec.u8 d, d)) with
     | None -> ()
     | Some (tag, d) ->
@@ -567,124 +649,141 @@ let handle (t : t) ~src body =
         (if tag = tag_prevote then "prevote"
          else if tag = tag_mainvote then "mainvote"
          else if tag = tag_coinshare then "coinshare"
+         else if tag = tag_decided then "decided"
          else "other");
-      if tag = tag_prevote then begin
-        match (try Some (dec_prevote d) with Wire.Decode _ -> None) with
-        | None -> ()
-        | Some pv ->
-          let inv = t.rt.Runtime.inv in
-          Invariant.sender_in_range inv src;
-          let st = round_state t pv.pv_round in
-          (* Equivocation: a second, conflicting, validly signed pre-vote
-             from the same sender is Byzantine evidence — [prevote_valid]
-             records it, then the duplicate is ignored as usual. *)
-          (match Hashtbl.find_opt st.prevotes src with
-           | Some prev
-             when prev.pv_value <> pv.pv_value ->
-             ignore (prevote_valid t ~sender:src pv)
-           | Some _ | None -> ());
-          if not (Hashtbl.mem st.prevotes src) && prevote_valid t ~sender:src pv
-          then begin
-            Invariant.share_index inv (Tsig.share_origin pv.pv_share);
-            Invariant.fresh_sender inv st.prevotes src "pre-vote tally";
-            Hashtbl.add st.prevotes src pv;
-            (* A coin-justified pre-vote reveals the previous round's coin.
-               Keep its embedded shares (already verified by
-               [check_coin_just]) too: our own coin-justified pre-vote for
-               this round must cite a full threshold of shares, and we may
-               never receive that many directly — e.g. when one link is
-               slow and the sender's share is the only one to reach us. *)
-            (match pv.pv_just with
-             | J_coin (_, shares) when pv.pv_round > 1 ->
-               let prev = round_state t (pv.pv_round - 1) in
-               List.iter
-                 (fun s ->
-                   let sender = s.Crypto.Threshold_coin.origin - 1 in
-                   if not (Hashtbl.mem prev.coin_shares sender) then
-                     Hashtbl.add prev.coin_shares sender s)
-                 shares;
-               if prev.coin_value = None then begin
-                 prev.coin_value <- Some pv.pv_value;
-                 if prev.released_coin then
-                   trace_coin t (pv.pv_round - 1) Trace.Event.Span_end
-                     [ ("value", Trace.Event.Bool pv.pv_value) ]
-               end;
-               (* The reveal may be what a finished round was waiting on. *)
-               if not t.halted then try_advance t (pv.pv_round - 1)
-             | J_initial | J_hard _ | J_coin _ -> ());
-            if not t.halted then begin
-              try_send_mainvote t pv.pv_round;
-              try_finish_round t pv.pv_round;
-              (match t.pending_decide with
-               | Some b when Hashtbl.mem t.proofs b -> emit_decide t
-               | _ -> ())
+      (* Halted: a vote or coin share for a round after ours is answered
+         with the certificate (every such frame starts with its round). *)
+      (match t.decided with
+       | Some c when tag <> tag_decided ->
+         let round d = ignore (Wire.Dec.u8 d); Wire.Dec.int d in
+         (match Wire.decode_prefix body round with
+          | Some r when r > c.c_round -> send_cert t c ~dst:src
+          | Some _ | None -> ())
+       | Some _ | None -> ());
+      (* Once decided, frames matter only for validation data still due. *)
+      if not t.decide_emitted then begin
+        let undecided = t.decided = None in
+        if tag = tag_prevote then begin
+          match (try Some (dec_prevote d) with Wire.Decode _ -> None) with
+          | None -> ()
+          | Some pv ->
+            let inv = t.rt.Runtime.inv in
+            Invariant.sender_in_range inv src;
+            let st = round_state t pv.pv_round in
+            (* Equivocation: a second, conflicting, validly signed pre-vote
+               from the same sender is Byzantine evidence — [prevote_valid]
+               records it, then the duplicate is ignored as usual. *)
+            (match Hashtbl.find_opt st.prevotes src with
+             | Some prev
+               when prev.pv_value <> pv.pv_value ->
+               ignore (prevote_valid t ~sender:src pv)
+             | Some _ | None -> ());
+            if not (Hashtbl.mem st.prevotes src) && prevote_valid t ~sender:src pv
+            then begin
+              Invariant.share_index inv (Tsig.share_origin pv.pv_share);
+              Invariant.fresh_sender inv st.prevotes src "pre-vote tally";
+              Hashtbl.add st.prevotes src pv;
+              (* A coin-justified pre-vote reveals the previous round's coin.
+                 Keep its embedded shares (already verified by
+                 [check_coin_just]) too: our own coin-justified pre-vote for
+                 this round must cite a full threshold of shares, and we may
+                 never receive that many directly — e.g. when one link is
+                 slow and the sender's share is the only one to reach us. *)
+              (match pv.pv_just with
+               | J_coin (_, shares) when pv.pv_round > 1 ->
+                 let prev = round_state t (pv.pv_round - 1) in
+                 List.iter
+                   (fun s ->
+                     let sender = s.Crypto.Threshold_coin.origin - 1 in
+                     if not (Hashtbl.mem prev.coin_shares sender) then
+                       Hashtbl.add prev.coin_shares sender s)
+                   shares;
+                 if prev.coin_value = None then begin
+                   prev.coin_value <- Some pv.pv_value;
+                   if prev.released_coin then
+                     trace_coin t (pv.pv_round - 1) Trace.Event.Span_end
+                       [ ("value", Trace.Event.Bool pv.pv_value) ]
+                 end;
+                 (* The reveal may be what a finished round was waiting on. *)
+                 if undecided then try_advance t (pv.pv_round - 1)
+               | J_initial | J_hard _ | J_coin _ -> ());
+              if undecided then begin
+                try_send_mainvote t pv.pv_round;
+                try_finish_round t pv.pv_round
+              end;
+              emit_decide t
             end
-          end
-      end
-      else if tag = tag_mainvote then begin
-        match (try Some (dec_mainvote d) with Wire.Decode _ -> None) with
-        | None -> ()
-        | Some mv ->
-          let inv = t.rt.Runtime.inv in
-          Invariant.sender_in_range inv src;
-          let st = round_state t mv.mv_round in
-          (match Hashtbl.find_opt st.mainvotes src with
-           | Some prev
-             when prev.mv_value <> mv.mv_value && mainvote_valid t ~sender:src mv ->
-             Invariant.flag inv ~offender:src
-               (Printf.sprintf "aba %s: equivocating main-vote in round %d"
-                  t.pid mv.mv_round)
-           | Some _ | None -> ());
-          if not (Hashtbl.mem st.mainvotes src) && mainvote_valid t ~sender:src mv
-          then begin
-            Invariant.share_index inv (Tsig.share_origin mv.mv_share);
-            Invariant.fresh_sender inv st.mainvotes src "main-vote tally";
-            Hashtbl.add st.mainvotes src mv;
-            if not t.halted then begin
-              try_finish_round t mv.mv_round;
-              try_advance t mv.mv_round;
-              (match t.pending_decide with
-               | Some b when Hashtbl.mem t.proofs b -> emit_decide t
-               | _ -> ())
+        end
+        else if tag = tag_mainvote then begin
+          match (try Some (dec_mainvote d) with Wire.Decode _ -> None) with
+          | None -> ()
+          | Some mv ->
+            let inv = t.rt.Runtime.inv in
+            Invariant.sender_in_range inv src;
+            let st = round_state t mv.mv_round in
+            (match Hashtbl.find_opt st.mainvotes src with
+             | Some prev
+               when prev.mv_value <> mv.mv_value && mainvote_valid t ~sender:src mv ->
+               Invariant.flag inv ~offender:src
+                 (Printf.sprintf "aba %s: equivocating main-vote in round %d"
+                    t.pid mv.mv_round)
+             | Some _ | None -> ());
+            if not (Hashtbl.mem st.mainvotes src) && mainvote_valid t ~sender:src mv
+            then begin
+              Invariant.share_index inv (Tsig.share_origin mv.mv_share);
+              Invariant.fresh_sender inv st.mainvotes src "main-vote tally";
+              Hashtbl.add st.mainvotes src mv;
+              if undecided then begin
+                try_finish_round t mv.mv_round;
+                try_advance t mv.mv_round
+              end;
+              emit_decide t
             end
-          end
-      end
-      else if tag = tag_coinshare then begin
-        match
-          (try
-             let r = Wire.Dec.int d in
-             let share = dec_coin_share d in
-             Some (r, share)
-           with Wire.Decode _ -> None)
-        with
-        | None -> ()
-        | Some (r, share) ->
-          if r >= 1 && share.Crypto.Threshold_coin.origin = src + 1 then begin
-            let st = round_state t r in
-            if not (Hashtbl.mem st.coin_shares src) && st.coin_value = None then begin
-              let charge = t.rt.Runtime.charge in
-              if Verify.coin_share t.rt ~group:t.pid ~name:(coin_name t r) share
-              then begin
-                let inv = t.rt.Runtime.inv in
-                Invariant.share_index inv share.Crypto.Threshold_coin.origin;
-                Invariant.fresh_sender inv st.coin_shares src "coin-share tally";
-                Hashtbl.add st.coin_shares src share;
-                if Hashtbl.length st.coin_shares >= coin_k t then begin
-                  Charge.coin_assemble charge ~k:(coin_k t);
-                  let shares = Det.values st.coin_shares ~compare:Det.by_int in
-                  let coin =
-                    Crypto.Threshold_coin.assemble_bit
-                      t.rt.Runtime.keys.Dealer.coin_pub ~name:(coin_name t r) shares
-                  in
-                  st.coin_value <- Some coin;
-                  if st.released_coin then
-                    trace_coin t r Trace.Event.Span_end
-                      [ ("value", Trace.Event.Bool coin) ];
-                  if not t.halted then try_advance t r
+        end
+        else if tag = tag_coinshare then begin
+          match
+            (try
+               let r = Wire.Dec.int d in
+               let share = dec_coin_share d in
+               Some (r, share)
+             with Wire.Decode _ -> None)
+          with
+          | None -> ()
+          | Some (r, share) ->
+            if r >= 1 && share.Crypto.Threshold_coin.origin = src + 1 then begin
+              let st = round_state t r in
+              if not (Hashtbl.mem st.coin_shares src) && st.coin_value = None then begin
+                let charge = t.rt.Runtime.charge in
+                if Verify.coin_share t.rt ~group:t.pid ~name:(coin_name t r) share
+                then begin
+                  let inv = t.rt.Runtime.inv in
+                  Invariant.share_index inv share.Crypto.Threshold_coin.origin;
+                  Invariant.fresh_sender inv st.coin_shares src "coin-share tally";
+                  Hashtbl.add st.coin_shares src share;
+                  if Hashtbl.length st.coin_shares >= coin_k t then begin
+                    Charge.coin_assemble charge ~k:(coin_k t);
+                    let shares = Det.values st.coin_shares ~compare:Det.by_int in
+                    let coin =
+                      Crypto.Threshold_coin.assemble_bit
+                        t.rt.Runtime.keys.Dealer.coin_pub ~name:(coin_name t r) shares
+                    in
+                    st.coin_value <- Some coin;
+                    if st.released_coin then
+                      trace_coin t r Trace.Event.Span_end
+                        [ ("value", Trace.Event.Bool coin) ];
+                    if undecided then try_advance t r
+                  end
                 end
               end
             end
-          end
+        end
+        else if tag = tag_decided then begin
+          match (try Some (dec_cert d) with Wire.Decode _ -> None) with
+          | None -> ()
+          | Some (c, proof) ->
+            on_certificate t ~src c proof;
+            emit_decide t
+        end
       end
   end
 
@@ -696,11 +795,10 @@ let create ?bias ?validator (rt : Runtime.t) ~(pid : string)
     rt; pid; bias; validator; on_decide;
     rounds = Hashtbl.create 8;
     proofs = Hashtbl.create 2;
+    answered = Hashtbl.create 4;
     proposal = None;
     decided = None;
     decide_emitted = false;
-    pending_decide = None;
-    halted = false;
     aborted = false;
   }
   in
@@ -719,9 +817,12 @@ let propose ?(proof = "") (t : t) (value : bool) : unit =
   (match t.validator with
    | Some _ -> Hashtbl.replace t.proofs value proof
    | None -> ());
-  send_prevote t 1 value J_initial;
-  try_send_mainvote t 1;
-  try_finish_round t 1
+  (* A certificate may have decided the instance before we proposed. *)
+  if t.decided = None then begin
+    send_prevote t 1 value J_initial;
+    try_send_mainvote t 1;
+    try_finish_round t 1
+  end
 
 let abort (t : t) : unit =
   t.aborted <- true;

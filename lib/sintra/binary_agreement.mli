@@ -9,6 +9,20 @@
     vote statements, or the previous round's coin shares), so corrupted
     parties cannot vote outside the protocol.
 
+    A party halts in the round it decides.  The n-t main-vote shares it
+    decides on form a transferable decision certificate (the agreement
+    key's threshold signature on "main-vote b in round r"); while halted,
+    the instance answers each peer it hears from in a later round with
+    one DECIDED frame carrying the certificate and the validation data.
+    A party that receives a valid certificate decides its bit, passes the
+    certificate on once to every peer and halts; an invalid one flags its
+    sender through {!Invariant.flag}.  The certificate proves that at
+    least t+1 honest parties main-voted b in round r, so every honest
+    party that completes the round carries b into the next one: no other
+    bit can be decided.  The counters [Runtime.cert_sent] and
+    [Runtime.cert_decided] count the frames and the decisions taken on
+    them.
+
     [?bias] replaces the round-1 coin by a fixed value: the protocol then
     always decides the preferred value when it detects an honest party
     proposed it.  [?validator] adds external validity: an honest party only
@@ -26,9 +40,12 @@ val create :
     validation data when a validator is installed. *)
 
 val propose : ?proof:string -> t -> bool -> unit
-(** Start this party's participation.  Each party proposes exactly once.
+(** Start this party's participation.  Each party proposes exactly once;
+    after a peer's certificate has decided the instance, the proposal is
+    only recorded.
     @raise Invalid_argument on a second proposal, or (with a validator) if
     the proof does not validate the value. *)
 
 val abort : t -> unit
-(** Terminate the local instance immediately. *)
+(** Terminate the local instance immediately: it answers nothing more,
+    certificates included. *)

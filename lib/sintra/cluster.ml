@@ -92,6 +92,8 @@ let publish_metrics (c : t) : Trace.Metrics.t =
       set rt "tsig.share_checked" (Crypto.Stmt_table.share_checked stmts);
       set rt "aba.coin_pregen" rt.Runtime.coin_pregen;
       set rt "aba.coin_finished" rt.Runtime.coin_finished;
+      set rt "aba.cert_sent" rt.Runtime.cert_sent;
+      set rt "aba.cert_decided" rt.Runtime.cert_decided;
       set rt "sac.own_ct_reused" rt.Runtime.own_ct_reused;
       (* The share cache's live entries now (the insertion-time gauge
          misses group evictions) and its FIFO's high-water mark. *)

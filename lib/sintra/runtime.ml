@@ -27,6 +27,8 @@ type t = {
   mutable dropped_orphans : int;
   mutable coin_pregen : int;      (* coin-share nonces drawn at round start *)
   mutable coin_finished : int;    (* coin shares computed, when revealed *)
+  mutable cert_sent : int;        (* ABA decision certificates sent *)
+  mutable cert_decided : int;     (* ABA decisions taken on a certificate *)
   mutable own_ct_reused : int;    (* own ciphertexts delivered unchecked *)
   mutable rebuild : (unit -> unit) list;   (* newest first *)
   mutable after_rebuild : (unit -> unit) list option;
@@ -94,6 +96,8 @@ let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
     dropped_orphans = 0;
     coin_pregen = 0;
     coin_finished = 0;
+    cert_sent = 0;
+    cert_decided = 0;
     own_ct_reused = 0;
     rebuild = [];
     after_rebuild = None;

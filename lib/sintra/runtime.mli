@@ -31,6 +31,11 @@ type t = {
       charged as a coin release). *)
   mutable coin_finished : int;
   (** Coin shares it actually computed: those a round revealed. *)
+  mutable cert_sent : int;
+  (** DECIDED frames {!Binary_agreement} sent: decision certificates
+      answering a peer heard from in a later round, or passed on. *)
+  mutable cert_decided : int;
+  (** Its decisions taken on a peer's certificate rather than on votes. *)
   mutable own_ct_reused : int;
   (** Own ciphertexts {!Secure_atomic_channel} delivered with the checked
       form [encrypt] returned, instead of re-checking their bytes. *)

@@ -34,6 +34,53 @@ let check_agreement_validity ?(crash = []) (proposals : bool list)
       Alcotest.failf "decided %b which no honest party proposed" v
   | _ -> ()
 
+
+(* --- decision certificates: frames on the wire, and crafted ones --- *)
+
+(* The (tag, round) of an ABA frame for [pid]; every ABA body starts with
+   a tag byte and (all tags but garbage) a round. *)
+let aba_frame ~(pid : string) (payload : string) : (int * int) option =
+  match
+    Wire.decode payload (fun d ->
+      let p = Wire.Dec.bytes d in
+      let body = Wire.Dec.bytes d in
+      (p, body))
+  with
+  | Some (p, body) when p = pid ->
+    Wire.decode_prefix body (fun d ->
+      let tag = Wire.Dec.u8 d in
+      (tag, Wire.Dec.int d))
+  | Some _ | None -> None
+
+let tag_decided = 3
+
+(* The genuine certificate for "main-vote [b] in round [r]", assembled
+   from parties 0-2's shares. *)
+let main_cert (c : Cluster.t) ~(pid : string) ~(round : int) (b : bool) : string =
+  let stmt = Printf.sprintf "aba-main|%s|%d|%b" pid round b in
+  let key i = (Cluster.runtime c i).Runtime.keys.Dealer.ag_tsig in
+  let shares =
+    List.map
+      (fun i ->
+        Tsig.release ~drbg:(Cluster.runtime c i).Runtime.drbg (key i) ~ctx:pid stmt)
+      [ 0; 1; 2 ]
+  in
+  Tsig.assemble (Tsig.public_of_secret (key 0)) ~ctx:pid stmt shares
+
+let decided_body ~(round : int) (b : bool) ~(signature : string)
+    (proof : string option) : string =
+  Wire.encode (fun buf ->
+    Wire.Enc.u8 buf tag_decided;
+    Wire.Enc.int buf round;
+    Wire.Enc.bool buf b;
+    Wire.Enc.bytes buf signature;
+    Wire.Enc.option buf Wire.Enc.bytes proof)
+
+(* A registry counter of party [p], after publishing the registry. *)
+let counter (c : Cluster.t) (p : int) (name : string) : float =
+  ignore (Cluster.publish_metrics c);
+  Util.counter_value c p name
+
 let suite = [
   Alcotest.test_case "unanimous 1 decides 1" `Quick (fun () ->
     let d, _ = run_aba ~seed:"u1" [ true; true; true; true ] in
@@ -193,6 +240,148 @@ let suite = [
     for i = 1 to 3 do
       Alcotest.(check (option bool)) "honest decide false" (Some false) decided.(i)
     done);
+
+  Alcotest.test_case "certificates: a fault-free run sends no round-2 frame" `Quick
+    (fun () ->
+    let c = Util.cluster ~seed:"cert-free" () in
+    let later = ref [] in
+    Cluster.set_intercept c (fun ~src ~dst payload ->
+      (match aba_frame ~pid:"aba" payload with
+       | Some (tag, r) when r >= 2 || tag = tag_decided ->
+         later := (src, dst, tag, r) :: !later
+       | Some _ | None -> ());
+      Sim.Net.Deliver);
+    let decided = Array.make 4 None in
+    Array.iteri
+      (fun i inst -> Cluster.inject c i (fun () -> Binary_agreement.propose inst true))
+      (Array.init 4 (fun i ->
+         Binary_agreement.create (Cluster.runtime c i) ~pid:"aba"
+           ~on_decide:(fun b _ -> decided.(i) <- Some b)));
+    ignore (Cluster.run c);
+    Array.iter
+      (fun x -> Alcotest.(check (option bool)) "decided 1" (Some true) x)
+      decided;
+    Alcotest.(check int) "frames past round 1, or DECIDED" 0 (List.length !later);
+    for i = 0 to 3 do
+      Alcotest.(check (float 0.0)) "no certificate sent" 0.0
+        (counter c i "aba.cert_sent")
+    done);
+
+  Alcotest.test_case "certificates: a laggard pushed into round 2 decides on them" `Quick
+    (fun () ->
+    (* Party 3 proposes 0 against three 1s.  Its own votes reach it first
+       and everyone else late, so parties 0-2 decide 1 on their own
+       unanimous round-1 votes while party 3 sees its abstain among its
+       first main-votes and moves on to round 2.  Each decided peer answers
+       its round-2 pre-vote with one certificate, once. *)
+    let c = Util.cluster ~seed:"cert-lag" () in
+    let decided_frames = Array.make 4 0 in
+    let round2 = ref 0 in
+    Cluster.set_intercept c (fun ~src ~dst payload ->
+      (match aba_frame ~pid:"aba" payload with
+       | Some (tag, _) when tag = tag_decided && dst = 3 ->
+         decided_frames.(src) <- decided_frames.(src) + 1
+       | Some (0, 2) when src = 3 -> incr round2
+       | Some _ | None -> ());
+      if src = 3 && dst <> 3 then Sim.Net.Delay 1.0
+      else if dst = 3 && src <> 3 then Sim.Net.Delay 0.2
+      else Sim.Net.Deliver);
+    let decided = Array.make 4 None in
+    let insts =
+      Array.init 4 (fun i ->
+        Binary_agreement.create (Cluster.runtime c i) ~pid:"aba"
+          ~on_decide:(fun b _ -> decided.(i) <- Some b))
+    in
+    Array.iteri
+      (fun i inst -> Cluster.inject c i (fun () -> Binary_agreement.propose inst (i < 3)))
+      insts;
+    ignore (Cluster.run c);
+    Array.iter
+      (fun x -> Alcotest.(check (option bool)) "decided 1" (Some true) x)
+      decided;
+    Alcotest.(check bool) "party 3 pre-voted in round 2" true (!round2 > 0);
+    Alcotest.(check (array int)) "one DECIDED per decided peer" [| 1; 1; 1; 0 |]
+      decided_frames;
+    Alcotest.(check (float 0.0)) "party 3 decided on a certificate" 1.0
+      (counter c 3 "aba.cert_decided");
+    for i = 0 to 2 do
+      Alcotest.(check (float 0.0)) "peers decided on votes" 0.0
+        (counter c i "aba.cert_decided")
+    done;
+    Alcotest.(check (list (pair int string))) "nobody flagged" []
+      (List.concat_map
+         (fun i -> Invariant.flagged (Cluster.runtime c i).Runtime.inv)
+         [ 0; 1; 2; 3 ]));
+
+  Alcotest.test_case "certificates: wrong round, bit or signature is rejected and flagged"
+    `Quick (fun () ->
+    (* Party 0 sends party 1 a genuine certificate for 1 in round 1 under a
+       wrong round and a wrong bit, and a garbled copy; parties 1-3 all
+       propose 0 and must still decide 0, party 1 flagging each frame. *)
+    let c = Util.cluster ~seed:"cert-bad" () in
+    let good = main_cert c ~pid:"aba" ~round:1 true in
+    let garbled = Bytes.of_string good in
+    let last = Bytes.length garbled - 1 in
+    Bytes.set garbled last (Char.chr (Char.code (Bytes.get garbled last) lxor 1));
+    let rt0 = Cluster.runtime c 0 in
+    Cluster.inject c 0 (fun () ->
+      List.iter
+        (fun body -> Runtime.send rt0 ~dst:1 ~pid:"aba" body)
+        [ decided_body ~round:2 true ~signature:good None;
+          decided_body ~round:1 false ~signature:good None;
+          decided_body ~round:1 true ~signature:(Bytes.to_string garbled) None;
+          decided_body ~round:0 true ~signature:good None ]);
+    let decided = Array.make 4 None in
+    for i = 1 to 3 do
+      let inst =
+        Binary_agreement.create (Cluster.runtime c i) ~pid:"aba"
+          ~on_decide:(fun b _ -> decided.(i) <- Some b)
+      in
+      Cluster.at c ~time:0.5 (fun () ->
+        Cluster.inject c i (fun () -> Binary_agreement.propose inst false))
+    done;
+    ignore (Cluster.run c);
+    for i = 1 to 3 do
+      Alcotest.(check (option bool)) "decided 0" (Some false) decided.(i)
+    done;
+    let flags = Invariant.flagged (Cluster.runtime c 1).Runtime.inv in
+    Alcotest.(check (list int)) "party 0 flagged once per certificate" [ 0; 0; 0; 0 ]
+      (List.map fst flags);
+    List.iter
+      (fun (_, why) ->
+        Alcotest.(check bool) why true
+          (String.starts_with ~prefix:"aba aba: invalid decision certificate" why))
+      flags);
+
+  Alcotest.test_case "certificates: no validation data leaves the decision pending"
+    `Quick (fun () ->
+    (* Only party 3 runs an instance, under external validity.  A genuine
+       certificate without validation data decides it but cannot be handed
+       out; one with bad data changes nothing; the data arriving in a
+       later certificate releases the decision. *)
+    let validator b proof = proof = "proof:" ^ string_of_bool b in
+    let c = Util.cluster ~seed:"cert-proof" () in
+    let got = ref None in
+    ignore
+      (Binary_agreement.create ~validator (Cluster.runtime c 3) ~pid:"aba"
+         ~on_decide:(fun b proof -> got := Some (b, proof)));
+    let good = main_cert c ~pid:"aba" ~round:1 true in
+    let send_from src body =
+      let rt = Cluster.runtime c src in
+      Cluster.inject c src (fun () -> Runtime.send rt ~dst:3 ~pid:"aba" body)
+    in
+    send_from 0 (decided_body ~round:1 true ~signature:good None);
+    ignore (Cluster.run c);
+    Alcotest.(check bool) "pending without data" true (!got = None);
+    send_from 1 (decided_body ~round:1 true ~signature:good (Some "proof:false"));
+    ignore (Cluster.run c);
+    Alcotest.(check bool) "pending with bad data" true (!got = None);
+    send_from 2 (decided_body ~round:1 true ~signature:good (Some "proof:true"));
+    ignore (Cluster.run c);
+    Alcotest.(check (option (pair bool (option string)))) "decided with the data"
+      (Some (true, Some "proof:true")) !got;
+    Alcotest.(check (float 0.0)) "one decision on a certificate" 1.0
+      (counter c 3 "aba.cert_decided"));
 
   (* --- multi-valued agreement --- *)
 

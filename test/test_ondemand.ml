@@ -99,15 +99,15 @@ let coin_release_golden =
 let coin_run_seeds = [ "pin-aba-1"; "pin-aba-2"; "pin-aba-3" ]
 
 let coin_run_golden =
-  [ "frames=16/482ec782c54e624e p0:false:93.989824:2afc8454b6127df7 \
-     p1:false:93.989824:c1335df0972fed64 p2:false:93.989824:e7f7855279a4d0e3 \
-     p3:false:93.989824:eda3203ed67ca6aa";
-    "frames=16/d834ae07d42c39c8 p0:false:96.520971:da0cc39bf51e3c60 \
-     p1:false:96.520971:cb2b5e24de1318fb p2:false:96.520971:2bba8f47e8ba63d5 \
-     p3:false:96.520971:677645a10553de1c";
-    "frames=16/5ae3eacffe88ddb0 p0:false:96.023124:4152d49f8e01c5d5 \
-     p1:false:96.023124:84dae88c60029f2c p2:false:94.971692:d72da0894e3ea99f \
-     p3:false:96.023124:cad3f62fba545e82" ]
+  [ "frames=16/482ec782c54e624e p0:false:68.967080:b391b259c6854e1a \
+     p1:false:68.967080:5729abe272d60ceb p2:false:68.967080:ed11b071df63c993 \
+     p3:false:68.967080:62c3de249750c69f";
+    "frames=16/d834ae07d42c39c8 p0:false:71.000380:ca2d551df888509d \
+     p1:false:71.498227:8c3352e20ba9760e p2:false:71.000380:6e817c9f03cfdc57 \
+     p3:false:71.000380:880cb7ca4cda8c7d";
+    "frames=16/5ae3eacffe88ddb0 p0:false:71.000380:896c89248b476b45 \
+     p1:false:71.000380:b24a364b380beb41 p2:false:69.948948:79af1e1cf022d51d \
+     p3:false:71.000380:bdf59bd9d09c0e1f" ]
 
 (* --- multi-signature parts a party already knows ---
 
@@ -316,13 +316,13 @@ let own_ct_pin () : string =
 
 let own_ct_golden =
   String.concat "\n"
-    [ "p0 [0:mine,3:mine,1:yours] cpu=217.076585 hit=26 miss=45 valid=4 share=4 \
+    [ "p0 [0:mine,3:mine,1:yours] cpu=164.677257 hit=19 miss=36 valid=4 share=4 \
        verify=3 combine=3 encrypt=1";
-      "p1 [0:mine,3:mine,1:yours] cpu=217.076685 hit=26 miss=45 valid=4 share=4 \
+      "p1 [0:mine,3:mine,1:yours] cpu=164.179510 hit=20 miss=35 valid=4 share=4 \
        verify=3 combine=3 encrypt=1";
-      "p2 [0:mine,3:mine,1:yours] cpu=215.826505 hit=26 miss=45 valid=4 share=4 \
+      "p2 [0:mine,3:mine,1:yours] cpu=163.427177 hit=19 miss=36 valid=4 share=4 \
        verify=3 combine=3 encrypt=0";
-      "p3 [0:mine,3:mine,1:yours] cpu=215.826585 hit=26 miss=45 valid=4 share=4 \
+      "p3 [0:mine,3:mine,1:yours] cpu=162.431563 hit=21 miss=34 valid=4 share=4 \
        verify=3 combine=3 encrypt=0" ]
 
 let suite =
