@@ -196,3 +196,77 @@ let equivocating_aba (c : Cluster.t) ~(party : int) ~(pid : string)
       if dst <> party then
         Runtime.send rt ~dst ~pid (forged (List.mem dst to_true))
     done)
+
+(* A binary-agreement party that forges decision certificates instead of
+   voting.  At the start it sends every peer a DECIDED frame for round 1
+   and bit [true] (peers in [to_true]) or [false] (the rest), signed by a
+   multi-signature shaped string whose every part is its own genuine
+   signature under a different origin.  Then it collects the honest
+   main-vote shares it is sent; the first time a quorum of them agree on a
+   bit b in some round r, it assembles the genuine certificate and sends
+   every peer that signature relabelled as bit (not b) in round r, and as
+   bit b in round r+1. *)
+let forging_aba (c : Cluster.t) ~(party : int) ~(pid : string)
+    ~(to_true : int list) : unit =
+  let rt = Cluster.runtime c party in
+  let secret = rt.Runtime.keys.Dealer.ag_tsig in
+  let pub = Tsig.public_of_secret secret in
+  let main_stmt r b = Printf.sprintf "aba-main|%s|%d|%b" pid r b in
+  let decided ~round ~value ~signature =
+    Wire.encode (fun buf ->
+      Wire.Enc.u8 buf 3;                     (* tag_decided *)
+      Wire.Enc.int buf round;
+      Wire.Enc.bool buf value;
+      Wire.Enc.bytes buf signature;
+      Wire.Enc.option buf Wire.Enc.bytes None)
+  in
+  let to_peers body =
+    for dst = 0 to Cluster.n c - 1 do
+      if dst <> party then Runtime.send rt ~dst ~pid (body dst)
+    done
+  in
+  let forged (value : bool) : string =
+    let own =
+      match Tsig.release ~drbg:rt.Runtime.drbg secret ~ctx:pid (main_stmt 1 value) with
+      | Tsig.Multi_share s -> s.Crypto.Multi_sig.signature
+      | Tsig.Shoup_share s -> Bignum.Nat.to_bytes_be s.Crypto.Threshold_sig.x_i
+    in
+    let k = Tsig.k pub in
+    String.concat ""
+      (Printf.sprintf "%04d" k
+       :: List.init k (fun i ->
+            Printf.sprintf "%04d%08d%s" (((party + i) mod Cluster.n c) + 1)
+              (String.length own) own))
+  in
+  Cluster.inject c party (fun () ->
+    to_peers (fun dst ->
+      let value = List.mem dst to_true in
+      decided ~round:1 ~value ~signature:(forged value)));
+  (* Main-vote frames: tag 1, round, value (0 false, 1 true, 2 abstain),
+     then the sender's share on that vote. *)
+  let shares : (int * bool, (int * Tsig.share) list) Hashtbl.t = Hashtbl.create 8 in
+  let relabelled = ref false in
+  Runtime.register rt ~pid (fun ~src body ->
+    match
+      Wire.decode_prefix body (fun d ->
+        let tag = Wire.Dec.u8 d in
+        let round = Wire.Dec.int d in
+        let value = Wire.Dec.u8 d in
+        (tag, round, value, Tsig.dec_share d))
+    with
+    | Some (1, round, (0 | 1 as v), share) when not !relabelled ->
+      let b = v = 1 in
+      let held = Option.value (Hashtbl.find_opt shares (round, b)) ~default:[] in
+      if not (List.mem_assoc src held) then begin
+        let held = held @ [ (src, share) ] in
+        Hashtbl.replace shares (round, b) held;
+        if List.length held >= Tsig.k pub then begin
+          relabelled := true;
+          let signature =
+            Tsig.assemble pub ~ctx:pid (main_stmt round b) (List.map snd held)
+          in
+          to_peers (fun _ -> decided ~round ~value:(not b) ~signature);
+          to_peers (fun _ -> decided ~round:(round + 1) ~value:b ~signature)
+        end
+      end
+    | Some _ | None -> ())

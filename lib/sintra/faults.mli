@@ -67,3 +67,13 @@ val equivocating_aba :
 (** An equivocating binary-agreement party: validly signed round-1
     pre-votes for [true] to the parties in [to_true], [false] to the rest.
     The conflict surfaces via abstain justifications and is flagged. *)
+
+val forging_aba :
+  Cluster.t -> party:int -> pid:string -> to_true:int list -> unit
+(** A binary-agreement party that sends decision certificates instead of
+    votes: a forged round-1 certificate for [true] to the parties in
+    [to_true] and for [false] to the rest, then, once it has collected a
+    quorum of honest main-vote shares for a bit in some round, that
+    genuine signature relabelled with the other bit and with the next
+    round.  Each fails its check; a receiver still undecided when it
+    arrives flags [party]. *)

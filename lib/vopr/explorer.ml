@@ -127,9 +127,9 @@ let run_seed_of ~(base : string) (k : int) : string =
   base ^ "#" ^ string_of_int k
 
 let schedule_of ~(run_seed : string) ~(n : int) ~(max_faulty : int)
-    ~(allow_equiv : bool) : Schedule.t =
+    ~(allow_equiv : bool) ~(allow_cert : bool) : Schedule.t =
   let drbg = Hashes.Drbg.create ~seed:("sched|" ^ run_seed) in
-  Schedule.generate ~drbg ~n ~max_faulty ~allow_equiv
+  Schedule.generate ~drbg ~n ~max_faulty ~allow_equiv ~allow_cert
 
 let explore ?(progress : (int -> unit) option) ?(max_failures = 1)
     ?(shrink_budget = 200) ~(runner : runner)

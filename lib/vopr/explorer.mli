@@ -38,7 +38,8 @@ type report = {
 }
 
 val schedule_of :
-  run_seed:string -> n:int -> max_faulty:int -> allow_equiv:bool -> Schedule.t
+  run_seed:string -> n:int -> max_faulty:int -> allow_equiv:bool ->
+  allow_cert:bool -> Schedule.t
 (** The schedule a sweep derives for [run_seed]: {!Schedule.generate} from
     a DRBG seeded ["sched|" ^ run_seed]. *)
 

@@ -18,6 +18,7 @@ type mutation =
   | Recover_at of int * int        (* party, virtual ms *)
   | Byz_equivocate of int          (* party runs an equivocating harness *)
   | Byz_selective of int           (* party pseudo-randomly omits sends *)
+  | Byz_cert of int                (* party forges ABA decision certificates *)
 
 type t = mutation list
 
@@ -33,6 +34,7 @@ let mutation_to_string (m : mutation) : string =
   | Recover_at (p, ms) -> Printf.sprintf "recover@%d:%d" p ms
   | Byz_equivocate p -> Printf.sprintf "byz@%d:equiv" p
   | Byz_selective p -> Printf.sprintf "byz@%d:sel" p
+  | Byz_cert p -> Printf.sprintf "byz@%d:cert" p
 
 let to_string (s : t) : string =
   String.concat "," (List.map mutation_to_string s)
@@ -83,6 +85,8 @@ let mutation_of_string (s : string) : mutation option =
           Option.map (fun p -> Byz_equivocate p) (int_of_string_opt p)
         | Some (p, "sel") ->
           Option.map (fun p -> Byz_selective p) (int_of_string_opt p)
+        | Some (p, "cert") ->
+          Option.map (fun p -> Byz_cert p) (int_of_string_opt p)
         | Some _ | None -> None)
      | _ -> None)
 
@@ -109,7 +113,7 @@ let degraded (s : t) : int list =
        (fun m ->
          match m with
          | Drop_link (p, _, _) | Crash_at (p, _) | Byz_equivocate p
-         | Byz_selective p ->
+         | Byz_selective p | Byz_cert p ->
            Some p
          | Delay_frame _ | Dup_frame _ | Replay_frame _ | Recover_at _ -> None)
        s)
@@ -118,6 +122,12 @@ let equivocators (s : t) : int list =
   dedup_sorted
     (List.filter_map
        (fun m -> match m with Byz_equivocate p -> Some p | _ -> None)
+       s)
+
+let forgers (s : t) : int list =
+  dedup_sorted
+    (List.filter_map
+       (fun m -> match m with Byz_cert p -> Some p | _ -> None)
        s)
 
 let selective (s : t) : int list =
@@ -156,7 +166,7 @@ let distinct_parties (drbg : Hashes.Drbg.t) ~(n : int) (k : int) : int list =
   List.rev !picked
 
 let generate ~(drbg : Hashes.Drbg.t) ~(n : int) ~(max_faulty : int)
-    ~(allow_equiv : bool) : t =
+    ~(allow_equiv : bool) ~(allow_cert : bool) : t =
   (* Benign scheduling noise first: it may hit any frame because it never
      destroys a message, so every liveness guarantee survives it. *)
   let n_benign = Hashes.Drbg.int drbg 9 in
@@ -180,7 +190,10 @@ let generate ~(drbg : Hashes.Drbg.t) ~(n : int) ~(max_faulty : int)
   let destructive =
     List.concat_map
       (fun p ->
-        match Hashes.Drbg.int drbg (if allow_equiv then 5 else 4) with
+        match
+          Hashes.Drbg.int drbg
+            (if allow_cert then 6 else if allow_equiv then 5 else 4)
+        with
         | 0 ->
           (* crash forever *)
           [ Crash_at (p, 100 + Hashes.Drbg.int drbg 20000) ]
@@ -194,7 +207,8 @@ let generate ~(drbg : Hashes.Drbg.t) ~(n : int) ~(max_faulty : int)
           let q = (p + 1 + Hashes.Drbg.int drbg (n - 1)) mod n in
           [ Drop_link (p, q, Hashes.Drbg.int drbg 12) ]
         | 3 -> [ Byz_selective p ]
-        | _ -> [ Byz_equivocate p ])
+        | 4 -> [ Byz_equivocate p ]
+        | _ -> [ Byz_cert p ])
       deg
   in
   List.rev_append !benign destructive
@@ -229,7 +243,8 @@ let arm (c : Sintra.Cluster.t) ~(run_seed : string) (s : t) : unit =
           | None -> k
         in
         Hashtbl.replace drop_from (p, q) k'
-      | Crash_at _ | Recover_at _ | Byz_equivocate _ | Byz_selective _ -> ())
+      | Crash_at _ | Recover_at _ | Byz_equivocate _ | Byz_selective _
+      | Byz_cert _ -> ())
     s;
   (* Each selectively-sending party omits roughly a third of its frames,
      chosen by a DRBG derived from the run seed — deterministic, and

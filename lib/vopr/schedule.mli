@@ -24,6 +24,10 @@ type mutation =
           honest instance (workload-dependent) *)
   | Byz_selective of int
       (** the party pseudo-randomly omits about a third of its sends *)
+  | Byz_cert of int
+      (** the party sends forged and relabelled binary-agreement decision
+          certificates instead of voting ({!Sintra.Faults.forging_aba};
+          [aba] workload only, elsewhere it just counts as degraded) *)
 
 type t = mutation list
 
@@ -42,12 +46,19 @@ val degraded : t -> int list
 val equivocators : t -> int list
 (** Sorted distinct parties with a [Byz_equivocate] mutation. *)
 
+val forgers : t -> int list
+(** Sorted distinct parties with a [Byz_cert] mutation. *)
+
 val generate :
-  drbg:Hashes.Drbg.t -> n:int -> max_faulty:int -> allow_equiv:bool -> t
+  drbg:Hashes.Drbg.t -> n:int -> max_faulty:int -> allow_equiv:bool ->
+  allow_cert:bool -> t
 (** Draw a schedule: a burst of benign scheduling noise (delay, duplicate,
     replay — any frame), plus destructive behaviour for a random set of at
     most [max_faulty] parties.  [allow_equiv] enables [Byz_equivocate]
-    for workloads that support an equivocating-party harness. *)
+    for workloads that support an equivocating-party harness, and
+    [allow_cert] [Byz_cert] as well (for the [aba] workload); with
+    [allow_cert] false the draws are those of a generator that knows no
+    [Byz_cert]. *)
 
 val arm : Sintra.Cluster.t -> run_seed:string -> t -> unit
 (** Install the schedule on a cluster: schedules the crash/recover events

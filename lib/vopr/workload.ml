@@ -49,7 +49,7 @@ let byz_supported (k : Oracle.kind) : bool =
 let schedule ~(kind : Oracle.kind) ~(run_seed : string) : Schedule.t =
   let max_faulty = match kind with Oracle.Durable -> 0 | _ -> 1 in
   Explorer.schedule_of ~run_seed ~n:4 ~max_faulty
-    ~allow_equiv:(byz_supported kind)
+    ~allow_equiv:(byz_supported kind) ~allow_cert:(kind = Oracle.Aba)
 
 (* Broadcast_channel frames payloads with a leading 0x01; the Byzantine
    sender harnesses speak the inner-instance wire format directly. *)
@@ -107,8 +107,13 @@ let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
                Schedule.Replay_frame ((4 * i) + 2, 300 + (17 * i mod 900)) ]))
     else sched
   in
+  (* A [Byz_cert] party runs a harness only in the aba workload. *)
   let corrupted =
-    if byz_supported kind then Schedule.equivocators sched else []
+    if kind = Oracle.Aba then
+      List.sort_uniq Int.compare
+        (Schedule.equivocators sched @ Schedule.forgers sched)
+    else if byz_supported kind then Schedule.equivocators sched
+    else []
   in
   let honest = List.filter (fun p -> not (List.mem p corrupted)) (List.init n Fun.id) in
   Schedule.arm c ~run_seed:seed sched;
@@ -291,7 +296,9 @@ let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
      List.iter
        (fun p ->
          let to_true = match honest with q0 :: _ -> [ q0 ] | [] -> [] in
-         Faults.equivocating_aba c ~party:p ~pid:"vopr-aba" ~to_true)
+         if List.mem p (Schedule.forgers sched) then
+           Faults.forging_aba c ~party:p ~pid:"vopr-aba" ~to_true
+         else Faults.equivocating_aba c ~party:p ~pid:"vopr-aba" ~to_true)
        corrupted
    | Oracle.Mvba ->
      List.iter

@@ -43,9 +43,9 @@ val byz_supported : Oracle.kind -> bool
 val schedule : kind:Oracle.kind -> run_seed:string -> Schedule.t
 (** The schedule a sweep of [kind] runs under at [run_seed]:
     {!Explorer.schedule_of} with [n = 4], equivocation where
-    {!byz_supported}, and at most one degraded party — none for [Durable],
-    whose scripted power failure of party 3 already spends the fault
-    budget. *)
+    {!byz_supported}, certificate forging for [Aba], and at most one
+    degraded party — none for [Durable], whose scripted power failure of
+    party 3 already spends the fault budget. *)
 
 val runner :
   ?tweaks:tweaks -> ?until:float -> ?max_events:int -> kind:Oracle.kind ->

@@ -22,7 +22,7 @@ let expect_planted ~kind ~tweaks ~oracle:expected ?(seeds = 10)
   let oracles = Vopr.Oracle.all kind in
   let generate ~run_seed =
     Vopr.Explorer.schedule_of ~run_seed ~n:4 ~max_faulty:1
-      ~allow_equiv:(Vopr.Workload.byz_supported kind)
+      ~allow_equiv:(Vopr.Workload.byz_supported kind) ~allow_cert:false
   in
   let report =
     Vopr.Explorer.explore ~runner ~oracles ~generate ~seed:"planted" ~seeds ()
@@ -64,7 +64,7 @@ let check_clean ~kind ~seeds =
     Vopr.Explorer.explore ~runner ~oracles:(Vopr.Oracle.all kind)
       ~generate:(fun ~run_seed ->
         Vopr.Explorer.schedule_of ~run_seed ~n:4 ~max_faulty:1
-          ~allow_equiv:(Vopr.Workload.byz_supported kind))
+          ~allow_equiv:(Vopr.Workload.byz_supported kind) ~allow_cert:false)
       ~seed:"trunk" ~seeds ()
   in
   (match report.Vopr.Explorer.failures with
@@ -95,7 +95,8 @@ let suite = [
       let drbg = Hashes.Drbg.create ~seed:"codec" in
       for i = 0 to 49 do
         let s =
-          Vopr.Schedule.generate ~drbg ~n:4 ~max_faulty:1 ~allow_equiv:(i mod 2 = 0)
+          Vopr.Schedule.generate ~drbg ~n:4 ~max_faulty:1
+            ~allow_equiv:(i mod 2 = 0) ~allow_cert:(i mod 4 = 0)
         in
         match Vopr.Schedule.of_string (Vopr.Schedule.to_string s) with
         | Some s' when s' = s -> ()
@@ -231,6 +232,32 @@ let suite = [
         Vopr.Workload.runner ~kind:Vopr.Oracle.Atomic () ~seed:"vopr#70" sched
       in
       assert_all_pass ~what:"vopr#70" obs);
+
+  Alcotest.test_case "aba: a certificate forger is flagged and changes nothing"
+    `Quick (fun () ->
+      (* byz@P:cert: party P sends forged round-1 decision certificates,
+         true to the first honest party and false to the rest, before
+         anyone votes.  Every honest party rejects and flags them and
+         still decides one bit; accepting them splits the decision. *)
+      let runner = Vopr.Workload.runner ~kind:Vopr.Oracle.Aba () in
+      List.iter
+        (fun p ->
+          let sched = sched_of_string (Printf.sprintf "byz@%d:cert" p) in
+          let obs = runner ~seed:(Printf.sprintf "cert%d" p) sched in
+          assert_all_pass ~what:(Vopr.Schedule.to_string sched) obs;
+          Alcotest.(check (list int)) "the forger is corrupted" [ p ]
+            obs.Vopr.Oracle.corrupted;
+          Array.iteri
+            (fun q flags ->
+              if q <> p then
+                Alcotest.(check bool)
+                  (Printf.sprintf "party %d flags party %d" q p) true
+                  (List.exists
+                     (fun (offender, why) ->
+                       offender = p && contains "decision certificate" why)
+                     flags))
+            obs.Vopr.Oracle.flagged)
+        [ 0; 3 ]);
 
   Alcotest.test_case "regression: a restarted party's own payload is delivered"
     `Quick (fun () ->
