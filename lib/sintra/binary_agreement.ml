@@ -662,7 +662,6 @@ let handle (t : t) ~src body =
        | Some _ | None -> ());
       (* Once decided, frames matter only for validation data still due. *)
       if not t.decide_emitted then begin
-        let undecided = t.decided = None in
         if tag = tag_prevote then begin
           match (try Some (dec_prevote d) with Wire.Decode _ -> None) with
           | None -> ()
@@ -705,9 +704,9 @@ let handle (t : t) ~src body =
                        [ ("value", Trace.Event.Bool pv.pv_value) ]
                  end;
                  (* The reveal may be what a finished round was waiting on. *)
-                 if undecided then try_advance t (pv.pv_round - 1)
+                 if t.decided = None then try_advance t (pv.pv_round - 1)
                | J_initial | J_hard _ | J_coin _ -> ());
-              if undecided then begin
+              if t.decided = None then begin
                 try_send_mainvote t pv.pv_round;
                 try_finish_round t pv.pv_round
               end;
@@ -733,7 +732,7 @@ let handle (t : t) ~src body =
               Invariant.share_index inv (Tsig.share_origin mv.mv_share);
               Invariant.fresh_sender inv st.mainvotes src "main-vote tally";
               Hashtbl.add st.mainvotes src mv;
-              if undecided then begin
+              if t.decided = None then begin
                 try_finish_round t mv.mv_round;
                 try_advance t mv.mv_round
               end;
@@ -771,7 +770,7 @@ let handle (t : t) ~src body =
                     if st.released_coin then
                       trace_coin t r Trace.Event.Span_end
                         [ ("value", Trace.Event.Bool coin) ];
-                    if undecided then try_advance t r
+                    if t.decided = None then try_advance t r
                   end
                 end
               end
