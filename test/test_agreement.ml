@@ -273,85 +273,97 @@ let suite = [
        and everyone else late, so parties 0-2 decide 1 on their own
        unanimous round-1 votes while party 3 sees its abstain among its
        first main-votes and moves on to round 2.  Each decided peer answers
-       its round-2 pre-vote with one certificate, once. *)
-    let c = Util.cluster ~seed:"cert-lag" () in
-    let decided_frames = Array.make 4 0 in
-    let round2 = ref 0 in
-    Cluster.set_intercept c (fun ~src ~dst payload ->
-      (match aba_frame ~pid:"aba" payload with
-       | Some (tag, _) when tag = tag_decided && dst = 3 ->
-         decided_frames.(src) <- decided_frames.(src) + 1
-       | Some (0, 2) when src = 3 -> incr round2
-       | Some _ | None -> ());
-      if src = 3 && dst <> 3 then Sim.Net.Delay 1.0
-      else if dst = 3 && src <> 3 then Sim.Net.Delay 0.2
-      else Sim.Net.Deliver);
-    let decided = Array.make 4 None in
-    let insts =
-      Array.init 4 (fun i ->
-        Binary_agreement.create (Cluster.runtime c i) ~pid:"aba"
-          ~on_decide:(fun b _ -> decided.(i) <- Some b))
-    in
-    Array.iteri
-      (fun i inst -> Cluster.inject c i (fun () -> Binary_agreement.propose inst (i < 3)))
-      insts;
-    ignore (Cluster.run c);
-    Array.iter
-      (fun x -> Alcotest.(check (option bool)) "decided 1" (Some true) x)
-      decided;
-    Alcotest.(check bool) "party 3 pre-voted in round 2" true (!round2 > 0);
-    Alcotest.(check (array int)) "one DECIDED per decided peer" [| 1; 1; 1; 0 |]
-      decided_frames;
-    Alcotest.(check (float 0.0)) "party 3 decided on a certificate" 1.0
-      (counter c 3 "aba.cert_decided");
-    for i = 0 to 2 do
-      Alcotest.(check (float 0.0)) "peers decided on votes" 0.0
-        (counter c i "aba.cert_decided")
-    done;
-    Alcotest.(check (list (pair int string))) "nobody flagged" []
-      (List.concat_map
-         (fun i -> Invariant.flagged (Cluster.runtime c i).Runtime.inv)
-         [ 0; 1; 2; 3 ]));
+       its round-2 pre-vote with one certificate, once.  Under both
+       threshold-signature schemes. *)
+    List.iter
+      (fun tsig_scheme ->
+        let c = Util.cluster ~seed:"cert-lag" ~tsig_scheme () in
+        let decided_frames = Array.make 4 0 in
+        let round2 = ref 0 in
+        Cluster.set_intercept c (fun ~src ~dst payload ->
+          (match aba_frame ~pid:"aba" payload with
+           | Some (tag, _) when tag = tag_decided && dst = 3 ->
+             decided_frames.(src) <- decided_frames.(src) + 1
+           | Some (0, 2) when src = 3 -> incr round2
+           | Some _ | None -> ());
+          if src = 3 && dst <> 3 then Sim.Net.Delay 1.0
+          else if dst = 3 && src <> 3 then Sim.Net.Delay 0.2
+          else Sim.Net.Deliver);
+        let decided = Array.make 4 None in
+        let insts =
+          Array.init 4 (fun i ->
+            Binary_agreement.create (Cluster.runtime c i) ~pid:"aba"
+              ~on_decide:(fun b _ -> decided.(i) <- Some b))
+        in
+        Array.iteri
+          (fun i inst ->
+            Cluster.inject c i (fun () -> Binary_agreement.propose inst (i < 3)))
+          insts;
+        ignore (Cluster.run c);
+        Array.iter
+          (fun x -> Alcotest.(check (option bool)) "decided 1" (Some true) x)
+          decided;
+        Alcotest.(check bool) "party 3 pre-voted in round 2" true (!round2 > 0);
+        Alcotest.(check (array int)) "one DECIDED per decided peer"
+          [| 1; 1; 1; 0 |] decided_frames;
+        Alcotest.(check (float 0.0)) "party 3 decided on a certificate" 1.0
+          (counter c 3 "aba.cert_decided");
+        for i = 0 to 2 do
+          Alcotest.(check (float 0.0)) "peers decided on votes" 0.0
+            (counter c i "aba.cert_decided")
+        done;
+        Alcotest.(check (list (pair int string))) "nobody flagged" []
+          (List.concat_map
+             (fun i -> Invariant.flagged (Cluster.runtime c i).Runtime.inv)
+             [ 0; 1; 2; 3 ]))
+      [ Config.Multi; Config.Shoup ]);
 
   Alcotest.test_case "certificates: wrong round, bit or signature is rejected and flagged"
     `Quick (fun () ->
     (* Party 0 sends party 1 a genuine certificate for 1 in round 1 under a
        wrong round and a wrong bit, and a garbled copy; parties 1-3 all
-       propose 0 and must still decide 0, party 1 flagging each frame. *)
-    let c = Util.cluster ~seed:"cert-bad" () in
-    let good = main_cert c ~pid:"aba" ~round:1 true in
-    let garbled = Bytes.of_string good in
-    let last = Bytes.length garbled - 1 in
-    Bytes.set garbled last (Char.chr (Char.code (Bytes.get garbled last) lxor 1));
-    let rt0 = Cluster.runtime c 0 in
-    Cluster.inject c 0 (fun () ->
-      List.iter
-        (fun body -> Runtime.send rt0 ~dst:1 ~pid:"aba" body)
-        [ decided_body ~round:2 true ~signature:good None;
-          decided_body ~round:1 false ~signature:good None;
-          decided_body ~round:1 true ~signature:(Bytes.to_string garbled) None;
-          decided_body ~round:0 true ~signature:good None ]);
-    let decided = Array.make 4 None in
-    for i = 1 to 3 do
-      let inst =
-        Binary_agreement.create (Cluster.runtime c i) ~pid:"aba"
-          ~on_decide:(fun b _ -> decided.(i) <- Some b)
-      in
-      Cluster.at c ~time:0.5 (fun () ->
-        Cluster.inject c i (fun () -> Binary_agreement.propose inst false))
-    done;
-    ignore (Cluster.run c);
-    for i = 1 to 3 do
-      Alcotest.(check (option bool)) "decided 0" (Some false) decided.(i)
-    done;
-    let flags = Invariant.flagged (Cluster.runtime c 1).Runtime.inv in
-    Alcotest.(check (list int)) "party 0 flagged once per certificate" [ 0; 0; 0; 0 ]
-      (List.map fst flags);
+       propose 0 and must still decide 0, party 1 flagging each frame.
+       Under both threshold-signature schemes. *)
     List.iter
-      (fun (_, why) ->
-        Alcotest.(check bool) why true
-          (String.starts_with ~prefix:"aba aba: invalid decision certificate" why))
-      flags);
+      (fun tsig_scheme ->
+        let c = Util.cluster ~seed:"cert-bad" ~tsig_scheme () in
+        let good = main_cert c ~pid:"aba" ~round:1 true in
+        let garbled = Bytes.of_string good in
+        let last = Bytes.length garbled - 1 in
+        Bytes.set garbled last
+          (Char.chr (Char.code (Bytes.get garbled last) lxor 1));
+        let rt0 = Cluster.runtime c 0 in
+        Cluster.inject c 0 (fun () ->
+          List.iter
+            (fun body -> Runtime.send rt0 ~dst:1 ~pid:"aba" body)
+            [ decided_body ~round:2 true ~signature:good None;
+              decided_body ~round:1 false ~signature:good None;
+              decided_body ~round:1 true ~signature:(Bytes.to_string garbled)
+                None;
+              decided_body ~round:0 true ~signature:good None ]);
+        let decided = Array.make 4 None in
+        for i = 1 to 3 do
+          let inst =
+            Binary_agreement.create (Cluster.runtime c i) ~pid:"aba"
+              ~on_decide:(fun b _ -> decided.(i) <- Some b)
+          in
+          Cluster.at c ~time:0.5 (fun () ->
+            Cluster.inject c i (fun () -> Binary_agreement.propose inst false))
+        done;
+        ignore (Cluster.run c);
+        for i = 1 to 3 do
+          Alcotest.(check (option bool)) "decided 0" (Some false) decided.(i)
+        done;
+        let flags = Invariant.flagged (Cluster.runtime c 1).Runtime.inv in
+        Alcotest.(check (list int)) "party 0 flagged once per certificate"
+          [ 0; 0; 0; 0 ] (List.map fst flags);
+        List.iter
+          (fun (_, why) ->
+            Alcotest.(check bool) why true
+              (String.starts_with ~prefix:"aba aba: invalid decision certificate"
+                 why))
+          flags)
+      [ Config.Multi; Config.Shoup ]);
 
   Alcotest.test_case "certificates: no validation data leaves the decision pending"
     `Quick (fun () ->
