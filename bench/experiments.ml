@@ -20,7 +20,7 @@ let bench_cfg ?batch_size ?(scheme = Config.Multi) ?(model_rsa_bits = 1024)
 (* What the harness owns across experiments: one dealer per group shape,
    shared by every run of that shape (key generation is the slow part of a
    run, and the modeled sizes do not affect the dealt keys), and the
-   per-experiment metrics it writes to BENCH_trace.json — message/byte
+   per-experiment metrics it writes to experiment_metrics.json — message/byte
    counts, charged CPU time and exponentiations per party, so a figure's
    cost story is inspectable without re-running. *)
 type harness = {

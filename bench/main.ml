@@ -94,7 +94,7 @@ let () =
   artifact "latency" Latency_bench.run;
   artifact "durability" (Durability_bench.run h);
   if h.Experiments.metrics <> [] then begin
-    let path = "BENCH_trace.json" in
+    let path = "experiment_metrics.json" in
     let oc = open_out path in
     output_string oc (Experiments.metrics_json h);
     close_out oc;

@@ -66,11 +66,13 @@
      and on our own progress (the end of a rebuild, a snapshot install,
      each catch-up window of base progress made by adopted claims), since
      a quiet cluster sends no traffic that would make a rebuilt party ask;
-   - DECIDED(r, batch): sent point-to-point in reply to a REQUEST or to a
-     stale INIT, carrying the whole batch we decided in round r (catch-up
-     moves whole batches, never single payloads), at most a window of
-     rounds per reply; a request from below the GC floor also fires the
-     durability layer's snapshot service ([catchup_miss]);
+   - DECIDED(r, batch): sent point-to-point only in reply to a REQUEST,
+     carrying the whole batch we decided in round r (catch-up moves whole
+     batches, never single payloads), at most a window of rounds per
+     reply; a request from below the GC floor also fires the durability
+     layer's snapshot service ([catchup_miss]).  A stale INIT is dropped:
+     its sender either finishes the round through the agreement's grace
+     period or asks with a REQUEST;
    - a straggler adopts a batch for any undelivered round once t+1 distinct
      parties claim the same one — any t+1 set contains an honest party, so
      the batch really is the round's decision and agreement is preserved
@@ -177,8 +179,8 @@ let tag_init = 0
 let tag_decided = 1
 let tag_request = 2
 
-(* DECIDED batches sent per stale INIT or REQUEST; the straggler re-INITs
-   or re-REQUESTs as it advances, so a small window still converges. *)
+(* DECIDED batches sent per REQUEST; the straggler re-REQUESTs as it
+   advances, so a small window still converges. *)
 let catchup_window = 8
 
 (* Future-round DECIDED claims kept at most this far ahead, bounding what a
@@ -870,13 +872,7 @@ let handle (t : t) ~src body =
             try_propose_round t round
           end
         end
-      | Init (round, en) when en.en_signer = src && src <> t.rt.Runtime.me ->
-        (* Stale INIT: the sender is behind — help it catch up.  Our own
-           INIT loops back stale once we delivered its round without it;
-           we are not behind ourselves. *)
-        Trace.Ctx.incr (trace t) "abc.catchup.stale_served";
-        send_backlog t ~dst:src ~from_round:round
-      | Init _ -> ()
+      | Init _ -> ()   (* stale, or not signed by its sender *)
       | Request round ->
         if round >= 0 && round < t.base then begin
           Trace.Ctx.incr (trace t) "abc.catchup.request_served";

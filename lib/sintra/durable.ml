@@ -60,7 +60,9 @@ type t = {
   served : (int, int) Hashtbl.t;
   mutable stable : Store.Checkpoint.t option;
   mutable stable_state : string;
-  mutable deltas : (string * string) list;   (* replayed deltas, oldest first *)
+  mutable init_hwm : int;
+      (* the highest round we ever INITed, from the log's [Init] records
+         and the channel's init hook; -1 before the first *)
   mutable replaying : bool;
   stats : stats;
 }
@@ -104,22 +106,9 @@ let gauges (t : t) : unit =
   Trace.Ctx.gauge tr "store.backlog"
     (float_of_int (Atomic_channel.backlog_rounds t.chan))
 
-(* Rewrite the device to [Snapshot; latest delta per key; rounds >= cp].
-   A delta supersedes earlier deltas with the same key, so only the newest
-   survives (first-occurrence key order, kept deterministic by the fold). *)
+(* Rewrite the device to [Snapshot; Init water-mark; rounds >= cp]. *)
 let compact (t : t) (cp : Store.Checkpoint.t) (state : string) : unit =
   let rp = Store.Log.replay t.dev in
-  let deltas =
-    List.fold_left
-      (fun acc r ->
-        match r with
-        | Store.Log.Delta { key; data } ->
-          if List.mem_assoc key acc then
-            List.map (fun (k, d) -> if k = key then (k, data) else (k, d)) acc
-          else acc @ [ (key, data) ]
-        | _ -> acc)
-      [] rp.Store.Log.records
-  in
   let rounds =
     List.filter
       (function
@@ -127,10 +116,11 @@ let compact (t : t) (cp : Store.Checkpoint.t) (state : string) : unit =
         | _ -> false)
       rp.Store.Log.records
   in
+  let hwm =
+    if t.init_hwm >= 0 then [ Store.Log.Init { round = t.init_hwm } ] else []
+  in
   let records =
-    Store.Log.Snapshot { checkpoint = cp; state }
-    :: List.map (fun (key, data) -> Store.Log.Delta { key; data }) deltas
-    @ rounds
+    (Store.Log.Snapshot { checkpoint = cp; state } :: hwm) @ rounds
   in
   let bytes = Store.Log.rewrite t.dev records in
   Charge.store_append t.charge ~bytes
@@ -336,22 +326,19 @@ let handle (t : t) ~(src : int) (body : string) : unit =
        end
      | Snap (cp, state) -> adopt_snapshot t ~src cp state)
 
-(* Append a channel-state delta record.  A delta supersedes earlier deltas
-   with the same key; compaction keeps only the newest per key. *)
-let log_delta (t : t) ~(key : string) ~(data : string) : unit =
-  if not t.replaying then begin
-    let bytes = Store.Log.append t.dev (Store.Log.Delta { key; data }) in
+(* The channel's init hook: persist a new own-INIT water-mark, the highest
+   round this party ever initiated.  It is written write-ahead (before the
+   INIT leaves) and read back at restore to bar re-initiating rounds a
+   pre-crash INIT may already cover — a second INIT for the same round is
+   equivocation in every peer's eyes. *)
+let log_init (t : t) ~(round : int) : unit =
+  if round > t.init_hwm then begin
+    t.init_hwm <- round;
+    let bytes = Store.Log.append t.dev (Store.Log.Init { round }) in
     Charge.store_append t.charge ~bytes;
     gauges t;
     Sim.Net.oob_advance t.rt.Runtime.net t.rt.Runtime.me
   end
-
-(* The delta key persisting this party's own-INIT water-mark: the highest
-   round it ever initiated.  Written write-ahead (before the INIT leaves),
-   superseded per round like any delta, and replayed at restore to bar
-   re-initiating rounds a pre-crash INIT may already cover — a second INIT
-   for the same round is equivocation in every peer's eyes. *)
-let init_hwm_key = "abc.init_hwm"
 
 (* Restore from the device at attach time.  The snapshot record (if the
    log was compacted) is verified exactly like a network snapshot; tail
@@ -393,7 +380,7 @@ let restore (t : t) : unit =
           if Atomic_channel.current_round t.chan > before then
             t.stats.replayed_rounds <-
               t.stats.replayed_rounds + (Atomic_channel.current_round t.chan - before)
-        | Store.Log.Delta { key; data } -> t.deltas <- t.deltas @ [ (key, data) ])
+        | Store.Log.Init { round } -> t.init_hwm <- max t.init_hwm round)
     rp.Store.Log.records;
   t.replaying <- false;
   if !distrusted then begin
@@ -428,7 +415,7 @@ let attach (rt : Runtime.t) ~(chan : Atomic_channel.t) ~(pid : string)
       served = Hashtbl.create 4;
       stable = None;
       stable_state = "";
-      deltas = [];
+      init_hwm = -1;
       replaying = false;
       stats =
         {
@@ -445,26 +432,12 @@ let attach (rt : Runtime.t) ~(chan : Atomic_channel.t) ~(pid : string)
     on_round t ~round ~batch);
   Atomic_channel.set_catchup_miss chan (fun ~dst -> serve_snapshot t ~dst);
   restore t;
-  (* Crash-recovery discipline for our own INITs: restore the persisted
-     initiation water-mark and bar self-INITs at or below it, then hook
-     the channel so every new initiation is persisted write-ahead. *)
-  let hwm =
-    ref
-      (List.fold_left
-         (fun acc (key, data) ->
-           if key = init_hwm_key then
-             match int_of_string_opt data with
-             | Some r -> Stdlib.max acc r
-             | None -> acc
-           else acc)
-         (-1) t.deltas)
-  in
-  if !hwm >= 0 then Atomic_channel.set_init_floor chan ~round:(!hwm + 1);
-  Atomic_channel.set_init_hook chan (fun ~round ->
-    if round > !hwm then begin
-      hwm := round;
-      log_delta t ~key:init_hwm_key ~data:(string_of_int round)
-    end);
+  (* Crash-recovery discipline for our own INITs: bar self-INITs at or
+     below the restored water-mark, then persist every new initiation
+     write-ahead. *)
+  if t.init_hwm >= 0 then
+    Atomic_channel.set_init_floor chan ~round:(t.init_hwm + 1);
+  Atomic_channel.set_init_hook chan (fun ~round -> log_init t ~round);
   (* Restore ran synchronously (attach or rebuild hook): its cost belongs
      to the storage core, not the protocol CPU.  A rebuilt channel asks
      for what it missed once the rebuild is over, from the base the

@@ -20,7 +20,7 @@
 
 type record =
   | Round of { round : int; batch : string }
-  | Delta of { key : string; data : string }
+  | Init of { round : int }
   | Snapshot of { checkpoint : Checkpoint.t; state : string }
 
 type status = Complete | Torn of int | Corrupt of int * string
@@ -34,10 +34,9 @@ let enc_payload (r : record) : string =
       Wire.Enc.u8 b 0;
       Wire.Enc.int b round;
       Wire.Enc.bytes b batch
-    | Delta { key; data } ->
+    | Init { round } ->
       Wire.Enc.u8 b 1;
-      Wire.Enc.bytes b key;
-      Wire.Enc.bytes b data
+      Wire.Enc.int b round
     | Snapshot { checkpoint; state } ->
       Wire.Enc.u8 b 2;
       Checkpoint.enc b checkpoint;
@@ -49,10 +48,7 @@ let dec_payload (d : Wire.Dec.t) : record =
     let round = Wire.Dec.int d in
     let batch = Wire.Dec.bytes d in
     Round { round; batch }
-  | 1 ->
-    let key = Wire.Dec.bytes d in
-    let data = Wire.Dec.bytes d in
-    Delta { key; data }
+  | 1 -> Init { round = Wire.Dec.int d }
   | 2 ->
     let checkpoint = Checkpoint.dec d in
     let state = Wire.Dec.bytes d in
@@ -128,7 +124,7 @@ let describe (r : record) : string =
   match r with
   | Round { round; batch } ->
     Printf.sprintf "round %-6d  batch %dB" round (String.length batch)
-  | Delta { key; data } -> Printf.sprintf "delta %s = %dB" key (String.length data)
+  | Init { round } -> Printf.sprintf "init  %d" round
   | Snapshot { checkpoint; state } ->
     Printf.sprintf "snapshot round %-6d  state %dB  cert %dB"
       checkpoint.Checkpoint.round (String.length state)
@@ -136,11 +132,11 @@ let describe (r : record) : string =
 
 let summary (rp : replay) : string =
   let count p = List.length (List.filter p rp.records) in
-  Printf.sprintf "%d record(s) (%d round(s), %d delta(s), %d snapshot(s), %dB)"
+  Printf.sprintf "%d record(s) (%d round(s), %d init(s), %d snapshot(s), %dB)"
     (List.length rp.records)
-    (count (function Round _ -> true | Delta _ | Snapshot _ -> false))
-    (count (function Delta _ -> true | Round _ | Snapshot _ -> false))
-    (count (function Snapshot _ -> true | Round _ | Delta _ -> false))
+    (count (function Round _ -> true | Init _ | Snapshot _ -> false))
+    (count (function Init _ -> true | Round _ | Snapshot _ -> false))
+    (count (function Snapshot _ -> true | Round _ | Init _ -> false))
     rp.bytes
 
 let bad_snapshot (rp : replay) : int option =
@@ -150,5 +146,5 @@ let bad_snapshot (rp : replay) : int option =
       | Snapshot { checkpoint; state }
         when Hashes.Sha256.digest state <> checkpoint.Checkpoint.digest ->
         Some checkpoint.Checkpoint.round
-      | Round _ | Delta _ | Snapshot _ -> bad)
+      | Round _ | Init _ | Snapshot _ -> bad)
     None rp.records

@@ -3,7 +3,7 @@
 
     Frame layout (integers little-endian): a [u32] payload length, a [u32]
     CRC-32 of the payload, then the payload — the {!Wire} encoding of one
-    {!record} with a leading [u8] tag (0 = [Round], 1 = [Delta],
+    {!record} with a leading [u8] tag (0 = [Round], 1 = [Init],
     2 = [Snapshot]).  The exact byte layout is an operator-facing contract
     documented in OPERATIONS.md. *)
 
@@ -12,10 +12,11 @@ type record =
       (** One delivered atomic-broadcast round: the round number and the
           decided batch exactly as agreed on the wire — replaying these in
           order reproduces the delivery sequence byte for byte. *)
-  | Delta of { key : string; data : string }
-      (** A channel-state delta (e.g. an optimistic-channel epoch change).
-          A delta {e supersedes} earlier deltas with the same key, so
-          compaction keeps only the newest per key. *)
+  | Init of { round : int }
+      (** The party's own-INIT water-mark: the highest round it has
+          initiated, written before that INIT leaves.  A restart bars its
+          INITs at or below the highest one logged; compaction keeps that
+          one only. *)
   | Snapshot of { checkpoint : Checkpoint.t; state : string }
       (** A certified checkpoint plus the full state blob it covers.
           Written by compaction as the first record; everything after it
@@ -65,7 +66,7 @@ val describe : record -> string
 
 val summary : replay -> string
 (** The record counts by kind and the bytes of the valid prefix, e.g.
-    ["3 record(s) (2 round(s), 0 delta(s), 1 snapshot(s), 530B)"]. *)
+    ["3 record(s) (2 round(s), 0 init(s), 1 snapshot(s), 530B)"]. *)
 
 val bad_snapshot : replay -> int option
 (** The round of the last snapshot record whose state does not hash

@@ -132,7 +132,7 @@ let merge_into ~(into : hist) (src : hist) : unit =
 
 (* Publish p50/p90/p99 of every histogram as counters named
    "<hist>/p50" etc., so percentile summaries appear in any plain counter
-   dump (the published registry, --stats, BENCH_trace.json).  Idempotent:
+   dump (the published registry, --stats, experiment_metrics.json).  Idempotent:
    counters are overwritten with [set]. *)
 let publish_quantiles (t : t) : unit =
   let hist_names =

@@ -162,12 +162,13 @@ let suite = [
     (fun () ->
       (* Party 2 sends "old" as (2, 0) and power-fails once its INIT has
          left; the other three deliver it while party 2 is down.  Rebuilt
-         without a disk, party 2 restarts its counter and queues "new" under
-         the same seq 0.  Its stale INIT draws the peers' DECIDED backlog, so
-         the pre-crash "old" reaches it only after "new" is queued: that
-         delivery reveals the clash, and "new" must move to a fresh seq
-         rather than be mistaken for delivered.  Every party delivers each
-         payload exactly once, "old" first. *)
+         without a disk, party 2 restarts its counter and, at the instant
+         it restarts, queues "new" under the same seq 0.  Its restart
+         REQUEST draws the peers' DECIDED backlog, so the pre-crash "old"
+         reaches it only after "new" is queued: that delivery reveals the
+         clash, and "new" must move to a fresh seq rather than be mistaken
+         for delivered.  Every party delivers each payload exactly once,
+         "old" first. *)
       let c = Util.cluster ~seed:"bat6" ~max_batch:8 () in
       let logs = Array.init 4 (fun _ -> ref []) in
       let chans : Atomic_channel.t option array = Array.make 4 None in
@@ -191,7 +192,7 @@ let suite = [
       send_from_2 "old" ();
       Cluster.at c ~time:0.05 (fun () -> Runtime.crash rt2);
       Cluster.at c ~time:2.0 (fun () -> Runtime.recover rt2);
-      Cluster.at c ~time:2.5 (send_from_2 "new");
+      Cluster.at c ~time:2.0 (send_from_2 "new");
       ignore (Cluster.run c ~until:300.0);
       Alcotest.(check int) "quiesced" 0 (Sim.Engine.pending c.Cluster.engine);
       Array.iteri
@@ -201,6 +202,57 @@ let suite = [
             [ (2, "old"); (2, "new") ]
             log)
         (sequences logs));
+
+  Alcotest.test_case "a stale INIT is dropped, not answered with DECIDED"
+    `Quick (fun () ->
+      (* Party 3's round-0 INIT reaches its peers 2 s late, long after
+         they decided and delivered round 0 among themselves.  Party 3
+         sees all of their traffic, so it still finishes every round; the
+         late INIT is dropped, because a DECIDED frame answers only a
+         REQUEST. *)
+      let c = Util.cluster ~seed:"bat8" ~max_batch:8 () in
+      let chans, logs = make_atomic c "late" in
+      let late_init frame =
+        let envelope d =
+          let pid = Wire.Dec.bytes d in
+          (pid, Wire.Dec.bytes d)
+        in
+        match Wire.decode frame envelope with
+        | Some ("late", body) ->
+          Wire.decode_prefix body (fun d ->
+            let tag = Wire.Dec.u8 d in
+            (tag, Wire.Dec.int d))
+          = Some (0, 0)
+        | Some _ | None -> false
+      in
+      Cluster.set_intercept c (fun ~src ~dst frame ->
+        if src = 3 && dst <> 3 && late_init frame then Sim.Net.Delay 2.0
+        else Sim.Net.Deliver);
+      for i = 0 to 3 do
+        Cluster.inject c i (fun () ->
+          Atomic_channel.send chans.(i) (Printf.sprintf "p%d.m0" i))
+      done;
+      ignore (Cluster.run c ~until:300.0);
+      Alcotest.(check int) "quiesced" 0 (Sim.Engine.pending c.Cluster.engine);
+      let seqs = sequences logs in
+      Util.check_all_equal "total order" (Array.to_list seqs);
+      Alcotest.(check (list (pair int string))) "every payload delivered"
+        (List.init 4 (fun i -> (i, Printf.sprintf "p%d.m0" i)))
+        (List.sort compare seqs.(3));
+      Alcotest.(check int) "the late party reaches every round"
+        (Atomic_channel.current_round chans.(0))
+        (Atomic_channel.current_round chans.(3));
+      (* Every DECIDED frame answers a REQUEST, and a REQUEST draws at
+         most a catch-up window (8 rounds) of them. *)
+      for p = 0 to 3 do
+        let count name = Util.counter_value c p ("abc.catchup." ^ name) in
+        let sent = count "decided_sent" and served = count "request_served" in
+        Alcotest.(check bool)
+          (Printf.sprintf "party %d: %g DECIDED frames, all for its %g REQUESTs"
+             p sent served)
+          true
+          (sent <= 8.0 *. served)
+      done);
 
   Alcotest.test_case "snapshot install renumbers unproposed payloads in order"
     `Quick (fun () ->

@@ -10,7 +10,7 @@ open Sintra
 let sample_records : Store.Log.record list =
   [
     Store.Log.Round { round = 0; batch = "batch-zero" };
-    Store.Log.Delta { key = "abc.init_hwm"; data = "12" };
+    Store.Log.Init { round = 12 };
     Store.Log.Round { round = 1; batch = String.make 300 'x' };
     Store.Log.Snapshot
       {
@@ -178,11 +178,12 @@ let suite =
       let dev = Store.Device.mem () in
       List.iter (fun r -> ignore (Store.Log.append dev r)) sample_records;
       let bytes = Bytes.of_string (Store.Device.contents dev) in
-      (* Flip one byte inside the second record's payload. *)
+      (* Flip one byte inside the second record's payload: the round of
+         its two-byte [Init], after the 8-byte header and the tag. *)
       let first_len =
         String.length (Store.Log.frame (List.hd sample_records))
       in
-      let pos = first_len + 10 in
+      let pos = first_len + 9 in
       Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor 1));
       let rp = Store.Log.replay_string (Bytes.to_string bytes) in
       (match rp.Store.Log.status with
@@ -197,11 +198,11 @@ let suite =
       let rp = Store.Log.replay dev in
       Alcotest.(check string) "summary"
         (Printf.sprintf
-           "4 record(s) (2 round(s), 1 delta(s), 1 snapshot(s), %dB)"
+           "4 record(s) (2 round(s), 1 init(s), 1 snapshot(s), %dB)"
            (Store.Device.size dev))
         (Store.Log.summary rp);
       Alcotest.(check (list string)) "one line per record"
-        [ "round 0       batch 10B"; "delta abc.init_hwm = 2B";
+        [ "round 0       batch 10B"; "init  12";
           "round 1       batch 300B"; "snapshot round 2       state 10B  cert 1B" ]
         (List.map Store.Log.describe rp.Store.Log.records);
       (* The sample snapshot's digest is not the hash of its state. *)
