@@ -585,6 +585,37 @@ let adoptable_items (t : t) (round : int) : item list =
     entries;
   List.rev !items
 
+(* Could we INIT [round] now: open, in our window, above the restart
+   floor, and not INITed by us yet? *)
+let may_init (t : t) (round : int) : bool =
+  not t.closed && t.gate () && round >= t.base && round < t.base + window t
+  && round >= t.init_floor
+  && Option.is_none (my_init t round)
+
+(* Our vector for a round we INIT: the undelivered prefix if we have one,
+   else the undelivered payloads seen in the round's INITs, possibly
+   none. *)
+let init_items (t : t) (round : int) : item list =
+  match own_items t with
+  | [] -> adoptable_items t round
+  | mine ->
+    List.iter (fun o -> o.init_round <- min o.init_round round) mine;
+    let me = t.rt.Runtime.me in
+    List.map
+      (fun o -> { it_orig = me; it_seq = o.seq; it_payload = o.framed })
+      mine
+
+(* Start every round of our window below [round] that we have not INITed.
+   Rounds deliver in order, so a round no honest party INITs stalls every
+   later one: a Byzantine party can INIT round r to nobody and round r+1
+   to everyone, and the honest parties join r+1 with payloads that leave
+   nothing fresh to start r.  Whoever INITs r+1, or sees it decide, starts
+   r as well. *)
+let init_below (t : t) (round : int) : unit =
+  for r = t.base to min (round - 1) (t.base + window t - 1) do
+    if may_init t r then send_init t r (init_items t r)
+  done
+
 (* Anti-spin, generalized per in-window round: INIT round r only when we
    have fresh payloads no open INIT of ours carries yet (new content
    justifies a deeper pipeline round), or someone else already started
@@ -593,25 +624,17 @@ let adoptable_items (t : t) (round : int) : item list =
    otherwise.  Never start a round unprompted, or idle parties would spin
    empty (or redundant) rounds forever. *)
 let rec try_send_init_round (t : t) (round : int) : unit =
-  if not t.closed && t.gate () && round >= t.base && round < t.base + window t
-     && round >= t.init_floor
-     && Option.is_none (my_init t round)
-  then begin
+  if may_init t round then begin
     let depth = Queue.length t.pending in
     if depth > 0 then adapt_batch t depth;
     let joined = Hashtbl.length (round_state t round).pool > 0 in
-    if has_fresh_items t || joined then begin
-      match own_items t with
-      | _ :: _ as mine ->
+    let own = own_items t <> [] in
+    if (own && has_fresh_items t) || joined then begin
+      if own then
         Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.queue_depth"
           (float_of_int depth);
-        List.iter (fun o -> o.init_round <- min o.init_round round) mine;
-        let me = t.rt.Runtime.me in
-        send_init t round
-          (List.map
-             (fun o -> { it_orig = me; it_seq = o.seq; it_payload = o.framed })
-             mine)
-      | [] -> if joined then send_init t round (adoptable_items t round)
+      init_below t round;
+      send_init t round (init_items t round)
     end
   end
 
@@ -707,6 +730,7 @@ and round_decided (t : t) (round : int) (batch : string) : unit =
     Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.reorder_depth"
       (float_of_int t.parked);
     advance t;
+    init_below t round;
     (* A later round decided, but we never proposed in our base round: it
        most likely decided without us (a restarted party lost the INITs
        sent while it was down), and no INIT will ever tell us. *)

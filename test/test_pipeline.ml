@@ -274,4 +274,52 @@ let suite = [
       Alcotest.(check bool)
         (Printf.sprintf "cap bounded by max_batch (max %d)" !hi)
         true (!hi <= 256));
+
+  Alcotest.test_case "a round only a Byzantine party INITed still decides"
+    `Quick (fun () ->
+      (* Party 3 is the only sender.  Its round-0 INIT reaches nobody (it
+         sends selectively) and its round-1 INIT reaches everyone, so the
+         honest parties join round 1 with party 3's payloads and have
+         nothing fresh that would start round 0.  Round 1 decides and parks
+         behind round 0; unless joining round 1 also starts round 0, the
+         channel stalls with every payload undelivered. *)
+      let c =
+        Util.cluster ~seed:"pipe-hole" ~max_batch:8 ~pipeline_depth:2 ()
+      in
+      let chans, logs = make_atomic c "hole" in
+      let init_round frame =
+        let envelope d =
+          let pid = Wire.Dec.bytes d in
+          (pid, Wire.Dec.bytes d)
+        in
+        match Wire.decode frame envelope with
+        | Some ("hole", body) ->
+          (match
+             Wire.decode_prefix body (fun d ->
+               let tag = Wire.Dec.u8 d in
+               (tag, Wire.Dec.int d))
+           with
+           | Some (0, round) -> Some round
+           | Some _ | None -> None)
+        | Some _ | None -> None
+      in
+      Cluster.set_intercept c (fun ~src ~dst frame ->
+        if src = 3 && dst <> 3 && init_round frame = Some 0 then Sim.Net.Drop
+        else Sim.Net.Deliver);
+      Cluster.inject c 3 (fun () -> Atomic_channel.send chans.(3) "p3.a");
+      Cluster.at c ~time:0.5 (fun () ->
+        Cluster.inject c 3 (fun () -> Atomic_channel.send chans.(3) "p3.b"));
+      ignore (Cluster.run c ~until:300.0);
+      Alcotest.(check int) "quiesced" 0 (Sim.Engine.pending c.Cluster.engine);
+      let seqs = sequences logs in
+      Util.check_all_equal "total order" (Array.to_list seqs);
+      Array.iteri
+        (fun p seq ->
+          Alcotest.(check (list (pair int string)))
+            (Printf.sprintf "party %d delivers both payloads" p)
+            [ (3, "p3.a"); (3, "p3.b") ]
+            seq)
+        seqs;
+      Alcotest.(check int) "no round parked" 0
+        (Atomic_channel.reorder_depth chans.(0)));
 ]
