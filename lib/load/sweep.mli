@@ -51,7 +51,7 @@ val sweep_cfg :
 (** The benchmark configuration: the dealer's small real keys priced at the
     paper's 1024-bit key sizes, pseudo-random candidate permutation.
     [pipeline_depth] defaults to the {!Sintra.Config.make} default (a
-    window of 4 rounds). *)
+    window of 2 rounds). *)
 
 val deal : Sintra.Config.t -> Sintra.Dealer.t
 (** The sweep's dealer for a configuration (seed ["load-dealer"]).  Keys

@@ -50,7 +50,7 @@ let dec_threshold (c : t) : int = c.t + 1
    amplification, batch adoption, termination-request counting. *)
 let one_honest (c : t) : int = c.t + 1
 
-let make ?(batch_size : int option) ?(max_batch = 256) ?(pipeline_depth = 4)
+let make ?(batch_size : int option) ?(max_batch = 256) ?(pipeline_depth = 2)
     ?(tsig_scheme = Multi)
     ?(perm_mode = Fixed)
     ?(model_rsa_bits = 1024)

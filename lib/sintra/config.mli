@@ -73,6 +73,6 @@ val make :
   ?model_rsa_bits:int -> ?share_cache_cap:int ->
   n:int -> t:int -> unit -> t
 (** Defaults: batch [t+1], max batch 256 payloads per party per round,
-    pipeline depth 4 with adaptive batching, multi-signatures, fixed
+    pipeline depth 2 with adaptive batching, multi-signatures, fixed
     candidate order, modeled 1024-bit RSA, a 4096-entry verified-share
     cache. *)
