@@ -73,20 +73,27 @@ let optimistic (h : Experiments.harness) =
     let cfg = Experiments.bench_cfg ~n ~t:((n - 1) / 3) () in
     let c = Experiments.make_cluster h ~seed ~topo cfg in
     let deliveries = ref [] in
+    (* The leader crashes once party 1 has delivered a fifth of the
+       messages, so the recovery lands mid-run on any topology and at any
+       speed of the fast path. *)
+    let crash_after = messages / 5 in
     let chans =
       Array.init n (fun i ->
         Optimistic_channel.create ~timeout:8.0 (Cluster.runtime c i) ~pid:"ab-opt"
           ~on_deliver:(fun ~sender:_ _ ->
             (* measure at party 1: party 0 (the epoch-0 leader) may crash *)
-            if i = 1 then deliveries := Cluster.now c :: !deliveries)
+            if i = 1 then begin
+              deliveries := Cluster.now c :: !deliveries;
+              if crash_leader && List.length !deliveries = crash_after then
+                Sim.Engine.schedule c.Cluster.engine ~delay:0.0 (fun () ->
+                  Cluster.crash c 0)
+            end)
           ())
     in
     for k = 0 to messages - 1 do
       Cluster.inject c 1 (fun () ->
         Optimistic_channel.send chans.(1) (Printf.sprintf "m%d" k))
     done;
-    if crash_leader then
-      Sim.Engine.schedule c.Cluster.engine ~delay:2.0 (fun () -> Cluster.crash c 0);
     ignore (Cluster.run c ~until:2000.0 ~max_events:20_000_000);
     let ds = List.rev !deliveries in
     match ds, List.rev ds with
