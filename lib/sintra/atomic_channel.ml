@@ -38,6 +38,15 @@
    total-order obligation — is exactly the sequential protocol's.  With
    [pipeline_depth = 1] the window is one round and the channel reproduces
    the strictly sequential protocol.
+   The default window is 2.  Every round in flight costs every party a
+   full round of signatures and frames and re-carries the pending
+   prefix, so once the virtual CPUs are busy a deeper window buys
+   queueing, not capacity.  At 4 the benchmark's virtual CPUs ran
+   saturated, and a depth sweep put 4 behind 1, 2 and 3 on median
+   latency and on saturation throughput; 2 is the one depth that beat 4
+   on every point measured (EXPERIMENTS.md, "Round pipelining").  Rounds
+   deliver in order, so no round of the window may stay un-INITed below
+   one we start ([init_below]).
 
    Batching adapts: the per-round vector cap self-tunes by AIMD on the
    observed queue depth — additive increase while the backlog exceeds the

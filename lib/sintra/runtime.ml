@@ -238,7 +238,7 @@ let send (rt : t) ~(dst : int) ~(pid : string) (body : string) : unit =
    charges a jittered 0.2 ms hop, the combined topology the same for
    every same-site pair, self included, and [Topology.uniform] a full
    jittered link latency.  One loopback rule for every topology waits for
-   ROADMAP item 13 step 2, because it moves virtual time. *)
+   ROADMAP item 6, because it moves virtual time. *)
 let broadcast (rt : t) ~(pid : string) (body : string) : unit =
   let payload = envelope ~pid body in
   for dst = 0 to rt.cfg.Config.n - 1 do
