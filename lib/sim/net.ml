@@ -4,10 +4,12 @@
    Fidelity to the paper's model:
    - links carry opaque byte strings (real serialized protocol messages),
      authenticated by HMAC-SHA1 under a per-pair key from the dealer;
-   - each node is a sequential processor: handling a message charges virtual
-     CPU time to the node's meter (calibrated by its `exp_ms'), and messages
-     sent from within a handler depart only when the computation finishes —
-     this is what makes slow hosts lag exactly as in Figures 4 and 5;
+   - each node is a sequential processor: a frame's handler and an injected
+     call are both steps queued on the plane's inbox, each charging virtual
+     CPU time to the plane's meter (calibrated by its `exp_ms') after the
+     steps before it; messages sent from within a step depart only when its
+     computation finishes — this is what makes slow hosts lag exactly as in
+     Figures 4 and 5;
    - an adversary hook may drop, delay or replace messages in flight
      (replacement is detected by the MAC unless the adversary controls the
      sender), which models the asynchronous scheduler's power.
@@ -49,12 +51,18 @@ type action =
   | Duplicate                    (* deliver twice, back to back *)
   | Replay of float              (* deliver now and again after the delay *)
 
+(* One queued step of a plane: a frame for its handler, or an injected
+   call with the causal flow id that triggered it. *)
+type step =
+  | Frame of int * string * int     (* src, payload, flow id *)
+  | Call of (unit -> unit) * int    (* action, cause *)
+
 (* One message class of one node: a sequential core and its links. *)
 type plane = {
   protocol : bool;                  (* the protocol plane; else storage *)
   meter : Cost.meter;
   mutable busy_until : float;
-  inbox : (int * string * int) Queue.t;      (* src, payload, flow id *)
+  inbox : step Queue.t;
   mutable handler : (src:int -> string -> unit) option;
   mutable wake_scheduled : bool;
   mutable sent_msgs : int;
@@ -72,7 +80,7 @@ type node = {
                                                 sends buffered in a
                                                 protocol handler *)
   mutable crashed : bool;
-  mutable in_handler : bool;        (* in a protocol-plane handler or [inject] *)
+  mutable in_handler : bool;        (* in a protocol-plane step *)
   mutable macs : int;               (* link HMACs computed: tags sent, tags checked *)
   mutable loopback_msgs : int;      (* frames to itself, both planes: no MAC *)
 }
@@ -172,28 +180,33 @@ let net_instant (tr : Trace.Ctx.t) ~(time : float) ~(id : int) (name : string) :
       ~args:[ ("id", Trace.Event.Int id) ]
       name
 
-(* Process at most one inbox message of plane [p] of node [nd], then
-   reschedule. *)
+(* The one booking rule: plane [p]'s pending charge runs after whatever its
+   CPU already holds. *)
+let book (t : t) (p : plane) : unit =
+  p.busy_until <- Stdlib.max p.busy_until (Engine.now t.engine) +. Cost.take p.meter
+
+(* Run at most one inbox step of plane [p] of node [nd], then reschedule.
+   This is the only place work runs on a plane. *)
 let rec process_one (t : t) (nd : node) (p : plane) () : unit =
   p.wake_scheduled <- false;
   if not nd.crashed && not (Queue.is_empty p.inbox) then begin
-    let now = Engine.now t.engine in
-    if p.busy_until > now then wake t nd p p.busy_until
+    if p.busy_until > Engine.now t.engine then wake t nd p p.busy_until
     else begin
-      let src, payload, flow = Queue.pop p.inbox in
-      p.received_msgs <- p.received_msgs + 1;
-      (match p.handler with
-       | None -> ()
-       | Some h ->
-         nd.in_handler <- p.protocol;
-         (* Records emitted while the handler runs carry the triggering
-            message's flow id — the causal edge the analyzer follows. *)
-         Trace.Ctx.set_cause t.traces.(nd.id) flow;
-         h ~src payload;
-         Trace.Ctx.set_cause t.traces.(nd.id) (-1);
-         nd.in_handler <- false);
-      let cost = Cost.take p.meter in
-      p.busy_until <- now +. cost;
+      (* Records emitted inside a step carry its cause (a frame's flow id):
+         the causal edge the analyzer follows. *)
+      let run cause f =
+        nd.in_handler <- p.protocol;
+        Trace.Ctx.set_cause t.traces.(nd.id) cause;
+        f ();
+        Trace.Ctx.set_cause t.traces.(nd.id) (-1);
+        nd.in_handler <- false
+      in
+      (match Queue.pop p.inbox with
+       | Frame (src, payload, flow) ->
+         p.received_msgs <- p.received_msgs + 1;
+         Option.iter (fun h -> run flow (fun () -> h ~src payload)) p.handler
+       | Call (f, cause) -> run cause f);
+      book t p;
       flush_outbox t nd;
       if not (Queue.is_empty p.inbox) then wake t nd p p.busy_until
     end
@@ -205,9 +218,8 @@ and wake (t : t) (nd : node) (p : plane) (at : float) : unit =
     Engine.schedule_at t.engine ~time:at (process_one t nd p)
   end
 
-and enqueue (t : t) (nd : node) (p : plane) ~(at : float) (msg : int * string * int)
-    : unit =
-  Queue.push msg p.inbox;
+and enqueue (t : t) (nd : node) (p : plane) ~(at : float) (step : step) : unit =
+  Queue.push step p.inbox;
   wake t nd p (Stdlib.max at p.busy_until)
 
 (* The one arrival path: one copy of a frame from [src] to [dst] on the
@@ -235,7 +247,7 @@ and arrive (t : t) (sp : plane) ~(src : int) ~(dst : int) ~(id : int)
         t.mac_failures <- t.mac_failures + 1
       | Some _ | None ->
         net_instant t.traces.(dst) ~time:arrival ~id "recv";
-        enqueue t nd rp ~at:arrival (src, payload, id))
+        enqueue t nd rp ~at:arrival (Frame (src, payload, id)))
 
 (* Put a protocol-plane [payload] on the wire from [src] to [dst],
    departing at [depart].  [id] is the causal flow id allocated at send
@@ -330,7 +342,7 @@ let init_links (t : t) (p : float) : unit =
                  (* Flow ids don't survive sliding-window reassembly; the
                     causal edge is severed in lossy mode. *)
                  if not nd.crashed then
-                   enqueue t nd nd.proto ~at:(Engine.now t.engine) (j, payload, -1))
+                   enqueue t nd nd.proto ~at:(Engine.now t.engine) (Frame (j, payload, -1)))
                ())))
 
 (* Count a send on plane [p] of node [nd] and open its causal flow: the
@@ -383,11 +395,7 @@ let oob_meter (t : t) (i : int) = t.nodes.(i).store.meter
    appends and checkpoint crypto triggered synchronously by a delivered
    round) into the storage core's busy clock, so snapshot service queues
    behind it honestly. *)
-let oob_advance (t : t) (i : int) : unit =
-  let p = t.nodes.(i).store in
-  let cost = Cost.take p.meter in
-  if cost > 0.0 then
-    p.busy_until <- Stdlib.max p.busy_until (Engine.now t.engine) +. cost
+let oob_advance (t : t) (i : int) : unit = book t t.nodes.(i).store
 
 let meter (t : t) (i : int) = t.nodes.(i).proto.meter
 
@@ -397,8 +405,14 @@ let set_handler (t : t) (i : int) (h : src:int -> string -> unit) : unit =
 let set_intercept (t : t) (f : src:int -> dst:int -> string -> action) : unit =
   t.intercept <- Some f
 
-
-let crash (t : t) (i : int) = t.nodes.(i).crashed <- true
+(* A power-off loses the injected calls its CPU never began; queued frames
+   stay for [recover]. *)
+let crash (t : t) (i : int) : unit =
+  let nd = t.nodes.(i) in
+  nd.crashed <- true;
+  let queued = Queue.copy nd.proto.inbox in
+  Queue.clear nd.proto.inbox;
+  Queue.iter (function Frame _ as s -> Queue.push s nd.proto.inbox | Call _ -> ()) queued
 
 (* Bring a crashed node back: messages that arrived while it was down were
    dropped at arrival time (crash = power-off, volatile buffers lost), but
@@ -413,7 +427,6 @@ let recover (t : t) (i : int) : unit =
           wake t nd p (Stdlib.max (Engine.now t.engine) p.busy_until))
       [ nd.proto; nd.store ]
   end
-
 
 (* Public constructors: reliable FIFO links (the default, like the
    prototype's TCP), or unreliable datagrams losing each frame with
@@ -444,28 +457,14 @@ let send (t : t) ~(src : int) ~(dst : int) (payload : string) : unit =
         payload
   end
 
-(* Run a computation on node [i] "now": charge its meter and flush sends,
-   as if an external request arrived.  Used by the harness for client
+(* Queue a computation on node [i]'s protocol CPU, behind every step already
+   queued there, as if an external request arrived: the harness's client
    requests (the paper's send events).  [cause] optionally names the causal
-   flow id (e.g. a load generator's submit record) that triggered the
-   computation, so records emitted inside [f] join the DAG. *)
+   flow id (e.g. a load generator's submit record) that triggered it, so
+   records emitted inside [f] join the DAG. *)
 let inject ?(cause = -1) (t : t) (i : int) (f : unit -> unit) : unit =
   let nd = t.nodes.(i) in
-  if not nd.crashed then begin
-    let now = Engine.now t.engine in
-    let start = Stdlib.max now nd.proto.busy_until in
-    Engine.schedule_at t.engine ~time:start (fun () ->
-      if not nd.crashed then begin
-        nd.in_handler <- true;
-        Trace.Ctx.set_cause t.traces.(i) cause;
-        f ();
-        Trace.Ctx.set_cause t.traces.(i) (-1);
-        nd.in_handler <- false;
-        let cost = Cost.take nd.proto.meter in
-        nd.proto.busy_until <- Engine.now t.engine +. cost;
-        flush_outbox t nd
-      end)
-  end
+  if not nd.crashed then enqueue t nd nd.proto ~at:(Engine.now t.engine) (Call (f, cause))
 
 let mac_failures (t : t) = t.mac_failures
 

@@ -1,6 +1,12 @@
 (* Tests for the discrete-event simulator: event ordering, determinism,
    link FIFO and authentication, CPU accounting. *)
 
+(* Two nodes 1 ms apart whose full 1024-bit exponentiation takes 1 s. *)
+let one_second_net () =
+  let topo = Sim.Topology.uniform ~exp_ms:1000.0 ~count:2 ~latency:0.001 ~jitter_frac:0.0 () in
+  let engine = Sim.Engine.create () in
+  (engine, Sim.Net.create ~engine ~topo ~mac_keys:(Array.make_matrix 2 2 "k"))
+
 let suite = [
   Alcotest.test_case "heap orders by time then sequence" `Quick (fun () ->
     let h = Sim.Heap.create () in
@@ -190,6 +196,49 @@ let suite = [
       (* second message processed only after the first's compute finishes *)
       Alcotest.(check bool) "sequential cpu" true (t2 -. t1 >= 0.999)
     | _ -> Alcotest.fail "expected two deliveries");
+
+  Alcotest.test_case "same-instant injects queue on one cpu" `Quick (fun () ->
+    let engine, net = one_second_net () in
+    let starts = ref [] in
+    let step ~charged () =
+      starts := Sim.Engine.now engine :: !starts;
+      if charged then Sim.Cost.exp_full (Sim.Net.meter net 1) ~bits:1024
+    in
+    Sim.Net.inject net 1 (step ~charged:true);
+    Sim.Net.inject net 1 (step ~charged:true);
+    Sim.Net.inject net 1 (step ~charged:false);
+    ignore (Sim.Engine.run engine);
+    Alcotest.(check (list (float 1e-9))) "starts" [ 0.0; 1.0; 2.0 ] (List.rev !starts));
+
+  Alcotest.test_case "an inject waits for the step that made it" `Quick (fun () ->
+    let engine, net = one_second_net () in
+    let starts = ref [] in
+    let step name () =
+      starts := (name, Sim.Engine.now engine) :: !starts;
+      Sim.Cost.exp_full (Sim.Net.meter net 1) ~bits:1024
+    in
+    Sim.Net.set_handler net 1 (fun ~src:_ _ ->
+      Sim.Cost.exp_full (Sim.Net.meter net 1) ~bits:1024;
+      Sim.Net.inject net 1 (step "nested"));
+    Sim.Net.send net ~src:0 ~dst:1 "frame";
+    Sim.Engine.schedule_at engine ~time:1.5 (fun () -> Sim.Net.inject net 1 (step "outside"));
+    ignore (Sim.Engine.run engine);
+    Alcotest.(check (list (pair string (float 1e-9)))) "starts"
+      [ ("nested", 1.001); ("outside", 2.001) ] (List.rev !starts));
+
+  Alcotest.test_case "a crash drops an inject that has not started" `Quick (fun () ->
+    let engine, net = one_second_net () in
+    let ran = ref [] in
+    let step name () =
+      ran := name :: !ran;
+      Sim.Cost.exp_full (Sim.Net.meter net 1) ~bits:1024
+    in
+    Sim.Net.inject net 1 (step "first");
+    Sim.Engine.schedule_at engine ~time:0.5 (fun () -> Sim.Net.inject net 1 (step "queued"));
+    Sim.Engine.schedule_at engine ~time:0.7 (fun () -> Sim.Net.crash net 1);
+    Sim.Engine.schedule_at engine ~time:2.0 (fun () -> Sim.Net.recover net 1);
+    ignore (Sim.Engine.run engine);
+    Alcotest.(check (list string)) "ran" [ "first" ] (List.rev !ran));
 
   Alcotest.test_case "cost model scales with key size" `Quick (fun () ->
     let full b = Sim.Cost.modexp_ms ~exp_ms:100.0 ~mod_bits:b ~exp_bits:b in
