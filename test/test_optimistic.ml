@@ -35,37 +35,38 @@ let suite = [
 
   Alcotest.test_case "fast path is much faster than the randomized channel" `Quick
     (fun () ->
-      (* Same workload on both channels; the optimistic one should deliver
-         in a small fraction of the virtual time (the paper's motivation
-         for the optimistic protocols).  The baseline is the sequential
-         randomized channel ([pipeline_depth 1]), as in the paper — round
-         pipelining narrows the gap without changing the argument. *)
-      let elapsed ?pipeline_depth make_chan send =
-        let c = Util.cluster ~seed:"opt-vs" ?pipeline_depth () in
+      (* Same workload on both channels, both run as in the paper
+         ([max_batch 1], [pipeline_depth 1]): the optimistic one should have
+         every party deliver all ten payloads in a small fraction of the
+         randomized channel's virtual time (the paper's motivation for the
+         optimistic protocols).  With batching the gap narrows to ~1.35x
+         (EXPERIMENTS.md) without changing the argument. *)
+      let elapsed make_chan send =
+        let c = Util.cluster ~seed:"opt-vs" ~max_batch:1 ~pipeline_depth:1 () in
         let done_at = ref 0.0 in
         let count = ref 0 in
         let chans =
           Array.init 4 (fun i ->
             make_chan (Cluster.runtime c i) (fun () ->
               incr count;
-              if !count = 10 then done_at := Cluster.now c))
+              if !count = 40 then done_at := Cluster.now c))
         in
         for k = 0 to 9 do
           Cluster.inject c 1 (fun () -> send chans.(1) (Printf.sprintf "w%d" k))
         done;
         ignore (Cluster.run c ~until:300.0);
-        if !count < 10 then Alcotest.fail "did not deliver the workload";
+        if !count < 40 then Alcotest.fail "did not deliver the workload";
         !done_at
       in
       let t_opt =
-        elapsed ~pipeline_depth:1
+        elapsed
           (fun rt cb ->
             Optimistic_channel.create ~timeout:5.0 rt ~pid:"x"
               ~on_deliver:(fun ~sender:_ _ -> cb ()) ())
           Optimistic_channel.send
       in
       let t_full =
-        elapsed ~pipeline_depth:1
+        elapsed
           (fun rt cb ->
             `A (Atomic_channel.create rt ~pid:"x"
                   ~on_deliver:(fun ~sender:_ _ -> cb ()) ()))
