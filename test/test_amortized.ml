@@ -1128,14 +1128,14 @@ let secure_pin () : string =
 
 let secure_pin_golden =
   String.concat "\n"
-    [ "p0 [0:pin-0,1:pin-1,3:pin-3] cpu=172.671795 store=0.000000 hit=14 \
-       miss=40 valid=4 share=4 verify=6 combine=3 encrypt=1";
-      "p1 [0:pin-0,1:pin-1,3:pin-3] cpu=171.676101 store=0.000000 hit=16 \
-       miss=38 valid=4 share=4 verify=6 combine=3 encrypt=1";
-      "p2 [0:pin-0,1:pin-1,3:pin-3] cpu=171.421695 store=0.000000 hit=14 \
-       miss=40 valid=4 share=4 verify=6 combine=3 encrypt=0";
-      "p3 [0:pin-0,1:pin-1,3:pin-3] cpu=162.412225 store=0.000000 hit=15 \
-       miss=36 valid=4 share=4 verify=3 combine=3 encrypt=1" ]
+    [ "p0 [0:pin-0,1:pin-1,3:pin-3] cpu=172.174848 store=0.000000 hit=15 \
+       miss=39 valid=4 share=4 verify=6 combine=3 encrypt=1";
+      "p1 [0:pin-0,1:pin-1,3:pin-3] cpu=171.179154 store=0.000000 hit=17 \
+       miss=37 valid=4 share=4 verify=6 combine=3 encrypt=1";
+      "p2 [0:pin-0,1:pin-1,3:pin-3] cpu=170.924748 store=0.000000 hit=15 \
+       miss=39 valid=4 share=4 verify=6 combine=3 encrypt=0";
+      "p3 [0:pin-0,1:pin-1,3:pin-3] cpu=161.915358 store=0.000000 hit=16 \
+       miss=35 valid=4 share=4 verify=3 combine=3 encrypt=1" ]
 
 let secure_pin_tests =
   [
