@@ -4,12 +4,11 @@
    Fidelity to the paper's model:
    - links carry opaque byte strings (real serialized protocol messages),
      authenticated by HMAC-SHA1 under a per-pair key from the dealer;
-   - each node is a sequential processor: a frame's handler and an injected
-     call are both steps queued on the plane's inbox, each charging virtual
-     CPU time to the plane's meter (calibrated by its `exp_ms') after the
-     steps before it; messages sent from within a step depart only when its
-     computation finishes — this is what makes slow hosts lag exactly as in
-     Figures 4 and 5;
+   - each node is a sequential processor: frames and injected calls are
+     steps on a plane's inbox, each charging virtual CPU time to the plane's
+     meter (calibrated by its `exp_ms') after the steps before it; messages
+     sent from within a step depart only when it finishes — this is what
+     makes slow hosts lag exactly as in Figures 4 and 5;
    - an adversary hook may drop, delay or replace messages in flight
      (replacement is detected by the MAC unless the adversary controls the
      sender), which models the asynchronous scheduler's power.
@@ -180,8 +179,7 @@ let net_instant (tr : Trace.Ctx.t) ~(time : float) ~(id : int) (name : string) :
       ~args:[ ("id", Trace.Event.Int id) ]
       name
 
-(* The one booking rule: plane [p]'s pending charge runs after whatever its
-   CPU already holds. *)
+(* The one booking rule: a pending charge runs after what the CPU holds. *)
 let book (t : t) (p : plane) : unit =
   p.busy_until <- Stdlib.max p.busy_until (Engine.now t.engine) +. Cost.take p.meter
 
@@ -218,9 +216,9 @@ and wake (t : t) (nd : node) (p : plane) (at : float) : unit =
     Engine.schedule_at t.engine ~time:at (process_one t nd p)
   end
 
-and enqueue (t : t) (nd : node) (p : plane) ~(at : float) (step : step) : unit =
+and enqueue (t : t) (nd : node) (p : plane) (step : step) : unit =
   Queue.push step p.inbox;
-  wake t nd p (Stdlib.max at p.busy_until)
+  wake t nd p (Stdlib.max (Engine.now t.engine) p.busy_until)
 
 (* The one arrival path: one copy of a frame from [src] to [dst] on the
    sender's plane [sp], departing at [depart].  Draws its latency from the
@@ -247,7 +245,7 @@ and arrive (t : t) (sp : plane) ~(src : int) ~(dst : int) ~(id : int)
         t.mac_failures <- t.mac_failures + 1
       | Some _ | None ->
         net_instant t.traces.(dst) ~time:arrival ~id "recv";
-        enqueue t nd rp ~at:arrival (Frame (src, payload, id)))
+        enqueue t nd rp (Frame (src, payload, id)))
 
 (* Put a protocol-plane [payload] on the wire from [src] to [dst],
    departing at [depart].  [id] is the causal flow id allocated at send
@@ -341,8 +339,7 @@ let init_links (t : t) (p : float) : unit =
                  let nd = t.nodes.(i) in
                  (* Flow ids don't survive sliding-window reassembly; the
                     causal edge is severed in lossy mode. *)
-                 if not nd.crashed then
-                   enqueue t nd nd.proto ~at:(Engine.now t.engine) (Frame (j, payload, -1)))
+                 if not nd.crashed then enqueue t nd nd.proto (Frame (j, payload, -1)))
                ())))
 
 (* Count a send on plane [p] of node [nd] and open its causal flow: the
@@ -464,7 +461,7 @@ let send (t : t) ~(src : int) ~(dst : int) (payload : string) : unit =
    records emitted inside [f] join the DAG. *)
 let inject ?(cause = -1) (t : t) (i : int) (f : unit -> unit) : unit =
   let nd = t.nodes.(i) in
-  if not nd.crashed then enqueue t nd nd.proto ~at:(Engine.now t.engine) (Call (f, cause))
+  if not nd.crashed then enqueue t nd nd.proto (Call (f, cause))
 
 let mac_failures (t : t) = t.mac_failures
 

@@ -4,11 +4,10 @@
     - Links carry opaque bytes (real serialized protocol messages),
       authenticated with HMAC-SHA1 under per-pair keys, like the paper's
       TCP links;
-    - each node is a sequential processor: a frame's handler and an
-      injected call are steps queued on one inbox, each charging virtual
-      CPU to the node's meter after the steps before it, and messages sent
-      from inside a step depart when its computation finishes — this is
-      what makes slow hosts lag exactly as in Figures 4 and 5;
+    - each node is a sequential processor: frames and injected calls are
+      steps on one inbox, each charging virtual CPU after the steps before
+      it, and messages sent from inside a step depart when it finishes —
+      this is what makes slow hosts lag exactly as in Figures 4 and 5;
     - an adversary hook can drop, delay or replace messages in flight
       (replacement is caught by the MAC unless the adversary controls the
       sender), modelling the asynchronous scheduler's power;
@@ -61,8 +60,8 @@ val set_intercept : t -> (src:int -> dst:int -> string -> action) -> unit
     loopbacks included, so schedules that count frames are unchanged. *)
 
 val crash : t -> int -> unit
-(** Silence a node: it neither sends nor processes until {!recover}.  The
-    {!inject}ed calls its CPU has not started are lost. *)
+(** Silence a node until {!recover}: it neither sends nor processes, and
+    the {!inject}ed calls it has not started are lost. *)
 
 val recover : t -> int -> unit
 (** Undo {!crash}: the node resumes sending and processing.  Messages that
@@ -78,14 +77,12 @@ val send : t -> src:int -> dst:int -> string -> unit
     bytes leave the CPU and arrive. *)
 
 val inject : ?cause:int -> t -> int -> (unit -> unit) -> unit
-(** Queue an application action on node [i]'s virtual CPU (a client
-    request): it runs as a step behind all work already queued there, and
-    a call made inside a running step starts only when that step's charged
-    computation ends.  It charges the meter and flushes sends like a
-    handler step.  A {!crash} before it starts drops it, and it is a no-op
-    on a crashed node.  [cause] (default -1 = none) names the causal flow
-    id that triggered the action, so records emitted inside it join the
-    trace DAG. *)
+(** Queue an application action (a client request) as a step on node
+    [i]'s virtual CPU, behind all work queued there: one made inside a
+    running step starts when that step's charged computation ends.  It
+    charges the meter and flushes sends like a handler; a {!crash} before
+    it starts drops it.  [cause] (default -1 = none) names the causal flow
+    id that triggered it, so records emitted inside it join the trace DAG. *)
 
 (** {2 The storage plane}
 

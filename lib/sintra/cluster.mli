@@ -37,12 +37,10 @@ val now : t -> float
 (** Current virtual time of the engine. *)
 
 val inject : ?cause:int -> t -> int -> (unit -> unit) -> unit
-(** Queue an application action on party [i]'s virtual CPU now (e.g. a
-    client request causing a channel send).  It runs behind the work
-    already queued on that CPU, nested calls included: one made inside a
-    running step starts when that step's charged computation ends.  A
-    crash of the party before it starts drops it.  [cause] optionally names
-    the causal flow id (a load generator's submit) triggering the action. *)
+(** Queue an application action on party [i]'s virtual CPU (e.g. a client
+    request causing a channel send) behind the work queued there, nested
+    calls included; a crash before it starts drops it.  [cause] optionally
+    names the causal flow id (a load generator's submit) triggering it. *)
 
 val at : t -> time:float -> (unit -> unit) -> unit
 (** Schedule an arbitrary action at an absolute virtual time (test
