@@ -184,31 +184,31 @@ let book (t : t) (p : plane) : unit =
   p.busy_until <- Stdlib.max p.busy_until (Engine.now t.engine) +. Cost.take p.meter
 
 (* Run at most one inbox step of plane [p] of node [nd], then reschedule.
-   This is the only place work runs on a plane. *)
+   This is the only place work runs on a plane.  The wake flag stays set
+   while the step runs, so what the step queues here waits for the one
+   re-arm at [busy_until] below instead of scheduling a wake of its own. *)
 let rec process_one (t : t) (nd : node) (p : plane) () : unit =
+  let ready () = not nd.crashed && not (Queue.is_empty p.inbox) in
+  if ready () && p.busy_until <= Engine.now t.engine then begin
+    (* Records emitted inside a step carry its cause (a frame's flow id):
+       the causal edge the analyzer follows. *)
+    let run cause f =
+      nd.in_handler <- p.protocol;
+      Trace.Ctx.set_cause t.traces.(nd.id) cause;
+      f ();
+      Trace.Ctx.set_cause t.traces.(nd.id) (-1);
+      nd.in_handler <- false
+    in
+    (match Queue.pop p.inbox with
+     | Frame (src, payload, flow) ->
+       p.received_msgs <- p.received_msgs + 1;
+       Option.iter (fun h -> run flow (fun () -> h ~src payload)) p.handler
+     | Call (f, cause) -> run cause f);
+    book t p;
+    flush_outbox t nd
+  end;
   p.wake_scheduled <- false;
-  if not nd.crashed && not (Queue.is_empty p.inbox) then begin
-    if p.busy_until > Engine.now t.engine then wake t nd p p.busy_until
-    else begin
-      (* Records emitted inside a step carry its cause (a frame's flow id):
-         the causal edge the analyzer follows. *)
-      let run cause f =
-        nd.in_handler <- p.protocol;
-        Trace.Ctx.set_cause t.traces.(nd.id) cause;
-        f ();
-        Trace.Ctx.set_cause t.traces.(nd.id) (-1);
-        nd.in_handler <- false
-      in
-      (match Queue.pop p.inbox with
-       | Frame (src, payload, flow) ->
-         p.received_msgs <- p.received_msgs + 1;
-         Option.iter (fun h -> run flow (fun () -> h ~src payload)) p.handler
-       | Call (f, cause) -> run cause f);
-      book t p;
-      flush_outbox t nd;
-      if not (Queue.is_empty p.inbox) then wake t nd p p.busy_until
-    end
-  end
+  if ready () then wake t nd p p.busy_until
 
 and wake (t : t) (nd : node) (p : plane) (at : float) : unit =
   if not p.wake_scheduled then begin

@@ -226,6 +226,18 @@ let suite = [
     Alcotest.(check (list (pair string (float 1e-9)))) "starts"
       [ ("nested", 1.001); ("outside", 2.001) ] (List.rev !starts));
 
+  Alcotest.test_case "an inject inside a step schedules no spare wake" `Quick (fun () ->
+    (* The frame's arrival, its 1 s step, and the injected step at 1.001 s:
+       three events, none that only re-arms the wake. *)
+    let engine, net = one_second_net () in
+    let ran = ref nan in
+    Sim.Net.set_handler net 1 (fun ~src:_ _ ->
+      Sim.Cost.exp_full (Sim.Net.meter net 1) ~bits:1024;
+      Sim.Net.inject net 1 (fun () -> ran := Sim.Engine.now engine));
+    Sim.Net.send net ~src:0 ~dst:1 "frame";
+    Alcotest.(check int) "events" 3 (Sim.Engine.run engine);
+    Alcotest.(check (float 1e-9)) "injected step" 1.001 !ran);
+
   Alcotest.test_case "a crash drops an inject that has not started" `Quick (fun () ->
     let engine, net = one_second_net () in
     let ran = ref [] in
