@@ -26,6 +26,10 @@ let at_least what x floor =
 (* Batched n=4 saturation over the sequential unbatched baseline. *)
 let min_crossover = 10.0
 
+(* Batched saturation at each larger n over the batched n=4 saturation: a
+   batched round carries the whole backlog, so capacity holds up with n. *)
+let min_scaling = 0.8
+
 (* Offered loads on the latency ladder, and the share of each point's
    measured latency its critical paths must attribute. *)
 let min_latency_points = 3
@@ -45,10 +49,18 @@ let hash_rows = [ "sha1-block"; "sha256-block"; "hmac-sha1-frame"; "sha256-diges
 let throughput ~committed:_ doc =
   let series = items doc "series" in
   let modes = List.filter_map (fun s -> str s "mode") series in
-  let complete s =
-    num s "n" <> None && items s "points" <> []
-    && Option.bind (J.member "saturation" s) (fun p -> num p "throughput_per_s")
-       <> None
+  let saturation s =
+    Option.bind (J.member "saturation" s) (fun p -> num p "throughput_per_s") in
+  let complete s = num s "n" <> None && items s "points" <> [] && saturation s <> None in
+  let batched = List.filter (fun s -> str s "mode" = Some "batched") series in
+  let at4 =
+    List.find_map (fun s -> if num s "n" = Some 4.0 then saturation s else None) batched in
+  let scaling s =
+    match num s "n", at4 with
+    | Some n, Some base when n > 4.0 ->
+      at_least (Printf.sprintf "batched n=%g saturation over n=4" n)
+        (Option.map (fun x -> x /. base) (saturation s)) min_scaling
+    | _ -> None
   in
   [ need (List.mem "batched" modes && List.mem "unbatched" modes)
       "needs both a batched and an unbatched series";
@@ -57,6 +69,7 @@ let throughput ~committed:_ doc =
     at_least "crossover ratio"
       (Option.bind (J.member "crossover" doc) (fun c -> num c "ratio"))
       min_crossover ]
+  @ List.map scaling batched
 
 let latency ~committed:_ doc =
   let points = items doc "points" in

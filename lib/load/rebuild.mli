@@ -26,7 +26,7 @@ val create : ?interval:int -> Sintra.Cluster.t -> pid:string -> t
 val drive : t -> rounds:int -> int
 (** Run [rounds] rounds: party [k mod n] sends ["p<k mod n>.m<k>"] and the
     cluster drains before the next, which keeps the round count exact
-    whatever the topology or the adaptive batch cap.  Returns the events
+    whatever the topology or the batch cap.  Returns the events
     executed. *)
 
 val victim : t -> int

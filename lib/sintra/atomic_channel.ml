@@ -6,8 +6,8 @@
    same lever "batching" and shows it is what turns agreement latency into
    throughput):
    - each party signs the vector of its locally-queued undelivered
-     payloads — capped at the adaptive batch limit, at most
-     [Config.max_batch] — together with r, and sends this INIT to everyone;
+     payloads — capped at [Config.max_batch] — together with r, and sends
+     this INIT to everyone;
      one RSA signature covers the whole vector, so per-round crypto cost is
      amortized over every payload in it.  A party with nothing of its own
      to send adopts (and re-signs) the undelivered payloads it has seen in
@@ -48,14 +48,13 @@
    deliver in order, so no round of the window may stay un-INITed below
    one we start ([init_below]).
 
-   Batching adapts: the per-round vector cap self-tunes by AIMD on the
-   observed queue depth — additive increase while the backlog exceeds the
-   cap, halving when the backlog falls below a quarter of it — between a
-   floor of [min 8 max_batch] and the [max_batch] ceiling, so with
-   [max_batch <= 8] the cap is pinned at [max_batch].  With
-   [max_batch = 1] each vector carries at most one payload and the channel
-   degrades to the original one-payload-per-party rounds (the benchmarks'
-   --no-batching baseline).
+   One cap: every vector carries its pending prefix up to [max_batch].
+   One signature covers a vector whatever its length, and hashing and wire
+   bytes scale with the payloads it carries, so a lower cap only holds a
+   backlog back (EXPERIMENTS.md, "One batch cap").  With [max_batch = 1]
+   each vector carries at most one payload and the channel degrades to the
+   original one-payload-per-party rounds (the benchmarks' --no-batching
+   baseline).
 
    Termination: [close] broadcasts a termination request as a regular
    payload; the channel closes after the round in which t+1 distinct
@@ -144,7 +143,6 @@ type t = {
   delivered : (int * int, unit) Hashtbl.t;          (* (orig, seq) *)
   term_requests : (int, unit) Hashtbl.t;            (* parties asking to close *)
   past_mvba : (int, Array_agreement.t) Hashtbl.t;  (* delivered, awaiting GC *)
-  mutable cur_batch : int;         (* adaptive per-round vector cap *)
   mutable parked : int;            (* decided-but-undelivered rounds *)
   mutable closing : bool;                            (* close requested here *)
   mutable closed : bool;
@@ -192,14 +190,9 @@ let tag_request = 2
    advances, so a small window still converges. *)
 let catchup_window = 8
 
-(* Future-round DECIDED claims kept at most this far ahead, bounding what a
-   Byzantine flood can make us store. *)
+(* Future-round INITs and DECIDED claims kept at most this far ahead,
+   bounding what a Byzantine flood can make us store. *)
 let max_claim_lead = 256
-
-(* AIMD parameters for the adaptive vector cap: grow by [adaptive_step]
-   while the backlog exceeds the cap, halve when it falls below a quarter
-   of it, never below the floor. *)
-let adaptive_step = 8
 
 (* Batch-occupancy and queue-depth buckets: payload counts, not latencies. *)
 let count_buckets =
@@ -244,8 +237,6 @@ let mvba_pid (t : t) (round : int) : string = Printf.sprintf "%s/mv.%d" t.pid ro
 
 (* The in-flight window: rounds [base, base + window) may run concurrently. *)
 let window (t : t) : int = t.rt.Runtime.cfg.Config.pipeline_depth
-
-let batch_floor (t : t) : int = min adaptive_step t.rt.Runtime.cfg.Config.max_batch
 
 (* A round's record, created on first use. *)
 let round_state (t : t) (r : int) : round =
@@ -516,22 +507,7 @@ let settle_own (t : t) (it : item) : unit =
   | Some _ -> renumber_from t (fun _ -> true)
   | None -> ()
 
-(* AIMD self-tuning of the vector cap from the observed backlog. *)
-let adapt_batch (t : t) (depth : int) : unit =
-  let cur = t.cur_batch in
-  let next =
-    if depth > cur then
-      min t.rt.Runtime.cfg.Config.max_batch (cur + adaptive_step)
-    else if depth * 4 < cur then max (batch_floor t) (cur / 2)
-    else cur
-  in
-  if next <> cur then begin
-    t.cur_batch <- next;
-    Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.batch_limit"
-      (float_of_int next)
-  end
-
-(* The ledger's prefix, up to the current adaptive cap.
+(* The ledger's prefix, up to [max_batch].
    Every in-flight round's vector is such a prefix — never a disjoint
    chunk — which is what preserves per-sender FIFO order under pipelining:
    a batch can only carry our payload s together with (or after the
@@ -546,7 +522,9 @@ let adapt_batch (t : t) (depth : int) : unit =
    of ours really delivered ([install_state]). *)
 let own_items (t : t) : own list =
   if t.base < t.init_floor then []
-  else List.of_seq (Seq.take t.cur_batch (Queue.to_seq t.pending))
+  else
+    List.of_seq
+      (Seq.take t.rt.Runtime.cfg.Config.max_batch (Queue.to_seq t.pending))
 
 (* The highest own sequence number riding in any open INIT of ours; fresh
    payloads beyond it are what justify opening a deeper pipeline round. *)
@@ -572,7 +550,7 @@ let has_fresh_items (t : t) : bool =
    capped — what an empty-queue party adopts so that slow parties' payloads
    appear in more than one vector (the fairness lever). *)
 let adoptable_items (t : t) (round : int) : item list =
-  let cap = t.cur_batch in
+  let cap = t.rt.Runtime.cfg.Config.max_batch in
   let entries = Det.values (round_state t round).pool ~compare:Det.by_int in
   let entries = List.sort (fun (r1, _) (r2, _) -> compare r1 r2) entries in
   let chosen = Hashtbl.create 8 in
@@ -634,14 +612,12 @@ let init_below (t : t) (round : int) : unit =
    empty (or redundant) rounds forever. *)
 let rec try_send_init_round (t : t) (round : int) : unit =
   if may_init t round then begin
-    let depth = Queue.length t.pending in
-    if depth > 0 then adapt_batch t depth;
     let joined = Hashtbl.length (round_state t round).pool > 0 in
     let own = own_items t <> [] in
     if (own && has_fresh_items t) || joined then begin
       if own then
         Trace.Ctx.observe (trace t) ~buckets:count_buckets "abc.queue_depth"
-          (float_of_int depth);
+          (float_of_int (Queue.length t.pending));
       init_below t round;
       send_init t round (init_items t round)
     end
@@ -870,22 +846,30 @@ let handle (t : t) ~src body =
         | Request _ -> "request");
       match m with
       | Init (round, en) when en.en_signer = src && round >= t.base ->
-        let tbl = (round_state t round).pool in
+        let held =
+          Option.bind (Hashtbl.find_opt t.rounds round) (fun rd ->
+            Hashtbl.find_opt rd.pool src)
+        in
         (* A conflicting, validly signed INIT from a signer we already hold
            one from is Byzantine evidence — record it, drop the duplicate. *)
-        (match Hashtbl.find_opt tbl src with
+        (match held with
          | Some (_, prev)
            when prev.en_items <> en.en_items
                 && entry_signature_valid t ~round en ->
            Invariant.flag inv ~offender:src
              (Printf.sprintf "abc %s: conflicting INIT in round %d" t.pid round)
          | Some _ | None -> ());
-        if not (Hashtbl.mem tbl src)
+        if Option.is_none held
            && List.length en.en_items <= t.rt.Runtime.cfg.Config.max_batch
            && entry_signature_valid t ~round en
         then begin
-          Invariant.fresh_sender inv tbl src "INIT pool";
-          Hashtbl.add tbl src (Hashtbl.length tbl, en);
+          (* Only an INIT that passed its checks gets a round record, and
+             none further ahead than a DECIDED claim is kept. *)
+          if round <= t.base + max_claim_lead then begin
+            let tbl = (round_state t round).pool in
+            Invariant.fresh_sender inv tbl src "INIT pool";
+            Hashtbl.add tbl src (Hashtbl.length tbl, en)
+          end;
           (* An INIT for a round beyond our window proves its signer
              delivered our base round: ask everyone for the decided
              batches.  An INIT merely ahead of [base] is normal pipelining —
@@ -931,7 +915,6 @@ let handle (t : t) ~src body =
 let create (rt : Runtime.t) ~(pid : string)
     ~(on_deliver : sender:int -> string -> unit)
     ?(on_round_end = fun () -> ()) ?(on_close = fun () -> ()) () : t =
-  let cfg = rt.Runtime.cfg in
   let t = {
     rt; pid; on_deliver; on_round_end; on_close;
     pending = Queue.create ();
@@ -941,7 +924,6 @@ let create (rt : Runtime.t) ~(pid : string)
     delivered = Hashtbl.create 64;
     term_requests = Hashtbl.create 4;
     past_mvba = Hashtbl.create 8;
-    cur_batch = min adaptive_step cfg.Config.max_batch;
     parked = 0;
     closing = false;
     closed = false;
@@ -992,8 +974,8 @@ let close (t : t) : unit =
 let deliveries (t : t) = t.deliveries
 let current_round (t : t) = t.base
 let rounds_completed (t : t) = t.rounds_completed
-let batch_limit (t : t) = t.cur_batch
 let reorder_depth (t : t) = t.parked
+let rounds_held (t : t) = Hashtbl.length t.rounds
 
 (* --- the durability seam --- *)
 

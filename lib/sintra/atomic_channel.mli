@@ -12,13 +12,12 @@
     degrades to the original one-payload-per-party rounds.
 
     {b Pipelining}: up to [pipeline_depth] ({!Config.t}) rounds run their
-    agreements concurrently, each carrying a disjoint chunk of the local
-    queue; decisions that land out of round order park in a reorder buffer
-    and deliver strictly in round order, so the delivered sequence is the
-    sequential protocol's.  [pipeline_depth = 1] reproduces the strictly
-    sequential channel exactly.  The per-round vector cap self-tunes by
-    AIMD on the observed queue depth between [min 8 max_batch] and
-    [max_batch], so it is pinned at [max_batch] when [max_batch <= 8].
+    agreements concurrently, each carrying a prefix of the local queue (up
+    to [max_batch] payloads, the one cap); decisions that land out of round
+    order park in a reorder buffer and deliver strictly in round order, so
+    the delivered sequence is the sequential protocol's.
+    [pipeline_depth = 1] reproduces the strictly sequential channel
+    exactly.
 
     {b Agreement & total order}: all honest parties deliver the same
     sequence.  {b Fairness}: a payload known to [f >= t+1] parties is
@@ -70,10 +69,6 @@ val rounds_completed : t -> int
 (** Agreement rounds finished locally — [deliveries / rounds_completed] is
     the realized batching factor. *)
 
-val batch_limit : t -> int
-(** The current adaptive per-round vector cap, between [min 8 max_batch]
-    and [max_batch]. *)
-
 val inflight_rounds : t -> int
 (** In-window rounds whose agreement this party has proposed to but which
     have not decided locally — never exceeds [pipeline_depth]. *)
@@ -82,6 +77,10 @@ val reorder_depth : t -> int
 (** Rounds decided but not yet delivered — the reorder-buffer occupancy
     (0 when the pipeline is drained; bursts above 1 mean decisions landed
     out of round order). *)
+
+val rounds_held : t -> int
+(** Undelivered rounds this party keeps a record for.  Only an INIT that
+    passes its checks creates one, and none far beyond the base. *)
 
 val set_round_hook : t -> (round:int -> batch:string -> unit) -> unit
 (** Install the durability layer's per-round hook: fires once per delivered

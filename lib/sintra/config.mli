@@ -25,9 +25,8 @@ type t = {
       round: a round's INIT carries up to [max_batch] locally-queued
       undelivered payloads under one signature, so agreement cost is
       amortized over the whole vector.  [1] reproduces the original
-      one-payload-per-party rounds (the benchmarks' [--no-batching]).  The
-      cap in force self-tunes by AIMD on the observed queue depth, between
-      a floor of [min 8 max_batch] and this ceiling. *)
+      one-payload-per-party rounds (the benchmarks' [--no-batching]).  It
+      is the only cap: every INIT carries its pending prefix up to it. *)
   pipeline_depth : int;
   (** Bound on atomic-broadcast rounds in flight concurrently: parties may
       INIT and run agreement for round [k + pipeline_depth - 1] while rounds
@@ -73,6 +72,6 @@ val make :
   ?model_rsa_bits:int -> ?share_cache_cap:int ->
   n:int -> t:int -> unit -> t
 (** Defaults: batch [t+1], max batch 256 payloads per party per round,
-    pipeline depth 2 with adaptive batching, multi-signatures, fixed
+    pipeline depth 2, multi-signatures, fixed
     candidate order, modeled 1024-bit RSA, a 4096-entry verified-share
     cache. *)

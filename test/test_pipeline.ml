@@ -1,6 +1,7 @@
 (* Tests for pipelined atomic broadcast: the reorder buffer, the bounded
-   window, catch-up across an open window, adaptive batching, and exact
-   equivalence of pipeline_depth = 1 with the sequential protocol. *)
+   window, catch-up across an open window, backlogs carried up to
+   max_batch, and exact equivalence of pipeline_depth = 1 with the
+   sequential protocol. *)
 
 open Sintra
 
@@ -19,21 +20,14 @@ let sequences logs = Array.map (fun l -> List.rev !l) logs
 (* Sample a per-channel statistic at fine intervals and keep the maximum
    observed value (the probes piggyback on the virtual clock, so they are
    deterministic). *)
-let probe_range (c : Cluster.t) ~(until : float) (f : unit -> int) :
-    int ref * int ref =
-  let lo = ref max_int and hi = ref 0 in
+let probe_max (c : Cluster.t) ~(until : float) (f : unit -> int) : int ref =
+  let hi = ref 0 in
   let dt = 0.02 in
   let steps = int_of_float (until /. dt) in
   for k = 1 to steps do
-    Cluster.at c ~time:(float_of_int k *. dt) (fun () ->
-      let v = f () in
-      if v < !lo then lo := v;
-      if v > !hi then hi := v)
+    Cluster.at c ~time:(float_of_int k *. dt) (fun () -> hi := max !hi (f ()))
   done;
-  (lo, hi)
-
-let probe_max (c : Cluster.t) ~(until : float) (f : unit -> int) : int ref =
-  snd (probe_range c ~until f)
+  hi
 
 let check_fifo (seq : (int * string) list) =
   (* per-sender delivery order must match per-sender send order, which in
@@ -239,12 +233,10 @@ let suite = [
         (List.length seqs.(0));
       Util.check_all_equal "order after rebuild" (Array.to_list seqs));
 
-  Alcotest.test_case "adaptive batching converges between its bounds" `Quick
+  Alcotest.test_case "a bursty backlog delivers in total order" `Quick
     (fun () ->
-      (* A sustained bursty backlog must push the adaptive cap above its
-         floor, and it must never leave [min 8 max_batch, max_batch].  The
-         bursts are 12 payloads per party: rounds that decide without an
-         extra ABA round drain 6-payload bursts before the cap grows. *)
+      (* Eight waves of 12 payloads per party, 0.25 s apart: every
+         payload is delivered, in one order at every party. *)
       let c = Util.cluster ~seed:"pipe-adapt" ~max_batch:256 () in
       let chans, logs = make_atomic c "ad" in
       for wave = 0 to 7 do
@@ -257,23 +249,32 @@ let suite = [
               done)
           done)
       done;
-      let lo, hi =
-        probe_range c ~until:15.0 (fun () ->
-          Atomic_channel.batch_limit chans.(0))
-      in
       ignore (Cluster.run c ~until:300.0);
       let seqs = sequences logs in
       Util.check_all_equal "total order" (Array.to_list seqs);
-      Alcotest.(check int) "all 384 delivered" 384 (List.length seqs.(0));
-      Alcotest.(check bool)
-        (Printf.sprintf "cap grew above the floor (max %d)" !hi)
-        true (!hi > 8);
-      Alcotest.(check bool)
-        (Printf.sprintf "cap never below the floor (min %d)" !lo)
-        true (!lo >= 8);
-      Alcotest.(check bool)
-        (Printf.sprintf "cap bounded by max_batch (max %d)" !hi)
-        true (!hi <= 256));
+      Alcotest.(check int) "all 384 delivered" 384 (List.length seqs.(0)));
+
+  Alcotest.test_case "a backlog rides in one vector up to max_batch" `Quick
+    (fun () ->
+      (* Party 0 queues 40 payloads in one step at depth 1.  The first send
+         INITs round 0 with one payload; round 1 carries the other 39, so
+         two rounds deliver all 40. *)
+      let c =
+        Util.cluster ~seed:"pipe-one-cap" ~max_batch:256 ~pipeline_depth:1 ()
+      in
+      let chans, logs = make_atomic c "cap" in
+      Cluster.inject c 0 (fun () ->
+        for k = 0 to 39 do
+          Atomic_channel.send chans.(0) (Printf.sprintf "m%02d" k)
+        done);
+      ignore (Cluster.run c ~until:60.0);
+      let seqs = sequences logs in
+      Util.check_all_equal "total order" (Array.to_list seqs);
+      Alcotest.(check int) "all 40 delivered" 40 (List.length seqs.(0));
+      Array.iter
+        (fun ch ->
+          Alcotest.(check int) "rounds" 2 (Atomic_channel.rounds_completed ch))
+        chans);
 
   Alcotest.test_case "a round only a Byzantine party INITed still decides"
     `Quick (fun () ->

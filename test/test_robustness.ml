@@ -302,4 +302,36 @@ let suite = [
       Alcotest.(check int) "batch adopted" 1 (Atomic_channel.current_round chan);
       Alcotest.(check (list (pair int string))) "delivered"
         [ (1, "other"); (j, "pooled") ] (List.rev !log));
+
+  Alcotest.test_case "a flood of junk and far-ahead INITs leaves no round records"
+    `Quick (fun () ->
+      (* Party 0 sends every honest party INITs with flipped signatures for
+         rounds 1000-1299 and validly signed INITs for rounds 10000-10299.
+         Neither kind may leave a round record behind, and the channel
+         still delivers a genuine payload. *)
+      let c = Util.cluster ~seed:"init-flood" () in
+      let pid = "abc" in
+      let logs = Array.make 4 [] in
+      let chans =
+        Array.init 4 (fun i ->
+          Atomic_channel.create (Cluster.runtime c i) ~pid
+            ~on_deliver:(fun ~sender:_ m -> logs.(i) <- m :: logs.(i)) ())
+      in
+      let flood ~first ~forge =
+        for round = first to first + 299 do
+          let en = signed_init c ~pid ~round ~signer:0 [ (0, round, "\x01junk") ] in
+          let en = if forge then { en with signature = flip_last_byte en.signature } else en in
+          for dst = 1 to 3 do send_init_frame c ~pid ~round ~dst en done
+        done
+      in
+      flood ~first:1000 ~forge:true;
+      flood ~first:10_000 ~forge:false;
+      Cluster.inject c 1 (fun () -> Atomic_channel.send chans.(1) "genuine");
+      ignore (Cluster.run c ~until:60.0);
+      for i = 1 to 3 do
+        Alcotest.(check (list string)) "genuine payload delivered" [ "genuine" ] logs.(i);
+        let held = Atomic_channel.rounds_held chans.(i) in
+        Alcotest.(check bool) (Printf.sprintf "party %d holds %d records" i held) true
+          (held <= 4)
+      done);
 ]
