@@ -14,8 +14,9 @@
      this round's INITs; failing that it signs an empty vector, which keeps
      the round from stalling without spinning up rounds of its own;
    - once a party holds INITs from B = batch_size distinct signers (and a
-     vote quorum of n-t, which is guaranteed to arrive) it proposes that
-     batch of vectors to the round's multi-valued agreement, whose external
+     vote quorum of n-t, which is guaranteed to arrive) it proposes B of
+     them, those carrying a payload the last delivered round left out
+     first, to the round's multi-valued agreement, whose external
      validity checks all B signatures, that the signers are distinct and
      that no vector exceeds the cap — so at least B - t vectors come from
      honest parties, which yields the fairness property;
@@ -69,8 +70,9 @@
    channel is the only party that asks for it:
    - REQUEST(base), broadcast by [request] on evidence in peers' traffic
      that our base round went on without us (a validly signed INIT beyond
-     our window, or ahead of a base round with no activity at all; a
-     later round deciding here while we never proposed in the base round)
+     our window, once per base and then as t+1 signers move on, or one
+     ahead of a base round with no activity at all; a later round
+     deciding here while we never proposed in the base round)
      and on our own progress (the end of a rebuild, a snapshot install,
      each catch-up window of base progress made by adopted claims), since
      a quiet cluster sends no traffic that would make a rebuilt party ask;
@@ -162,7 +164,15 @@ type t = {
   decided_batches : (int, string) Hashtbl.t;
   mutable floor : int;           (* lowest round still in decided_batches *)
   mutable requested_for : int;   (* highest later round that triggered a REQUEST *)
+  ahead : int array;             (* per signer: its highest INIT round
+                                    beyond our window *)
+  mutable behind_at : int;       (* [base] when such an INIT last asked *)
   mutable pulled_at : int;       (* [base] when we last sent a REQUEST *)
+  (* Starved-first batch selection: the payloads that sat in the pooled
+     INITs of the round last delivered but were not delivered by it.  It
+     is rebuilt from that one round's pool at each delivery, so it never
+     holds more than n * max_batch entries. *)
+  missed : (int * int, unit) Hashtbl.t;
   (* Durability hooks: [round_hook] fires after each round is delivered and
      the window slides (WAL append); [catchup_miss] fires when a straggler
      asks for history below [floor] (snapshot state transfer). *)
@@ -197,6 +207,10 @@ let max_claim_lead = 256
 (* Batch-occupancy and queue-depth buckets: payload counts, not latencies. *)
 let count_buckets =
   [| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512. |]
+
+(* Wait buckets: rounds a payload waited, one bucket per round where the
+   tail lives. *)
+let wait_buckets = [| 0.; 1.; 2.; 3.; 4.; 5.; 6.; 8.; 12.; 16.; 32.; 64. |]
 
 (* Payload framing: 0x01 = application payload, 0x00 = termination request. *)
 let frame_payload (s : string) : string = "\x01" ^ s
@@ -435,6 +449,27 @@ let request_ahead (t : t) (round : int) : unit =
     request t
   end
 
+(* [signer] INITed [round], beyond our window, so it delivered our base
+   round.  The first such INIT at a base asks at once.  After that, ask
+   only when the round that t+1 distinct signers have reached rises: some
+   honest party has reached it, so a faulty party's INITs for ever later
+   rounds cost one REQUEST per base, while honest progress still re-asks
+   round by round when an answer is lost. *)
+let request_behind (t : t) ~(signer : int) (round : int) : unit =
+  if round > t.ahead.(signer) then begin
+    t.ahead.(signer) <- round;
+    if t.behind_at < t.base then begin
+      t.behind_at <- t.base;
+      request_ahead t round
+    end
+    else begin
+      let highest = Array.copy t.ahead in
+      Array.sort (fun a b -> compare b a) highest;
+      let reached = highest.(Config.one_honest t.rt.Runtime.cfg - 1) in
+      if reached >= t.base + window t then request_ahead t reached
+    end
+  end
+
 (* Sign and broadcast our INIT vector for one in-window round.  The init
    hook fires first — write-ahead — so the round number is on disk before
    the INIT can reach any peer. *)
@@ -495,7 +530,7 @@ let filter_pending (t : t) (keep : own -> bool) : unit =
    the (party, seq) identity, so every pending payload moves to a fresh
    seq; a vector still carrying the clashing identity deduplicates away at
    delivery. *)
-let settle_own (t : t) (it : item) : unit =
+let settle_own (t : t) ~(round : int) (it : item) : unit =
   match Seq.find (fun o -> o.seq = it.it_seq) (Queue.to_seq t.pending) with
   | Some o when String.equal o.framed it.it_payload ->
     (* Seqs are unique in the ledger; the delivered payload is usually its
@@ -503,7 +538,12 @@ let settle_own (t : t) (it : item) : unit =
     (match Queue.peek_opt t.pending with
      | Some head when head.seq = o.seq -> ignore (Queue.pop t.pending)
      | Some _ | None -> filter_pending t (fun p -> p.seq <> o.seq));
-    Trace.Ctx.observe (trace t) "abc.latency" (Runtime.now t.rt -. o.enqueued)
+    Trace.Ctx.observe (trace t) "abc.latency" (Runtime.now t.rt -. o.enqueued);
+    (* Rounds between the first INIT of ours that carried it and the round
+       that delivered it: the fairness tail batch selection works on. *)
+    if o.init_round <= round then
+      Trace.Ctx.observe (trace t) ~buckets:wait_buckets "abc.wait_rounds"
+        (float_of_int (round - o.init_round))
   | Some _ -> renumber_from t (fun _ -> true)
   | None -> ()
 
@@ -571,6 +611,15 @@ let adoptable_items (t : t) (round : int) : item list =
         en.en_items)
     entries;
   List.rev !items
+
+(* Does [en] carry a payload the last delivered round's INITs held but its
+   batch left out? *)
+let carries_missed (t : t) (en : entry) : bool =
+  List.exists
+    (fun it ->
+      Hashtbl.mem t.missed (it.it_orig, it.it_seq)
+      && not (Hashtbl.mem t.delivered (it.it_orig, it.it_seq)))
+    en.en_items
 
 (* Could we INIT [round] now: open, in our window, above the restart
    floor, and not INITed by us yet? *)
@@ -644,13 +693,17 @@ and try_propose_round (t : t) (round : int) : unit =
        with messages from P2/AIX and P3/Win2k. *)
     let need = max b (Config.vote_quorum t.rt.Runtime.cfg) in
     if Hashtbl.length tbl >= need then begin
-      (* Batch selection: walk the INIT vectors in arrival order and prefer
-         those contributing at least one payload not already covered, so
-         the union usually carries every queued message in the pool; fall
-         back to redundant vectors from distinct signers only when short. *)
+      (* Batch selection: walk the INIT vectors in arrival order, those
+         carrying a payload the last delivered round left out first, and
+         prefer vectors contributing at least one payload not already
+         covered, so the union usually carries every queued message in the
+         pool; fall back to redundant vectors from distinct signers only
+         when short. *)
       let entries = Det.values tbl ~compare:Det.by_int in
       let entries = List.sort (fun (r1, _) (r2, _) -> compare r1 r2) entries in
       let entries = List.map snd entries in
+      let starved, fed = List.partition (carries_missed t) entries in
+      let entries = starved @ fed in
       let covered = Hashtbl.create 16 in
       let contributes (en : entry) : bool =
         List.exists
@@ -722,6 +775,20 @@ and round_decided (t : t) (round : int) (batch : string) : unit =
     if round > t.base && not (proposed t t.base) then request_ahead t round
   end
 
+(* Rebuild the missed set from the pool of [round], just delivered: the
+   payloads its INITs carried that are still undelivered. *)
+and note_missed (t : t) (round : int) : unit =
+  Hashtbl.reset t.missed;
+  match Hashtbl.find_opt t.rounds round with
+  | None -> ()
+  | Some rd ->
+    Det.iter rd.pool ~compare:Det.by_int (fun _ (_, en) ->
+      List.iter
+        (fun it ->
+          if not (Hashtbl.mem t.delivered (it.it_orig, it.it_seq)) then
+            Hashtbl.replace t.missed (it.it_orig, it.it_seq) ())
+        en.en_items)
+
 (* Deliver decided rounds in round order from the reorder buffer, opening
    the window one round at a time; after each delivery give the freed
    window slot a chance to INIT/propose. *)
@@ -759,7 +826,7 @@ and deliver_round (t : t) (round : int) (batch : string) : unit =
            Hashtbl.replace t.delivered (it.it_orig, it.it_seq) ();
            t.deliveries <- t.deliveries + 1;
            incr fresh;
-           if it.it_orig = t.rt.Runtime.me then settle_own t it;
+           if it.it_orig = t.rt.Runtime.me then settle_own t ~round it;
            let tr = trace t in
            if Trace.Ctx.enabled tr then
              Trace.Ctx.instant tr ~pid:t.pid ~cat:"abc"
@@ -774,6 +841,7 @@ and deliver_round (t : t) (round : int) (batch : string) : unit =
                (String.sub it.it_payload 1 (String.length it.it_payload - 1))
          end)
        items;
+     note_missed t round;
      t.on_round_end ();
      t.rounds_completed <- t.rounds_completed + 1;
      (* Throughput accounting: rounds, payloads carried, and how full the
@@ -872,7 +940,8 @@ let handle (t : t) ~src body =
           end;
           (* An INIT for a round beyond our window proves its signer
              delivered our base round: ask everyone for the decided
-             batches.  An INIT merely ahead of [base] is normal pipelining —
+             batches, as [request_behind] rations it.  An INIT merely
+             ahead of [base] is normal pipelining —
              unless our base round shows no activity at all (no INITs, no
              decision), which after a rebuild means the round is long dead
              and only catch-up can revive us. *)
@@ -882,8 +951,8 @@ let handle (t : t) ~src body =
                 | Some rd -> Option.is_none rd.mine && Hashtbl.length rd.pool = 0
                 | None -> true)
           in
-          if round > t.base && (round >= t.base + window t || base_dark ())
-          then request_ahead t round;
+          if round >= t.base + window t then request_behind t ~signer:src round
+          else if round > t.base && base_dark () then request_ahead t round;
           if round < t.base + window t then begin
             try_send_init_round t round;
             try_propose_round t round
@@ -933,7 +1002,10 @@ let create (rt : Runtime.t) ~(pid : string)
     decided_batches = Hashtbl.create 32;
     floor = 0;
     requested_for = -1;
+    ahead = Array.make rt.Runtime.cfg.Config.n (-1);
+    behind_at = -1;
     pulled_at = 0;
+    missed = Hashtbl.create 16;
     round_hook = None;
     catchup_miss = None;
     init_hook = None;
@@ -976,6 +1048,7 @@ let current_round (t : t) = t.base
 let rounds_completed (t : t) = t.rounds_completed
 let reorder_depth (t : t) = t.parked
 let rounds_held (t : t) = Hashtbl.length t.rounds
+let missed_held (t : t) = Hashtbl.length t.missed
 
 (* --- the durability seam --- *)
 

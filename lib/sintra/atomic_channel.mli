@@ -82,6 +82,11 @@ val rounds_held : t -> int
 (** Undelivered rounds this party keeps a record for.  Only an INIT that
     passes its checks creates one, and none far beyond the base. *)
 
+val missed_held : t -> int
+(** Payloads the last delivered round's INITs carried but its batch left
+    out: the set batch selection puts first.  Rebuilt from that one round's
+    pool at each delivery, so it never exceeds [n * max_batch]. *)
+
 val set_round_hook : t -> (round:int -> batch:string -> unit) -> unit
 (** Install the durability layer's per-round hook: fires once per delivered
     round, after the window slid past it, with the decided batch exactly as

@@ -323,4 +323,54 @@ let suite = [
         seqs;
       Alcotest.(check int) "no round parked" 0
         (Atomic_channel.reorder_depth chans.(0)));
+
+  Alcotest.test_case "a payload a decided batch left out goes first next round"
+    `Quick (fun () ->
+      (* Party 2 is cut off, so every round's pool holds the INITs of
+         parties 0, 1 and 3, and a batch takes two of them.  Party 3's
+         frames arrive 50 ms late, so its INIT is the last one every other
+         proposer pools.  Parties 0 and 1 queue five payloads each and
+         party 3 one, one payload per vector.  Round 0 leaves party 3's
+         payload out; round 1 must carry it, although the other two
+         vectors still bring fresh payloads and arrived first. *)
+      let c =
+        Util.cluster ~seed:"pipe-starved" ~max_batch:1 ~pipeline_depth:1 ()
+      in
+      let logs = Array.init 4 (fun _ -> ref []) in
+      let chans =
+        Array.init 4 (fun i ->
+          let rounds = ref 0 in
+          Atomic_channel.create (Cluster.runtime c i) ~pid:"starved"
+            ~on_deliver:(fun ~sender m ->
+              logs.(i) := (!rounds, sender, m) :: !(logs.(i)))
+            ~on_round_end:(fun () -> incr rounds)
+            ())
+      in
+      Cluster.set_intercept c (fun ~src ~dst _ ->
+        if src = 2 || dst = 2 then Sim.Net.Drop
+        else if src = 3 && dst <> 3 then Sim.Net.Delay 0.05
+        else Sim.Net.Deliver);
+      List.iter
+        (fun p ->
+          Cluster.inject c p (fun () ->
+            for k = 0 to 4 do
+              Atomic_channel.send chans.(p) (Printf.sprintf "p%d.m%d" p k)
+            done))
+        [ 0; 1 ];
+      Cluster.inject c 3 (fun () -> Atomic_channel.send chans.(3) "p3.m0");
+      ignore (Cluster.run c ~until:120.0);
+      List.iter
+        (fun p ->
+          let seq = List.rev !(logs.(p)) in
+          Alcotest.(check int) (Printf.sprintf "party %d delivers all" p) 11
+            (List.length seq);
+          let round_of_p3 =
+            List.find_map (fun (r, s, _) -> if s = 3 then Some r else None) seq
+          in
+          let round0 = List.filter (fun (r, _, _) -> r = 0) seq in
+          Alcotest.(check bool) "round 0 left party 3's payload out" true
+            (List.length round0 = 2 && round_of_p3 <> Some 0);
+          Alcotest.(check (option int)) "party 3's payload rides in round 1"
+            (Some 1) round_of_p3)
+        [ 0; 1; 3 ]);
 ]

@@ -307,8 +307,9 @@ let suite = [
     `Quick (fun () ->
       (* Party 0 sends every honest party INITs with flipped signatures for
          rounds 1000-1299 and validly signed INITs for rounds 10000-10299.
-         Neither kind may leave a round record behind, and the channel
-         still delivers a genuine payload. *)
+         Neither kind may leave a round record behind, the validly signed
+         ones make each honest party ask for catch-up once, not once per
+         INIT, and the channel still delivers a genuine payload. *)
       let c = Util.cluster ~seed:"init-flood" () in
       let pid = "abc" in
       let logs = Array.make 4 [] in
@@ -332,6 +333,65 @@ let suite = [
         Alcotest.(check (list string)) "genuine payload delivered" [ "genuine" ] logs.(i);
         let held = Atomic_channel.rounds_held chans.(i) in
         Alcotest.(check bool) (Printf.sprintf "party %d holds %d records" i held) true
-          (held <= 4)
+          (held <= 4);
+        let asked = Util.counter_value c i "abc.catchup.request_sent" in
+        Alcotest.(check bool) (Printf.sprintf "party %d sent %.0f REQUESTs" i asked) true
+          (asked <= 3.0)
       done);
+
+  Alcotest.test_case "INITs of invented payloads leave a bounded missed set"
+    `Quick (fun () ->
+      (* Parties 1-3 send a payload every 0.1 s.  Each time party 1
+         delivers a round r, party 0 signs a valid INIT for round r+1
+         carrying max_batch payloads nobody sent.  It reaches the honest
+         parties after they proposed, so no batch takes it and its items
+         are missed when r+1 delivers, 4 new ones a round.  The set the
+         channel keeps to put missed payloads first is rebuilt from one
+         round's INITs, so it never holds more than n * max_batch entries,
+         however many rounds the junk fills. *)
+      let max_batch = 4 in
+      let c = Util.cluster ~seed:"missed-flood" ~max_batch () in
+      let pid = "abc" in
+      let logs = Array.make 4 [] in
+      let peak = Array.make 4 0 in
+      let chans = Array.make 4 None in
+      let junk_init round =
+        let junk = List.init max_batch (fun k -> (0, 1000 + (100 * round) + k, "\x01junk")) in
+        let en = signed_init c ~pid ~round ~signer:0 junk in
+        for dst = 1 to 3 do send_init_frame c ~pid ~round ~dst en done
+      in
+      for i = 1 to 3 do
+        chans.(i) <-
+          Some
+            (Atomic_channel.create (Cluster.runtime c i) ~pid
+               ~on_deliver:(fun ~sender m -> logs.(i) <- (sender, m) :: logs.(i))
+               ~on_round_end:(fun () ->
+                 Option.iter
+                   (fun ch ->
+                     peak.(i) <- max peak.(i) (Atomic_channel.missed_held ch);
+                     let r = Atomic_channel.current_round ch in
+                     if i = 1 && r < 30 then junk_init (r + 1))
+                   chans.(i))
+               ())
+      done;
+      let chan i = Option.get chans.(i) in
+      for i = 1 to 3 do
+        for k = 0 to 29 do
+          Cluster.at c ~time:(0.1 *. float_of_int k) (fun () ->
+            Cluster.inject c i (fun () ->
+              Atomic_channel.send (chan i) (Printf.sprintf "p%d.m%02d" i k)))
+        done
+      done;
+      ignore (Cluster.run c ~until:120.0);
+      let bound = 4 * max_batch in
+      for i = 1 to 3 do
+        let genuine = List.filter (fun (s, _) -> s = i) logs.(1) in
+        Alcotest.(check int) (Printf.sprintf "party %d's payloads delivered" i) 30
+          (List.length genuine);
+        Alcotest.(check bool)
+          (Printf.sprintf "party %d held at most %d missed, saw %d" i bound peak.(i))
+          true
+          (peak.(i) >= max_batch && peak.(i) <= bound)
+      done;
+      Util.check_all_equal "total order" [ logs.(1); logs.(2); logs.(3) ]);
 ]
