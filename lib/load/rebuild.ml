@@ -47,7 +47,8 @@ let drive (r : t) ~(rounds : int) : int =
     let payload = Printf.sprintf "p%d.m%d" p k in
     Cluster.inject r.cluster p (fun () -> Atomic_channel.send r.chans.(p) payload);
     events := !events + Cluster.run r.cluster;
-    r.backlog_peak <- max r.backlog_peak (Atomic_channel.backlog_rounds r.chans.(0))
+    r.backlog_peak <-
+      max r.backlog_peak (Abc_core.backlog_rounds (Atomic_channel.core r.chans.(0)))
   done;
   !events
 
@@ -92,7 +93,8 @@ let gate ~(make : unit -> Cluster.t) ~(rounds : int) ~(interval : int) :
    | d0 :: _ ->
      line "  history: %d round(s), stable checkpoint %s, GC floor %d, p0 log %dB\n"
        (tip dur 0) (Option.value ~default:"none" (stable d0))
-       (Atomic_channel.gc_floor dur.chans.(0)) (Store.Device.size dur.devs.(0))
+       (Abc_core.gc_floor (Atomic_channel.core dur.chans.(0)))
+       (Store.Device.size dur.devs.(0))
    | [] -> ());
   (* 1. The storage plane does not perturb the protocol schedule: party 0
      delivers the same sequence with and without the durability layer. *)

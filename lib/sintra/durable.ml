@@ -13,7 +13,7 @@
       catch malice.
 
    2. Checkpoints.  Every [interval] rounds each party digests its
-      canonical channel state (Atomic_channel.encode_state — identical
+      canonical channel state (Abc_core.encode_state — identical
       bytes at every honest party), threshold-signs the statement
       (pid, round, digest) with its agreement-quorum key, and broadcasts
       the share.  n-t valid shares assemble into a certificate no
@@ -63,7 +63,6 @@ type t = {
   mutable init_hwm : int;
       (* the highest round we ever INITed, from the log's [Init] records
          and the channel's init hook; -1 before the first *)
-  mutable replaying : bool;
   stats : stats;
 }
 
@@ -95,6 +94,7 @@ let dec_msg (d : Wire.Dec.t) : msg =
   | tag -> Wire.fail "durable: unknown tag %d" tag
 
 let trace (t : t) : Trace.Ctx.t = t.rt.Runtime.trace
+let core (t : t) : Abc_core.t = Atomic_channel.core t.chan
 
 let stable_round (t : t) : int =
   match t.stable with Some cp -> cp.Store.Checkpoint.round | None -> 0
@@ -104,7 +104,7 @@ let gauges (t : t) : unit =
   Trace.Ctx.gauge tr "store.log_bytes" (float_of_int (Store.Device.size t.dev));
   Trace.Ctx.gauge tr "store.ckpt_rounds" (float_of_int (stable_round t));
   Trace.Ctx.gauge tr "store.backlog"
-    (float_of_int (Atomic_channel.backlog_rounds t.chan))
+    (float_of_int (Abc_core.backlog_rounds (core t)))
 
 (* Rewrite the device to [Snapshot; Init water-mark; rounds >= cp]. *)
 let compact (t : t) (cp : Store.Checkpoint.t) (state : string) : unit =
@@ -134,7 +134,7 @@ let stabilize (t : t) (cp : Store.Checkpoint.t) (state : string) : unit =
      water marks): a transiently-lagging party is then caught up by DECIDED
      round replay — which re-delivers the payloads its application missed —
      rather than a snapshot, which would skip them. *)
-  Atomic_channel.gc_below t.chan
+  Abc_core.gc_below (core t)
     ~round:(max 0 (cp.Store.Checkpoint.round - t.interval));
   (* Our pid never unregisters: checkpoint GC is when its prepared
      statements go. *)
@@ -192,7 +192,7 @@ let try_stable (t : t) (round : int) : unit =
    canonical state, sign our share, broadcast it (the broadcast includes
    ourselves, so our own share arrives through the same handler). *)
 let begin_checkpoint (t : t) ~(cp_round : int) : unit =
-  let state = Atomic_channel.encode_state t.chan in
+  let state = Abc_core.encode_state (core t) in
   Charge.hash t.charge ~bytes:(String.length state);
   let digest = Hashes.Sha256.digest state in
   let stmt =
@@ -216,16 +216,14 @@ let begin_checkpoint (t : t) ~(cp_round : int) : unit =
   try_stable t cp_round
 
 let on_round (t : t) ~(round : int) ~(batch : string) : unit =
-  if not t.replaying then begin
-    let bytes = Store.Log.append t.dev (Store.Log.Round { round; batch }) in
-    Charge.store_append t.charge ~bytes;
-    gauges t;
-    if t.interval > 0 && (round + 1) mod t.interval = 0 then
-      begin_checkpoint t ~cp_round:(round + 1);
-    (* The round hook runs inside a protocol handler: fold the storage
-       work just charged into the storage core's busy clock. *)
-    Sim.Net.oob_advance t.rt.Runtime.net t.rt.Runtime.me
-  end
+  let bytes = Store.Log.append t.dev (Store.Log.Round { round; batch }) in
+  Charge.store_append t.charge ~bytes;
+  gauges t;
+  if t.interval > 0 && (round + 1) mod t.interval = 0 then
+    begin_checkpoint t ~cp_round:(round + 1);
+  (* The round hook runs inside a protocol handler: fold the storage
+     work just charged into the storage core's busy clock. *)
+  Sim.Net.oob_advance t.rt.Runtime.net t.rt.Runtime.me
 
 (* Serve the latest stable snapshot to a straggler whose needed history is
    below the GC floor; at most once per (party, stable round). *)
@@ -275,11 +273,11 @@ let adopt_snapshot (t : t) ~(src : int) (cp : Store.Checkpoint.t)
       Invariant.flag t.rt.Runtime.inv ~offender:src
         (Printf.sprintf "durable %s: invalid snapshot for round %d" t.base_pid
            cp.Store.Checkpoint.round)
-    else if Atomic_channel.install_state t.chan state then begin
+    else if Abc_core.install_state (core t) state then begin
       t.stable <- Some cp;
       t.stable_state <- state;
       compact t cp state;
-      Atomic_channel.gc_below t.chan ~round:cp.Store.Checkpoint.round;
+      Abc_core.gc_below (core t) ~round:cp.Store.Checkpoint.round;
       Runtime.forget_statements t.rt ~pid:t.dpid;
       t.stats.snapshots_adopted <- t.stats.snapshots_adopted + 1;
       let tr = trace t in
@@ -358,7 +356,6 @@ let restore (t : t) : unit =
      Trace.Ctx.instant (trace t) ~pid:t.dpid ~cat:"store"
        ~args:[ ("offset", Trace.Event.Int off) ]
        "store_corrupt");
-  t.replaying <- true;
   let distrusted = ref false in
   List.iter
     (fun r ->
@@ -367,7 +364,7 @@ let restore (t : t) : unit =
         | Store.Log.Snapshot { checkpoint; state } ->
           if
             snapshot_valid t checkpoint state
-            && Atomic_channel.install_state t.chan state
+            && Abc_core.install_state (core t) state
           then begin
             t.stable <- Some checkpoint;
             t.stable_state <- state;
@@ -382,7 +379,6 @@ let restore (t : t) : unit =
               t.stats.replayed_rounds + (Atomic_channel.current_round t.chan - before)
         | Store.Log.Init { round } -> t.init_hwm <- max t.init_hwm round)
     rp.Store.Log.records;
-  t.replaying <- false;
   if !distrusted then begin
     ignore (Store.Log.rewrite t.dev []);
     t.stable <- None;
@@ -393,7 +389,7 @@ let restore (t : t) : unit =
   (* Re-anchor the GC floor at whatever we restored: history below it is
      covered by the (verified) snapshot, not the backlog. *)
   (match t.stable with
-   | Some cp -> Atomic_channel.gc_below t.chan ~round:cp.Store.Checkpoint.round
+   | Some cp -> Abc_core.gc_below (core t) ~round:cp.Store.Checkpoint.round
    | None -> ());
   gauges t
 
@@ -416,7 +412,6 @@ let attach (rt : Runtime.t) ~(chan : Atomic_channel.t) ~(pid : string)
       stable = None;
       stable_state = "";
       init_hwm = -1;
-      replaying = false;
       stats =
         {
           checkpoints = 0;
@@ -428,16 +423,15 @@ let attach (rt : Runtime.t) ~(chan : Atomic_channel.t) ~(pid : string)
     }
   in
   Runtime.register_store rt ~pid:t.dpid (fun ~src body -> handle t ~src body);
-  Atomic_channel.set_round_hook chan (fun ~round ~batch ->
-    on_round t ~round ~batch);
-  Atomic_channel.set_catchup_miss chan (fun ~dst -> serve_snapshot t ~dst);
   restore t;
-  (* Crash-recovery discipline for our own INITs: bar self-INITs at or
-     below the restored water-mark, then persist every new initiation
-     write-ahead. *)
-  if t.init_hwm >= 0 then
-    Atomic_channel.set_init_floor chan ~round:(t.init_hwm + 1);
-  Atomic_channel.set_init_hook chan (fun ~round -> log_init t ~round);
+  (* The one registration, after the restore: the channel logs each
+     delivered round and, write-ahead, each own INIT; it bars self-INITs
+     at or below the restored water-mark, since a pre-crash INIT may still
+     be in flight; and a REQUEST from below the GC floor is served a
+     snapshot. *)
+  Abc_core.set_durability (core t)
+    { Abc_core.log_round = on_round t; serve_snapshot = serve_snapshot t;
+      log_init = log_init t; init_floor = t.init_hwm + 1 };
   (* Restore ran synchronously (attach or rebuild hook): its cost belongs
      to the storage core, not the protocol CPU.  A rebuilt channel asks
      for what it missed once the rebuild is over, from the base the

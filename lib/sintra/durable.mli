@@ -18,9 +18,10 @@ val attach :
   Runtime.t -> chan:Atomic_channel.t -> pid:string -> dev:Store.Device.t ->
   ?interval:int -> unit -> t
 (** Attach durability to a channel: restore from [dev] (verified snapshot
-    adoption plus re-validated tail replay), install the channel's round
-    and catch-up-miss hooks and register the controller's own network pid
-    ([pid ^ "!dur"]).  The controller sends no catch-up request of its
+    adoption plus re-validated tail replay), then register with the
+    channel once ({!Abc_core.set_durability}: round and INIT logging, the
+    restored INIT floor, snapshot service) and register the controller's
+    own network pid ([pid ^ "!dur"]).  The controller sends no catch-up request of its
     own: the channel's requests reach it when they ask for history below
     the GC floor, and it answers them with a snapshot.  [pid] must be
     the channel's pid — it names the certified statement.  [interval]

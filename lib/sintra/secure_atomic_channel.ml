@@ -110,7 +110,7 @@ let drain (t : t) : unit =
   emit_ready t;
   if t.next_emit >= t.next_index then
     match t.atomic with
-    | Some a -> Atomic_channel.kick a
+    | Some a -> Abc_core.kick (Atomic_channel.core a)
     | None -> ()
 
 let try_combine (t : t) (slot : slot) : unit =
@@ -313,7 +313,8 @@ let create (rt : Runtime.t) ~(pid : string)
      is consumed (and hence the next round started) only once every ordered
      ciphertext so far has been decrypted. *)
   (match t.atomic with
-   | Some a -> Atomic_channel.set_gate a (fun () -> t.next_emit >= t.next_index)
+   | Some a ->
+     Abc_core.set_gate (Atomic_channel.core a) (fun () -> t.next_emit >= t.next_index)
    | None -> ());
   t
 

@@ -264,7 +264,7 @@ let suite = [
       let c = Util.cluster ~seed:"bat7" ~max_batch:8 () in
       let chans, logs = make_atomic c "abc" in
       let gate_open = ref false in
-      Atomic_channel.set_gate chans.(1) (fun () -> !gate_open);
+      Abc_core.set_gate (Atomic_channel.core chans.(1)) (fun () -> !gate_open);
       Cluster.inject c 1 (fun () ->
         List.iter (Atomic_channel.send chans.(1)) [ "a"; "b"; "c" ]);
       let state =
@@ -284,12 +284,12 @@ let suite = [
             Alcotest.(check bool)
               (Printf.sprintf "party %d installs" p)
               true
-              (Atomic_channel.install_state chans.(p) state))
+              (Abc_core.install_state (Atomic_channel.core chans.(p)) state))
         done);
       Cluster.at c ~time:1.0 (fun () ->
         Cluster.inject c 1 (fun () ->
           gate_open := true;
-          Atomic_channel.kick chans.(1)));
+          Abc_core.kick (Atomic_channel.core chans.(1))));
       ignore (Cluster.run c ~until:300.0);
       Array.iteri
         (fun p log ->

@@ -129,7 +129,7 @@ let suite = [
             Atomic_channel.send chans.(i) (Printf.sprintf "m%d.4" i))
         done);
       let parked = probe_max c ~until:12.0 (fun () ->
-        Atomic_channel.reorder_depth chans.(3))
+        Abc_core.reorder_depth (Atomic_channel.core chans.(3)))
       in
       ignore (Cluster.run c ~until:300.0);
       let seqs = sequences logs in
@@ -142,7 +142,7 @@ let suite = [
         (Printf.sprintf "reorder buffer exercised (max depth %d)" !parked)
         true (!parked >= 1);
       Alcotest.(check int) "reorder buffer drained" 0
-        (Atomic_channel.reorder_depth chans.(3)));
+        (Abc_core.reorder_depth (Atomic_channel.core chans.(3))));
 
   Alcotest.test_case "window stalls at pipeline_depth and resumes" `Quick
     (fun () ->
@@ -169,7 +169,7 @@ let suite = [
           done)
       done;
       let inflight = probe_max c ~until:12.0 (fun () ->
-        Atomic_channel.inflight_rounds chans.(0))
+        Abc_core.inflight_rounds (Atomic_channel.core chans.(0)))
       in
       let stalled_base = ref (-1) in
       Cluster.at c ~time:3.0 (fun () ->
@@ -322,7 +322,7 @@ let suite = [
             seq)
         seqs;
       Alcotest.(check int) "no round parked" 0
-        (Atomic_channel.reorder_depth chans.(0)));
+        (Abc_core.reorder_depth (Atomic_channel.core chans.(0))));
 
   Alcotest.test_case "a payload a decided batch left out goes first next round"
     `Quick (fun () ->

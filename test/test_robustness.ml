@@ -248,7 +248,7 @@ let suite = [
       in
       (* Party 0 pools INITs but neither INITs nor proposes on its own, so
          round 0 stays open while the harness probes it. *)
-      Atomic_channel.set_gate chan (fun () -> false);
+      Abc_core.set_gate (Atomic_channel.core chan) (fun () -> false);
       let verified () = Util.counter_value c 0 "abc.init_sig_verified" in
       let reused () = Util.counter_value c 0 "abc.init_sig_reused" in
       let items = [ (j, 0, "\x01pooled") ] in
@@ -331,7 +331,7 @@ let suite = [
       ignore (Cluster.run c ~until:60.0);
       for i = 1 to 3 do
         Alcotest.(check (list string)) "genuine payload delivered" [ "genuine" ] logs.(i);
-        let held = Atomic_channel.rounds_held chans.(i) in
+        let held = Abc_core.rounds_held (Atomic_channel.core chans.(i)) in
         Alcotest.(check bool) (Printf.sprintf "party %d holds %d records" i held) true
           (held <= 4);
         let asked = Util.counter_value c i "abc.catchup.request_sent" in
@@ -368,7 +368,7 @@ let suite = [
                ~on_round_end:(fun () ->
                  Option.iter
                    (fun ch ->
-                     peak.(i) <- max peak.(i) (Atomic_channel.missed_held ch);
+                     peak.(i) <- max peak.(i) (Abc_core.missed_held (Atomic_channel.core ch));
                      let r = Atomic_channel.current_round ch in
                      if i = 1 && r < 30 then junk_init (r + 1))
                    chans.(i))

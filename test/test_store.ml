@@ -252,7 +252,7 @@ let suite =
           if Durable.checkpoints d < 1 then
             Alcotest.failf "party %d saw no stable checkpoint" i;
           (* The backlog was GC'd below the last stable checkpoint. *)
-          let floor = Atomic_channel.gc_floor h.chans.(i) in
+          let floor = Abc_core.gc_floor (Atomic_channel.core h.chans.(i)) in
           if floor < 1 then Alcotest.failf "party %d never raised its floor" i)
         h.durs;
       (* The log was compacted: it replays to a snapshot plus bounded
@@ -271,9 +271,9 @@ let suite =
       Alcotest.(check bool) "some rounds ran" true (base > 0);
       (* Ask to GC far beyond the delivered prefix: the floor must clamp
          at base — rounds at/after it (the reorder buffer) survive. *)
-      Atomic_channel.gc_below ch ~round:(base + 1000);
+      Abc_core.gc_below (Atomic_channel.core ch) ~round:(base + 1000);
       Alcotest.(check int) "floor clamped at base" base
-        (Atomic_channel.gc_floor ch);
+        (Abc_core.gc_floor (Atomic_channel.core ch));
       (* The channel still works: more payloads deliver normally. *)
       let before = Atomic_channel.deliveries ch in
       Cluster.inject h.c 0 (fun () ->
@@ -424,7 +424,7 @@ let suite =
       let dt = 0.05 in
       for k = 1 to int_of_float (20.0 /. dt) do
         Cluster.at h.c ~time:(float_of_int k *. dt) (fun () ->
-          let v = Atomic_channel.backlog_rounds h.chans.(0) in
+          let v = Abc_core.backlog_rounds (Atomic_channel.core h.chans.(0)) in
           if v > !hi then hi := v)
       done;
       ignore (Cluster.run h.c ~until:300.0);
