@@ -60,7 +60,9 @@
      while we never proposed in the base round) and on our own progress
      (the end of a rebuild, a snapshot install, each catch-up window of
      base progress made by adopted claims), since a quiet cluster sends no
-     traffic that would make a rebuilt party ask;
+     traffic that would make a rebuilt party ask.  A far round one signer
+     names alone never raises [requested_for], so it cannot silence a
+     later REQUEST;
    - DECIDED(r, batch): sent point-to-point only in reply to a REQUEST,
      carrying the whole batch we decided in round r, at most a window of
      rounds per reply; a request from below the GC floor also fires the
@@ -289,13 +291,16 @@ let request_ahead (t : t) (round : int) : unit =
    only when the round that t+1 distinct signers have reached rises: some
    honest party has reached it, so a faulty party's INITs for ever later
    rounds cost one REQUEST per base, while honest progress still re-asks
-   round by round when an answer is lost. *)
+   round by round when an answer is lost.  The first ask leaves
+   [requested_for] alone: a round one signer names may be a faulty
+   party's invention, and raising the mark to it would silence every
+   later trigger. *)
 let request_behind (t : t) ~(signer : int) (round : int) : unit =
   if round > t.ahead.(signer) then begin
     t.ahead.(signer) <- round;
     if t.behind_at < t.base then begin
       t.behind_at <- t.base;
-      request_ahead t round
+      request t
     end
     else begin
       let highest = Array.copy t.ahead in

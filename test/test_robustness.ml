@@ -394,4 +394,36 @@ let suite = [
           (peak.(i) >= max_batch && peak.(i) <= bound)
       done;
       Util.check_all_equal "total order" [ logs.(1); logs.(2); logs.(3) ]);
+
+  Alcotest.test_case "one far INIT does not silence a straggler's catch-up"
+    `Quick (fun () ->
+      (* Party 1 signs an INIT for round 1 000 000 and sends it to party 3
+         alone.  Frames to party 3 are then dropped from 0.1 s to 20 s
+         while party 0 sends 40 payloads 1 s apart from 1 s on, so party 3 falls
+         behind and has to ask.  The far INIT may cost one REQUEST, but a
+         round one signer names alone must not silence the REQUESTs that
+         t+1 signers' INITs, a dark base or a decided later round call
+         for: party 3 catches up and delivers all 40. *)
+      let c = Util.cluster ~seed:"far-poison" () in
+      let pid = "abc" and far = 1_000_000 in
+      let logs = Array.make 4 [] in
+      let chans =
+        Array.init 4 (fun i ->
+          Atomic_channel.create (Cluster.runtime c i) ~pid
+            ~on_deliver:(fun ~sender:_ m -> logs.(i) <- m :: logs.(i)) ())
+      in
+      send_init_frame c ~pid ~round:far ~dst:3
+        (signed_init c ~pid ~round:far ~signer:1 [ (1, 0, "\x01far") ]);
+      Cluster.set_intercept c (fun ~src:_ ~dst _ ->
+        let now = Cluster.now c in
+        if dst = 3 && now > 0.1 && now < 20.0 then Sim.Net.Drop else Sim.Net.Deliver);
+      for k = 0 to 39 do
+        Cluster.at c ~time:(float_of_int (k + 1)) (fun () ->
+          Cluster.inject c 0 (fun () ->
+            Atomic_channel.send chans.(0) (Printf.sprintf "m%02d" k)))
+      done;
+      ignore (Cluster.run c ~until:120.0);
+      let sent = List.init 40 (Printf.sprintf "m%02d") in
+      Alcotest.(check (list string)) "party 0 delivers all" sent (List.rev logs.(0));
+      Alcotest.(check (list string)) "party 3 delivers all" sent (List.rev logs.(3)));
 ]
