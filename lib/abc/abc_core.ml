@@ -653,7 +653,7 @@ let decided (t : t) ~(round : int) (batch : string) : unit =
     (* A later round decided, but we never proposed in our base round: it
        most likely decided without us (a restarted party lost the INITs
        sent while it was down), and no INIT will ever tell us. *)
-    if round > t.base && not (proposed t t.base) then request_ahead t round
+    if round > t.base && not (proposed t t.base) then request t
   end
 
 let awaits (t : t) ~(round : int) : bool =

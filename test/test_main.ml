@@ -19,6 +19,7 @@ let () =
       ("system", Test_system.suite);
       ("properties", Test_properties.suite);
       ("robustness", Test_robustness.suite);
+      ("abc-core", Test_abc_core.suite);
       ("service", Test_service.suite);
       ("regression", Test_regression.suite);
       ("faults", Test_faults.suite);
