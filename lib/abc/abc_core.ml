@@ -652,7 +652,9 @@ let decided (t : t) ~(round : int) (batch : string) : unit =
     init_below t round;
     (* A later round decided, but we never proposed in our base round: it
        most likely decided without us (a restarted party lost the INITs
-       sent while it was down), and no INIT will ever tell us. *)
+       sent while it was down), and no INIT will ever tell us.  Ask every
+       time, unsuppressed by [requested_for]: an earlier REQUEST at this
+       base may have been answered before the base round decided. *)
     if round > t.base && not (proposed t t.base) then request t
   end
 

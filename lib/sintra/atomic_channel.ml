@@ -178,19 +178,22 @@ let trace_phase (t : t) (name : string) (r : int) (ph : Trace.Event.phase) :
 
 let note (t : t) (n : note) : unit =
   let tr = trace t in
-  let instant name args =
-    if Trace.Ctx.enabled tr then Trace.Ctx.instant tr ~pid:t.pid ~cat:"abc" ~args name
-  in
   match n with
-  | Enqueued seq -> instant "enqueue" [ ("seq", Trace.Event.Int seq) ]
+  | Enqueued seq ->
+    if Trace.Ctx.enabled tr then
+      Trace.Ctx.instant tr ~pid:t.pid ~cat:"abc" ~args:[ ("seq", Trace.Event.Int seq) ]
+        "enqueue"
   | Sample (name, v) ->
     Trace.Ctx.observe tr ~buckets:count_buckets name (float_of_int v)
   | Latency at -> Trace.Ctx.observe tr "abc.latency" (Runtime.now t.rt -. at)
   | Waited r ->
     Trace.Ctx.observe tr ~buckets:wait_buckets "abc.wait_rounds" (float_of_int r)
   | Delivered it ->
-    instant "deliver"
-      [ ("sender", Trace.Event.Int it.it_orig); ("seq", Trace.Event.Int it.it_seq) ]
+    if Trace.Ctx.enabled tr then
+      Trace.Ctx.instant tr ~pid:t.pid ~cat:"abc"
+        ~args:
+          [ ("sender", Trace.Event.Int it.it_orig); ("seq", Trace.Event.Int it.it_seq) ]
+        "deliver"
   | Batch fresh ->
     (* Throughput accounting: rounds, payloads carried, and how full the
        decided batches run (the batch-occupancy histogram behind the
@@ -216,6 +219,12 @@ let decode_msg (body : string) : msg option =
     else if tag = tag_request then Request round
     else Wire.fail "abc: unknown tag %d" tag)
 
+let frame (tag : int) (round : int) (rest : Wire.Enc.t -> unit) : string =
+  Wire.encode (fun b ->
+    Wire.Enc.u8 b tag;
+    Wire.Enc.int b round;
+    rest b)
+
 let send_init (t : t) ~(round : int) (items : item list) : entry =
   trace_phase t "round" round Trace.Event.Span_begin;
   Charge.rsa_sign t.rt.Runtime.charge;
@@ -224,11 +233,7 @@ let send_init (t : t) ~(round : int) (items : item list) : entry =
       (init_stmt t ~round ~signer:t.rt.Runtime.me items)
   in
   let en = { en_signer = t.rt.Runtime.me; en_items = items; en_sig = signature } in
-  Runtime.broadcast t.rt ~pid:t.pid
-    (Wire.encode (fun b ->
-      Wire.Enc.u8 b tag_init;
-      Wire.Enc.int b round;
-      enc_entry b en));
+  Runtime.broadcast t.rt ~pid:t.pid (frame tag_init round (fun b -> enc_entry b en));
   en
 
 let propose (t : t) ~(round : int) (batch : entry list) : unit =
@@ -259,12 +264,6 @@ let expire (t : t) ~(below : int) : unit =
       Array_agreement.abort m;
       Hashtbl.remove t.retired r
     end)
-
-let frame (tag : int) (round : int) (rest : Wire.Enc.t -> unit) : string =
-  Wire.encode (fun b ->
-    Wire.Enc.u8 b tag;
-    Wire.Enc.int b round;
-    rest b)
 
 let ports (t : t) ~on_deliver ~on_round_end ~on_close : ports =
   {

@@ -62,7 +62,7 @@ type t = {
   mutable stable_state : string;
   mutable init_hwm : int;
       (* the highest round we ever INITed, from the log's [Init] records
-         and the channel's init hook; -1 before the first *)
+         and the channel's log_init; -1 before the first *)
   stats : stats;
 }
 
@@ -243,7 +243,7 @@ let serve_snapshot (t : t) ~(dst : int) : unit =
           "snapshot_serve";
       Runtime.send_store t.rt ~dst ~pid:t.dpid
         (Wire.encode (fun b -> enc_msg b (Snap (cp, t.stable_state))));
-      (* catchup_miss fires from the channel's protocol-plane backlog
+      (* serve_snapshot fires from the channel's protocol-plane backlog
          service: flush the transfer cost onto the storage core. *)
       Sim.Net.oob_advance t.rt.Runtime.net t.rt.Runtime.me
     end

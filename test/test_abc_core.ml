@@ -277,6 +277,10 @@ let settle ?(with_byz = false) (h : h) : unit =
   in
   go 5000
 
+(* Party 3's INITs carry items of its own origin only.  Items forged
+   under party 0's origin expose an open defect (ROADMAP item 20, "Still
+   open": a forged clash renumbers payloads already riding in open INITs,
+   and one is delivered twice), so they are left out until it is fixed. *)
 let byz_init ~(seq : int) : entry =
   { en_signer = byz; en_items = [ { it_orig = byz; it_seq = seq; it_payload = junk } ];
     en_sig = "" }
@@ -398,6 +402,8 @@ let check ((w, evs) : int * ev list) : string option =
       evs;
     settle h;
     if h.partitioned then begin
+      (* While cut off the core is as good as faulty; with party 3 silent
+         too, two faults would exceed t = 1, so party 3 joins rounds. *)
       for _ = 1 to 40 do
         peer_send h 1;
         settle ~with_byz:true h
