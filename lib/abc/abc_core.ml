@@ -640,10 +640,11 @@ let rec advance (t : t) : unit =
    local log.  Park the batch in the reorder buffer and deliver whatever
    prefix is ready: out-of-order decisions wait here until every earlier
    round has delivered, which is all it takes to keep total order. *)
+let awaits (t : t) ~(round : int) : bool =
+  (not t.closed) && round >= t.base && not (Hashtbl.mem t.decided_batches round)
+
 let decided (t : t) ~(round : int) (batch : string) : unit =
-  if (not t.closed) && round >= t.base
-     && not (Hashtbl.mem t.decided_batches round)
-  then begin
+  if awaits t ~round then begin
     Hashtbl.replace t.decided_batches round batch;
     t.parked <- t.parked + 1;
     if proposed t round then t.ports.note (Span_end ("agree", round));
@@ -657,9 +658,6 @@ let decided (t : t) ~(round : int) (batch : string) : unit =
        base may have been answered before the base round decided. *)
     if round > t.base && not (proposed t t.base) then request t
   end
-
-let awaits (t : t) ~(round : int) : bool =
-  (not t.closed) && round >= t.base && not (Hashtbl.mem t.decided_batches round)
 
 (* A validly signed INIT from [en.en_signer], the first for [round].  Only
    an INIT that passed its checks gets a round record, and none further
