@@ -16,11 +16,11 @@
    - no window round stays un-INITed below one the core started;
    - round records stay within [base + 256];
    - 300 far INITs from one signer cost at most two REQUESTs.
-   After the scenario the world drains: it delivers everything, peers
-   join what the core starts, and — if the core was cut off — the world
-   keeps running for a while.  Then a core holding a later decision must
-   have caught up past it, and a core that was cut off must have reached
-   the world's tip. *)
+   After the scenario the world first goes quiet: it delivers everything
+   and peers only join what the core starts.  A core that then holds a
+   decision beyond its base is stuck.  Then the world runs 40 more
+   rounds; the core must reach its tip and deliver every payload its
+   current incarnation sent. *)
 
 open Abc_core
 
@@ -102,7 +102,6 @@ type h = {
   mutable core : Abc_core.t option;
   mutable inbox : msg list;                    (* to the core, oldest first *)
   mutable cut : bool;                          (* messages to the core are lost *)
-  mutable partitioned : bool;                  (* cut off since the last restart *)
   mutable inited : (int, unit) Hashtbl.t;      (* this incarnation's INITs *)
   mutable proposed : (int, unit) Hashtbl.t;    (* this incarnation's proposals *)
   signed : (int, entry) Hashtbl.t;             (* every INIT the core ever signed *)
@@ -262,6 +261,19 @@ let decide (h : h) ~(choice : int) ~(fair : bool) : bool =
     true
   end
 
+let invariants (h : h) : unit =
+  let c = core h in
+  let b = base c in
+  Hashtbl.iter
+    (fun r () ->
+      if r >= b then
+        for r' = max b h.floor to r - 1 do
+          if not (Hashtbl.mem h.inited r') then
+            broken "round %d INITed while window round %d was not" r r'
+        done)
+    h.inited;
+  if rounds_held c > 257 then broken "%d round records at base %d" (rounds_held c) b
+
 (* Deliver, join and decide until nothing moves; [with_byz] has party 3
    join rounds like an honest peer, so the world can go on without us. *)
 let settle ?(with_byz = false) (h : h) : unit =
@@ -271,6 +283,7 @@ let settle ?(with_byz = false) (h : h) : unit =
       | m :: rest ->
         h.inbox <- rest;
         receive h m;
+        invariants h;
         go (budget - 1)
       | [] ->
         if peer_init ~with_byz h || decide h ~choice:0 ~fair:true then go (budget - 1)
@@ -327,7 +340,6 @@ let step (h : h) (ev : ev) : unit =
   | Partition k ->
     (* The core is cut off while peer 1 keeps sending and the world runs. *)
     h.cut <- true;
-    h.partitioned <- true;
     for r = 1 to k do
       peer_send h 1;
       ignore (peer_init h);
@@ -337,7 +349,6 @@ let step (h : h) (ev : ev) : unit =
     h.cut <- false
   | Restart ->
     h.inbox <- [];
-    h.partitioned <- false;
     h.incarnation <- h.incarnation + 1;
     h.sent <- 0;
     boot h
@@ -351,19 +362,6 @@ let step (h : h) (ev : ev) : unit =
       end
     end
   | Ask_backlog k -> receive h (Ask (1, max 0 (base c - k)))
-
-let invariants (h : h) : unit =
-  let c = core h in
-  let b = base c in
-  Hashtbl.iter
-    (fun r () ->
-      if r >= b then
-        for r' = max b h.floor to r - 1 do
-          if not (Hashtbl.mem h.inited r') then
-            broken "round %d INITed while window round %d was not" r r'
-        done)
-    h.inited;
-  if rounds_held c > 257 then broken "%d round records at base %d" (rounds_held c) b
 
 let gen_ev : ev QCheck.Gen.t =
   QCheck.Gen.(
@@ -388,7 +386,7 @@ let gen_scenario : (int * ev list) QCheck.Gen.t =
 let check ((w, evs) : int * ev list) : string option =
   let h =
     { w; m = Abc_model.create ~n ~f:1; core = None; inbox = []; cut = false;
-      partitioned = false; inited = Hashtbl.create 8; proposed = Hashtbl.create 8;
+      inited = Hashtbl.create 8; proposed = Hashtbl.create 8;
       signed = Hashtbl.create 16; wal = []; hwm = -1; floor = 0; snapshot = None;
       rebuilding = false; app = []; requests = 0; incarnation = 0; sent = 0;
       peer_sent = 0; seen = Hashtbl.create 64; last = Hashtbl.create 4 }
@@ -401,22 +399,25 @@ let check ((w, evs) : int * ev list) : string option =
         invariants h)
       evs;
     settle h;
-    if h.partitioned then begin
-      (* While cut off the core is as good as faulty; with party 3 silent
-         too, two faults would exceed t = 1, so party 3 joins rounds. *)
-      for _ = 1 to 40 do
-        peer_send h 1;
-        settle ~with_byz:true h
-      done;
-      settle h;
-      if base (core h) < h.m.Abc_model.tip then
-        broken "cut off, then stuck at round %d while the world reached %d" (base (core h))
-          h.m.Abc_model.tip
-    end;
-    invariants h;
     if reorder_depth (core h) > 0 then
-      broken "stuck at round %d holding %d later decisions" (base (core h))
+      broken "quiet, and stuck at round %d holding %d later decisions" (base (core h))
         (reorder_depth (core h));
+    (* Then the world goes on, party 3 joining rounds: while cut off the
+       core was as good as faulty, and with party 3 silent too two faults
+       would exceed t = 1.  The core must reach the world's tip, and every
+       payload this incarnation sent must be delivered. *)
+    for _ = 1 to 40 do
+      peer_send h 1;
+      settle ~with_byz:true h
+    done;
+    settle h;
+    if base (core h) < h.m.Abc_model.tip then
+      broken "stuck at round %d while the world reached %d" (base (core h))
+        h.m.Abc_model.tip;
+    for k = 0 to h.sent - 1 do
+      let p = Printf.sprintf "\x01c%d.%d" h.incarnation k in
+      if not (Hashtbl.mem h.seen (me, p)) then broken "c%d.%d never delivered" h.incarnation k
+    done;
     (* The core delivered in the model's order. *)
     let rec subsequence xs ys =
       match (xs, ys) with
