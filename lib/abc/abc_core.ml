@@ -11,11 +11,15 @@
    throughput):
    - each party signs the vector of its locally-queued undelivered
      payloads — capped at [max_batch] — together with r, and sends this
-     INIT to everyone; one signature covers the whole vector.  A party with
-     nothing of its own to send adopts (and re-signs) the undelivered
-     payloads it has seen in this round's INITs; failing that it signs an
-     empty vector, which keeps the round from stalling without spinning up
-     rounds of its own;
+     INIT to everyone; one signature covers the whole vector.  Room left
+     under the cap carries the payloads the last delivered round left out
+     whose origin this party is one of the t successors of, so such a
+     payload rides in t+1 vectors ([init_items]).  A party with nothing of
+     its own to send adopts (and re-signs) the undelivered payloads it has
+     seen in this round's INITs; failing that it signs an empty vector,
+     which keeps the round from stalling without spinning up rounds of its
+     own.  Only items a vector signed by their origin carried are ever
+     adopted;
    - once a party holds INITs from B = batch_size distinct signers (and a
      vote quorum of n-t, which is guaranteed to arrive) it proposes B of
      them, those carrying a payload the last delivered round left out
@@ -61,8 +65,8 @@
      (the end of a rebuild, a snapshot install, each catch-up window of
      base progress made by adopted claims), since a quiet cluster sends no
      traffic that would make a rebuilt party ask.  A far round one signer
-     names alone never raises [requested_for], so it cannot silence a
-     later REQUEST;
+     names alone raises [requested_for] no further than one answer
+     covers, so it cannot silence a later REQUEST;
    - DECIDED(r, batch): sent point-to-point only in reply to a REQUEST,
      carrying the whole batch we decided in round r, at most a window of
      rounds per reply; a request from below the GC floor also fires the
@@ -183,6 +187,10 @@ type t = {
      is rebuilt from that one round's pool at each delivery, so it never
      holds more than n * max_batch entries. *)
   missed : (int * int, unit) Hashtbl.t;
+  (* Bounded-wait adoption: the missed payloads whose origin we follow
+     ([follows]), each as a vector signed by that origin carried it, in
+     (origin, seq) order; rebuilt with [missed]. *)
+  mutable follow : item list;
   (* The durability layer, once registered.  Its [init_floor] bars
      self-INITs below it: a restarted party must never re-initiate a round
      it may already have initiated pre-crash, since the old INIT can still
@@ -197,6 +205,10 @@ type t = {
 (* DECIDED batches sent per REQUEST; the straggler re-REQUESTs as it
    advances, so a small window still converges. *)
 let catchup_window = 8
+
+(* Missed payloads adopted into one vector of ours, beside the own
+   prefix. *)
+let adopt_cap = 4
 
 (* Future-round INITs and DECIDED claims kept at most this far ahead,
    bounding what a Byzantine flood can make us store. *)
@@ -291,15 +303,16 @@ let request_ahead (t : t) (round : int) : unit =
    only when the round that t+1 distinct signers have reached rises: some
    honest party has reached it, so a faulty party's INITs for ever later
    rounds cost one REQUEST per base, while honest progress still re-asks
-   round by round when an answer is lost.  The first ask leaves
-   [requested_for] alone: a round one signer names may be a faulty
-   party's invention, and raising the mark to it would silence every
-   later trigger. *)
+   round by round when an answer is lost.  The first ask raises
+   [requested_for] no further than the rounds its answer covers: a round
+   one signer names may be a faulty party's invention, and raising the
+   mark to it would silence every later trigger. *)
 let request_behind (t : t) ~(signer : int) (round : int) : unit =
   if round > t.ahead.(signer) then begin
     t.ahead.(signer) <- round;
     if t.behind_at < t.base then begin
       t.behind_at <- t.base;
+      t.requested_for <- max t.requested_for (min round (t.base + catchup_window));
       request t
     end
     else begin
@@ -413,9 +426,11 @@ let arrivals (rd : round) : entry list =
   |> List.sort (fun (r1, _) (r2, _) -> compare r1 r2)
   |> List.map snd
 
-(* Undelivered payloads seen in one round's INITs, in arrival order and
-   capped — what an empty-queue party adopts so that slow parties' payloads
-   appear in more than one vector (the fairness lever). *)
+(* Undelivered payloads seen in one round's INITs, each in a vector its
+   origin signed, in arrival order and capped — what an empty-queue party
+   adopts so that slow parties' payloads appear in more than one vector
+   (the fairness lever).  An item under another signer's origin is never
+   re-signed: it may be forged. *)
 let adoptable_items (t : t) (round : int) : item list =
   let chosen = Hashtbl.create 8 in
   let items = ref [] in
@@ -424,7 +439,7 @@ let adoptable_items (t : t) (round : int) : item list =
     (fun en ->
       List.iter
         (fun it ->
-          if !count < t.p.max_batch
+          if !count < t.p.max_batch && it.it_orig = en.en_signer
              && not (Hashtbl.mem t.delivered (it.it_orig, it.it_seq))
              && not (Hashtbl.mem chosen (it.it_orig, it.it_seq))
           then begin
@@ -452,17 +467,32 @@ let may_init (t : t) (round : int) : bool =
   && round >= t.init_floor
   && Option.is_none (my_init t round)
 
-(* Our vector for a round we INIT: the undelivered prefix if we have one,
-   else the undelivered payloads seen in the round's INITs, possibly
-   none. *)
+(* Bounded-wait adoption: do we carry [orig]'s missed payloads, being one
+   of its t cyclic successors?  With its own vector a missed payload then
+   rides in t+1, and any n-t of the next round's INITs hold one of them. *)
+let follows (t : t) (orig : int) : bool =
+  let d = (t.p.me - orig + t.p.n) mod t.p.n in
+  d >= 1 && d <= t.p.t
+
+(* Our vector for a round we INIT, the one rule for what it holds: the
+   undelivered prefix, then the still-undelivered missed payloads we
+   follow while the cap and [max_batch] leave room; with no prefix, the
+   undelivered payloads seen in the round's INITs, possibly none. *)
 let init_items (t : t) (round : int) : item list =
   match own_items t with
   | [] -> adoptable_items t round
   | mine ->
     List.iter (fun o -> o.init_round <- min o.init_round round) mine;
+    let room = min adopt_cap (t.p.max_batch - List.length mine) in
+    let adopted =
+      List.filter (fun it -> not (Hashtbl.mem t.delivered (it.it_orig, it.it_seq))) t.follow
+      |> List.filteri (fun i _ -> i < room)
+    in
+    List.iter (fun _ -> t.ports.note (Incr "abc.adopted_items")) adopted;
     List.map
       (fun o -> { it_orig = t.p.me; it_seq = o.seq; it_payload = o.framed })
       mine
+    @ adopted
 
 (* Start every round of our window below [round] that we have not INITed.
    Rounds deliver in order, so a round no honest party INITs stalls every
@@ -550,18 +580,28 @@ let kick (t : t) : unit =
   done
 
 (* Rebuild the missed set from the pool of [round], just delivered: the
-   payloads its INITs carried that are still undelivered. *)
+   payloads its INITs carried that are still undelivered.  Those of them
+   that a vector signed by their origin carried, from origins we follow,
+   are what we adopt. *)
 let note_missed (t : t) (round : int) : unit =
   Hashtbl.reset t.missed;
+  t.follow <- [];
   match Hashtbl.find_opt t.rounds round with
   | None -> ()
   | Some rd ->
     Det.iter rd.pool ~compare:Det.by_int (fun _ (_, en) ->
       List.iter
         (fun it ->
-          if not (Hashtbl.mem t.delivered (it.it_orig, it.it_seq)) then
-            Hashtbl.replace t.missed (it.it_orig, it.it_seq) ())
-        en.en_items)
+          if not (Hashtbl.mem t.delivered (it.it_orig, it.it_seq)) then begin
+            Hashtbl.replace t.missed (it.it_orig, it.it_seq) ();
+            if it.it_orig = en.en_signer && follows t it.it_orig then
+              t.follow <- it :: t.follow
+          end)
+        en.en_items);
+    t.follow <-
+      List.sort_uniq
+        (fun a b -> compare (a.it_orig, a.it_seq) (b.it_orig, b.it_seq))
+        t.follow
 
 (* Deliver round [base]'s batch (union order: by original sender, then
    sequence number) and slide the window forward one round. *)
@@ -748,6 +788,7 @@ let create (p : params) (ports : ports) : t =
     behind_at = -1;
     pulled_at = 0;
     missed = Hashtbl.create 16;
+    follow = [];
     dur = None;
     init_floor = 0;
   }

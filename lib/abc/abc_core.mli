@@ -2,8 +2,9 @@
     engine, runtime, charging, tracing or crypto.
 
     It holds the round window, the own-payload ledger and its renumber
-    rule, the per-round records, when to INIT and with what, starved-first
-    batch selection, the reorder buffer, the catch-up triggers and claim
+    rule, the per-round records, when to INIT and with what (the own
+    prefix and bounded-wait adoption), starved-first batch selection, the
+    reorder buffer, the catch-up triggers and claim
     adoption, garbage collection, the checkpointed state and the restart
     INIT floor.  It takes decoded, verified events and acts only through
     its {!ports}; [Sintra.Atomic_channel] is the shell that supplies them

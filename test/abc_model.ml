@@ -16,6 +16,7 @@ type t = {
   inits : (int, (int, int * entry) Hashtbl.t) Hashtbl.t;
       (* round -> signer -> (arrival rank, INIT) *)
   delivered : (int * int, unit) Hashtbl.t;
+  by_origin : (item, unit) Hashtbl.t;          (* items a vector their origin signed carried *)
   mutable order : (int * string) list;         (* (origin, payload), newest first *)
   queues : (int * string) list array;          (* honest peers' undelivered payloads *)
   next_seq : int array;
@@ -23,8 +24,8 @@ type t = {
 
 let create ~n ~f : t =
   { n; f; b = f + 1; tip = 0; log = Hashtbl.create 16; inits = Hashtbl.create 16;
-    delivered = Hashtbl.create 64; order = []; queues = Array.make n [];
-    next_seq = Array.make n 0 }
+    delivered = Hashtbl.create 64; by_origin = Hashtbl.create 64; order = [];
+    queues = Array.make n []; next_seq = Array.make n 0 }
 
 let pool (m : t) (round : int) : (int, int * entry) Hashtbl.t =
   match Hashtbl.find_opt m.inits round with
@@ -37,8 +38,12 @@ let pool (m : t) (round : int) : (int, int * entry) Hashtbl.t =
 (* An INIT some party signed for [round]; a signer's first one stands. *)
 let add_init (m : t) ~(round : int) (en : entry) : unit =
   let p = pool m round in
-  if not (Hashtbl.mem p en.en_signer) then
-    Hashtbl.add p en.en_signer (Hashtbl.length p, en)
+  if not (Hashtbl.mem p en.en_signer) then begin
+    Hashtbl.add p en.en_signer (Hashtbl.length p, en);
+    List.iter
+      (fun it -> if it.it_orig = en.en_signer then Hashtbl.replace m.by_origin it ())
+      en.en_items
+  end
 
 let signed (m : t) ~(round : int) ~(signer : int) : entry option =
   Option.map snd (Hashtbl.find_opt (pool m round) signer)
@@ -51,14 +56,19 @@ let arrivals (m : t) (round : int) : entry list =
 let undelivered (m : t) (it : item) : bool =
   not (Hashtbl.mem m.delivered (it.it_orig, it.it_seq))
 
-(* An honest peer queues a payload under its next sequence number. *)
+(* An honest peer queues a payload under its next sequence number that no
+   delivered item (a forged one, say) already took. *)
 let send (m : t) (j : int) (payload : string) : unit =
+  while Hashtbl.mem m.delivered (j, m.next_seq.(j)) do
+    m.next_seq.(j) <- m.next_seq.(j) + 1
+  done;
   m.queues.(j) <- m.queues.(j) @ [ (m.next_seq.(j), payload) ];
   m.next_seq.(j) <- m.next_seq.(j) + 1
 
 (* An honest peer's INIT for [round]: the head of its queue, else the first
-   undelivered payload some INIT of the round carries, else nothing.  It
-   INITs a round only when it has a payload or someone started the round. *)
+   undelivered payload some INIT of the round carries under its signer's
+   own origin, else nothing.  It INITs a round only when it has a payload
+   or someone started the round. *)
 let peer_init (m : t) (j : int) ~(round : int) : entry option =
   let p = pool m round in
   if Hashtbl.mem p j || (m.queues.(j) = [] && Hashtbl.length p = 0) then None
@@ -67,7 +77,9 @@ let peer_init (m : t) (j : int) ~(round : int) : entry option =
       match m.queues.(j) with
       | (seq, payload) :: _ -> [ { it_orig = j; it_seq = seq; it_payload = payload } ]
       | [] ->
-        List.concat_map (fun en -> en.en_items) (arrivals m round)
+        List.concat_map
+          (fun en -> List.filter (fun it -> it.it_orig = en.en_signer) en.en_items)
+          (arrivals m round)
         |> List.filter (undelivered m)
         |> List.filteri (fun i _ -> i = 0)
     in

@@ -14,6 +14,8 @@
      payload shows here);
    - the core never signs two INITs for one round, even across restarts;
    - no window round stays un-INITed below one the core started;
+   - every item of another origin in an INIT of the core's was carried
+     by a vector its origin signed (party 3 forges items under party 1's origin);
    - round records stay within [base + 256];
    - 300 far INITs from one signer cost at most two REQUESTs.
    After the scenario the world first goes quiet: it delivers everything
@@ -144,6 +146,12 @@ let ports (h : h) : ports =
         (match Hashtbl.find_opt h.signed round with
          | Some prev when prev <> en -> broken "round %d INITed twice with different vectors" round
          | Some _ | None -> Hashtbl.replace h.signed round en);
+        List.iter
+          (fun it ->
+            if it.it_orig <> me && not (Hashtbl.mem h.m.Abc_model.by_origin it) then
+              broken "round %d INIT carries (%d, %d), which no INIT of party %d did"
+                round it.it_orig it.it_seq it.it_orig)
+          items;
         Hashtbl.replace h.inited round ();
         Abc_model.add_init h.m ~round en;
         en);
@@ -290,12 +298,14 @@ let settle ?(with_byz = false) (h : h) : unit =
   in
   go 5000
 
-(* Party 3's INITs carry items of its own origin only.  Items forged
-   under party 0's origin expose an open defect (ROADMAP item 20, "Still
-   open": a forged clash renumbers payloads already riding in open INITs,
-   and one is delivered twice), so they are left out until it is fixed. *)
+(* Party 3's INITs carry items of its own origin for even [seq] and items
+   forged under party 1's for odd.  Items forged under party 0's origin
+   expose an open defect (ROADMAP item 20, "Still open": a forged clash
+   renumbers payloads already riding in open INITs, and one is delivered
+   twice), so they are left out until it is fixed. *)
 let byz_init ~(seq : int) : entry =
-  { en_signer = byz; en_items = [ { it_orig = byz; it_seq = seq; it_payload = junk } ];
+  let orig = if seq mod 2 = 0 then byz else 1 in
+  { en_signer = byz; en_items = [ { it_orig = orig; it_seq = seq; it_payload = junk } ];
     en_sig = "" }
 
 let peer_send (h : h) (j : int) : unit =

@@ -316,13 +316,13 @@ let own_ct_pin () : string =
 
 let own_ct_golden =
   String.concat "\n"
-    [ "p0 [0:mine,3:mine,1:yours] cpu=164.677257 hit=19 miss=36 valid=4 share=4 \
+    [ "p0 [0:mine,3:mine,1:yours] cpu=165.889927 hit=19 miss=36 valid=4 share=4 \
        verify=3 combine=3 encrypt=1";
-      "p1 [0:mine,3:mine,1:yours] cpu=164.179510 hit=20 miss=35 valid=4 share=4 \
+      "p1 [0:mine,3:mine,1:yours] cpu=165.392180 hit=20 miss=35 valid=4 share=4 \
        verify=3 combine=3 encrypt=1";
-      "p2 [0:mine,3:mine,1:yours] cpu=163.427177 hit=19 miss=36 valid=4 share=4 \
+      "p2 [0:mine,3:mine,1:yours] cpu=164.639847 hit=19 miss=36 valid=4 share=4 \
        verify=3 combine=3 encrypt=0";
-      "p3 [0:mine,3:mine,1:yours] cpu=162.431563 hit=21 miss=34 valid=4 share=4 \
+      "p3 [0:mine,3:mine,1:yours] cpu=163.644153 hit=21 miss=34 valid=4 share=4 \
        verify=3 combine=3 encrypt=0" ]
 
 let suite =

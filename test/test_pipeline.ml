@@ -373,4 +373,60 @@ let suite = [
           Alcotest.(check (option int)) "party 3's payload rides in round 1"
             (Some 1) round_of_p3)
         [ 0; 1; 3 ]);
+
+  Alcotest.test_case "a left-out payload rides in its origin's successor's next INIT"
+    `Quick (fun () ->
+      (* All four parties run, but party 3's frames arrive 50 ms late, so a
+         proposer has its n-t = 3 INITs before party 3's and never pools
+         it: moving pooled vectors first cannot help.  Vectors hold two
+         payloads.  Parties 1 and 2 queue five payloads each, so they bring
+         fresh ones every round; party 0, party 3's one successor (t = 1),
+         sends one more payload at the end of each round, so its vector has
+         room.  Round 0 leaves party 3's payload out, party 0's round-1
+         INIT carries it beside its own, and round 1 delivers it. *)
+      let c =
+        Util.cluster ~seed:"pipe-adopt" ~max_batch:2 ~pipeline_depth:1 ()
+      in
+      let logs = Array.init 4 (fun _ -> ref []) in
+      let sent0 = ref 1 in
+      let chans = Array.make 4 None in
+      let send p m = Option.iter (fun ch -> Atomic_channel.send ch m) chans.(p) in
+      for i = 0 to 3 do
+        let rounds = ref 0 in
+        chans.(i) <-
+          Some
+            (Atomic_channel.create (Cluster.runtime c i) ~pid:"adopt"
+               ~on_deliver:(fun ~sender m ->
+                 logs.(i) := (!rounds, sender, m) :: !(logs.(i)))
+               ~on_round_end:(fun () ->
+                 incr rounds;
+                 if i = 0 && !sent0 <= 5 then begin
+                   send 0 (Printf.sprintf "p0.m%d" !sent0);
+                   incr sent0
+                 end)
+               ())
+      done;
+      Cluster.set_intercept c (fun ~src ~dst _ ->
+        if src = 3 && dst <> 3 then Sim.Net.Delay 0.05 else Sim.Net.Deliver);
+      Cluster.inject c 0 (fun () -> send 0 "p0.m0");
+      List.iter
+        (fun p ->
+          Cluster.inject c p (fun () ->
+            for k = 0 to 4 do
+              send p (Printf.sprintf "p%d.m%d" p k)
+            done))
+        [ 1; 2 ];
+      Cluster.inject c 3 (fun () -> send 3 "p3.m0");
+      ignore (Cluster.run c ~until:120.0);
+      List.iter
+        (fun p ->
+          let seq = List.rev !(logs.(p)) in
+          Alcotest.(check int) (Printf.sprintf "party %d delivers all" p) 17
+            (List.length seq);
+          Alcotest.(check (option int)) "party 3's payload rides in round 1"
+            (Some 1)
+            (List.find_map (fun (r, s, _) -> if s = 3 then Some r else None) seq))
+        [ 0; 1; 2; 3 ];
+      Alcotest.(check bool) "party 0 adopted" true
+        (Util.counter_value c 0 "abc.adopted_items" >= 1.0));
 ]
