@@ -2,7 +2,8 @@
 
     Each workload produces an {!obs} record of what every party observed;
     the oracles check the paper's protocol properties over it — agreement,
-    total order, per-origin FIFO order, integrity, validity, bounded-quiescence liveness — plus
+    total order, per-origin FIFO order, integrity, validity, bounded-quiescence liveness,
+    bounded wait in fault-free runs — plus
     the runtime {!Sintra.Invariant} flags.  Soundness leans on the schedule
     contract: destructive mutations only ever hit the [degraded] parties,
     at most [t] of them, so safety is demanded of every honest party while
@@ -81,6 +82,10 @@ type obs = {
       (** the run's [abc.catchup.<name>] registry counters by [<name>],
           each summed over parties, in name order; empty when no
           catch-up path fired *)
+  max_wait : int;
+      (** the longest [abc.wait_rounds] observation of any party — rounds
+          from an own payload's first INIT to its delivery, read as the
+          upper bound of its histogram bucket — or 0 when none *)
 }
 
 (** The outcome of one oracle on one run. *)
@@ -91,6 +96,9 @@ type oracle = {
   name : string;  (** short stable name, e.g. ["total-order"] *)
   check : obs -> verdict;  (** evaluate the property over one run *)
 }
+
+val wait_bound : int
+(** The [bounded-wait] oracle's bound on an observation's [max_wait], in rounds. *)
 
 val all : kind -> oracle list
 (** The oracle suite applicable to a workload kind. *)

@@ -72,6 +72,22 @@ let catchup_counters (c : Cluster.t) : (string * float) list =
     (Trace.Metrics.dump (Sim.Engine.metrics c.Cluster.engine));
   Det.bindings sums ~compare:String.compare
 
+(* The longest [abc.wait_rounds] observation of any party: the upper
+   bound of the highest non-empty bucket of its histograms. *)
+let max_wait (c : Cluster.t) : int =
+  List.fold_left
+    (fun acc h ->
+      if String.ends_with ~suffix:"/abc.wait_rounds" (Trace.Metrics.hist_name h)
+      then
+        List.fold_left
+          (fun acc (bound, count) ->
+            if count = 0 then acc
+            else max acc (if Float.is_integer bound then int_of_float bound else max_int))
+          acc (Trace.Metrics.hist_buckets h)
+      else acc)
+    0
+    (Trace.Metrics.hists (Sim.Engine.metrics c.Cluster.engine))
+
 let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
     ~(kind : Oracle.kind) () : seed:string -> Schedule.t -> Oracle.obs =
   let n = 4 and t = 1 in
@@ -353,4 +369,5 @@ let runner ?(tweaks = no_tweaks) ?(until = 300.0) ?(max_events = 400_000)
     events;
     vtime = Cluster.now c;
     catchup = catchup_counters c;
+    max_wait = max_wait c;
   }

@@ -222,6 +222,28 @@ let suite = [
       let tweaks = { no_tweaks with Vopr.Workload.spurious_flag = true } in
       expect_planted ~kind:Vopr.Oracle.Reliable ~tweaks ~oracle:"flags" ());
 
+  Alcotest.test_case "planted bounded-wait bug: a payload waits past the bound"
+    `Quick (fun () ->
+      (* A fault-free atomic run passes every oracle; the same observation
+         with its longest wait planted one round over the bound must fail
+         the bounded-wait oracle, and must pass again once a party is
+         degraded, where no bound is promised. *)
+      let obs = Vopr.Workload.runner ~kind:Vopr.Oracle.Atomic () ~seed:"wait" [] in
+      assert_all_pass ~what:"fault-free atomic" obs;
+      Alcotest.(check bool) "the run measured a wait" true (obs.Vopr.Oracle.max_wait >= 1);
+      let oracle =
+        List.find
+          (fun (o : Vopr.Oracle.oracle) -> o.Vopr.Oracle.name = "bounded-wait")
+          (Vopr.Oracle.all Vopr.Oracle.Atomic)
+      in
+      let planted = { obs with Vopr.Oracle.max_wait = Vopr.Oracle.wait_bound + 1 } in
+      (match oracle.Vopr.Oracle.check planted with
+       | Vopr.Oracle.Fail _ -> ()
+       | Vopr.Oracle.Pass -> Alcotest.fail "a wait over the bound passed");
+      match oracle.Vopr.Oracle.check { planted with Vopr.Oracle.degraded = [ 3 ] } with
+      | Vopr.Oracle.Pass -> ()
+      | Vopr.Oracle.Fail r -> Alcotest.failf "a degraded run was held to the bound: %s" r);
+
   Alcotest.test_case "regression vopr#70: atomic straggler catches up" `Quick
     (fun () ->
       (* The explorer's first real find: one long link delay plus a dead
