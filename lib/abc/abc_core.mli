@@ -52,11 +52,11 @@ type ports = {
   (** Propose this batch to [round]'s agreement; its decision comes back
       through {!decided}. *)
   decode : string -> entry list option;
-  drop_agreements : below:int -> retire:bool -> unit;
-  (** The rounds below [below] are gone: abort their agreements, or keep
-      them for a grace period with [~retire]. *)
-  expire_agreements : below:int -> unit;
-  (** End the grace period of retired agreements below [below]. *)
+  end_agreements : below:int -> unit;
+  (** Abort the agreements of the rounds below [below].  A delivered
+      round's agreement ends [max 2 window] rounds after its delivery, a
+      grace period for lagging parties; every agreement ends when the
+      channel closes or aborts. *)
   may_request : unit -> bool;     (** false while a rebuild runs *)
   send_request : int -> unit;     (** broadcast REQUEST(base) *)
   send_decided : dst:int -> round:int -> string -> unit;

@@ -37,8 +37,7 @@ type t = {
   rt : Runtime.t;
   pid : string;
   core : Abc_core.t Lazy.t;
-  agreements : (int, Array_agreement.t) Hashtbl.t;   (* open, per round *)
-  retired : (int, Array_agreement.t) Hashtbl.t;     (* delivered, awaiting GC *)
+  agreements : (int, Array_agreement.t) Hashtbl.t;   (* per round, until ended *)
 }
 
 let tag_init = 0
@@ -247,22 +246,15 @@ let propose (t : t) ~(round : int) (batch : entry list) : unit =
   Hashtbl.replace t.agreements round m;
   Array_agreement.propose m encoded
 
-(* The agreements of rounds below [below] are done with: abort them, or
-   with [~retire] keep them registered for a grace period — lagging
-   parties may still need our (already broadcast) messages replayed from
-   their orphan buffers.  [expire] ends the grace period. *)
-let drop_agreements (t : t) ~(below : int) ~(retire : bool) : unit =
+(* The agreements of rounds below [below] are done with.  The core calls
+   this a grace period after a round's delivery, so lagging parties can
+   still have our (already broadcast) messages replayed from their orphan
+   buffers. *)
+let end_agreements (t : t) ~(below : int) : unit =
   Det.iter t.agreements ~compare:Det.by_int (fun r m ->
     if r < below then begin
-      Hashtbl.remove t.agreements r;
-      if retire then Hashtbl.replace t.retired r m else Array_agreement.abort m
-    end)
-
-let expire (t : t) ~(below : int) : unit =
-  Det.iter t.retired ~compare:Det.by_int (fun r m ->
-    if r < below then begin
       Array_agreement.abort m;
-      Hashtbl.remove t.retired r
+      Hashtbl.remove t.agreements r
     end)
 
 let ports (t : t) ~on_deliver ~on_round_end ~on_close : ports =
@@ -270,8 +262,7 @@ let ports (t : t) ~on_deliver ~on_round_end ~on_close : ports =
     send_init = send_init t;
     propose = propose t;
     decode = decode_batch;
-    drop_agreements = drop_agreements t;
-    expire_agreements = expire t;
+    end_agreements = end_agreements t;
     may_request = (fun () -> not (Runtime.rebuilding t.rt));
     send_request =
       (fun base -> Runtime.broadcast t.rt ~pid:t.pid (frame tag_request base ignore));
@@ -331,13 +322,16 @@ let create (rt : Runtime.t) ~(pid : string)
       window = cfg.Config.pipeline_depth }
   in
   let rec t =
-    { rt; pid; agreements = Hashtbl.create 8; retired = Hashtbl.create 8;
+    { rt; pid; agreements = Hashtbl.create 8;
       core =
         lazy (Abc_core.create params (ports t ~on_deliver ~on_round_end ~on_close)) }
   in
   Runtime.register rt ~pid (fun ~src body -> handle t ~src body);
   (* A rebuilt party pulls once its rebuild is over: in a quiet cluster no
-     peer traffic would ever make it ask. *)
+     peer traffic would ever make it ask.  Without this pull eight tests
+     fail, among them test_store's restarts into a quiet cluster and its
+     snapshot adoption, test_pipeline "rebuilt party catches up across an
+     open window" and test_batching's seq-clash heal. *)
   Runtime.after_rebuild rt (fun () -> Abc_core.request (core t));
   t
 

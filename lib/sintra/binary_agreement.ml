@@ -397,7 +397,7 @@ let send_prevote (t : t) (r : int) (b : bool) (just : justification) : unit =
      | Some _ | None ->
        if st.coin_nonce = None then begin
          Charge.coin_release charge;
-         t.rt.Runtime.coin_pregen <- t.rt.Runtime.coin_pregen + 1;
+         Trace.Ctx.incr t.rt.Runtime.trace "aba.coin_pregen";
          st.coin_nonce <-
            Some
              (Crypto.Threshold_coin.draw_nonce ~drbg:t.rt.Runtime.drbg
@@ -464,7 +464,7 @@ let emit_decide (t : t) : unit =
 let send_cert (t : t) (c : cert) ~(dst : int) : unit =
   if dst <> t.rt.Runtime.me && not (Hashtbl.mem t.answered dst) then begin
     Hashtbl.add t.answered dst ();
-    t.rt.Runtime.cert_sent <- t.rt.Runtime.cert_sent + 1;
+    Trace.Ctx.incr t.rt.Runtime.trace "aba.cert_sent";
     let body =
       Wire.encode (fun buf ->
         Wire.Enc.u8 buf tag_decided;
@@ -540,7 +540,7 @@ let rec try_finish_round (t : t) (r : int) : unit =
                 Charge.coin_release t.rt.Runtime.charge;
                 Crypto.Threshold_coin.draw_nonce ~drbg:t.rt.Runtime.drbg coin_pub
             in
-            t.rt.Runtime.coin_finished <- t.rt.Runtime.coin_finished + 1;
+            Trace.Ctx.incr t.rt.Runtime.trace "aba.coin_finished";
             let share =
               Crypto.Threshold_coin.finish coin_pub
                 t.rt.Runtime.keys.Dealer.coin_share ~name:(coin_name t r) nonce
@@ -631,7 +631,7 @@ let on_certificate (t : t) ~(src : int) (c : cert) (proof : string option) : uni
             (main_stmt t c.c_round (MV_bit c.c_value))
     then begin
       (match proof with Some p -> store_proof t c.c_value p | None -> ());
-      t.rt.Runtime.cert_decided <- t.rt.Runtime.cert_decided + 1;
+      Trace.Ctx.incr t.rt.Runtime.trace "aba.cert_decided";
       Hashtbl.replace t.answered src ();       (* it holds the certificate *)
       decide t c ~pass_on:true
     end

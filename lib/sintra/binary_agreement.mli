@@ -19,9 +19,11 @@
     sender through {!Invariant.flag}.  The certificate proves that at
     least t+1 honest parties main-voted b in round r, so every honest
     party that completes the round carries b into the next one: no other
-    bit can be decided.  The counters [Runtime.cert_sent] and
-    [Runtime.cert_decided] count the frames and the decisions taken on
-    them.
+    bit can be decided.  The per-party registry counters
+    [aba.cert_sent] and [aba.cert_decided] count the frames and the
+    decisions taken on them; [aba.coin_pregen] counts the coin-share
+    nonces drawn (and charged) at a round's start, [aba.coin_finished]
+    the shares computed because a round revealed them.
 
     [?bias] replaces the round-1 coin by a fixed value: the protocol then
     always decides the preferred value when it detects an honest party

@@ -74,8 +74,6 @@ let publish_metrics (c : t) : Trace.Metrics.t =
   in
   Array.iter
     (fun rt ->
-      if rt.Runtime.dropped_orphans > 0 then
-        set rt "runtime.dropped_orphans" rt.Runtime.dropped_orphans;
       (* Statement-table lookups: a miss hashed the statement, a hit
          reused an earlier preparation. *)
       let stmts = rt.Runtime.stmts in
@@ -87,14 +85,14 @@ let publish_metrics (c : t) : Trace.Metrics.t =
          the statement's known list vs. really RSA-checked; coin-share
          nonces drawn (and charged) at round start vs. shares computed
          because a round revealed them; own ciphertexts delivered without
-         a validity check. *)
+         a validity check.  The last five count where they happen; adding
+         0 publishes those a run never reached. *)
       set rt "tsig.share_known" (Crypto.Stmt_table.share_known stmts);
       set rt "tsig.share_checked" (Crypto.Stmt_table.share_checked stmts);
-      set rt "aba.coin_pregen" rt.Runtime.coin_pregen;
-      set rt "aba.coin_finished" rt.Runtime.coin_finished;
-      set rt "aba.cert_sent" rt.Runtime.cert_sent;
-      set rt "aba.cert_decided" rt.Runtime.cert_decided;
-      set rt "sac.own_ct_reused" rt.Runtime.own_ct_reused;
+      List.iter
+        (fun name -> Trace.Ctx.count rt.Runtime.trace name 0.0)
+        [ "aba.coin_pregen"; "aba.coin_finished"; "aba.cert_sent";
+          "aba.cert_decided"; "sac.own_ct_reused" ];
       (* The share cache's live entries now (the insertion-time gauge
          misses group evictions) and its FIFO's high-water mark. *)
       let cache = rt.Runtime.cache in

@@ -24,12 +24,6 @@ type t = {
   store_handlers : (string, src:int -> string -> unit) Hashtbl.t;
   orphans : (string, (int * string * int) Queue.t) Hashtbl.t;
       (* src, body, causal flow id at buffering time *)
-  mutable dropped_orphans : int;
-  mutable coin_pregen : int;      (* coin-share nonces drawn at round start *)
-  mutable coin_finished : int;    (* coin shares computed, when revealed *)
-  mutable cert_sent : int;        (* ABA decision certificates sent *)
-  mutable cert_decided : int;     (* ABA decisions taken on a certificate *)
-  mutable own_ct_reused : int;    (* own ciphertexts delivered unchecked *)
   mutable rebuild : (unit -> unit) list;   (* newest first *)
   mutable after_rebuild : (unit -> unit) list option;
       (* while the rebuild hooks run: what runs after them, newest first *)
@@ -93,12 +87,6 @@ let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
     handlers = Hashtbl.create 64;
     store_handlers = Hashtbl.create 8;
     orphans = Hashtbl.create 64;
-    dropped_orphans = 0;
-    coin_pregen = 0;
-    coin_finished = 0;
-    cert_sent = 0;
-    cert_decided = 0;
-    own_ct_reused = 0;
     rebuild = [];
     after_rebuild = None;
     cache = Crypto.Share_cache.create ~cap:cfg.Config.share_cache_cap;
@@ -128,7 +116,6 @@ let create ~(engine : Sim.Engine.t) ~(net : Sim.Net.t) ~(cfg : Config.t)
            Trace.Ctx.incr rt.trace "runtime.orphans_buffered"
          end
          else begin
-           rt.dropped_orphans <- rt.dropped_orphans + 1;
            Trace.Ctx.incr rt.trace "runtime.dropped_orphans";
            Trace.Ctx.instant rt.trace ~pid ~cat:"runtime"
              ~level:Trace.Event.Warn

@@ -25,20 +25,6 @@ type t = {
   handlers : (string, src:int -> string -> unit) Hashtbl.t;
   store_handlers : (string, src:int -> string -> unit) Hashtbl.t;
   orphans : (string, (int * string * int) Queue.t) Hashtbl.t;
-  mutable dropped_orphans : int;
-  mutable coin_pregen : int;
-  (** Coin-share nonces {!Binary_agreement} drew at a round's start (each
-      charged as a coin release). *)
-  mutable coin_finished : int;
-  (** Coin shares it actually computed: those a round revealed. *)
-  mutable cert_sent : int;
-  (** DECIDED frames {!Binary_agreement} sent: decision certificates
-      answering a peer heard from in a later round, or passed on. *)
-  mutable cert_decided : int;
-  (** Its decisions taken on a peer's certificate rather than on votes. *)
-  mutable own_ct_reused : int;
-  (** Own ciphertexts {!Secure_atomic_channel} delivered with the checked
-      form [encrypt] returned, instead of re-checking their bytes. *)
   mutable rebuild : (unit -> unit) list;
   mutable after_rebuild : (unit -> unit) list option;
   (** While {!recover}'s rebuild hooks run: the actions queued by

@@ -214,7 +214,7 @@ let on_atomic_deliver (t : t) ~(sender : int) (ct_bytes : string) : unit =
         match Hashtbl.find_opt t.own_cts ct_bytes with
         | Some own ->
           Hashtbl.remove t.own_cts ct_bytes;
-          t.rt.Runtime.own_ct_reused <- t.rt.Runtime.own_ct_reused + 1;
+          Trace.Ctx.incr t.rt.Runtime.trace "sac.own_ct_reused";
           Some own
         | None -> Crypto.Threshold_enc.check pub ct
       in

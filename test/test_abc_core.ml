@@ -162,8 +162,7 @@ let ports (h : h) : ports =
         if round < h.m.Abc_model.tip then
           h.inbox <- h.inbox @ [ Decision (round, batch_of h round) ]);
     decode = dec_batch;
-    drop_agreements = (fun ~below:_ ~retire:_ -> ());
-    expire_agreements = (fun ~below:_ -> ());
+    end_agreements = (fun ~below:_ -> ());
     may_request = (fun () -> not h.rebuilding);
     send_request =
       (fun base ->

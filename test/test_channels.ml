@@ -447,4 +447,30 @@ let suite = [
             rounds;
         if reused = 0.0 then Alcotest.failf "party %d never reused an INIT verification" p
       done);
+
+  Alcotest.test_case "atomic: a closed atomic channel leaves no agreement registered"
+    `Quick (fun () ->
+      let c = Util.cluster ~seed:"close-ends-agreements" () in
+      let chans, logs, closed = make_atomic c "abc" in
+      for k = 0 to 5 do
+        Cluster.inject c (k mod 4) (fun () ->
+          Atomic_channel.send chans.(k mod 4) (Printf.sprintf "m%d" k))
+      done;
+      ignore (Cluster.run c);
+      (* t + 1 = 2 termination requests close the channel everywhere. *)
+      Cluster.inject c 0 (fun () -> Atomic_channel.close chans.(0));
+      Cluster.inject c 1 (fun () -> Atomic_channel.close chans.(1));
+      ignore (Cluster.run c);
+      Alcotest.(check bool) "all closed" true (Array.for_all (fun x -> x) closed);
+      Alcotest.(check int) "all delivered" 6 (List.length !(logs.(0)));
+      for p = 0 to 3 do
+        let left =
+          Hashtbl.fold
+            (fun pid _ acc -> if String.starts_with ~prefix:"abc/mv." pid then pid :: acc else acc)
+            (Cluster.runtime c p).Runtime.handlers []
+        in
+        if left <> [] then
+          Alcotest.failf "party %d still registers %d agreement handlers, e.g. %s" p
+            (List.length left) (List.hd (List.sort compare left))
+      done);
 ]
